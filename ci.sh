@@ -26,6 +26,10 @@ cargo test -q -p gpu-sim --features model --test replay_model
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== perfbench's own tests =="
+# the benchmark is a separate Cargo workspace, so --workspace misses it
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== rustdoc (no broken intra-doc links) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
 

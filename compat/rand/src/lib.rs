@@ -76,13 +76,18 @@ pub trait SampleRange<T> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+// Spans are taken in wrapping `u64` arithmetic: every implemented type is
+// at most 64 bits wide (signed values sign-extend, which cancels in the
+// difference), so an exclusive span always fits and an inclusive one wraps
+// to 0 only for a full 64-bit domain, where `x % 2^64 == x`. The values are
+// those of `x % span` taken in `u128`, without a 128-bit division per draw.
 macro_rules! impl_int_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
-                let span = (self.end as u128).wrapping_sub(self.start as u128) as u128;
-                let v = (rng.next_u64() as u128) % span;
+                let span = (self.end as u64).wrapping_sub(self.start as u64);
+                let v = rng.next_u64() % span;
                 self.start.wrapping_add(v as $t)
             }
         }
@@ -90,12 +95,9 @@ macro_rules! impl_int_sample_range {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "cannot sample empty range");
-                let span = (hi as u128).wrapping_sub(lo as u128).wrapping_add(1);
-                if span == 0 {
-                    // full domain of the type
-                    return rng.next_u64() as $t;
-                }
-                let v = (rng.next_u64() as u128) % span;
+                let span = (hi as u64).wrapping_sub(lo as u64).wrapping_add(1);
+                let x = rng.next_u64();
+                let v = if span == 0 { x } else { x % span };
                 lo.wrapping_add(v as $t)
             }
         }
@@ -198,7 +200,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_for_same_seed() {
@@ -228,6 +230,57 @@ mod tests {
             let f = rng.gen_range(0.25f64..0.75);
             assert!((0.25..0.75).contains(&f));
         }
+    }
+
+    /// Replays one fixed draw, so a sample can be compared to a formula.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// The `u64` span arithmetic of `gen_range` against the `u128` formula
+    /// it replaced, over random, narrow, near-`2^64` and full-domain spans.
+    macro_rules! check_against_u128 {
+        ($($t:ty),*) => {$({
+            let mut src = StdRng::seed_from_u64(99);
+            let mut ranges: Vec<($t, $t)> = vec![
+                (<$t>::MIN, <$t>::MAX),
+                (<$t>::MIN, <$t>::MIN),
+                (<$t>::MIN + 1, <$t>::MAX),
+                (<$t>::MIN, <$t>::MAX - 1),
+                (0, <$t>::MAX),
+            ];
+            for _ in 0..300 {
+                let (a, b) = (src.gen::<u64>() as $t, src.gen::<u64>() as $t);
+                ranges.push((a.min(b), a.max(b)));
+                let narrow = a.saturating_add((src.gen::<u64>() % 1000) as $t);
+                ranges.push((a, narrow.max(a)));
+            }
+            for (lo, hi) in ranges {
+                for x in [0, 1, u64::MAX, u64::MAX - 1, src.gen(), src.gen()] {
+                    let span = (hi as u128).wrapping_sub(lo as u128).wrapping_add(1);
+                    let want = if span == 0 {
+                        x as $t
+                    } else {
+                        lo.wrapping_add(((x as u128) % span) as $t)
+                    };
+                    assert_eq!(Fixed(x).gen_range(lo..=hi), want, "{lo}..={hi} x={x}");
+                    if lo < hi {
+                        let span = (hi as u128).wrapping_sub(lo as u128);
+                        let want = lo.wrapping_add(((x as u128) % span) as $t);
+                        assert_eq!(Fixed(x).gen_range(lo..hi), want, "{lo}..{hi} x={x}");
+                    }
+                }
+            }
+        })*};
+    }
+
+    #[test]
+    fn gen_range_matches_u128_formula() {
+        check_against_u128!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
     }
 
     #[test]

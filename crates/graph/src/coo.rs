@@ -1,7 +1,8 @@
 //! Coordinate format (COO \[36\]): the sorted edge list `(u[], v[])` of
 //! Figure 1. Mostly an interchange format — generators and IO produce COO,
-//! [`crate::csr::Csr`] is built from it.
+//! [`Csr`] is built from it.
 
+use crate::csr::Csr;
 use crate::NodeId;
 
 /// An edge list in coordinate format. Invariant after [`Coo::normalize`]:
@@ -70,37 +71,17 @@ impl Coo {
 
     /// Sort by `(u, v)` and remove duplicate edges and self-loops.
     pub fn normalize(&mut self) {
-        let mut pairs: Vec<(NodeId, NodeId)> = self
-            .u
-            .iter()
-            .copied()
-            .zip(self.v.iter().copied())
-            .filter(|&(a, b)| a != b)
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        self.u.clear();
-        self.v.clear();
-        for (a, b) in pairs {
-            self.u.push(a);
-            self.v.push(b);
-        }
+        *self = Csr::from_coo(self).to_coo();
     }
 
     /// Add the reverse of every edge, then normalize — makes the graph
     /// symmetric (undirected), as the paper's traversal datasets are used.
     pub fn symmetrize(&mut self) {
-        let n = self.num_edges();
-        for i in 0..n {
-            let (a, b) = (self.u[i], self.v[i]);
-            self.u.push(b);
-            self.v.push(a);
-        }
-        self.normalize();
+        *self = Csr::from_coo_symmetric(self).to_coo();
     }
 
     /// Iterate over edges as `(u, v)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId)> + Clone + '_ {
         self.u.iter().copied().zip(self.v.iter().copied())
     }
 }

@@ -19,42 +19,98 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Build from COO (normalises a copy first: sorts, dedups, drops loops).
-    #[must_use]
-    pub fn from_coo(coo: &Coo) -> Self {
-        let mut c = coo.clone();
-        c.normalize();
-        Self::from_sorted_coo(&c)
-    }
-
-    /// Build from an already-normalised COO without copying it.
+    /// Build from COO: rows sorted ascending, duplicate edges and
+    /// self-loops dropped.
     ///
     /// # Panics
-    /// Panics (debug) if the COO is not sorted/deduplicated.
+    /// Panics if an endpoint is `>= coo.num_nodes`.
     #[must_use]
-    pub fn from_sorted_coo(coo: &Coo) -> Self {
-        let n = coo.num_nodes;
-        let mut offsets = vec![0 as EdgeIdx; n + 1];
-        for &a in &coo.u {
-            offsets[a as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let csr = Self {
-            offsets,
-            targets: coo.v.clone(),
-        };
-        debug_assert!(csr.validate().is_ok(), "COO was not normalised");
-        csr
+    pub fn from_coo(coo: &Coo) -> Self {
+        Self::build(coo.num_nodes, coo.iter(), false)
     }
 
-    /// Build directly from an edge slice.
+    /// Build the symmetric (undirected) closure of a COO: every edge is
+    /// stored in both directions, then normalised as in [`Csr::from_coo`].
+    ///
+    /// # Panics
+    /// Panics if an endpoint is `>= coo.num_nodes`.
+    #[must_use]
+    pub fn from_coo_symmetric(coo: &Coo) -> Self {
+        Self::build(coo.num_nodes, coo.iter(), true)
+    }
+
+    /// Build directly from an edge slice (normalised as in
+    /// [`Csr::from_coo`]).
+    ///
+    /// # Panics
+    /// Panics if an endpoint is `>= num_nodes`.
     #[must_use]
     pub fn from_edges(num_nodes: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let mut coo = Coo::from_edges(num_nodes, edges);
-        coo.normalize();
-        Self::from_sorted_coo(&coo)
+        Self::build(num_nodes, edges.iter().copied(), false)
+    }
+
+    /// The one CSR builder, a counting sort: count out-degrees, prefix-sum
+    /// them into row starts, scatter each edge's target into its row (and,
+    /// when `symmetric`, its source into the target's row), then sort and
+    /// dedup every row in place while compacting the rows to the front.
+    /// Self-loops are never counted. `edges` is walked twice, so no edge
+    /// list or pair vector is materialised.
+    fn build<I>(n: usize, edges: I, symmetric: bool) -> Self
+    where
+        I: Iterator<Item = (NodeId, NodeId)> + Clone,
+    {
+        // row starts before dedup; usize, since the duplicate-inclusive
+        // count may exceed the `EdgeIdx` range the deduplicated graph fits
+        let mut start = vec![0usize; n + 1];
+        for (a, b) in edges.clone() {
+            assert!(
+                (a.max(b) as usize) < n,
+                "edge ({a},{b}) out of range for {n} nodes"
+            );
+            if a != b {
+                start[a as usize + 1] += 1;
+                if symmetric {
+                    start[b as usize + 1] += 1;
+                }
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start[..n].to_vec();
+        let mut targets = vec![0 as NodeId; start[n]];
+        for (a, b) in edges {
+            if a != b {
+                targets[cursor[a as usize]] = b;
+                cursor[a as usize] += 1;
+                if symmetric {
+                    targets[cursor[b as usize]] = a;
+                    cursor[b as usize] += 1;
+                }
+            }
+        }
+
+        let mut offsets = vec![0 as EdgeIdx; n + 1];
+        let mut len = 0usize;
+        for u in 0..n {
+            let (b, e) = (start[u], start[u + 1]);
+            targets[b..e].sort_unstable();
+            let mut prev = None;
+            for i in b..e {
+                let t = targets[i];
+                if prev != Some(t) {
+                    targets[len] = t;
+                    len += 1;
+                    prev = Some(t);
+                }
+            }
+            offsets[u + 1] = EdgeIdx::try_from(len).expect("edge count exceeds EdgeIdx");
+        }
+        targets.truncate(len);
+        targets.shrink_to_fit();
+        let csr = Self { offsets, targets };
+        debug_assert!(csr.validate().is_ok(), "builder broke a CSR invariant");
+        csr
     }
 
     /// Build from raw parts.
@@ -248,6 +304,12 @@ mod tests {
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_target_rejected() {
+        let _ = Csr::from_edges(2, &[(0, 5)]);
     }
 
     #[test]

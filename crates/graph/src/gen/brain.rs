@@ -81,8 +81,7 @@ pub fn brain_graph(nodes: usize, avg_deg: f64, seed: u64) -> Csr {
         }
     }
 
-    coo.symmetrize();
-    Csr::from_sorted_coo(&coo)
+    Csr::from_coo_symmetric(&coo)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::NodeId;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// Generate an R-MAT graph with `2^scale` nodes and `edge_factor * 2^scale`
 /// directed edges (before dedup), with the classic `(a,b,c,d) =
@@ -20,30 +20,29 @@ pub fn rmat_graph(scale: u32, edge_factor: usize, seed: u64) -> Csr {
     let m = edge_factor * n;
     let mut rng = StdRng::seed_from_u64(seed);
     let (a, b, c) = (0.57, 0.19, 0.19);
+    // Each level draws a 53-bit integer `j`, the draw behind `rng.gen::<f64>()
+    // == j * 2^-53` (exact). For an f64 `p`, `j * 2^-53 < p` iff
+    // `j < ceil(p * 2^53)`, so the quadrant picks compare integers against
+    // these thresholds (computed from the same f64 sums) without branches.
+    let unit = (1u64 << 53) as f64;
+    let [ta, tab, tabc] = [a, a + b, a + b + c].map(|p: f64| (p * unit).ceil() as u64);
 
-    let mut coo = Coo::new(n);
+    let (mut u, mut v) = (Vec::with_capacity(m), Vec::with_capacity(m));
     for _ in 0..m {
-        let (mut x, mut y) = (0usize, 0usize);
-        for level in (0..scale).rev() {
-            let r: f64 = rng.gen();
-            let bit = 1usize << level;
-            if r < a {
-                // top-left: nothing
-            } else if r < a + b {
-                y |= bit;
-            } else if r < a + b + c {
-                x |= bit;
-            } else {
-                x |= bit;
-                y |= bit;
-            }
+        let (mut x, mut y) = (0 as NodeId, 0 as NodeId);
+        for _ in 0..scale {
+            let j = rng.next_u64() >> 11;
+            let (ga, gab, gabc) = (j >= ta, j >= tab, j >= tabc);
+            // quadrants [0,ta) none, [ta,tab) y, [tab,tabc) x, [tabc,..) both
+            x = (x << 1) | NodeId::from(gab);
+            y = (y << 1) | NodeId::from(ga ^ gab ^ gabc);
         }
         if x != y {
-            coo.push(x as NodeId, y as NodeId);
+            u.push(x);
+            v.push(y);
         }
     }
-    coo.symmetrize();
-    Csr::from_sorted_coo(&coo)
+    Csr::from_coo_symmetric(&Coo { num_nodes: n, u, v })
 }
 
 #[cfg(test)]

@@ -106,7 +106,11 @@ pub fn social_graph(p: &SocialParams) -> Csr {
         }
     }
 
+    // one edge per stub at most: sized once, so no growth copies are left
+    // behind in the heap
     let mut coo = Coo::new(n);
+    coo.u.reserve_exact(stubs.len());
+    coo.v.reserve_exact(stubs.len());
     for (u, &d) in degs.iter().enumerate() {
         let (cs, cl) = communities[comm_of[u] as usize];
         for _ in 0..d {
@@ -129,8 +133,7 @@ pub fn social_graph(p: &SocialParams) -> Csr {
         }
     }
 
-    coo.symmetrize();
-    Csr::from_sorted_coo(&coo)
+    Csr::from_coo_symmetric(&coo)
 }
 
 #[cfg(test)]

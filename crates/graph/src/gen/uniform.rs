@@ -23,8 +23,7 @@ pub fn uniform_graph(nodes: usize, edges: usize, seed: u64) -> Csr {
             coo.push(u, v);
         }
     }
-    coo.symmetrize();
-    Csr::from_sorted_coo(&coo)
+    Csr::from_coo_symmetric(&coo)
 }
 
 #[cfg(test)]

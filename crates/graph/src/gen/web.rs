@@ -70,8 +70,7 @@ pub fn web_graph(nodes: usize, avg_deg: f64, seed: u64) -> Csr {
         coo.push(ps as NodeId, s as NodeId);
     }
 
-    coo.symmetrize();
-    Csr::from_sorted_coo(&coo)
+    Csr::from_coo_symmetric(&coo)
 }
 
 #[cfg(test)]

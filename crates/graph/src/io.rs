@@ -74,8 +74,7 @@ impl From<io::Error> for ReadError {
 /// [`ReadError::Io`] on reader failures, [`ReadError::Malformed`] on lines
 /// that are neither comments nor `u v` pairs.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<Csr, ReadError> {
-    let mut coo = Coo::new(0);
-    let mut max_node: i64 = -1;
+    let mut num_nodes = 0usize;
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
     for (lineno, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
@@ -91,15 +90,26 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Csr, ReadError> {
         };
         let u = parse(it.next())?;
         let v = parse(it.next())?;
-        max_node = max_node.max(i64::from(u)).max(i64::from(v));
+        // id `NodeId::MAX` would need `NodeId::MAX + 1` nodes
+        let top = u.max(v);
+        if top == NodeId::MAX {
+            return Err(bad_line(lineno, t));
+        }
+        num_nodes = num_nodes.max(top as usize + 1);
         edges.push((u, v));
     }
-    coo.num_nodes = (max_node + 1) as usize;
-    for (u, v) in edges {
-        coo.push(u, v);
-    }
-    coo.normalize();
-    Ok(Csr::from_sorted_coo(&coo))
+    Ok(Csr::from_edges(num_nodes, &edges))
+}
+
+/// A node count from a file header, checked to fit [`NodeId`] before any
+/// array is sized by it.
+fn node_count(n: usize) -> Result<usize, ReadError> {
+    NodeId::try_from(n).map(|_| n).map_err(|_| {
+        ReadError::BadHeader(format!(
+            "node count {n} does not fit a {}-bit node id",
+            NodeId::BITS
+        ))
+    })
 }
 
 fn bad_line(lineno: usize, line: &str) -> ReadError {
@@ -228,7 +238,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, ReadError> {
             let cols = parse(it.next())?;
             let nnz = parse(it.next())?;
             dims = Some((rows, cols, nnz));
-            coo.num_nodes = rows.max(cols);
+            coo.num_nodes = node_count(rows.max(cols))?;
             continue;
         }
         let parse = |s: Option<&str>| -> Result<u64, ReadError> {
@@ -243,15 +253,15 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, ReadError> {
         }
         // 1-indexed; weights (third column) ignored
         coo.push((r - 1) as NodeId, (c - 1) as NodeId);
-        if symmetric {
-            coo.push((c - 1) as NodeId, (r - 1) as NodeId);
-        }
     }
     if dims.is_none() {
         return Err(ReadError::BadHeader("missing dimension line".to_string()));
     }
-    coo.normalize();
-    Ok(Csr::from_sorted_coo(&coo))
+    Ok(if symmetric {
+        Csr::from_coo_symmetric(&coo)
+    } else {
+        Csr::from_coo(&coo)
+    })
 }
 
 /// Parse a DIMACS graph file (`p <type> <nodes> <edges>` header, `a`/`e`
@@ -278,7 +288,7 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Csr, ReadError> {
                     .ok_or_else(|| bad_line(lineno, t))?
                     .parse()
                     .map_err(|_| bad_line(lineno, t))?;
-                coo = Some(Coo::new(n));
+                coo = Some(Coo::new(node_count(n)?));
             }
             Some("a") | Some("e") => {
                 let coo = coo
@@ -299,9 +309,8 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Csr, ReadError> {
             _ => return Err(bad_line(lineno, t)),
         }
     }
-    let mut coo = coo.ok_or_else(|| ReadError::BadHeader("missing p line".to_string()))?;
-    coo.normalize();
-    Ok(Csr::from_sorted_coo(&coo))
+    let coo = coo.ok_or_else(|| ReadError::BadHeader("missing p line".to_string()))?;
+    Ok(Csr::from_coo(&coo))
 }
 
 #[cfg(test)]
@@ -438,6 +447,32 @@ mod tests {
         assert!(read_dimacs(Cursor::new("x nonsense\n")).is_err());
         assert!(read_dimacs(Cursor::new("p sp 2 1\na 1 5 1\n")).is_err()); // range
         assert!(read_dimacs(Cursor::new("c only comments\n")).is_err());
+    }
+
+    #[test]
+    fn matrix_market_rejects_node_count_beyond_node_id() {
+        for rows in ["18446744073709551615", "4294967296"] {
+            let mm = format!("%%MatrixMarket matrix coordinate real general\n{rows} 1 0\n");
+            let e = read_matrix_market(Cursor::new(mm)).unwrap_err();
+            assert!(matches!(e, ReadError::BadHeader(_)), "got {e:?}");
+        }
+    }
+
+    #[test]
+    fn dimacs_rejects_node_count_beyond_node_id() {
+        for n in ["18446744073709551615", "4294967296"] {
+            let e = read_dimacs(Cursor::new(format!("p sp {n} 0\n"))).unwrap_err();
+            assert!(matches!(e, ReadError::BadHeader(_)), "got {e:?}");
+        }
+    }
+
+    #[test]
+    fn edge_list_rejects_id_beyond_node_count_range() {
+        let e = read_edge_list(Cursor::new("0 1\n4294967295 0\n")).unwrap_err();
+        assert!(
+            matches!(e, ReadError::Malformed { line: 2, .. }),
+            "got {e:?}"
+        );
     }
 
     #[test]

@@ -15,8 +15,70 @@ fn edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(NodeI
     })
 }
 
+/// Strategy: an edge list dense in duplicates and self-loops, over `0..40`
+/// nodes (`n = 0` about one case in nine, with no edges), leaving some rows
+/// empty and some nodes isolated.
+fn multigraph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
+    (0usize..45).prop_flat_map(|raw| {
+        let n = raw.saturating_sub(5);
+        let hi = n.max(1) as NodeId;
+        let e = prop::collection::vec((0..hi, 0..hi), 0..200).prop_map(move |es| {
+            if n == 0 {
+                Vec::new()
+            } else {
+                es
+            }
+        });
+        (Just(n), e)
+    })
+}
+
+/// Reference normalisation, independent of the CSR builder: collect the
+/// (optionally mirrored) pairs, drop self-loops, `sort_unstable`, `dedup`.
+fn oracle_pairs(es: &[(NodeId, NodeId)], symmetric: bool) -> Vec<(NodeId, NodeId)> {
+    let mirrored = es.iter().filter(|_| symmetric).map(|&(a, b)| (b, a));
+    let mut pairs: Vec<(NodeId, NodeId)> = es
+        .iter()
+        .copied()
+        .chain(mirrored)
+        .filter(|&(a, b)| a != b)
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// The CSR of sorted, deduplicated pairs, assembled by hand.
+fn oracle_csr(n: usize, pairs: &[(NodeId, NodeId)]) -> Csr {
+    let mut offsets = vec![0u32; n + 1];
+    for &(a, _) in pairs {
+        offsets[a as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    Csr::from_parts(offsets, pairs.iter().map(|&(_, b)| b).collect()).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn builder_matches_sort_dedup_oracle((n, es) in multigraph()) {
+        let plain = oracle_pairs(&es, false);
+        let sym = oracle_pairs(&es, true);
+        let coo = Coo::from_edges(n, &es);
+        prop_assert_eq!(Csr::from_edges(n, &es), oracle_csr(n, &plain));
+        prop_assert_eq!(Csr::from_coo(&coo), oracle_csr(n, &plain));
+        prop_assert_eq!(Csr::from_coo_symmetric(&coo), oracle_csr(n, &sym));
+        let mut normalized = coo.clone();
+        normalized.normalize();
+        prop_assert_eq!(normalized.iter().collect::<Vec<_>>(), plain);
+        let mut symmetrized = coo;
+        symmetrized.symmetrize();
+        prop_assert_eq!(symmetrized.iter().collect::<Vec<_>>(), sym);
+        prop_assert_eq!(symmetrized.num_nodes, n);
+    }
 
     #[test]
     fn csr_from_edges_always_validates((n, es) in edges(64, 256)) {
@@ -39,7 +101,7 @@ proptest! {
     fn coo_symmetrize_makes_symmetric((n, es) in edges(48, 128)) {
         let mut coo = Coo::from_edges(n, &es);
         coo.symmetrize();
-        let g = Csr::from_sorted_coo(&coo);
+        let g = Csr::from_coo(&coo);
         for (u, v) in g.edges() {
             prop_assert!(g.neighbors(v).binary_search(&u).is_ok());
         }
