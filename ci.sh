@@ -80,10 +80,12 @@ for app in ppr node2vec; do
 done
 
 echo "== determinism (release): parallel simulation == sequential, bit for bit =="
-# covers push-only, adaptive-3-way, and matrix-forced pipelines
+# covers push-only, adaptive-3-way, and matrix-forced pipelines, plus the
+# replay gate (the only replay decision) on both sides of its boundary
 cargo test --release -q -p sage --test prop_determinism
 cargo test --release -q -p sage --test prop_direction
 cargo test --release -q -p sage --test prop_walk
+cargo test --release -q -p gpu-sim --test prop_replay_gate
 cargo test --release -q -p gpu-sim kernel::
 
 echo "== traversal_bench (writes BENCH_traversal.json) =="
@@ -106,7 +108,7 @@ test -s BENCH_walk.json || { echo "BENCH_walk.json missing"; exit 1; }
 echo "== serve_bench (writes BENCH_serve.json) =="
 cargo run --release -q -p sage-bench --bin serve_bench
 
-echo "== scale_bench smoke (replay-gate sweep at scale 14) =="
+echo "== scale_bench smoke (1 vs 4 host threads at scale 14) =="
 # 1 vs 4 host threads on an R-MAT 2^14 graph: always enforces bitwise
 # determinism across thread counts; additionally fails on speedup_vs_1t
 # < 1.0 when the host has >= 4 cores to parallelise over (on smaller

@@ -4,7 +4,6 @@
 //! sage_cli <app> [--graph FILE | --dataset NAME] [--engine NAME]
 //!          [--source N] [--scale F] [--repeat N] [--out-of-core] [--profile]
 //!          [--mode push|adaptive|matrix] [--push-only] [--threads N] [--sanitize]
-//!          [--replay-gate N] [--no-elision]
 //!
 //!   app       bfs | bc | pr | cc | sssp | mis | kcore | walk | serve
 //!   --graph   edge-list file ("u v" per line, # comments) or .sagecsr binary
@@ -34,14 +33,6 @@
 //!             exit 1. Sanitized runs report bitwise-identical cycles and
 //!             cache counters. The SAGE_SANITIZE environment variable is an
 //!             equivalent switch (0/false/off/no disables).
-//!   --replay-gate N  probe-count threshold below which traced kernels
-//!             replay inline instead of on sharded workers; mirrors the
-//!             SAGE_REPLAY_GATE environment variable. Host-side only —
-//!             simulated results are bitwise identical at any gate.
-//!   --no-elision disable streaming-probe elision: cache-bypassing scan
-//!             reads ride the replay streams and are charged during replay
-//!             instead of eagerly at record time; mirrors SAGE_ELISION=0.
-//!             Host-side only — results are bitwise identical either way.
 //!
 //! serve mode (concurrent query service over a device pool):
 //!   sage_cli serve [--graph FILE | --dataset NAME] [--devices N] [--requests N]
@@ -93,8 +84,6 @@ struct Args {
     mode: String,
     threads: Option<usize>,
     sanitize: bool,
-    replay_gate: Option<usize>,
-    elision: bool,
     devices: usize,
     requests: usize,
     walk_app: String,
@@ -112,8 +101,7 @@ fn usage() -> ! {
         "usage: sage_cli <bfs|bc|pr|cc|sssp|mis|kcore> [--graph FILE | --dataset NAME] \
          [--engine sage|sage-tp|naive|spmv|b40c|tigr|gunrock|ligra] [--source N] \
          [--scale F] [--repeat N] [--out-of-core] [--profile] \
-         [--mode push|adaptive|matrix] [--push-only] [--threads N] \
-         [--sanitize] [--replay-gate N] [--no-elision]\n\
+         [--mode push|adaptive|matrix] [--push-only] [--threads N] [--sanitize]\n\
          \x20      sage_cli serve [--graph FILE | --dataset NAME] [--devices N] [--requests N] \
          [--sanitize]\n\
          \x20      sage_cli walk [--graph FILE | --dataset NAME] [--walk-app ppr|node2vec] \
@@ -147,8 +135,6 @@ fn parse_args() -> Args {
         mode: "adaptive".into(),
         threads: None,
         sanitize: false,
-        replay_gate: None,
-        elision: true,
         devices: 2,
         requests: 64,
         walk_app: "ppr".into(),
@@ -182,10 +168,6 @@ fn parse_args() -> Args {
                 args.threads = Some(value("--threads").parse().unwrap_or_else(|_| usage()));
             }
             "--sanitize" => args.sanitize = true,
-            "--replay-gate" => {
-                args.replay_gate = Some(value("--replay-gate").parse().unwrap_or_else(|_| usage()));
-            }
-            "--no-elision" => args.elision = false,
             "--devices" => args.devices = value("--devices").parse().unwrap_or_else(|_| usage()),
             "--requests" => {
                 args.requests = value("--requests").parse().unwrap_or_else(|_| usage());
@@ -298,10 +280,6 @@ fn walk_mode(args: &Args, csr: Csr) {
     if args.sanitize {
         dev.set_sanitize(true);
     }
-    if let Some(gate) = args.replay_gate {
-        dev.set_replay_gate(gate);
-    }
-    dev.set_elide_streaming(args.elision && dev.elide_streaming());
     println!(
         "graph: {} nodes, {} edges | app: {} | sampler: {} | {} walks x {} steps, seed {}",
         csr.num_nodes(),
@@ -481,13 +459,6 @@ fn main() {
         // --sanitize stays off
         dev.set_sanitize(true);
     }
-    if let Some(gate) = args.replay_gate {
-        // CLI beats SAGE_REPLAY_GATE, already folded into the device
-        dev.set_replay_gate(gate);
-    }
-    // --no-elision only ever turns elision off; SAGE_ELISION=0 without the
-    // flag stays off too
-    dev.set_elide_streaming(args.elision && dev.elide_streaming());
     let mut engine: Box<dyn Engine> = if args.out_of_core && args.engine == "subway" {
         Box::new(SubwayEngine::new(&mut dev, csr.num_edges()))
     } else {

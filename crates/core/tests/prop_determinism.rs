@@ -4,7 +4,9 @@
 //! path — application outputs, simulated cycles, and every cache counter
 //! (L1/L2 hits, DRAM sectors) — across BFS/CC/PR, in the push-only, the
 //! adaptive three-way (push/pull/matrix), and the matrix-forced (masked
-//! SpMV) pipelines, on every pull-capable engine.
+//! SpMV) pipelines, on every pull-capable engine. With the race sanitizer
+//! on, the hazard count joins the fingerprint, and a traced run on a
+//! streaming-scale edge list must actually elide its streaming reads.
 
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
@@ -99,6 +101,7 @@ struct Fingerprint {
     examined: u64,
     trace: String,
     host_threads: usize,
+    hazards: usize,
 }
 
 fn run_once(
@@ -111,26 +114,40 @@ fn run_once(
 ) -> Fingerprint {
     let mut dev = Device::new(cfg8());
     dev.set_host_threads(threads);
-    let dg = DeviceGraph::upload(&mut dev, csr.clone()).with_in_edges(&mut dev);
+    run_on(&mut dev, csr, engine, policy, app, src)
+}
+
+/// One run on a caller-configured device (sanitizer, thread budget), so
+/// the caller can read host-side telemetry off the device afterwards.
+fn run_on(
+    dev: &mut Device,
+    csr: &Csr,
+    engine: &mut dyn Engine,
+    policy: PolicySel,
+    app: AppSel,
+    src: u32,
+) -> Fingerprint {
+    let dg = DeviceGraph::upload(dev, csr.clone()).with_in_edges(dev);
     let runner = policy.runner();
     let (report, outputs) = match app {
         AppSel::Bfs => {
-            let mut a = Bfs::new(&mut dev);
-            let r = runner.run(&mut dev, &dg, engine, &mut a, src);
+            let mut a = Bfs::new(dev);
+            let r = runner.run(dev, &dg, engine, &mut a, src);
             (r, a.distances().iter().map(|&d| d as u32).collect())
         }
         AppSel::Cc => {
-            let mut a = Cc::new(&mut dev);
-            let r = runner.run(&mut dev, &dg, engine, &mut a, src);
+            let mut a = Cc::new(dev);
+            let r = runner.run(dev, &dg, engine, &mut a, src);
             (r, a.labels().to_vec())
         }
         AppSel::Pr => {
-            let mut a = PageRank::new(&mut dev, 8, 0.0);
-            let r = runner.run(&mut dev, &dg, engine, &mut a, src);
+            let mut a = PageRank::new(dev, 8, 0.0);
+            let r = runner.run(dev, &dg, engine, &mut a, src);
             (r, a.ranks().iter().map(|p| p.to_bits()).collect())
         }
     };
     let cycles = dev.elapsed_cycles();
+    let hazards = dev.hazards().len();
     let p = dev.profiler();
     Fingerprint {
         outputs,
@@ -145,7 +162,18 @@ fn run_once(
         examined: report.edges_examined,
         trace: report.direction_trace,
         host_threads: report.host_threads,
+        hazards,
     }
+}
+
+/// An 8-SM tiny device at `threads` host threads with the race sanitizer on.
+fn sanitized_dev(threads: usize) -> Device {
+    let mut dev = Device::new(DeviceConfig {
+        sanitize: true,
+        ..cfg8()
+    });
+    dev.set_host_threads(threads);
+    dev
 }
 
 /// Assert every parallel thread count reproduces the sequential fingerprint
@@ -207,6 +235,22 @@ proptest! {
         let g = graph(nodes, 6.0, seed);
         assert_deterministic(&g, PolicySel::from_u8(policy), AppSel::Pr, 0)?;
     }
+
+    #[test]
+    fn sanitized_bfs_matches_sequential_bitwise(nodes in 80usize..200, seed in 0u64..1000) {
+        // hazard detection runs at record time on every backend, so the
+        // hazard count is part of the fingerprint the threads must match
+        let g = graph(nodes, 8.0, seed);
+        for make in engines() {
+            let seq = run_on(&mut sanitized_dev(1), &g, make().as_mut(), PolicySel::Adaptive3, AppSel::Bfs, 0);
+            for &t in &THREADS {
+                let mut engine = make();
+                let mut par = run_on(&mut sanitized_dev(t), &g, engine.as_mut(), PolicySel::Adaptive3, AppSel::Bfs, 0);
+                par.host_threads = seq.host_threads;
+                prop_assert_eq!(&par, &seq, "{} sanitized run diverged at {} threads", engine.name(), t);
+            }
+        }
+    }
 }
 
 /// The whole engine roster (not just the pull-capable trio) agrees with its
@@ -260,4 +304,40 @@ fn matrix_pipeline_deterministic_and_traced_on_fixed_graph() {
             assert_eq!(par, seq, "{} diverged at {} threads", engine.name(), t);
         }
     }
+}
+
+/// On a fixed graph whose edge list crosses the tiny device's L2 way
+/// capacity, the streaming classifier must fire: the traced run charges
+/// its streaming reads at record time (a nonzero elided-probe count) and
+/// still matches the untraced sequential run, which elides nothing.
+#[test]
+fn elision_fires_on_streaming_edge_lists() {
+    let g = graph(400, 8.0, 11);
+    assert!(
+        g.num_edges() * 4 >= 2048,
+        "graph too small to register a streaming region"
+    );
+    let run = |threads: usize| {
+        let mut dev = Device::new(cfg8());
+        dev.set_host_threads(threads);
+        let mut engine = NaiveEngine::new();
+        let fp = run_on(
+            &mut dev,
+            &g,
+            &mut engine,
+            PolicySel::Adaptive3,
+            AppSel::Bfs,
+            0,
+        );
+        (fp, dev.replay_stats().elided_probes)
+    };
+    let (seq, seq_elided) = run(1);
+    assert_eq!(
+        seq_elided, 0,
+        "sequential kernels trace (and elide) nothing"
+    );
+    let (mut par, elided) = run(4);
+    assert!(elided > 0, "no probes elided on a streaming-scale graph");
+    par.host_threads = seq.host_threads;
+    assert_eq!(par, seq, "eliding run diverged from sequential");
 }

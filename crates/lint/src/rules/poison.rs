@@ -4,9 +4,10 @@
 //! worker that panicked must not cascade into every later queue/ticket
 //! operation panicking on `lock().unwrap()`. The idiom is
 //! `.lock().unwrap_or_else(PoisonError::into_inner)` (see
-//! `crates/serve/src/queue.rs`). A bare `lock().unwrap()` outside tests
-//! is an error; the allowlist is for the rare site where propagating the
-//! poison panic is the intended loud failure.
+//! `crates/serve/src/queue.rs`). A bare `lock().unwrap()` — or
+//! `read().unwrap()` / `write().unwrap()` on an `RwLock` such as the graph
+//! registry — outside tests is an error; the allowlist is for the rare site
+//! where propagating the poison panic is the intended loud failure.
 
 use crate::diag::Diag;
 use crate::scan::FileScan;
@@ -25,15 +26,20 @@ pub fn run(files: &[FileScan], diags: &mut Vec<Diag>) {
                 continue;
             };
             for i in open + 1..close {
-                if f.seq(i, &[".", "lock", "(", ")", ".", "unwrap", "("]) {
+                let guard = ["lock", "read", "write"]
+                    .iter()
+                    .any(|g| f.seq(i, &[".", g, "(", ")", ".", "unwrap", "("]));
+                if guard {
                     diags.push(Diag {
                         rule: "lock-poison".into(),
                         path: f.path.clone(),
                         line: f.toks[i + 5].line,
-                        msg: "serve mutexes must recover from poisoning: use \
-                              `.lock().unwrap_or_else(PoisonError::into_inner)` so one \
-                              panicked worker cannot cascade"
-                            .into(),
+                        msg: format!(
+                            "serve locks must recover from poisoning: use \
+                             `.{}().unwrap_or_else(PoisonError::into_inner)` so one \
+                             panicked worker cannot cascade",
+                            f.text(i + 1)
+                        ),
                     });
                 }
             }

@@ -11,7 +11,7 @@ use gpu_sim::{device_pool, Profiler, ReplayStats};
 use sage::LatencyBreakdown;
 use sage_graph::Csr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -138,7 +138,10 @@ impl SageService {
     /// Register a graph; queries reference it by the returned id. Every
     /// worker lazily builds its own adaptive runtime from this CSR.
     pub fn register_graph(&self, name: &str, csr: Csr) -> GraphId {
-        let mut registry = self.registry.write().unwrap();
+        let mut registry = self
+            .registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         let id = registry.len() as GraphId;
         registry.push(Arc::new(GraphEntry {
             name: name.to_string(),
@@ -153,7 +156,7 @@ impl SageService {
     pub fn graph_epoch(&self, graph: GraphId) -> Option<u64> {
         self.registry
             .read()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(graph as usize)
             .map(|e| e.epoch.load(Ordering::Acquire))
     }
@@ -163,7 +166,7 @@ impl SageService {
     pub fn graph_name(&self, graph: GraphId) -> Option<String> {
         self.registry
             .read()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(graph as usize)
             .map(|e| e.name.clone())
     }
@@ -182,7 +185,7 @@ impl SageService {
     pub fn submit(&self, mut request: QueryRequest) -> Result<Ticket, ServiceError> {
         let admitted_at = Instant::now();
         let (nodes, epoch) = {
-            let registry = self.registry.read().unwrap();
+            let registry = self.registry.read().unwrap_or_else(PoisonError::into_inner);
             let entry = registry
                 .get(request.graph as usize)
                 .ok_or(ServiceError::UnknownGraph(request.graph))?;

@@ -128,7 +128,13 @@ impl Worker {
         let pickup = Instant::now();
         let gid = batch[0].request.graph;
         let app = batch[0].request.app;
-        let Some(entry) = self.registry.read().unwrap().get(gid as usize).cloned() else {
+        let Some(entry) = self
+            .registry
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(gid as usize)
+            .cloned()
+        else {
             for job in batch {
                 job.ticket.fulfill(Err(ServiceError::UnknownGraph(gid)));
             }

@@ -24,52 +24,13 @@ pub fn default_sanitize(cfg_default: bool) -> bool {
     }
 }
 
-/// Resolve the parallel-replay gate: the `SAGE_REPLAY_GATE` environment
-/// variable overrides [`DeviceConfig::replay_gate`] when set to a parseable
-/// integer. Traced kernels recording fewer probes than the gate replay
-/// inline on the calling thread; at or above it they replay on SM-sharded
-/// workers. The setting never changes simulated results.
-#[must_use]
-pub fn default_replay_gate(cfg_default: usize) -> usize {
-    std::env::var("SAGE_REPLAY_GATE")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(cfg_default)
-}
-
-/// Resolve the streaming-probe-elision switch: the `SAGE_ELISION`
-/// environment variable overrides [`DeviceConfig::elide_streaming`] when set
-/// (`0` / `false` / `off` / `no` / empty disable, anything else enables).
-/// Streaming reads bypass the caches either way — elision only decides
-/// whether they are charged eagerly at record time or carried through the
-/// replay streams, so simulated results are bitwise identical on both sides.
-#[must_use]
-pub fn default_elide_streaming(cfg_default: bool) -> bool {
-    match std::env::var("SAGE_ELISION") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "false" | "off" | "no"
-        ),
-        Err(_) => cfg_default,
-    }
-}
-
-/// Resolve the asynchronous-replay switch: the `SAGE_ASYNC_REPLAY`
-/// environment variable overrides [`DeviceConfig::async_replay`] when set
-/// (`0` / `false` / `off` / `no` / empty disable, anything else enables).
-/// Async replay overlaps a kernel's replay with the next kernel's recording;
-/// every observable device read joins the in-flight replay first, so results
-/// are bitwise identical to synchronous replay.
-#[must_use]
-pub fn default_async_replay(cfg_default: bool) -> bool {
-    match std::env::var("SAGE_ASYNC_REPLAY") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "false" | "off" | "no"
-        ),
-        Err(_) => cfg_default,
-    }
-}
+/// Probe-count crossover of the trace/replay backend: traced kernels
+/// recording fewer probes replay inline on the calling thread (spawning
+/// shard workers would cost more than the replay itself); at or above it
+/// they replay on SM-sharded workers, on a background thread when finished
+/// with [`Kernel::finish_async`]. Host-side only: simulated results are
+/// bitwise identical on either side of the gate.
+pub const REPLAY_GATE: usize = 8_192;
 
 /// Resolve the default host-thread count for kernel simulation:
 /// `SAGE_HOST_THREADS` when set, otherwise the machine's available
@@ -107,17 +68,16 @@ pub struct Device {
     sanitize: bool,
     hazards: Vec<Hazard>,
     replay_gate: usize,
-    elide: bool,
-    async_replay: bool,
     /// Half-open streaming regions in sector units: reads landing inside are
     /// charged as compulsory DRAM misses and never probe the caches.
     streaming: Vec<(u64, u64)>,
     /// Double-buffered trace arenas: one can ride an in-flight async replay
     /// while the next kernel records into the other.
     arena_pool: Vec<TraceArena>,
-    /// The in-flight asynchronous replay, if any. Joined (and its results
-    /// applied, in launch order) before any observable state is read.
-    pending: Option<JoinHandle<ReplayDone>>,
+    /// The in-flight asynchronous replay and its kernel's name, if any.
+    /// Joined (and its results applied, in launch order) before any
+    /// observable state is read.
+    pending: Option<(String, JoinHandle<ReplayDone>)>,
     replay_stats: ReplayStats,
 }
 
@@ -144,9 +104,6 @@ impl Device {
         let l2_slices = l2.num_slices();
         let host_threads = default_host_threads(cfg.num_sms);
         let sanitize = default_sanitize(cfg.sanitize);
-        let replay_gate = default_replay_gate(cfg.replay_gate);
-        let elide = default_elide_streaming(cfg.elide_streaming);
-        let async_replay = default_async_replay(cfg.async_replay);
         Self {
             device_alloc: Allocator::new(MemSpace::Device),
             host_alloc: Allocator::new(MemSpace::Host),
@@ -159,9 +116,7 @@ impl Device {
             host_threads,
             sanitize,
             hazards: Vec::new(),
-            replay_gate,
-            elide,
-            async_replay,
+            replay_gate: REPLAY_GATE,
             streaming: Vec::new(),
             arena_pool: vec![TraceArena::default(), TraceArena::default()],
             pending: None,
@@ -227,10 +182,11 @@ impl Device {
         self.replay_gate
     }
 
-    /// Tune the replay crossover for subsequent launches (floored at 1 so a
-    /// traced kernel with zero probes never spawns workers). Simulated
-    /// results are identical on either side of the gate — this only moves
-    /// where host wall-clock is spent.
+    /// Move the replay crossover for subsequent launches (floored at 1 so a
+    /// traced kernel with zero probes never spawns workers) — the seam tests
+    /// use to force small kernels onto the sharded, asynchronous route.
+    /// Simulated results are identical on either side of the gate; this
+    /// only moves where host wall-clock is spent.
     pub fn set_replay_gate(&mut self, gate: usize) {
         self.replay_gate = gate.max(1);
     }
@@ -242,36 +198,6 @@ impl Device {
         &self.replay_stats
     }
 
-    /// Whether streaming reads are elided from the replay streams (charged
-    /// eagerly as compulsory DRAM misses at record time).
-    #[must_use]
-    pub fn elide_streaming(&self) -> bool {
-        self.elide
-    }
-
-    /// Toggle streaming-probe elision for subsequent launches. Bypassing
-    /// streaming reads never touch cache state in any mode, so simulated
-    /// results are bitwise identical on both sides — the switch only moves
-    /// host-side work out of (or back into) the replay streams.
-    pub fn set_elide_streaming(&mut self, on: bool) {
-        self.elide = on;
-    }
-
-    /// Whether replays of at-or-above-gate kernels may run asynchronously,
-    /// overlapped with the next kernel's recording.
-    #[must_use]
-    pub fn async_replay_enabled(&self) -> bool {
-        self.async_replay
-    }
-
-    /// Toggle asynchronous replay for subsequent launches. Joins any replay
-    /// already in flight. Results are bitwise identical either way — every
-    /// observable read is a deterministic join barrier.
-    pub fn set_async_replay(&mut self, on: bool) {
-        self.sync_replay();
-        self.async_replay = on;
-    }
-
     /// Register `[base, base + bytes)` as a single-touch streaming region —
     /// a range scanned at most once per kernel with no expectation of reuse
     /// (CSR adjacency arrays are the canonical case). Regions smaller than
@@ -279,9 +205,9 @@ impl Device {
     /// plausibly stay resident, so their probes keep full cache semantics.
     /// Reads inside a registered region model `ld.global.cs` no-allocate
     /// loads: they bypass L1 and L2 on every backend and are charged as
-    /// compulsory DRAM misses, which is what makes them order-insensitive
-    /// and therefore elidable from the replay streams. Writes are
-    /// unaffected.
+    /// compulsory DRAM misses at record time, which is what makes them
+    /// order-insensitive and keeps them out of the replay streams. Writes
+    /// are unaffected.
     pub fn mark_streaming(&mut self, base: u64, bytes: u64) {
         let way_bytes = ((self.cfg.l2.capacity_bytes / self.cfg.l2.ways.max(1)).max(1)) as u64;
         if bytes < way_bytes {
@@ -375,15 +301,15 @@ impl Device {
         self.l2 = caches.l2;
     }
 
-    /// Park an asynchronous replay. At most one may be in flight; callers
-    /// go through [`Self::take_replay_caches`] first, which joins any
-    /// previous one.
-    pub(crate) fn set_pending_replay(&mut self, handle: JoinHandle<ReplayDone>) {
+    /// Park an asynchronous replay of kernel `name`. At most one may be in
+    /// flight; callers go through [`Self::take_replay_caches`] first, which
+    /// joins any previous one.
+    pub(crate) fn set_pending_replay(&mut self, name: String, handle: JoinHandle<ReplayDone>) {
         debug_assert!(
             self.pending.is_none(),
             "only one async replay may be in flight"
         );
-        self.pending = Some(handle);
+        self.pending = Some((name, handle));
     }
 
     /// Deterministic join barrier: wait for the in-flight async replay (if
@@ -391,10 +317,25 @@ impl Device {
     /// telemetry — exactly as the synchronous path would have. Every
     /// observable read on the device funnels through here, so async replay
     /// is invisible to simulated results.
+    ///
+    /// # Panics
+    /// Re-raises a panic of the replay thread, naming the kernel it was
+    /// replaying.
     pub(crate) fn sync_replay(&mut self) {
-        if let Some(handle) = self.pending.take() {
-            let done = handle.join().expect("async replay thread panicked");
-            done.apply(self);
+        if let Some((name, handle)) = self.pending.take() {
+            match handle.join() {
+                Ok(done) => {
+                    done.apply(self);
+                }
+                Err(payload) => {
+                    let cause = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_owned())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_owned());
+                    panic!("async replay of kernel `{name}` panicked: {cause}");
+                }
+            }
         }
     }
 
@@ -647,14 +588,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_gate_defaults_from_config_and_clamps() {
-        let mut cfg = DeviceConfig::test_tiny();
-        cfg.replay_gate = 77;
-        let mut d = Device::new(cfg);
-        // (holds unless SAGE_REPLAY_GATE is exported into the test env)
-        if std::env::var("SAGE_REPLAY_GATE").is_err() {
-            assert_eq!(d.replay_gate(), 77);
-        }
+    fn replay_gate_defaults_to_const_and_clamps() {
+        let mut d = Device::new(DeviceConfig::test_tiny());
+        assert_eq!(d.replay_gate(), REPLAY_GATE);
         d.set_replay_gate(0);
         assert_eq!(d.replay_gate(), 1);
         d.set_replay_gate(123);
@@ -684,6 +620,25 @@ mod tests {
         assert_eq!(d.replay_stats().traced_kernels, 2);
         d.reset_profiler();
         assert_eq!(d.replay_stats(), &crate::profile::ReplayStats::default());
+    }
+
+    #[test]
+    fn async_replay_panic_names_its_kernel() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut d = Device::new(DeviceConfig::test_tiny());
+        d.set_pending_replay(
+            "sage_expand_tiles".to_owned(),
+            std::thread::spawn(|| -> ReplayDone { panic!("replay worker fault") }),
+        );
+        let payload = catch_unwind(AssertUnwindSafe(|| d.elapsed_cycles()))
+            .expect_err("the join barrier must re-raise the replay panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("re-raised with a formatted message");
+        assert_eq!(
+            msg,
+            "async replay of kernel `sage_expand_tiles` panicked: replay worker fault"
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! backend: event accounting still happens inline (it is cheap and
 //! cache-independent), but sector probes are appended to compact packed
 //! per-SM streams (`crate::trace::TraceArena`) — one
-//! `seq << 36 | sector << 2 | bypass << 1 | atomic` word per probe —
+//! `seq << 36 | sector << 2 | atomic` word per probe —
 //! stamped with a global sequence number and replayed at
 //! [`Kernel::finish`] in two parallel passes: per-SM private-L1 replay
 //! (each shard owns its SM's L1; survivors are compacted *in place* into
@@ -43,24 +43,23 @@
 //! see [`crate::cache::SlicedCache`]). Stream storage lives in a per-device
 //! arena reused across launches, so steady-state recording never allocates.
 //! Shard counters merge in SM order, so cycles, profiler stats and cache
-//! states are bitwise identical to the sequential path. Kernels recording
-//! fewer probes than [`crate::device::Device::replay_gate`] replay inline on
-//! the calling thread — spawning shard workers would cost more than the
-//! replay itself.
+//! states are bitwise identical to the sequential path.
 //!
-//! Two further optimisations ride on the trace/replay backend. **Probe
-//! elision**: reads of registered streaming regions
-//! ([`crate::device::Device::mark_streaming`] — CSR adjacency larger than
-//! one L2 way) bypass the cache hierarchy on every backend and are charged
-//! as compulsory DRAM misses; since their outcome cannot depend on inter-SM
-//! interleaving, the recording path charges them eagerly and never streams
-//! them (toggle: [`crate::device::Device::set_elide_streaming`]).
-//! **Asynchronous replay**: kernels at or above the replay gate may hand
-//! their streams plus the cache hierarchy to a background thread via
-//! [`Kernel::finish_async`], overlapping replay with the next kernel's
-//! recording; every observable device read joins the in-flight replay
-//! first, so results stay bitwise identical to synchronous replay (toggle:
-//! [`crate::device::Device::set_async_replay`]).
+//! Traced kernels take one recording path. Reads of registered streaming
+//! regions ([`crate::device::Device::mark_streaming`] — CSR adjacency
+//! larger than one L2 way) bypass the cache hierarchy on every backend and
+//! are charged as compulsory DRAM misses; since their outcome cannot depend
+//! on inter-SM interleaving, they are charged at record time and never
+//! streamed (counted as elided probes in
+//! [`crate::profile::ReplayStats`]). The replay gate
+//! ([`crate::device::REPLAY_GATE`]) is the only replay decision: kernels
+//! recording fewer probes replay inline on the calling thread, since
+//! spawning shard workers would cost more than the replay itself. At or
+//! above it they replay on sharded workers, and [`Kernel::finish_async`]
+//! hands that replay, with the cache hierarchy, to a background thread so
+//! it overlaps the next kernel's recording; every observable device read
+//! joins the in-flight replay first, so results stay bitwise identical to
+//! [`Kernel::finish`].
 
 use crate::cache::{Probe, SectorCache};
 use crate::config::DeviceConfig;
@@ -79,9 +78,8 @@ struct TraceBuf {
     arena: TraceArena,
     seq: u64,
     threads: usize,
-    /// Elide streaming-bypass reads from the streams (charge eagerly).
-    elide: bool,
-    /// Probes elided so far (telemetry for `ReplayStats`).
+    /// Streaming reads charged at record time instead of streamed
+    /// (telemetry for `ReplayStats`).
     elided: u64,
 }
 
@@ -178,7 +176,6 @@ impl<'d> Kernel<'d> {
             arena: dev.take_trace_arena(),
             seq: 0,
             threads,
-            elide: dev.elide_streaming(),
             elided: 0,
         });
         let shadow = dev.sanitize_enabled().then(|| ShadowTracker::new(sms));
@@ -360,20 +357,17 @@ impl<'d> Kernel<'d> {
         // they bypass L1 and L2 on *every* backend and cost a compulsory
         // DRAM sector. Because they never touch cache state, their outcome
         // is independent of inter-SM interleaving — which is what lets the
-        // recording path charge them eagerly instead of streaming them.
-        let bypass = !is_write && self.dev.is_streaming_sector(s);
-        if let Some(t) = &mut self.trace {
-            if bypass && t.elide {
-                self.per_sm[sm].dram_sectors += 1;
+        // recording path charge them here instead of streaming them.
+        if !is_write && self.dev.is_streaming_sector(s) {
+            self.per_sm[sm].dram_sectors += 1;
+            if let Some(t) = &mut self.trace {
                 t.elided += 1;
-                return;
             }
-            t.arena.record(sm, s, t.seq, bypass, false);
-            t.seq += 1;
             return;
         }
-        if bypass {
-            self.per_sm[sm].dram_sectors += 1;
+        if let Some(t) = &mut self.trace {
+            t.arena.record(sm, s, t.seq, false);
+            t.seq += 1;
             return;
         }
         let outcome = self.dev.probe_memory(sm, s);
@@ -495,7 +489,7 @@ impl<'d> Kernel<'d> {
         for i in 0..self.scratch_sectors.len() {
             let s = self.scratch_sectors[i];
             if let Some(t) = &mut self.trace {
-                t.arena.record(sm, s, t.seq, false, true);
+                t.arena.record(sm, s, t.seq, true);
                 t.seq += 1;
                 continue;
             }
@@ -563,8 +557,8 @@ impl<'d> Kernel<'d> {
     /// replay thread instead of blocking — the next kernel can record while
     /// this one replays. The report is folded into the device at the next
     /// observable read (a deterministic join barrier), so callers that
-    /// discard the report lose nothing. Kernels below the gate, sequential
-    /// kernels, and devices with async replay disabled finish synchronously.
+    /// discard the report lose nothing. Kernels below the gate and
+    /// sequential kernels finish synchronously.
     pub fn finish_async(self) {
         let _ = self.finalize(true);
     }
@@ -605,9 +599,10 @@ impl<'d> Kernel<'d> {
             };
             let sms = work.arena.rec.len();
             let sharded = threads.min(sms).max(1) > 1 && work.arena.total_ops() >= work.gate;
-            if may_defer && sharded && self.dev.async_replay_enabled() {
+            if may_defer && sharded {
+                let name = work.name.clone();
                 self.dev
-                    .set_pending_replay(std::thread::spawn(move || work.run()));
+                    .set_pending_replay(name, std::thread::spawn(move || work.run()));
                 return None;
             }
             let done = work.run();
@@ -945,8 +940,7 @@ fn chunk_len(total: usize, parts: usize) -> usize {
 ///
 /// Pass 1 replays each SM's packed stream against that SM's private L1 —
 /// per-SM program order is exactly the sequential probe order projected onto
-/// one SM, and L1 outcomes depend on nothing else. Bypass-flagged streaming
-/// reads charge DRAM directly and never touch a cache. Survivors (L1 misses
+/// one SM, and L1 outcomes depend on nothing else. Survivors (L1 misses
 /// plus atomics, which bypass L1) are compacted **in place** into the same
 /// per-SM vector, re-packed with slice-local sector ids and stably grouped
 /// by L2 slice (`TraceArena::runs` brackets the groups) — the arena never
@@ -969,7 +963,7 @@ fn replay_streams(
     threads: usize,
     gate: usize,
 ) -> (u64, u64, bool, u64) {
-    use crate::trace::{ATOMIC_FLAG, BYPASS_FLAG, SECTOR_MASK, SEQ_SHIFT};
+    use crate::trace::{ATOMIC_FLAG, SECTOR_MASK, SEQ_SHIFT};
     let num_slices = caches.l2.num_slices();
     let spl = u64::from(cfg.sectors_per_line() as u32);
     let total_ops = arena.total_ops();
@@ -984,7 +978,6 @@ fn replay_streams(
 
     // ---- pass 1: private L1 replay, one shard per SM ----
     let mut l1_hits = vec![0u64; sms];
-    let mut l1_dram = vec![0u64; sms];
     {
         let l1 = &mut caches.l1;
         // Survivors are re-packed (seq | slice-local sector) into per-slice
@@ -995,17 +988,11 @@ fn replay_streams(
                           rec: &mut Vec<u64>,
                           runs: &mut [usize],
                           hits: &mut u64,
-                          dram: &mut u64,
                           scratch: &mut Vec<Vec<u64>>| {
             for g in scratch.iter_mut() {
                 g.clear();
             }
             for &w in rec.iter() {
-                if w & BYPASS_FLAG != 0 {
-                    // streaming bypass: compulsory DRAM miss, no cache touch
-                    *dram += 1;
-                    continue;
-                }
                 let s = (w >> 2) & SECTOR_MASK;
                 if w & ATOMIC_FLAG == 0 && cache.access(s) == Probe::Hit {
                     *hits += 1;
@@ -1026,14 +1013,13 @@ fn replay_streams(
         if parallel {
             let chunk = chunk_len(sms, workers);
             std::thread::scope(|scope| {
-                for (((l1c, recc), runsc), outc) in l1
+                for (((l1c, recc), runsc), hitc) in l1
                     .chunks_mut(chunk)
                     .zip(arena.rec.chunks_mut(chunk))
                     .zip(arena.runs.chunks_mut(chunk * (num_slices + 1)))
-                    .zip(l1_hits.chunks_mut(chunk).zip(l1_dram.chunks_mut(chunk)))
+                    .zip(l1_hits.chunks_mut(chunk))
                 {
                     scope.spawn(move || {
-                        let (hitc, dramc) = outc;
                         let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); num_slices];
                         for (i, cache) in l1c.iter_mut().enumerate() {
                             replay_one(
@@ -1041,7 +1027,6 @@ fn replay_streams(
                                 &mut recc[i],
                                 &mut runsc[i * (num_slices + 1)..(i + 1) * (num_slices + 1)],
                                 &mut hitc[i],
-                                &mut dramc[i],
                                 &mut scratch,
                             );
                         }
@@ -1056,7 +1041,6 @@ fn replay_streams(
                     &mut arena.rec[sm],
                     &mut arena.runs[sm * (num_slices + 1)..(sm + 1) * (num_slices + 1)],
                     &mut l1_hits[sm],
-                    &mut l1_dram[sm],
                     &mut scratch,
                 );
             }
@@ -1179,7 +1163,6 @@ fn replay_streams(
     // ---- pass 3: merge in fixed SM-major order ----
     for (sm, c) in per_sm.iter_mut().enumerate() {
         c.l1_hits += l1_hits[sm];
-        c.dram_sectors += l1_dram[sm];
         for slice in 0..num_slices {
             let (h, m) = slice_counts[slice * sms + sm];
             c.l2_hits += h;
@@ -1652,15 +1635,13 @@ mod tests {
 
     /// A workload mixing streaming-region reads, cached reads, writes into
     /// the streaming region, and atomics, run three kernels deep so cache
-    /// state carries across launches (and, with async replay, across the
-    /// record/replay overlap). Returns every simulated observable as exact
-    /// bits plus the elided-probe count.
-    fn streaming_workload(threads: usize, elide: bool, async_on: bool) -> (Vec<u64>, u64) {
+    /// state carries across launches (and, finished with
+    /// [`Kernel::finish_async`], across the record/replay overlap). Returns
+    /// every simulated observable as exact bits plus the elided-probe count.
+    fn streaming_workload(threads: usize, deferred: bool) -> (Vec<u64>, u64) {
         let mut d = dev();
         d.set_host_threads(threads);
-        d.set_elide_streaming(elide);
-        d.set_async_replay(async_on);
-        d.set_replay_gate(1); // every traced kernel goes sharded (and async)
+        d.set_replay_gate(1); // every traced kernel goes sharded
         let base = 1u64 << 20;
         // 4 KiB >= test_tiny's 2 KiB L2 way capacity -> registered
         d.mark_streaming(base, 4096);
@@ -1674,7 +1655,11 @@ mod tests {
                 k.access(sm, AccessKind::Write, &[base + sm as u64 * 64], 4);
                 k.atomic(sm, &[512 * (1 + sm as u64)]);
             }
-            k.finish_async();
+            if deferred {
+                k.finish_async();
+            } else {
+                let _ = k.finish();
+            }
         }
         let p = d.profiler().clone();
         let (l2h, l2sm, l2lm) = d.l2_stats();
@@ -1697,18 +1682,16 @@ mod tests {
     #[test]
     fn elision_and_async_replay_are_bitwise_invisible() {
         // threads=1: sequential backend, no tracing at all — the reference.
-        let (reference, e0) = streaming_workload(1, true, true);
+        let (reference, e0) = streaming_workload(1, true);
         assert_eq!(e0, 0, "sequential kernels never elide (nothing is traced)");
         for threads in [2, 4] {
-            for elide in [false, true] {
-                for async_on in [false, true] {
-                    let (got, elided) = streaming_workload(threads, elide, async_on);
-                    assert_eq!(
-                        got, reference,
-                        "threads={threads} elide={elide} async={async_on} diverged"
-                    );
-                    assert_eq!(elided > 0, elide, "elision telemetry must track the toggle");
-                }
+            for deferred in [false, true] {
+                let (got, elided) = streaming_workload(threads, deferred);
+                assert_eq!(
+                    got, reference,
+                    "threads={threads} finish_async={deferred} diverged"
+                );
+                assert!(elided > 0, "traced runs elide streaming reads");
             }
         }
     }

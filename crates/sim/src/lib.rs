@@ -52,7 +52,7 @@ mod trace;
 pub use cache::{Probe, SectorCache, SlicedCache};
 pub use config::{CacheConfig, CpuConfig, DeviceConfig, PcieConfig, PeerLinkConfig, TensorConfig};
 pub use cpu::Cpu;
-pub use device::{default_host_threads, default_replay_gate, default_sanitize, Device};
+pub use device::{default_host_threads, default_sanitize, Device};
 pub use host::{PoolAccess, UmPool};
 pub use kernel::{AccessKind, Kernel, KernelReport, SmShard};
 pub use mem::{Allocator, DeviceArray, MemSpace};

@@ -12,12 +12,11 @@
 //! everything into **one u64 per probe**:
 //!
 //! * **Recording** appends a single packed word per probe to a per-SM
-//!   vector: `seq << 36 | sector << 2 | bypass << 1 | atomic` (8 bytes per
-//!   probe, no padding, no per-probe branches beyond the push). The SM
-//!   index is implicit in which stream the probe lands in. `bypass` marks
-//!   streaming reads that skip the cache hierarchy entirely (charged
-//!   straight to DRAM during L1 replay); with probe elision on they are
-//!   charged eagerly at record time and never reach the arena at all.
+//!   vector: `seq << 36 | sector << 2 | atomic` (8 bytes per probe, no
+//!   padding, no per-probe branches beyond the push; bit 1 is always
+//!   zero). The SM index is implicit in which stream the probe lands in.
+//!   Streaming reads that skip the cache hierarchy are charged at record
+//!   time and never reach the arena at all.
 //! * **L1 replay compacts in place**: each SM's stream is drained and the
 //!   survivors (L1 misses plus atomics) are written back into the *same*
 //!   vector, re-packed with the slice-local sector id and grouped by L2
@@ -39,8 +38,6 @@
 pub(crate) const SEQ_SHIFT: u32 = 36;
 /// Mask of the sector-id field (34 bits: device addresses below 512 GiB).
 pub(crate) const SECTOR_MASK: u64 = (1 << 34) - 1;
-/// Streaming-bypass flag: the probe skips L1/L2 and charges DRAM directly.
-pub(crate) const BYPASS_FLAG: u64 = 0b10;
 /// Atomic flag: the probe resolves in L2 (skips L1).
 pub(crate) const ATOMIC_FLAG: u64 = 0b01;
 
@@ -48,8 +45,8 @@ pub(crate) const ATOMIC_FLAG: u64 = 0b01;
 /// pool slot; taken by a traced kernel for the duration of a launch.
 #[derive(Debug, Default)]
 pub(crate) struct TraceArena {
-    /// Per-SM packed probe words
-    /// (`seq << 36 | sector << 2 | bypass << 1 | atomic`), in per-SM
+    /// Per-SM packed probe words (`seq << 36 | sector << 2 | atomic`), in
+    /// per-SM
     /// program order while recording; after L1 replay, the L1 survivors
     /// re-packed as `seq << 36 | slice_local_sector << 2` and grouped by
     /// L2 slice (each group still seq-ascending).
@@ -73,16 +70,15 @@ impl TraceArena {
         self.runs.resize(sms * (slices + 1), 0);
     }
 
-    /// Append one probe to `sm`'s recording stream. `bypass` marks a
-    /// cache-bypassing streaming read (replayed as a direct DRAM charge);
-    /// `atomic` marks an L2-resolved atomic.
+    /// Append one probe to `sm`'s recording stream. `atomic` marks an
+    /// L2-resolved atomic.
     ///
     /// The packed-word layout caps one kernel at 2^28 recorded probes and
     /// the device address space at 512 GiB — far beyond the simulator's
     /// reach (the scale-20 sweep records ~4×10^7 probes per kernel), and
     /// cheap to check: one predictable branch guards silent corruption.
     #[inline]
-    pub(crate) fn record(&mut self, sm: usize, sector: u64, seq: u64, bypass: bool, atomic: bool) {
+    pub(crate) fn record(&mut self, sm: usize, sector: u64, seq: u64, atomic: bool) {
         assert!(
             sector <= SECTOR_MASK && seq < (1 << (64 - SEQ_SHIFT)),
             "packed probe overflow: sector {sector:#x} / seq {seq} exceed the 34/28-bit fields"
@@ -93,7 +89,7 @@ impl TraceArena {
             // replay backend's memory high-water
             v.reserve_exact((v.capacity() / 8).max(4096));
         }
-        v.push((seq << SEQ_SHIFT) | (sector << 2) | (u64::from(bypass) << 1) | u64::from(atomic));
+        v.push((seq << SEQ_SHIFT) | (sector << 2) | u64::from(atomic));
     }
 
     /// Total probes recorded across SMs (survivors only, once L1 replay
@@ -123,7 +119,7 @@ mod tests {
         assert_eq!(a.rec.len(), 4);
         assert_eq!(a.runs.len(), 4 * 3);
         for i in 0..100 {
-            a.record(1, i, i, false, false);
+            a.record(1, i, i, false);
         }
         assert_eq!(a.total_ops(), 100);
         let cap = a.rec[1].capacity();
@@ -138,15 +134,15 @@ mod tests {
     fn probe_word_packs_seq_sector_bypass_and_atomic() {
         let mut a = TraceArena::default();
         a.reset(1, 1);
-        a.record(0, 7, 42, false, false);
-        a.record(0, 9, 43, false, true);
-        a.record(0, 11, 44, true, false);
+        a.record(0, 7, 42, false);
+        a.record(0, 9, 43, true);
         assert_eq!(a.rec[0][0], (42 << SEQ_SHIFT) | (7 << 2));
         assert_eq!(a.rec[0][1], (43 << SEQ_SHIFT) | (9 << 2) | ATOMIC_FLAG);
-        assert_eq!(a.rec[0][2], (44 << SEQ_SHIFT) | (11 << 2) | BYPASS_FLAG);
+        // bit 1 (bypass) stays zero: streaming reads are never recorded
+        assert!(a.rec[0].iter().all(|w| w & 0b10 == 0));
         // unpacking round-trips
-        assert_eq!((a.rec[0][2] >> 2) & SECTOR_MASK, 11);
-        assert_eq!(a.rec[0][2] >> SEQ_SHIFT, 44);
+        assert_eq!((a.rec[0][1] >> 2) & SECTOR_MASK, 9);
+        assert_eq!(a.rec[0][1] >> SEQ_SHIFT, 43);
     }
 
     #[test]
@@ -154,7 +150,7 @@ mod tests {
         let mut a = TraceArena::default();
         a.reset(1, 1);
         for i in 0..100_000 {
-            a.record(0, i % 1024, i, false, false);
+            a.record(0, i % 1024, i, false);
         }
         let cap = a.rec[0].capacity();
         assert!(cap >= 100_000);
@@ -179,6 +175,6 @@ mod tests {
     fn oversized_sector_is_rejected_loudly() {
         let mut a = TraceArena::default();
         a.reset(1, 1);
-        a.record(0, SECTOR_MASK + 1, 0, false, false);
+        a.record(0, SECTOR_MASK + 1, 0, false);
     }
 }

@@ -268,18 +268,21 @@ fn dropping_the_take_caches_join_is_caught() {
 }
 
 /// Tie the model to the implementation: the same workload through the real
-/// `Device`, async replay on vs. off, must produce bitwise-identical
-/// simulated state — the end-to-end consequence of the invariants above.
+/// `Device`, finished with `finish()` or `finish_async()` at 2 and 4 host
+/// threads, must reproduce the 1-thread (untraced) reference bit for bit —
+/// the end-to-end consequence of the invariants above.
 #[test]
 fn real_device_async_replay_is_invisible() {
-    let run = |async_on: bool| {
+    let run = |threads: usize, deferred: bool| {
         let mut dev = Device::new(DeviceConfig {
             num_sms: 8,
             ..DeviceConfig::test_tiny()
         });
-        dev.set_host_threads(4);
-        dev.set_replay_gate(1); // every traced kernel goes sharded (and async)
-        dev.set_async_replay(async_on);
+        dev.set_host_threads(threads);
+        dev.set_replay_gate(1); // every traced kernel goes sharded
+        let stream = 1u64 << 20;
+        // 4 KiB >= test_tiny's 2 KiB L2 way capacity -> registered
+        dev.mark_streaming(stream, 4096);
         for round in 0..4u64 {
             let mut k = dev.launch("model-kernel");
             for sm in 0..8usize {
@@ -287,17 +290,32 @@ fn real_device_async_replay_is_invisible() {
                     .map(|i| (round * 64 + i * 7 + sm as u64) * 32)
                     .collect();
                 k.access(sm, AccessKind::Read, &addrs, 4);
+                k.access_range(sm, AccessKind::Read, stream + sm as u64 * 256, 64, 4);
                 k.exec(sm, 128, 32, 32);
             }
-            k.finish_async();
+            if deferred {
+                k.finish_async();
+            } else {
+                let _ = k.finish();
+            }
         }
         let cycles = dev.elapsed_cycles().to_bits();
+        let elided = dev.replay_stats().elided_probes;
         let p = dev.profiler();
-        (cycles, p.l1_hit_sectors, p.l2_hit_sectors, p.dram_sectors)
+        (
+            (cycles, p.l1_hit_sectors, p.l2_hit_sectors, p.dram_sectors),
+            elided,
+        )
     };
-    assert_eq!(
-        run(true),
-        run(false),
-        "async replay perturbed the simulation"
-    );
+    let (reference, _) = run(1, false);
+    for threads in [2, 4] {
+        for deferred in [false, true] {
+            let (got, elided) = run(threads, deferred);
+            assert_eq!(
+                got, reference,
+                "threads={threads} finish_async={deferred} perturbed the simulation"
+            );
+            assert!(elided > 0, "traced runs elide streaming reads");
+        }
+    }
 }
