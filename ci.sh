@@ -34,7 +34,7 @@ echo "== rustdoc (no broken intra-doc links) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
 
 echo "== race sanitizer: all engines hazard-free, bitwise cost-neutral =="
-# full matrix (7 engines x BFS/CC/PR x push/adaptive x 1 and 4 host
+# full matrix (7 engines x BFS/CC/PR/MIS x push/adaptive x 1 and 4 host
 # threads, sanitize on == sanitize off bit for bit) lives in the test
 cargo test --release -q -p sage --test sanitize
 # CLI-level smoke: SAGE_SANITIZE=1 must leave the exit code at 0 (any
@@ -54,9 +54,9 @@ done
 
 echo "== race sanitizer: matrix/SpMV pipeline hazard-free =="
 # the tensor-core SpMV direction: matrix-forced and adaptive-3-way runs on
-# the dedicated spmv engine plus the default engine, sanitized, 1 and 4
-# host threads — any cross-SM hazard exits 1
-for eng in spmv sage; do
+# naive (push fallback + the shared matrix kernel) and the default engine,
+# sanitized, 1 and 4 host threads — any cross-SM hazard exits 1
+for eng in naive sage; do
   for app in bfs cc pr; do
     for t in 1 4; do
       SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \

@@ -8,8 +8,8 @@
 //!   app       bfs | bc | pr | cc | sssp | mis | kcore | walk | serve
 //!   --graph   edge-list file ("u v" per line, # comments) or .sagecsr binary
 //!   --dataset uk-2002 | brain | ljournal | twitter | friendster
-//!   --engine  sage (default) | sage-tp | naive | spmv | b40c | tigr |
-//!             gunrock | ligra
+//!   --engine  sage (default) | sage-tp | naive | b40c | tigr | gunrock |
+//!             ligra
 //!   --source  source node id (default 0)
 //!   --scale   dataset scale when --dataset is used (default 0.2)
 //!   --repeat  runs to average (default 1; resident tiles warm up across runs)
@@ -62,8 +62,8 @@
 use gpu_sim::Device;
 use sage::app::{App, Bc, Bfs, Cc, KCore, Mis, PageRank, Sssp};
 use sage::engine::{
-    B40cEngine, Engine, GunrockEngine, LigraEngine, NaiveEngine, ResidentEngine, SpmvEngine,
-    SubwayEngine, TigrEngine, TiledPartitioningEngine,
+    B40cEngine, Engine, GunrockEngine, LigraEngine, NaiveEngine, ResidentEngine, SubwayEngine,
+    TigrEngine, TiledPartitioningEngine,
 };
 use sage::{DeviceGraph, Runner};
 use sage_graph::datasets::Dataset;
@@ -99,7 +99,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: sage_cli <bfs|bc|pr|cc|sssp|mis|kcore> [--graph FILE | --dataset NAME] \
-         [--engine sage|sage-tp|naive|spmv|b40c|tigr|gunrock|ligra] [--source N] \
+         [--engine sage|sage-tp|naive|b40c|tigr|gunrock|ligra] [--source N] \
          [--scale F] [--repeat N] [--out-of-core] [--profile] \
          [--mode push|adaptive|matrix] [--push-only] [--threads N] [--sanitize]\n\
          \x20      sage_cli serve [--graph FILE | --dataset NAME] [--devices N] [--requests N] \
@@ -225,7 +225,6 @@ fn make_engine(name: &str, dev: &mut Device, csr: &Csr) -> Box<dyn Engine> {
         "sage" => Box::new(ResidentEngine::new()),
         "sage-tp" => Box::new(TiledPartitioningEngine::new()),
         "naive" => Box::new(NaiveEngine::new()),
-        "spmv" => Box::new(SpmvEngine::new()),
         "b40c" => Box::new(B40cEngine::new()),
         "tigr" => Box::new(TigrEngine::new(dev, csr)),
         "gunrock" => Box::new(GunrockEngine::new()),

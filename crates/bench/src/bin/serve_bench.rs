@@ -11,7 +11,7 @@
 //! - `SAGE_SERVE_QUERIES`  cold-phase burst size (default 96, min 64)
 //! - `SAGE_SCALE`          graph scale factor (default 1.0)
 
-use sage_bench::validate_json;
+use sage_bench::jsonv::write_validated;
 use sage_serve::{AppKind, QueryRequest, QueryResponse, SageService, ServiceConfig, Ticket};
 use std::time::Instant;
 
@@ -280,15 +280,11 @@ fn main() {
         adapt.json(),
         warm.json(),
     );
-    if let Err(e) = validate_json(&json) {
-        eprintln!("emitted JSON does not parse: {e}");
+    let out = "BENCH_serve.json";
+    if let Err(e) = write_validated(out, &json) {
+        eprintln!("FAIL: {e}");
         std::process::exit(1);
     }
-    let out = "BENCH_serve.json";
-    std::fs::write(out, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
     eprintln!("wrote {out}");
     service.shutdown();
 }

@@ -95,7 +95,7 @@ fn report_json(r: &RunReport) -> String {
     )
 }
 
-use sage_bench::validate_json;
+use sage_bench::jsonv::write_validated;
 
 fn main() {
     let scale = env_f64("SAGE_SCALE", 1.0);
@@ -284,21 +284,14 @@ fn main() {
         host_speedup,
         app_jsons.join(",\n    "),
     );
-    if let Err(e) = validate_json(&json) {
-        eprintln!("FAIL: emitted JSON does not parse: {e}");
-        failed = true;
-    }
     let out = "BENCH_traversal.json";
-    std::fs::write(out, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
-    let back = std::fs::read_to_string(out).expect("just wrote it");
-    if let Err(e) = validate_json(&back) {
-        eprintln!("FAIL: {out} re-read does not parse: {e}");
-        failed = true;
+    match write_validated(out, &json) {
+        Ok(()) => eprintln!("wrote {out}"),
+        Err(e) => {
+            eprintln!("FAIL: {e}");
+            failed = true;
+        }
     }
-    eprintln!("wrote {out}");
     if failed {
         std::process::exit(1);
     }

@@ -133,7 +133,7 @@ fn serve_fusion(requests: usize) -> (usize, usize) {
     (requests, max_batch)
 }
 
-use sage_bench::validate_json;
+use sage_bench::jsonv::write_validated;
 
 fn main() {
     let mut threads_flag: Option<usize> = None;
@@ -318,21 +318,14 @@ fn main() {
         1.0 - sage::app::pagerank::DAMPING,
         spec.walks_per_source,
     );
-    if let Err(e) = validate_json(&json) {
-        eprintln!("FAIL: emitted JSON does not parse: {e}");
-        failed = true;
-    }
     let out = "BENCH_walk.json";
-    std::fs::write(out, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
-    let back = std::fs::read_to_string(out).expect("just wrote it");
-    if let Err(e) = validate_json(&back) {
-        eprintln!("FAIL: {out} re-read does not parse: {e}");
-        failed = true;
+    match write_validated(out, &json) {
+        Ok(()) => eprintln!("wrote {out}"),
+        Err(e) => {
+            eprintln!("FAIL: {e}");
+            failed = true;
+        }
     }
-    eprintln!("wrote {out}");
     if failed {
         std::process::exit(1);
     }

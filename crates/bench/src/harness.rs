@@ -68,9 +68,12 @@ impl BenchConfig {
     }
 
     /// Deterministic "randomly selected source nodes" (§7.2) that are not
-    /// isolated.
+    /// isolated. A graph without edges has no such node, so it gets none.
     #[must_use]
     pub fn pick_sources(&self, g: &Csr, seed: u64) -> Vec<NodeId> {
+        if g.num_edges() == 0 {
+            return Vec::new();
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let n = g.num_nodes() as NodeId;
         let mut out = Vec::with_capacity(self.sources);
@@ -190,6 +193,15 @@ mod tests {
         assert_eq!(a, b);
         for &s in &a {
             assert!(g.degree(s) > 0);
+        }
+    }
+
+    #[test]
+    fn edgeless_graphs_get_no_sources() {
+        let c = BenchConfig::test_config();
+        for n in [0, 4] {
+            let g = Csr::from_edges(n, &[]);
+            assert!(c.pick_sources(&g, 1).is_empty(), "n = {n}");
         }
     }
 

@@ -3,6 +3,9 @@
 //! The workspace deliberately carries no JSON dependency; benches emit
 //! `BENCH_*.json` via `format!` and run the output through this checker so
 //! a malformed report fails the bench instead of poisoning the trajectory.
+//! [`write_validated`] is the one path every bench binary writes through.
+
+use std::path::Path;
 
 /// Minimal JSON syntax check — enough to guarantee an emitted file parses
 /// without pulling in a JSON dependency.
@@ -113,6 +116,22 @@ pub fn validate_json(s: &str) -> Result<(), String> {
     }
 }
 
+/// Write a benchmark report: validate `json`, write it to `path`, then
+/// re-read the file and validate it again, so neither a malformed document
+/// nor a short write lands silently.
+///
+/// # Errors
+/// A malformed `json` is refused before anything is written; I/O failures
+/// and a re-read that does not parse are reported with the path.
+pub fn write_validated(path: impl AsRef<Path>, json: &str) -> Result<(), String> {
+    let path = path.as_ref();
+    validate_json(json).map_err(|e| format!("emitted JSON does not parse: {e}"))?;
+    std::fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let back = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot re-read {}: {e}", path.display()))?;
+    validate_json(&back).map_err(|e| format!("{} re-read does not parse: {e}", path.display()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,5 +153,20 @@ mod tests {
         for bad in ["{", "{\"a\" 1}", "[1, 2,]", "{} trailing", "\"open"] {
             assert!(validate_json(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn write_validated_writes_valid_and_refuses_malformed() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let good = dir.join(format!("sage-jsonv-good-{pid}.json"));
+        let bad = dir.join(format!("sage-jsonv-bad-{pid}.json"));
+        let doc = "{\"a\": [1, 2]}\n";
+        write_validated(&good, doc).expect("valid document is written");
+        assert_eq!(std::fs::read_to_string(&good).unwrap(), doc);
+        std::fs::remove_file(&good).unwrap();
+
+        assert!(write_validated(&bad, "{\"a\": [1, 2}").is_err());
+        assert!(!bad.exists(), "a malformed document must not be written");
     }
 }

@@ -24,7 +24,6 @@ pub use ligra::LigraEngine;
 pub use naive::NaiveEngine;
 pub use resident::ResidentEngine;
 pub use sage_tp::TiledPartitioningEngine;
-pub use spmv::SpmvEngine;
 pub use subway::SubwayEngine;
 pub use tigr::TigrEngine;
 

@@ -27,8 +27,7 @@
 //! early exit, so simulated cycles are deterministic too.
 
 use super::common::charge_bitmap_build;
-use super::naive::NaiveEngine;
-use super::{Engine, IterationOutput};
+use super::IterationOutput;
 use crate::access::AccessRecorder;
 use crate::app::{App, PullStep};
 use crate::dgraph::DeviceGraph;
@@ -37,8 +36,9 @@ use gpu_sim::{AccessKind, Device};
 use sage_graph::NodeId;
 
 /// Shared masked-SpMV iteration: every engine that advertises
-/// [`Engine::supports_matrix`] delegates here so the mode's cost character
-/// (and its bitwise-deterministic event stream) is engine-independent.
+/// [`Engine::supports_matrix`](super::Engine::supports_matrix) delegates
+/// here so the mode's cost character (and its bitwise-deterministic event
+/// stream) is engine-independent.
 ///
 /// Per row-block of `block_dim` consecutive vertices (placed round-robin
 /// over SMs):
@@ -263,56 +263,6 @@ pub fn matrix_iterate(
     out
 }
 
-/// The standalone SpMV engine: matrix-mode iterations with a
-/// thread-per-vertex push fallback for sparse frontiers. It deliberately
-/// does **not** advertise pull, so runners exercise the matrix path as a
-/// first-class direction rather than a pull variant.
-#[derive(Debug, Default)]
-pub struct SpmvEngine {
-    push: NaiveEngine,
-}
-
-impl SpmvEngine {
-    /// Default configuration.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            push: NaiveEngine::new(),
-        }
-    }
-}
-
-impl Engine for SpmvEngine {
-    fn name(&self) -> &'static str {
-        "SpMV"
-    }
-
-    fn iterate(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        app: &mut dyn App,
-        frontier: &[NodeId],
-    ) -> IterationOutput {
-        self.push.iterate(dev, g, app, frontier)
-    }
-
-    fn supports_matrix(&self) -> bool {
-        true
-    }
-
-    fn iterate_matrix(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        app: &mut dyn App,
-        frontier: &BitFrontier,
-        queue_base: u64,
-    ) -> IterationOutput {
-        matrix_iterate(dev, g, app, frontier, "spmv_matrix", queue_base)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,22 +370,5 @@ mod tests {
             "mostly-visited graph needs fewer block ops"
         );
         assert_eq!(out2.next, vec![40]);
-    }
-
-    #[test]
-    fn spmv_engine_pushes_when_sparse_and_multiplies_when_dense() {
-        let (mut dev, g) = setup();
-        let mut app = Bfs::new(&mut dev);
-        let f = crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
-        let mut e = SpmvEngine::new();
-        assert_eq!(e.name(), "SpMV");
-        assert!(e.supports_matrix());
-        assert!(!e.supports_pull());
-        let push_out = e.iterate(&mut dev, &g, &mut app, &f);
-        assert_eq!(push_out.next, (1..40).collect::<Vec<u32>>());
-        let fr = BitFrontier::from_nodes(&push_out.next, g.csr().num_nodes(), 1 << 24);
-        let m_out = e.iterate_matrix(&mut dev, &g, &mut app, &fr, 1 << 25);
-        assert!(dev.profiler().mma_ops > 0);
-        assert_eq!(m_out.next, vec![40]);
     }
 }

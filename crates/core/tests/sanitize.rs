@@ -9,8 +9,8 @@ use gpu_sim::{Device, DeviceConfig, HazardKind};
 use proptest::prelude::*;
 use sage::app::{Bfs, Cc, Mis, PageRank};
 use sage::engine::{
-    B40cEngine, Engine, GunrockEngine, NaiveEngine, ResidentEngine, SpmvEngine, SubwayEngine,
-    TigrEngine, TiledPartitioningEngine,
+    B40cEngine, Engine, GunrockEngine, NaiveEngine, ResidentEngine, SubwayEngine, TigrEngine,
+    TiledPartitioningEngine,
 };
 use sage::{DeviceGraph, Runner};
 use sage_graph::gen::{social_graph, SocialParams};
@@ -45,7 +45,7 @@ struct Entry {
     out_of_core: bool,
 }
 
-/// All eight engines. Stateful ones get a fresh instance per run.
+/// All seven engines. Stateful ones get a fresh instance per run.
 fn roster() -> Vec<Entry> {
     vec![
         Entry {
@@ -88,11 +88,6 @@ fn roster() -> Vec<Entry> {
             name: "subway",
             make: |dev, csr| Box::new(SubwayEngine::new(dev, csr.num_edges())),
             out_of_core: true,
-        },
-        Entry {
-            name: "spmv",
-            make: |_, _| Box::new(SpmvEngine::new()),
-            out_of_core: false,
         },
     ]
 }
@@ -245,7 +240,7 @@ proptest! {
     }
 }
 
-/// The full seven-engine roster × three apps × both directions on a fixed
+/// The full seven-engine roster × four apps × both directions on a fixed
 /// power-law graph: zero hazards, and sanitizing is cost-neutral bitwise.
 #[test]
 fn all_engines_hazard_free_and_unperturbed() {

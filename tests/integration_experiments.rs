@@ -1,16 +1,74 @@
 //! Integration: the experiment harness regenerates every table/figure at
-//! test scale and the headline *shapes* of the paper hold.
+//! test scale and the headline *shapes* of the paper hold. Every figure runs
+//! through the `experiments::ALL` registry that `all_experiments` drives, so
+//! these tests also cover the registry's wiring.
 
-use sage_bench::experiments::{fig10, fig6, fig7, fig8, fig9, table1, table2, table3, AppKind};
-use sage_bench::BenchConfig;
+use sage_bench::experiments::{AppKind, ALL};
+use sage_bench::{BenchConfig, ExpTable};
 
-fn cfg() -> BenchConfig {
-    BenchConfig::test_config()
+/// Run the registry entry `name` at test scale; every entry must produce at
+/// least one table, each with rows.
+fn run(name: &str) -> Vec<ExpTable> {
+    let e = ALL
+        .iter()
+        .find(|e| e.name == name)
+        .unwrap_or_else(|| panic!("{name} is not registered"));
+    let tables = (e.run)(&BenchConfig::test_config());
+    assert!(!tables.is_empty(), "{name} produced no table");
+    for t in &tables {
+        assert!(
+            !t.rows.is_empty(),
+            "{name}: table {:?} has no rows",
+            t.title
+        );
+    }
+    tables
+}
+
+/// The single table of a one-table experiment.
+fn run_one(name: &str) -> ExpTable {
+    let mut tables = run(name);
+    assert_eq!(tables.len(), 1, "{name} is a single table");
+    tables.remove(0)
+}
+
+#[test]
+fn registry_names_and_paper_order() {
+    // equal to a list of distinct names, so also unique
+    let names: Vec<&str> = ALL.iter().map(|e| e.name).collect();
+    assert_eq!(
+        names,
+        [
+            "table1",
+            "fig6",
+            "table2",
+            "fig7",
+            "fig8",
+            "fig9",
+            "fig10",
+            "table3",
+            "ablation_extra",
+            "ooc_ablation",
+            "dynamic_graphs",
+        ]
+    );
+    let paper: Vec<&str> = ALL.iter().filter(|e| e.paper).map(|e| e.name).collect();
+    assert_eq!(
+        paper,
+        ["table1", "fig6", "table2", "fig7", "fig8", "fig9", "fig10", "table3"]
+    );
+}
+
+#[test]
+fn extension_studies_produce_tables() {
+    for name in ALL.iter().filter(|e| !e.paper).map(|e| e.name) {
+        run(name);
+    }
 }
 
 #[test]
 fn table1_lists_all_datasets() {
-    let t = table1::run(&cfg());
+    let t = run_one("table1");
     assert_eq!(t.rows.len(), 5);
     let names: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
     assert_eq!(
@@ -21,7 +79,7 @@ fn table1_lists_all_datasets() {
 
 #[test]
 fn fig6_reordering_tables_complete() {
-    let tables = fig6::run(&cfg());
+    let tables = run("fig6");
     assert_eq!(tables.len(), 3);
     for t in &tables {
         assert_eq!(t.rows.len(), 5);
@@ -36,7 +94,7 @@ fn fig6_reordering_tables_complete() {
 
 #[test]
 fn table2_sage_round_is_cheapest() {
-    let t = table2::run(&cfg());
+    let t = run_one("table2");
     // SAGE per-round must be the cheapest column on the skewed graphs
     for r in &t.rows {
         if r[0] == "twitter" || r[0] == "friendster" {
@@ -63,7 +121,7 @@ fn table2_sage_round_is_cheapest() {
 
 #[test]
 fn fig7_sage_competitive_everywhere() {
-    let tables = fig7::run(&cfg());
+    let tables = run("fig7");
     // per the paper: SAGE is always the best or highly competitive — check
     // SAGE+self-reordering is at least 40% of the best bar on every row of
     // the BFS table
@@ -91,7 +149,7 @@ fn fig7_sage_competitive_everywhere() {
 
 #[test]
 fn fig8_sage_beats_subway_on_social_graphs() {
-    let t = fig8::run(&cfg());
+    let t = run_one("fig8");
     for r in &t.rows {
         if r[0] == "brain" {
             assert!(r[1].contains("n/a"));
@@ -109,11 +167,7 @@ fn fig8_sage_beats_subway_on_social_graphs() {
 
 #[test]
 fn fig9_all_cells_populated() {
-    let c = BenchConfig {
-        sources: 1,
-        ..cfg()
-    };
-    let t = fig9::run(&c);
+    let t = run_one("fig9");
     assert_eq!(t.rows.len(), 5);
     for r in &t.rows {
         for cell in &r[1..] {
@@ -125,7 +179,7 @@ fn fig9_all_cells_populated() {
 
 #[test]
 fn fig10_tp_and_rts_improve_on_twitter() {
-    let tables = fig10::run(&cfg());
+    let tables = run("fig10");
     let bfs = &tables[0];
     let twitter = bfs.rows.iter().find(|r| r[0] == "twitter").unwrap();
     let base: f64 = twitter[1].parse().unwrap();
@@ -143,7 +197,7 @@ fn fig10_tp_and_rts_improve_on_twitter() {
 
 #[test]
 fn table3_overhead_within_paper_range() {
-    let t = table3::run(&cfg());
+    let t = run_one("table3");
     for r in &t.rows {
         for cell in &r[1..] {
             let pct: f64 = cell
