@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo CI: format, lint, test, and the serving benchmark (perf trajectory).
+# Repo CI: format, lint, test, sanitize, determinism, and the scale_bench smoke gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -87,26 +87,6 @@ cargo test --release -q -p sage --test prop_direction
 cargo test --release -q -p sage --test prop_walk
 cargo test --release -q -p gpu-sim --test prop_replay_gate
 cargo test --release -q -p gpu-sim kernel::
-
-echo "== traversal_bench (writes BENCH_traversal.json) =="
-# asserts adaptive >= push-only on BFS and bitwise-identical outputs,
-# and self-validates the emitted JSON — a non-zero exit fails CI.
-# Runs at 1 and 4 host threads; the host sweep line prints the measured
-# speedup of the SM-sharded backend over the sequential path.
-cargo run --release -q -p sage-bench --bin traversal_bench -- --threads 1
-cargo run --release -q -p sage-bench --bin traversal_bench -- --threads 4
-test -s BENCH_traversal.json || { echo "BENCH_traversal.json missing"; exit 1; }
-
-echo "== walk_bench (writes BENCH_walk.json) =="
-# asserts 1-vs-N-thread walk batches are bitwise identical, MC-PPR top-k
-# tracks power-iteration PageRank, and >= 1000 concurrent walk queries
-# fuse into one serve-layer launch; self-validates the emitted JSON.
-cargo run --release -q -p sage-bench --bin walk_bench -- --threads 1
-cargo run --release -q -p sage-bench --bin walk_bench -- --threads 4
-test -s BENCH_walk.json || { echo "BENCH_walk.json missing"; exit 1; }
-
-echo "== serve_bench (writes BENCH_serve.json) =="
-cargo run --release -q -p sage-bench --bin serve_bench
 
 echo "== scale_bench smoke (1 vs 4 host threads at scale 14) =="
 # 1 vs 4 host threads on an R-MAT 2^14 graph: always enforces bitwise

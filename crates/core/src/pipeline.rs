@@ -118,7 +118,7 @@ impl Runner {
     }
 
     /// A runner pinned to push iterations (the pre-direction-optimizing
-    /// pipeline; also the baseline side of `BENCH_traversal.json`).
+    /// pipeline, and the baseline the adaptive runner is tested against).
     #[must_use]
     pub fn push_only() -> Self {
         Self {

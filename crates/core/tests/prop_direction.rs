@@ -3,13 +3,15 @@
 //! (masked SpMV) runner, and the sequential reference all agree — exactly
 //! for BFS/CC, bitwise for PR between the device pipelines — across every
 //! pull-capable engine, plus a deterministic hub-star family guaranteed to
-//! take the bottom-up (pull or matrix) path.
+//! take the bottom-up (pull or matrix) path. On a 6,000-node power-law
+//! graph the adaptive runner must also take the matrix gear and beat push.
 
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
 use sage::app::{Bfs, Cc, PageRank};
 use sage::engine::{Engine, NaiveEngine, ResidentEngine, TiledPartitioningEngine};
-use sage::{reference, DeviceGraph, Runner};
+use sage::{reference, DeviceGraph, DirectionPolicy, RunReport, Runner};
+use sage_graph::gen::{social_graph, SocialParams};
 use sage_graph::{Csr, NodeId};
 
 fn edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
@@ -38,6 +40,17 @@ fn star(n: usize) -> Csr {
     Csr::from_edges(n, &es)
 }
 
+/// The per-mode letters (`>` push, `<` pull, `M` matrix) of an adaptive
+/// run's trace account for every iteration.
+fn modes_add_up(r: &RunReport) -> bool {
+    let counted = r
+        .direction_trace
+        .chars()
+        .filter(|c| matches!(c, '>' | '<' | 'M'))
+        .count();
+    counted == r.iterations
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -50,7 +63,9 @@ proptest! {
         for mut engine in pull_engines() {
             let dg = DeviceGraph::upload(&mut dev, g.clone()).with_in_edges(&mut dev);
             let mut app = Bfs::new(&mut dev);
-            let _ = Runner::new().run(&mut dev, &dg, engine.as_mut(), &mut app, src);
+            let r = Runner::new().run(&mut dev, &dg, engine.as_mut(), &mut app, src);
+            prop_assert!(modes_add_up(&r), "{}: {} iterations, trace {}",
+                engine.name(), r.iterations, r.direction_trace);
             let adaptive = app.distances().to_vec();
             let _ = Runner::push_only().run(&mut dev, &dg, engine.as_mut(), &mut app, src);
             prop_assert_eq!(&adaptive, &expect, "adaptive {} vs reference", engine.name());
@@ -70,7 +85,9 @@ proptest! {
         for mut engine in pull_engines() {
             let dg = DeviceGraph::upload(&mut dev, g.clone()).with_in_edges(&mut dev);
             let mut app = Cc::new(&mut dev);
-            let _ = Runner::new().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
+            let r = Runner::new().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
+            prop_assert!(modes_add_up(&r), "{}: {} iterations, trace {}",
+                engine.name(), r.iterations, r.direction_trace);
             let adaptive = app.labels().to_vec();
             let _ = Runner::push_only().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
             prop_assert_eq!(&adaptive, &expect, "adaptive {} vs reference", engine.name());
@@ -90,7 +107,9 @@ proptest! {
         for mut engine in pull_engines() {
             let dg = DeviceGraph::upload(&mut dev, g.clone()).with_in_edges(&mut dev);
             let mut app = PageRank::new(&mut dev, 10, 0.0);
-            let _ = Runner::new().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
+            let r = Runner::new().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
+            prop_assert!(modes_add_up(&r), "{}: {} iterations, trace {}",
+                engine.name(), r.iterations, r.direction_trace);
             let adaptive: Vec<u32> = app.ranks().iter().map(|p| p.to_bits()).collect();
             let _ = Runner::push_only().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
             let push: Vec<u32> = app.ranks().iter().map(|p| p.to_bits()).collect();
@@ -120,6 +139,8 @@ proptest! {
             let r = Runner::new().run(&mut dev, &dg, engine.as_mut(), &mut app, src);
             prop_assert!(r.direction_trace.contains('<') || r.direction_trace.contains('M'),
                 "star must go bottom-up on {}: {}", engine.name(), r.direction_trace);
+            prop_assert!(modes_add_up(&r), "{}: {} iterations, trace {}",
+                engine.name(), r.iterations, r.direction_trace);
             prop_assert_eq!(app.distances(), expect.as_slice(),
                 "engine {} diverged under pull", engine.name());
         }
@@ -162,4 +183,110 @@ fn direction_choice_is_engine_independent() {
         traces.windows(2).all(|w| w[0] == w[1]),
         "engines disagree on direction: {traces:?}"
     );
+}
+
+/// One run on the 6,000-node social graph: the report plus the app's output
+/// as raw bit patterns, so float outputs compare bitwise.
+fn social_run(
+    csr: &Csr,
+    app: &str,
+    source: NodeId,
+    runner: &Runner,
+    threads: usize,
+) -> (RunReport, Vec<u32>) {
+    let mut dev = Device::new(DeviceConfig::scaled_rtx_8000(0.05));
+    dev.set_host_threads(threads);
+    let g = DeviceGraph::upload(&mut dev, csr.clone()).with_in_edges(&mut dev);
+    let mut engine = ResidentEngine::new();
+    match app {
+        "bfs" => {
+            let mut app = Bfs::new(&mut dev);
+            let r = runner.run(&mut dev, &g, &mut engine, &mut app, source);
+            (r, app.distances().iter().map(|&d| d as u32).collect())
+        }
+        "pr" => {
+            let mut app = PageRank::new(&mut dev, 20, 0.0);
+            let r = runner.run(&mut dev, &g, &mut engine, &mut app, source);
+            (r, app.ranks().iter().map(|p| p.to_bits()).collect())
+        }
+        "cc" => {
+            let mut app = Cc::new(&mut dev);
+            let r = runner.run(&mut dev, &g, &mut engine, &mut app, source);
+            (r, app.labels().to_vec())
+        }
+        other => unreachable!("unknown app {other}"),
+    }
+}
+
+/// From the max-degree source of a scrambled power-law graph, adaptive
+/// BFS/PR/CC match push-only bit for bit; adaptive BFS takes the
+/// tensor-core matrix gear at least once and beats push-only on simulated
+/// seconds and GTEPS; the two-way policy (no matrix gear) must pull
+/// instead; and 4 host threads reproduce the sequential run exactly.
+#[test]
+fn social_graph_adaptive_beats_push_with_identical_outputs() {
+    let csr = social_graph(&SocialParams {
+        nodes: 6_000,
+        avg_deg: 16.0,
+        alpha: 1.9,
+        max_deg_frac: 0.2,
+        ..SocialParams::default()
+    });
+    let (source, _) = csr.max_degree();
+    for app in ["bfs", "pr", "cc"] {
+        let (push, out_push) = social_run(&csr, app, source, &Runner::push_only(), 1);
+        let (adaptive, out_adaptive) = social_run(&csr, app, source, &Runner::new(), 1);
+        assert!(
+            modes_add_up(&adaptive),
+            "{app}: {} iterations, trace {}",
+            adaptive.iterations,
+            adaptive.direction_trace
+        );
+        assert!(
+            out_push == out_adaptive,
+            "{app}: push-only and adaptive outputs differ"
+        );
+        if app != "bfs" {
+            continue;
+        }
+        assert!(
+            adaptive.direction_trace.contains('M'),
+            "bfs adaptive trace has no matrix iteration: {}",
+            adaptive.direction_trace
+        );
+        assert!(
+            adaptive.seconds < push.seconds && adaptive.gteps() > push.gteps(),
+            "bfs adaptive must beat push-only: {:.6} ms / {:.3} GTEPS vs {:.6} ms / {:.3} GTEPS",
+            adaptive.seconds * 1e3,
+            adaptive.gteps(),
+            push.seconds * 1e3,
+            push.gteps(),
+        );
+
+        // under the three-way policy dense frontiers take the matrix gear,
+        // so the scalar pull arm needs the two-way policy to be exercised
+        let two_way = Runner {
+            policy: DirectionPolicy::adaptive(),
+            ..Runner::default()
+        };
+        let (pull, out_pull) = social_run(&csr, "bfs", source, &two_way, 1);
+        assert!(
+            pull.direction_trace.contains('<'),
+            "two-way adaptive BFS never pulled: {}",
+            pull.direction_trace
+        );
+        assert!(
+            out_pull == out_push,
+            "two-way adaptive BFS outputs differ from push-only"
+        );
+
+        let (par, out_par) = social_run(&csr, "bfs", source, &Runner::new(), 4);
+        assert!(
+            out_par == out_adaptive,
+            "4-thread BFS outputs diverged from 1 thread"
+        );
+        assert_eq!(par.seconds.to_bits(), adaptive.seconds.to_bits());
+        assert_eq!(par.edges_examined, adaptive.edges_examined);
+        assert_eq!(par.direction_trace, adaptive.direction_trace);
+    }
 }

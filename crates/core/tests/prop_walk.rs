@@ -84,17 +84,19 @@ fn run_once(
 }
 
 /// Every parallel thread count must reproduce the sequential fingerprint
-/// bit for bit, for both samplers.
+/// bit for bit, for both samplers, on `walks` walks of up to `length` steps
+/// per source.
 fn assert_deterministic(
     csr: &Csr,
     app: &dyn WalkApp,
     sources: &[u32],
+    (walks, length): (usize, usize),
     seed: u64,
 ) -> Result<(), TestCaseError> {
     for sampler in [SamplerKind::Its, SamplerKind::Alias] {
         let spec = WalkSpec {
-            walks_per_source: 16,
-            max_length: 12,
+            walks_per_source: walks,
+            max_length: length,
             seed,
             sampler,
             weights: WalkWeights::Synthetic,
@@ -123,7 +125,7 @@ proptest! {
     ) {
         let g = graph(nodes, 8.0, seed);
         let sources = [src, (src + 7) % 60, (src + 23) % 60];
-        assert_deterministic(&g, &Ppr::new(0.2), &sources, seed ^ 0xA5)?;
+        assert_deterministic(&g, &Ppr::new(0.2), &sources, (16, 12), seed ^ 0xA5)?;
     }
 
     #[test]
@@ -132,62 +134,83 @@ proptest! {
     ) {
         let g = graph(nodes, 6.0, seed);
         let sources = [src, (src + 13) % 60];
-        assert_deterministic(&g, &Node2vec::new(0.5, 2.0), &sources, seed ^ 0x5A)?;
+        assert_deterministic(&g, &Node2vec::new(0.5, 2.0), &sources, (16, 12), seed ^ 0x5A)?;
     }
 }
 
-/// Monte-Carlo PPR launched uniformly from every node with restart rate
-/// `alpha = 1 - DAMPING` estimates global PageRank; its top-5 must share at
-/// least 3 positions with the power-iteration top-5 (the documented
-/// tolerance for endpoint-count sampling noise in the tail).
-#[test]
-fn mc_ppr_ranks_correlate_with_power_iteration_pagerank() {
-    // dense enough that the hub head dominates and dangling-node artifacts
-    // (the walk restarts there, power iteration drops the mass) stay in the
-    // tail where the overlap tolerance absorbs them
-    let csr = social_graph(&SocialParams {
-        nodes: 400,
+/// The dense power-law family the fidelity checks run on: the hub head
+/// dominates, so dangling-node artifacts (the walk restarts there, power
+/// iteration drops the mass) stay in the tail.
+fn dense_social(nodes: usize) -> Csr {
+    social_graph(&SocialParams {
+        nodes,
         avg_deg: 14.0,
         alpha: 1.9,
         max_deg_frac: 0.2,
         seed: 42,
         ..SocialParams::default()
-    });
-    let n = csr.num_nodes();
-    let all_sources: Vec<u32> = (0..n as u32).collect();
-    let spec = WalkSpec {
-        walks_per_source: 32,
-        max_length: 48,
-        seed: 42,
-        sampler: SamplerKind::Its,
-        weights: WalkWeights::Uniform,
-    };
-    let alpha = 1.0 - f64::from(sage::app::pagerank::DAMPING);
-    let mc = run_once(&csr, &Ppr::new(alpha), &spec, &all_sources, 4);
-    let mut mc_scores = vec![0.0f32; n];
-    for slot in 0..n {
-        for (v, &c) in mc.endpoints[slot * n..(slot + 1) * n].iter().enumerate() {
-            mc_scores[v] += c as f32;
+    })
+}
+
+/// One fixed input at benchmark size: PPR and node2vec batches of 64 walks
+/// from four hub-spaced sources of a 1,500-node power-law graph.
+#[test]
+fn social_1500_walks_parallel_match_sequential_bitwise() -> Result<(), TestCaseError> {
+    let csr = dense_social(1_500);
+    let (hub, _) = csr.max_degree();
+    let sources: Vec<u32> = (0..4)
+        .map(|i| (hub + i * 97) % csr.num_nodes() as u32)
+        .collect();
+    assert_deterministic(&csr, &Ppr::new(0.15), &sources, (64, 16), 7)?;
+    assert_deterministic(&csr, &Node2vec::new(2.0, 0.5), &sources, (64, 16), 7)
+}
+
+/// Monte-Carlo PPR launched uniformly from every node with restart rate
+/// `alpha = 1 - DAMPING` estimates global PageRank; its top-k must share at
+/// least 60% of its positions with the power-iteration top-k (the
+/// documented tolerance for endpoint-count sampling noise in the tail).
+#[test]
+fn mc_ppr_ranks_correlate_with_power_iteration_pagerank() {
+    // (graph nodes, walks per source, k, minimum overlap)
+    for (nodes, walks, k, min_overlap) in [(400, 32, 5, 3), (1_500, 24, 10, 6)] {
+        let csr = dense_social(nodes);
+        let n = csr.num_nodes();
+        let all_sources: Vec<u32> = (0..n as u32).collect();
+        let spec = WalkSpec {
+            walks_per_source: walks,
+            max_length: 48,
+            seed: 42,
+            sampler: SamplerKind::Its,
+            weights: WalkWeights::Uniform,
+        };
+        let alpha = 1.0 - f64::from(sage::app::pagerank::DAMPING);
+        let mc = run_once(&csr, &Ppr::new(alpha), &spec, &all_sources, 4);
+        let mut mc_scores = vec![0.0f32; n];
+        for slot in 0..n {
+            for (v, &c) in mc.endpoints[slot * n..(slot + 1) * n].iter().enumerate() {
+                mc_scores[v] += c as f32;
+            }
         }
+
+        let mut dev = Device::new(cfg8());
+        let g = DeviceGraph::upload(&mut dev, csr).with_in_edges(&mut dev);
+        let mut engine = ResidentEngine::new();
+        let mut pr = PageRank::new(&mut dev, 50, 0.0);
+        Runner::new().run(&mut dev, &g, &mut engine, &mut pr, 0);
+
+        let top = |scores: &[f32]| {
+            let mut idx: Vec<usize> = (0..scores.len()).collect();
+            idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
+            idx.truncate(k);
+            idx
+        };
+        let mc_top = top(&mc_scores);
+        let ref_top = top(pr.ranks());
+        let overlap = mc_top.iter().filter(|v| ref_top.contains(v)).count();
+        assert!(
+            overlap >= min_overlap,
+            "{nodes} nodes: MC-PPR top-{k} {mc_top:?} must overlap power-iteration \
+             top-{k} {ref_top:?} in >= {min_overlap} slots"
+        );
     }
-
-    let mut dev = Device::new(cfg8());
-    let g = DeviceGraph::upload(&mut dev, csr).with_in_edges(&mut dev);
-    let mut engine = ResidentEngine::new();
-    let mut pr = PageRank::new(&mut dev, 50, 0.0);
-    Runner::new().run(&mut dev, &g, &mut engine, &mut pr, 0);
-
-    let top = |scores: &[f32]| {
-        let mut idx: Vec<usize> = (0..scores.len()).collect();
-        idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
-        idx.truncate(5);
-        idx
-    };
-    let mc_top = top(&mc_scores);
-    let ref_top = top(pr.ranks());
-    let overlap = mc_top.iter().filter(|v| ref_top.contains(v)).count();
-    assert!(
-        overlap >= 3,
-        "MC-PPR top-5 {mc_top:?} must overlap power-iteration top-5 {ref_top:?} in >= 3 slots"
-    );
 }

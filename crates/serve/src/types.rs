@@ -6,6 +6,7 @@ use sage_graph::NodeId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Duration;
 
 /// Handle to a registered graph (index into the service's registry).
 pub type GraphId = u32;
@@ -232,6 +233,23 @@ impl Ticket {
         }
     }
 
+    /// Block until the query completes or `timeout` passes; `None` on
+    /// timeout (the query is still in flight, as with [`Ticket::try_take`]).
+    #[must_use]
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<QueryResponse, ServiceError>> {
+        let slot = self
+            .state
+            .slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (mut slot, _) = self
+            .state
+            .ready
+            .wait_timeout_while(slot, timeout, |slot| slot.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        slot.take()
+    }
+
     /// Non-blocking poll; `None` while the query is still in flight.
     #[must_use]
     pub fn try_take(&self) -> Option<Result<QueryResponse, ServiceError>> {
@@ -449,5 +467,30 @@ mod tests {
         let waiter = std::thread::spawn(move || ticket.wait());
         state.fulfill(Err(ServiceError::ShuttingDown));
         assert_eq!(waiter.join().unwrap(), Err(ServiceError::ShuttingDown));
+    }
+
+    #[test]
+    fn ticket_wait_timeout_gives_up_on_an_unfulfilled_ticket() {
+        let ticket = Ticket {
+            state: Arc::new(TicketState::default()),
+        };
+        assert!(ticket.wait_timeout(Duration::from_millis(20)).is_none());
+        assert!(ticket.try_take().is_none(), "the query stays in flight");
+    }
+
+    #[test]
+    fn ticket_wait_timeout_returns_a_fulfilled_outcome() {
+        let state = Arc::new(TicketState::default());
+        let ticket = Ticket {
+            state: Arc::clone(&state),
+        };
+        let waiter = std::thread::spawn(move || {
+            let outcome = ticket.wait_timeout(Duration::from_secs(60));
+            (outcome, ticket.wait_timeout(Duration::ZERO))
+        });
+        state.fulfill(Err(ServiceError::ShuttingDown));
+        let (outcome, again) = waiter.join().unwrap();
+        assert_eq!(outcome, Some(Err(ServiceError::ShuttingDown)));
+        assert!(again.is_none(), "the outcome is taken once");
     }
 }

@@ -4,6 +4,11 @@
 use sage::reference;
 use sage_graph::gen::uniform_graph;
 use sage_serve::{AppKind, QueryRequest, ResultValues, SageService, ServiceConfig, ServiceError};
+use std::time::Duration;
+
+/// Ceiling on any one ticket: a stranded query fails the test instead of
+/// hanging it.
+const WAIT: Duration = Duration::from_secs(120);
 
 #[test]
 fn queue_at_capacity_returns_typed_overloaded_error() {
@@ -142,5 +147,74 @@ fn sixty_four_in_flight_mixed_queries_complete_on_two_devices() {
         repeat.cache_hit,
         "post-burst repeat must be served from cache"
     );
+    service.shutdown();
+}
+
+/// A cold burst of 96 in-flight mixed queries on two default devices, up to
+/// six adaptation replays until the self-reordering epoch stops moving, and
+/// a steady replay: every ticket resolves `Ok` and every BFS answer equals
+/// the host reference, whatever reorder rounds committed in between.
+#[test]
+fn cold_adapt_and_steady_bursts_resolve_with_reference_answers() {
+    let service = SageService::start(ServiceConfig {
+        devices: 2,
+        queue_capacity: 192,
+        ..ServiceConfig::default()
+    });
+    let nodes = 4_000;
+    let csr = uniform_graph(nodes, nodes * 16, 42);
+    let g = service.register_graph("bursts", csr.clone());
+    // 2/3 BFS over rotating sources, 1/3 PageRank
+    let requests: Vec<QueryRequest> = (0..96)
+        .map(|i| QueryRequest {
+            app: if i % 3 == 2 {
+                AppKind::Pr
+            } else {
+                AppKind::Bfs
+            },
+            graph: g,
+            source: ((i * 7) % nodes) as u32,
+        })
+        .collect();
+    let expect: Vec<Option<ResultValues>> = requests
+        .iter()
+        .map(|r| {
+            (r.app == AppKind::Bfs)
+                .then(|| ResultValues::Depths(reference::bfs_levels(&csr, r.source)))
+        })
+        .collect();
+    let burst = |phase: &str| {
+        // submit the whole burst before collecting: every query is in flight
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|&r| service.submit(r).expect("queue sized for the burst"))
+            .collect();
+        for (i, t) in tickets.into_iter().enumerate() {
+            let resp = t
+                .wait_timeout(WAIT)
+                .unwrap_or_else(|| panic!("{phase}: query {i} stranded"))
+                .unwrap_or_else(|e| panic!("{phase}: query {i} failed: {e}"));
+            if let Some(levels) = &expect[i] {
+                assert!(
+                    *resp.values == *levels,
+                    "{phase}: BFS from {} differs from the reference at epoch {}",
+                    requests[i].source,
+                    resp.epoch
+                );
+            }
+        }
+    };
+
+    burst("cold");
+    let mut epoch = service.graph_epoch(g).unwrap();
+    for _ in 0..6 {
+        burst("adapt");
+        let now = service.graph_epoch(g).unwrap();
+        if now == epoch {
+            break;
+        }
+        epoch = now;
+    }
+    burst("steady");
     service.shutdown();
 }

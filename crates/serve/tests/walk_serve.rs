@@ -2,7 +2,9 @@
 //! launch, epoch-keyed caching of terminal distributions, and PPR sanity.
 
 use sage_graph::gen::uniform_graph;
+use sage_graph::Csr;
 use sage_serve::{AppKind, QueryRequest, ResultValues, SageService, ServiceConfig, WalkAppKind};
+use std::time::Duration;
 
 fn walk_req(graph: sage_serve::GraphId, source: u32) -> QueryRequest {
     QueryRequest {
@@ -12,21 +14,24 @@ fn walk_req(graph: sage_serve::GraphId, source: u32) -> QueryRequest {
     }
 }
 
-#[test]
-fn hundreds_of_concurrent_walk_queries_fuse_into_one_launch() {
+/// Ceiling on any one ticket: a stranded query fails the test instead of
+/// hanging it.
+const WAIT: Duration = Duration::from_secs(120);
+
+/// Occupy a single worker with one heavy PageRank run, pile `queries` walk
+/// queries up behind it, and return the largest batch they fused into.
+fn largest_fused_walk_batch(csr: Csr, queries: usize, walks_per_source: usize) -> usize {
     let mut cfg = ServiceConfig::test_config(1);
-    cfg.queue_capacity = 2048;
+    cfg.queue_capacity = queries * 2 + 64;
     cfg.max_batch = 8; // traversal cap stays small...
-    cfg.walk_batch = 4096; // ...while walks fuse without that bound
+    cfg.walk_batch = queries * 2; // ...while walks fuse without that bound
     cfg.reorder_threshold = Some(u64::MAX);
-    cfg.walk.walks_per_source = 4;
+    cfg.walk.walks_per_source = walks_per_source;
     cfg.walk.length = 4;
     let service = SageService::start(cfg);
-    let n = 400u32;
-    let g = service.register_graph("fuse", uniform_graph(n as usize, 4800, 3));
+    let n = csr.num_nodes();
+    let g = service.register_graph("fuse", csr);
 
-    // occupy the single worker with one heavy PageRank run, then pile up
-    // walk queries behind it — they all fuse into the next walk batch
     let busy = service
         .submit(QueryRequest {
             app: AppKind::Pr,
@@ -34,26 +39,43 @@ fn hundreds_of_concurrent_walk_queries_fuse_into_one_launch() {
             source: 0,
         })
         .unwrap();
-    let total = 300usize;
-    let tickets: Vec<_> = (0..total)
-        .map(|i| service.submit(walk_req(g, i as u32 % n)).unwrap())
+    let tickets: Vec<_> = (0..queries)
+        .map(|i| service.submit(walk_req(g, (i % n) as u32)).unwrap())
         .collect();
-    assert!(busy.wait().is_ok());
+    let pinned = busy.wait_timeout(WAIT).expect("PageRank pin stranded");
+    assert!(pinned.is_ok());
 
     let mut max_batch = 0usize;
     for t in tickets {
-        let resp = t.wait().expect("walk query must complete");
+        let resp = t
+            .wait_timeout(WAIT)
+            .expect("walk query stranded")
+            .expect("walk query must complete");
         max_batch = max_batch.max(resp.batch_size);
         match resp.values.as_ref() {
-            ResultValues::Scores(s) => assert_eq!(s.len(), n as usize),
+            ResultValues::Scores(s) => assert_eq!(s.len(), n),
             other => panic!("walk returns Scores, got {other:?}"),
         }
     }
-    assert!(
-        max_batch >= 100,
-        "concurrent walk queries must fuse into large batches, saw {max_batch}"
-    );
     service.shutdown();
+    max_batch
+}
+
+#[test]
+fn hundreds_of_concurrent_walk_queries_fuse_into_one_launch() {
+    // (graph, queries, walks per source, minimum largest batch)
+    let cases = [
+        (uniform_graph(400, 4800, 3), 300, 4, 100),
+        (uniform_graph(1_472, 1_472 * 8, 7), 1_200, 2, 1_000),
+    ];
+    for (csr, queries, walks, min_batch) in cases {
+        let max_batch = largest_fused_walk_batch(csr, queries, walks);
+        assert!(
+            max_batch >= min_batch,
+            "{queries} concurrent walk queries must fuse into batches >= {min_batch}, \
+             saw {max_batch}"
+        );
+    }
 }
 
 #[test]
