@@ -81,8 +81,12 @@ done
 
 echo "== determinism (release): parallel simulation == sequential, bit for bit =="
 # covers push-only, adaptive-3-way, and matrix-forced pipelines, plus the
-# replay gate (the only replay decision) on both sides of its boundary
+# replay gate (the only replay decision) on both sides of its boundary;
+# golden_sim pins the absolute simulated counters and prop_sim checks the
+# cache against its stamp-LRU oracle, so optimised builds are pinned too
 cargo test --release -q -p sage --test prop_determinism
+cargo test --release -q -p sage --test golden_sim
+cargo test --release -q -p gpu-sim --test prop_sim
 cargo test --release -q -p sage --test prop_direction
 cargo test --release -q -p sage --test prop_walk
 cargo test --release -q -p gpu-sim --test prop_replay_gate

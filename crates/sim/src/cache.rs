@@ -6,8 +6,8 @@
 //! access-amplification ratio can reach `line/elem = 32×` for scattered
 //! 4-byte reads).
 //!
-//! The implementation is flat arrays indexed by `(set, way)` — no hashing,
-//! no allocation on the probe path (guide: keep hot paths allocation-free).
+//! The implementation is one flat array of ways, `ways` per set — no
+//! hashing, no division and no allocation on the probe path.
 
 /// Result of probing one sector in a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,19 +30,68 @@ impl Probe {
 
 const INVALID_TAG: u64 = u64::MAX;
 
+/// `n mod d` by a precomputed reciprocal instead of a hardware divide.
+///
+/// Lemire, Kaser & Kurz, "Faster remainder by direct computation" (2019):
+/// with `m = ⌊(2⁶⁴ − 1) / d⌋ + 1`, `n mod d = ⌊((m·n) mod 2⁶⁴) · d / 2⁶⁴⌋`
+/// exactly for every `n, d < 2³²`. Wider `n` falls back to `%`.
+#[derive(Debug, Clone, Copy)]
+struct FastMod {
+    d: u64,
+    m: u64,
+}
+
+impl FastMod {
+    fn new(d: usize) -> Self {
+        assert!(
+            d > 0 && d <= u32::MAX as usize,
+            "modulus must be in 1..2^32"
+        );
+        let d = d as u64;
+        Self {
+            d,
+            m: (u64::MAX / d).wrapping_add(1),
+        }
+    }
+
+    #[inline]
+    fn rem(self, n: u64) -> u64 {
+        if n <= u64::from(u32::MAX) {
+            ((u128::from(self.m.wrapping_mul(n)) * u128::from(self.d)) >> 64) as u64
+        } else {
+            n % self.d
+        }
+    }
+}
+
+/// One way of a set: a line tag (`INVALID_TAG` when empty) and the bitmask
+/// of its filled sectors, side by side so a probe reads one array.
+#[derive(Debug, Clone, Copy)]
+struct Way {
+    tag: u64,
+    sectors: u32,
+}
+
+const EMPTY_WAY: Way = Way {
+    tag: INVALID_TAG,
+    sectors: 0,
+};
+
 /// A sectored set-associative cache with LRU replacement.
+///
+/// Each set keeps its ways in most-recently-used order: a hit moves its way
+/// to the front, a line miss shifts the set down one way and refills way 0,
+/// so the last way is always the LRU victim and empty ways always trail the
+/// valid ones. This is probe-for-probe identical to stamping every way with
+/// an access clock and evicting the smallest stamp (DESIGN.md §5c).
 #[derive(Debug, Clone)]
 pub struct SectorCache {
-    sets: usize,
+    sets: FastMod,
     ways: usize,
-    sectors_per_line: u32,
-    /// Line tag per (set, way); `INVALID_TAG` marks an empty way.
-    tags: Vec<u64>,
-    /// Bitmask of valid sectors per (set, way).
-    sector_bits: Vec<u32>,
-    /// LRU stamp per (set, way).
-    stamps: Vec<u64>,
-    clock: u64,
+    /// `log2(sectors per line)`.
+    line_shift: u32,
+    /// `ways` entries per set, most recently used first.
+    slots: Vec<Way>,
     hits: u64,
     sector_misses: u64,
     line_misses: u64,
@@ -53,24 +102,21 @@ impl SectorCache {
     /// `sectors_per_line` sectors per line.
     ///
     /// # Panics
-    /// Panics if `ways == 0` or `sectors_per_line` is 0 or above 32.
+    /// Panics if `ways == 0` or `sectors_per_line` is not a power of two in
+    /// 1..=32.
     #[must_use]
     pub fn new(lines: usize, ways: usize, sectors_per_line: usize) -> Self {
         assert!(ways > 0, "cache needs at least one way");
         assert!(
-            (1..=32).contains(&sectors_per_line),
-            "sectors per line must be in 1..=32"
+            (1..=32).contains(&sectors_per_line) && sectors_per_line.is_power_of_two(),
+            "sectors per line must be a power of two in 1..=32"
         );
         let sets = (lines / ways).max(1);
-        let slots = sets * ways;
         Self {
-            sets,
+            sets: FastMod::new(sets),
             ways,
-            sectors_per_line: sectors_per_line as u32,
-            tags: vec![INVALID_TAG; slots],
-            sector_bits: vec![0; slots],
-            stamps: vec![0; slots],
-            clock: 0,
+            line_shift: sectors_per_line.trailing_zeros(),
+            slots: vec![EMPTY_WAY; sets * ways],
             hits: 0,
             sector_misses: 0,
             line_misses: 0,
@@ -80,92 +126,54 @@ impl SectorCache {
     /// Probe (and fill) the cache for the sector with global index
     /// `sector_id` (= address / sector_bytes).
     pub fn access(&mut self, sector_id: u64) -> Probe {
-        self.clock += 1;
-        let line_tag = sector_id / u64::from(self.sectors_per_line);
-        let sector_in_line = (sector_id % u64::from(self.sectors_per_line)) as u32;
-        let sector_mask = 1u32 << sector_in_line;
-        let set = (line_tag % self.sets as u64) as usize;
-        let base = set * self.ways;
+        let tag = sector_id >> self.line_shift;
+        let mask = 1u32 << (sector_id & ((1 << self.line_shift) - 1));
+        let base = self.sets.rem(tag) as usize * self.ways;
+        let set = &mut self.slots[base..base + self.ways];
 
-        // Probe all ways of the set.
-        let mut lru_slot = base;
-        let mut lru_stamp = u64::MAX;
-        for w in 0..self.ways {
-            let slot = base + w;
-            if self.tags[slot] == line_tag {
-                self.stamps[slot] = self.clock;
-                return if self.sector_bits[slot] & sector_mask != 0 {
+        // Find the line, or the way a miss refills: the first empty way
+        // (empty ways trail, so the scan stops there) or else the LRU one.
+        let mut w = 0;
+        let (probe, sectors) = loop {
+            let way = set[w];
+            if way.tag == tag {
+                if way.sectors & mask != 0 {
                     self.hits += 1;
-                    Probe::Hit
-                } else {
-                    self.sector_bits[slot] |= sector_mask;
-                    self.sector_misses += 1;
-                    Probe::SectorMiss
-                };
+                    break (Probe::Hit, way.sectors);
+                }
+                self.sector_misses += 1;
+                break (Probe::SectorMiss, way.sectors | mask);
             }
-            if self.stamps[slot] < lru_stamp {
-                lru_stamp = self.stamps[slot];
-                lru_slot = slot;
+            if way.tag == INVALID_TAG || w + 1 == set.len() {
+                self.line_misses += 1;
+                break (Probe::LineMiss, mask);
             }
-        }
+            w += 1;
+        };
 
-        // Line miss: evict LRU way of the set.
-        self.tags[lru_slot] = line_tag;
-        self.sector_bits[lru_slot] = sector_mask;
-        self.stamps[lru_slot] = self.clock;
-        self.line_misses += 1;
-        Probe::LineMiss
-    }
-
-    /// Probe a whole batch of sectors in order and return `(hits, misses)`
-    /// (both miss flavours folded together). Equivalent to calling
-    /// [`Self::access`] per sector; exists so replay can drain a contiguous
-    /// SoA run without branching on the per-probe outcome.
-    pub fn access_batch(&mut self, sector_ids: &[u64]) -> (u64, u64) {
-        let mut hits = 0u64;
-        for &s in sector_ids {
-            if self.access(s) == Probe::Hit {
-                hits += 1;
-            }
+        // Move way `w` to the MRU position.
+        for i in (1..=w).rev() {
+            set[i] = set[i - 1];
         }
-        (hits, sector_ids.len() as u64 - hits)
+        set[0] = Way { tag, sectors };
+        probe
     }
 
     /// Invalidate everything (e.g. between independent runs).
     pub fn flush(&mut self) {
-        self.tags.fill(INVALID_TAG);
-        self.sector_bits.fill(0);
-        self.stamps.fill(0);
+        self.slots.fill(EMPTY_WAY);
     }
 
-    /// Reset hit/miss statistics without touching contents.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.sector_misses = 0;
-        self.line_misses = 0;
-    }
-
-    /// (hits, sector misses, line misses) since the last stats reset.
+    /// (hits, sector misses, line misses) since construction.
     #[must_use]
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.sector_misses, self.line_misses)
     }
 
-    /// Hit rate in `[0, 1]`; 0 when no accesses happened.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.sector_misses + self.line_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> usize {
-        self.sets
+        self.sets.d as usize
     }
 
     /// Associativity.
@@ -197,7 +205,10 @@ pub const MAX_L2_SLICES: usize = 16;
 #[derive(Debug, Clone)]
 pub struct SlicedCache {
     slices: Vec<SectorCache>,
-    sectors_per_line: u64,
+    /// `log2(sectors per line)`.
+    line_shift: u32,
+    /// `log2(slice count)`.
+    slice_shift: u32,
 }
 
 impl SlicedCache {
@@ -210,13 +221,15 @@ impl SlicedCache {
         assert!(ways > 0, "cache needs at least one way");
         let sets = (lines / ways).max(1);
         let max_exp = MAX_L2_SLICES.trailing_zeros();
-        let k = 1usize << sets.trailing_zeros().min(max_exp);
+        let slice_shift = sets.trailing_zeros().min(max_exp);
+        let k = 1usize << slice_shift;
         let slices = (0..k)
             .map(|_| SectorCache::new((sets / k) * ways, ways, sectors_per_line))
             .collect();
         Self {
             slices,
-            sectors_per_line: sectors_per_line as u64,
+            line_shift: sectors_per_line.trailing_zeros(),
+            slice_shift,
         }
     }
 
@@ -236,11 +249,12 @@ impl SlicedCache {
     /// it with: lines interleave across slices, so the local line is
     /// `line / K` while the sector offset within the line is preserved.
     #[must_use]
+    #[inline]
     pub fn slice_and_local(&self, sector_id: u64) -> (usize, u64) {
-        let k = self.slices.len() as u64;
-        let line = sector_id / self.sectors_per_line;
-        let local = (line / k) * self.sectors_per_line + sector_id % self.sectors_per_line;
-        ((line % k) as usize, local)
+        let line = sector_id >> self.line_shift;
+        let offset = sector_id & ((1 << self.line_shift) - 1);
+        let local = ((line >> self.slice_shift) << self.line_shift) | offset;
+        ((line & ((1 << self.slice_shift) - 1)) as usize, local)
     }
 
     /// Probe (and fill) the owning slice for `sector_id`.
@@ -268,13 +282,6 @@ impl SlicedCache {
             let (h, sm, lm) = s.stats();
             (acc.0 + h, acc.1 + sm, acc.2 + lm)
         })
-    }
-
-    /// Reset statistics on every slice without touching contents.
-    pub fn reset_stats(&mut self) {
-        for s in &mut self.slices {
-            s.reset_stats();
-        }
     }
 }
 
@@ -335,35 +342,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_hit_rate() {
+    fn stats_count_each_probe_kind() {
         let mut c = cache(16, 4);
-        assert_eq!(c.hit_rate(), 0.0);
         c.access(0);
         c.access(0);
+        c.access(1);
         c.access(0);
-        let (h, s, l) = c.stats();
-        assert_eq!((h, s, l), (2, 0, 1));
-        assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        c.reset_stats();
-        assert_eq!(c.stats(), (0, 0, 0));
-        // contents survive a stats reset
-        assert_eq!(c.access(0), Probe::Hit);
-    }
-
-    #[test]
-    fn access_batch_matches_sequential_probes() {
-        let stream: Vec<u64> = (0..200u64).map(|i| (i * 37) % 64).collect();
-        let mut a = cache(16, 4);
-        let mut b = cache(16, 4);
-        let mut hits = 0u64;
-        for &s in &stream {
-            if a.access(s) == Probe::Hit {
-                hits += 1;
-            }
-        }
-        let (bh, bm) = b.access_batch(&stream);
-        assert_eq!((bh, bm), (hits, stream.len() as u64 - hits));
-        assert_eq!(a.stats(), b.stats());
+        assert_eq!(c.stats(), (2, 1, 1));
     }
 
     #[test]
@@ -377,6 +362,25 @@ mod tests {
     #[should_panic(expected = "at least one way")]
     fn zero_ways_panics() {
         let _ = SectorCache::new(4, 0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "sectors per line must be a power of two")]
+    fn non_power_of_two_sectors_per_line_panics() {
+        let _ = SectorCache::new(16, 4, 3);
+    }
+
+    #[test]
+    fn fastmod_matches_rem_across_the_u32_boundary() {
+        for d in [1usize, 2, 3, 7, 128, 192, 3072, 65_535, u32::MAX as usize] {
+            let f = FastMod::new(d);
+            for n in [0u64, 1, 191, 192, 12_345, 1 << 31, u64::from(u32::MAX)]
+                .into_iter()
+                .chain([1 << 32, (1 << 32) + 5, u64::MAX])
+            {
+                assert_eq!(f.rem(n), n % d as u64, "{n} mod {d}");
+            }
+        }
     }
 
     #[test]
@@ -415,13 +419,11 @@ mod tests {
     }
 
     #[test]
-    fn sliced_cache_flush_and_stats_reset() {
+    fn sliced_cache_flush_and_stats() {
         let mut c = SlicedCache::new(64, 4, 4);
         c.access(7);
         c.access(7);
-        assert_eq!(c.stats().0, 1);
-        c.reset_stats();
-        assert_eq!(c.stats(), (0, 0, 0));
+        assert_eq!(c.stats(), (1, 0, 1));
         c.flush();
         assert_eq!(c.access(7), Probe::LineMiss);
     }

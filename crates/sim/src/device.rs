@@ -94,8 +94,29 @@ pub(crate) struct ReplayCaches {
 
 impl Device {
     /// Build a device from its configuration.
+    ///
+    /// # Panics
+    /// Panics unless `sector_bytes` and `line_bytes` are powers of two with
+    /// `line_bytes / sector_bytes` in 1..=32: the cache hierarchy indexes
+    /// sectors and lines by shift and mask.
     #[must_use]
     pub fn new(cfg: DeviceConfig) -> Self {
+        assert!(
+            cfg.sector_bytes.is_power_of_two(),
+            "sector_bytes must be a power of two, got {}",
+            cfg.sector_bytes
+        );
+        assert!(
+            cfg.line_bytes.is_power_of_two(),
+            "line_bytes must be a power of two, got {}",
+            cfg.line_bytes
+        );
+        assert!(
+            cfg.line_bytes >= cfg.sector_bytes && cfg.line_bytes / cfg.sector_bytes <= 32,
+            "line_bytes / sector_bytes must be in 1..=32, got {} / {}",
+            cfg.line_bytes,
+            cfg.sector_bytes
+        );
         let spl = cfg.sectors_per_line();
         let l1 = (0..cfg.num_sms)
             .map(|_| SectorCache::new(cfg.l1.lines(cfg.line_bytes), cfg.l1.ways, spl))
@@ -393,8 +414,7 @@ impl Device {
             "inline probe with a replay in flight"
         );
         // sage-lint: allow(replay-join) — inline probes run only on the sequential backend, which never launches an async replay; the debug_assert above enforces exactly that
-        let n = self.l1.len();
-        let p1 = self.l1[sm % n].access(sector);
+        let p1 = self.l1[sm].access(sector);
         if p1 == Probe::Hit {
             (p1, None)
         } else {
@@ -661,5 +681,42 @@ mod tests {
         let _ = k.finish();
         assert_eq!(d.profiler().l2_hit_sectors, 1);
         assert_eq!(d.profiler().dram_sectors, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "sector_bytes must be a power of two")]
+    fn non_power_of_two_sector_bytes_panics() {
+        let _ = Device::new(DeviceConfig {
+            sector_bytes: 24,
+            line_bytes: 96,
+            ..DeviceConfig::test_tiny()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "line_bytes must be a power of two")]
+    fn non_power_of_two_line_bytes_panics() {
+        let _ = Device::new(DeviceConfig {
+            line_bytes: 96,
+            ..DeviceConfig::test_tiny()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "line_bytes / sector_bytes must be in 1..=32")]
+    fn line_narrower_than_sector_panics() {
+        let _ = Device::new(DeviceConfig {
+            line_bytes: 16,
+            ..DeviceConfig::test_tiny()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "line_bytes / sector_bytes must be in 1..=32")]
+    fn more_than_32_sectors_per_line_panics() {
+        let _ = Device::new(DeviceConfig {
+            line_bytes: 2048,
+            ..DeviceConfig::test_tiny()
+        });
     }
 }

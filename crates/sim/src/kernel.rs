@@ -291,7 +291,8 @@ impl<'d> Kernel<'d> {
         if addrs.is_empty() {
             return;
         }
-        let sector = self.dev.cfg().sector_bytes as u64;
+        // Device::new guarantees a power-of-two sector size
+        let shift = self.dev.cfg().sector_bytes.trailing_zeros();
         let sm = sm % self.per_sm.len();
         if shadowed {
             if let Some(sh) = &mut self.shadow {
@@ -305,16 +306,19 @@ impl<'d> Kernel<'d> {
         }
 
         // Coalesce: collect the distinct sectors the lanes touch. Elements may
-        // straddle sector boundaries when elem_bytes > 1.
+        // straddle sector boundaries when elem_bytes > 1. Lanes mostly walk
+        // ascending addresses, so the sort usually has nothing to do.
         self.scratch_sectors.clear();
         for &a in addrs {
-            let first = a / sector;
-            let last = (a + elem_bytes as u64 - 1) / sector;
+            let first = a >> shift;
+            let last = (a + elem_bytes as u64 - 1) >> shift;
             for s in first..=last {
                 self.scratch_sectors.push(s);
             }
         }
-        self.scratch_sectors.sort_unstable();
+        if !self.scratch_sectors.is_sorted() {
+            self.scratch_sectors.sort_unstable();
+        }
         self.scratch_sectors.dedup();
 
         let c = &mut self.per_sm[sm];
@@ -340,10 +344,10 @@ impl<'d> Kernel<'d> {
     /// zero-copy semantics for host sectors — the UM pool in `host.rs`
     /// provides the cached alternative).
     fn charge_sector(&mut self, sm: usize, is_write: bool, s: u64, prev_host_sector: &mut u64) {
-        let sector = self.dev.cfg().sector_bytes as u64;
-        if is_host_addr(s * sector) {
+        let shift = self.dev.cfg().sector_bytes.trailing_zeros();
+        if is_host_addr(s << shift) {
             self.per_sm[sm].host_sectors += 1;
-            self.host_bytes += sector;
+            self.host_bytes += 1 << shift;
             if s != prev_host_sector.wrapping_add(1) {
                 self.host_requests += 1;
             }
@@ -397,7 +401,7 @@ impl<'d> Kernel<'d> {
             return;
         }
         let warp = self.dev.cfg().warp_size as u64;
-        let sector = self.dev.cfg().sector_bytes as u64;
+        let shift = self.dev.cfg().sector_bytes.trailing_zeros();
         let sm = sm % self.per_sm.len();
         if let Some(sh) = &mut self.shadow {
             let bytes = count * elem_bytes as u64;
@@ -418,7 +422,7 @@ impl<'d> Kernel<'d> {
             c.warp_insts += 1.0;
             c.active_lanes += lanes as f64;
             c.lane_slots += warp as f64;
-            for s in (lo / sector)..=(hi / sector) {
+            for s in (lo >> shift)..=(hi >> shift) {
                 self.charge_sector(sm, is_write, s, &mut prev_host_sector);
             }
             done += lanes;
@@ -479,12 +483,14 @@ impl<'d> Kernel<'d> {
             }
         }
         // Traffic: atomics resolve in L2; charge sector traffic there too.
-        let sector = self.dev.cfg().sector_bytes as u64;
+        let shift = self.dev.cfg().sector_bytes.trailing_zeros();
         self.scratch_sectors.clear();
         for &a in addrs.iter() {
-            self.scratch_sectors.push(a / sector);
+            self.scratch_sectors.push(a >> shift);
         }
-        self.scratch_sectors.sort_unstable();
+        if !self.scratch_sectors.is_sorted() {
+            self.scratch_sectors.sort_unstable();
+        }
         self.scratch_sectors.dedup();
         for i in 0..self.scratch_sectors.len() {
             let s = self.scratch_sectors[i];
@@ -765,7 +771,6 @@ impl ReplayWork {
     /// background thread.
     fn run(mut self) -> ReplayDone {
         let (recorded, l2_probes, parallel, arena_bytes) = replay_streams(
-            &self.cfg,
             &mut self.caches,
             &mut self.arena,
             &mut self.per_sm,
@@ -956,7 +961,6 @@ fn chunk_len(total: usize, parts: usize) -> usize {
 /// thread. Counter merging is fixed-order u64 sums, so the result is
 /// independent of thread scheduling.
 fn replay_streams(
-    cfg: &DeviceConfig,
     caches: &mut ReplayCaches,
     arena: &mut TraceArena,
     per_sm: &mut [SmCounters],
@@ -965,7 +969,6 @@ fn replay_streams(
 ) -> (u64, u64, bool, u64) {
     use crate::trace::{ATOMIC_FLAG, SECTOR_MASK, SEQ_SHIFT};
     let num_slices = caches.l2.num_slices();
-    let spl = u64::from(cfg.sectors_per_line() as u32);
     let total_ops = arena.total_ops();
     if total_ops == 0 {
         return (0, 0, false, arena.reserved_bytes());
@@ -973,13 +976,13 @@ fn replay_streams(
     let sms = arena.rec.len();
     let workers = threads.min(sms).max(1);
     let parallel = workers > 1 && total_ops >= gate;
-    let k = num_slices as u64;
     let seq_mask_hi = !((1u64 << SEQ_SHIFT) - 1);
 
     // ---- pass 1: private L1 replay, one shard per SM ----
     let mut l1_hits = vec![0u64; sms];
     {
         let l1 = &mut caches.l1;
+        let l2 = &caches.l2;
         // Survivors are re-packed (seq | slice-local sector) into per-slice
         // scratch groups, then written back over the drained stream prefix —
         // scratch is per-worker and sized to one SM's survivors, so the
@@ -998,9 +1001,7 @@ fn replay_streams(
                     *hits += 1;
                     continue;
                 }
-                let line = s / spl;
-                let slice = (line % k) as usize;
-                let local = (line / k) * spl + s % spl;
+                let (slice, local) = l2.slice_and_local(s);
                 scratch[slice].push((w & seq_mask_hi) | (local << 2));
             }
             rec.clear();

@@ -4,10 +4,155 @@
 
 use gpu_sim::{
     pcie, AccessKind, Allocator, Device, DeviceConfig, MemSpace, PcieConfig, Probe, SectorCache,
-    UmPool,
+    SlicedCache, UmPool,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
+
+/// The oracle for [`SectorCache`]: a stamp-LRU cache. Every way carries the
+/// access clock of its last touch, the set index is `line % sets`, and a
+/// line miss evicts the smallest stamp, scanning from way 0 — so empty
+/// ways (stamp 0) fill lowest first. The production cache must return the
+/// same [`Probe`] for every access.
+struct StampLru {
+    sets: usize,
+    ways: usize,
+    sectors_per_line: u64,
+    tags: Vec<u64>,
+    sector_bits: Vec<u32>,
+    stamps: Vec<u64>,
+    clock: u64,
+}
+
+impl StampLru {
+    fn new(lines: usize, ways: usize, sectors_per_line: usize) -> Self {
+        let sets = (lines / ways).max(1);
+        Self {
+            sets,
+            ways,
+            sectors_per_line: sectors_per_line as u64,
+            tags: vec![u64::MAX; sets * ways],
+            sector_bits: vec![0; sets * ways],
+            stamps: vec![0; sets * ways],
+            clock: 0,
+        }
+    }
+
+    fn access(&mut self, sector_id: u64) -> Probe {
+        self.clock += 1;
+        let line_tag = sector_id / self.sectors_per_line;
+        let sector_mask = 1u32 << (sector_id % self.sectors_per_line);
+        let base = (line_tag % self.sets as u64) as usize * self.ways;
+        let mut lru_slot = base;
+        let mut lru_stamp = u64::MAX;
+        for slot in base..base + self.ways {
+            if self.tags[slot] == line_tag {
+                self.stamps[slot] = self.clock;
+                return if self.sector_bits[slot] & sector_mask != 0 {
+                    Probe::Hit
+                } else {
+                    self.sector_bits[slot] |= sector_mask;
+                    Probe::SectorMiss
+                };
+            }
+            if self.stamps[slot] < lru_stamp {
+                lru_stamp = self.stamps[slot];
+                lru_slot = slot;
+            }
+        }
+        self.tags[lru_slot] = line_tag;
+        self.sector_bits[lru_slot] = sector_mask;
+        self.stamps[lru_slot] = self.clock;
+        Probe::LineMiss
+    }
+
+    fn flush(&mut self) {
+        self.tags.fill(u64::MAX);
+        self.sector_bits.fill(0);
+        self.stamps.fill(0);
+    }
+}
+
+/// Turn raw draws into a probe stream with reuse and set conflicts: most
+/// lines crowd into four hot sets (up to twice the associativity each, so
+/// they evict one another), the rest land anywhere in a space four times
+/// the cache. A third of the lines are lifted far past 2^32, where the set
+/// index takes the `%` fallback, by one of four multiples of `sets`: that
+/// keeps their true set, so a wrong wide-tag remainder splits a conflict
+/// group and changes outcomes. `None` is a flush.
+fn probe_stream(ops: &[(u32, u64)], sets: usize, ways: usize, spl: usize) -> Vec<Option<u64>> {
+    let (sets, ways, spl) = (sets as u64, ways as u64, spl as u64);
+    ops.iter()
+        .map(|&(kind, raw)| {
+            if kind == 0 {
+                return None;
+            }
+            let hot = raw % (sets.min(4) * 2 * ways);
+            let line = if kind % 4 == 0 {
+                raw % (4 * sets * ways)
+            } else {
+                hot % sets.min(4) + sets * (hot / sets.min(4))
+            };
+            let high = if kind % 3 == 0 {
+                sets * (u64::MAX / spl / sets / 8) * (1 + (raw >> 44) % 4)
+            } else {
+                0
+            };
+            Some((line + high) * spl + (raw >> 40) % spl)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sector_cache_matches_stamp_lru_oracle(
+        geom in (0usize..3, 1usize..17, 0u32..6),
+        ops in prop::collection::vec((0u32..200, 0u64..1 << 48), 1..3000),
+    ) {
+        let sets = [3, 192, 3072][geom.0];
+        let (ways, spl) = (geom.1, 1usize << geom.2);
+        let mut cache = SectorCache::new(sets * ways, ways, spl);
+        let mut oracle = StampLru::new(sets * ways, ways, spl);
+        prop_assert_eq!(cache.sets(), sets);
+        for (i, op) in probe_stream(&ops, sets, ways, spl).into_iter().enumerate() {
+            match op {
+                None => {
+                    cache.flush();
+                    oracle.flush();
+                }
+                Some(sector) => prop_assert_eq!(
+                    cache.access(sector),
+                    oracle.access(sector),
+                    "probe {} (sector {}) diverged: {} sets, {} ways, {} sectors/line",
+                    i, sector, sets, ways, spl
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_cache_matches_stamp_lru_oracle_at_default_l2(
+        ops in prop::collection::vec((1u32..200, 0u64..1 << 48), 1..3000),
+    ) {
+        let cfg = DeviceConfig::default();
+        let (lines, ways, spl) = (cfg.l2.lines(cfg.line_bytes), cfg.l2.ways, cfg.sectors_per_line());
+        let mut sliced = SlicedCache::new(lines, ways, spl);
+        let mut oracle = StampLru::new(lines, ways, spl);
+        prop_assert_eq!(sliced.num_slices(), 16);
+        prop_assert_eq!(sliced.sets(), oracle.sets);
+        for (i, op) in probe_stream(&ops, oracle.sets, ways, spl).into_iter().enumerate() {
+            let sector = op.expect("stream has no flushes");
+            prop_assert_eq!(
+                sliced.access(sector),
+                oracle.access(sector),
+                "probe {} (sector {}) diverged",
+                i, sector
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
