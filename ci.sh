@@ -30,6 +30,14 @@ echo "== perfbench's own tests =="
 # the benchmark is a separate Cargo workspace, so --workspace misses it
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench end to end: adapt-social16-t1 =="
+# one short run of the self-reordering workload: it exits 1 on a wrong
+# answer or a counter that does not repeat, so it covers the in-edge view
+# shared with a symmetric CSR, rollbacks recomputed from the permutation
+# and the resident tile-record arena together
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload adapt-social16-t1 --seed 7919 --seconds 1 > /dev/null
+
 echo "== rustdoc (no broken intra-doc links) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
 

@@ -18,17 +18,43 @@ pub enum GraphPlacement {
     Host,
 }
 
+/// The in-edge (CSC) view that pull and matrix iterations scan.
+#[derive(Debug, Clone)]
+enum InEdges {
+    /// Not materialized: the graph never takes the pull path.
+    Absent,
+    /// Symmetric graph: the in-edges are the out-edges, so the view is
+    /// the CSR itself and no second copy is kept.
+    Shared,
+    /// Directed graph: an owned reversed copy.
+    Owned(Csr),
+}
+
+impl InEdges {
+    /// The view for `csr`: shared when symmetric, reversed otherwise.
+    fn of(csr: &Csr) -> Self {
+        if csr.is_symmetric() {
+            Self::Shared
+        } else {
+            Self::Owned(csr.reversed())
+        }
+    }
+}
+
 /// A CSR uploaded to the simulated memory system.
 ///
 /// Optionally also carries the reversed (in-edge / CSC) view, which pull
 /// iterations scan. Build it with [`DeviceGraph::with_in_edges`]; graphs
-/// uploaded without it simply never take the pull path.
+/// uploaded without it simply never take the pull path. The view's device
+/// arrays are always reserved and placed like the forward ones, so
+/// simulated addresses and traffic do not depend on symmetry; only the
+/// host copy is shared when the graph is symmetric.
 #[derive(Debug, Clone)]
 pub struct DeviceGraph {
     csr: Csr,
     offsets_base: u64,
     targets_base: u64,
-    in_csr: Option<Csr>,
+    in_edges: InEdges,
     in_offsets_base: u64,
     in_targets_base: u64,
     placement: GraphPlacement,
@@ -49,7 +75,7 @@ impl DeviceGraph {
             offsets_base: offsets.base(),
             targets_base: targets.base(),
             csr,
-            in_csr: None,
+            in_edges: InEdges::Absent,
             in_offsets_base: 0,
             in_targets_base: 0,
             placement: GraphPlacement::Device,
@@ -66,7 +92,7 @@ impl DeviceGraph {
             offsets_base: offsets.base(),
             targets_base: targets.base(),
             csr,
-            in_csr: None,
+            in_edges: InEdges::Absent,
             in_offsets_base: 0,
             in_targets_base: 0,
             placement: GraphPlacement::Host,
@@ -75,39 +101,46 @@ impl DeviceGraph {
 
     /// Materialize the in-edge (CSC) view and place it alongside the CSR
     /// (same placement: device memory, or host memory for out-of-core).
-    /// Required before a runner can choose pull iterations.
+    /// Required before a runner can choose pull iterations. A symmetric
+    /// graph shares its CSR as the view; a directed one keeps a reversed
+    /// copy.
     #[must_use]
     pub fn with_in_edges(mut self, dev: &mut Device) -> Self {
-        let rev = self.csr.reversed();
+        // the reversed view has the CSR's node and edge counts
+        let (n, m) = (self.csr.num_nodes(), self.csr.num_edges().max(1));
         let (in_offsets, in_targets) = match self.placement {
             GraphPlacement::Device => {
-                let in_off = dev.alloc_array::<u32>(rev.num_nodes() + 1, 0).base();
-                let in_tgt = dev.alloc_array::<u32>(rev.num_edges().max(1), 0).base();
-                dev.mark_streaming(in_tgt, rev.num_edges().max(1) as u64 * 4);
+                let in_off = dev.alloc_array::<u32>(n + 1, 0).base();
+                let in_tgt = dev.alloc_array::<u32>(m, 0).base();
+                dev.mark_streaming(in_tgt, m as u64 * 4);
                 (in_off, in_tgt)
             }
             GraphPlacement::Host => (
-                dev.alloc_host_array::<u32>(rev.num_nodes() + 1, 0).base(),
-                dev.alloc_host_array::<u32>(rev.num_edges().max(1), 0)
-                    .base(),
+                dev.alloc_host_array::<u32>(n + 1, 0).base(),
+                dev.alloc_host_array::<u32>(m, 0).base(),
             ),
         };
         self.in_offsets_base = in_offsets;
         self.in_targets_base = in_targets;
-        self.in_csr = Some(rev);
+        self.in_edges = InEdges::of(&self.csr);
         self
     }
 
     /// True when the in-edge view has been materialized.
     #[must_use]
     pub fn has_in_edges(&self) -> bool {
-        self.in_csr.is_some()
+        !matches!(self.in_edges, InEdges::Absent)
     }
 
-    /// The in-edge (reversed) CSR, if materialized.
+    /// The in-edge (reversed) CSR, if materialized: the CSR itself when
+    /// the graph is symmetric.
     #[must_use]
     pub fn in_csr(&self) -> Option<&Csr> {
-        self.in_csr.as_ref()
+        match &self.in_edges {
+            InEdges::Absent => None,
+            InEdges::Shared => Some(&self.csr),
+            InEdges::Owned(rev) => Some(rev),
+        }
     }
 
     /// Address of `in_offset[u]` in the reversed CSR.
@@ -117,7 +150,7 @@ impl DeviceGraph {
     #[inline]
     #[must_use]
     pub fn in_offset_addr(&self, u: NodeId) -> u64 {
-        debug_assert!(self.in_csr.is_some(), "in-edge view not materialized");
+        debug_assert!(self.has_in_edges(), "in-edge view not materialized");
         self.in_offsets_base + u64::from(u) * 4
     }
 
@@ -128,7 +161,7 @@ impl DeviceGraph {
     #[inline]
     #[must_use]
     pub fn in_target_addr(&self, idx: u32) -> u64 {
-        debug_assert!(self.in_csr.is_some(), "in-edge view not materialized");
+        debug_assert!(self.has_in_edges(), "in-edge view not materialized");
         self.in_targets_base + u64::from(idx) * 4
     }
 
@@ -166,10 +199,10 @@ impl DeviceGraph {
     pub fn replace_csr(&mut self, csr: Csr) {
         assert_eq!(csr.num_nodes(), self.csr.num_nodes(), "node count changed");
         assert_eq!(csr.num_edges(), self.csr.num_edges(), "edge count changed");
-        if self.in_csr.is_some() {
+        if self.has_in_edges() {
             // same node/edge counts, so the reversed view fits the
-            // already-allocated arrays — rebuild it in place.
-            self.in_csr = Some(csr.reversed());
+            // already-allocated arrays; symmetry is decided afresh.
+            self.in_edges = InEdges::of(&csr);
         }
         self.csr = csr;
     }
@@ -251,6 +284,48 @@ mod tests {
         let expected = relabelled.reversed();
         g.replace_csr(relabelled);
         assert_eq!(g.in_csr().unwrap().targets(), expected.targets());
+    }
+
+    fn symmetric() -> Csr {
+        Csr::from_coo_symmetric(&graph().to_coo())
+    }
+
+    #[test]
+    fn symmetric_upload_shares_the_csr_as_its_in_edge_view() {
+        let mut d = Device::new(DeviceConfig::test_tiny());
+        let g = DeviceGraph::upload(&mut d, symmetric()).with_in_edges(&mut d);
+        assert!(std::ptr::eq(g.in_csr().unwrap(), g.csr()));
+        // the device arrays are still reserved separately
+        assert_ne!(g.in_target_addr(0), g.target_addr(0));
+        assert_ne!(g.in_offset_addr(0), g.offset_addr(0));
+    }
+
+    #[test]
+    fn directed_upload_owns_a_reversed_view() {
+        let mut d = Device::new(DeviceConfig::test_tiny());
+        let g = DeviceGraph::upload(&mut d, graph()).with_in_edges(&mut d);
+        let view = g.in_csr().unwrap();
+        assert!(!std::ptr::eq(view, g.csr()));
+        assert_eq!(*view, graph().reversed());
+    }
+
+    #[test]
+    fn replace_csr_redecides_symmetry() {
+        let mut d = Device::new(DeviceConfig::test_tiny());
+        let mut g = DeviceGraph::upload(&mut d, symmetric()).with_in_edges(&mut d);
+        let addrs = (g.in_offset_addr(0), g.in_target_addr(0));
+        let perm = sage_graph::Permutation::random(4, 1);
+        // symmetric -> directed (same six edges' worth of slots): an owned
+        // reversed copy
+        let directed = Csr::from_edges(4, &[(0, 1), (1, 0), (0, 2), (1, 3), (2, 3), (3, 2)]);
+        g.replace_csr(directed.clone());
+        assert!(!std::ptr::eq(g.in_csr().unwrap(), g.csr()));
+        assert_eq!(*g.in_csr().unwrap(), directed.reversed());
+        // directed -> symmetric: shared again
+        g.replace_csr(perm.apply_csr(&symmetric()));
+        assert!(std::ptr::eq(g.in_csr().unwrap(), g.csr()));
+        assert_eq!(*g.in_csr().unwrap(), g.csr().reversed());
+        assert_eq!((g.in_offset_addr(0), g.in_target_addr(0)), addrs);
     }
 
     #[test]

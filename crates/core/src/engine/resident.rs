@@ -38,6 +38,9 @@ pub struct TileRec {
     pub len: u32,
 }
 
+/// Span marker of a node whose tiles are not resident yet.
+const NOT_EXPANDED: u32 = u32::MAX;
+
 /// The Resident Tile Stealing engine (Tiled Partitioning + resident tiles).
 pub struct ResidentEngine {
     /// Threads per block (bounds the largest tile).
@@ -46,16 +49,18 @@ pub struct ResidentEngine {
     pub min_tile: usize,
     /// Align tiles to memory sectors (§5.3).
     pub align_tiles: bool,
-    /// Resident tile records per node (`None` = not yet expanded).
-    records: Vec<Option<Box<[TileRec]>>>,
+    /// Every resident tile record, in expansion order: record `i` lives at
+    /// device address `records_base + 8 * i`.
+    records: Vec<TileRec>,
+    /// Per node, `(first, count)` of its records in `records`; `first ==
+    /// NOT_EXPANDED` means not yet expanded.
+    spans: Vec<(u32, u32)>,
     /// Device region holding the records (addresses only).
     records_base: u64,
-    records_cursor: u64,
-    /// One past the last address of the reserved record region; the bump
-    /// cursor must never cross it, or record writes would alias later
+    /// One past the last address of the reserved record region; records
+    /// must never cross it, or record writes would alias later
     /// allocations.
     records_end: u64,
-    record_addr: Vec<u64>,
     /// Optional Sampling-based Reordering observer.
     pub sampler: Option<Sampler>,
 }
@@ -75,10 +80,9 @@ impl ResidentEngine {
             min_tile: 8,
             align_tiles: true,
             records: Vec::new(),
+            spans: Vec::new(),
             records_base: 0,
-            records_cursor: 0,
             records_end: 0,
-            record_addr: Vec::new(),
             sampler: None,
         }
     }
@@ -97,16 +101,19 @@ impl ResidentEngine {
     /// Fraction of nodes whose tiles are currently resident.
     #[must_use]
     pub fn resident_fraction(&self) -> f64 {
-        if self.records.is_empty() {
+        if self.spans.is_empty() {
             0.0
         } else {
-            self.records.iter().filter(|r| r.is_some()).count() as f64 / self.records.len() as f64
+            let expanded = self.spans.iter().filter(|s| s.0 != NOT_EXPANDED).count();
+            expanded as f64 / self.spans.len() as f64
         }
     }
 
-    /// Decompose a degree range into power-of-two tiles plus a fragment.
-    fn decompose(&self, mut beg: u32, end: u32) -> Box<[TileRec]> {
-        let mut recs = Vec::new();
+    /// Decompose a degree range into power-of-two tiles plus a fragment,
+    /// appended to the record arena; returns their `(first, count)` span.
+    fn decompose(&mut self, mut beg: u32, end: u32) -> (u32, u32) {
+        let first = self.records.len();
+        let recs = &mut self.records;
         // sector alignment: peel the misaligned head into a fragment record
         if self.align_tiles {
             let mis = beg % SECTOR_NODES;
@@ -126,13 +133,17 @@ impl ResidentEngine {
         if rem > 0 {
             recs.push(TileRec { beg, len: rem });
         }
-        recs.into_boxed_slice()
+        (first as u32, (recs.len() - first) as u32)
+    }
+
+    /// Device address of arena record `index`.
+    fn record_addr(&self, index: u32) -> u64 {
+        self.records_base + u64::from(index) * 8
     }
 
     fn ensure_capacity(&mut self, dev: &mut Device, n: usize, edges: usize) {
-        if self.records.len() < n {
-            self.records.resize(n, None);
-            self.record_addr.resize(n, 0);
+        if self.spans.len() < n {
+            self.spans.resize(n, (NOT_EXPANDED, 0));
         }
         let need = edges.max(1) as u64 * 8;
         if self.records_base == 0 || self.records_end - self.records_base < need {
@@ -144,10 +155,10 @@ impl ResidentEngine {
             // state is allocated per query after the engine's first run).
             // A larger graph on a reused engine re-reserves; the old region
             // is abandoned (the simulator's bump allocator never frees).
-            self.records.iter_mut().for_each(|r| *r = None);
+            self.records.clear();
+            self.spans.fill((NOT_EXPANDED, 0));
             let region = dev.alloc_array::<u64>(edges.max(1), 0);
             self.records_base = region.base();
-            self.records_cursor = region.base();
             self.records_end = region.base() + region.len() as u64 * 8;
         }
     }
@@ -200,36 +211,28 @@ impl Engine for ResidentEngine {
                     if deg == 0 {
                         continue;
                     }
-                    if self.records[fi].is_none() {
+                    let (first, count, kind) = if self.spans[fi].0 == NOT_EXPANDED {
                         // online scheduling: decompose and write the records
                         let beg = g.csr().offset(f);
-                        let recs = self.decompose(beg, beg + deg);
-                        let bytes = recs.len() as u64 * 8;
-                        self.record_addr[fi] = self.records_cursor;
-                        self.records_cursor += bytes;
+                        let (first, count) = self.decompose(beg, beg + deg);
+                        self.spans[fi] = (first, count);
                         debug_assert!(
-                            self.records_cursor <= self.records_end,
+                            self.record_addr(first + count) <= self.records_end,
                             "resident record region overflow"
                         );
-                        // decomposition bookkeeping + record writes
+                        // decomposition bookkeeping
                         let w = sh.cfg().warp_size;
-                        sh.exec(2 + recs.len() as u64, 1, w);
-                        scratch.clear();
-                        for i in 0..recs.len() as u64 {
-                            scratch.push(self.record_addr[fi] + i * 8);
-                        }
-                        sh.access(AccessKind::Write, &scratch, 8);
-                        self.records[fi] = Some(recs);
+                        sh.exec(2 + u64::from(count), 1, w);
+                        (first, count, AccessKind::Write)
                     } else {
                         // reuse: read the resident records back
-                        let len = self.records[fi].as_ref().map_or(0, |r| r.len());
-                        scratch.clear();
-                        for i in 0..len as u64 {
-                            scratch.push(self.record_addr[fi] + i * 8);
-                        }
-                        sh.access(AccessKind::Read, &scratch, 8);
-                    }
-                    for r in self.records[fi].as_ref().unwrap().iter() {
+                        let (first, count) = self.spans[fi];
+                        (first, count, AccessKind::Read)
+                    };
+                    scratch.clear();
+                    scratch.extend((first..first + count).map(|i| self.record_addr(i)));
+                    sh.access(kind, &scratch, 8);
+                    for r in &self.records[first as usize..(first + count) as usize] {
                         if r.len >= self.min_tile as u32 {
                             work.push((f, *r));
                         } else {
@@ -346,8 +349,7 @@ impl Engine for ResidentEngine {
 
     fn reset(&mut self) {
         self.records.clear();
-        self.record_addr.clear();
-        self.records_cursor = self.records_base;
+        self.spans.clear();
     }
 }
 
@@ -376,8 +378,10 @@ mod tests {
 
     #[test]
     fn decompose_covers_range_exactly() {
-        let e = ResidentEngine::with_geometry(256, 8, false);
-        let recs = e.decompose(10, 10 + 300);
+        let mut e = ResidentEngine::with_geometry(256, 8, false);
+        let (first, count) = e.decompose(10, 10 + 300);
+        assert_eq!((first, count as usize), (0, e.records.len()));
+        let recs = &e.records;
         let total: u32 = recs.iter().map(|r| r.len).sum();
         assert_eq!(total, 300);
         // contiguous, no overlap
@@ -393,8 +397,12 @@ mod tests {
 
     #[test]
     fn decompose_with_alignment_peels_head() {
-        let e = ResidentEngine::with_geometry(256, 8, true);
-        let recs = e.decompose(3, 3 + 64);
+        let mut e = ResidentEngine::with_geometry(256, 8, true);
+        let _ = e.decompose(100, 100 + 3);
+        // a second node's records append to the arena after the first's
+        let (first, count) = e.decompose(3, 3 + 64);
+        assert_eq!(first, 1);
+        let recs = &e.records[first as usize..(first + count) as usize];
         assert_eq!(recs[0], TileRec { beg: 3, len: 5 }); // peel to sector boundary
         assert_eq!(recs[1].beg % SECTOR_NODES, 0);
         let total: u32 = recs.iter().map(|r| r.len).sum();

@@ -63,8 +63,9 @@ pub struct SageRuntime {
     runner: Runner,
     /// Normalised sampled locality of the previous round (per edge access).
     prev_locality: Option<f64>,
-    /// State to undo the last round if it turns out to have hurt.
-    undo: Option<(Csr, Permutation)>,
+    /// The last committed round's permutation, kept to undo it if it
+    /// turns out to have hurt: its inverse recomputes the previous order.
+    undo: Option<Permutation>,
     /// Rounds that regressed and were rolled back.
     regressions: usize,
     /// Consecutive rounds with no meaningful locality gain.
@@ -279,7 +280,7 @@ impl SageRuntime {
             return false;
         }
         let cur_locality = sampler.total_locality() as f64 / sampler.sampled() as f64;
-        if let (Some(prev), Some((prev_csr, last_perm))) = (self.prev_locality, self.undo.take()) {
+        if let (Some(prev), Some(last_perm)) = (self.prev_locality, self.undo.take()) {
             if cur_locality < prev * 1.03 {
                 // no meaningful gain: the order is approaching convergence
                 self.plateau += 1;
@@ -288,9 +289,13 @@ impl SageRuntime {
             }
             if cur_locality < prev * 0.99 {
                 // the last round hurt: roll it back; after two failed
-                // attempts the order is declared converged
+                // attempts the order is declared converged. Rows are
+                // strictly ascending, so relabelling by the inverse
+                // rebuilds the previous CSR bit for bit.
+                let undo = last_perm.inverse();
+                let prev_csr = undo.apply_csr(self.graph.csr());
                 self.graph.replace_csr(prev_csr);
-                self.perm = self.perm.then(&last_perm.inverse());
+                self.perm = self.perm.then(&undo);
                 self.engine.reset();
                 self.rounds -= 1;
                 self.epoch += 1;
@@ -332,12 +337,11 @@ impl SageRuntime {
         };
         // rebuild the CSR in place and invalidate resident tiles (their
         // offsets moved)
-        let prev_csr = self.graph.csr().clone();
-        let new_csr = round_perm.apply_csr(&prev_csr);
+        let new_csr = round_perm.apply_csr(self.graph.csr());
         self.graph.replace_csr(new_csr);
         self.engine.reset();
         self.perm = self.perm.then(&round_perm);
-        self.undo = Some((prev_csr, round_perm));
+        self.undo = Some(round_perm);
         self.prev_locality = Some(cur_locality);
         self.rounds += 1;
         self.epoch += 1;
@@ -540,6 +544,42 @@ mod tests {
         assert_eq!(
             out2.visits.iter().map(|&c| u64::from(c)).sum::<u64>(),
             out2.walkers as u64 + out2.steps
+        );
+    }
+
+    #[test]
+    fn rollback_restores_the_pre_commit_graph_and_permutation_bitwise() {
+        use crate::app::PageRank;
+        let mut dev = Device::new(DeviceConfig::test_tiny());
+        let mut rt =
+            SageRuntime::with_threshold(&mut dev, sage_graph::gen::rmat_graph(11, 8, 0), 4000);
+        let mut bfs = Bfs::new(&mut dev);
+        let mut pr = PageRank::new(&mut dev, 10, 0.0);
+        let mut pre_commit: Option<(Csr, Permutation)> = None;
+        let (mut commits, mut rollbacks) = (0, 0);
+        for op in 0..40u32 {
+            if op % 4 == 3 {
+                let _ = rt.run(&mut dev, &mut pr, 0);
+            } else {
+                let _ = rt.run(&mut dev, &mut bfs, op * 37 % 2048);
+            }
+            let snapshot = (rt.graph().csr().clone(), rt.permutation().clone());
+            let rounds = rt.rounds();
+            rt.maybe_reorder(&mut dev);
+            if rt.rounds() > rounds {
+                commits += 1;
+                pre_commit = Some(snapshot);
+            } else if rt.rounds() < rounds {
+                rollbacks += 1;
+                let (csr, perm) = pre_commit.take().expect("a rollback follows a commit");
+                assert_eq!(*rt.graph().csr(), csr, "rollback {rollbacks}: CSR differs");
+                assert_eq!(*rt.permutation(), perm, "rollback {rollbacks}: permutation");
+                assert_eq!(*rt.graph().in_csr().unwrap(), rt.graph().csr().reversed());
+            }
+        }
+        assert!(
+            rollbacks > 0,
+            "no rollback in 40 operations ({commits} commits)"
         );
     }
 

@@ -213,6 +213,27 @@ impl Csr {
         Csr { offsets, targets }
     }
 
+    /// True exactly when `self.reversed() == *self`: every edge `u → v`
+    /// has its mirror `v → u`. One read-only pass that replays
+    /// [`Csr::reversed`]'s scatter against the stored rows: visiting `u`
+    /// in ascending order, row `v` must receive `u` next. Every cursor
+    /// stays within its row and the `E` checks fill `E` slots, so each
+    /// row is matched exactly.
+    #[must_use]
+    pub fn is_symmetric(&self) -> bool {
+        let mut cursor = self.offsets[..self.num_nodes()].to_vec();
+        for u in 0..self.num_nodes() as NodeId {
+            for &v in self.neighbors(u) {
+                let c = &mut cursor[v as usize];
+                if *c == self.offsets[v as usize + 1] || self.targets[*c as usize] != u {
+                    return false;
+                }
+                *c += 1;
+            }
+        }
+        true
+    }
+
     /// Check all invariants.
     ///
     /// # Errors
@@ -329,6 +350,16 @@ mod tests {
         assert!(r.validate().is_ok());
         // reversing twice restores the graph
         assert_eq!(r.reversed(), g);
+    }
+
+    #[test]
+    fn symmetry_detected() {
+        assert!(!diamond().is_symmetric());
+        let sym = Csr::from_coo_symmetric(&diamond().to_coo());
+        assert!(sym.is_symmetric());
+        // a missing mirror in the last row, after every other row matched
+        assert!(!Csr::from_edges(3, &[(0, 1), (1, 0), (1, 2)]).is_symmetric());
+        assert!(Csr::from_edges(1, &[]).is_symmetric());
     }
 
     #[test]

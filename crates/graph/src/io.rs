@@ -38,6 +38,14 @@ pub enum ReadError {
     BadHeader(String),
     /// The input parsed but its arrays violate the CSR invariants.
     InvalidCsr(String),
+    /// The input declares more nodes (by a header or its largest id) than
+    /// its size can back; see [`node_budget`].
+    TooManyNodes {
+        /// Nodes the input declares.
+        nodes: usize,
+        /// Bytes of input read.
+        bytes: usize,
+    },
 }
 
 impl fmt::Display for ReadError {
@@ -49,6 +57,11 @@ impl fmt::Display for ReadError {
             }
             Self::BadHeader(what) => write!(f, "bad header: {what}"),
             Self::InvalidCsr(why) => write!(f, "invalid CSR arrays: {why}"),
+            Self::TooManyNodes { nodes, bytes } => write!(
+                f,
+                "{nodes} nodes declared by {bytes} bytes of input (at most {} accepted)",
+                node_budget(*bytes)
+            ),
         }
     }
 }
@@ -68,16 +81,44 @@ impl From<io::Error> for ReadError {
     }
 }
 
+/// Nodes a text reader accepts above [`NODE_FLOOR`], per byte of input.
+const NODES_PER_BYTE: usize = 16;
+
+/// Nodes a text reader accepts whatever the input size.
+const NODE_FLOOR: usize = 1 << 20;
+
+/// The most nodes `bytes` of text input may declare. A text graph's node
+/// count is only declared (by a header, or by the largest id), yet the CSR
+/// builder spends about 20 bytes per node, so without a bound a one-line
+/// file could demand gigabytes. An edge line names two nodes in at least
+/// four bytes, so real dumps stay far below the budget.
+#[must_use]
+pub fn node_budget(bytes: usize) -> usize {
+    bytes.saturating_mul(NODES_PER_BYTE).max(NODE_FLOOR)
+}
+
+/// Refuse a node count that `bytes` of input cannot back.
+fn within_budget(nodes: usize, bytes: usize) -> Result<(), ReadError> {
+    if nodes <= node_budget(bytes) {
+        Ok(())
+    } else {
+        Err(ReadError::TooManyNodes { nodes, bytes })
+    }
+}
+
 /// Parse an edge list from a reader.
 ///
 /// # Errors
 /// [`ReadError::Io`] on reader failures, [`ReadError::Malformed`] on lines
-/// that are neither comments nor `u v` pairs.
+/// that are neither comments nor `u v` pairs, [`ReadError::TooManyNodes`]
+/// when the largest id exceeds [`node_budget`].
 pub fn read_edge_list<R: Read>(reader: R) -> Result<Csr, ReadError> {
     let mut num_nodes = 0usize;
+    let mut bytes = 0usize;
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
     for (lineno, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
+        bytes += line.len() + 1;
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
             continue;
@@ -98,6 +139,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Csr, ReadError> {
         num_nodes = num_nodes.max(top as usize + 1);
         edges.push((u, v));
     }
+    within_budget(num_nodes, bytes)?;
     Ok(Csr::from_edges(num_nodes, &edges))
 }
 
@@ -206,12 +248,14 @@ pub fn read_csr_binary<R: Read>(reader: R) -> Result<Csr, ReadError> {
 ///
 /// # Errors
 /// [`ReadError::BadHeader`] on a missing banner or dimension line,
-/// [`ReadError::Malformed`] on a bad entry.
+/// [`ReadError::Malformed`] on a bad entry, [`ReadError::TooManyNodes`]
+/// when the dimensions exceed [`node_budget`].
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, ReadError> {
     let mut lines = BufReader::new(reader).lines();
     let header = lines
         .next()
         .ok_or_else(|| ReadError::BadHeader("empty file".to_string()))??;
+    let mut bytes = header.len() + 1;
     if !header.starts_with("%%MatrixMarket matrix coordinate") {
         return Err(ReadError::BadHeader(format!(
             "not a MatrixMarket coordinate header: {header:?}"
@@ -223,6 +267,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, ReadError> {
     let mut coo = Coo::new(0);
     for (lineno, line) in lines.enumerate() {
         let line = line?;
+        bytes += line.len() + 1;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
@@ -257,6 +302,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, ReadError> {
     if dims.is_none() {
         return Err(ReadError::BadHeader("missing dimension line".to_string()));
     }
+    within_budget(coo.num_nodes, bytes)?;
     Ok(if symmetric {
         Csr::from_coo_symmetric(&coo)
     } else {
@@ -270,11 +316,14 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, ReadError> {
 ///
 /// # Errors
 /// [`ReadError::BadHeader`] on a missing `p` line,
-/// [`ReadError::Malformed`] on a bad edge line.
+/// [`ReadError::Malformed`] on a bad edge line,
+/// [`ReadError::TooManyNodes`] when the `p` line exceeds [`node_budget`].
 pub fn read_dimacs<R: Read>(reader: R) -> Result<Csr, ReadError> {
     let mut coo: Option<Coo> = None;
+    let mut bytes = 0usize;
     for (lineno, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
+        bytes += line.len() + 1;
         let t = line.trim();
         if t.is_empty() || t.starts_with('c') {
             continue;
@@ -310,6 +359,7 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Csr, ReadError> {
         }
     }
     let coo = coo.ok_or_else(|| ReadError::BadHeader("missing p line".to_string()))?;
+    within_budget(coo.num_nodes, bytes)?;
     Ok(Csr::from_coo(&coo))
 }
 
@@ -473,6 +523,23 @@ mod tests {
             matches!(e, ReadError::Malformed { line: 2, .. }),
             "got {e:?}"
         );
+    }
+
+    #[test]
+    fn text_readers_reject_node_counts_the_input_cannot_back() {
+        let too_many = |r: Result<Csr, ReadError>| {
+            let e = r.unwrap_err();
+            assert!(matches!(e, ReadError::TooManyNodes { .. }), "got {e:?}");
+        };
+        too_many(read_edge_list(Cursor::new("0 4000000000\n")));
+        too_many(read_dimacs(Cursor::new("p sp 4000000 0\n")));
+        let mm = "%%MatrixMarket matrix coordinate pattern general\n4000000 1 0\n";
+        too_many(read_matrix_market(Cursor::new(mm)));
+        // the floor admits sparse ids in small files
+        let g = read_edge_list(Cursor::new("0 65535\n")).unwrap();
+        assert_eq!(g.num_nodes(), 65536);
+        assert!(node_budget(10) >= NODE_FLOOR);
+        assert_eq!(node_budget(1 << 20), 16 << 20);
     }
 
     #[test]

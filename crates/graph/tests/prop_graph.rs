@@ -60,6 +60,79 @@ fn oracle_csr(n: usize, pairs: &[(NodeId, NodeId)]) -> Csr {
     Csr::from_parts(offsets, pairs.iter().map(|&(_, b)| b).collect()).unwrap()
 }
 
+/// Strategy: at most 4 KiB of input for the graph readers. An optional
+/// well-formed prefix (binary magic and a small header, a MatrixMarket
+/// banner, a DIMACS `p` line) gets cases past the header checks. The body
+/// is up to a case-chosen number of record-like lines (an optional record
+/// letter, then one to three numbers of 1 to 10 digits); each case then
+/// overwrites none, a few, half or all of its bytes with arbitrary ones.
+fn reader_input() -> impl Strategy<Value = Vec<u8>> {
+    const LINES: [usize; 4] = [1, 8, 64, 512];
+    let header = (0u8..6, 0u64..64, 0u64..256);
+    let body = prop::collection::vec(0u64..u64::MAX, 0..512);
+    (header, 0usize..4, 0usize..4, body).prop_map(|((kind, n, m), lines, noise, body)| {
+        let mut bytes = match kind {
+            0 | 1 => Vec::new(),
+            2 => [io::CSR_MAGIC.as_slice(), &n.to_le_bytes(), &m.to_le_bytes()].concat(),
+            3 => b"%%MatrixMarket matrix coordinate real general\n".to_vec(),
+            4 => b"%%MatrixMarket matrix coordinate pattern symmetric\n".to_vec(),
+            _ => format!("p sp {n} {m}\n").into_bytes(),
+        };
+        let head = bytes.len();
+        for &h in body.iter().take(LINES[lines]) {
+            let letter = ["", "", "", "", "a ", "e ", "c ", "% "][(h % 8) as usize];
+            bytes.extend(letter.bytes());
+            for f in 0..1 + (h >> 3) % 3 {
+                let x = h.rotate_left(13 * f as u32 + 5);
+                let digits = match x % 16 {
+                    0 => 7,
+                    1 => 10,
+                    d => 1 + d % 3,
+                };
+                bytes.extend(format!("{} ", (x >> 8) % 10u64.pow(digits as u32)).bytes());
+            }
+            bytes.push(b'\n');
+        }
+        for (i, b) in bytes.iter_mut().enumerate().skip(head) {
+            let x = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ m;
+            let overwrite = match noise {
+                0 => false,
+                1 => x.is_multiple_of(256),
+                2 => x.is_multiple_of(2),
+                _ => true,
+            };
+            if overwrite {
+                *b = (x >> 32) as u8;
+            }
+        }
+        bytes.truncate(4096);
+        bytes
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn readers_never_panic_on_arbitrary_bytes(input in reader_input()) {
+        let text = [
+            io::read_edge_list(Cursor::new(&input)),
+            io::read_dimacs(Cursor::new(&input)),
+            io::read_matrix_market(Cursor::new(&input)),
+        ];
+        for (i, read) in text.into_iter().enumerate() {
+            if let Ok(g) = read {
+                prop_assert!(g.validate().is_ok(), "text reader {i}");
+                prop_assert!(g.num_nodes() <= io::node_budget(input.len()), "text reader {i}");
+            }
+        }
+        if let Ok(g) = io::read_csr_binary(Cursor::new(&input)) {
+            prop_assert!(g.validate().is_ok());
+            prop_assert!(g.bytes() <= input.len());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -104,6 +177,34 @@ proptest! {
         let g = Csr::from_coo(&coo);
         for (u, v) in g.edges() {
             prop_assert!(g.neighbors(v).binary_search(&u).is_ok());
+        }
+    }
+
+    #[test]
+    fn is_symmetric_matches_reversed_equality((n, es) in multigraph(), drop in 0usize..400) {
+        let g = Csr::from_edges(n, &es);
+        prop_assert_eq!(g.is_symmetric(), g.reversed() == g);
+        let mut coo = Coo::from_edges(n, &es);
+        coo.symmetrize();
+        let sym = Csr::from_coo(&coo);
+        prop_assert!(sym.is_symmetric());
+        prop_assert_eq!(sym.reversed(), sym.clone());
+        // relabelling keeps a symmetric graph symmetric
+        if n > 0 {
+            let relabelled = Permutation::random(n, drop as u64).apply_csr(&sym);
+            prop_assert!(relabelled.is_symmetric());
+        }
+        // dropping any one edge breaks its mirror
+        if sym.num_edges() > 0 {
+            let kept: Vec<(NodeId, NodeId)> = sym
+                .edges()
+                .enumerate()
+                .filter(|&(i, _)| i != drop % sym.num_edges())
+                .map(|(_, e)| e)
+                .collect();
+            let broken = Csr::from_edges(n, &kept);
+            prop_assert!(!broken.is_symmetric());
+            prop_assert_eq!(broken.is_symmetric(), broken.reversed() == broken);
         }
     }
 
@@ -219,4 +320,16 @@ proptest! {
             prop_assert_eq!(back, g);
         }
     }
+}
+
+#[test]
+fn is_symmetric_on_empty_and_single_node_graphs() {
+    for n in [0, 1] {
+        let g = Csr::from_edges(n, &[]);
+        assert!(g.is_symmetric());
+        assert_eq!(g.reversed(), g);
+    }
+    // a self-loop is dropped by the builder, leaving a symmetric 1-node graph
+    let g = Csr::from_edges(1, &[(0, 0)]);
+    assert_eq!(g.is_symmetric(), g.reversed() == g);
 }
