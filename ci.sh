@@ -99,6 +99,11 @@ cargo test --release -q -p sage --test prop_direction
 cargo test --release -q -p sage --test prop_walk
 cargo test --release -q -p gpu-sim --test prop_replay_gate
 cargo test --release -q -p gpu-sim kernel::
+# the graphs themselves: golden_gen pins every generator's output (the
+# benchmark graphs, built in parts, included), and prop_graph checks the
+# CSR builder and the R-MAT sampler at 2, 3 and 8 parts against one part
+cargo test --release -q -p sage-graph --test golden_gen
+cargo test --release -q -p sage-graph --test prop_graph
 
 echo "== scale_bench smoke (1 vs 4 host threads at scale 14) =="
 # 1 vs 4 host threads on an R-MAT 2^14 graph: always enforces bitwise

@@ -6,7 +6,9 @@
 //! [`Rng::gen`], and a seedable deterministic generator compatible with
 //! `StdRng::seed_from_u64`. The generator is xoshiro256++ seeded through
 //! SplitMix64 — high-quality, fast, and fully reproducible, which is all the
-//! simulator and the synthetic-graph generators need.
+//! simulator and the synthetic-graph generators need. One addition that
+//! `rand` lacks, `StdRng::jump`, advances the generator by `k` draws in
+//! `O(log k)` steps, so the R-MAT sampler can split its stream over threads.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -181,19 +183,152 @@ pub mod rngs {
 
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            let [s0, s1, s2, s3] = self.s;
-            let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
-            let t = s1 << 17;
-            let mut s = [s0, s1, s2, s3];
+            let [s0, _, _, s3] = self.s;
+            self.step();
+            s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0)
+        }
+    }
+
+    /// A polynomial over GF(2) of degree below 256, bit `i` the
+    /// coefficient of `x^i`.
+    type Poly = [u64; 4];
+
+    impl StdRng {
+        /// The state transition: linear over GF(2), so a 256×256 bit
+        /// matrix `T` that [`StdRng::jump`] raises to a power.
+        fn step(&mut self) {
+            let s = &mut self.s;
+            let t = s[1] << 17;
             s[2] ^= s[0];
             s[3] ^= s[1];
             s[1] ^= s[2];
             s[0] ^= s[3];
             s[2] ^= t;
             s[3] = s[3].rotate_left(45);
-            self.s = s;
-            result
         }
+
+        /// Advance the generator as `k` calls to `next_u64` would, in
+        /// `O(log k)` polynomial steps instead of `k` draws.
+        ///
+        /// `T` satisfies its characteristic polynomial `P` (degree 256), so
+        /// `T^k = r(T)` for `r = x^k mod P`, and `T^k s = Σ r_i T^i s`: the
+        /// standard 256-step jump loop, summing the states at `r`'s set
+        /// bits.
+        pub fn jump(&mut self, k: u64) {
+            if k == 0 {
+                return;
+            }
+            let r = x_pow_mod(k, characteristic());
+            let mut acc = [0u64; 4];
+            for i in 0..256 {
+                if r[i / 64] >> (i % 64) & 1 == 1 {
+                    for (a, s) in acc.iter_mut().zip(self.s) {
+                        *a ^= s;
+                    }
+                }
+                self.step();
+            }
+            self.s = acc;
+        }
+    }
+
+    /// The low 256 coefficients of `T`'s characteristic polynomial (the
+    /// `x^256` term is implicit), derived once by Berlekamp–Massey from
+    /// one state bit's sequence.
+    fn characteristic() -> &'static Poly {
+        static P: std::sync::OnceLock<Poly> = std::sync::OnceLock::new();
+        P.get_or_init(|| {
+            let c = transition_polynomial();
+            assert_eq!(c.len(), 257, "xoshiro256's transition has degree 256");
+            // P(x) = x^256 C(1/x): the coefficient of x^i is c_{256-i}
+            let mut p = [0u64; 4];
+            for i in 0..256 {
+                p[i / 64] |= u64::from(c[256 - i]) << (i % 64);
+            }
+            p
+        })
+    }
+
+    /// The connection polynomial `C` (`C[0] = 1`, degree `C.len() - 1`) of
+    /// the low bit of `s[0]` over 512 steps: the shortest linear recurrence
+    /// it satisfies, found by Berlekamp–Massey over GF(2). For a full-period
+    /// generator it is the reciprocal of `T`'s characteristic polynomial.
+    pub(super) fn transition_polynomial() -> Vec<bool> {
+        let mut rng = StdRng::seed_from_u64(0);
+        let seq: Vec<bool> = (0..512)
+            .map(|_| {
+                let bit = rng.s[0] & 1 == 1;
+                rng.step();
+                bit
+            })
+            .collect();
+        // Massey's algorithm: `c` is the current recurrence, `b` the one
+        // before the last length change, `shift` the steps since that change
+        let n = seq.len();
+        let (mut c, mut b) = (vec![false; n + 1], vec![false; n + 1]);
+        (c[0], b[0]) = (true, true);
+        let (mut len, mut shift) = (0usize, 1usize);
+        for i in 0..n {
+            let d = (1..=len).fold(seq[i], |d, j| d ^ (c[j] & seq[i - j]));
+            if !d {
+                shift += 1;
+                continue;
+            }
+            let prev = (2 * len <= i).then(|| c.clone());
+            for j in 0..=n - shift {
+                c[j + shift] ^= b[j];
+            }
+            if let Some(prev) = prev {
+                (len, b, shift) = (i + 1 - len, prev, 1);
+            } else {
+                shift += 1;
+            }
+        }
+        c.truncate(len + 1);
+        c
+    }
+
+    /// `x^k mod P` by square-and-multiply, high bit of `k` first.
+    fn x_pow_mod(k: u64, p: &Poly) -> Poly {
+        let mut r: Poly = [1, 0, 0, 0];
+        for bit in (0..64 - k.leading_zeros()).rev() {
+            r = mul_mod(&r, &r, p);
+            if k >> bit & 1 == 1 {
+                r = times_x(r, p);
+            }
+        }
+        r
+    }
+
+    /// `a · b mod P`, Horner over `b`'s bits from the top.
+    fn mul_mod(a: &Poly, b: &Poly, p: &Poly) -> Poly {
+        let mut r = [0u64; 4];
+        for i in (0..256).rev() {
+            r = times_x(r, p);
+            if b[i / 64] >> (i % 64) & 1 == 1 {
+                for (r, a) in r.iter_mut().zip(a) {
+                    *r ^= a;
+                }
+            }
+        }
+        r
+    }
+
+    /// `a · x mod P`: a one-bit shift, folding an `x^256` carry back in.
+    fn times_x(a: Poly, p: &Poly) -> Poly {
+        let carry = a[3] >> 63;
+        let mut r = [
+            a[0] << 1,
+            a[1] << 1 | a[0] >> 63,
+            a[2] << 1 | a[1] >> 63,
+            a[3] << 1 | a[2] >> 63,
+        ];
+        if carry == 1 {
+            for (r, p) in r.iter_mut().zip(p) {
+                *r ^= p;
+            }
+        }
+        r
     }
 }
 
@@ -295,6 +430,38 @@ mod tests {
             hi |= f > 0.75;
         }
         assert!(lo && hi, "unit draws should spread over [0,1)");
+    }
+
+    #[test]
+    fn transition_polynomial_has_degree_256() {
+        let c = super::rngs::transition_polynomial();
+        assert_eq!(c.len() - 1, 256);
+        assert!(c[0] && c[256], "the recurrence has full length");
+    }
+
+    #[test]
+    fn jump_matches_repeated_draws() {
+        let ks = [0, 1, 255, 256, 257, (1 << 20) + 3, 17 << 20];
+        for seed in [0, 1, 7919] {
+            let mut walked = StdRng::seed_from_u64(seed);
+            let mut at = 0;
+            for k in ks {
+                for _ in at..k {
+                    walked.next_u64();
+                }
+                at = k;
+                let mut jumped = StdRng::seed_from_u64(seed);
+                jumped.jump(k);
+                let mut from_walk = walked.clone();
+                for _ in 0..4 {
+                    assert_eq!(
+                        jumped.next_u64(),
+                        from_walk.next_u64(),
+                        "seed {seed}, k = {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Minimal JSON syntax validation for the hand-rolled benchmark reports.
 //!
-//! The workspace deliberately carries no JSON dependency; benches emit
-//! `BENCH_*.json` via `format!` and run the output through this checker so
-//! a malformed report fails the bench instead of poisoning the trajectory.
-//! [`write_validated`] is the one path every bench binary writes through.
+//! The workspace deliberately carries no JSON dependency; `scale_bench`,
+//! the one binary here that writes a report, emits its `BENCH_scale*.json`
+//! via `format!` and writes it through [`write_validated`], so a malformed
+//! report fails the run instead of poisoning the trajectory.
 
 use std::path::Path;
 

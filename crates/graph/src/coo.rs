@@ -4,6 +4,7 @@
 
 use crate::csr::Csr;
 use crate::NodeId;
+use std::ops::Range;
 
 /// An edge list in coordinate format. Invariant after [`Coo::normalize`]:
 /// sorted by `(u, v)` with duplicates removed.
@@ -82,7 +83,18 @@ impl Coo {
 
     /// Iterate over edges as `(u, v)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId)> + Clone + '_ {
-        self.u.iter().copied().zip(self.v.iter().copied())
+        self.edges(0..self.num_edges())
+    }
+
+    /// The edges at indices `r`, as `(u, v)` pairs.
+    pub(crate) fn edges(
+        &self,
+        r: Range<usize>,
+    ) -> impl Iterator<Item = (NodeId, NodeId)> + Clone + '_ {
+        self.u[r.clone()]
+            .iter()
+            .copied()
+            .zip(self.v[r].iter().copied())
     }
 }
 

@@ -2,7 +2,8 @@
 //! representation SAGE operates on directly, with no preprocessing.
 
 use crate::coo::Coo;
-use crate::{EdgeIdx, NodeId};
+use crate::{ingest, EdgeIdx, NodeId};
+use std::ops::Range;
 
 /// A node-centric graph in CSR form.
 ///
@@ -26,7 +27,7 @@ impl Csr {
     /// Panics if an endpoint is `>= coo.num_nodes`.
     #[must_use]
     pub fn from_coo(coo: &Coo) -> Self {
-        Self::build(coo.num_nodes, coo.iter(), false)
+        Self::build(coo.num_nodes, coo.num_edges(), |r| coo.edges(r), false)
     }
 
     /// Build the symmetric (undirected) closure of a COO: every edge is
@@ -36,7 +37,7 @@ impl Csr {
     /// Panics if an endpoint is `>= coo.num_nodes`.
     #[must_use]
     pub fn from_coo_symmetric(coo: &Coo) -> Self {
-        Self::build(coo.num_nodes, coo.iter(), true)
+        Self::build(coo.num_nodes, coo.num_edges(), |r| coo.edges(r), true)
     }
 
     /// Build directly from an edge slice (normalised as in
@@ -46,68 +47,18 @@ impl Csr {
     /// Panics if an endpoint is `>= num_nodes`.
     #[must_use]
     pub fn from_edges(num_nodes: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        Self::build(num_nodes, edges.iter().copied(), false)
+        Self::build(num_nodes, edges.len(), |r| edges[r].iter().copied(), false)
     }
 
-    /// The one CSR builder, a counting sort: count out-degrees, prefix-sum
-    /// them into row starts, scatter each edge's target into its row (and,
-    /// when `symmetric`, its source into the target's row), then sort and
-    /// dedup every row in place while compacting the rows to the front.
-    /// Self-loops are never counted. `edges` is walked twice, so no edge
-    /// list or pair vector is materialised.
-    fn build<I>(n: usize, edges: I, symmetric: bool) -> Self
+    /// The one CSR builder ([`ingest::build_csr`]), split into parts by
+    /// the input's size; the result does not depend on the part count.
+    fn build<F, I>(n: usize, len: usize, edges: F, symmetric: bool) -> Self
     where
-        I: Iterator<Item = (NodeId, NodeId)> + Clone,
+        F: Fn(Range<usize>) -> I + Sync,
+        I: Iterator<Item = (NodeId, NodeId)>,
     {
-        // row starts before dedup; usize, since the duplicate-inclusive
-        // count may exceed the `EdgeIdx` range the deduplicated graph fits
-        let mut start = vec![0usize; n + 1];
-        for (a, b) in edges.clone() {
-            assert!(
-                (a.max(b) as usize) < n,
-                "edge ({a},{b}) out of range for {n} nodes"
-            );
-            if a != b {
-                start[a as usize + 1] += 1;
-                if symmetric {
-                    start[b as usize + 1] += 1;
-                }
-            }
-        }
-        for i in 0..n {
-            start[i + 1] += start[i];
-        }
-        let mut cursor = start[..n].to_vec();
-        let mut targets = vec![0 as NodeId; start[n]];
-        for (a, b) in edges {
-            if a != b {
-                targets[cursor[a as usize]] = b;
-                cursor[a as usize] += 1;
-                if symmetric {
-                    targets[cursor[b as usize]] = a;
-                    cursor[b as usize] += 1;
-                }
-            }
-        }
-
-        let mut offsets = vec![0 as EdgeIdx; n + 1];
-        let mut len = 0usize;
-        for u in 0..n {
-            let (b, e) = (start[u], start[u + 1]);
-            targets[b..e].sort_unstable();
-            let mut prev = None;
-            for i in b..e {
-                let t = targets[i];
-                if prev != Some(t) {
-                    targets[len] = t;
-                    len += 1;
-                    prev = Some(t);
-                }
-            }
-            offsets[u + 1] = EdgeIdx::try_from(len).expect("edge count exceeds EdgeIdx");
-        }
-        targets.truncate(len);
-        targets.shrink_to_fit();
+        let parts = ingest::parts_for(len << usize::from(symmetric));
+        let (offsets, targets) = ingest::build_csr(n, len, edges, symmetric, parts);
         let csr = Self { offsets, targets };
         debug_assert!(csr.validate().is_ok(), "builder broke a CSR invariant");
         csr

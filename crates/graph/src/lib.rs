@@ -22,6 +22,7 @@ pub mod coo;
 pub mod csr;
 pub mod datasets;
 pub mod gen;
+mod ingest;
 pub mod io;
 pub mod partition;
 pub mod reorder;

@@ -21,9 +21,9 @@ fn fingerprint(g: &Csr) -> (usize, u64) {
     (g.num_edges(), h)
 }
 
-fn social(seed: u64) -> Csr {
+fn social(log_n: u32, seed: u64) -> Csr {
     social_graph(&SocialParams {
-        nodes: 1 << 12,
+        nodes: 1 << log_n,
         avg_deg: 16.0,
         alpha: 2.0,
         max_deg_frac: 0.01,
@@ -59,7 +59,7 @@ fn rmat_fingerprints() {
 fn social_fingerprints() {
     check(
         "social",
-        social,
+        |s| social(12, s),
         [
             (100_474, 7_174_680_555_003_500_046),
             (110_662, 9_404_789_081_970_792_235),
@@ -99,6 +99,35 @@ fn uniform_fingerprints() {
         [
             (65_394, 17_028_130_228_625_910_939),
             (65_378, 3_344_081_197_469_842_597),
+        ],
+    );
+}
+
+// Above the builder's multi-part threshold (and, for R-MAT, the sampler's
+// chunking): the two benchmark graphs, `bfs-rmat17-t2`'s R-MAT 2^17 and
+// `adapt-social16-t1`'s social 2^16, pinned as the one-thread code built
+// them.
+
+#[test]
+fn rmat17_fingerprints() {
+    check(
+        "rmat17",
+        |s| rmat_graph(17, 16, s),
+        [
+            (3_730_880, 3_385_929_855_766_205_974),
+            (3_728_970, 7_020_160_603_979_883_009),
+        ],
+    );
+}
+
+#[test]
+fn social16_fingerprints() {
+    check(
+        "social16",
+        |s| social(16, s),
+        [
+            (1_506_466, 6_624_608_942_883_581_724),
+            (1_498_484, 4_556_266_713_978_184_279),
         ],
     );
 }

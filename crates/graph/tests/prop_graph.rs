@@ -2,10 +2,18 @@
 //! invariants, IO round-trips, permutation algebra, update semantics.
 
 use proptest::prelude::*;
+use sage_graph::gen::rmat_graph;
 use sage_graph::reorder::{gorder_order, llp_order, rcm_order, LlpParams, Permutation};
 use sage_graph::update::UpdateBatch;
-use sage_graph::{io, Coo, Csr, NodeId};
+use sage_graph::{io, Coo, Csr, EdgeIdx, NodeId};
 use std::io::Cursor;
+use std::panic;
+
+// The ingestion module, compiled into this test so that its crate-private
+// part count can be set directly; the public builders choose it from the
+// input's size alone.
+#[path = "../src/ingest.rs"]
+mod ingest;
 
 /// Strategy: a small random edge list over up to `max_n` nodes.
 fn edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
@@ -332,4 +340,85 @@ fn is_symmetric_on_empty_and_single_node_graphs() {
     // a self-loop is dropped by the builder, leaving a symmetric 1-node graph
     let g = Csr::from_edges(1, &[(0, 0)]);
     assert_eq!(g.is_symmetric(), g.reversed() == g);
+}
+
+/// `ingest::build_csr` over `coo` at `parts` parts, as a CSR.
+fn build_in_parts(coo: &Coo, symmetric: bool, parts: usize) -> Csr {
+    let edges = |r: std::ops::Range<usize>| {
+        let v = &coo.v[r.clone()];
+        coo.u[r].iter().copied().zip(v.iter().copied())
+    };
+    let (offsets, targets) =
+        ingest::build_csr(coo.num_nodes, coo.num_edges(), edges, symmetric, parts);
+    Csr::from_parts(offsets, targets).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn builder_output_independent_of_part_count((n, es) in multigraph(), sym in 0u8..2) {
+        let coo = Coo::from_edges(n, &es);
+        let symmetric = sym == 1;
+        let one = build_in_parts(&coo, symmetric, 1);
+        let public = if symmetric { Csr::from_coo_symmetric(&coo) } else { Csr::from_coo(&coo) };
+        prop_assert_eq!(&one, &public);
+        for parts in [2, 3, 8] {
+            prop_assert_eq!(&build_in_parts(&coo, symmetric, parts), &one, "{} parts", parts);
+        }
+    }
+
+    #[test]
+    fn rmat_sample_independent_of_chunk_count(scale in 1u32..10, factor in 1usize..9, seed in 0u64..1000) {
+        let m = factor << scale;
+        let (u, v) = ingest::rmat_edges(scale, m, seed, 1);
+        let coo = Coo { num_nodes: 1 << scale, u, v };
+        prop_assert_eq!(build_in_parts(&coo, true, 1), rmat_graph(scale, factor, seed));
+        for chunks in [2, 3, 8] {
+            let (u, v) = ingest::rmat_edges(scale, m, seed, chunks);
+            prop_assert!(u == coo.u && v == coo.v, "{} chunks", chunks);
+        }
+    }
+}
+
+#[test]
+fn small_inputs_take_one_part() {
+    assert_eq!(ingest::parts_for(0), 1);
+    assert_eq!(ingest::parts_for(ingest::PARALLEL_MIN_ENTRIES - 1), 1);
+    assert!((1..=8).contains(&ingest::parts_for(ingest::PARALLEL_MIN_ENTRIES)));
+}
+
+#[test]
+fn out_of_range_panic_reads_the_same_at_every_part_count() {
+    // the first bad edge in input order decides the message, wherever the
+    // parts split the input
+    let mut es: Vec<(NodeId, NodeId)> = (0..64).map(|i| (i % 7, (i * 3) % 7)).collect();
+    es[40] = (2, 9);
+    es[60] = (11, 1);
+    let coo = Coo {
+        num_nodes: 7,
+        u: es.iter().map(|e| e.0).collect(),
+        v: es.iter().map(|e| e.1).collect(),
+    };
+    for symmetric in [false, true] {
+        for parts in [1, 2, 3, 8] {
+            let err = panic::catch_unwind(|| build_in_parts(&coo, symmetric, parts))
+                .expect_err("an out-of-range edge must panic");
+            let msg = err.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(
+                msg,
+                Some("edge (2,9) out of range for 7 nodes"),
+                "{parts} parts"
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "edge (3,5000000) out of range for 4096 nodes")]
+fn out_of_range_edge_panics_above_the_part_threshold() {
+    let len = ingest::PARALLEL_MIN_ENTRIES + 17;
+    let mut es: Vec<(NodeId, NodeId)> = (0..len as NodeId).map(|i| (i % 4096, i / 4096)).collect();
+    es[len - 2] = (3, 5_000_000);
+    let _ = Csr::from_edges(4096, &es);
 }
