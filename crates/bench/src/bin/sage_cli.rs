@@ -23,11 +23,11 @@
 //!             engine and graph allow it (falling back to push otherwise).
 //!             Every mode produces bitwise-identical application output.
 //!   --push-only shorthand for --mode push (kept for compatibility)
-//!   --threads host threads for the SM-sharded simulation. Precedence:
-//!             this flag > the SAGE_HOST_THREADS environment variable > all
-//!             available cores; always clamped to the device's SM count.
-//!             1 = the sequential reference path (results are bitwise
-//!             identical either way).
+//!   --threads the simulation route (default 1). 1 probes the simulated
+//!             caches at each access; above 1 records every probe and
+//!             replays the trace in program order when the kernel ends.
+//!             Both routes run on one host thread and give bitwise-identical
+//!             results; clamped to the device's SM count.
 //!   --sanitize run the simulated kernels under the race sanitizer; any
 //!             detected cross-SM hazard is printed and makes the process
 //!             exit 1. Sanitized runs report bitwise-identical cycles and
@@ -49,7 +49,7 @@
 //!   --alpha   PPR termination probability per step (default 0.15)
 //!   --p, --q  node2vec return / in-out parameters (default 1.0 each)
 //!   --seed    base of the counter RNG; same seed = bitwise-identical
-//!             walks at any host thread count (default 42)
+//!             walks on either route (default 42)
 //!   --sampler its (inverse transform over the CSR row, default) | alias
 //!             (epoch-cached alias table; O(1) draws on weighted rows)
 //! ```
@@ -94,6 +94,15 @@ struct Args {
     q: f64,
     seed: u64,
     sampler: String,
+}
+
+/// The simulation route a run's `host_threads` setting selected.
+fn route(host_threads: usize) -> &'static str {
+    if host_threads == 1 {
+        "direct"
+    } else {
+        "recorded"
+    }
 }
 
 fn usage() -> ! {
@@ -293,10 +302,9 @@ fn walk_mode(args: &Args, csr: Csr) {
     let out = rt.run_walk(&mut dev, app.as_ref(), &spec, &[args.source]);
     let r = &out.report;
     println!(
-        "run 0: {r} | host {:.1} ms on {} thread{} | {} walkers, {} steps",
+        "run 0: {r} | host {:.1} ms, {} route | {} walkers, {} steps",
         r.host_seconds * 1e3,
-        r.host_threads,
-        if r.host_threads == 1 { "" } else { "s" },
+        route(r.host_threads),
         out.walkers,
         out.steps,
     );
@@ -449,8 +457,7 @@ fn main() {
 
     let mut dev = Device::default_device();
     if let Some(t) = args.threads {
-        // CLI beats SAGE_HOST_THREADS, which beat the all-cores default when
-        // the device was built; the setter clamps to [1, num_sms].
+        // the setter clamps to [1, num_sms]
         dev.set_host_threads(t);
     }
     if args.sanitize {
@@ -494,10 +501,9 @@ fn main() {
     for i in 0..args.repeat.max(1) {
         let r = runner.run(&mut dev, &g, engine.as_mut(), app.as_mut(), args.source);
         println!(
-            "run {i}: {r} | host {:.1} ms on {} thread{}",
+            "run {i}: {r} | host {:.1} ms, {} route",
             r.host_seconds * 1e3,
-            r.host_threads,
-            if r.host_threads == 1 { "" } else { "s" }
+            route(r.host_threads)
         );
     }
     if args.profile {

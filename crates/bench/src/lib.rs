@@ -28,7 +28,6 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod jsonv;
 pub mod table;
 
 pub use harness::{BenchConfig, Measurement};

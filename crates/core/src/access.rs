@@ -131,7 +131,7 @@ mod tests {
         r.atomic(1024);
         let mut k = d.launch("flush");
         r.flush(&mut k.shard(0));
-        k.finish_async();
+        let _ = k.finish();
         assert!(r.is_empty());
         assert!(d.profiler().mem_requests > 0);
         assert_eq!(d.profiler().atomics, 1);
@@ -147,7 +147,7 @@ mod tests {
             }
             let mut k = d.launch("x");
             r.flush(&mut k.shard(0));
-            k.finish_async();
+            let _ = k.finish();
             d.profiler().total_sectors()
         };
         let coalesced = run((0..32).map(|i| i * 4).collect());

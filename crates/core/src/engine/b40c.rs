@@ -149,7 +149,7 @@ impl Engine for B40cEngine {
                 );
             }
         }
-        k.finish_async();
+        let _ = k.finish();
         out
     }
 }

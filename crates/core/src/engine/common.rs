@@ -346,7 +346,7 @@ pub fn pull_iterate(
         );
     }
 
-    k.finish_async();
+    let _ = k.finish();
     out.overhead_seconds = overhead_insts as f64 / issue / clock;
     out
 }

@@ -67,7 +67,7 @@ impl Engine for GunrockEngine {
                     prefix.push(prefix.last().unwrap() + g.csr().degree(f) as u64);
                 }
             }
-            k.finish_async();
+            let _ = k.finish();
         }
         let total_edges = *prefix.last().unwrap();
 
@@ -135,7 +135,7 @@ impl Engine for GunrockEngine {
                 pos += u64::from(len);
             }
         }
-        k.finish_async();
+        let _ = k.finish();
         out
     }
 }

@@ -92,7 +92,7 @@ impl Engine for NaiveEngine {
                 );
             }
         }
-        k.finish_async();
+        let _ = k.finish();
         out
     }
 

@@ -243,7 +243,7 @@ impl Engine for ResidentEngine {
                     }
                 }
             }
-            k.finish_async();
+            let _ = k.finish();
         }
         // Table 3 reports the *scheduling* share; the fixed kernel-launch
         // cost is not scheduling work, so it is excluded.
@@ -301,7 +301,7 @@ impl Engine for ResidentEngine {
                     &mut scratch,
                 );
             }
-            k.finish_async();
+            let _ = k.finish();
         }
         out
     }

@@ -198,7 +198,7 @@ impl Engine for TiledPartitioningEngine {
             );
         }
 
-        k.finish_async();
+        let _ = k.finish();
         out.overhead_seconds = overhead_insts as f64 / issue / clock;
         out
     }

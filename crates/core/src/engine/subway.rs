@@ -77,7 +77,7 @@ impl Engine for SubwayEngine {
             // account the traffic in the profiler
             let mut k = dev.launch("subway_preload");
             k.pcie_traffic(bytes, bytes.div_ceil(1 << 20).max(1));
-            k.finish_async();
+            let _ = k.finish();
         }
 
         // 3. GPU kernel over the densely packed device-local subgraph
@@ -124,7 +124,7 @@ impl Engine for SubwayEngine {
                     }
                 }
             }
-            k.finish_async();
+            let _ = k.finish();
         }
         self.prev_compute = dev.elapsed_seconds() - compute_start;
         out

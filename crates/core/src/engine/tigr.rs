@@ -151,7 +151,7 @@ impl Engine for TigrEngine {
             .count();
         if split_frontiers > 0 {
             // the intermediate level is a separate kernel in Tigr's design
-            k.finish_async();
+            let _ = k.finish();
             k = dev.launch("tigr_virtual_level");
             k.set_concurrency(k.cfg().max_resident_warps as f64);
             // per-virtual frontier maintenance: write + read back the
@@ -188,7 +188,7 @@ impl Engine for TigrEngine {
                 &mut scratch,
             );
         }
-        k.finish_async();
+        let _ = k.finish();
         out
     }
 }

@@ -155,7 +155,7 @@ impl MultiGpuDriver {
         let hazard_start: Vec<usize> = self.devices.iter().map(Device::hazard_count).collect();
         let start = self
             .devices
-            .iter_mut()
+            .iter()
             .map(Device::elapsed_seconds)
             .fold(0.0f64, f64::max);
 
@@ -200,7 +200,7 @@ impl MultiGpuDriver {
             // bulk-synchronous step: align clocks, pay the exchange
             let max_t = self
                 .devices
-                .iter_mut()
+                .iter()
                 .map(Device::elapsed_seconds)
                 .fold(0.0, f64::max);
             for dev in &mut self.devices {
@@ -230,7 +230,7 @@ impl MultiGpuDriver {
                     for sm in 0..k.num_sms() {
                         k.exec_uniform(sm, per_dev.div_ceil(32 * k.num_sms() as u64).max(1));
                     }
-                    k.finish_async();
+                    let _ = k.finish();
                 }
             }
 
@@ -251,7 +251,7 @@ impl MultiGpuDriver {
 
         let seconds = self
             .devices
-            .iter_mut()
+            .iter()
             .map(Device::elapsed_seconds)
             .fold(0.0f64, f64::max)
             - start;

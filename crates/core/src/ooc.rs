@@ -179,7 +179,7 @@ impl Engine for UmOocEngine {
                 }
             }
         }
-        k.finish_async();
+        let _ = k.finish();
         out
     }
 

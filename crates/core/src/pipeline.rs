@@ -311,7 +311,7 @@ impl Runner {
                     next.dedup();
                 }
                 charge_contraction(&mut k, next.len(), frontier_buf.base());
-                k.finish_async();
+                let _ = k.finish();
             }
 
             if track {
@@ -370,7 +370,7 @@ impl Runner {
             // materialization
             k.access_range(sm, AccessKind::Read, base + done * 4, n, 4);
         }
-        k.finish_async();
+        let _ = k.finish();
     }
 }
 

@@ -113,7 +113,7 @@ impl Sampler {
         for sm in 0..sms {
             k.exec_uniform(sm, per_sm.max(1));
         }
-        k.finish_async();
+        let _ = k.finish();
 
         // Stage 2: search a better index per node. Each node's densest
         // sampled tile defines a candidate neighborhood; the tile's minimum
@@ -171,7 +171,7 @@ impl Sampler {
             }
             k.access(sm, AccessKind::Write, &addrs, 4);
         }
-        k.finish_async();
+        let _ = k.finish();
 
         // reset for the next round
         self.locality.fill(0);

@@ -311,7 +311,7 @@ impl WalkEngine {
                 rec.flush(&mut sh);
             }
         }
-        k.finish_async();
+        let _ = k.finish();
 
         let report = RunReport {
             app: app.name().to_owned(),
@@ -433,7 +433,7 @@ impl WalkEngine {
             k.access_range(sm, AccessKind::Write, prob.addr(lo), cnt, 4);
             k.access_range(sm, AccessKind::Write, alias_idx.addr(lo), cnt, 4);
         }
-        k.finish_async();
+        let _ = k.finish();
         self.alias = Some(AliasCache {
             epoch,
             weights,

@@ -6,7 +6,7 @@
 //! pins the absolute numbers instead: each entry is a 64-bit FNV-1a hash of
 //! one run's `Profiler` totals (as bits), `RunReport::seconds` (as bits),
 //! direction trace and per-kernel breakdown. Every case runs at 1 host
-//! thread (the direct probe path) and at 2 (the trace/replay path); both
+//! thread (the direct probe path) and at 2 (the recorded path); both
 //! must reproduce the same pinned hash.
 //!
 //! The graphs are R-MAT 2^12 at seeds 1 and 7919 with in-edges. BFS runs

@@ -1,19 +1,21 @@
-//! Determinism suite for the SM-sharded parallel simulation backend: on
-//! random power-law graphs, running the same traversal with 2, 4, or 8 host
-//! threads must produce **bitwise identical** results to the sequential
-//! path — application outputs, simulated cycles, and every cache counter
-//! (L1/L2 hits, DRAM sectors) — across BFS/CC/PR, in the push-only, the
-//! adaptive three-way (push/pull/matrix), and the matrix-forced (masked
-//! SpMV) pipelines, on every pull-capable engine. With the race sanitizer
-//! on, the hazard count joins the fingerprint, and a traced run on a
-//! streaming-scale edge list must actually elide its streaming reads.
+//! Determinism suite for the recorded simulation route: on random
+//! power-law graphs, running the same traversal at 2, 4, or 8 host threads
+//! (which records every cache probe and replays the trace at kernel end)
+//! must produce **bitwise identical** results to the direct route at 1 —
+//! application outputs, simulated cycles, and every cache counter (L1/L2
+//! hits, DRAM sectors) — across BFS/CC/PR, in the push-only, the adaptive
+//! three-way (push/pull/matrix), and the matrix-forced (masked SpMV)
+//! pipelines, on every pull-capable engine. With the race sanitizer on, the
+//! hazard count joins the fingerprint, and traced runs on streaming-scale
+//! edge lists (R-MAT 2^14 on the default device among them) must actually
+//! elide their streaming reads.
 
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
 use sage::app::{Bfs, Cc, PageRank};
 use sage::engine::{Engine, NaiveEngine, ResidentEngine, TiledPartitioningEngine};
 use sage::{DeviceGraph, Runner};
-use sage_graph::gen::{social_graph, SocialParams};
+use sage_graph::gen::{rmat_graph, social_graph, SocialParams};
 use sage_graph::Csr;
 
 /// Thread counts exercised against the sequential baseline.
@@ -27,9 +29,12 @@ fn cfg8() -> DeviceConfig {
     }
 }
 
-/// Engine factories: some engines (the resident-scheduling one) carry
+/// Builds a fresh engine: some engines (the resident-scheduling one) carry
 /// resident state across runs, so every measured run gets a fresh instance.
-fn engines() -> Vec<fn() -> Box<dyn Engine>> {
+type EngineFactory = fn() -> Box<dyn Engine>;
+
+/// Factories for the pull-capable engines.
+fn engines() -> Vec<EngineFactory> {
     vec![
         || Box::new(NaiveEngine::new()),
         || {
@@ -238,7 +243,7 @@ proptest! {
 
     #[test]
     fn sanitized_bfs_matches_sequential_bitwise(nodes in 80usize..200, seed in 0u64..1000) {
-        // hazard detection runs at record time on every backend, so the
+        // hazard detection runs at the access on both routes, so the
         // hazard count is part of the fingerprint the threads must match
         let g = graph(nodes, 8.0, seed);
         for make in engines() {
@@ -260,7 +265,7 @@ proptest! {
 fn all_engines_deterministic_on_fixed_graph() {
     use sage::engine::{B40cEngine, GunrockEngine};
     let g = graph(200, 8.0, 42);
-    let roster: Vec<fn() -> Box<dyn Engine>> = vec![
+    let roster: Vec<EngineFactory> = vec![
         || Box::new(NaiveEngine::new()),
         || {
             Box::new(TiledPartitioningEngine {
@@ -284,8 +289,8 @@ fn all_engines_deterministic_on_fixed_graph() {
     }
 }
 
-/// The matrix pipeline really runs its SpMV iterations under the sharded
-/// backend: a dense fixed graph traces `M` on every pull-capable engine and
+/// The matrix pipeline really runs its SpMV iterations on the recorded
+/// route: a dense fixed graph traces `M` on every pull-capable engine and
 /// every thread count reproduces the sequential fingerprint bit for bit.
 #[test]
 fn matrix_pipeline_deterministic_and_traced_on_fixed_graph() {
@@ -306,38 +311,50 @@ fn matrix_pipeline_deterministic_and_traced_on_fixed_graph() {
     }
 }
 
-/// On a fixed graph whose edge list crosses the tiny device's L2 way
-/// capacity, the streaming classifier must fire: the traced run charges
-/// its streaming reads at record time (a nonzero elided-probe count) and
-/// still matches the untraced sequential run, which elides nothing.
+/// On fixed graphs whose edge lists cross the device's L2 way capacity,
+/// the streaming classifier must fire: the traced run charges its
+/// streaming reads at the access (a nonzero elided-probe count) and still
+/// matches the untraced direct run, which elides nothing. The inputs are a
+/// 400-node social graph on the tiny 8-SM device, and adaptive BFS on
+/// R-MAT 2^14 (edge factor 24) from its max-degree source on the default
+/// 72-SM device with the resident engine, where every kernel traces
+/// thousands of probes.
 #[test]
 fn elision_fires_on_streaming_edge_lists() {
-    let g = graph(400, 8.0, 11);
-    assert!(
-        g.num_edges() * 4 >= 2048,
-        "graph too small to register a streaming region"
-    );
-    let run = |threads: usize| {
-        let mut dev = Device::new(cfg8());
-        dev.set_host_threads(threads);
-        let mut engine = NaiveEngine::new();
-        let fp = run_on(
-            &mut dev,
-            &g,
-            &mut engine,
-            PolicySel::Adaptive3,
-            AppSel::Bfs,
-            0,
+    let social = graph(400, 8.0, 11);
+    let rmat = rmat_graph(14, 24, 42);
+    let inputs: [(&Csr, DeviceConfig, EngineFactory, u32); 2] = [
+        (&social, cfg8(), || Box::new(NaiveEngine::new()), 0),
+        (
+            &rmat,
+            DeviceConfig::default(),
+            || Box::new(ResidentEngine::new()),
+            rmat.max_degree().0,
+        ),
+    ];
+    for (g, cfg, make, src) in inputs {
+        assert!(
+            g.num_edges() * 4 >= cfg.l2.capacity_bytes / cfg.l2.ways,
+            "graph too small to register a streaming region"
         );
-        (fp, dev.replay_stats().elided_probes)
-    };
-    let (seq, seq_elided) = run(1);
-    assert_eq!(
-        seq_elided, 0,
-        "sequential kernels trace (and elide) nothing"
-    );
-    let (mut par, elided) = run(4);
-    assert!(elided > 0, "no probes elided on a streaming-scale graph");
-    par.host_threads = seq.host_threads;
-    assert_eq!(par, seq, "eliding run diverged from sequential");
+        let run = |threads: usize| {
+            let mut dev = Device::new(cfg.clone());
+            dev.set_host_threads(threads);
+            let fp = run_on(
+                &mut dev,
+                g,
+                make().as_mut(),
+                PolicySel::Adaptive3,
+                AppSel::Bfs,
+                src,
+            );
+            (fp, dev.replay_stats().elided_probes)
+        };
+        let (seq, seq_elided) = run(1);
+        assert_eq!(seq_elided, 0, "direct kernels trace (and elide) nothing");
+        let (mut par, elided) = run(4);
+        assert!(elided > 0, "no probes elided on a streaming-scale graph");
+        par.host_threads = seq.host_threads;
+        assert_eq!(par, seq, "eliding run diverged from the direct route");
+    }
 }

@@ -17,7 +17,6 @@ use crate::scan::FileScan;
 
 /// All rule names an allow marker may reference.
 pub const RULES: &[&str] = &[
-    "replay-join",
     "dirty-justify",
     "sanitize-coverage",
     "hash-iter",

@@ -6,7 +6,6 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `replay-join` | `Device` methods touching replay-folded fields call `sync_replay()` first |
 //! | `dirty-justify` | every `write_dirty`/`access_dirty` carries a `dirty:` justification |
 //! | `sanitize-coverage` | every engine/writing app appears in a sanitize test matrix |
 //! | `hash-iter` | no default-hasher `HashMap`/`HashSet` iteration in `sim`/`core`/`serve` |

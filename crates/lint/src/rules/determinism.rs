@@ -16,7 +16,7 @@
 //! - **`unordered-reduce`** — channel receives (`recv`/`try_recv`/…,
 //!   `mpsc`) in `sim`/`core`/`serve` src: merging worker results in
 //!   completion order is the classic nondeterministic reduce. Merge by
-//!   shard index instead (the replay backend joins handles in order).
+//!   shard index instead.
 
 use crate::diag::Diag;
 use crate::scan::FileScan;

@@ -5,7 +5,6 @@
 pub mod determinism;
 pub mod dirty;
 pub mod poison;
-pub mod replay_join;
 
 use crate::diag::Diag;
 use crate::scan::FileScan;
@@ -13,7 +12,6 @@ use crate::scan::FileScan;
 /// Run every rule over `files`.
 pub fn run_all(files: &[FileScan]) -> Vec<Diag> {
     let mut diags = Vec::new();
-    replay_join::run(files, &mut diags);
     dirty::run(files, &mut diags);
     determinism::run(files, &mut diags);
     poison::run(files, &mut diags);

@@ -84,7 +84,6 @@ fn all_rule_families_have_a_firing_fixture() {
     let expected = expected_diags(&fixture_root());
     let rules: BTreeSet<&str> = expected.iter().map(|(_, _, r)| r.as_str()).collect();
     for rule in [
-        "replay-join",
         "dirty-justify",
         "sanitize-coverage",
         "hash-iter",

@@ -7,7 +7,7 @@
 //! capacity: once in-flight queries reach it, `push` refuses the query and
 //! the service surfaces [`crate::ServiceError::Overloaded`].
 
-use crate::types::{AppKind, GraphId, QueryRequest, TicketState};
+use crate::types::{AppKind, GraphId, QueryRequest, ServiceError, TicketState};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -30,6 +30,11 @@ impl BatchKey {
 }
 
 /// An admitted query waiting for a worker.
+///
+/// Dropping it fulfills its ticket with [`ServiceError::WorkerFailed`], so
+/// a query whose holder unwinds (a worker that panicked mid-batch) still
+/// resolves. A ticket fulfills at most once, so dropping an answered query
+/// changes nothing.
 pub(crate) struct PendingQuery {
     pub(crate) request: QueryRequest,
     pub(crate) ticket: Arc<TicketState>,
@@ -39,6 +44,12 @@ pub(crate) struct PendingQuery {
 impl PendingQuery {
     fn key(&self) -> BatchKey {
         BatchKey::of(&self.request)
+    }
+}
+
+impl Drop for PendingQuery {
+    fn drop(&mut self) {
+        self.ticket.fulfill(Err(ServiceError::WorkerFailed));
     }
 }
 
@@ -252,6 +263,27 @@ mod tests {
             ticket: Arc::new(TicketState::default()),
             enqueued_at: Instant::now(),
         }
+    }
+
+    #[test]
+    fn dropped_query_fails_its_ticket_and_keeps_a_delivered_answer() {
+        use crate::types::Ticket;
+        // dropped unanswered (a worker unwinding mid-batch): the ticket
+        // resolves at once with a typed error instead of hanging
+        let stranded = job(0, AppKind::Bfs, 1);
+        let ticket = Ticket {
+            state: Arc::clone(&stranded.ticket),
+        };
+        drop(stranded);
+        assert_eq!(ticket.wait().err(), Some(ServiceError::WorkerFailed));
+        // answered, then dropped: the guard must not overwrite the answer
+        let answered = job(0, AppKind::Bfs, 2);
+        let ticket = Ticket {
+            state: Arc::clone(&answered.ticket),
+        };
+        answered.ticket.fulfill(Err(ServiceError::UnknownGraph(7)));
+        drop(answered);
+        assert_eq!(ticket.wait().err(), Some(ServiceError::UnknownGraph(7)));
     }
 
     #[test]

@@ -33,23 +33,10 @@ pub struct ServiceStats {
     /// Total race-sanitizer hazards across all devices, as of each worker's
     /// last batch (always 0 when sanitizing is disabled).
     pub hazards: u64,
-    /// Per-device trace/replay host telemetry (probe/elision counts, arena
-    /// high-water bytes), as of each worker's last batch — lets serving
-    /// deployments watch replay memory alongside throughput.
+    /// Per-device recorded-route telemetry. Service devices always run the
+    /// direct route (one host thread each), so every entry reads zero; the
+    /// field stays for readers of the earlier per-device counters.
     pub device_replay: Vec<ReplayStats>,
-}
-
-impl ServiceStats {
-    /// Largest replay-arena high-water mark across the device pool, in MiB.
-    #[must_use]
-    pub fn arena_high_water_mib(&self) -> f64 {
-        self.device_replay
-            .iter()
-            .map(|r| r.arena_bytes)
-            .max()
-            .unwrap_or(0) as f64
-            / (1024.0 * 1024.0)
-    }
 }
 
 /// A running traversal-query service over a pool of simulated devices.
@@ -74,7 +61,6 @@ pub struct SageService {
     workers: Vec<JoinHandle<()>>,
     profiles: Vec<Arc<Mutex<Profiler>>>,
     hazard_slots: Vec<Arc<AtomicU64>>,
-    replay_slots: Vec<Arc<Mutex<ReplayStats>>>,
 }
 
 impl SageService {
@@ -89,7 +75,6 @@ impl SageService {
         let cache = Arc::new(ResultCache::new(cfg.cache_capacity));
         let mut profiles = Vec::with_capacity(cfg.devices);
         let mut hazard_slots = Vec::with_capacity(cfg.devices);
-        let mut replay_slots = Vec::with_capacity(cfg.devices);
         let mut workers = Vec::with_capacity(cfg.devices);
         let mut device_config = cfg.device_config.clone();
         device_config.sanitize |= cfg.sanitize;
@@ -101,8 +86,6 @@ impl SageService {
             profiles.push(Arc::clone(&slot));
             let hazard_slot = Arc::new(AtomicU64::new(0));
             hazard_slots.push(Arc::clone(&hazard_slot));
-            let replay_slot = Arc::new(Mutex::new(ReplayStats::default()));
-            replay_slots.push(Arc::clone(&replay_slot));
             let worker = Worker::new(
                 id,
                 dev,
@@ -113,7 +96,6 @@ impl SageService {
                 StatsSlots {
                     profile: slot,
                     hazards: hazard_slot,
-                    replay: replay_slot,
                 },
             );
             workers.push(
@@ -131,7 +113,6 @@ impl SageService {
             workers,
             profiles,
             hazard_slots,
-            replay_slots,
         }
     }
 
@@ -279,12 +260,7 @@ impl SageService {
                 .iter()
                 .map(|slot| slot.load(Ordering::Acquire))
                 .sum(),
-            device_replay: self
-                .replay_slots
-                .iter()
-                // sage-lint: allow(lock-poison) — poison here means a worker died publishing telemetry; a loud panic beats silently serving stale stats
-                .map(|slot| slot.lock().unwrap().clone())
-                .collect(),
+            device_replay: vec![ReplayStats::default(); self.profiles.len()],
         }
     }
 

@@ -5,6 +5,7 @@ use sage::{LatencyBreakdown, RunReport};
 use sage_graph::NodeId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -167,6 +168,9 @@ pub enum ServiceError {
     },
     /// The service is shutting down and no longer accepts or finishes work.
     ShuttingDown,
+    /// The query was admitted but dropped without an answer, e.g. by a
+    /// worker that panicked mid-batch.
+    WorkerFailed,
 }
 
 impl fmt::Display for ServiceError {
@@ -183,6 +187,7 @@ impl fmt::Display for ServiceError {
                 )
             }
             Self::ShuttingDown => f.write_str("service is shutting down"),
+            Self::WorkerFailed => f.write_str("the worker holding the query failed"),
         }
     }
 }
@@ -194,10 +199,18 @@ impl std::error::Error for ServiceError {}
 pub(crate) struct TicketState {
     pub(crate) slot: Mutex<Option<Result<QueryResponse, ServiceError>>>,
     pub(crate) ready: Condvar,
+    /// Set by the first [`Self::fulfill`]; later calls are no-ops.
+    fulfilled: AtomicBool,
 }
 
 impl TicketState {
+    /// Deliver the query's outcome. Only the first call counts, so a
+    /// delivered answer is never overwritten — not even by the drop guard
+    /// of the `PendingQuery` that carried it.
     pub(crate) fn fulfill(&self, outcome: Result<QueryResponse, ServiceError>) {
+        if self.fulfilled.swap(true, Ordering::AcqRel) {
+            return;
+        }
         // A poisoned slot means the waiting side panicked; the slot itself
         // only ever holds a whole Option, so recovery is safe.
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);

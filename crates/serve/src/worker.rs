@@ -10,7 +10,7 @@ use crate::queue::{BatchLimits, JobQueue, PendingQuery};
 use crate::types::{
     AppKind, GraphId, QueryResponse, ResultValues, ServiceConfig, ServiceError, WalkAppKind,
 };
-use gpu_sim::{Device, Profiler, ReplayStats};
+use gpu_sim::{Device, Profiler};
 use sage::app::{Bc, Bfs, Cc, PageRank};
 use sage::walk::{Node2vec, Ppr, WalkApp, WalkSpec};
 use sage::{LatencyBreakdown, RunReport, SageRuntime};
@@ -39,9 +39,6 @@ pub(crate) struct StatsSlots {
     pub(crate) profile: Arc<Mutex<Profiler>>,
     /// Cumulative sanitizer hazard count of the worker's device.
     pub(crate) hazards: Arc<AtomicU64>,
-    /// Trace/replay host telemetry (probe/elision counts, arena high-water)
-    /// of the worker's device.
-    pub(crate) replay: Arc<Mutex<ReplayStats>>,
 }
 
 /// Lazily constructed single-source apps, reused across batches so their
@@ -113,11 +110,6 @@ impl Worker {
                 .profile
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner) = self.dev.profiler_snapshot();
-            *self
-                .slots
-                .replay
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = self.dev.replay_stats().clone();
             self.slots
                 .hazards
                 .store(self.dev.hazard_count() as u64, Ordering::Release);
@@ -211,16 +203,6 @@ impl Worker {
                 sources.len() - 1
             });
         }
-
-        // borrow spare cores for this batch's kernel simulation when the
-        // admission queue is shallow (the other workers are starved anyway);
-        // under load every core runs a worker, so stay sequential
-        let spare = if self.queue.len() == 0 {
-            gpu_sim::default_host_threads(self.dev.cfg().num_sms)
-        } else {
-            1
-        };
-        self.dev.set_host_threads(spare);
 
         let exec_start = Instant::now();
         let (values_by_slot, mut report) = execute(&mut self.dev, state, &self.cfg, app, &sources);

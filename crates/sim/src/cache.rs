@@ -199,9 +199,7 @@ pub const MAX_L2_SLICES: usize = 16;
 /// decomposition `line = K·⌊line/K⌋ + (line mod K)` is the same condition.
 /// Per-set LRU order only depends on the relative order of that set's
 /// probes, which slicing leaves untouched. So every probe returns the same
-/// [`Probe`] either way — which is what lets parallel kernel replay probe
-/// disjoint slices concurrently without locks and still match the
-/// sequential simulation bit for bit.
+/// [`Probe`] either way.
 #[derive(Debug, Clone)]
 pub struct SlicedCache {
     slices: Vec<SectorCache>,
@@ -261,11 +259,6 @@ impl SlicedCache {
     pub fn access(&mut self, sector_id: u64) -> Probe {
         let (slice, local) = self.slice_and_local(sector_id);
         self.slices[slice].access(local)
-    }
-
-    /// Mutable view of the slices, for parallel per-slice replay.
-    pub(crate) fn slices_mut(&mut self) -> &mut [SectorCache] {
-        &mut self.slices
     }
 
     /// Invalidate every slice.

@@ -101,9 +101,9 @@ impl Default for PeerLinkConfig {
 /// `side × side × side` hardware fragments. Ops charge a per-SM tensor-pipe
 /// throughput bound plus an exposed-latency term hidden by warp concurrency,
 /// exactly like scalar memory latency — pure arithmetic on event counts, so
-/// the term is bitwise identical at any host thread count and under the
-/// trace/replay backend (the memory side of a matrix kernel goes through the
-/// ordinary [`crate::Kernel`] access paths and is traced/sanitized there).
+/// the term is bitwise identical on the direct and recorded routes (the
+/// memory side of a matrix kernel goes through the ordinary
+/// [`crate::Kernel`] access paths and is traced/sanitized there).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TensorConfig {
     /// Hardware MMA fragment dimension (m = n = k), e.g. 16 for WMMA
@@ -446,9 +446,8 @@ mod tests {
     }
 
     #[test]
-    fn replay_gate_and_memory_defaults() {
+    fn memory_defaults() {
         let c = DeviceConfig::default();
-        assert_eq!(crate::device::REPLAY_GATE, 8_192);
         assert_eq!(c.memory_bytes, 48 * 1024 * 1024 * 1024);
         assert!(DeviceConfig::test_tiny().memory_bytes < c.memory_bytes);
     }

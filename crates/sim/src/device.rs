@@ -2,13 +2,11 @@
 
 use crate::cache::{Probe, SectorCache, SlicedCache};
 use crate::config::DeviceConfig;
-use crate::kernel::{Kernel, ReplayDone};
+use crate::kernel::Kernel;
 use crate::mem::{Allocator, DeviceArray, MemSpace};
 use crate::profile::{Profiler, ReplayStats};
 use crate::sanitizer::{Hazard, HazardReport};
-use crate::trace::TraceArena;
 use std::collections::HashMap;
-use std::thread::JoinHandle;
 
 /// Resolve the sanitizer switch: the `SAGE_SANITIZE` environment variable
 /// overrides [`DeviceConfig::sanitize`] when set (`0` / `false` / `off` /
@@ -24,31 +22,6 @@ pub fn default_sanitize(cfg_default: bool) -> bool {
     }
 }
 
-/// Probe-count crossover of the trace/replay backend: traced kernels
-/// recording fewer probes replay inline on the calling thread (spawning
-/// shard workers would cost more than the replay itself); at or above it
-/// they replay on SM-sharded workers, on a background thread when finished
-/// with [`Kernel::finish_async`]. Host-side only: simulated results are
-/// bitwise identical on either side of the gate.
-pub const REPLAY_GATE: usize = 8_192;
-
-/// Resolve the default host-thread count for kernel simulation:
-/// `SAGE_HOST_THREADS` when set, otherwise the machine's available
-/// parallelism, clamped to `[1, num_sms]` (one shard per SM is the finest
-/// useful partition).
-#[must_use]
-pub fn default_host_threads(num_sms: usize) -> usize {
-    let requested = std::env::var("SAGE_HOST_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-    requested.clamp(1, num_sms.max(1))
-}
-
 /// One simulated GPU.
 ///
 /// Owns the cache hierarchy and the simulated clock. Engines allocate their
@@ -60,36 +33,19 @@ pub struct Device {
     host_alloc: Allocator,
     l1: Vec<SectorCache>,
     l2: SlicedCache,
-    l2_slices: usize,
     profiler: Profiler,
     elapsed_cycles: f64,
     kernel_times: HashMap<String, (u64, f64)>,
     host_threads: usize,
     sanitize: bool,
     hazards: Vec<Hazard>,
-    replay_gate: usize,
     /// Half-open streaming regions in sector units: reads landing inside are
     /// charged as compulsory DRAM misses and never probe the caches.
     streaming: Vec<(u64, u64)>,
-    /// Double-buffered trace arenas: one can ride an in-flight async replay
-    /// while the next kernel records into the other.
-    arena_pool: Vec<TraceArena>,
-    /// The in-flight asynchronous replay and its kernel's name, if any.
-    /// Joined (and its results applied, in launch order) before any
-    /// observable state is read.
-    pending: Option<(String, JoinHandle<ReplayDone>)>,
+    /// The packed probe trace recorded kernels borrow (capacity is kept
+    /// across launches).
+    trace: Vec<u64>,
     replay_stats: ReplayStats,
-}
-
-/// The cache hierarchy a replay mutates, moved out of the device for the
-/// duration of one (possibly asynchronous) replay and installed back when it
-/// completes. Taking it joins any in-flight replay first, so replays apply
-/// in launch order.
-pub(crate) struct ReplayCaches {
-    /// Per-SM private L1s.
-    pub(crate) l1: Vec<SectorCache>,
-    /// The shared sliced L2.
-    pub(crate) l2: SlicedCache,
 }
 
 impl Device {
@@ -98,9 +54,16 @@ impl Device {
     /// # Panics
     /// Panics unless `sector_bytes` and `line_bytes` are powers of two with
     /// `line_bytes / sector_bytes` in 1..=32: the cache hierarchy indexes
-    /// sectors and lines by shift and mask.
+    /// sectors and lines by shift and mask. Panics too when `num_sms`
+    /// exceeds the SM field of a packed probe word (2^29).
     #[must_use]
     pub fn new(cfg: DeviceConfig) -> Self {
+        assert!(
+            cfg.num_sms <= crate::trace::MAX_SMS,
+            "num_sms must fit the packed probe word's SM field (at most {}), got {}",
+            crate::trace::MAX_SMS,
+            cfg.num_sms
+        );
         assert!(
             cfg.sector_bytes.is_power_of_two(),
             "sector_bytes must be a power of two, got {}",
@@ -122,25 +85,20 @@ impl Device {
             .map(|_| SectorCache::new(cfg.l1.lines(cfg.line_bytes), cfg.l1.ways, spl))
             .collect();
         let l2 = SlicedCache::new(cfg.l2.lines(cfg.line_bytes), cfg.l2.ways, spl);
-        let l2_slices = l2.num_slices();
-        let host_threads = default_host_threads(cfg.num_sms);
         let sanitize = default_sanitize(cfg.sanitize);
         Self {
             device_alloc: Allocator::new(MemSpace::Device),
             host_alloc: Allocator::new(MemSpace::Host),
             l1,
             l2,
-            l2_slices,
             profiler: Profiler::default(),
             elapsed_cycles: 0.0,
             kernel_times: HashMap::new(),
-            host_threads,
+            host_threads: 1,
             sanitize,
             hazards: Vec::new(),
-            replay_gate: REPLAY_GATE,
             streaming: Vec::new(),
-            arena_pool: vec![TraceArena::default(), TraceArena::default()],
-            pending: None,
+            trace: Vec::new(),
             replay_stats: ReplayStats::default(),
             cfg,
         }
@@ -182,40 +140,27 @@ impl Device {
         self.hazards.extend(report.hazards.iter().cloned());
     }
 
-    /// Host threads kernel simulation may use (1 = sequential execution).
+    /// The host-thread setting: 1 (the default) selects the direct route,
+    /// anything above selects the recorded route.
     #[must_use]
     pub fn host_threads(&self) -> usize {
         self.host_threads
     }
 
-    /// Set the host-thread budget for kernel simulation. Clamped to
-    /// `[1, num_sms]`; 1 selects the direct sequential path, anything above
-    /// routes kernels through the SM-sharded trace/replay backend. Either
-    /// way the simulated results are bitwise identical.
+    /// Choose the route subsequent kernels take. Clamped to
+    /// `[1, num_sms]`; 1 probes the caches at each access, anything above
+    /// records each probe into a trace that [`Kernel::finish`] replays in
+    /// program order. Both routes run on the calling thread and give
+    /// bitwise-identical simulated results; the setting keeps its name for
+    /// the callers that pass a thread count.
     pub fn set_host_threads(&mut self, threads: usize) {
-        self.sync_replay();
         self.host_threads = threads.clamp(1, self.cfg.num_sms.max(1));
     }
 
-    /// Current inline-vs-sharded replay crossover, in recorded probes.
+    /// Host-side telemetry of the recorded route, accumulated since
+    /// construction (or the last [`Self::reset_profiler`]).
     #[must_use]
-    pub fn replay_gate(&self) -> usize {
-        self.replay_gate
-    }
-
-    /// Move the replay crossover for subsequent launches (floored at 1 so a
-    /// traced kernel with zero probes never spawns workers) — the seam tests
-    /// use to force small kernels onto the sharded, asynchronous route.
-    /// Simulated results are identical on either side of the gate; this
-    /// only moves where host wall-clock is spent.
-    pub fn set_replay_gate(&mut self, gate: usize) {
-        self.replay_gate = gate.max(1);
-    }
-
-    /// Host-side trace/replay telemetry accumulated since construction (or
-    /// the last [`Self::reset_profiler`]). Joins any in-flight async replay.
-    pub fn replay_stats(&mut self) -> &ReplayStats {
-        self.sync_replay();
+    pub fn replay_stats(&self) -> &ReplayStats {
         &self.replay_stats
     }
 
@@ -225,10 +170,9 @@ impl Device {
     /// one L2 way (`l2.capacity_bytes / l2.ways`) are ignored: they could
     /// plausibly stay resident, so their probes keep full cache semantics.
     /// Reads inside a registered region model `ld.global.cs` no-allocate
-    /// loads: they bypass L1 and L2 on every backend and are charged as
-    /// compulsory DRAM misses at record time, which is what makes them
-    /// order-insensitive and keeps them out of the replay streams. Writes
-    /// are unaffected.
+    /// loads: they bypass L1 and L2 on both routes and are charged as
+    /// compulsory DRAM misses at the access, which keeps them out of the
+    /// probe trace. Writes are unaffected.
     pub fn mark_streaming(&mut self, base: u64, bytes: u64) {
         let way_bytes = ((self.cfg.l2.capacity_bytes / self.cfg.l2.ways.max(1)).max(1)) as u64;
         if bytes < way_bytes {
@@ -262,102 +206,27 @@ impl Device {
         self.device_alloc.used_bytes().saturating_add(bytes) <= self.cfg.memory_bytes
     }
 
-    /// Take a trace arena for one traced launch, sized for the current SM
-    /// and L2-slice geometry with every stream empty. The pool is
-    /// double-buffered so one arena can sit in an in-flight async replay
-    /// while the next kernel records into the other; when both are out the
-    /// in-flight replay is joined first. Returned via
-    /// [`Self::return_trace_arena`] so grown capacity is reused.
-    pub(crate) fn take_trace_arena(&mut self) -> TraceArena {
-        // sage-lint: allow(replay-join) — pool emptiness IS the join condition: both arenas out means one is held by the in-flight replay, and the branch below joins it before popping
-        if self.arena_pool.is_empty() {
-            self.sync_replay();
-        }
-        let mut arena = self.arena_pool.pop().unwrap_or_default();
-        arena.reset(self.cfg.num_sms, self.l2_slices);
-        arena
+    /// Lend the probe trace to a recorded kernel, empty, with the capacity
+    /// earlier launches grew. Given back through [`Self::return_trace`].
+    pub(crate) fn take_trace(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.trace)
     }
 
-    /// Give an arena back after replay (capacity is retained).
-    pub(crate) fn return_trace_arena(&mut self, arena: TraceArena) {
-        self.arena_pool.push(arena);
+    /// Take the probe trace back after replay, keeping its capacity.
+    pub(crate) fn return_trace(&mut self, mut trace: Vec<u64>) {
+        trace.clear();
+        self.trace = trace;
     }
 
-    /// Account one traced-kernel replay in [`Self::replay_stats`].
-    pub(crate) fn note_replay(
-        &mut self,
-        recorded: u64,
-        elided: u64,
-        l2: u64,
-        parallel: bool,
-        arena_bytes: u64,
-    ) {
+    /// Account one recorded kernel's replay in [`Self::replay_stats`].
+    pub(crate) fn note_replay(&mut self, recorded: u64, elided: u64, l2: u64, trace_bytes: u64) {
         let s = &mut self.replay_stats;
         s.traced_kernels += 1;
         s.recorded_probes += recorded;
         s.elided_probes += elided;
         s.l2_probes += l2;
-        if parallel {
-            s.parallel_replays += 1;
-        } else {
-            s.inline_replays += 1;
-        }
-        s.arena_bytes = s.arena_bytes.max(arena_bytes);
-    }
-
-    /// Move the cache hierarchy out for one replay, joining any replay
-    /// already in flight first (launch-order discipline: kernel N's probes
-    /// must land in the caches before kernel N+1's replay reads them).
-    pub(crate) fn take_replay_caches(&mut self) -> ReplayCaches {
-        self.sync_replay();
-        ReplayCaches {
-            l1: std::mem::take(&mut self.l1),
-            l2: std::mem::replace(&mut self.l2, SlicedCache::new(1, 1, 1)),
-        }
-    }
-
-    /// Install the cache hierarchy back after a replay completed.
-    pub(crate) fn install_replay_caches(&mut self, caches: ReplayCaches) {
-        self.l1 = caches.l1;
-        self.l2 = caches.l2;
-    }
-
-    /// Park an asynchronous replay of kernel `name`. At most one may be in
-    /// flight; callers go through [`Self::take_replay_caches`] first, which
-    /// joins any previous one.
-    pub(crate) fn set_pending_replay(&mut self, name: String, handle: JoinHandle<ReplayDone>) {
-        debug_assert!(
-            self.pending.is_none(),
-            "only one async replay may be in flight"
-        );
-        self.pending = Some((name, handle));
-    }
-
-    /// Deterministic join barrier: wait for the in-flight async replay (if
-    /// any) and apply its results — caches, profiler charge, clock, replay
-    /// telemetry — exactly as the synchronous path would have. Every
-    /// observable read on the device funnels through here, so async replay
-    /// is invisible to simulated results.
-    ///
-    /// # Panics
-    /// Re-raises a panic of the replay thread, naming the kernel it was
-    /// replaying.
-    pub(crate) fn sync_replay(&mut self) {
-        if let Some((name, handle)) = self.pending.take() {
-            match handle.join() {
-                Ok(done) => {
-                    done.apply(self);
-                }
-                Err(payload) => {
-                    let cause = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_owned());
-                    panic!("async replay of kernel `{name}` panicked: {cause}");
-                }
-            }
-        }
+        s.inline_replays += 1;
+        s.arena_bytes = s.arena_bytes.max(trace_bytes);
     }
 
     /// A default-configured device (Quadro RTX 8000).
@@ -404,32 +273,16 @@ impl Device {
         Kernel::new(self, name)
     }
 
-    /// Probe one sector through L1(sm) then L2, filling on the way.
-    /// Returns `(l1_probe, l2_probe_if_missed_l1)`. Only the sequential
-    /// (1-host-thread) backend probes inline, and sequential kernels can
-    /// never coexist with an in-flight async replay — assert that.
-    pub(crate) fn probe_memory(&mut self, sm: usize, sector: u64) -> (Probe, Option<Probe>) {
-        debug_assert!(
-            self.pending.is_none(),
-            "inline probe with a replay in flight"
-        );
-        // sage-lint: allow(replay-join) — inline probes run only on the sequential backend, which never launches an async replay; the debug_assert above enforces exactly that
-        let p1 = self.l1[sm].access(sector);
-        if p1 == Probe::Hit {
-            (p1, None)
-        } else {
-            let p2 = self.l2.access(sector);
-            (p1, Some(p2))
-        }
+    /// Probe (and fill) `sm`'s private L1 for one sector.
+    #[inline]
+    pub(crate) fn probe_l1(&mut self, sm: usize, sector: u64) -> Probe {
+        self.l1[sm].access(sector)
     }
 
-    /// Probe L2 directly (atomics resolve in L2).
-    pub(crate) fn probe_l2_only(&mut self, sector: u64) -> Probe {
-        debug_assert!(
-            self.pending.is_none(),
-            "inline probe with a replay in flight"
-        );
-        // sage-lint: allow(replay-join) — inline probes run only on the sequential backend, which never launches an async replay; the debug_assert above enforces exactly that
+    /// Probe (and fill) the shared L2 for one sector: an L1 miss, or an
+    /// atomic, which resolves in L2.
+    #[inline]
+    pub(crate) fn probe_l2(&mut self, sector: u64) -> Probe {
         self.l2.access(sector)
     }
 
@@ -446,9 +299,8 @@ impl Device {
 
     /// Per-kernel-name `(launches, seconds)` breakdown, sorted by time
     /// descending — the where-did-the-time-go view a profiler gives.
-    /// Joins any in-flight async replay.
-    pub fn kernel_breakdown(&mut self) -> Vec<(String, u64, f64)> {
-        self.sync_replay();
+    #[must_use]
+    pub fn kernel_breakdown(&self) -> Vec<(String, u64, f64)> {
         let mut v: Vec<(String, u64, f64)> = self
             .kernel_times
             // sage-lint: allow(hash-iter) — the collected Vec is fully sorted by time on the next line, so map visit order cannot reach the output
@@ -460,62 +312,53 @@ impl Device {
     }
 
     /// Advance the simulated clock by host-side seconds (PCIe transfers,
-    /// peer synchronisation, CPU work overlapping nothing). Joins any
-    /// in-flight async replay first so clock additions keep launch order
-    /// (floating-point accumulation order is observable bitwise).
+    /// peer synchronisation, CPU work overlapping nothing).
     pub fn advance_seconds(&mut self, seconds: f64) {
-        self.sync_replay();
         self.elapsed_cycles += seconds * self.cfg.clock_hz;
     }
 
     /// Simulated time elapsed since construction or the last
-    /// [`Self::reset_clock`]. Joins any in-flight async replay.
-    pub fn elapsed_seconds(&mut self) -> f64 {
-        self.sync_replay();
+    /// [`Self::reset_clock`].
+    #[must_use]
+    pub fn elapsed_seconds(&self) -> f64 {
         self.cfg.cycles_to_seconds(self.elapsed_cycles)
     }
 
-    /// Simulated cycles elapsed. Joins any in-flight async replay.
-    pub fn elapsed_cycles(&mut self) -> f64 {
-        self.sync_replay();
+    /// Simulated cycles elapsed.
+    #[must_use]
+    pub fn elapsed_cycles(&self) -> f64 {
         self.elapsed_cycles
     }
 
-    /// Zero the clock (caches and profiler keep their state). Joins any
-    /// in-flight async replay first so its cycles land before the reset.
+    /// Zero the clock (caches and profiler keep their state).
     pub fn reset_clock(&mut self) {
-        self.sync_replay();
         self.elapsed_cycles = 0.0;
     }
 
-    /// Invalidate all caches (cold-start between unrelated runs). Joins any
-    /// in-flight async replay first.
+    /// Invalidate all caches (cold-start between unrelated runs).
     pub fn flush_caches(&mut self) {
-        self.sync_replay();
         for c in &mut self.l1 {
             c.flush();
         }
         self.l2.flush();
     }
 
-    /// Aggregated profiler counters. Joins any in-flight async replay.
-    pub fn profiler(&mut self) -> &Profiler {
-        self.sync_replay();
+    /// Aggregated profiler counters.
+    #[must_use]
+    pub fn profiler(&self) -> &Profiler {
         &self.profiler
     }
 
     /// Owned copy of the profiler counters at this instant — the form a
     /// monitoring layer ships off-thread as a per-device metrics sample.
-    /// Joins any in-flight async replay.
-    pub fn profiler_snapshot(&mut self) -> Profiler {
-        self.sync_replay();
+    #[must_use]
+    pub fn profiler_snapshot(&self) -> Profiler {
         self.profiler.clone()
     }
 
     /// Clear profiler counters (including the per-kernel breakdown and the
-    /// trace/replay telemetry). Joins any in-flight async replay first.
+    /// recorded-route telemetry).
     pub fn reset_profiler(&mut self) {
-        self.sync_replay();
         self.profiler = Profiler::default();
         self.kernel_times.clear();
         self.replay_stats = ReplayStats::default();
@@ -523,14 +366,12 @@ impl Device {
 
     /// Record peer-link traffic in the profiler (used by multi-GPU drivers).
     pub fn profiler_peer_bytes(&mut self, bytes: u64) {
-        self.sync_replay();
         self.profiler.peer_bytes += bytes;
     }
 
     /// L2 hit/miss statistics `(hits, sector_misses, line_misses)`.
-    /// Joins any in-flight async replay.
-    pub fn l2_stats(&mut self) -> (u64, u64, u64) {
-        self.sync_replay();
+    #[must_use]
+    pub fn l2_stats(&self) -> (u64, u64, u64) {
         self.l2.stats()
     }
 }
@@ -608,16 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_gate_defaults_to_const_and_clamps() {
-        let mut d = Device::new(DeviceConfig::test_tiny());
-        assert_eq!(d.replay_gate(), REPLAY_GATE);
-        d.set_replay_gate(0);
-        assert_eq!(d.replay_gate(), 1);
-        d.set_replay_gate(123);
-        assert_eq!(d.replay_gate(), 123);
-    }
-
-    #[test]
     fn traced_kernels_feed_replay_stats_and_reuse_arena() {
         let mut d = Device::new(DeviceConfig::test_tiny());
         d.set_host_threads(4);
@@ -633,32 +464,16 @@ mod tests {
         assert!(s.recorded_probes > 0);
         assert!(s.l2_probes > 0);
         assert!(s.arena_bytes > 0);
-        assert_eq!(s.parallel_replays + s.inline_replays, 2);
-        // sequential kernels bypass the trace path entirely
+        // every replay runs on the calling thread
+        assert_eq!((s.parallel_replays, s.inline_replays), (0, 2));
+        // the second launch reused the first one's trace capacity
+        assert_eq!(d.trace.capacity() as u64 * 8, s.arena_bytes);
+        // direct kernels bypass the trace entirely
         d.set_host_threads(1);
         let _ = d.launch("seq").finish();
         assert_eq!(d.replay_stats().traced_kernels, 2);
         d.reset_profiler();
         assert_eq!(d.replay_stats(), &crate::profile::ReplayStats::default());
-    }
-
-    #[test]
-    fn async_replay_panic_names_its_kernel() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let mut d = Device::new(DeviceConfig::test_tiny());
-        d.set_pending_replay(
-            "sage_expand_tiles".to_owned(),
-            std::thread::spawn(|| -> ReplayDone { panic!("replay worker fault") }),
-        );
-        let payload = catch_unwind(AssertUnwindSafe(|| d.elapsed_cycles()))
-            .expect_err("the join barrier must re-raise the replay panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("re-raised with a formatted message");
-        assert_eq!(
-            msg,
-            "async replay of kernel `sage_expand_tiles` panicked: replay worker fault"
-        );
     }
 
     #[test]
@@ -716,6 +531,15 @@ mod tests {
     fn more_than_32_sectors_per_line_panics() {
         let _ = Device::new(DeviceConfig {
             line_bytes: 2048,
+            ..DeviceConfig::test_tiny()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "num_sms must fit the packed probe word's SM field")]
+    fn too_many_sms_for_the_probe_word_panics() {
+        let _ = Device::new(DeviceConfig {
+            num_sms: crate::trace::MAX_SMS + 1,
             ..DeviceConfig::test_tiny()
         });
     }

@@ -25,63 +25,35 @@
 //! applies the device-wide DRAM/L2/PCIe bandwidth bounds plus the fixed
 //! launch overhead.
 //!
-//! # Execution backends
+//! # Execution routes
 //!
 //! With [`crate::device::Device::host_threads`] at 1 every cache probe runs
-//! inline, in call order, against the shared hierarchy — the original
-//! sequential path. Above 1 the kernel switches to a **trace/replay**
-//! backend: event accounting still happens inline (it is cheap and
-//! cache-independent), but sector probes are appended to compact packed
-//! per-SM streams (`crate::trace::TraceArena`) — one
-//! `seq << 36 | sector << 2 | atomic` word per probe —
-//! stamped with a global sequence number and replayed at
-//! [`Kernel::finish`] in two parallel passes: per-SM private-L1 replay
-//! (each shard owns its SM's L1; survivors are compacted *in place* into
-//! per-`(SM, slice)` runs already sorted by seq), then per-slice L2 replay
-//! that merges the runs back into global probe order with a dense-seq
-//! counting merge (each worker owns disjoint address-interleaved L2 slices,
-//! see [`crate::cache::SlicedCache`]). Stream storage lives in a per-device
-//! arena reused across launches, so steady-state recording never allocates.
-//! Shard counters merge in SM order, so cycles, profiler stats and cache
-//! states are bitwise identical to the sequential path.
+//! at its access, in call order, against the device's hierarchy: the
+//! direct route. Above 1 the kernel takes the **recorded** route: event
+//! accounting still happens at the access (it is cheap and
+//! cache-independent), but each sector probe is appended to the device's
+//! packed probe trace (`crate::trace`) as one word naming the SM, the
+//! sector and whether it is an atomic. [`Kernel::finish`] then replays the
+//! trace front to back through the same probe-and-charge code the direct
+//! route runs, on the calling thread. Call order is the global probe order,
+//! so cycles, profiler counters and cache states are bitwise identical on
+//! both routes by construction. The trace is reused across launches, so
+//! steady-state recording never allocates.
 //!
-//! Traced kernels take one recording path. Reads of registered streaming
-//! regions ([`crate::device::Device::mark_streaming`] — CSR adjacency
-//! larger than one L2 way) bypass the cache hierarchy on every backend and
-//! are charged as compulsory DRAM misses; since their outcome cannot depend
-//! on inter-SM interleaving, they are charged at record time and never
-//! streamed (counted as elided probes in
-//! [`crate::profile::ReplayStats`]). The replay gate
-//! ([`crate::device::REPLAY_GATE`]) is the only replay decision: kernels
-//! recording fewer probes replay inline on the calling thread, since
-//! spawning shard workers would cost more than the replay itself. At or
-//! above it they replay on sharded workers, and [`Kernel::finish_async`]
-//! hands that replay, with the cache hierarchy, to a background thread so
-//! it overlaps the next kernel's recording; every observable device read
-//! joins the in-flight replay first, so results stay bitwise identical to
-//! [`Kernel::finish`].
+//! Reads of registered streaming regions
+//! ([`crate::device::Device::mark_streaming`]: CSR adjacency larger than
+//! one L2 way) bypass the cache hierarchy on both routes and are charged as
+//! compulsory DRAM misses at the access; the recorded route counts them as
+//! elided probes in [`crate::profile::ReplayStats`].
 
-use crate::cache::{Probe, SectorCache};
+use crate::cache::Probe;
 use crate::config::DeviceConfig;
-use crate::device::{Device, ReplayCaches};
+use crate::device::Device;
 use crate::mem::is_host_addr;
 use crate::profile::Profiler;
 use crate::sanitizer::{HazardReport, ShadowTracker};
-use crate::trace::TraceArena;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// Probe streams of an in-flight traced kernel: the device's arena plus the
-/// global sequence counter stamping every recorded probe.
-#[derive(Debug)]
-struct TraceBuf {
-    arena: TraceArena,
-    seq: u64,
-    threads: usize,
-    /// Streaming reads charged at record time instead of streamed
-    /// (telemetry for `ReplayStats`).
-    elided: u64,
-}
 
 /// What a memory access does; writes also produce sector traffic
 /// (write-allocate) and are tracked separately for the profiler.
@@ -132,7 +104,8 @@ pub struct KernelReport {
     pub pcie_bytes: u64,
     /// Host wall-clock seconds between launch and finish.
     pub host_seconds: f64,
-    /// Host threads the simulation was allowed to use (1 = sequential).
+    /// The device's host-thread setting at launch: 1 for the direct route,
+    /// above 1 for the recorded route (see [`crate::device::Device::set_host_threads`]).
     pub host_threads: usize,
     /// Hazards the race sanitizer detected in this kernel (always empty
     /// when the sanitizer is disabled).
@@ -162,7 +135,12 @@ pub struct Kernel<'d> {
     scratch_addrs: Vec<u64>,
     host_bytes: u64,
     host_requests: u64,
-    trace: Option<TraceBuf>,
+    /// The packed probe trace on the recorded route, `None` on the direct
+    /// route.
+    trace: Option<Vec<u64>>,
+    /// Streaming reads charged at the access instead of probed (telemetry
+    /// for `ReplayStats`, reported on the recorded route only).
+    elided: u64,
     shadow: Option<ShadowTracker>,
     started: Instant,
 }
@@ -171,13 +149,7 @@ impl<'d> Kernel<'d> {
     pub(crate) fn new(dev: &'d mut Device, name: &str) -> Self {
         let sms = dev.cfg().num_sms;
         let concurrency = dev.cfg().max_resident_warps as f64;
-        let threads = dev.host_threads();
-        let trace = (threads > 1).then(|| TraceBuf {
-            arena: dev.take_trace_arena(),
-            seq: 0,
-            threads,
-            elided: 0,
-        });
+        let trace = (dev.host_threads() > 1).then(|| dev.take_trace());
         let shadow = dev.sanitize_enabled().then(|| ShadowTracker::new(sms));
         Self {
             dev,
@@ -189,6 +161,7 @@ impl<'d> Kernel<'d> {
             host_bytes: 0,
             host_requests: 0,
             trace,
+            elided: 0,
             shadow,
             // sage-lint: allow(wall-clock) — host-side telemetry only: measures real replay cost, never feeds simulated cycles or RunReport determinism
             started: Instant::now(),
@@ -245,8 +218,8 @@ impl<'d> Kernel<'d> {
     /// a per-SM tensor-pipe throughput bound plus an exposed-latency term
     /// hidden by concurrency — a fourth contender in the per-SM cycle max
     /// beside issue, the memory pipe, and scalar exposed latency. The charge
-    /// is pure event arithmetic, so it is identical on the sequential and
-    /// trace/replay backends by construction; the operands' memory traffic
+    /// is pure event arithmetic, so it is identical on the direct and
+    /// recorded routes by construction; the operands' memory traffic
     /// is charged separately through the ordinary access paths.
     pub fn mma(&mut self, sm: usize, ops: u64) {
         if ops == 0 {
@@ -358,29 +331,46 @@ impl<'d> Kernel<'d> {
             self.per_sm[sm].write_sectors += 1;
         }
         // Streaming-region reads model `ld.global.cs` no-allocate loads:
-        // they bypass L1 and L2 on *every* backend and cost a compulsory
-        // DRAM sector. Because they never touch cache state, their outcome
-        // is independent of inter-SM interleaving — which is what lets the
-        // recording path charge them here instead of streaming them.
+        // they bypass L1 and L2 on *both* routes and cost a compulsory
+        // DRAM sector. Because they never touch cache state, the recorded
+        // route charges them here instead of tracing them.
         if !is_write && self.dev.is_streaming_sector(s) {
             self.per_sm[sm].dram_sectors += 1;
-            if let Some(t) = &mut self.trace {
-                t.elided += 1;
+            self.elided += 1;
+            return;
+        }
+        self.probe_or_record(sm, s, false);
+    }
+
+    /// Probe a device sector now on the direct route, or append it to the
+    /// trace on the recorded route for [`Kernel::finish`] to probe in the
+    /// same order.
+    #[inline]
+    fn probe_or_record(&mut self, sm: usize, s: u64, atomic: bool) {
+        match &mut self.trace {
+            Some(t) => crate::trace::record(t, sm, s, atomic),
+            None => {
+                self.probe(sm, s, atomic);
             }
-            return;
         }
-        if let Some(t) = &mut self.trace {
-            t.arena.record(sm, s, t.seq, false);
-            t.seq += 1;
-            return;
+    }
+
+    /// Probe one device sector through L1 → L2 (L2 alone for an atomic) and
+    /// charge the outcome to `sm`. Returns whether L1 absorbed the probe.
+    #[inline]
+    fn probe(&mut self, sm: usize, s: u64, atomic: bool) -> bool {
+        if !atomic && self.dev.probe_l1(sm, s) == Probe::Hit {
+            self.per_sm[sm].l1_hits += 1;
+            return true;
         }
-        let outcome = self.dev.probe_memory(sm, s);
+        let hit = self.dev.probe_l2(s) == Probe::Hit;
         let c = &mut self.per_sm[sm];
-        match outcome {
-            (Probe::Hit, _) => c.l1_hits += 1,
-            (_, Some(Probe::Hit)) => c.l2_hits += 1,
-            _ => c.dram_sectors += 1,
+        if hit {
+            c.l2_hits += 1;
+        } else {
+            c.dram_sectors += 1;
         }
+        false
     }
 
     /// A coalesced access over `count` contiguous `elem_bytes`-wide elements
@@ -494,17 +484,7 @@ impl<'d> Kernel<'d> {
         self.scratch_sectors.dedup();
         for i in 0..self.scratch_sectors.len() {
             let s = self.scratch_sectors[i];
-            if let Some(t) = &mut self.trace {
-                t.arena.record(sm, s, t.seq, true);
-                t.seq += 1;
-                continue;
-            }
-            let outcome = self.dev.probe_l2_only(s);
-            let c = &mut self.per_sm[sm];
-            match outcome {
-                Probe::Hit => c.l2_hits += 1,
-                _ => c.dram_sectors += 1,
-            }
+            self.probe_or_record(sm, s, true);
         }
         let c = &mut self.per_sm[sm];
         c.atomics += n;
@@ -550,31 +530,10 @@ impl<'d> Kernel<'d> {
     }
 
     /// Convert accumulated events into time, charge the device clock and
-    /// profiler, and return the report. Synchronous: any in-flight async
-    /// replay is joined first (launch order), then this kernel's own replay
-    /// runs to completion before the report is built.
-    pub fn finish(self) -> KernelReport {
-        self.finalize(false)
-            .expect("synchronous finish always yields a report")
-    }
-
-    /// Like [`Kernel::finish`], but a traced kernel at or above the replay
-    /// gate hands its probe streams and the cache hierarchy to a background
-    /// replay thread instead of blocking — the next kernel can record while
-    /// this one replays. The report is folded into the device at the next
-    /// observable read (a deterministic join barrier), so callers that
-    /// discard the report lose nothing. Kernels below the gate and
-    /// sequential kernels finish synchronously.
-    pub fn finish_async(self) {
-        let _ = self.finalize(true);
-    }
-
-    /// Shared finish path. Hazards are always resolved synchronously here
-    /// (the shadow tracker is cache-independent); the replay + cycle
-    /// computation either runs inline or is deferred to a thread, but both
-    /// routes execute the exact same code on the exact same data, which is
-    /// what makes async replay bitwise identical by construction.
-    fn finalize(mut self, may_defer: bool) -> Option<KernelReport> {
+    /// profiler, and return the report. On the recorded route the trace is
+    /// first replayed, front to back on the calling thread, through the
+    /// probe-and-charge code the direct route runs at each access.
+    pub fn finish(mut self) -> KernelReport {
         let hazards = HazardReport {
             hazards: self
                 .shadow
@@ -582,69 +541,54 @@ impl<'d> Kernel<'d> {
                 .map_or_else(Vec::new, |s| s.finish(&self.name)),
         };
         self.dev.record_hazards(&hazards);
+        let mut host_threads = 1;
         if let Some(trace) = self.trace.take() {
-            let TraceBuf {
-                arena,
-                threads,
-                elided,
-                ..
-            } = trace;
-            let work = ReplayWork {
-                caches: self.dev.take_replay_caches(),
-                arena,
-                per_sm: std::mem::take(&mut self.per_sm),
-                threads,
-                gate: self.dev.replay_gate(),
-                cfg: self.dev.cfg().clone(),
-                concurrency: self.concurrency,
-                host_bytes: self.host_bytes,
-                host_requests: self.host_requests,
-                name: std::mem::take(&mut self.name),
-                elided,
-                started: self.started,
-            };
-            let sms = work.arena.rec.len();
-            let sharded = threads.min(sms).max(1) > 1 && work.arena.total_ops() >= work.gate;
-            if may_defer && sharded {
-                let name = work.name.clone();
-                self.dev
-                    .set_pending_replay(name, std::thread::spawn(move || work.run()));
-                return None;
+            host_threads = self.dev.host_threads();
+            let mut l1_hits = 0u64;
+            for &w in &trace {
+                let (sm, s, atomic) = crate::trace::unpack(w);
+                l1_hits += u64::from(self.probe(sm, s, atomic));
             }
-            let done = work.run();
-            let mut report = done.apply(self.dev);
-            report.hazards = hazards;
-            Some(report)
-        } else {
-            let br = compute_cycles(
-                self.dev.cfg(),
-                &self.per_sm,
-                self.concurrency,
-                self.host_bytes,
-                self.host_requests,
-            );
-            self.dev.charge(&br.totals, br.cycles);
-            self.dev.charge_named(&self.name, br.cycles);
-            Some(KernelReport {
-                seconds: self.dev.cfg().cycles_to_seconds(br.cycles),
-                name: std::mem::take(&mut self.name),
-                cycles: br.cycles,
-                max_sm_cycles: br.max_sm,
-                mean_sm_cycles: br.mean_sm,
-                active_sms: br.active_sms,
-                dram_bytes: br.dram_bytes,
-                pcie_bytes: self.host_bytes,
-                host_seconds: self.started.elapsed().as_secs_f64(),
-                host_threads: 1,
-                hazards,
-            })
+            let recorded = trace.len() as u64;
+            // kernels that touched no cached device memory count as untraced
+            if recorded > 0 || self.elided > 0 {
+                self.dev.note_replay(
+                    recorded,
+                    self.elided,
+                    recorded - l1_hits,
+                    (trace.capacity() * std::mem::size_of::<u64>()) as u64,
+                );
+            }
+            self.dev.return_trace(trace);
+        }
+        let br = compute_cycles(
+            self.dev.cfg(),
+            &self.per_sm,
+            self.concurrency,
+            self.host_bytes,
+            self.host_requests,
+        );
+        self.dev.charge(&br.totals, br.cycles);
+        self.dev.charge_named(&self.name, br.cycles);
+        KernelReport {
+            seconds: self.dev.cfg().cycles_to_seconds(br.cycles),
+            name: std::mem::take(&mut self.name),
+            cycles: br.cycles,
+            max_sm_cycles: br.max_sm,
+            mean_sm_cycles: br.mean_sm,
+            active_sms: br.active_sms,
+            dram_bytes: br.dram_bytes,
+            pcie_bytes: self.host_bytes,
+            host_seconds: self.started.elapsed().as_secs_f64(),
+            host_threads,
+            hazards,
         }
     }
 }
 
-/// The device-independent cycle computation shared by the sequential finish
-/// path and (a)synchronous replay: per-SM critical-path max, device-wide
-/// bandwidth bounds, launch overhead, and the profiler totals.
+/// The device-independent cycle computation of [`Kernel::finish`]: per-SM
+/// critical-path max, device-wide bandwidth bounds, launch overhead, and the
+/// profiler totals.
 struct CycleBreakdown {
     totals: Profiler,
     cycles: f64,
@@ -748,124 +692,6 @@ fn compute_cycles(
     }
 }
 
-/// Everything one traced kernel's replay needs, owned, so it can run on the
-/// calling thread or be moved onto a background thread unchanged.
-struct ReplayWork {
-    caches: ReplayCaches,
-    arena: TraceArena,
-    per_sm: Vec<SmCounters>,
-    threads: usize,
-    gate: usize,
-    cfg: DeviceConfig,
-    concurrency: f64,
-    host_bytes: u64,
-    host_requests: u64,
-    name: String,
-    elided: u64,
-    started: Instant,
-}
-
-impl ReplayWork {
-    /// Replay the streams against the owned cache hierarchy and compute the
-    /// kernel's cycles — the same code whether invoked inline or on a
-    /// background thread.
-    fn run(mut self) -> ReplayDone {
-        let (recorded, l2_probes, parallel, arena_bytes) = replay_streams(
-            &mut self.caches,
-            &mut self.arena,
-            &mut self.per_sm,
-            self.threads,
-            self.gate,
-        );
-        let br = compute_cycles(
-            &self.cfg,
-            &self.per_sm,
-            self.concurrency,
-            self.host_bytes,
-            self.host_requests,
-        );
-        ReplayDone {
-            caches: self.caches,
-            arena: self.arena,
-            name: self.name,
-            totals: br.totals,
-            cycles: br.cycles,
-            max_sm: br.max_sm,
-            mean_sm: br.mean_sm,
-            active_sms: br.active_sms,
-            dram_bytes: br.dram_bytes,
-            recorded,
-            elided: self.elided,
-            l2_probes,
-            parallel,
-            arena_bytes,
-            host_threads: self.threads,
-            started: self.started,
-        }
-    }
-}
-
-/// A completed replay: the caches to install back plus everything needed to
-/// charge the device and build the report. Applying it is the only step that
-/// touches the device, so the sync path (apply immediately) and the async
-/// path (apply at the join barrier) are indistinguishable to simulated
-/// state.
-pub(crate) struct ReplayDone {
-    caches: ReplayCaches,
-    arena: TraceArena,
-    name: String,
-    totals: Profiler,
-    cycles: f64,
-    max_sm: f64,
-    mean_sm: f64,
-    active_sms: usize,
-    dram_bytes: u64,
-    recorded: u64,
-    elided: u64,
-    l2_probes: u64,
-    parallel: bool,
-    arena_bytes: u64,
-    host_threads: usize,
-    started: Instant,
-}
-
-impl ReplayDone {
-    /// Fold the completed replay into the device in launch order: install
-    /// the caches, return the arena, account telemetry, charge clock and
-    /// profiler, and build the report.
-    pub(crate) fn apply(self, dev: &mut Device) -> KernelReport {
-        dev.install_replay_caches(self.caches);
-        if self.recorded > 0 || self.elided > 0 {
-            dev.note_replay(
-                self.recorded,
-                self.elided,
-                self.l2_probes,
-                self.parallel,
-                self.arena_bytes,
-            );
-        }
-        dev.return_trace_arena(self.arena);
-        dev.charge(&self.totals, self.cycles);
-        dev.charge_named(&self.name, self.cycles);
-        let seconds = dev.cfg().cycles_to_seconds(self.cycles);
-        KernelReport {
-            name: self.name,
-            cycles: self.cycles,
-            seconds,
-            max_sm_cycles: self.max_sm,
-            mean_sm_cycles: self.mean_sm,
-            active_sms: self.active_sms,
-            dram_bytes: self.dram_bytes,
-            pcie_bytes: self.totals.pcie_bytes,
-            host_seconds: self.started.elapsed().as_secs_f64(),
-            host_threads: self.host_threads,
-            hazards: HazardReport {
-                hazards: Vec::new(),
-            },
-        }
-    }
-}
-
 /// One SM's view of an in-flight kernel: every accessor charges the bound
 /// SM, so helpers shared between engines take a single `&mut SmShard`
 /// instead of threading a `(&mut Kernel, sm)` pair through every call.
@@ -931,252 +757,6 @@ impl<'d> SmShard<'_, 'd> {
     pub fn kernel(&mut self) -> &mut Kernel<'d> {
         self.k
     }
-}
-
-/// Split `items` into at most `parts` contiguous chunks of near-equal size
-/// (ownership partition for shard workers; deterministic by construction).
-fn chunk_len(total: usize, parts: usize) -> usize {
-    total.div_ceil(parts.max(1)).max(1)
-}
-
-/// Replay a traced kernel's probe streams against the (moved-out) cache
-/// hierarchy and fill the deferred `l1_hits` / `l2_hits` / `dram_sectors`
-/// counters. Returns `(recorded, l2_probes, parallel, arena_bytes)`.
-///
-/// Pass 1 replays each SM's packed stream against that SM's private L1 —
-/// per-SM program order is exactly the sequential probe order projected onto
-/// one SM, and L1 outcomes depend on nothing else. Survivors (L1 misses
-/// plus atomics, which bypass L1) are compacted **in place** into the same
-/// per-SM vector, re-packed with slice-local sector ids and stably grouped
-/// by L2 slice (`TraceArena::runs` brackets the groups) — the arena never
-/// holds a second copy of a probe. Because the per-SM stream is in sequence
-/// order, every group comes out sorted by seq. Pass 2 replays each slice's
-/// probes in global sequence order by a dense-seq counting merge of that
-/// slice's per-SM runs (sequence stamps are globally unique, so the order is
-/// total) — per-set LRU state only depends on the relative order of that
-/// set's probes, so the sliced replay reproduces the monolithic outcome
-/// probe for probe. A slice fed by a single SM skips the merge and drains
-/// the run in one sweep. Both passes run on `threads` scoped workers over
-/// disjoint cache shards; kernels below the replay gate stay on the calling
-/// thread. Counter merging is fixed-order u64 sums, so the result is
-/// independent of thread scheduling.
-fn replay_streams(
-    caches: &mut ReplayCaches,
-    arena: &mut TraceArena,
-    per_sm: &mut [SmCounters],
-    threads: usize,
-    gate: usize,
-) -> (u64, u64, bool, u64) {
-    use crate::trace::{ATOMIC_FLAG, SECTOR_MASK, SEQ_SHIFT};
-    let num_slices = caches.l2.num_slices();
-    let total_ops = arena.total_ops();
-    if total_ops == 0 {
-        return (0, 0, false, arena.reserved_bytes());
-    }
-    let sms = arena.rec.len();
-    let workers = threads.min(sms).max(1);
-    let parallel = workers > 1 && total_ops >= gate;
-    let seq_mask_hi = !((1u64 << SEQ_SHIFT) - 1);
-
-    // ---- pass 1: private L1 replay, one shard per SM ----
-    let mut l1_hits = vec![0u64; sms];
-    {
-        let l1 = &mut caches.l1;
-        let l2 = &caches.l2;
-        // Survivors are re-packed (seq | slice-local sector) into per-slice
-        // scratch groups, then written back over the drained stream prefix —
-        // scratch is per-worker and sized to one SM's survivors, so the
-        // arena itself never grows in pass 1.
-        let replay_one = |cache: &mut SectorCache,
-                          rec: &mut Vec<u64>,
-                          runs: &mut [usize],
-                          hits: &mut u64,
-                          scratch: &mut Vec<Vec<u64>>| {
-            for g in scratch.iter_mut() {
-                g.clear();
-            }
-            for &w in rec.iter() {
-                let s = (w >> 2) & SECTOR_MASK;
-                if w & ATOMIC_FLAG == 0 && cache.access(s) == Probe::Hit {
-                    *hits += 1;
-                    continue;
-                }
-                let (slice, local) = l2.slice_and_local(s);
-                scratch[slice].push((w & seq_mask_hi) | (local << 2));
-            }
-            rec.clear();
-            runs[0] = 0;
-            for (slice, g) in scratch.iter().enumerate() {
-                rec.extend_from_slice(g);
-                runs[slice + 1] = rec.len();
-            }
-        };
-        if parallel {
-            let chunk = chunk_len(sms, workers);
-            std::thread::scope(|scope| {
-                for (((l1c, recc), runsc), hitc) in l1
-                    .chunks_mut(chunk)
-                    .zip(arena.rec.chunks_mut(chunk))
-                    .zip(arena.runs.chunks_mut(chunk * (num_slices + 1)))
-                    .zip(l1_hits.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); num_slices];
-                        for (i, cache) in l1c.iter_mut().enumerate() {
-                            replay_one(
-                                cache,
-                                &mut recc[i],
-                                &mut runsc[i * (num_slices + 1)..(i + 1) * (num_slices + 1)],
-                                &mut hitc[i],
-                                &mut scratch,
-                            );
-                        }
-                    });
-                }
-            });
-        } else {
-            let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); num_slices];
-            for (sm, cache) in l1.iter_mut().enumerate() {
-                replay_one(
-                    cache,
-                    &mut arena.rec[sm],
-                    &mut arena.runs[sm * (num_slices + 1)..(sm + 1) * (num_slices + 1)],
-                    &mut l1_hits[sm],
-                    &mut scratch,
-                );
-            }
-        }
-    }
-
-    // ---- pass 2: L2 replay, one worker chunk per group of slices ----
-    let l2_probes = arena.total_ops() as u64;
-    let mut slice_counts: Vec<(u64, u64)> = vec![(0, 0); num_slices * sms];
-    {
-        let l2 = &mut caches.l2;
-        let rec = &arena.rec;
-        let run_bounds = &arena.runs;
-        // Pack (seq, sm) into one sortable key: stamps are globally unique,
-        // so the low sm bits never decide an ordering.
-        let sm_bits = usize::BITS - sms.saturating_sub(1).leading_zeros();
-        let sm_mask = (1u64 << sm_bits) - 1;
-        let replay_slice = |cache: &mut SectorCache, slice: usize, counts: &mut [(u64, u64)]| {
-            let mut runs: Vec<(usize, &[u64])> = Vec::with_capacity(sms);
-            let mut n = 0usize;
-            let mut min_seq = u64::MAX;
-            let mut max_seq = 0u64;
-            for (sm, stream) in rec.iter().enumerate() {
-                let b = sm * (num_slices + 1) + slice;
-                let seg = &stream[run_bounds[b]..run_bounds[b + 1]];
-                if let (Some(&first), Some(&last)) = (seg.first(), seg.last()) {
-                    n += seg.len();
-                    min_seq = min_seq.min(first >> SEQ_SHIFT);
-                    max_seq = max_seq.max(last >> SEQ_SHIFT);
-                    runs.push((sm, seg));
-                }
-            }
-            if runs.is_empty() {
-                return;
-            }
-            if let [(sm, seg)] = runs[..] {
-                // single contributing SM: the run already is global order
-                let mut h = 0u64;
-                for &w in seg {
-                    if cache.access((w >> 2) & SECTOR_MASK) == Probe::Hit {
-                        h += 1;
-                    }
-                }
-                counts[sm].0 += h;
-                counts[sm].1 += seg.len() as u64 - h;
-                return;
-            }
-            // Dense-seq counting merge: stamps are dense per kernel, so
-            // scatter the runs into ~1-probe-wide seq buckets (count,
-            // prefix-sum, place), sort the rare multi-entry bucket, and
-            // sweep in ascending-seq order — O(n) instead of per-probe
-            // heap churn.
-            let buckets = n;
-            let width = (max_seq - min_seq + 1).div_ceil(buckets as u64).max(1);
-            let mut offsets = vec![0usize; buckets + 1];
-            for &(_, seg) in &runs {
-                for &w in seg {
-                    offsets[(((w >> SEQ_SHIFT) - min_seq) / width) as usize + 1] += 1;
-                }
-            }
-            for i in 1..=buckets {
-                offsets[i] += offsets[i - 1];
-            }
-            let mut cursor = offsets[..buckets].to_vec();
-            let mut pairs = vec![(0u64, 0u64); n];
-            for &(sm, seg) in &runs {
-                for &w in seg {
-                    let q = w >> SEQ_SHIFT;
-                    let b = ((q - min_seq) / width) as usize;
-                    pairs[cursor[b]] = ((q << sm_bits) | sm as u64, (w >> 2) & SECTOR_MASK);
-                    cursor[b] += 1;
-                }
-            }
-            for b in 0..buckets {
-                let seg = &mut pairs[offsets[b]..offsets[b + 1]];
-                if seg.len() > 1 {
-                    seg.sort_unstable();
-                }
-                for &(key, local) in seg.iter() {
-                    let c = &mut counts[(key & sm_mask) as usize];
-                    if cache.access(local) == Probe::Hit {
-                        c.0 += 1;
-                    } else {
-                        c.1 += 1;
-                    }
-                }
-            }
-        };
-        let slices = l2.slices_mut();
-        if parallel {
-            let chunk = chunk_len(num_slices, workers);
-            std::thread::scope(|scope| {
-                for (ci, (slice_chunk, count_chunk)) in slices
-                    .chunks_mut(chunk)
-                    .zip(slice_counts.chunks_mut(chunk * sms))
-                    .enumerate()
-                {
-                    scope.spawn(move || {
-                        for (i, cache) in slice_chunk.iter_mut().enumerate() {
-                            replay_slice(
-                                cache,
-                                ci * chunk + i,
-                                &mut count_chunk[i * sms..(i + 1) * sms],
-                            );
-                        }
-                    });
-                }
-            });
-        } else {
-            for (slice, cache) in slices.iter_mut().enumerate() {
-                replay_slice(
-                    cache,
-                    slice,
-                    &mut slice_counts[slice * sms..(slice + 1) * sms],
-                );
-            }
-        }
-    }
-
-    // ---- pass 3: merge in fixed SM-major order ----
-    for (sm, c) in per_sm.iter_mut().enumerate() {
-        c.l1_hits += l1_hits[sm];
-        for slice in 0..num_slices {
-            let (h, m) = slice_counts[slice * sms + sm];
-            c.l2_hits += h;
-            c.dram_sectors += m;
-        }
-    }
-
-    (
-        total_ops as u64,
-        l2_probes,
-        parallel,
-        arena.reserved_bytes(),
-    )
 }
 
 #[cfg(test)]
@@ -1636,13 +1216,11 @@ mod tests {
 
     /// A workload mixing streaming-region reads, cached reads, writes into
     /// the streaming region, and atomics, run three kernels deep so cache
-    /// state carries across launches (and, finished with
-    /// [`Kernel::finish_async`], across the record/replay overlap). Returns
-    /// every simulated observable as exact bits plus the elided-probe count.
-    fn streaming_workload(threads: usize, deferred: bool) -> (Vec<u64>, u64) {
+    /// state carries across launches. Returns every simulated observable as
+    /// exact bits plus the elided-probe count.
+    fn streaming_workload(threads: usize) -> (Vec<u64>, u64) {
         let mut d = dev();
         d.set_host_threads(threads);
-        d.set_replay_gate(1); // every traced kernel goes sharded
         let base = 1u64 << 20;
         // 4 KiB >= test_tiny's 2 KiB L2 way capacity -> registered
         d.mark_streaming(base, 4096);
@@ -1656,11 +1234,7 @@ mod tests {
                 k.access(sm, AccessKind::Write, &[base + sm as u64 * 64], 4);
                 k.atomic(sm, &[512 * (1 + sm as u64)]);
             }
-            if deferred {
-                k.finish_async();
-            } else {
-                let _ = k.finish();
-            }
+            let _ = k.finish();
         }
         let p = d.profiler().clone();
         let (l2h, l2sm, l2lm) = d.l2_stats();
@@ -1681,19 +1255,14 @@ mod tests {
     }
 
     #[test]
-    fn elision_and_async_replay_are_bitwise_invisible() {
-        // threads=1: sequential backend, no tracing at all — the reference.
-        let (reference, e0) = streaming_workload(1, true);
-        assert_eq!(e0, 0, "sequential kernels never elide (nothing is traced)");
+    fn elision_is_bitwise_invisible() {
+        // threads=1: direct route, no tracing at all — the reference.
+        let (reference, e0) = streaming_workload(1);
+        assert_eq!(e0, 0, "direct kernels never elide (nothing is traced)");
         for threads in [2, 4] {
-            for deferred in [false, true] {
-                let (got, elided) = streaming_workload(threads, deferred);
-                assert_eq!(
-                    got, reference,
-                    "threads={threads} finish_async={deferred} diverged"
-                );
-                assert!(elided > 0, "traced runs elide streaming reads");
-            }
+            let (got, elided) = streaming_workload(threads);
+            assert_eq!(got, reference, "threads={threads} diverged");
+            assert!(elided > 0, "traced runs elide streaming reads");
         }
     }
 
@@ -1724,22 +1293,47 @@ mod tests {
     }
 
     #[test]
-    fn async_replay_joins_at_observable_reads() {
+    fn replay_telemetry_is_pinned() {
+        // One fixed 2-thread kernel mixing cached reads, writes, atomics,
+        // streaming reads and host sectors. The counts were recorded before
+        // the replay backend last changed shape; they keep perfbench's
+        // `replay.elision` and `replay.l1_absorption` meaning what they did.
         let mut d = dev();
-        d.set_host_threads(4);
-        d.set_replay_gate(1);
-        let mut k = d.launch("async");
-        for sm in 0..4 {
-            k.access_range(sm, AccessKind::Read, 4096 + sm as u64 * 4096, 256, 4);
+        d.set_host_threads(2);
+        let stream = 1u64 << 20;
+        d.mark_streaming(stream, 4096);
+        let mut h = crate::mem::Allocator::new(MemSpace::Host);
+        let host = h.alloc(1 << 12);
+        let mut k = d.launch("pinned");
+        for sm in 0..4u64 {
+            let addrs: Vec<u64> = (0..16)
+                .map(|i| 4096 + ((i * 389 + sm * 61) % 512))
+                .collect();
+            k.access(sm as usize, AccessKind::Read, &addrs, 4);
+            k.access_range(sm as usize, AccessKind::Write, 8192 + sm * 256, 48, 4);
+            k.atomic(sm as usize, &[64 * sm, 64 * sm + 4, 4096 + 32 * sm]);
+            k.access_range(sm as usize, AccessKind::Read, stream + sm * 512, 96, 4);
+            k.access(sm as usize, AccessKind::Read, &[host + sm * 64, 4096], 4);
+            k.access(sm as usize, AccessKind::Read, &addrs, 4);
         }
-        k.finish_async();
-        // The join barrier must surface the kernel's full charge.
-        assert!(d.elapsed_cycles() > 0.0);
-        assert_eq!(d.profiler().kernels, 1);
-        assert_eq!(d.replay_stats().traced_kernels, 1);
-        let bd = d.kernel_breakdown();
-        assert_eq!(bd.len(), 1);
-        assert_eq!(bd[0].1, 1);
+        let _ = k.finish();
+        // a kernel probing no cached device memory is not counted as traced
+        let mut k = d.launch("compute_only");
+        k.exec_uniform(0, 10);
+        k.access(0, AccessKind::Read, &[host], 4);
+        let _ = k.finish();
+        let s = d.replay_stats().clone();
+        assert_eq!(
+            (
+                s.traced_kernels,
+                s.recorded_probes,
+                s.elided_probes,
+                s.l2_probes
+            ),
+            (1, 132, 48, 86)
+        );
+        assert_eq!((s.parallel_replays, s.inline_replays), (0, 1));
+        assert!(s.arena_bytes > 0);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl DeviceGroup {
     pub fn barrier(&mut self) {
         let max = self
             .devices
-            .iter_mut()
+            .iter()
             .map(Device::elapsed_seconds)
             .fold(0.0f64, f64::max);
         for d in &mut self.devices {
@@ -96,9 +96,10 @@ impl DeviceGroup {
     }
 
     /// Elapsed time of the group: the slowest device.
-    pub fn elapsed_seconds(&mut self) -> f64 {
+    #[must_use]
+    pub fn elapsed_seconds(&self) -> f64 {
         self.devices
-            .iter_mut()
+            .iter()
             .map(Device::elapsed_seconds)
             .fold(0.0f64, f64::max)
     }

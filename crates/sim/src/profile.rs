@@ -110,30 +110,33 @@ impl Profiler {
     }
 }
 
-/// Host-side telemetry of the trace/replay backend, kept separate from
+/// Host-side telemetry of the recorded route (kernels launched at more than
+/// one host thread; see [`crate::kernel`]), kept separate from
 /// [`Profiler`] on purpose: profiler counters describe the *simulated*
 /// machine and are compared bitwise across configurations, while these
 /// describe how the simulation itself executed on the host.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplayStats {
-    /// Kernels that went through the trace/replay backend.
+    /// Kernels that went through the recorded route.
     pub traced_kernels: u64,
-    /// Sector probes recorded into the SoA streams across traced kernels.
+    /// Sector probes recorded into the probe trace across traced kernels.
     pub recorded_probes: u64,
-    /// Streaming-scan probes elided from the streams: classified as
-    /// order-insensitive at record time and charged eagerly as compulsory
-    /// DRAM misses instead of being recorded (see
+    /// Streaming-scan probes kept out of the trace: charged at the access
+    /// as compulsory DRAM misses instead of being recorded (see
     /// [`crate::device::Device::mark_streaming`]).
     pub elided_probes: u64,
-    /// Probes that survived L1 replay and were merged into L2 slices.
+    /// Replayed probes that reached L2: L1 misses plus atomics.
     pub l2_probes: u64,
-    /// Traced kernels replayed on SM-sharded workers (probe count at or
-    /// above the replay gate).
+    /// Always 0: traces replay in program order on the calling thread, and
+    /// the SM-sharded replay this counted is gone. The field stays so
+    /// readers of the earlier counters keep compiling.
     pub parallel_replays: u64,
-    /// Traced kernels replayed inline on the calling thread (below gate).
+    /// Traced kernels replayed (on the calling thread, at finish); equal to
+    /// `traced_kernels`.
     pub inline_replays: u64,
-    /// High-water mark of arena capacity across launches, in bytes — the
-    /// steady-state memory bought in exchange for allocation-free recording.
+    /// High-water mark of the probe trace's capacity across launches, in
+    /// bytes — the steady-state memory bought in exchange for
+    /// allocation-free recording.
     pub arena_bytes: u64,
 }
 
@@ -158,7 +161,7 @@ impl ReplayStats {
         }
     }
 
-    /// Fraction of classified probes elided from the replay streams:
+    /// Fraction of classified probes kept out of the probe trace:
     /// `elided / (elided + recorded)`, 0 when no traced kernel ran.
     #[must_use]
     pub fn elision(&self) -> f64 {
@@ -175,10 +178,8 @@ impl fmt::Display for ReplayStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "traced kernels: {} ({} sharded / {} inline), probes: {} recorded ({:.1}% L1-absorbed) + {} elided ({:.1}%), arena: {} KiB",
+            "traced kernels: {}, probes: {} recorded ({:.1}% L1-absorbed) + {} elided ({:.1}%), arena: {} KiB",
             self.traced_kernels,
-            self.parallel_replays,
-            self.inline_replays,
             self.recorded_probes,
             self.l1_absorption() * 100.0,
             self.elided_probes,
@@ -288,8 +289,8 @@ mod tests {
             recorded_probes: 100,
             elided_probes: 300,
             l2_probes: 25,
-            parallel_replays: 1,
-            inline_replays: 1,
+            parallel_replays: 0,
+            inline_replays: 2,
             arena_bytes: 4096,
         };
         assert!((r.probes_per_kernel() - 50.0).abs() < 1e-12);

@@ -14,7 +14,7 @@
 //! hazard) when any of the following holds:
 //!
 //! * they come from the same SM — per-SM program order is respected by both
-//!   the sequential backend and trace/replay, and block-wide `sync` barriers
+//!   the direct and recorded simulation routes, and block-wide `sync` barriers
 //!   only strengthen it;
 //! * either access is an `atomic` — the hardware serialises atomics at the
 //!   L2 point of coherence;
