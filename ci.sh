@@ -41,19 +41,19 @@ echo "== race sanitizer: all engines hazard-free, bitwise cost-neutral =="
 # full matrix (7 engines x BFS/CC/PR/MIS x push/adaptive x 1 and 4 host
 # threads, sanitize on == sanitize off bit for bit) lives in the test
 cargo test --release -q -p sage --test sanitize
-# CLI-level smoke: SAGE_SANITIZE=1 must leave the exit code at 0 (any
+# CLI-level smoke: --sanitize must leave the exit code at 0 (any
 # detected hazard makes sage_cli exit 1)
 for eng in sage sage-tp naive b40c tigr gunrock; do
   for app in bfs cc pr; do
     for t in 1 4; do
-      SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
-        "$app" --dataset brain --scale 0.05 --engine "$eng" --threads "$t" > /dev/null
+      cargo run --release -q -p sage-bench --bin sage_cli -- \
+        "$app" --dataset brain --scale 0.05 --engine "$eng" --threads "$t" --sanitize > /dev/null
     done
   done
 done
 for app in bfs cc pr; do
-  SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
-    "$app" --dataset brain --scale 0.05 --engine subway --out-of-core --threads 4 > /dev/null
+  cargo run --release -q -p sage-bench --bin sage_cli -- \
+    "$app" --dataset brain --scale 0.05 --engine subway --out-of-core --threads 4 --sanitize > /dev/null
 done
 
 echo "== race sanitizer: matrix/SpMV pipeline hazard-free =="
@@ -63,22 +63,22 @@ echo "== race sanitizer: matrix/SpMV pipeline hazard-free =="
 for eng in naive sage; do
   for app in bfs cc pr; do
     for t in 1 4; do
-      SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
+      cargo run --release -q -p sage-bench --bin sage_cli -- \
         "$app" --dataset brain --scale 0.05 --engine "$eng" --mode matrix \
-        --threads "$t" > /dev/null
+        --threads "$t" --sanitize > /dev/null
     done
   done
-  SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
-    bfs --dataset brain --scale 0.05 --engine "$eng" --mode adaptive --threads 4 > /dev/null
+  cargo run --release -q -p sage-bench --bin sage_cli -- \
+    bfs --dataset brain --scale 0.05 --engine "$eng" --mode adaptive --threads 4 --sanitize > /dev/null
 done
 
 echo "== race sanitizer: walk kernels hazard-free for both apps and samplers =="
 for app in ppr node2vec; do
   for sampler in its alias; do
     for t in 1 4; do
-      SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
+      cargo run --release -q -p sage-bench --bin sage_cli -- \
         walk --dataset brain --scale 0.05 --walk-app "$app" --sampler "$sampler" \
-        --walks 64 --length 16 --threads "$t" > /dev/null
+        --walks 64 --length 16 --threads "$t" --sanitize > /dev/null
     done
   done
 done

@@ -3,7 +3,7 @@
 //! ```text
 //! sage_cli <app> [--graph FILE | --dataset NAME] [--engine NAME]
 //!          [--source N] [--scale F] [--repeat N] [--out-of-core] [--profile]
-//!          [--mode push|adaptive|matrix] [--push-only] [--threads N] [--sanitize]
+//!          [--mode push|adaptive|matrix] [--threads N] [--sanitize]
 //!
 //!   app       bfs | bc | pr | cc | sssp | mis | kcore | walk | serve
 //!   --graph   edge-list file ("u v" per line, # comments) or .sagecsr binary
@@ -20,9 +20,10 @@
 //!             trace letters are `>` push, `<` pull, `M` matrix (masked
 //!             SpMV on the tensor units). `push` pins every iteration to
 //!             push; `matrix` forces the SpMV formulation whenever the
-//!             engine and graph allow it (falling back to push otherwise).
-//!             Every mode produces bitwise-identical application output.
-//!   --push-only shorthand for --mode push (kept for compatibility)
+//!             engine, app and graph allow it (only sage, sage-tp and naive
+//!             go bottom-up, only bfs, pr and cc have a pull contract, and
+//!             out-of-core graphs always push). Every mode produces
+//!             bitwise-identical application output.
 //!   --threads the simulation route (default 1). 1 probes the simulated
 //!             caches at each access; above 1 records every probe and
 //!             replays the trace in program order when the kernel ends.
@@ -31,8 +32,8 @@
 //!   --sanitize run the simulated kernels under the race sanitizer; any
 //!             detected cross-SM hazard is printed and makes the process
 //!             exit 1. Sanitized runs report bitwise-identical cycles and
-//!             cache counters. The SAGE_SANITIZE environment variable is an
-//!             equivalent switch (0/false/off/no disables).
+//!             cache counters. Every mode (including serve and walk) takes
+//!             it; it is the only switch.
 //!
 //! serve mode (concurrent query service over a device pool):
 //!   sage_cli serve [--graph FILE | --dataset NAME] [--devices N] [--requests N]
@@ -110,7 +111,7 @@ fn usage() -> ! {
         "usage: sage_cli <bfs|bc|pr|cc|sssp|mis|kcore> [--graph FILE | --dataset NAME] \
          [--engine sage|sage-tp|naive|b40c|tigr|gunrock|ligra] [--source N] \
          [--scale F] [--repeat N] [--out-of-core] [--profile] \
-         [--mode push|adaptive|matrix] [--push-only] [--threads N] [--sanitize]\n\
+         [--mode push|adaptive|matrix] [--threads N] [--sanitize]\n\
          \x20      sage_cli serve [--graph FILE | --dataset NAME] [--devices N] [--requests N] \
          [--sanitize]\n\
          \x20      sage_cli walk [--graph FILE | --dataset NAME] [--walk-app ppr|node2vec] \
@@ -172,7 +173,6 @@ fn parse_args() -> Args {
             "--out-of-core" => args.out_of_core = true,
             "--profile" => args.profile = true,
             "--mode" => args.mode = value("--mode"),
-            "--push-only" => args.mode = "push".into(),
             "--threads" => {
                 args.threads = Some(value("--threads").parse().unwrap_or_else(|_| usage()));
             }
@@ -461,8 +461,6 @@ fn main() {
         dev.set_host_threads(t);
     }
     if args.sanitize {
-        // the flag only ever turns the sanitizer on; SAGE_SANITIZE=0 without
-        // --sanitize stays off
         dev.set_sanitize(true);
     }
     let mut engine: Box<dyn Engine> = if args.out_of_core && args.engine == "subway" {

@@ -147,12 +147,17 @@ pub fn charge_contraction(k: &mut Kernel<'_>, kept: usize, buffer_base: u64) {
     }
 }
 
-/// Geometry and concurrency knobs of the shared pull (bottom-up) driver —
-/// each engine keeps its push-side scheduling character in pull mode too.
+/// Geometry and concurrency knobs of the shared bottom-up drivers — each
+/// engine keeps its push-side scheduling character in pull mode too. An
+/// engine describes them once per run through
+/// [`Engine::bottom_up`](super::Engine::bottom_up).
 #[derive(Debug, Clone)]
 pub struct PullConfig {
-    /// Kernel name for the profiler breakdown.
+    /// Pull kernel name for the profiler breakdown.
     pub kernel: &'static str,
+    /// Matrix (masked SpMV) kernel name for the profiler breakdown; the
+    /// matrix gear takes no other knob from the engine.
+    pub matrix_kernel: &'static str,
     /// Vertices per block for SM placement.
     pub block_size: usize,
     /// Independent warps per SM (latency hiding).
@@ -168,7 +173,7 @@ pub struct PullConfig {
 /// `pull_update` per frontier member, early exit on a claim. Returns the
 /// number of in-edges examined.
 #[allow(clippy::too_many_arguments)]
-pub fn pull_scan_node(
+fn pull_scan_node(
     sh: &mut SmShard<'_, '_>,
     g: &DeviceGraph,
     app: &mut dyn App,

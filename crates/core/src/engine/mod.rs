@@ -29,7 +29,7 @@ pub use tigr::TigrEngine;
 
 use crate::app::App;
 use crate::dgraph::DeviceGraph;
-use crate::frontier::BitFrontier;
+use common::PullConfig;
 use gpu_sim::Device;
 use sage_graph::NodeId;
 
@@ -61,62 +61,14 @@ pub trait Engine {
         frontier: &[NodeId],
     ) -> IterationOutput;
 
-    /// True when the engine has a native pull (bottom-up) iteration path.
-    /// The default `iterate_pull` falls back to expanding the bitmap into a
-    /// queue and pushing, so push-only baselines stay correct when a runner
-    /// hands them a dense frontier.
-    fn supports_pull(&self) -> bool {
-        false
-    }
-
-    /// Pull iteration: scan candidate vertices' in-edges against the dense
-    /// `frontier` bitmap. Only called when the graph has an in-edge view and
-    /// the app supports pull. `next` comes back sorted and duplicate-free
-    /// (candidates are scanned in ascending order).
-    ///
-    /// `queue_base` is the device address of the sparse frontier queue: the
-    /// pull kernel fuses the bitmap build (prologue) and the next-queue
-    /// writes (atomic-cursor append) into its single launch, so the runner
-    /// skips the separate conversion and contraction kernels in pull
-    /// iterations.
-    fn iterate_pull(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        app: &mut dyn App,
-        frontier: &BitFrontier,
-        queue_base: u64,
-    ) -> IterationOutput {
-        let _ = queue_base;
-        let sparse = frontier.to_vec();
-        self.iterate(dev, g, app, &sparse)
-    }
-
-    /// True when the engine has a native matrix (SpMV) iteration path on
-    /// the tensor units. The default `iterate_matrix` falls back to pull
-    /// (which itself falls back to push), so runners can force the matrix
-    /// mode without breaking scalar-only baselines.
-    fn supports_matrix(&self) -> bool {
-        false
-    }
-
-    /// Matrix iteration: execute the step as `next = (A^T ⊙ mask) · f` —
-    /// masked SpMV of the reversed adjacency against the dense `frontier`
-    /// bitmap, processed as `block_dim`-square blocks on the matrix units
-    /// instead of lane-by-lane CSR scans. Only called when the graph has an
-    /// in-edge view and the app supports pull (the matrix mode applies
-    /// updates through the same pull contract, in the same ascending order,
-    /// so outputs stay bitwise identical to push). `queue_base` plays the
-    /// same fused-epilogue role as in [`Engine::iterate_pull`].
-    fn iterate_matrix(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        app: &mut dyn App,
-        frontier: &BitFrontier,
-        queue_base: u64,
-    ) -> IterationOutput {
-        self.iterate_pull(dev, g, app, frontier, queue_base)
+    /// The engine's bottom-up geometry, or `None` for a push-only engine.
+    /// The runner asks once per run and drives the shared pull scan
+    /// ([`common::pull_iterate`]) and masked SpMV ([`spmv::matrix_iterate`])
+    /// itself, so every engine keeps its push-side scheduling character in
+    /// both bottom-up gears.
+    fn bottom_up(&self, dev: &Device, g: &DeviceGraph) -> Option<PullConfig> {
+        let _ = (dev, g);
+        None
     }
 
     /// Drop any cross-run cached state (e.g. resident tiles).

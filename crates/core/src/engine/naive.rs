@@ -9,13 +9,11 @@
 //! other SM drained (inter-SM imbalance). This is the "none of the
 //! techniques" baseline of the ablation (Figure 10).
 
-use super::common::{charge_offset_reads, gather_filter_scattered, pull_iterate, PullConfig};
-use super::spmv::matrix_iterate;
+use super::common::{charge_offset_reads, gather_filter_scattered, PullConfig};
 use super::{Engine, IterationOutput};
 use crate::access::AccessRecorder;
 use crate::app::App;
 use crate::dgraph::DeviceGraph;
-use crate::frontier::BitFrontier;
 use gpu_sim::Device;
 use sage_graph::NodeId;
 
@@ -96,45 +94,19 @@ impl Engine for NaiveEngine {
         out
     }
 
-    fn supports_pull(&self) -> bool {
-        true
-    }
-
-    fn iterate_pull(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        app: &mut dyn App,
-        frontier: &BitFrontier,
-        queue_base: u64,
-    ) -> IterationOutput {
+    fn bottom_up(&self, dev: &Device, g: &DeviceGraph) -> Option<PullConfig> {
         let warp = dev.cfg().warp_size;
         let sms = dev.cfg().num_sms;
         // one thread per candidate vertex, no cooperation — the same
         // occupancy-limited character as the push kernel
         let warps_total = g.csr().num_nodes().div_ceil(warp);
-        let cfg = PullConfig {
+        Some(PullConfig {
             kernel: "naive_pull",
+            matrix_kernel: "naive_matrix",
             block_size: self.block_size,
             concurrency: (warps_total as f64 / sms as f64).max(1.0),
             cooperative: false,
-        };
-        pull_iterate(dev, g, app, frontier, &cfg, queue_base)
-    }
-
-    fn supports_matrix(&self) -> bool {
-        true
-    }
-
-    fn iterate_matrix(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        app: &mut dyn App,
-        frontier: &BitFrontier,
-        queue_base: u64,
-    ) -> IterationOutput {
-        matrix_iterate(dev, g, app, frontier, "naive_matrix", queue_base)
+        })
     }
 }
 

@@ -14,16 +14,14 @@
 //! (§6): each consumed tile's member nodes are reported to it.
 
 use super::common::{
-    charge_offset_reads, gather_filter_range, gather_filter_scattered, pull_iterate, NoObserver,
-    PullConfig, TileObserver,
+    charge_offset_reads, gather_filter_range, gather_filter_scattered, NoObserver, PullConfig,
+    TileObserver,
 };
 use super::sage_tp::SECTOR_NODES;
-use super::spmv::matrix_iterate;
 use super::{Engine, IterationOutput};
 use crate::access::AccessRecorder;
 use crate::app::App;
 use crate::dgraph::DeviceGraph;
-use crate::frontier::BitFrontier;
 use crate::reorder::Sampler;
 use gpu_sim::tile::{charge_shfl, charge_vote};
 use gpu_sim::{AccessKind, Device, Tile};
@@ -306,45 +304,19 @@ impl Engine for ResidentEngine {
         out
     }
 
-    fn supports_pull(&self) -> bool {
-        true
-    }
-
-    fn iterate_pull(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        app: &mut dyn App,
-        frontier: &BitFrontier,
-        queue_base: u64,
-    ) -> IterationOutput {
-        // Resident tile records describe *out*-adjacency, so pull iterations
-        // don't consult them; every warp independently claims candidates,
-        // keeping the full-occupancy stealing character.
-        let cfg = PullConfig {
+    fn bottom_up(&self, dev: &Device, _g: &DeviceGraph) -> Option<PullConfig> {
+        // Resident tile records describe *out*-adjacency, so neither
+        // bottom-up gear consults them: in pull every warp independently
+        // claims candidates, keeping the full-occupancy stealing character,
+        // and in matrix the adjacency fragments stream once per iteration,
+        // block-coalesced.
+        Some(PullConfig {
             kernel: "sage_pull",
+            matrix_kernel: "sage_matrix",
             block_size: self.block_size,
             concurrency: dev.cfg().max_resident_warps as f64,
             cooperative: true,
-        };
-        pull_iterate(dev, g, app, frontier, &cfg, queue_base)
-    }
-
-    fn supports_matrix(&self) -> bool {
-        true
-    }
-
-    fn iterate_matrix(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        app: &mut dyn App,
-        frontier: &BitFrontier,
-        queue_base: u64,
-    ) -> IterationOutput {
-        // Like pull, the matrix mode ignores resident tile records: the
-        // adjacency fragments stream once per iteration, block-coalesced.
-        matrix_iterate(dev, g, app, frontier, "sage_matrix", queue_base)
+        })
     }
 
     fn reset(&mut self) {

@@ -16,15 +16,12 @@
 //! fixes.
 
 use super::common::{
-    charge_offset_reads, gather_filter_range, gather_filter_scattered, pull_iterate, NoObserver,
-    PullConfig,
+    charge_offset_reads, gather_filter_range, gather_filter_scattered, NoObserver, PullConfig,
 };
-use super::spmv::matrix_iterate;
 use super::{Engine, IterationOutput};
 use crate::access::AccessRecorder;
 use crate::app::App;
 use crate::dgraph::DeviceGraph;
-use crate::frontier::BitFrontier;
 use gpu_sim::tile::{charge_partition, charge_shfl, charge_vote};
 use gpu_sim::{Device, Tile};
 use sage_graph::NodeId;
@@ -203,46 +200,20 @@ impl Engine for TiledPartitioningEngine {
         out
     }
 
-    fn supports_pull(&self) -> bool {
-        true
-    }
-
-    fn iterate_pull(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        app: &mut dyn App,
-        frontier: &BitFrontier,
-        queue_base: u64,
-    ) -> IterationOutput {
+    fn bottom_up(&self, dev: &Device, g: &DeviceGraph) -> Option<PullConfig> {
         let sms = dev.cfg().num_sms;
         // same latency-hiding character as the push kernel: the block's
         // tiles cooperate on one candidate's in-range at a time
         let blocks = g.csr().num_nodes().div_ceil(self.block_size);
         let warps_per_block = (self.block_size / dev.cfg().warp_size).max(1) as f64;
         let co_resident = (blocks as f64 / sms as f64).clamp(1.0, 2.0);
-        let cfg = PullConfig {
+        Some(PullConfig {
             kernel: "sage_tp_pull",
+            matrix_kernel: "sage_tp_matrix",
             block_size: self.block_size,
             concurrency: warps_per_block * co_resident,
             cooperative: true,
-        };
-        pull_iterate(dev, g, app, frontier, &cfg, queue_base)
-    }
-
-    fn supports_matrix(&self) -> bool {
-        true
-    }
-
-    fn iterate_matrix(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        app: &mut dyn App,
-        frontier: &BitFrontier,
-        queue_base: u64,
-    ) -> IterationOutput {
-        matrix_iterate(dev, g, app, frontier, "sage_tp_matrix", queue_base)
+        })
     }
 }
 

@@ -35,10 +35,10 @@ use crate::frontier::BitFrontier;
 use gpu_sim::{AccessKind, Device};
 use sage_graph::NodeId;
 
-/// Shared masked-SpMV iteration: every engine that advertises
-/// [`Engine::supports_matrix`](super::Engine::supports_matrix) delegates
-/// here so the mode's cost character (and its bitwise-deterministic event
-/// stream) is engine-independent.
+/// Shared masked-SpMV iteration: the runner drives it for every engine
+/// with a bottom-up geometry ([`Engine::bottom_up`](super::Engine::bottom_up)),
+/// so the mode's cost character (and its bitwise-deterministic event
+/// stream) is engine-independent; only the kernel name is the engine's.
 ///
 /// Per row-block of `block_dim` consecutive vertices (placed round-robin
 /// over SMs):
@@ -298,6 +298,7 @@ mod tests {
             } else {
                 let cfg = PullConfig {
                     kernel: "p",
+                    matrix_kernel: "m",
                     block_size: 256,
                     concurrency: 1.0,
                     cooperative: false,

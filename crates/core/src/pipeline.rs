@@ -7,19 +7,23 @@
 //! against the remaining unvisited edges and switches between **push**
 //! (expand the sparse queue's out-edges) and **pull** (scan unvisited
 //! vertices' in-edges against a dense bitmap of the frontier). Pull
-//! iterations require the graph's in-edge view ([`crate::DeviceGraph::with_in_edges`])
-//! plus pull support from both the engine and the app; otherwise the runner
-//! transparently stays push-only.
+//! iterations require the graph's in-edge view ([`crate::DeviceGraph::with_in_edges`]),
+//! an app with a pull contract and an engine that describes its bottom-up
+//! geometry ([`Engine::bottom_up`]); otherwise the runner transparently
+//! stays push-only. The runner drives both bottom-up gears itself, through
+//! [`crate::engine::common::pull_iterate`] and
+//! [`crate::engine::spmv::matrix_iterate`].
 //!
 //! The three-way policy adds a **matrix** gear on top: once the heuristic
 //! is in bottom-up territory *and* the frontier bitmap is dense enough,
-//! the iteration executes as a masked SpMV on the tensor units
-//! ([`crate::engine::spmv::matrix_iterate`]) instead of a scalar pull scan.
+//! the iteration executes as a masked SpMV on the tensor units instead of a
+//! scalar pull scan.
 //! Matrix iterations appear as `M` in the direction trace.
 
 use crate::app::{App, Step};
 use crate::dgraph::DeviceGraph;
-use crate::engine::common::{charge_bitmap_build, charge_contraction};
+use crate::engine::common::{charge_bitmap_build, charge_contraction, pull_iterate};
+use crate::engine::spmv::matrix_iterate;
 use crate::engine::Engine;
 use crate::frontier::Frontier;
 use crate::metrics::RunReport;
@@ -31,22 +35,16 @@ use sage_graph::NodeId;
 pub enum DirectionPolicy {
     /// Always push (the classic Figure 2 pipeline).
     PushOnly,
-    /// Beamer-style heuristic: switch push→pull when the frontier's
+    /// Three-way chooser. A Beamer-style alpha/beta state machine decides
+    /// push vs bottom-up: switch push→bottom-up when the frontier's
     /// out-edge mass `m_f` exceeds `m_u / alpha` (the frontier would touch
-    /// more edges than a bottom-up scan), and pull→push when the frontier
-    /// population `n_f` drops below `n / beta`.
-    Adaptive {
-        /// Push→pull edge-mass ratio (paper default 14).
-        alpha: f64,
-        /// Pull→push population ratio (paper default 24).
-        beta: f64,
-    },
-    /// Three-way chooser: the alpha/beta state machine decides push vs
-    /// bottom-up exactly as [`DirectionPolicy::Adaptive`] does; a bottom-up
+    /// more edges than a bottom-up scan), and back to push when the
+    /// frontier population `n_f` drops below `n / beta`. A bottom-up
     /// iteration then executes on the **matrix** units when the frontier
     /// bitmap is dense enough (`n_f / n ≥ density` — well-populated
     /// fragments amortize the block multiplies), and as a scalar pull scan
-    /// otherwise.
+    /// otherwise; `density: f64::INFINITY` gives the two-way push/pull
+    /// optimizer.
     Adaptive3 {
         /// Push→pull edge-mass ratio (paper default 14).
         alpha: f64,
@@ -63,15 +61,6 @@ pub enum DirectionPolicy {
 }
 
 impl DirectionPolicy {
-    /// The standard direction-optimizing configuration (α=14, β=24).
-    #[must_use]
-    pub fn adaptive() -> Self {
-        DirectionPolicy::Adaptive {
-            alpha: 14.0,
-            beta: 24.0,
-        }
-    }
-
     /// The three-way configuration: α=14, β=24, matrix above 5% frontier
     /// density.
     #[must_use]
@@ -158,7 +147,6 @@ impl Runner {
         let init = app.init(dev, g.csr(), source);
 
         let (alpha, beta, density) = match self.policy {
-            DirectionPolicy::Adaptive { alpha, beta } => (alpha, beta, f64::INFINITY),
             DirectionPolicy::Adaptive3 {
                 alpha,
                 beta,
@@ -166,20 +154,18 @@ impl Runner {
             } => (alpha, beta, density),
             DirectionPolicy::PushOnly | DirectionPolicy::MatrixOnly => (0.0, 0.0, 0.0),
         };
-        let bottom_up_capable = g.has_in_edges() && app.supports_pull();
-        let pull_ok = matches!(
-            self.policy,
-            DirectionPolicy::Adaptive { .. } | DirectionPolicy::Adaptive3 { .. }
-        ) && bottom_up_capable
-            && engine.supports_pull();
-        let matrix_ok = matches!(
-            self.policy,
-            DirectionPolicy::Adaptive3 { .. } | DirectionPolicy::MatrixOnly
-        ) && bottom_up_capable
-            && engine.supports_matrix();
-        // the alpha/beta state machine runs whenever *some* bottom-up path
-        // exists — an engine may offer matrix without scalar pull
-        let track = pull_ok || matrix_ok;
+        // the engine's bottom-up geometry, asked once per run and only when
+        // the policy, the graph and the app allow a bottom-up step; without
+        // it every iteration pushes and the alpha/beta state machine idles
+        let bottom_up = if self.policy != DirectionPolicy::PushOnly
+            && g.has_in_edges()
+            && app.supports_pull()
+        {
+            engine.bottom_up(dev, g)
+        } else {
+            None
+        };
+        let track = bottom_up.is_some();
 
         // unvisited-edge bookkeeping for the heuristic: m_u counts the
         // out-edges of vertices that have never been on a frontier
@@ -244,33 +230,33 @@ impl Runner {
                         pulling = false;
                     }
                     if pulling {
-                        mode = if matrix_ok && n_f >= density * n as f64 {
+                        mode = if n_f >= density * n as f64 {
                             Mode::Matrix
-                        } else if pull_ok {
-                            Mode::Pull
                         } else {
-                            Mode::Push
+                            Mode::Pull
                         };
                     }
                 }
             }
 
-            let out = match mode {
-                Mode::Pull => {
+            // (mode is Push whenever bottom_up is None)
+            let out = match (mode, &bottom_up) {
+                (Mode::Pull, Some(cfg)) => {
                     // dense iteration: the pull kernel fuses the bitmap
                     // build and the next-queue writes into its single launch
                     let dense = frontier.make_dense(n, bitmap_buf.base());
                     trace.push('<');
-                    engine.iterate_pull(dev, g, app, dense, frontier_buf.base())
+                    pull_iterate(dev, g, app, dense, cfg, frontier_buf.base())
                 }
-                Mode::Matrix => {
+                (Mode::Matrix, Some(cfg)) => {
                     // same fused single-launch shape, but the step runs as
                     // `(Aᵀ ⊙ mask) · f` on the matrix units
                     let dense = frontier.make_dense(n, bitmap_buf.base());
                     trace.push('M');
-                    engine.iterate_matrix(dev, g, app, dense, frontier_buf.base())
+                    let kernel = cfg.matrix_kernel;
+                    matrix_iterate(dev, g, app, dense, kernel, frontier_buf.base())
                 }
-                Mode::Push => {
+                _ => {
                     trace.push('>');
                     engine.iterate(dev, g, app, frontier.make_sparse())
                 }
@@ -378,7 +364,7 @@ impl Runner {
 mod tests {
     use super::*;
     use crate::app::{Bc, Bfs, Cc, PageRank, Sssp};
-    use crate::engine::NaiveEngine;
+    use crate::engine::{B40cEngine, NaiveEngine};
     use crate::reference;
     use gpu_sim::DeviceConfig;
     use sage_graph::gen::uniform_graph;
@@ -541,8 +527,13 @@ mod tests {
         );
         assert_eq!(dist_adaptive, expect);
 
+        // density ∞ never picks the matrix gear: the two-way optimizer
         let two_way = Runner {
-            policy: DirectionPolicy::adaptive(),
+            policy: DirectionPolicy::Adaptive3 {
+                alpha: 14.0,
+                beta: 24.0,
+                density: f64::INFINITY,
+            },
             ..Runner::default()
         };
         let r2 = two_way.run(&mut dev, &g, &mut eng, &mut app, 0);
@@ -596,6 +587,7 @@ mod tests {
     #[test]
     fn matrix_without_in_edges_falls_back_to_push() {
         let csr = small_graph();
+        let expect = reference::bfs_levels(&csr, 5);
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload(&mut dev, csr); // no in-edge view
         let mut app = Bfs::new(&mut dev);
@@ -604,5 +596,23 @@ mod tests {
         assert!(r.converged);
         assert!(!r.direction_trace.contains('M'));
         assert_eq!(dev.profiler().mma_ops, 0);
+
+        // an in-edge view but a push-only engine: no bottom-up geometry, so
+        // every iteration pushes under both bottom-up policies (where a
+        // pull engine goes bottom-up on the same graph)
+        let g = g.with_in_edges(&mut dev);
+        let r = Runner::new().run(&mut dev, &g, &mut eng, &mut app, 5);
+        assert!(
+            r.direction_trace.contains(['<', 'M']),
+            "{}",
+            r.direction_trace
+        );
+        let mut b40c = B40cEngine::new();
+        for runner in [Runner::new(), Runner::matrix_only()] {
+            let r = runner.run(&mut dev, &g, &mut b40c, &mut app, 5);
+            assert!(r.converged);
+            assert_eq!(r.direction_trace, ">".repeat(r.iterations));
+            assert_eq!(app.distances(), expect.as_slice());
+        }
     }
 }

@@ -117,11 +117,6 @@ impl SageRuntime {
         &self.graph
     }
 
-    /// The engine (for geometry tweaks / residency inspection).
-    pub fn engine_mut(&mut self) -> &mut ResidentEngine {
-        &mut self.engine
-    }
-
     /// Reordering rounds applied so far.
     #[must_use]
     pub fn rounds(&self) -> usize {

@@ -96,11 +96,6 @@ impl WalkEngine {
         self.alias.as_ref().map(|c| c.epoch)
     }
 
-    /// Drop the cached alias table (mirrors a cache sweep on reorder).
-    pub fn invalidate_alias(&mut self) {
-        self.alias = None;
-    }
-
     /// Run one batch: `spec.walks_per_source` walkers from each node of
     /// `sources` (current-id space), all stepping in lock-step inside a
     /// single `walk` kernel launch. `weight_ids`, when given, maps current

@@ -266,7 +266,11 @@ fn social_graph_adaptive_beats_push_with_identical_outputs() {
         // under the three-way policy dense frontiers take the matrix gear,
         // so the scalar pull arm needs the two-way policy to be exercised
         let two_way = Runner {
-            policy: DirectionPolicy::adaptive(),
+            policy: DirectionPolicy::Adaptive3 {
+                alpha: 14.0,
+                beta: 24.0,
+                density: f64::INFINITY,
+            },
             ..Runner::default()
         };
         let (pull, out_pull) = social_run(&csr, "bfs", source, &two_way, 1);

@@ -16,7 +16,6 @@
 
 use crate::csr::Csr;
 use crate::gen::{brain_graph, social_graph, web_graph, SocialParams};
-use crate::stats::GraphStats;
 
 /// The five evaluation datasets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,31 +108,12 @@ impl Dataset {
             }),
         }
     }
-
-    /// Generate at the default scale.
-    #[must_use]
-    pub fn generate_default(&self) -> Csr {
-        self.generate(1.0)
-    }
-
-    /// Table 1 row: name, category, |V|, |E|, |E|/|V|.
-    #[must_use]
-    pub fn table1_row(&self, g: &Csr) -> String {
-        let s = GraphStats::compute(g);
-        format!(
-            "{:<11} {:<15} {:>9} {:>10} {:>8.1}",
-            self.name(),
-            self.category(),
-            s.nodes,
-            s.edges,
-            s.avg_degree
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::GraphStats;
 
     #[test]
     fn all_datasets_generate_valid_graphs_at_test_scale() {

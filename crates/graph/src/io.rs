@@ -6,12 +6,10 @@
 //! header — loading it is O(read), matching the paper's "load CSR, answer
 //! queries immediately" workflow.
 
-use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::{EdgeIdx, NodeId};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
 /// Magic bytes of the binary CSR format.
 pub const CSR_MAGIC: &[u8; 8] = b"SAGECSR1";
@@ -33,13 +31,12 @@ pub enum ReadError {
         /// The offending line's content.
         content: String,
     },
-    /// A missing or unrecognised header (binary magic, MatrixMarket banner,
-    /// dimension line, DIMACS `p` line).
+    /// The binary format's magic bytes are missing or wrong.
     BadHeader(String),
     /// The input parsed but its arrays violate the CSR invariants.
     InvalidCsr(String),
-    /// The input declares more nodes (by a header or its largest id) than
-    /// its size can back; see [`node_budget`].
+    /// The input declares more nodes (by its largest id) than its size can
+    /// back; see [`node_budget`].
     TooManyNodes {
         /// Nodes the input declares.
         nodes: usize,
@@ -88,10 +85,10 @@ const NODES_PER_BYTE: usize = 16;
 const NODE_FLOOR: usize = 1 << 20;
 
 /// The most nodes `bytes` of text input may declare. A text graph's node
-/// count is only declared (by a header, or by the largest id), yet the CSR
-/// builder spends about 20 bytes per node, so without a bound a one-line
-/// file could demand gigabytes. An edge line names two nodes in at least
-/// four bytes, so real dumps stay far below the budget.
+/// count is only declared by its largest id, yet the CSR builder spends
+/// about 20 bytes per node, so without a bound a one-line file could demand
+/// gigabytes. An edge line names two nodes in at least four bytes, so real
+/// dumps stay far below the budget.
 #[must_use]
 pub fn node_budget(bytes: usize) -> usize {
     bytes.saturating_mul(NODES_PER_BYTE).max(NODE_FLOOR)
@@ -143,17 +140,6 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Csr, ReadError> {
     Ok(Csr::from_edges(num_nodes, &edges))
 }
 
-/// A node count from a file header, checked to fit [`NodeId`] before any
-/// array is sized by it.
-fn node_count(n: usize) -> Result<usize, ReadError> {
-    NodeId::try_from(n).map(|_| n).map_err(|_| {
-        ReadError::BadHeader(format!(
-            "node count {n} does not fit a {}-bit node id",
-            NodeId::BITS
-        ))
-    })
-}
-
 fn bad_line(lineno: usize, line: &str) -> ReadError {
     ReadError::Malformed {
         line: lineno + 1,
@@ -172,14 +158,6 @@ pub fn write_edge_list<W: Write>(g: &Csr, writer: W) -> io::Result<()> {
         writeln!(w, "{u} {v}")?;
     }
     w.flush()
-}
-
-/// Load an edge-list file.
-///
-/// # Errors
-/// Propagates IO and parse errors.
-pub fn load_edge_list(path: &Path) -> Result<Csr, ReadError> {
-    read_edge_list(std::fs::File::open(path)?)
 }
 
 /// Write a graph in the binary CSR format.
@@ -239,128 +217,6 @@ pub fn read_csr_binary<R: Read>(reader: R) -> Result<Csr, ReadError> {
         targets.push(NodeId::from_le_bytes(buf4));
     }
     Csr::from_parts(offsets, targets).map_err(ReadError::InvalidCsr)
-}
-
-/// Parse a MatrixMarket coordinate file (`%%MatrixMarket matrix coordinate
-/// ... general|symmetric`), the standard distribution format of
-/// SuiteSparse graphs. Entries are 1-indexed; values (weights) are ignored;
-/// `symmetric` matrices are mirrored.
-///
-/// # Errors
-/// [`ReadError::BadHeader`] on a missing banner or dimension line,
-/// [`ReadError::Malformed`] on a bad entry, [`ReadError::TooManyNodes`]
-/// when the dimensions exceed [`node_budget`].
-pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, ReadError> {
-    let mut lines = BufReader::new(reader).lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| ReadError::BadHeader("empty file".to_string()))??;
-    let mut bytes = header.len() + 1;
-    if !header.starts_with("%%MatrixMarket matrix coordinate") {
-        return Err(ReadError::BadHeader(format!(
-            "not a MatrixMarket coordinate header: {header:?}"
-        )));
-    }
-    let symmetric = header.contains("symmetric");
-
-    let mut dims: Option<(usize, usize, usize)> = None;
-    let mut coo = Coo::new(0);
-    for (lineno, line) in lines.enumerate() {
-        let line = line?;
-        bytes += line.len() + 1;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        if dims.is_none() {
-            let parse = |s: Option<&str>| -> Result<usize, ReadError> {
-                s.ok_or_else(|| bad_line(lineno, t))?
-                    .parse::<usize>()
-                    .map_err(|_| bad_line(lineno, t))
-            };
-            let rows = parse(it.next())?;
-            let cols = parse(it.next())?;
-            let nnz = parse(it.next())?;
-            dims = Some((rows, cols, nnz));
-            coo.num_nodes = node_count(rows.max(cols))?;
-            continue;
-        }
-        let parse = |s: Option<&str>| -> Result<u64, ReadError> {
-            s.ok_or_else(|| bad_line(lineno, t))?
-                .parse::<u64>()
-                .map_err(|_| bad_line(lineno, t))
-        };
-        let r = parse(it.next())?;
-        let c = parse(it.next())?;
-        if r == 0 || c == 0 || r as usize > coo.num_nodes || c as usize > coo.num_nodes {
-            return Err(bad_line(lineno, t));
-        }
-        // 1-indexed; weights (third column) ignored
-        coo.push((r - 1) as NodeId, (c - 1) as NodeId);
-    }
-    if dims.is_none() {
-        return Err(ReadError::BadHeader("missing dimension line".to_string()));
-    }
-    within_budget(coo.num_nodes, bytes)?;
-    Ok(if symmetric {
-        Csr::from_coo_symmetric(&coo)
-    } else {
-        Csr::from_coo(&coo)
-    })
-}
-
-/// Parse a DIMACS graph file (`p <type> <nodes> <edges>` header, `a`/`e`
-/// edge lines, `c` comments). Node ids are 1-indexed; arc weights are
-/// ignored.
-///
-/// # Errors
-/// [`ReadError::BadHeader`] on a missing `p` line,
-/// [`ReadError::Malformed`] on a bad edge line,
-/// [`ReadError::TooManyNodes`] when the `p` line exceeds [`node_budget`].
-pub fn read_dimacs<R: Read>(reader: R) -> Result<Csr, ReadError> {
-    let mut coo: Option<Coo> = None;
-    let mut bytes = 0usize;
-    for (lineno, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        bytes += line.len() + 1;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('c') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        match it.next() {
-            Some("p") => {
-                let _kind = it.next().ok_or_else(|| bad_line(lineno, t))?;
-                let n: usize = it
-                    .next()
-                    .ok_or_else(|| bad_line(lineno, t))?
-                    .parse()
-                    .map_err(|_| bad_line(lineno, t))?;
-                coo = Some(Coo::new(node_count(n)?));
-            }
-            Some("a") | Some("e") => {
-                let coo = coo
-                    .as_mut()
-                    .ok_or_else(|| ReadError::BadHeader("edge before p line".to_string()))?;
-                let parse = |s: Option<&str>| -> Result<u64, ReadError> {
-                    s.ok_or_else(|| bad_line(lineno, t))?
-                        .parse::<u64>()
-                        .map_err(|_| bad_line(lineno, t))
-                };
-                let u = parse(it.next())?;
-                let v = parse(it.next())?;
-                if u == 0 || v == 0 || u as usize > coo.num_nodes || v as usize > coo.num_nodes {
-                    return Err(bad_line(lineno, t));
-                }
-                coo.push((u - 1) as NodeId, (v - 1) as NodeId);
-            }
-            _ => return Err(bad_line(lineno, t)),
-        }
-    }
-    let coo = coo.ok_or_else(|| ReadError::BadHeader("missing p line".to_string()))?;
-    within_budget(coo.num_nodes, bytes)?;
-    Ok(Csr::from_coo(&coo))
 }
 
 #[cfg(test)]
@@ -453,70 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_market_general() {
-        let mm = "%%MatrixMarket matrix coordinate real general\n\
-                  % a comment\n\
-                  3 3 3\n1 2 0.5\n2 3 1.5\n3 1 2.5\n";
-        let g = read_matrix_market(Cursor::new(mm)).unwrap();
-        assert_eq!(g.num_nodes(), 3);
-        assert_eq!(g.neighbors(0), &[1]);
-        assert_eq!(g.neighbors(1), &[2]);
-        assert_eq!(g.neighbors(2), &[0]);
-    }
-
-    #[test]
-    fn matrix_market_symmetric_mirrors() {
-        let mm = "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n1 2\n";
-        let g = read_matrix_market(Cursor::new(mm)).unwrap();
-        assert_eq!(g.neighbors(0), &[1]);
-        assert_eq!(g.neighbors(1), &[0]);
-    }
-
-    #[test]
-    fn matrix_market_rejects_bad_input() {
-        assert!(read_matrix_market(Cursor::new("garbage\n")).is_err());
-        let no_dims = "%%MatrixMarket matrix coordinate real general\n";
-        assert!(read_matrix_market(Cursor::new(no_dims)).is_err());
-        let out_of_range = "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n";
-        assert!(read_matrix_market(Cursor::new(out_of_range)).is_err());
-    }
-
-    #[test]
-    fn dimacs_parses_arcs() {
-        let d = "c comment\np sp 4 3\na 1 2 7\na 2 3 1\ne 3 4 9\n";
-        let g = read_dimacs(Cursor::new(d)).unwrap();
-        assert_eq!(g.num_nodes(), 4);
-        assert_eq!(g.neighbors(0), &[1]);
-        assert_eq!(g.neighbors(1), &[2]);
-        assert_eq!(g.neighbors(2), &[3]);
-    }
-
-    #[test]
-    fn dimacs_rejects_bad_input() {
-        assert!(read_dimacs(Cursor::new("a 1 2\n")).is_err()); // edge before p
-        assert!(read_dimacs(Cursor::new("x nonsense\n")).is_err());
-        assert!(read_dimacs(Cursor::new("p sp 2 1\na 1 5 1\n")).is_err()); // range
-        assert!(read_dimacs(Cursor::new("c only comments\n")).is_err());
-    }
-
-    #[test]
-    fn matrix_market_rejects_node_count_beyond_node_id() {
-        for rows in ["18446744073709551615", "4294967296"] {
-            let mm = format!("%%MatrixMarket matrix coordinate real general\n{rows} 1 0\n");
-            let e = read_matrix_market(Cursor::new(mm)).unwrap_err();
-            assert!(matches!(e, ReadError::BadHeader(_)), "got {e:?}");
-        }
-    }
-
-    #[test]
-    fn dimacs_rejects_node_count_beyond_node_id() {
-        for n in ["18446744073709551615", "4294967296"] {
-            let e = read_dimacs(Cursor::new(format!("p sp {n} 0\n"))).unwrap_err();
-            assert!(matches!(e, ReadError::BadHeader(_)), "got {e:?}");
-        }
-    }
-
-    #[test]
     fn edge_list_rejects_id_beyond_node_count_range() {
         let e = read_edge_list(Cursor::new("0 1\n4294967295 0\n")).unwrap_err();
         assert!(
@@ -527,14 +319,8 @@ mod tests {
 
     #[test]
     fn text_readers_reject_node_counts_the_input_cannot_back() {
-        let too_many = |r: Result<Csr, ReadError>| {
-            let e = r.unwrap_err();
-            assert!(matches!(e, ReadError::TooManyNodes { .. }), "got {e:?}");
-        };
-        too_many(read_edge_list(Cursor::new("0 4000000000\n")));
-        too_many(read_dimacs(Cursor::new("p sp 4000000 0\n")));
-        let mm = "%%MatrixMarket matrix coordinate pattern general\n4000000 1 0\n";
-        too_many(read_matrix_market(Cursor::new(mm)));
+        let e = read_edge_list(Cursor::new("0 4000000000\n")).unwrap_err();
+        assert!(matches!(e, ReadError::TooManyNodes { .. }), "got {e:?}");
         // the floor admits sparse ids in small files
         let g = read_edge_list(Cursor::new("0 65535\n")).unwrap();
         assert_eq!(g.num_nodes(), 65536);

@@ -69,22 +69,19 @@ fn oracle_csr(n: usize, pairs: &[(NodeId, NodeId)]) -> Csr {
 }
 
 /// Strategy: at most 4 KiB of input for the graph readers. An optional
-/// well-formed prefix (binary magic and a small header, a MatrixMarket
-/// banner, a DIMACS `p` line) gets cases past the header checks. The body
-/// is up to a case-chosen number of record-like lines (an optional record
-/// letter, then one to three numbers of 1 to 10 digits); each case then
-/// overwrites none, a few, half or all of its bytes with arbitrary ones.
+/// well-formed prefix (binary magic and a small header) gets cases past the
+/// binary reader's header check. The body is up to a case-chosen number of
+/// record-like lines (an optional letter or comment mark, then one to three
+/// numbers of 1 to 10 digits); each case then overwrites none, a few, half
+/// or all of its bytes with arbitrary ones.
 fn reader_input() -> impl Strategy<Value = Vec<u8>> {
     const LINES: [usize; 4] = [1, 8, 64, 512];
-    let header = (0u8..6, 0u64..64, 0u64..256);
+    let header = (0u8..2, 0u64..64, 0u64..256);
     let body = prop::collection::vec(0u64..u64::MAX, 0..512);
     (header, 0usize..4, 0usize..4, body).prop_map(|((kind, n, m), lines, noise, body)| {
         let mut bytes = match kind {
-            0 | 1 => Vec::new(),
-            2 => [io::CSR_MAGIC.as_slice(), &n.to_le_bytes(), &m.to_le_bytes()].concat(),
-            3 => b"%%MatrixMarket matrix coordinate real general\n".to_vec(),
-            4 => b"%%MatrixMarket matrix coordinate pattern symmetric\n".to_vec(),
-            _ => format!("p sp {n} {m}\n").into_bytes(),
+            0 => Vec::new(),
+            _ => [io::CSR_MAGIC.as_slice(), &n.to_le_bytes(), &m.to_le_bytes()].concat(),
         };
         let head = bytes.len();
         for &h in body.iter().take(LINES[lines]) {
@@ -123,16 +120,9 @@ proptest! {
 
     #[test]
     fn readers_never_panic_on_arbitrary_bytes(input in reader_input()) {
-        let text = [
-            io::read_edge_list(Cursor::new(&input)),
-            io::read_dimacs(Cursor::new(&input)),
-            io::read_matrix_market(Cursor::new(&input)),
-        ];
-        for (i, read) in text.into_iter().enumerate() {
-            if let Ok(g) = read {
-                prop_assert!(g.validate().is_ok(), "text reader {i}");
-                prop_assert!(g.num_nodes() <= io::node_budget(input.len()), "text reader {i}");
-            }
+        if let Ok(g) = io::read_edge_list(Cursor::new(&input)) {
+            prop_assert!(g.validate().is_ok());
+            prop_assert!(g.num_nodes() <= io::node_budget(input.len()));
         }
         if let Ok(g) = io::read_csr_binary(Cursor::new(&input)) {
             prop_assert!(g.validate().is_ok());

@@ -117,15 +117,16 @@ impl SageService {
     }
 
     /// Register a graph; queries reference it by the returned id. Every
-    /// worker lazily builds its own adaptive runtime from this CSR.
+    /// worker lazily builds its own adaptive runtime from this CSR. `name`
+    /// is a label at the call site only: the service keeps no copy of it.
     pub fn register_graph(&self, name: &str, csr: Csr) -> GraphId {
+        let _ = name;
         let mut registry = self
             .registry
             .write()
             .unwrap_or_else(PoisonError::into_inner);
         let id = registry.len() as GraphId;
         registry.push(Arc::new(GraphEntry {
-            name: name.to_string(),
             csr,
             epoch: AtomicU64::new(0),
         }));
@@ -140,16 +141,6 @@ impl SageService {
             .unwrap_or_else(PoisonError::into_inner)
             .get(graph as usize)
             .map(|e| e.epoch.load(Ordering::Acquire))
-    }
-
-    /// Name a registered graph was registered under.
-    #[must_use]
-    pub fn graph_name(&self, graph: GraphId) -> Option<String> {
-        self.registry
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(graph as usize)
-            .map(|e| e.name.clone())
     }
 
     /// Validate and admit a query; returns a [`Ticket`] to wait on.

@@ -376,10 +376,10 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// PageRank iterations used for `pr` queries.
     pub pr_iters: usize,
-    /// Run every worker device under the race sanitizer; detected hazards
-    /// surface in each response's [`RunReport::hazards`] and in
-    /// [`crate::ServiceStats::hazards`]. The `SAGE_SANITIZE` environment
-    /// variable additionally overrides this at device construction.
+    /// Run every worker device under the race sanitizer (on top of the
+    /// device configuration's own `sanitize`); detected hazards surface in
+    /// each response's [`RunReport::hazards`] and in
+    /// [`crate::ServiceStats::hazards`].
     pub sanitize: bool,
 }
 

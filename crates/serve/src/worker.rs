@@ -22,7 +22,6 @@ use std::time::Instant;
 
 /// A registered graph, shared by the service front end and every worker.
 pub(crate) struct GraphEntry {
-    pub(crate) name: String,
     pub(crate) csr: Csr,
     /// Service-wide id-mapping version: bumped whenever *any* worker's
     /// runtime commits or rolls back a reordering round on this graph.

@@ -183,101 +183,6 @@ impl SectorCache {
     }
 }
 
-/// Most slices an L2 is split into (real GPU L2s run 16–40 slices).
-pub const MAX_L2_SLICES: usize = 16;
-
-/// An address-sliced cache: the device L2 split into independent slices the
-/// way real GPU L2s are, with lines interleaved across slices by
-/// `line mod num_slices`.
-///
-/// The slicing is **exactly** hit/miss-equivalent to one monolithic
-/// [`SectorCache`] with the same total geometry. With `S` total sets and
-/// `K` slices where `K` divides `S`, the monolithic cache groups two lines
-/// into the same set iff `line₁ ≡ line₂ (mod S)`. The sliced cache groups
-/// them iff they share a slice (`line₁ ≡ line₂ (mod K)`) *and* a slice-set
-/// (`⌊line₁/K⌋ ≡ ⌊line₂/K⌋ (mod S/K)`), which by the Chinese-remainder-style
-/// decomposition `line = K·⌊line/K⌋ + (line mod K)` is the same condition.
-/// Per-set LRU order only depends on the relative order of that set's
-/// probes, which slicing leaves untouched. So every probe returns the same
-/// [`Probe`] either way.
-#[derive(Debug, Clone)]
-pub struct SlicedCache {
-    slices: Vec<SectorCache>,
-    /// `log2(sectors per line)`.
-    line_shift: u32,
-    /// `log2(slice count)`.
-    slice_shift: u32,
-}
-
-impl SlicedCache {
-    /// Build a sliced cache with the same total geometry as
-    /// `SectorCache::new(lines, ways, sectors_per_line)`. The slice count is
-    /// the largest power of two dividing the set count, capped at
-    /// [`MAX_L2_SLICES`] (1 when the set count is odd).
-    #[must_use]
-    pub fn new(lines: usize, ways: usize, sectors_per_line: usize) -> Self {
-        assert!(ways > 0, "cache needs at least one way");
-        let sets = (lines / ways).max(1);
-        let max_exp = MAX_L2_SLICES.trailing_zeros();
-        let slice_shift = sets.trailing_zeros().min(max_exp);
-        let k = 1usize << slice_shift;
-        let slices = (0..k)
-            .map(|_| SectorCache::new((sets / k) * ways, ways, sectors_per_line))
-            .collect();
-        Self {
-            slices,
-            line_shift: sectors_per_line.trailing_zeros(),
-            slice_shift,
-        }
-    }
-
-    /// Number of slices.
-    #[must_use]
-    pub fn num_slices(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Total number of sets across slices.
-    #[must_use]
-    pub fn sets(&self) -> usize {
-        self.slices.iter().map(SectorCache::sets).sum()
-    }
-
-    /// The slice owning `sector_id` and the slice-local sector id to probe
-    /// it with: lines interleave across slices, so the local line is
-    /// `line / K` while the sector offset within the line is preserved.
-    #[must_use]
-    #[inline]
-    pub fn slice_and_local(&self, sector_id: u64) -> (usize, u64) {
-        let line = sector_id >> self.line_shift;
-        let offset = sector_id & ((1 << self.line_shift) - 1);
-        let local = ((line >> self.slice_shift) << self.line_shift) | offset;
-        ((line & ((1 << self.slice_shift) - 1)) as usize, local)
-    }
-
-    /// Probe (and fill) the owning slice for `sector_id`.
-    pub fn access(&mut self, sector_id: u64) -> Probe {
-        let (slice, local) = self.slice_and_local(sector_id);
-        self.slices[slice].access(local)
-    }
-
-    /// Invalidate every slice.
-    pub fn flush(&mut self) {
-        for s in &mut self.slices {
-            s.flush();
-        }
-    }
-
-    /// Summed `(hits, sector misses, line misses)` across slices.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64, u64) {
-        self.slices.iter().fold((0, 0, 0), |acc, s| {
-            let (h, sm, lm) = s.stats();
-            (acc.0 + h, acc.1 + sm, acc.2 + lm)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,63 +278,6 @@ mod tests {
             {
                 assert_eq!(f.rem(n), n % d as u64, "{n} mod {d}");
             }
-        }
-    }
-
-    #[test]
-    fn sliced_cache_matches_monolithic_probe_for_probe() {
-        // geometry with a power-of-two set count → 16 slices
-        let (lines, ways, spl) = (64, 4, 4);
-        let mut mono = SectorCache::new(lines, ways, spl);
-        let mut sliced = SlicedCache::new(lines, ways, spl);
-        assert_eq!(sliced.num_slices(), 16);
-        assert_eq!(sliced.sets(), mono.sets());
-        // deterministic pseudo-random probe stream with reuse and conflicts
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for i in 0..20_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let sector = if i % 3 == 0 { x % 256 } else { x % 4096 };
-            assert_eq!(
-                mono.access(sector),
-                sliced.access(sector),
-                "probe {i} sector {sector} diverged"
-            );
-        }
-        assert_eq!(mono.stats(), sliced.stats());
-    }
-
-    #[test]
-    fn sliced_cache_with_odd_sets_degenerates_to_one_slice() {
-        // 12 lines / 4 ways = 3 sets: odd, so K = 1
-        let mut mono = SectorCache::new(12, 4, 4);
-        let mut sliced = SlicedCache::new(12, 4, 4);
-        assert_eq!(sliced.num_slices(), 1);
-        for sector in [0u64, 12, 48, 0, 13, 97, 48, 5000, 0] {
-            assert_eq!(mono.access(sector), sliced.access(sector));
-        }
-    }
-
-    #[test]
-    fn sliced_cache_flush_and_stats() {
-        let mut c = SlicedCache::new(64, 4, 4);
-        c.access(7);
-        c.access(7);
-        assert_eq!(c.stats(), (1, 0, 1));
-        c.flush();
-        assert_eq!(c.access(7), Probe::LineMiss);
-    }
-
-    #[test]
-    fn slice_and_local_partitions_lines_bijectively() {
-        let c = SlicedCache::new(64, 4, 4);
-        let k = c.num_slices() as u64;
-        let mut seen = std::collections::HashSet::new();
-        for sector in 0..4096u64 {
-            let (slice, local) = c.slice_and_local(sector);
-            assert_eq!((sector / 4) % k, slice as u64);
-            assert!(seen.insert((slice, local)), "local ids must not collide");
         }
     }
 

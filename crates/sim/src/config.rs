@@ -184,9 +184,9 @@ pub struct DeviceConfig {
     /// Peer link to sibling GPUs (multi-GPU scenario).
     pub peer: PeerLinkConfig,
 
-    /// Run kernels under the shadow-memory race sanitizer. Overridable at
-    /// device construction by the `SAGE_SANITIZE` environment variable;
-    /// detection never changes simulated cycles or counters.
+    /// Run kernels under the shadow-memory race sanitizer (the initial
+    /// state of [`crate::Device::set_sanitize`]); detection never changes
+    /// simulated cycles or counters.
     pub sanitize: bool,
 
     /// Simulated device-memory capacity in bytes. The allocator does not

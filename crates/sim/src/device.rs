@@ -1,26 +1,12 @@
 //! The simulated device: configuration, caches, allocators, clock, profiler.
 
-use crate::cache::{Probe, SectorCache, SlicedCache};
+use crate::cache::{Probe, SectorCache};
 use crate::config::DeviceConfig;
 use crate::kernel::Kernel;
 use crate::mem::{Allocator, DeviceArray, MemSpace};
 use crate::profile::{Profiler, ReplayStats};
 use crate::sanitizer::{Hazard, HazardReport};
 use std::collections::HashMap;
-
-/// Resolve the sanitizer switch: the `SAGE_SANITIZE` environment variable
-/// overrides [`DeviceConfig::sanitize`] when set (`0` / `false` / `off` /
-/// `no` / empty disable, anything else enables).
-#[must_use]
-pub fn default_sanitize(cfg_default: bool) -> bool {
-    match std::env::var("SAGE_SANITIZE") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "false" | "off" | "no"
-        ),
-        Err(_) => cfg_default,
-    }
-}
 
 /// One simulated GPU.
 ///
@@ -32,7 +18,7 @@ pub struct Device {
     device_alloc: Allocator,
     host_alloc: Allocator,
     l1: Vec<SectorCache>,
-    l2: SlicedCache,
+    l2: SectorCache,
     profiler: Profiler,
     elapsed_cycles: f64,
     kernel_times: HashMap<String, (u64, f64)>,
@@ -84,8 +70,7 @@ impl Device {
         let l1 = (0..cfg.num_sms)
             .map(|_| SectorCache::new(cfg.l1.lines(cfg.line_bytes), cfg.l1.ways, spl))
             .collect();
-        let l2 = SlicedCache::new(cfg.l2.lines(cfg.line_bytes), cfg.l2.ways, spl);
-        let sanitize = default_sanitize(cfg.sanitize);
+        let l2 = SectorCache::new(cfg.l2.lines(cfg.line_bytes), cfg.l2.ways, spl);
         Self {
             device_alloc: Allocator::new(MemSpace::Device),
             host_alloc: Allocator::new(MemSpace::Host),
@@ -95,7 +80,7 @@ impl Device {
             elapsed_cycles: 0.0,
             kernel_times: HashMap::new(),
             host_threads: 1,
-            sanitize,
+            sanitize: cfg.sanitize,
             hazards: Vec::new(),
             streaming: Vec::new(),
             trace: Vec::new(),
@@ -129,11 +114,6 @@ impl Device {
     #[must_use]
     pub fn hazard_count(&self) -> usize {
         self.hazards.len()
-    }
-
-    /// Drop all recorded hazards.
-    pub fn clear_hazards(&mut self) {
-        self.hazards.clear();
     }
 
     pub(crate) fn record_hazards(&mut self, report: &HazardReport) {
@@ -246,19 +226,9 @@ impl Device {
         DeviceArray::new(&mut self.device_alloc, len, fill)
     }
 
-    /// Allocate a device-memory array from existing data.
-    pub fn alloc_from_vec<T: Clone>(&mut self, data: Vec<T>) -> DeviceArray<T> {
-        DeviceArray::from_vec(&mut self.device_alloc, data)
-    }
-
     /// Allocate a *host*-memory array (reads become PCIe traffic).
     pub fn alloc_host_array<T: Clone>(&mut self, len: usize, fill: T) -> DeviceArray<T> {
         DeviceArray::new(&mut self.host_alloc, len, fill)
-    }
-
-    /// Allocate a host-memory array from existing data.
-    pub fn alloc_host_from_vec<T: Clone>(&mut self, data: Vec<T>) -> DeviceArray<T> {
-        DeviceArray::from_vec(&mut self.host_alloc, data)
     }
 
     /// Device memory in use, bytes.

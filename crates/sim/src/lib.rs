@@ -49,14 +49,14 @@ pub mod sanitizer;
 pub mod tile;
 mod trace;
 
-pub use cache::{Probe, SectorCache, SlicedCache};
+pub use cache::{Probe, SectorCache};
 pub use config::{CacheConfig, CpuConfig, DeviceConfig, PcieConfig, PeerLinkConfig, TensorConfig};
 pub use cpu::Cpu;
-pub use device::{default_sanitize, Device};
+pub use device::Device;
 pub use host::{PoolAccess, UmPool};
 pub use kernel::{AccessKind, Kernel, KernelReport, SmShard};
 pub use mem::{Allocator, DeviceArray, MemSpace};
-pub use multi::{device_pool, DeviceGroup};
+pub use multi::device_pool;
 pub use profile::{Profiler, ReplayStats};
 pub use sanitizer::{Hazard, HazardKind, HazardParty, HazardReport};
 pub use tile::Tile;

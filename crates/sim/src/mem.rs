@@ -159,11 +159,6 @@ impl<T> DeviceArray<T> {
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
-
-    /// Mutable view of the underlying elements.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
 }
 
 impl<T> Index<usize> for DeviceArray<T> {

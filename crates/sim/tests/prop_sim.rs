@@ -4,7 +4,7 @@
 
 use gpu_sim::{
     pcie, AccessKind, Allocator, Device, DeviceConfig, MemSpace, PcieConfig, Probe, SectorCache,
-    SlicedCache, UmPool,
+    UmPool,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -133,19 +133,18 @@ proptest! {
     }
 
     #[test]
-    fn sliced_cache_matches_stamp_lru_oracle_at_default_l2(
+    fn sector_cache_matches_stamp_lru_oracle_at_default_l2(
         ops in prop::collection::vec((1u32..200, 0u64..1 << 48), 1..3000),
     ) {
         let cfg = DeviceConfig::default();
         let (lines, ways, spl) = (cfg.l2.lines(cfg.line_bytes), cfg.l2.ways, cfg.sectors_per_line());
-        let mut sliced = SlicedCache::new(lines, ways, spl);
+        let mut l2 = SectorCache::new(lines, ways, spl);
         let mut oracle = StampLru::new(lines, ways, spl);
-        prop_assert_eq!(sliced.num_slices(), 16);
-        prop_assert_eq!(sliced.sets(), oracle.sets);
+        prop_assert_eq!(l2.sets(), oracle.sets);
         for (i, op) in probe_stream(&ops, oracle.sets, ways, spl).into_iter().enumerate() {
             let sector = op.expect("stream has no flushes");
             prop_assert_eq!(
-                sliced.access(sector),
+                l2.access(sector),
                 oracle.access(sector),
                 "probe {} (sector {}) diverged",
                 i, sector
