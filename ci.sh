@@ -19,6 +19,15 @@ echo "== sage-lint: workspace invariant checker =="
 # malformed markers. The linter's own fixture suite runs under cargo test.
 cargo run -q -p sage-lint -- --workspace
 
+echo "== scheduling overhead: engines never convert instructions to time =="
+# gpu-sim's Kernel::finish turns tagged scheduling work into overhead next
+# to the kernel's cycles; an engine reading the issue width or the clock
+# would be a second formula
+if grep -rnE "issue_width|clock_hz" crates/core/src/engine/; then
+  echo "crates/core/src/engine/ must not mention issue_width or clock_hz" >&2
+  exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

@@ -60,7 +60,7 @@
 //! cargo run --release -p sage-bench --bin sage_cli -- bfs --dataset twitter --repeat 3 --profile
 //! ```
 
-use gpu_sim::Device;
+use gpu_sim::{Device, DeviceConfig};
 use sage::app::{App, Bc, Bfs, Cc, KCore, Mis, PageRank, Sssp};
 use sage::engine::{
     B40cEngine, Engine, GunrockEngine, LigraEngine, NaiveEngine, ResidentEngine, SubwayEngine,
@@ -350,7 +350,10 @@ fn serve_mode(args: &Args, csr: Csr) {
     let cfg = ServiceConfig {
         devices: args.devices.max(1),
         queue_capacity: args.requests.max(64) * 2,
-        sanitize: args.sanitize,
+        device_config: DeviceConfig {
+            sanitize: args.sanitize,
+            ..DeviceConfig::default()
+        },
         ..ServiceConfig::default()
     };
     println!(

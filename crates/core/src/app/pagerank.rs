@@ -66,12 +66,6 @@ impl PageRank {
     pub fn ranks(&self) -> &[f32] {
         self.pr_in.as_slice()
     }
-
-    /// L1 rank change of the last iteration (per node).
-    #[must_use]
-    pub fn last_delta(&self) -> f32 {
-        self.last_delta
-    }
 }
 
 impl App for PageRank {

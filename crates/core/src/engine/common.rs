@@ -259,12 +259,9 @@ pub fn pull_iterate(
     queue_base: u64,
 ) -> IterationOutput {
     let n = g.csr().num_nodes();
-    let clock = dev.cfg().clock_hz;
-    let issue = dev.cfg().issue_width;
     let mut out = IterationOutput::default();
     let mut rec = AccessRecorder::new();
     let mut scratch: Vec<u64> = Vec::new();
-    let mut overhead_insts = 0u64;
 
     let mut k = dev.launch(cfg.kernel);
     k.set_concurrency(cfg.concurrency);
@@ -315,8 +312,8 @@ pub fn pull_iterate(
             if cfg.cooperative {
                 // the tile elects the candidate leader and broadcasts its
                 // in-range before the coalesced strides
-                overhead_insts += charge_vote(&mut sh, tile);
-                overhead_insts += charge_shfl(&mut sh, tile);
+                charge_vote(&mut sh, tile);
+                charge_shfl(&mut sh, tile);
             }
             out.edges += pull_scan_node(
                 &mut sh,
@@ -352,7 +349,6 @@ pub fn pull_iterate(
     }
 
     let _ = k.finish();
-    out.overhead_seconds = overhead_insts as f64 / issue / clock;
     out
 }
 

@@ -41,9 +41,6 @@ pub struct IterationOutput {
     pub next: Vec<NodeId>,
     /// Edges traversed (filter invocations).
     pub edges: u64,
-    /// Seconds attributable to runtime scheduling overhead — elections,
-    /// shuffles, partitions (Table 3's numerator).
-    pub overhead_seconds: f64,
 }
 
 /// A traversal engine.

@@ -181,11 +181,12 @@ impl Engine for ResidentEngine {
         self.ensure_capacity(dev, g.csr().num_nodes(), g.csr().num_edges());
 
         // ---- kernel 1: expandTiles (Algorithm 3, lines 2-7) ----
-        let expand_start = dev.elapsed_seconds();
         let mut work: Vec<(NodeId, TileRec)> = Vec::new();
         let mut frags: Vec<(NodeId, u32)> = Vec::new();
         {
             let mut k = dev.launch("sage_expand_tiles");
+            // building the tile schedule is all this kernel does
+            k.mark_scheduling();
             k.set_concurrency(k.cfg().max_resident_warps as f64);
             // expandTiles is plain data-parallel work: grid-stride it so
             // every SM takes part even on small frontiers
@@ -243,10 +244,6 @@ impl Engine for ResidentEngine {
             }
             let _ = k.finish();
         }
-        // Table 3 reports the *scheduling* share; the fixed kernel-launch
-        // cost is not scheduling work, so it is excluded.
-        let launch_sec = dev.cfg().kernel_launch_cycles as f64 / dev.cfg().clock_hz;
-        out.overhead_seconds = (dev.elapsed_seconds() - expand_start - launch_sec).max(0.0);
 
         // ---- kernel 2: consume by stealing (Algorithm 3, lines 9-20) ----
         {

@@ -72,12 +72,9 @@ impl Engine for TiledPartitioningEngine {
         frontier: &[NodeId],
     ) -> IterationOutput {
         let sms = dev.cfg().num_sms;
-        let clock = dev.cfg().clock_hz;
-        let issue = dev.cfg().issue_width;
         let mut out = IterationOutput::default();
         let mut rec = AccessRecorder::new();
         let mut scratch = Vec::new();
-        let mut overhead_insts = 0u64;
 
         let blocks = frontier.len().div_ceil(self.block_size);
         let warps_per_block = (self.block_size / dev.cfg().warp_size).max(1) as f64;
@@ -132,22 +129,22 @@ impl Engine for TiledPartitioningEngine {
                     let hi = (lo + tile_size).min(chunk.len());
                     loop {
                         // line 9: tile.any(neighbor_size >= tile.size())
-                        overhead_insts += charge_vote(&mut sh, tile);
+                        charge_vote(&mut sh, tile);
                         let leader = (lo..hi).find(|&i| (end[i] - beg[i]) as usize >= tile_size);
                         let Some(li) = leader else { break };
                         // lines 10-19: elect + shfl(u_beg) + shfl(u_end) +
                         // shfl(frontier)
-                        overhead_insts += charge_vote(&mut sh, tile);
-                        overhead_insts += charge_shfl(&mut sh, tile);
-                        overhead_insts += charge_shfl(&mut sh, tile);
-                        overhead_insts += charge_shfl(&mut sh, tile);
+                        charge_vote(&mut sh, tile);
+                        charge_shfl(&mut sh, tile);
+                        charge_shfl(&mut sh, tile);
+                        charge_shfl(&mut sh, tile);
 
                         let f = chunk[li];
                         let d = end[li] - beg[li];
                         let strides = d / tile_size as u32;
                         for s in 0..strides {
                             // line 21: tile.all(gather < gather_end)
-                            overhead_insts += charge_vote(&mut sh, tile);
+                            charge_vote(&mut sh, tile);
                             out.edges += gather_filter_range(
                                 &mut sh,
                                 g,
@@ -166,7 +163,7 @@ impl Engine for TiledPartitioningEngine {
                     }
                 }
                 // line 28: cg::partition
-                overhead_insts += charge_partition(&mut sh, tile);
+                charge_partition(&mut sh, tile);
                 if tile_size == 1 {
                     break;
                 }
@@ -182,8 +179,8 @@ impl Engine for TiledPartitioningEngine {
                 }
             }
             // CTA-wide prefix scan over fragment counts
-            overhead_insts += 2 * (self.block_size.trailing_zeros() as u64);
-            sh.exec_uniform(2 * u64::from(self.block_size.trailing_zeros()));
+            let warp = sh.cfg().warp_size;
+            sh.exec_sched(2 * u64::from(self.block_size.trailing_zeros()), warp, warp);
             out.edges += gather_filter_scattered(
                 &mut sh,
                 g,
@@ -196,7 +193,6 @@ impl Engine for TiledPartitioningEngine {
         }
 
         let _ = k.finish();
-        out.overhead_seconds = overhead_insts as f64 / issue / clock;
         out
     }
 

@@ -72,8 +72,6 @@ pub fn matrix_iterate(
     queue_base: u64,
 ) -> IterationOutput {
     let n = g.csr().num_nodes();
-    let clock = dev.cfg().clock_hz;
-    let issue = dev.cfg().issue_width;
     let block_dim = dev.cfg().tensor.block_dim.max(1);
     let mut out = IterationOutput::default();
     let mut rec = AccessRecorder::new();
@@ -83,7 +81,6 @@ pub fn matrix_iterate(
     let mut runs: Vec<(usize, usize, u32, u32)> = Vec::new();
     let mut joined: Vec<bool> = Vec::new();
     let mut done: Vec<bool> = Vec::new();
-    let mut overhead_insts = 0u64;
 
     let row_blocks = n.div_ceil(block_dim);
     let mut k = dev.launch(kernel);
@@ -181,8 +178,7 @@ pub fn matrix_iterate(
             sh.access(AccessKind::Read, &scratch, 8);
             // one tensor op per active pair + fragment steering
             sh.mma(1);
-            sh.exec_uniform(2);
-            overhead_insts += 2;
+            sh.exec_sched(2, warp, warp);
 
             // gather the live rows' fragment slices cooperatively: the
             // warp's lanes pack the group's nonzeros into warp-wide loads
@@ -259,7 +255,6 @@ pub fn matrix_iterate(
     }
 
     let _ = k.finish();
-    out.overhead_seconds = overhead_insts as f64 / issue / clock;
     out
 }
 
@@ -325,7 +320,7 @@ mod tests {
         // every row here has a single one-block run, so each candidate's
         // first (and only) fragment covers all its in-edges
         assert_eq!(out.edges, g.in_csr().unwrap().num_edges() as u64);
-        assert!(out.overhead_seconds > 0.0, "fragment steering is charged");
+        assert!(dev.overhead_seconds() > 0.0, "fragment steering is charged");
     }
 
     #[test]

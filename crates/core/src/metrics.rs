@@ -64,8 +64,10 @@ pub struct RunReport {
     pub edges_examined: u64,
     /// Simulated wall-clock seconds.
     pub seconds: f64,
-    /// Simulated seconds spent in scheduling overhead (tiled partitioning
-    /// elections/partitions) — the numerator of Table 3.
+    /// The scheduling share of `seconds` (tile votes, shuffles and
+    /// partitions, fragment steering, the resident tile-schedule build) —
+    /// the numerator of Table 3. The device accounts it per kernel, so it
+    /// never exceeds `seconds`.
     pub overhead_seconds: f64,
     /// Per-iteration direction trace: `>` for a push iteration, `<` for a
     /// pull iteration, `M` for a matrix (masked SpMV on the tensor units)

@@ -136,6 +136,7 @@ impl Runner {
         source: NodeId,
     ) -> RunReport {
         let start = dev.elapsed_seconds();
+        let overhead_start = dev.overhead_seconds();
         // sage-lint: allow(wall-clock) — host telemetry only: reported as host_seconds, never mixed into the simulated clock or result values
         let host_start = std::time::Instant::now();
         let hazard_start = dev.hazard_count();
@@ -187,7 +188,6 @@ impl Runner {
         let mut iterations = 0usize;
         let mut edges = 0u64;
         let mut edges_examined = 0u64;
-        let mut overhead = 0.0f64;
         let mut trace = String::new();
         let mut converged = false;
         let mut pulling = false;
@@ -268,7 +268,6 @@ impl Runner {
             // collapse.
             edges += if mode == Mode::Push { out.edges } else { m_f };
             edges_examined += out.edges;
-            overhead += out.overhead_seconds;
             iterations += 1;
 
             // ---- contraction ----
@@ -326,7 +325,7 @@ impl Runner {
             edges,
             edges_examined,
             seconds: dev.elapsed_seconds() - start,
-            overhead_seconds: overhead,
+            overhead_seconds: dev.overhead_seconds() - overhead_start,
             direction_trace: trace,
             converged,
             latency: crate::metrics::LatencyBreakdown::default(),

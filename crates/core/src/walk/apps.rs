@@ -22,7 +22,6 @@ fn q32(p: f64) -> u32 {
 #[derive(Debug, Clone, Copy)]
 pub struct Ppr {
     alpha_q32: u32,
-    alpha: f64,
 }
 
 impl Ppr {
@@ -35,14 +34,7 @@ impl Ppr {
         assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
         Self {
             alpha_q32: q32(alpha),
-            alpha,
         }
-    }
-
-    /// The termination probability.
-    #[must_use]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 }
 
@@ -74,8 +66,6 @@ pub struct Node2vec {
     return_q32: u32,
     inward_q32: u32,
     outward_q32: u32,
-    p: f64,
-    q: f64,
 }
 
 impl Node2vec {
@@ -93,21 +83,7 @@ impl Node2vec {
             return_q32: q32(wr / m),
             inward_q32: q32(wi / m),
             outward_q32: q32(wo / m),
-            p,
-            q,
         }
-    }
-
-    /// The return parameter.
-    #[must_use]
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// The in-out parameter.
-    #[must_use]
-    pub fn q(&self) -> f64 {
-        self.q
     }
 }
 

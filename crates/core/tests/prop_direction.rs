@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use sage::app::{Bfs, Cc, PageRank};
 use sage::engine::{Engine, NaiveEngine, ResidentEngine, TiledPartitioningEngine};
 use sage::{reference, DeviceGraph, DirectionPolicy, RunReport, Runner};
-use sage_graph::gen::{social_graph, SocialParams};
+use sage_graph::gen::{rmat_graph, social_graph, SocialParams};
 use sage_graph::{Csr, NodeId};
 
 fn edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
@@ -40,15 +40,21 @@ fn star(n: usize) -> Csr {
     Csr::from_edges(n, &es)
 }
 
-/// The per-mode letters (`>` push, `<` pull, `M` matrix) of an adaptive
-/// run's trace account for every iteration.
+/// The per-mode letters (`>` push, `<` pull, `M` matrix) of a run's trace
+/// account for every iteration, and its scheduling overhead is a share of
+/// its run time.
 fn modes_add_up(r: &RunReport) -> bool {
     let counted = r
         .direction_trace
         .chars()
         .filter(|c| matches!(c, '>' | '<' | 'M'))
         .count();
-    counted == r.iterations
+    counted == r.iterations && overhead_within_run(r)
+}
+
+/// 0 <= `overhead_seconds` <= `seconds`.
+fn overhead_within_run(r: &RunReport) -> bool {
+    (0.0..=r.seconds).contains(&r.overhead_seconds)
 }
 
 proptest! {
@@ -71,7 +77,9 @@ proptest! {
             prop_assert_eq!(&adaptive, &expect, "adaptive {} vs reference", engine.name());
             prop_assert_eq!(app.distances(), adaptive.as_slice(),
                 "push-only {} vs adaptive", engine.name());
-            let _ = Runner::matrix_only().run(&mut dev, &dg, engine.as_mut(), &mut app, src);
+            let r = Runner::matrix_only().run(&mut dev, &dg, engine.as_mut(), &mut app, src);
+            prop_assert!(modes_add_up(&r), "matrix-forced {}: {} iterations, trace {}, overhead {} of {} s",
+                engine.name(), r.iterations, r.direction_trace, r.overhead_seconds, r.seconds);
             prop_assert_eq!(app.distances(), adaptive.as_slice(),
                 "matrix-forced {} vs adaptive", engine.name());
         }
@@ -93,7 +101,9 @@ proptest! {
             prop_assert_eq!(&adaptive, &expect, "adaptive {} vs reference", engine.name());
             prop_assert_eq!(app.labels(), adaptive.as_slice(),
                 "push-only {} vs adaptive", engine.name());
-            let _ = Runner::matrix_only().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
+            let r = Runner::matrix_only().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
+            prop_assert!(modes_add_up(&r), "matrix-forced {}: {} iterations, trace {}, overhead {} of {} s",
+                engine.name(), r.iterations, r.direction_trace, r.overhead_seconds, r.seconds);
             prop_assert_eq!(app.labels(), adaptive.as_slice(),
                 "matrix-forced {} vs adaptive", engine.name());
         }
@@ -116,7 +126,9 @@ proptest! {
             // device pipelines agree to the bit (the fixed-point accumulator
             // is order-independent); the host reference only approximately
             prop_assert_eq!(&push, &adaptive, "push-only {} vs adaptive", engine.name());
-            let _ = Runner::matrix_only().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
+            let r = Runner::matrix_only().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
+            prop_assert!(modes_add_up(&r), "matrix-forced {}: {} iterations, trace {}, overhead {} of {} s",
+                engine.name(), r.iterations, r.direction_trace, r.overhead_seconds, r.seconds);
             let matrix: Vec<u32> = app.ranks().iter().map(|p| p.to_bits()).collect();
             prop_assert_eq!(&matrix, &adaptive, "matrix-forced {} vs adaptive", engine.name());
             for (i, (&p, &pr)) in app.ranks().iter().zip(&expect).enumerate() {
@@ -183,6 +195,34 @@ fn direction_choice_is_engine_independent() {
         traces.windows(2).all(|w| w[0] == w[1]),
         "engines disagree on direction: {traces:?}"
     );
+}
+
+/// BFS from the max-degree node of R-MAT 2^16 on the default device: the
+/// scheduling overhead each engine reports is a share of its run time.
+/// Summing every SM's scheduling instructions once put the resident
+/// engine's overhead at nearly twice its run time.
+#[test]
+fn rmat_bfs_overhead_is_a_share_of_run_time() {
+    let csr = rmat_graph(16, 16, 1);
+    let (source, _) = csr.max_degree();
+    let engines: Vec<Box<dyn Engine>> = vec![
+        Box::new(ResidentEngine::new()),
+        Box::new(TiledPartitioningEngine::new()),
+        Box::new(NaiveEngine::new()),
+    ];
+    for mut engine in engines {
+        let mut dev = Device::new(DeviceConfig::default());
+        let g = DeviceGraph::upload(&mut dev, csr.clone()).with_in_edges(&mut dev);
+        let mut app = Bfs::new(&mut dev);
+        let r = Runner::new().run(&mut dev, &g, engine.as_mut(), &mut app, source);
+        assert!(
+            overhead_within_run(&r),
+            "{}: overhead {} s of {} s",
+            engine.name(),
+            r.overhead_seconds,
+            r.seconds
+        );
+    }
 }
 
 /// One run on the 6,000-node social graph: the report plus the app's output

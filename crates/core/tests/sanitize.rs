@@ -1,8 +1,9 @@
 //! Race-sanitizer suite: on random power-law graphs, every engine ×
 //! {BFS, CC, PR, MIS} × {push-only, adaptive} pipeline must be hazard-free, and
 //! enabling the sanitizer must never perturb the simulation — application
-//! outputs, simulated cycles, and every cache counter stay **bitwise
-//! identical** at 1 and 4 host threads. The deliberately racy fixture
+//! outputs, simulated cycles, the scheduling overhead (always a share of the
+//! run time) and every cache counter stay **bitwise identical** at 1 and 4
+//! host threads. The deliberately racy fixture
 //! kernel proves the detector actually fires, exactly once.
 
 use gpu_sim::{Device, DeviceConfig, HazardKind};
@@ -117,6 +118,7 @@ struct Fingerprint {
     outputs: Vec<u32>,
     sim_cycles: u64,
     report_seconds: u64,
+    overhead_seconds: u64,
     l1_hits: u64,
     l2_hits: u64,
     dram: u64,
@@ -172,12 +174,20 @@ fn run_once(
             (r, a.members())
         }
     };
+    assert!(
+        (0.0..=report.seconds).contains(&report.overhead_seconds),
+        "{}: overhead {} s of {} s",
+        entry.name,
+        report.overhead_seconds,
+        report.seconds
+    );
     let cycles = dev.elapsed_cycles();
     let p = dev.profiler();
     let fp = Fingerprint {
         outputs,
         sim_cycles: cycles.to_bits(),
         report_seconds: report.seconds.to_bits(),
+        overhead_seconds: report.overhead_seconds.to_bits(),
         l1_hits: p.l1_hit_sectors,
         l2_hits: p.l2_hit_sectors,
         dram: p.dram_sectors,

@@ -56,12 +56,6 @@ impl MsBfs {
         }
     }
 
-    /// Number of batched sources.
-    #[must_use]
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
-    }
-
     /// Distances from source slot `j`, as a per-node vector in current-id
     /// space (-1 = unreached).
     #[must_use]
@@ -206,12 +200,6 @@ impl MsSssp {
             Some(orig) => synthetic_weight(orig[u as usize], orig[v as usize]),
             None => synthetic_weight(u, v),
         }
-    }
-
-    /// Number of batched sources.
-    #[must_use]
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
     }
 
     /// Distances from source slot `j` in current-id space

@@ -76,9 +76,7 @@ impl SageService {
         let mut profiles = Vec::with_capacity(cfg.devices);
         let mut hazard_slots = Vec::with_capacity(cfg.devices);
         let mut workers = Vec::with_capacity(cfg.devices);
-        let mut device_config = cfg.device_config.clone();
-        device_config.sanitize |= cfg.sanitize;
-        for (id, dev) in device_pool(&device_config, cfg.devices)
+        for (id, dev) in device_pool(&cfg.device_config, cfg.devices)
             .into_iter()
             .enumerate()
         {

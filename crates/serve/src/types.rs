@@ -351,7 +351,10 @@ impl Default for WalkPolicy {
 pub struct ServiceConfig {
     /// Worker/device count (each worker owns one simulated device).
     pub devices: usize,
-    /// Configuration each pooled device is built from.
+    /// Configuration each pooled device is built from. Its `sanitize` runs
+    /// every worker device under the race sanitizer; detected hazards
+    /// surface in each response's [`RunReport::hazards`] and in
+    /// [`crate::ServiceStats::hazards`].
     pub device_config: DeviceConfig,
     /// Admission-queue capacity across all workers; submissions beyond it
     /// fail with [`ServiceError::Overloaded`].
@@ -359,10 +362,6 @@ pub struct ServiceConfig {
     /// Maximum queries fused into one execution batch for traversal apps
     /// (`Walk` queries use [`ServiceConfig::walk_batch`] instead).
     pub max_batch: usize,
-    /// Sources fused per multi-source frontier launch (BFS/SSSP). Clamped
-    /// to the frontier bitmask width of 64; the historical hardcoded value
-    /// is the default.
-    pub ms_source_cap: usize,
     /// Maximum walk queries fused into one walk-kernel launch. Walks have
     /// no bitmask constraint — every fused query just adds walker lanes —
     /// so this defaults far above `max_batch`.
@@ -376,11 +375,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// PageRank iterations used for `pr` queries.
     pub pr_iters: usize,
-    /// Run every worker device under the race sanitizer (on top of the
-    /// device configuration's own `sanitize`); detected hazards surface in
-    /// each response's [`RunReport::hazards`] and in
-    /// [`crate::ServiceStats::hazards`].
-    pub sanitize: bool,
 }
 
 impl Default for ServiceConfig {
@@ -390,13 +384,11 @@ impl Default for ServiceConfig {
             device_config: DeviceConfig::default(),
             queue_capacity: 256,
             max_batch: 32,
-            ms_source_cap: 64,
             walk_batch: 4096,
             walk: WalkPolicy::default(),
             reorder_threshold: None,
             cache_capacity: 1024,
             pr_iters: 10,
-            sanitize: false,
         }
     }
 }
@@ -410,7 +402,6 @@ impl ServiceConfig {
             device_config: DeviceConfig::test_tiny(),
             queue_capacity: 64,
             max_batch: 16,
-            ms_source_cap: 64,
             walk_batch: 4096,
             walk: WalkPolicy {
                 walks_per_source: 16,
@@ -420,7 +411,6 @@ impl ServiceConfig {
             reorder_threshold: Some(4_000),
             cache_capacity: 256,
             pr_iters: 5,
-            sanitize: false,
         }
     }
 }

@@ -258,12 +258,9 @@ fn execute(
         Some(agg) => agg.accumulate(&r),
         None => *report = Some(r),
     };
-    // config-driven fusion width for the bitmask-based multi-source apps,
-    // clamped to the frontier-bitmask width
-    let ms_cap = cfg.ms_source_cap.clamp(1, MAX_SOURCES);
     match app {
         AppKind::Bfs if sources.len() > 1 => {
-            for chunk in sources.chunks(ms_cap) {
+            for chunk in sources.chunks(MAX_SOURCES) {
                 let cur: Vec<NodeId> = chunk.iter().map(|&s| state.rt.current_id(s)).collect();
                 let mut ms = MsBfs::new(dev, &cur);
                 merge(state.rt.run(dev, &mut ms, chunk[0]), &mut report);
@@ -286,7 +283,7 @@ fn execute(
             // edge weights from original ids, so distances stay invariant
             // under the runtime's reordering
             let orig_of = state.rt.permutation().inverse().as_slice().to_vec();
-            for chunk in sources.chunks(ms_cap) {
+            for chunk in sources.chunks(MAX_SOURCES) {
                 let cur: Vec<NodeId> = chunk.iter().map(|&s| state.rt.current_id(s)).collect();
                 let mut ms = MsSssp::new(dev, &cur).with_weight_ids(orig_of.clone());
                 merge(state.rt.run(dev, &mut ms, chunk[0]), &mut report);

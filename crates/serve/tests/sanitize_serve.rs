@@ -9,10 +9,8 @@ use sage_graph::gen::uniform_graph;
 use sage_serve::{AppKind, MsBfs, MsSssp, QueryRequest, SageService, ServiceConfig};
 
 fn sanitized_service(devices: usize) -> SageService {
-    let cfg = ServiceConfig {
-        sanitize: true,
-        ..ServiceConfig::test_config(devices)
-    };
+    let mut cfg = ServiceConfig::test_config(devices);
+    cfg.device_config.sanitize = true;
     SageService::start(cfg)
 }
 

@@ -175,12 +175,6 @@ impl SectorCache {
     pub fn sets(&self) -> usize {
         self.sets.d as usize
     }
-
-    /// Associativity.
-    #[must_use]
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
 }
 
 #[cfg(test)]

@@ -25,6 +25,19 @@
 //! applies the device-wide DRAM/L2/PCIe bandwidth bounds plus the fixed
 //! launch overhead.
 //!
+//! # Scheduling overhead
+//!
+//! Warp instructions issued through [`SmShard::exec_sched`] (the tile
+//! votes, shuffles and partitions of `crate::tile`, plus the engines'
+//! fragment steering) are scheduling work as well as ordinary issue. An
+//! unmarked kernel's overhead is its critical SM's scheduling instructions
+//! divided by `issue_width` — the critical SM being the one with the most
+//! cycles, the first on ties. A kernel marked with
+//! [`Kernel::mark_scheduling`] does nothing but build a schedule, so all of
+//! its cycles but the launch count. Either way the overhead is bounded by
+//! the kernel's own cycles; [`Kernel::finish`] charges it to the device's
+//! running total ([`crate::device::Device::overhead_seconds`]).
+//!
 //! # Execution routes
 //!
 //! With [`crate::device::Device::host_threads`] at 1 every cache probe runs
@@ -81,6 +94,8 @@ pub(crate) struct SmCounters {
     pub syncs: u64,
     pub host_sectors: u64,
     pub mma_ops: u64,
+    /// The part of `warp_insts` issued as scheduling work.
+    pub sched_insts: u64,
 }
 
 /// Timing summary returned by [`Kernel::finish`].
@@ -141,6 +156,8 @@ pub struct Kernel<'d> {
     /// Streaming reads charged at the access instead of probed (telemetry
     /// for `ReplayStats`, reported on the recorded route only).
     elided: u64,
+    /// Set by [`Kernel::mark_scheduling`].
+    scheduling: bool,
     shadow: Option<ShadowTracker>,
     started: Instant,
 }
@@ -162,6 +179,7 @@ impl<'d> Kernel<'d> {
             host_requests: 0,
             trace,
             elided: 0,
+            scheduling: false,
             shadow,
             // sage-lint: allow(wall-clock) — host-side telemetry only: measures real replay cost, never feeds simulated cycles or RunReport determinism
             started: Instant::now(),
@@ -188,6 +206,12 @@ impl<'d> Kernel<'d> {
     pub fn set_concurrency(&mut self, streams: f64) {
         let cap = self.dev.cfg().max_resident_warps as f64;
         self.concurrency = streams.clamp(1.0, cap);
+    }
+
+    /// Mark this kernel as pure schedule construction: every cycle but the
+    /// launch counts as scheduling overhead.
+    pub fn mark_scheduling(&mut self) {
+        self.scheduling = true;
     }
 
     /// Current latency-hiding concurrency.
@@ -568,7 +592,12 @@ impl<'d> Kernel<'d> {
             self.host_bytes,
             self.host_requests,
         );
-        self.dev.charge(&br.totals, br.cycles);
+        let overhead = if self.scheduling {
+            br.cycles - self.dev.cfg().kernel_launch_cycles as f64
+        } else {
+            br.critical_sched_insts as f64 / self.dev.cfg().issue_width
+        };
+        self.dev.charge(&br.totals, br.cycles, overhead);
         self.dev.charge_named(&self.name, br.cycles);
         KernelReport {
             seconds: self.dev.cfg().cycles_to_seconds(br.cycles),
@@ -593,6 +622,8 @@ struct CycleBreakdown {
     totals: Profiler,
     cycles: f64,
     max_sm: f64,
+    /// Scheduling instructions of the SM with the most cycles.
+    critical_sched_insts: u64,
     mean_sm: f64,
     active_sms: usize,
     dram_bytes: u64,
@@ -610,6 +641,7 @@ fn compute_cycles(
         ..Profiler::default()
     };
     let mut max_sm = 0.0f64;
+    let mut critical_sched_insts = 0u64;
     let mut sum_sm = 0.0f64;
     let mut active_sms = 0usize;
     let mut dram_bytes = 0u64;
@@ -635,7 +667,10 @@ fn compute_cycles(
         let exposed = latency_sum / concurrency;
         let sync_cost = c.syncs as f64 * cfg.block_sync_cycles as f64;
         let sm_cycles = issue.max(mem_pipe).max(exposed).max(tensor_pipe) + sync_cost;
-        max_sm = max_sm.max(sm_cycles);
+        if sm_cycles > max_sm {
+            max_sm = sm_cycles;
+            critical_sched_insts = c.sched_insts;
+        }
         sum_sm += sm_cycles;
 
         totals.warp_insts += c.warp_insts;
@@ -682,6 +717,7 @@ fn compute_cycles(
         totals,
         cycles,
         max_sm,
+        critical_sched_insts,
         mean_sm: if active_sms == 0 {
             0.0
         } else {
@@ -716,6 +752,13 @@ impl<'d> SmShard<'_, 'd> {
     /// Issue warp instructions on this shard's SM ([`Kernel::exec`]).
     pub fn exec(&mut self, warp_insts: u64, active: usize, width: usize) {
         self.k.exec(self.sm, warp_insts, active, width);
+    }
+
+    /// Issue scheduling instructions on this shard's SM: the same cost as
+    /// [`Self::exec`], also counted as scheduling overhead.
+    pub fn exec_sched(&mut self, warp_insts: u64, active: usize, width: usize) {
+        self.k.exec(self.sm, warp_insts, active, width);
+        self.k.per_sm[self.sm].sched_insts += warp_insts;
     }
 
     /// Issue fully-converged instructions ([`Kernel::exec_uniform`]).
@@ -792,6 +835,55 @@ mod tests {
         k.exec_uniform(0, 2000);
         let r2 = k.finish();
         assert!(r2.cycles > r1.cycles);
+    }
+
+    #[test]
+    fn scheduling_overhead_follows_the_two_rules() {
+        let cfg = DeviceConfig::test_tiny();
+        let (w, issue) = (cfg.warp_size, cfg.issue_width);
+        let launch = cfg.kernel_launch_cycles as f64;
+
+        // no scheduling instructions: no overhead
+        let mut d = dev();
+        let mut k = d.launch("plain");
+        k.exec_uniform(0, 400);
+        k.access(1, AccessKind::Read, &[512], 4);
+        let _ = k.finish();
+        assert_eq!(d.overhead_seconds(), 0.0);
+
+        // unmarked: the critical SM's scheduling instructions over the issue
+        // width — SM 0 has the most cycles, so SM 1's larger count is not it
+        let mut d = dev();
+        let mut k = d.launch("mixed");
+        k.exec_uniform(0, 1000);
+        k.shard(0).exec_sched(10, w, w);
+        k.shard(1).exec_sched(500, w, w);
+        let _ = k.finish();
+        assert_eq!(d.overhead_seconds(), cfg.cycles_to_seconds(10.0 / issue));
+
+        // only scheduling instructions: bounded by the kernel's cycles
+        let mut d = dev();
+        let mut k = d.launch("sched");
+        k.shard(0).exec_sched(400, w, w);
+        k.shard(1).exec_sched(100, w, w);
+        let _ = k.finish();
+        assert_eq!(d.overhead_seconds(), cfg.cycles_to_seconds(400.0 / issue));
+        assert!(d.overhead_seconds() < d.elapsed_seconds());
+
+        // marked: every cycle but the launch, whatever the instructions are
+        let mut d = dev();
+        let mut k = d.launch("schedule");
+        k.mark_scheduling();
+        k.exec_uniform(0, 400);
+        k.access(1, AccessKind::Write, &[4096], 4);
+        let r = k.finish();
+        assert_eq!(
+            d.overhead_seconds(),
+            cfg.cycles_to_seconds(r.cycles - launch)
+        );
+        assert!(d.overhead_seconds() > 0.0);
+        d.reset_clock();
+        assert_eq!(d.overhead_seconds(), 0.0);
     }
 
     #[test]

@@ -99,16 +99,6 @@ impl<T: Clone> DeviceArray<T> {
         }
     }
 
-    /// Allocate an array holding the given elements.
-    pub fn from_vec(alloc: &mut Allocator, data: Vec<T>) -> Self {
-        let base = alloc.alloc(data.len() * std::mem::size_of::<T>());
-        Self {
-            base,
-            space: alloc.space(),
-            data,
-        }
-    }
-
     /// Reset all elements to `fill` (functional only; charges nothing).
     pub fn fill(&mut self, fill: T) {
         self.data.fill(fill);
@@ -116,12 +106,6 @@ impl<T: Clone> DeviceArray<T> {
 }
 
 impl<T> DeviceArray<T> {
-    /// Element size in bytes.
-    #[must_use]
-    pub fn elem_bytes(&self) -> usize {
-        std::mem::size_of::<T>()
-    }
-
     /// Address of element `i`.
     #[inline]
     #[must_use]
@@ -224,14 +208,6 @@ mod tests {
         assert_eq!(arr[0], -1);
         arr.fill(7);
         assert_eq!(arr.as_slice(), &[7, 7, 7, 7]);
-    }
-
-    #[test]
-    fn from_vec_preserves_contents() {
-        let mut a = Allocator::new(MemSpace::Device);
-        let arr = DeviceArray::from_vec(&mut a, vec![3u8, 1, 4]);
-        assert_eq!(arr.as_slice(), &[3, 1, 4]);
-        assert_eq!(arr.elem_bytes(), 1);
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl Profiler {
         self.l1_hit_sectors + self.l2_hit_sectors + self.dram_sectors
     }
 
-    /// DRAM bytes moved (sectors × 32).
-    #[must_use]
-    pub fn dram_bytes(&self) -> u64 {
-        self.dram_sectors * 32
-    }
-
     /// Merge another profiler's counters into this one.
     pub fn merge(&mut self, other: &Profiler) {
         self.kernels += other.kernels;
@@ -249,7 +243,6 @@ mod tests {
         assert!((p.l1_hit_rate() - 0.6).abs() < 1e-12);
         assert!((p.l2_hit_rate() - 0.75).abs() < 1e-12);
         assert!((p.simt_efficiency() - 0.5).abs() < 1e-12);
-        assert_eq!(p.dram_bytes(), 320);
     }
 
     #[test]

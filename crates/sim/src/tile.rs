@@ -9,7 +9,9 @@
 //! Costs: a primitive on a tile that fits in one warp is a single hardware
 //! instruction; a tile spanning `w` warps must go through shared memory and
 //! a barrier, costing `w` per-warp instructions plus a reduction tree of
-//! depth `log2(w)` and one block barrier.
+//! depth `log2(w)` and one block barrier. Every primitive issues through
+//! [`SmShard::exec_sched`], so its instructions count as scheduling
+//! overhead.
 
 use crate::config::DeviceConfig;
 use crate::kernel::SmShard;
@@ -61,14 +63,13 @@ impl Tile {
     }
 }
 
-/// Charge one `any`/`all`/`elect` vote over the tile to the shard's SM;
-/// returns the warp instructions charged (for overhead accounting).
-pub fn charge_vote(sh: &mut SmShard<'_, '_>, tile: Tile) -> u64 {
+/// Charge one `any`/`all`/`elect` vote over the tile to the shard's SM.
+pub fn charge_vote(sh: &mut SmShard<'_, '_>, tile: Tile) {
     let w = tile.warps(sh.cfg());
     let cfg_vote = sh.cfg().vote_cycles;
     // each warp ballots, then a log-depth combine for multi-warp tiles
     let insts = w as u64 * cfg_vote + (w as u64).next_power_of_two().trailing_zeros() as u64;
-    sh.exec(
+    sh.exec_sched(
         insts,
         tile.size().min(sh.cfg().warp_size),
         sh.cfg().warp_size,
@@ -76,15 +77,13 @@ pub fn charge_vote(sh: &mut SmShard<'_, '_>, tile: Tile) -> u64 {
     if w > 1 {
         sh.sync();
     }
-    insts
 }
 
-/// Charge one `shfl` broadcast over the tile to the shard's SM; returns the
-/// warp instructions charged.
-pub fn charge_shfl(sh: &mut SmShard<'_, '_>, tile: Tile) -> u64 {
+/// Charge one `shfl` broadcast over the tile to the shard's SM.
+pub fn charge_shfl(sh: &mut SmShard<'_, '_>, tile: Tile) {
     let w = tile.warps(sh.cfg());
     let insts = w as u64 * sh.cfg().shuffle_cycles;
-    sh.exec(
+    sh.exec_sched(
         insts,
         tile.size().min(sh.cfg().warp_size),
         sh.cfg().warp_size,
@@ -92,16 +91,14 @@ pub fn charge_shfl(sh: &mut SmShard<'_, '_>, tile: Tile) -> u64 {
     if w > 1 {
         sh.sync();
     }
-    insts
 }
 
 /// Charge a `cg::partition` of the tile to the shard's SM (index
-/// recomputation plus a releasing barrier for multi-warp groups); returns
-/// the warp instructions charged.
-pub fn charge_partition(sh: &mut SmShard<'_, '_>, tile: Tile) -> u64 {
+/// recomputation plus a releasing barrier for multi-warp groups).
+pub fn charge_partition(sh: &mut SmShard<'_, '_>, tile: Tile) {
     let w = tile.warps(sh.cfg());
     let insts = 2 + w as u64;
-    sh.exec(
+    sh.exec_sched(
         insts,
         tile.size().min(sh.cfg().warp_size),
         sh.cfg().warp_size,
@@ -109,7 +106,6 @@ pub fn charge_partition(sh: &mut SmShard<'_, '_>, tile: Tile) -> u64 {
     if w > 1 {
         sh.sync();
     }
-    insts
 }
 
 /// The sizes a tile of `block` threads passes through while binary
@@ -175,16 +171,14 @@ mod tests {
     fn multi_warp_votes_cost_more_and_sync() {
         let mut d = Device::new(DeviceConfig::test_tiny()); // warp = 8
         let mut k = d.launch("votes");
-        let single_insts_ret = charge_vote(&mut k.shard(0), Tile::new(8)); // single warp
-        assert!(single_insts_ret > 0);
+        charge_vote(&mut k.shard(0), Tile::new(8)); // single warp
         let _ = k.finish();
         let single_syncs = d.profiler().syncs;
         let single_insts = d.profiler().warp_insts;
 
         let mut d2 = Device::new(DeviceConfig::test_tiny());
         let mut k = d2.launch("votes");
-        let multi = charge_vote(&mut k.shard(0), Tile::new(64)); // 8 warps
-        assert!(multi > single_insts_ret);
+        charge_vote(&mut k.shard(0), Tile::new(64)); // 8 warps
         let _ = k.finish();
         assert!(d2.profiler().syncs > single_syncs);
         assert!(d2.profiler().warp_insts > single_insts);
@@ -198,5 +192,9 @@ mod tests {
         charge_partition(&mut k.shard(0), Tile::new(16));
         let _ = k.finish();
         assert!(d.profiler().warp_insts > 0.0);
+        assert!(
+            d.overhead_seconds() > 0.0,
+            "tile primitives are scheduling work"
+        );
     }
 }

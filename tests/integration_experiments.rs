@@ -207,9 +207,9 @@ fn table3_overhead_within_paper_range() {
                 .unwrap()
                 .parse()
                 .unwrap();
-            // Table 3 reports 0.3%..19%; allow a generous band
+            // Table 3 reports 0.3%..19%
             assert!(
-                (0.0..60.0).contains(&pct),
+                (0.0..=20.0).contains(&pct),
                 "overhead {pct}% out of plausible range in {}",
                 r[0]
             );
