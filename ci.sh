@@ -28,6 +28,15 @@ if grep -rnE "issue_width|clock_hz" crates/core/src/engine/; then
   exit 1
 fi
 
+echo "== experiment cells: one measurement path =="
+# every cell of the report is measured through harness::measure or
+# harness::measure_adapted, so the direction protocol (in-edge view or
+# not), adaptation rounds and run aggregation live in harness.rs only
+if grep -rnE "maybe_reorder|with_in_edges|Measurement|Runner::" crates/bench/src/experiments/; then
+  echo "crates/bench/src/experiments/ must measure through crates/bench/src/harness.rs" >&2
+  exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

@@ -7,10 +7,10 @@
 //! * the sampling threshold (§6, the paper uses |E|).
 
 use crate::experiments::AppKind;
-use crate::harness::{measure, BenchConfig, Measurement};
+use crate::harness::{measure, measure_adapted, BenchConfig};
 use crate::table::{fmt_gteps, ExpTable};
 use sage::engine::ResidentEngine;
-use sage::{DeviceGraph, SageRuntime};
+use sage::{DeviceGraph, RunReport};
 use sage_graph::datasets::Dataset;
 use sage_graph::Csr;
 
@@ -20,13 +20,12 @@ fn measure_geometry(
     block_size: usize,
     min_tile: usize,
     align: bool,
-) -> Measurement {
-    let mut dev = cfg.device();
-    let sources = cfg.pick_sources(csr, 0xab1a);
-    let g = DeviceGraph::upload(&mut dev, csr.clone());
-    let mut engine = ResidentEngine::with_geometry(block_size, min_tile, align);
-    let mut app = AppKind::Bfs.make(&mut dev, cfg);
-    measure(&mut dev, &g, &mut engine, app.as_mut(), &sources)
+) -> RunReport {
+    measure(cfg, csr, AppKind::Bfs, 0xab1a, |dev| {
+        let g = DeviceGraph::upload(dev, csr.clone());
+        let engine = ResidentEngine::with_geometry(block_size, min_tile, align);
+        (g, Box::new(engine))
+    })
 }
 
 /// Sweep `MIN_TILE_SIZE` (paper default 8).
@@ -103,22 +102,8 @@ pub fn threshold_sweep(cfg: &BenchConfig) -> ExpTable {
         let e = csr.num_edges() as u64;
         let mut cells = vec![d.name().to_owned()];
         for thr in [e / 4, e, 4 * e] {
-            let mut dev = cfg.device();
-            let sources = cfg.pick_sources(&csr, 0xab1b);
-            let mut rt = SageRuntime::with_threshold(&mut dev, csr.clone(), thr.max(1));
-            let mut app = AppKind::Bfs.make(&mut dev, cfg);
-            for round in 0..cfg.rounds.min(12) {
-                let _ = rt.run(&mut dev, app.as_mut(), sources[round % sources.len()]);
-                rt.maybe_reorder(&mut dev);
-                if rt.converged() {
-                    break;
-                }
-            }
-            let mut m = Measurement::empty();
-            for &s in &sources {
-                let r = rt.run(&mut dev, app.as_mut(), s);
-                m.add(&r);
-            }
+            let rounds = cfg.rounds.min(12);
+            let m = measure_adapted(cfg, &csr, AppKind::Bfs, 0xab1b, thr.max(1), rounds);
             cells.push(fmt_gteps(m.gteps()));
         }
         t.row(cells);

@@ -3,6 +3,7 @@
 //! (the baseline must re-run its full preprocessing), while SAGE answers
 //! immediately and re-adapts by sampling.
 
+use crate::experiments::AppKind;
 use crate::harness::{measure, BenchConfig};
 use crate::table::{fmt_seconds, ExpTable};
 use rand::rngs::StdRng;
@@ -53,10 +54,10 @@ pub fn run(cfg: &BenchConfig) -> ExpTable {
         let sage_sec = t0.elapsed().as_secs_f64();
 
         // sanity: the updated graph still answers correctly
-        let sources = cfg.pick_sources(&csr, 0xd1b);
-        let mut plain = ResidentEngine::new();
-        let g = DeviceGraph::upload(&mut dev, csr);
-        let m = measure(&mut dev, &g, &mut plain, &mut app, &sources);
+        let m = measure(cfg, &csr, AppKind::Bfs, 0xd1b, |dev| {
+            let g = DeviceGraph::upload(dev, csr.clone());
+            (g, Box::new(ResidentEngine::new()))
+        });
         assert!(m.edges > 0);
 
         t.row(vec![

@@ -3,10 +3,10 @@
 //! Stealing → +Sampling-based Reordering (§7.3).
 
 use crate::experiments::AppKind;
-use crate::harness::{measure, BenchConfig, Measurement};
+use crate::harness::{measure, measure_adapted, BenchConfig};
 use crate::table::{fmt_gteps, ExpTable};
 use sage::engine::{Engine, NaiveEngine, ResidentEngine, TiledPartitioningEngine};
-use sage::{DeviceGraph, SageRuntime};
+use sage::{DeviceGraph, RunReport};
 use sage_graph::datasets::Dataset;
 use sage_graph::Csr;
 
@@ -46,41 +46,20 @@ impl Stage {
 
 /// Measure one ablation stage on one dataset/application.
 #[must_use]
-pub fn measure_stage(cfg: &BenchConfig, stage: Stage, csr: &Csr, app_kind: AppKind) -> Measurement {
-    let sources_seed = 0xf10;
-    match stage {
+pub fn measure_stage(cfg: &BenchConfig, stage: Stage, csr: &Csr, app_kind: AppKind) -> RunReport {
+    let seed = 0xf10;
+    let engine: Box<dyn Engine> = match stage {
+        Stage::Baseline => Box::new(NaiveEngine::new()),
+        Stage::TiledPartitioning => Box::new(TiledPartitioningEngine::new()),
+        Stage::ResidentStealing => Box::new(ResidentEngine::new()),
         Stage::SamplingReordering => {
-            let mut dev = cfg.device();
-            let sources = cfg.pick_sources(csr, sources_seed);
-            let mut rt = SageRuntime::new(&mut dev, csr.clone());
-            let mut app = app_kind.make(&mut dev, cfg);
-            for round in 0..cfg.rounds.min(10) {
-                let _ = rt.run(&mut dev, app.as_mut(), sources[round % sources.len()]);
-                rt.maybe_reorder(&mut dev);
-                if rt.converged() {
-                    break;
-                }
-            }
-            let mut m = Measurement::empty();
-            for &s in &sources {
-                let r = rt.run(&mut dev, app.as_mut(), s);
-                m.add(&r);
-            }
-            m
+            let threshold = csr.num_edges() as u64;
+            return measure_adapted(cfg, csr, app_kind, seed, threshold, cfg.rounds.min(10));
         }
-        _ => {
-            let mut dev = cfg.device();
-            let sources = cfg.pick_sources(csr, sources_seed);
-            let mut engine: Box<dyn Engine> = match stage {
-                Stage::Baseline => Box::new(NaiveEngine::new()),
-                Stage::TiledPartitioning => Box::new(TiledPartitioningEngine::new()),
-                _ => Box::new(ResidentEngine::new()),
-            };
-            let g = DeviceGraph::upload(&mut dev, csr.clone());
-            let mut app = app_kind.make(&mut dev, cfg);
-            measure(&mut dev, &g, engine.as_mut(), app.as_mut(), &sources)
-        }
-    }
+    };
+    measure(cfg, csr, app_kind, seed, |dev| {
+        (DeviceGraph::upload(dev, csr.clone()), engine)
+    })
 }
 
 /// Regenerate Figure 10: one table per application.

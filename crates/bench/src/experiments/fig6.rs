@@ -6,61 +6,20 @@
 //! isolating the memory-locality effect of each reordering (§7.2).
 
 use crate::experiments::AppKind;
-use crate::harness::{measure, BenchConfig, Measurement};
+use crate::harness::{measure_adapted, BenchConfig};
 use crate::table::{fmt_gteps, ExpTable};
-use sage::engine::ResidentEngine;
-use sage::{DeviceGraph, SageRuntime};
 use sage_graph::datasets::Dataset;
 use sage_graph::reorder::{gorder_order, llp_order, rcm_order, LlpParams, Permutation};
 use sage_graph::Csr;
 
-/// Measure SAGE on one fixed replica.
-fn measure_replica(
-    cfg: &BenchConfig,
-    csr: &Csr,
-    app_kind: AppKind,
-    source_seed: u64,
-) -> Measurement {
-    let mut dev = cfg.device();
-    let sources = cfg.pick_sources(csr, source_seed);
-    // same in-edge view (and thus the same adaptive direction policy) as
-    // the SageRuntime bars, so the figure isolates the node order only
-    let g = DeviceGraph::upload(&mut dev, csr.clone()).with_in_edges(&mut dev);
-    let mut engine = ResidentEngine::new();
-    let mut app = app_kind.make(&mut dev, cfg);
-    measure(&mut dev, &g, &mut engine, app.as_mut(), &sources)
-}
-
-/// Measure SAGE after `rounds` self-adaptive reordering rounds driven by the
-/// same application.
-fn measure_self_adaptive(
-    cfg: &BenchConfig,
-    csr: &Csr,
-    app_kind: AppKind,
-    rounds: usize,
-    source_seed: u64,
-) -> Measurement {
-    let mut dev = cfg.device();
-    let sources = cfg.pick_sources(csr, source_seed);
-    let mut rt = SageRuntime::new(&mut dev, csr.clone());
-    let mut app = app_kind.make(&mut dev, cfg);
-    // adaptation phase: the sampling threshold is |E| (§7.2), so roughly one
-    // full traversal saturates a stage
-    for round in 0..rounds {
-        let src = sources[round % sources.len()];
-        let _ = rt.run(&mut dev, app.as_mut(), src);
-        rt.maybe_reorder(&mut dev);
-        if rt.converged() {
-            break;
-        }
-    }
-    // measurement phase
-    let mut m = Measurement::empty();
-    for &s in &sources {
-        let r = rt.run(&mut dev, app.as_mut(), s);
-        m.add(&r);
-    }
-    m
+/// Measure SAGE on `csr` after at most `rounds` self-adaptive reordering
+/// rounds driven by the same application. With no rounds this is SAGE on a
+/// fixed replica, with the same in-edge view (and thus the same adaptive
+/// direction policy) as the adapted bar, so the figure isolates the node
+/// order only. The sampling threshold is |E| (§7.2), so roughly one full
+/// traversal saturates a stage.
+fn measure_order(cfg: &BenchConfig, csr: &Csr, app: AppKind, rounds: usize, seed: u64) -> f64 {
+    measure_adapted(cfg, csr, app, seed, csr.num_edges() as u64, rounds).gteps()
 }
 
 /// The orders evaluated by Figure 6, computed once per dataset.
@@ -103,20 +62,19 @@ pub fn run(cfg: &BenchConfig) -> Vec<ExpTable> {
     for d in Dataset::ALL {
         let csr = d.generate(cfg.scale);
         let orders = baseline_orders(&csr);
-        let replicas = [
-            ("SAGE_1", csr.clone()),
-            ("RCM", orders.rcm.apply_csr(&csr)),
-            ("LLP", orders.llp.apply_csr(&csr)),
-            ("Gorder", orders.gorder.apply_csr(&csr)),
+        // the four fixed replicas, then the original order after adaptation
+        let bars = [
+            (csr.clone(), 0),
+            (orders.rcm.apply_csr(&csr), 0),
+            (orders.llp.apply_csr(&csr), 0),
+            (orders.gorder.apply_csr(&csr), 0),
+            (csr, cfg.rounds),
         ];
         for (ai, app) in AppKind::ALL.iter().enumerate() {
             let mut cells = vec![d.name().to_owned()];
-            for (_, replica) in &replicas {
-                let m = measure_replica(cfg, replica, *app, 0xf16);
-                cells.push(fmt_gteps(m.gteps()));
+            for (g, rounds) in &bars {
+                cells.push(fmt_gteps(measure_order(cfg, g, *app, *rounds, 0xf16)));
             }
-            let m = measure_self_adaptive(cfg, &csr, *app, cfg.rounds, 0xf16);
-            cells.push(fmt_gteps(m.gteps()));
             tables[ai].row(cells);
         }
     }
@@ -145,8 +103,8 @@ mod tests {
             ..BenchConfig::test_config()
         };
         let csr = Dataset::Twitter.generate(cfg.scale);
-        let base = measure_replica(&cfg, &csr, AppKind::Bfs, 1).gteps();
-        let adapted = measure_self_adaptive(&cfg, &csr, AppKind::Bfs, cfg.rounds, 1).gteps();
+        let base = measure_order(&cfg, &csr, AppKind::Bfs, 0, 1);
+        let adapted = measure_order(&cfg, &csr, AppKind::Bfs, cfg.rounds, 1);
         assert!(
             adapted > base * 0.9,
             "adaptation should not hurt: {base} -> {adapted}"

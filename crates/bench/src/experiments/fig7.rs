@@ -4,11 +4,11 @@
 //! Reordering (§7.2).
 
 use crate::experiments::AppKind;
-use crate::harness::{measure, BenchConfig, Measurement};
+use crate::harness::{measure, measure_adapted, BenchConfig};
 use crate::table::{fmt_gteps, ExpTable};
 use gpu_sim::CpuConfig;
 use sage::engine::{B40cEngine, Engine, GunrockEngine, LigraEngine, ResidentEngine, TigrEngine};
-use sage::{DeviceGraph, SageRuntime};
+use sage::{DeviceGraph, RunReport};
 use sage_graph::datasets::Dataset;
 use sage_graph::reorder::gorder_order;
 use sage_graph::Csr;
@@ -58,43 +58,20 @@ pub fn measure_system(
     system: PgpSystem,
     csr: &Csr,
     app_kind: AppKind,
-) -> Measurement {
-    let mut dev = cfg.device();
-    let sources = cfg.pick_sources(csr, 0xf17);
-    let mut engine: Box<dyn Engine> = match system {
-        PgpSystem::Ligra => Box::new(LigraEngine::with_config(CpuConfig::scaled_xeon(
-            cfg.scale.min(1.0),
-        ))),
-        PgpSystem::Tigr => Box::new(TigrEngine::new(&mut dev, csr)),
-        PgpSystem::Gunrock => Box::new(GunrockEngine::new()),
-        PgpSystem::B40c => Box::new(B40cEngine::new()),
-        PgpSystem::Sage => Box::new(ResidentEngine::new()),
-    };
-    let g = DeviceGraph::upload(&mut dev, csr.clone());
-    let mut app = app_kind.make(&mut dev, cfg);
-    measure(&mut dev, &g, engine.as_mut(), app.as_mut(), &sources)
-}
-
-/// SAGE's "with reordering" bar: adapt for a few rounds, then measure.
-fn measure_sage_adapted(cfg: &BenchConfig, csr: &Csr, app_kind: AppKind) -> Measurement {
-    let mut dev = cfg.device();
-    let sources = cfg.pick_sources(csr, 0xf17);
-    let mut rt = SageRuntime::new(&mut dev, csr.clone());
-    let mut app = app_kind.make(&mut dev, cfg);
-    let rounds = cfg.rounds.min(10);
-    for round in 0..rounds {
-        let _ = rt.run(&mut dev, app.as_mut(), sources[round % sources.len()]);
-        rt.maybe_reorder(&mut dev);
-        if rt.converged() {
-            break;
-        }
-    }
-    let mut m = Measurement::empty();
-    for &s in &sources {
-        let r = rt.run(&mut dev, app.as_mut(), s);
-        m.add(&r);
-    }
-    m
+) -> RunReport {
+    measure(cfg, csr, app_kind, 0xf17, |dev| {
+        // Tigr's UDT transformation allocates before the graph upload
+        let engine: Box<dyn Engine> = match system {
+            PgpSystem::Ligra => Box::new(LigraEngine::with_config(CpuConfig::scaled_xeon(
+                cfg.scale.min(1.0),
+            ))),
+            PgpSystem::Tigr => Box::new(TigrEngine::new(dev, csr)),
+            PgpSystem::Gunrock => Box::new(GunrockEngine::new()),
+            PgpSystem::B40c => Box::new(B40cEngine::new()),
+            PgpSystem::Sage => Box::new(ResidentEngine::new()),
+        };
+        (DeviceGraph::upload(dev, csr.clone()), engine)
+    })
 }
 
 /// Regenerate Figure 7: one table per application; columns are
@@ -131,7 +108,9 @@ pub fn run(cfg: &BenchConfig) -> Vec<ExpTable> {
                 let plain = measure_system(cfg, s, &csr, *app);
                 cells.push(fmt_gteps(plain.gteps()));
                 let with = if s == PgpSystem::Sage {
-                    measure_sage_adapted(cfg, &csr, *app)
+                    // SAGE's "with reordering" bar: adapt for a few rounds
+                    let threshold = csr.num_edges() as u64;
+                    measure_adapted(cfg, &csr, *app, 0xf17, threshold, cfg.rounds.min(10))
                 } else {
                     measure_system(cfg, s, &gorder_replica, *app)
                 };

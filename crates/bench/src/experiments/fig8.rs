@@ -5,9 +5,9 @@
 //! The paper's footnote 6 is reproduced: the open-source Subway crashes on
 //! `brain`, so its cell reads `n/a`.
 
+use crate::experiments::AppKind;
 use crate::harness::{measure, BenchConfig};
 use crate::table::{fmt_gteps, ExpTable};
-use sage::app::Bfs;
 use sage::engine::SubwayEngine;
 use sage::ooc::sage_out_of_core;
 use sage::DeviceGraph;
@@ -25,28 +25,25 @@ pub fn run(cfg: &BenchConfig) -> ExpTable {
     );
     for d in Dataset::ALL {
         let csr = d.generate(cfg.scale);
-        let sources = cfg.pick_sources(&csr, 0xf18);
 
         let subway_cell = if d == Dataset::Brain {
             // footnote 6: "The open-source implementation of Subway will
             // crash in brain."
             "n/a (crashes)".to_owned()
         } else {
-            let mut dev = cfg.device();
-            let mut engine = SubwayEngine::new(&mut dev, csr.num_edges());
-            let g = DeviceGraph::upload_host(&mut dev, csr.clone());
-            let mut app = Bfs::new(&mut dev);
-            let m = measure(&mut dev, &g, &mut engine, &mut app, &sources);
+            let m = measure(cfg, &csr, AppKind::Bfs, 0xf18, |dev| {
+                // Subway allocates its staging buffer before the upload
+                let engine = SubwayEngine::new(dev, csr.num_edges());
+                (DeviceGraph::upload_host(dev, csr.clone()), Box::new(engine))
+            });
             fmt_gteps(m.gteps())
         };
 
-        let sage_cell = {
-            let mut dev = cfg.device();
-            let (g, mut engine) = sage_out_of_core(&mut dev, csr.clone());
-            let mut app = Bfs::new(&mut dev);
-            let m = measure(&mut dev, &g, &mut engine, &mut app, &sources);
-            fmt_gteps(m.gteps())
-        };
+        let m = measure(cfg, &csr, AppKind::Bfs, 0xf18, |dev| {
+            let (g, engine) = sage_out_of_core(dev, csr.clone());
+            (g, Box::new(engine))
+        });
+        let sage_cell = fmt_gteps(m.gteps());
 
         t.row(vec![d.name().to_owned(), subway_cell, sage_cell]);
     }

@@ -2,7 +2,7 @@
 //! with and without metis pre-partitioning, on one and two GPUs. As in the
 //! paper, metis' own cost is excluded from the timings.
 
-use crate::harness::BenchConfig;
+use crate::harness::{sum_runs, BenchConfig};
 use crate::table::{fmt_gteps, ExpTable};
 use gpu_sim::DeviceConfig;
 use sage::multigpu::{run_bfs_multi_on, MgKind, MultiGpuConfig};
@@ -42,19 +42,12 @@ pub fn run(cfg: &BenchConfig) -> ExpTable {
         let mut cells = vec![d.name().to_owned()];
         for (kind, gpus, metis) in configs {
             let mc = MultiGpuConfig { gpus, kind, metis };
-            let mut edges = 0u64;
-            let mut secs = 0.0f64;
-            for &s in &sources {
-                let r = run_bfs_multi_on(&mc, &csr, s, &dev_cfg);
-                edges += r.edges;
-                secs += r.seconds;
-            }
-            let gteps = if secs > 0.0 {
-                edges as f64 / secs / 1e9
-            } else {
-                0.0
-            };
-            cells.push(fmt_gteps(gteps));
+            let total = sum_runs(
+                sources
+                    .iter()
+                    .map(|&s| run_bfs_multi_on(&mc, &csr, s, &dev_cfg)),
+            );
+            cells.push(fmt_gteps(total.gteps()));
         }
         t.row(cells);
     }

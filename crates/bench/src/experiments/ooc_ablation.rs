@@ -2,9 +2,9 @@
 //! on-demand zero-copy (SAGE), a unified-memory page pool (HALO/UM-style),
 //! and Subway's active-subgraph preloading — across pool sizes.
 
+use crate::experiments::AppKind;
 use crate::harness::{measure, BenchConfig};
 use crate::table::{fmt_gteps, ExpTable};
-use sage::app::Bfs;
 use sage::engine::SubwayEngine;
 use sage::ooc::{sage_out_of_core, UmOocEngine};
 use sage::DeviceGraph;
@@ -25,35 +25,28 @@ pub fn run(cfg: &BenchConfig) -> ExpTable {
     );
     for d in [Dataset::Uk2002, Dataset::Ljournal, Dataset::Twitter] {
         let csr = d.generate(cfg.scale);
-        let sources = cfg.pick_sources(&csr, 0x00c);
+        let seed = 0x00c;
         let mut cells = vec![d.name().to_owned()];
 
-        let zero_copy = {
-            let mut dev = cfg.device();
-            let (g, mut eng) = sage_out_of_core(&mut dev, csr.clone());
-            let mut app = Bfs::new(&mut dev);
-            measure(&mut dev, &g, &mut eng, &mut app, &sources).gteps()
-        };
-        cells.push(fmt_gteps(zero_copy));
+        let zero_copy = measure(cfg, &csr, AppKind::Bfs, seed, |dev| {
+            let (g, eng) = sage_out_of_core(dev, csr.clone());
+            (g, Box::new(eng))
+        });
+        cells.push(fmt_gteps(zero_copy.gteps()));
 
         for frac in [0.1, 0.5] {
-            let mut dev = cfg.device();
-            let mut eng = UmOocEngine::new(&csr, frac, 4096);
-            let g = DeviceGraph::upload_host(&mut dev, csr.clone());
-            let mut app = Bfs::new(&mut dev);
-            cells.push(fmt_gteps(
-                measure(&mut dev, &g, &mut eng, &mut app, &sources).gteps(),
-            ));
+            let um = measure(cfg, &csr, AppKind::Bfs, seed, |dev| {
+                let eng = UmOocEngine::new(&csr, frac, 4096);
+                (DeviceGraph::upload_host(dev, csr.clone()), Box::new(eng))
+            });
+            cells.push(fmt_gteps(um.gteps()));
         }
 
-        let subway = {
-            let mut dev = cfg.device();
-            let mut eng = SubwayEngine::new(&mut dev, csr.num_edges());
-            let g = DeviceGraph::upload_host(&mut dev, csr.clone());
-            let mut app = Bfs::new(&mut dev);
-            measure(&mut dev, &g, &mut eng, &mut app, &sources).gteps()
-        };
-        cells.push(fmt_gteps(subway));
+        let subway = measure(cfg, &csr, AppKind::Bfs, seed, |dev| {
+            let eng = SubwayEngine::new(dev, csr.num_edges());
+            (DeviceGraph::upload_host(dev, csr.clone()), Box::new(eng))
+        });
+        cells.push(fmt_gteps(subway.gteps()));
 
         t.row(cells);
     }

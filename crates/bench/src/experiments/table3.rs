@@ -23,16 +23,15 @@ pub fn run(cfg: &BenchConfig) -> ExpTable {
         let csr = d.generate(cfg.scale);
         let mut cells = vec![d.name().to_owned()];
         for app_kind in AppKind::ALL {
-            let mut dev = cfg.device();
-            let sources = cfg.pick_sources(&csr, 0x73);
-            let g = DeviceGraph::upload(&mut dev, csr.clone());
-            let mut engine = ResidentEngine::new();
-            let mut app = app_kind.make(&mut dev, cfg);
-            let m = measure(&mut dev, &g, &mut engine, app.as_mut(), &sources);
+            let m = measure(cfg, &csr, app_kind, 0x73, |dev| {
+                let g = DeviceGraph::upload(dev, csr.clone());
+                (g, Box::new(ResidentEngine::new()))
+            });
+            let runs = cfg.sources as f64;
             cells.push(format!(
                 "{:.1}/{:.1} ({:.0}%)",
-                m.overhead_seconds / m.runs as f64 * 1e3,
-                m.seconds_per_run() * 1e3,
+                m.overhead_seconds / runs * 1e3,
+                m.seconds / runs * 1e3,
                 m.overhead_fraction() * 100.0
             ));
         }

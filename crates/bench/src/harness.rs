@@ -1,15 +1,20 @@
-//! Shared measurement plumbing: configuration, source selection, averaged
-//! traversal measurements (§7.1: "all experiments are repeated ... to
-//! calculate the average" with randomly selected source nodes).
+//! Shared measurement plumbing: configuration, source selection, and the
+//! two paths every experiment cell is measured through (§7.1: "all
+//! experiments are repeated ... to calculate the average" with randomly
+//! selected source nodes).
+//!
+//! * [`measure`] runs a fixed engine on a graph the cell uploads itself;
+//!   without an in-edge view, every iteration pushes.
+//! * [`measure_adapted`] runs a [`SageRuntime`] (in-edge view, adaptive
+//!   direction) through its self-reordering rounds, then measures.
 
+use crate::experiments::AppKind;
 use gpu_sim::{Device, DeviceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sage::app::App;
 use sage::engine::Engine;
-use sage::{DeviceGraph, RunReport, Runner};
+use sage::{DeviceGraph, RunReport, Runner, SageRuntime};
 use sage_graph::{Csr, NodeId};
-
 /// Global experiment configuration, read once from the environment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchConfig {
@@ -87,92 +92,67 @@ impl BenchConfig {
     }
 }
 
-/// One averaged measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Measurement {
-    /// Total edges traversed across the averaged runs.
-    pub edges: u64,
-    /// Total simulated seconds.
-    pub seconds: f64,
-    /// Total scheduling-overhead seconds.
-    pub overhead_seconds: f64,
-    /// Number of runs averaged.
-    pub runs: usize,
+/// Fold per-source run reports into one aggregate with
+/// [`RunReport::accumulate`]; no runs give an empty report (0 GTEPS).
+pub fn sum_runs(runs: impl IntoIterator<Item = RunReport>) -> RunReport {
+    runs.into_iter()
+        .reduce(|mut total, r| {
+            total.accumulate(&r);
+            total
+        })
+        .unwrap_or_default()
 }
 
-impl Measurement {
-    /// Mean throughput in GTEPS.
-    #[must_use]
-    pub fn gteps(&self) -> f64 {
-        if self.seconds <= 0.0 {
-            0.0
-        } else {
-            self.edges as f64 / self.seconds / 1e9
-        }
-    }
-
-    /// Overhead share of the runtime (Table 3).
-    #[must_use]
-    pub fn overhead_fraction(&self) -> f64 {
-        if self.seconds <= 0.0 {
-            0.0
-        } else {
-            self.overhead_seconds / self.seconds
-        }
-    }
-
-    /// Mean seconds per run.
-    #[must_use]
-    pub fn seconds_per_run(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.seconds / self.runs as f64
-        }
-    }
-
-    /// Fold a run report into the aggregate.
-    pub fn add(&mut self, r: &RunReport) {
-        self.edges += r.edges;
-        self.seconds += r.seconds;
-        self.overhead_seconds += r.overhead_seconds;
-        self.runs += 1;
-    }
-
-    /// An empty aggregate.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            edges: 0,
-            seconds: 0.0,
-            overhead_seconds: 0.0,
-            runs: 0,
-        }
-    }
-}
-
-/// Run `app` once per source through `engine` on `g` and aggregate.
+/// Measure `app` from the sources `seed` picks on a fresh device. `setup`
+/// places the graph and builds the engine, in the cell's own allocation
+/// order; the application is made last.
 pub fn measure(
-    dev: &mut Device,
-    g: &DeviceGraph,
-    engine: &mut dyn Engine,
-    app: &mut dyn App,
-    sources: &[NodeId],
-) -> Measurement {
+    cfg: &BenchConfig,
+    csr: &Csr,
+    app: AppKind,
+    seed: u64,
+    setup: impl FnOnce(&mut Device) -> (DeviceGraph, Box<dyn Engine>),
+) -> RunReport {
+    let mut dev = cfg.device();
+    let sources = cfg.pick_sources(csr, seed);
+    let (g, mut engine) = setup(&mut dev);
+    let mut app = app.make(&mut dev, cfg);
     let runner = Runner::new();
-    let mut m = Measurement::empty();
-    for &s in sources {
-        let r = runner.run(dev, g, engine, app, s);
-        m.add(&r);
+    sum_runs(
+        sources
+            .iter()
+            .map(|&s| runner.run(&mut dev, &g, engine.as_mut(), app.as_mut(), s)),
+    )
+}
+
+/// Measure `app` on a [`SageRuntime`] with sampling threshold `threshold`
+/// after at most `rounds` adaptation rounds (one run from the next source,
+/// then a reordering round; stops early once the runtime has converged).
+pub fn measure_adapted(
+    cfg: &BenchConfig,
+    csr: &Csr,
+    app: AppKind,
+    seed: u64,
+    threshold: u64,
+    rounds: usize,
+) -> RunReport {
+    let mut dev = cfg.device();
+    let sources = cfg.pick_sources(csr, seed);
+    let mut rt = SageRuntime::with_threshold(&mut dev, csr.clone(), threshold);
+    let mut app = app.make(&mut dev, cfg);
+    for &s in sources.iter().cycle().take(rounds) {
+        let _ = rt.run(&mut dev, app.as_mut(), s);
+        rt.maybe_reorder(&mut dev);
+        if rt.converged() {
+            break;
+        }
     }
-    m
+    sum_runs(sources.iter().map(|&s| rt.run(&mut dev, app.as_mut(), s)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::DeviceConfig;
-    use sage::app::Bfs;
     use sage::engine::ResidentEngine;
     use sage_graph::gen::uniform_graph;
 
@@ -205,26 +185,62 @@ mod tests {
         }
     }
 
+    fn resident(dev: &mut Device, csr: &Csr) -> (DeviceGraph, Box<dyn Engine>) {
+        (
+            DeviceGraph::upload(dev, csr.clone()),
+            Box::new(ResidentEngine::new()),
+        )
+    }
+
     #[test]
     fn measurement_aggregates() {
         let g = uniform_graph(300, 1500, 2);
-        let mut dev = Device::new(DeviceConfig::test_tiny());
-        let dg = DeviceGraph::upload(&mut dev, g.clone());
-        let mut eng = ResidentEngine::new();
-        let mut app = Bfs::new(&mut dev);
-        let cfg = BenchConfig::test_config();
-        let sources = cfg.pick_sources(&g, 3);
-        let m = measure(&mut dev, &dg, &mut eng, &mut app, &sources);
-        assert_eq!(m.runs, sources.len());
-        assert!(m.gteps() > 0.0);
-        assert!(m.seconds_per_run() > 0.0);
-        assert!(m.overhead_fraction() >= 0.0);
+        let cfg = BenchConfig {
+            sources: 3,
+            ..BenchConfig::test_config()
+        };
+        let total = measure(&cfg, &g, AppKind::Bfs, 3, |dev| resident(dev, &g));
+        // one '|'-separated direction trace per source
+        assert_eq!(total.direction_trace.split('|').count(), cfg.sources);
+        assert!(total.gteps() > 0.0);
+        assert!(total.seconds > 0.0);
+        assert!((0.0..=1.0).contains(&total.overhead_fraction()));
     }
 
     #[test]
     fn empty_measurement_is_zero() {
-        let m = Measurement::empty();
-        assert_eq!(m.gteps(), 0.0);
-        assert_eq!(m.seconds_per_run(), 0.0);
+        let cfg = BenchConfig::test_config();
+        let g = Csr::from_edges(4, &[]);
+        let plain = measure(&cfg, &g, AppKind::Bfs, 1, |dev| resident(dev, &g));
+        let adapted = measure_adapted(&cfg, &g, AppKind::Bfs, 1, 1, cfg.rounds);
+        for r in [plain, adapted] {
+            assert_eq!((r.edges, r.seconds), (0, 0.0));
+            assert_eq!(r.gteps(), 0.0);
+        }
+    }
+
+    #[test]
+    fn unadapted_runtime_matches_an_in_edge_upload() {
+        // fig6 measures its replicas through measure_adapted with no
+        // rounds; that must equal the resident engine on an in-edge upload
+        let cfg = BenchConfig {
+            sources: 2,
+            ..BenchConfig::test_config()
+        };
+        let g = uniform_graph(400, 3000, 5);
+        for app in AppKind::ALL {
+            let adapted = measure_adapted(&cfg, &g, app, 7, g.num_edges() as u64, 0);
+            let plain = measure(&cfg, &g, app, 7, |dev| {
+                let dg = DeviceGraph::upload(dev, g.clone()).with_in_edges(dev);
+                (dg, Box::new(ResidentEngine::new()))
+            });
+            assert_eq!(adapted.edges, plain.edges, "{}", app.name());
+            assert_eq!(adapted.seconds.to_bits(), plain.seconds.to_bits());
+            assert_eq!(
+                adapted.overhead_seconds.to_bits(),
+                plain.overhead_seconds.to_bits()
+            );
+            assert_eq!(adapted.direction_trace, plain.direction_trace);
+        }
     }
 }

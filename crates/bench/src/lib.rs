@@ -30,5 +30,5 @@ pub mod experiments;
 pub mod harness;
 pub mod table;
 
-pub use harness::{BenchConfig, Measurement};
+pub use harness::BenchConfig;
 pub use table::ExpTable;

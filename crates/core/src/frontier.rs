@@ -10,16 +10,6 @@
 
 use sage_graph::NodeId;
 
-/// Traversal direction of one pipeline iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Expand the frontier's out-edges (top-down).
-    Push,
-    /// Scan unvisited vertices' in-edges against the frontier bitmap
-    /// (bottom-up).
-    Pull,
-}
-
 /// Dense frontier: one bit per node plus the device address of the backing
 /// word array, so engines can charge their membership probes.
 #[derive(Debug, Clone, Default)]

@@ -44,7 +44,7 @@ impl LatencyBreakdown {
 }
 
 /// Outcome of one traversal run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Application name (bfs / bc / pr / ...).
     pub app: String,

@@ -42,41 +42,6 @@ pub fn sage_out_of_core(dev: &mut Device, csr: Csr) -> (DeviceGraph, ResidentEng
     (g, ResidentEngine::new())
 }
 
-/// Where [`upload_auto`] decided to place a graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// The graph (plus state headroom) fits simulated device memory.
-    Device,
-    /// The graph exceeds device memory and is host-placed behind PCIe.
-    OutOfCore,
-}
-
-impl Placement {
-    /// Stable lowercase label for reports.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Placement::Device => "device",
-            Placement::OutOfCore => "out_of_core",
-        }
-    }
-}
-
-/// Upload a graph to device memory when it fits, or route it through the
-/// out-of-core host path when it does not. "Fits" budgets the CSR arrays
-/// plus 25% headroom for per-node state (frontier flags, distances, ranks)
-/// against [`Device::fits_device_memory`]. The same [`ResidentEngine`]
-/// drives both placements; only the memory space of the CSR arrays — and
-/// therefore whether tile gathers cross PCIe — differs.
-pub fn upload_auto(dev: &mut Device, csr: Csr) -> (DeviceGraph, Placement) {
-    let need = csr.bytes() as u64 + csr.bytes() as u64 / 4;
-    if dev.fits_device_memory(need) {
-        (DeviceGraph::upload(dev, csr), Placement::Device)
-    } else {
-        (DeviceGraph::upload_host(dev, csr), Placement::OutOfCore)
-    }
-}
-
 /// A unified-memory style page pool sized to a fraction of the graph, for
 /// the UM-ablation: `pool_fraction` of the CSR bytes stay resident.
 ///
@@ -270,26 +235,6 @@ mod tests {
             sage < subway * 3.0,
             "SAGE-OOC ({sage}) should be competitive with Subway ({subway})"
         );
-    }
-
-    #[test]
-    fn upload_auto_places_by_memory_budget() {
-        let csr = graph();
-        // test_tiny carries 4 MiB of simulated device memory: the small
-        // fixture fits, so it lands on device...
-        let mut dev = Device::new(DeviceConfig::test_tiny());
-        let (g, placement) = upload_auto(&mut dev, csr.clone());
-        assert_eq!(placement, Placement::Device);
-        assert!(!gpu_sim::mem::is_host_addr(g.target_addr(0)));
-        // ...and with the budget squeezed below the CSR footprint the same
-        // graph routes out of core, behind PCIe.
-        let mut cfg = DeviceConfig::test_tiny();
-        cfg.memory_bytes = csr.bytes() as u64 / 2;
-        let mut dev = Device::new(cfg);
-        let (g, placement) = upload_auto(&mut dev, csr);
-        assert_eq!(placement, Placement::OutOfCore);
-        assert!(gpu_sim::mem::is_host_addr(g.target_addr(0)));
-        assert_eq!(placement.as_str(), "out_of_core");
     }
 
     #[test]

@@ -75,14 +75,6 @@ impl Permutation {
         }
     }
 
-    /// Order nodes by descending out-degree (hubs first); stable in old id.
-    #[must_use]
-    pub fn degree_descending(g: &Csr) -> Self {
-        let mut order: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
-        order.sort_by_key(|&u| std::cmp::Reverse(g.degree(u)));
-        Self::from_order(&order)
-    }
-
     /// Build from a *placement order*: `order[k]` is the old id placed at
     /// new position `k`.
     ///
@@ -283,13 +275,6 @@ mod tests {
         let p = Permutation::from_order(&[2, 0, 1]); // old2->0, old0->1, old1->2
         let vals = vec!["a", "b", "c"];
         assert_eq!(p.apply_values(&vals), vec!["c", "a", "b"]);
-    }
-
-    #[test]
-    fn degree_descending_puts_hub_first() {
-        let g = Csr::from_edges(4, &[(2, 0), (2, 1), (2, 3), (0, 1)]);
-        let p = Permutation::degree_descending(&g);
-        assert_eq!(p.map(2), 0, "hub should get id 0");
     }
 
     #[test]

@@ -25,8 +25,9 @@ pub enum AppKind {
     Sssp,
     /// Connected components (source-independent).
     Cc,
-    /// Random-walk batch from the query source (PPR endpoint distribution
-    /// or node2vec visit profile, per [`ServiceConfig::walk`]).
+    /// Random-walk batch from the query source: the endpoint distribution
+    /// of the source's walkers (PPR or node2vec, per
+    /// [`ServiceConfig::walk`]).
     Walk,
 }
 
@@ -64,14 +65,6 @@ impl AppKind {
     #[must_use]
     pub fn uses_source(self) -> bool {
         matches!(self, Self::Bfs | Self::Bc | Self::Sssp | Self::Walk)
-    }
-
-    /// Whether same-app requests with distinct sources can share one
-    /// frontier pipeline (multi-source execution). Walks batch without
-    /// bound: every fused query just adds lanes to the one walk kernel.
-    #[must_use]
-    pub fn supports_multi_source(self) -> bool {
-        matches!(self, Self::Bfs | Self::Sssp | Self::Walk)
     }
 }
 
@@ -281,8 +274,8 @@ pub enum WalkAppKind {
     /// Monte-Carlo personalized PageRank: responses carry the normalized
     /// endpoint distribution of the source's walkers.
     Ppr,
-    /// node2vec second-order walks: responses carry the normalized visit
-    /// profile.
+    /// node2vec second-order walks: responses carry the endpoint
+    /// distribution of the source's walkers.
     Node2vec,
 }
 
@@ -446,10 +439,10 @@ mod tests {
 
     #[test]
     fn source_independence_matches_multi_source_support() {
-        assert!(AppKind::Bfs.uses_source() && AppKind::Bfs.supports_multi_source());
-        assert!(AppKind::Sssp.uses_source() && AppKind::Sssp.supports_multi_source());
-        assert!(AppKind::Bc.uses_source() && !AppKind::Bc.supports_multi_source());
-        assert!(AppKind::Walk.uses_source() && AppKind::Walk.supports_multi_source());
+        assert!(AppKind::Bfs.uses_source());
+        assert!(AppKind::Sssp.uses_source());
+        assert!(AppKind::Bc.uses_source());
+        assert!(AppKind::Walk.uses_source());
         assert!(!AppKind::Pr.uses_source());
         assert!(!AppKind::Cc.uses_source());
     }

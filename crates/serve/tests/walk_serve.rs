@@ -1,6 +1,9 @@
 //! Serving random walks: fusion of many concurrent `Walk` queries into one
 //! launch, epoch-keyed caching of terminal distributions, and PPR sanity.
 
+use gpu_sim::Device;
+use sage::walk::{Node2vec, WalkSpec};
+use sage::SageRuntime;
 use sage_graph::gen::uniform_graph;
 use sage_graph::Csr;
 use sage_serve::{AppKind, QueryRequest, ResultValues, SageService, ServiceConfig, WalkAppKind};
@@ -131,7 +134,7 @@ fn ppr_walk_mass_concentrates_near_the_source() {
 }
 
 #[test]
-fn node2vec_policy_serves_visit_profiles() {
+fn node2vec_policy_serves_endpoint_distributions() {
     let mut cfg = ServiceConfig::test_config(1);
     cfg.reorder_threshold = Some(u64::MAX);
     cfg.walk.app = WalkAppKind::Node2vec;
@@ -139,14 +142,30 @@ fn node2vec_policy_serves_visit_profiles() {
     cfg.walk.q = 0.5;
     cfg.walk.walks_per_source = 32;
     cfg.walk.length = 8;
-    let service = SageService::start(cfg);
-    let g = service.register_graph("n2v", uniform_graph(150, 1800, 13));
+    let csr = uniform_graph(150, 1800, 13);
+    let service = SageService::start(cfg.clone());
+    let g = service.register_graph("n2v", csr.clone());
 
     let resp = service.query(walk_req(g, 3)).unwrap();
     assert_eq!(resp.report.app, "node2vec");
-    let ResultValues::Scores(s) = resp.values.as_ref() else {
+    let ResultValues::Scores(served) = resp.values.as_ref() else {
         panic!("walk values must be Scores");
     };
-    assert!(s.iter().any(|&x| x > 0.0));
     service.shutdown();
+
+    // the same walk run directly: the response is the source's endpoint
+    // distribution, not the batch-wide visit histogram
+    let mut dev = Device::new(cfg.device_config.clone());
+    let mut rt = SageRuntime::with_threshold(&mut dev, csr, u64::MAX);
+    let spec = WalkSpec {
+        walks_per_source: cfg.walk.walks_per_source,
+        max_length: cfg.walk.length,
+        seed: cfg.walk.seed,
+        sampler: cfg.walk.sampler,
+        weights: cfg.walk.weights,
+    };
+    let app = Node2vec::new(cfg.walk.p, cfg.walk.q);
+    let direct = rt.run_walk(&mut dev, &app, &spec, &[3]);
+    assert_eq!(served, &direct.endpoint_scores(0));
+    assert!(served.iter().any(|&x| x > 0.0));
 }

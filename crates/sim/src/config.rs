@@ -188,12 +188,6 @@ pub struct DeviceConfig {
     /// state of [`crate::Device::set_sanitize`]); detection never changes
     /// simulated cycles or counters.
     pub sanitize: bool,
-
-    /// Simulated device-memory capacity in bytes. The allocator does not
-    /// enforce it (simulated arrays carry no data); placement policies use
-    /// it to decide whether a graph is uploaded to device memory or routed
-    /// through the out-of-core path.
-    pub memory_bytes: u64,
 }
 
 impl Default for DeviceConfig {
@@ -238,7 +232,6 @@ impl DeviceConfig {
             pcie: PcieConfig::default(),
             peer: PeerLinkConfig::default(),
             sanitize: false,
-            memory_bytes: 48 * 1024 * 1024 * 1024,
         }
     }
 
@@ -308,8 +301,6 @@ impl DeviceConfig {
             pcie: PcieConfig::default(),
             peer: PeerLinkConfig::default(),
             sanitize: false,
-            // tiny device, tiny memory: placement tests can exceed it
-            memory_bytes: 4 * 1024 * 1024,
         }
     }
 
@@ -443,13 +434,6 @@ mod tests {
         };
         assert!(cc.sets(128) >= 1);
         assert!(cc.lines(128) >= cc.ways);
-    }
-
-    #[test]
-    fn memory_defaults() {
-        let c = DeviceConfig::default();
-        assert_eq!(c.memory_bytes, 48 * 1024 * 1024 * 1024);
-        assert!(DeviceConfig::test_tiny().memory_bytes < c.memory_bytes);
     }
 
     #[test]

@@ -182,14 +182,6 @@ impl Device {
             .any(|&(lo, hi)| sector >= lo && sector < hi)
     }
 
-    /// Whether `bytes` of graph data fit the simulated device memory next
-    /// to what is already allocated — the placement predicate out-of-core
-    /// routing uses.
-    #[must_use]
-    pub fn fits_device_memory(&self, bytes: u64) -> bool {
-        self.device_alloc.used_bytes().saturating_add(bytes) <= self.cfg.memory_bytes
-    }
-
     /// Lend the probe trace to a recorded kernel, empty, with the capacity
     /// earlier launches grew. Given back through [`Self::return_trace`].
     pub(crate) fn take_trace(&mut self) -> Vec<u64> {
@@ -427,16 +419,6 @@ mod tests {
         assert_eq!(d.replay_stats().traced_kernels, 2);
         d.reset_profiler();
         assert_eq!(d.replay_stats(), &crate::profile::ReplayStats::default());
-    }
-
-    #[test]
-    fn device_memory_placement_predicate() {
-        let mut d = Device::new(DeviceConfig::test_tiny());
-        let cap = d.cfg().memory_bytes;
-        assert!(d.fits_device_memory(cap));
-        assert!(!d.fits_device_memory(cap + 1));
-        let _held = d.alloc_array::<u32>(1024, 0); // 4 KiB now in use
-        assert!(!d.fits_device_memory(cap - 1024));
     }
 
     #[test]

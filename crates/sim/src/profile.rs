@@ -135,16 +135,6 @@ pub struct ReplayStats {
 }
 
 impl ReplayStats {
-    /// Mean recorded probes per traced kernel (0 when none ran).
-    #[must_use]
-    pub fn probes_per_kernel(&self) -> f64 {
-        if self.traced_kernels == 0 {
-            0.0
-        } else {
-            self.recorded_probes as f64 / self.traced_kernels as f64
-        }
-    }
-
     /// Fraction of recorded probes absorbed by private L1s during replay.
     #[must_use]
     pub fn l1_absorption(&self) -> f64 {
@@ -275,7 +265,6 @@ mod tests {
     #[test]
     fn replay_stats_ratios() {
         let r = ReplayStats::default();
-        assert_eq!(r.probes_per_kernel(), 0.0);
         assert_eq!(r.l1_absorption(), 0.0);
         let r = ReplayStats {
             traced_kernels: 2,
@@ -286,7 +275,6 @@ mod tests {
             inline_replays: 2,
             arena_bytes: 4096,
         };
-        assert!((r.probes_per_kernel() - 50.0).abs() < 1e-12);
         assert!((r.l1_absorption() - 0.75).abs() < 1e-12);
         assert!((r.elision() - 0.75).abs() < 1e-12);
         assert!(format!("{r}").contains("arena"));

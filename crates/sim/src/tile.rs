@@ -108,24 +108,6 @@ pub fn charge_partition(sh: &mut SmShard<'_, '_>, tile: Tile) {
     }
 }
 
-/// The sizes a tile of `block` threads passes through while binary
-/// partitioning down to `min_tile` (inclusive at both ends).
-#[must_use]
-pub fn partition_chain(block: usize, min_tile: usize) -> Vec<usize> {
-    assert!(block.is_power_of_two() && min_tile.is_power_of_two());
-    assert!(min_tile >= 1 && min_tile <= block);
-    let mut sizes = Vec::new();
-    let mut s = block;
-    while s >= min_tile {
-        sizes.push(s);
-        if s == 1 {
-            break;
-        }
-        s /= 2;
-    }
-    sizes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,13 +140,6 @@ mod tests {
         assert_eq!(Tile::new(32).warps(&cfg), 1);
         assert_eq!(Tile::new(64).warps(&cfg), 2);
         assert_eq!(Tile::new(1024).warps(&cfg), 32);
-    }
-
-    #[test]
-    fn partition_chain_full() {
-        assert_eq!(partition_chain(16, 4), vec![16, 8, 4]);
-        assert_eq!(partition_chain(8, 8), vec![8]);
-        assert_eq!(partition_chain(4, 1), vec![4, 2, 1]);
     }
 
     #[test]
