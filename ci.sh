@@ -90,14 +90,12 @@ for eng in naive sage; do
     bfs --dataset brain --scale 0.05 --engine "$eng" --mode adaptive --threads 4 --sanitize > /dev/null
 done
 
-echo "== race sanitizer: walk kernels hazard-free for both apps and samplers =="
+echo "== race sanitizer: walk kernels hazard-free for both apps =="
 for app in ppr node2vec; do
-  for sampler in its alias; do
-    for t in 1 4; do
-      cargo run --release -q -p sage-bench --bin sage_cli -- \
-        walk --dataset brain --scale 0.05 --walk-app "$app" --sampler "$sampler" \
-        --walks 64 --length 16 --threads "$t" --sanitize > /dev/null
-    done
+  for t in 1 4; do
+    cargo run --release -q -p sage-bench --bin sage_cli -- \
+      walk --dataset brain --scale 0.05 --walk-app "$app" \
+      --walks 64 --length 16 --threads "$t" --sanitize > /dev/null
   done
 done
 

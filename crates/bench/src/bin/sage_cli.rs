@@ -41,18 +41,19 @@
 //! walk mode (deterministic random-walk engine on the adaptive runtime):
 //!   sage_cli walk [--graph FILE | --dataset NAME] [--walk-app ppr|node2vec]
 //!            [--walks N] [--length N] [--alpha F] [--p F] [--q F] [--seed N]
-//!            [--sampler its|alias] [--source N] [--threads N] [--sanitize]
-//!            [--profile]
+//!            [--source N] [--threads N] [--sanitize] [--profile]
 //!
 //!   --walk-app ppr (default) | node2vec
 //!   --walks   walkers launched per source (default 256)
 //!   --length  maximum walk length in steps (default 32)
 //!   --alpha   PPR termination probability per step (default 0.15)
-//!   --p, --q  node2vec return / in-out parameters (default 1.0 each)
+//!   --p, --q  node2vec return / in-out parameters, positive and finite
+//!             (default 1.0 each)
 //!   --seed    base of the counter RNG; same seed = bitwise-identical
 //!             walks on either route (default 42)
-//!   --sampler its (inverse transform over the CSR row, default) | alias
-//!             (epoch-cached alias table; O(1) draws on weighted rows)
+//!
+//!   Walks draw each step over synthetic edge weights by inverse-transform
+//!   sampling of the CSR row.
 //! ```
 //!
 //! Example:
@@ -94,7 +95,6 @@ struct Args {
     p: f64,
     q: f64,
     seed: u64,
-    sampler: String,
 }
 
 /// The simulation route a run's `host_threads` setting selected.
@@ -116,7 +116,7 @@ fn usage() -> ! {
          [--sanitize]\n\
          \x20      sage_cli walk [--graph FILE | --dataset NAME] [--walk-app ppr|node2vec] \
          [--walks N] [--length N] [--alpha F] [--p F] [--q F] [--seed N] \
-         [--sampler its|alias] [--source N] [--threads N] [--sanitize] [--profile]"
+         [--source N] [--threads N] [--sanitize] [--profile]"
     );
     exit(2)
 }
@@ -154,7 +154,6 @@ fn parse_args() -> Args {
         p: 1.0,
         q: 1.0,
         seed: 42,
-        sampler: "its".into(),
     };
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| -> String {
@@ -188,7 +187,6 @@ fn parse_args() -> Args {
             "--p" => args.p = value("--p").parse().unwrap_or_else(|_| usage()),
             "--q" => args.q = value("--q").parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--sampler" => args.sampler = value("--sampler"),
             _ => {
                 eprintln!("unknown flag {flag:?}");
                 usage();
@@ -248,17 +246,13 @@ fn make_engine(name: &str, dev: &mut Device, csr: &Csr) -> Box<dyn Engine> {
 /// `sage_cli walk`: run a deterministic random-walk batch on the adaptive
 /// runtime and print the terminal distribution of the hottest nodes.
 fn walk_mode(args: &Args, csr: Csr) {
-    use sage::walk::{Node2vec, Ppr, SamplerKind, WalkApp, WalkSpec, WalkWeights};
+    use sage::walk::{Node2vec, Ppr, WalkApp, WalkSpec, WalkWeights};
     use sage::SageRuntime;
 
     if (args.source as usize) >= csr.num_nodes() {
         eprintln!("source {} out of range", args.source);
         exit(1);
     }
-    let sampler = SamplerKind::parse(&args.sampler).unwrap_or_else(|| {
-        eprintln!("unknown sampler {:?} (want its|alias)", args.sampler);
-        usage()
-    });
     let app: Box<dyn WalkApp> = match args.walk_app.as_str() {
         "ppr" => {
             if !(args.alpha > 0.0 && args.alpha < 1.0) {
@@ -267,7 +261,15 @@ fn walk_mode(args: &Args, csr: Csr) {
             }
             Box::new(Ppr::new(args.alpha))
         }
-        "node2vec" | "n2v" => Box::new(Node2vec::new(args.p, args.q)),
+        "node2vec" | "n2v" => {
+            for (flag, v) in [("--p", args.p), ("--q", args.q)] {
+                if !(v > 0.0 && v.is_finite()) {
+                    eprintln!("{flag} must be positive and finite, got {v}");
+                    exit(2);
+                }
+            }
+            Box::new(Node2vec::new(args.p, args.q))
+        }
         other => {
             eprintln!("unknown walk app {other:?} (want ppr|node2vec)");
             usage()
@@ -277,7 +279,6 @@ fn walk_mode(args: &Args, csr: Csr) {
         walks_per_source: args.walks.max(1),
         max_length: args.length.max(1),
         seed: args.seed,
-        sampler,
         weights: WalkWeights::Synthetic,
     };
 
@@ -289,16 +290,15 @@ fn walk_mode(args: &Args, csr: Csr) {
         dev.set_sanitize(true);
     }
     println!(
-        "graph: {} nodes, {} edges | app: {} | sampler: {} | {} walks x {} steps, seed {}",
+        "graph: {} nodes, {} edges | app: {} | {} walks x {} steps, seed {}",
         csr.num_nodes(),
         csr.num_edges(),
         app.name(),
-        spec.sampler.name(),
         spec.walks_per_source,
         spec.max_length,
         spec.seed,
     );
-    let mut rt = SageRuntime::new(&mut dev, csr);
+    let rt = SageRuntime::new(&mut dev, csr);
     let out = rt.run_walk(&mut dev, app.as_ref(), &spec, &[args.source]);
     let r = &out.report;
     println!(
@@ -347,6 +347,10 @@ fn serve_mode(args: &Args, csr: Csr) {
     use sage_serve::{AppKind, QueryRequest, SageService, ServiceConfig};
 
     let nodes = csr.num_nodes();
+    if nodes == 0 {
+        eprintln!("graph has no nodes: nothing to serve");
+        exit(1);
+    }
     let cfg = ServiceConfig {
         devices: args.devices.max(1),
         queue_capacity: args.requests.max(64) * 2,

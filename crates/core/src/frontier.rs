@@ -170,15 +170,6 @@ impl Frontier {
         self.len() == 0
     }
 
-    /// The sparse queue, if currently sparse.
-    #[must_use]
-    pub fn as_sparse(&self) -> Option<&[NodeId]> {
-        match self {
-            Frontier::Sparse(q) => Some(q),
-            Frontier::Dense(_) => None,
-        }
-    }
-
     /// Convert to the sparse queue representation in place and return it.
     /// Dense extraction yields ascending, duplicate-free nodes.
     pub fn make_sparse(&mut self) -> &[NodeId] {
@@ -258,7 +249,7 @@ mod tests {
         assert_eq!(dense.len(), 3, "bitmap dedups");
         assert_eq!(f.len(), 3);
         assert_eq!(f.make_sparse(), &[1, 5, 9]);
-        assert!(f.as_sparse().is_some());
+        assert!(matches!(f, Frontier::Sparse(_)));
     }
 
     #[test]

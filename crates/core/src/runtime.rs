@@ -14,7 +14,7 @@ use crate::engine::{Engine, ResidentEngine};
 use crate::metrics::RunReport;
 use crate::pipeline::Runner;
 use crate::reorder::Sampler;
-use crate::walk::{WalkApp, WalkEngine, WalkOutput, WalkSpec};
+use crate::walk::{self, WalkApp, WalkOutput, WalkSpec};
 use gpu_sim::Device;
 use sage_graph::update::UpdateBatch;
 use sage_graph::{Csr, NodeId, Permutation};
@@ -75,8 +75,6 @@ pub struct SageRuntime {
     converged: bool,
     /// Sampling threshold, kept so dynamic updates can re-arm the sampler.
     threshold: u64,
-    /// Walk engine (and its per-epoch alias-table cache) for this graph.
-    walk_engine: WalkEngine,
 }
 
 impl SageRuntime {
@@ -107,7 +105,6 @@ impl SageRuntime {
             plateau: 0,
             converged: false,
             threshold,
-            walk_engine: WalkEngine::new(),
         }
     }
 
@@ -158,13 +155,11 @@ impl SageRuntime {
     }
 
     /// Run a random-walk batch from `sources` (*original* node ids) and
-    /// return its output re-mapped into original-id space. The engine's
-    /// alias-table cache is keyed by this runtime's epoch, so reorder
-    /// commits, rollbacks, and dynamic updates all invalidate it; synthetic
-    /// edge weights hash original ids, so the sampled distribution is
-    /// invariant under reordering.
+    /// return its output re-mapped into original-id space. Synthetic edge
+    /// weights hash original ids, so the sampled distribution is invariant
+    /// under reordering.
     pub fn run_walk(
-        &mut self,
+        &self,
         dev: &mut Device,
         app: &dyn WalkApp,
         spec: &WalkSpec,
@@ -172,14 +167,13 @@ impl SageRuntime {
     ) -> WalkOutput {
         let cur_sources: Vec<NodeId> = sources.iter().map(|&s| self.perm.map(s)).collect();
         let inv = self.perm.inverse();
-        let out = self.walk_engine.run(
+        let out = walk::run_batch(
             dev,
             &self.graph,
             app,
             spec,
             &cur_sources,
             Some(inv.as_slice()),
-            self.epoch,
         );
         // re-map per-node outputs back to original ids
         let visits = inv.apply_values(&out.visits);
@@ -194,19 +188,12 @@ impl SageRuntime {
         }
     }
 
-    /// The walk engine's cached alias-table epoch, if one is staged —
-    /// observable so tests can prove stale tables are never reused.
-    #[must_use]
-    pub fn alias_epoch(&self) -> Option<u64> {
-        self.walk_engine.alias_epoch()
-    }
-
     /// Merge a batch of dynamic edge updates (expressed in *original* node
     /// ids) into the live graph. The CSR is rebuilt and re-uploaded, the
-    /// sampler re-armed, and the epoch bumped — so result caches and the
-    /// alias-table cache keyed on the old epoch go stale, and adaptation
-    /// resumes even if reordering had converged. Ids beyond the current
-    /// range grow the graph and map to themselves.
+    /// sampler re-armed, and the epoch bumped — so result caches keyed on
+    /// the old epoch go stale, and adaptation resumes even if reordering
+    /// had converged. Ids beyond the current range grow the graph and map
+    /// to themselves.
     pub fn apply_update(&mut self, dev: &mut Device, batch: &UpdateBatch) {
         if batch.is_empty() {
             return;
@@ -473,55 +460,14 @@ mod tests {
     }
 
     #[test]
-    fn stale_alias_table_never_served_after_commit() {
-        use crate::walk::{Ppr, SamplerKind, WalkSpec, WalkWeights};
-        let csr = graph();
-        let mut dev = Device::new(DeviceConfig::test_tiny());
-        let mut rt = SageRuntime::with_threshold(&mut dev, csr, 500);
-        let spec = WalkSpec {
-            walks_per_source: 8,
-            max_length: 6,
-            sampler: SamplerKind::Alias,
-            weights: WalkWeights::Synthetic,
-            ..WalkSpec::default()
-        };
-        let app = Ppr::new(0.2);
-        let _ = rt.run_walk(&mut dev, &app, &spec, &[3]);
-        assert_eq!(rt.alias_epoch(), Some(0));
-
-        // a reorder commit bumps the epoch; the next walk must rebuild
-        let mut bfs = Bfs::new(&mut dev);
-        let _ = rt.run(&mut dev, &mut bfs, 0);
-        assert!(rt.force_reorder(&mut dev), "round must commit");
-        let _ = rt.run_walk(&mut dev, &app, &spec, &[3]);
-        assert_eq!(
-            rt.alias_epoch(),
-            Some(rt.epoch()),
-            "alias table must track the commit epoch"
-        );
-
-        // so does a dynamic update (the CSR itself changed shape)
-        let mut batch = sage_graph::update::UpdateBatch::new();
-        batch.insert_undirected(0, 1);
-        rt.apply_update(&mut dev, &batch);
-        let _ = rt.run_walk(&mut dev, &app, &spec, &[3]);
-        assert_eq!(
-            rt.alias_epoch(),
-            Some(rt.epoch()),
-            "alias table must track the update epoch"
-        );
-    }
-
-    #[test]
     fn walk_endpoint_mass_conserved_across_reordering() {
-        use crate::walk::{Node2vec, SamplerKind, WalkSpec, WalkWeights};
+        use crate::walk::{Node2vec, WalkSpec, WalkWeights};
         let csr = graph();
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let mut rt = SageRuntime::with_threshold(&mut dev, csr, 500);
         let spec = WalkSpec {
             walks_per_source: 32,
             max_length: 5,
-            sampler: SamplerKind::Its,
             weights: WalkWeights::Uniform,
             ..WalkSpec::default()
         };

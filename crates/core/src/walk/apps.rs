@@ -59,8 +59,8 @@ impl WalkApp for Ppr {
 /// node2vec second-order biased walks (Grover & Leskovec): a proposed hop
 /// `cur → next` is re-weighted by the walker's previous node — `1/p` to
 /// return to it, `1` to a common neighbor, `1/q` to everywhere else —
-/// realized by rejection sampling so any first-order sampler (ITS or
-/// alias) supplies the proposals. Walks run to the full `max_length`.
+/// realized by rejection sampling over the first-order proposals of the
+/// engine's sampler. Walks run to the full `max_length`.
 #[derive(Debug, Clone, Copy)]
 pub struct Node2vec {
     return_q32: u32,
@@ -122,7 +122,7 @@ impl WalkApp for Node2vec {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{SamplerKind, WalkEngine, WalkSpec, WalkWeights};
+    use super::super::{run_batch, WalkSpec, WalkWeights};
     use super::*;
     use crate::dgraph::DeviceGraph;
     use gpu_sim::{Device, DeviceConfig};
@@ -170,11 +170,9 @@ mod tests {
                 walks_per_source: 512,
                 max_length: 6,
                 seed: 11,
-                sampler: SamplerKind::Its,
                 weights: WalkWeights::Uniform,
             };
-            let out =
-                WalkEngine::new().run(&mut dev, &g, &Node2vec::new(p, q), &spec, &[5], None, 0);
+            let out = run_batch(&mut dev, &g, &Node2vec::new(p, q), &spec, &[5], None);
             // total distinct ground covered: visits far from the source
             out.visits
                 .iter()

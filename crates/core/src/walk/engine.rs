@@ -1,14 +1,15 @@
 //! The walk engine: batches of walkers stepping in lock-step as one
-//! simulated kernel, with per-warp coalesced neighbor fetches and an
-//! epoch-cached alias table.
+//! simulated kernel, with per-warp coalesced neighbor fetches. It keeps no
+//! state between batches, so nothing goes stale when the graph is
+//! reordered or updated.
 
-use super::{counter_rng, EdgeProbe, SamplerKind, WalkApp, WalkControl, WalkSpec, WalkWeights};
+use super::{counter_rng, EdgeProbe, WalkApp, WalkControl, WalkSpec, WalkWeights};
 use crate::access::AccessRecorder;
 use crate::app::synthetic_weight;
 use crate::dgraph::DeviceGraph;
 use crate::metrics::RunReport;
-use gpu_sim::{AccessKind, Device, DeviceArray};
-use sage_graph::{sample, AliasTable, NodeId};
+use gpu_sim::{AccessKind, Device};
+use sage_graph::{sample, NodeId};
 
 /// Rejection-sampling attempts per step before the engine accepts the last
 /// proposal unconditionally. Bounds per-step work (and RNG draws) at the
@@ -18,15 +19,6 @@ const MAX_REJECTION_ATTEMPTS: usize = 8;
 
 /// Sentinel for "walker has no previous node" (fresh start or teleport).
 const NO_PREV: NodeId = NodeId::MAX;
-
-/// Alias table staged on the device, keyed by the epoch it was built at.
-struct AliasCache {
-    epoch: u64,
-    weights: WalkWeights,
-    table: AliasTable,
-    prob: DeviceArray<u32>,
-    alias_idx: DeviceArray<u32>,
-}
 
 /// Everything a finished walk batch produced.
 #[derive(Debug, Clone)]
@@ -75,367 +67,236 @@ impl WalkOutput {
     }
 }
 
-/// Runs walk batches as simulated kernels. Holds the per-epoch alias-table
-/// cache, so keep one engine per graph (the serve worker does).
-#[derive(Default)]
-pub struct WalkEngine {
-    alias: Option<AliasCache>,
-}
+/// Run one batch: `spec.walks_per_source` walkers from each node of
+/// `sources` (current-id space), all stepping in lock-step inside a
+/// single `walk` kernel launch. `weight_ids`, when given, maps current
+/// ids to original ids so synthetic weights survive reordering.
+///
+/// # Panics
+/// Panics when `sources` is empty or contains an out-of-range id.
+#[allow(clippy::too_many_lines)]
+pub fn run_batch(
+    dev: &mut Device,
+    g: &DeviceGraph,
+    app: &dyn WalkApp,
+    spec: &WalkSpec,
+    sources: &[NodeId],
+    weight_ids: Option<&[NodeId]>,
+) -> WalkOutput {
+    let csr = g.csr();
+    let n = csr.num_nodes();
+    let k_src = sources.len();
+    assert!(k_src > 0, "walk batch needs at least one source");
+    for &s in sources {
+        assert!((s as usize) < n, "source {s} out of range");
+    }
+    let total = k_src * spec.walks_per_source;
+    assert!(total > 0, "walks_per_source must be positive");
 
-impl WalkEngine {
-    /// A fresh engine with an empty alias cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    let start = dev.elapsed_seconds();
+    // sage-lint: allow(wall-clock) — host telemetry only: reported as host_seconds, never mixed into the simulated clock or result values
+    let host_start = std::time::Instant::now();
+    let hazard_start = dev.hazard_count();
+
+    let mut endpoints = dev.alloc_array::<u32>((k_src * n).max(1), 0);
+    let mut visits = dev.alloc_array::<u32>(n.max(1), 0);
+
+    let mut k = dev.launch("walk");
+    let warp = k.cfg().warp_size;
+    let sms = k.num_sms();
+    let warps_total = total.div_ceil(warp);
+    k.set_concurrency((warps_total as f64 / sms as f64).max(1.0));
+
+    // walker state, one lane each: lane w serves source slot
+    // w / walks_per_source
+    let mut cur: Vec<NodeId> = (0..total)
+        .map(|w| sources[w / spec.walks_per_source])
+        .collect();
+    let mut prev: Vec<NodeId> = vec![NO_PREV; total];
+    let mut alive: Vec<bool> = vec![true; total];
+    let mut live = total;
+
+    let mut rec = AccessRecorder::new();
+    let mut addrs: Vec<u64> = Vec::with_capacity(warp * 2);
+    let mut steps_taken = 0u64;
+    let mut edges_examined = 0u64;
+    let mut rounds = 0usize;
+
+    // prologue: every walker registers its starting visit
+    for (wi, lo) in (0..total).step_by(warp).enumerate() {
+        let hi = (lo + warp).min(total);
+        let mut sh = k.shard(wi % sms);
+        sh.exec(2, hi - lo, warp);
+        for w in lo..hi {
+            visits[cur[w] as usize] += 1;
+            rec.atomic(visits.addr(cur[w] as usize));
+        }
+        rec.flush(&mut sh);
     }
 
-    /// Epoch of the cached alias table, if one is staged — the hook the
-    /// stale-table regression tests observe.
-    #[must_use]
-    pub fn alias_epoch(&self) -> Option<u64> {
-        self.alias.as_ref().map(|c| c.epoch)
-    }
-
-    /// Run one batch: `spec.walks_per_source` walkers from each node of
-    /// `sources` (current-id space), all stepping in lock-step inside a
-    /// single `walk` kernel launch. `weight_ids`, when given, maps current
-    /// ids to original ids so synthetic weights survive reordering;
-    /// `epoch` keys the alias-table cache.
-    ///
-    /// # Panics
-    /// Panics when `sources` is empty or contains an out-of-range id.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    pub fn run(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        app: &dyn WalkApp,
-        spec: &WalkSpec,
-        sources: &[NodeId],
-        weight_ids: Option<&[NodeId]>,
-        epoch: u64,
-    ) -> WalkOutput {
-        let csr = g.csr();
-        let n = csr.num_nodes();
-        let k_src = sources.len();
-        assert!(k_src > 0, "walk batch needs at least one source");
-        for &s in sources {
-            assert!((s as usize) < n, "source {s} out of range");
+    for step in 0..spec.max_length {
+        if live == 0 {
+            break;
         }
-        let total = k_src * spec.walks_per_source;
-        assert!(total > 0, "walks_per_source must be positive");
-
-        let start = dev.elapsed_seconds();
-        // sage-lint: allow(wall-clock) — host telemetry only: reported as host_seconds, never mixed into the simulated clock or result values
-        let host_start = std::time::Instant::now();
-        let hazard_start = dev.hazard_count();
-
-        if spec.sampler == SamplerKind::Alias {
-            self.ensure_alias(dev, g, spec.weights, weight_ids, epoch);
-        }
-
-        let mut endpoints = dev.alloc_array::<u32>((k_src * n).max(1), 0);
-        let mut visits = dev.alloc_array::<u32>(n.max(1), 0);
-
-        let mut k = dev.launch("walk");
-        let warp = k.cfg().warp_size;
-        let sms = k.num_sms();
-        let warps_total = total.div_ceil(warp);
-        k.set_concurrency((warps_total as f64 / sms as f64).max(1.0));
-
-        // walker state, one lane each: lane w serves source slot
-        // w / walks_per_source
-        let mut cur: Vec<NodeId> = (0..total)
-            .map(|w| sources[w / spec.walks_per_source])
-            .collect();
-        let mut prev: Vec<NodeId> = vec![NO_PREV; total];
-        let mut alive: Vec<bool> = vec![true; total];
-        let mut live = total;
-
-        let mut rec = AccessRecorder::new();
-        let mut addrs: Vec<u64> = Vec::with_capacity(warp * 2);
-        let mut steps_taken = 0u64;
-        let mut edges_examined = 0u64;
-        let mut rounds = 0usize;
-
-        // prologue: every walker registers its starting visit
+        rounds += 1;
         for (wi, lo) in (0..total).step_by(warp).enumerate() {
             let hi = (lo + warp).min(total);
+            let active = (lo..hi).filter(|&w| alive[w]).count();
+            if active == 0 {
+                continue;
+            }
             let mut sh = k.shard(wi % sms);
-            sh.exec(2, hi - lo, warp);
+            // control draw + per-lane bookkeeping
+            sh.exec(6, active, warp);
+            // each live lane reads its node's offset pair
+            addrs.clear();
             for w in lo..hi {
-                visits[cur[w] as usize] += 1;
-                rec.atomic(visits.addr(cur[w] as usize));
+                if alive[w] {
+                    addrs.push(g.offset_addr(cur[w]));
+                    addrs.push(g.offset_addr(cur[w] + 1));
+                }
             }
-            rec.flush(&mut sh);
-        }
+            sh.access(AccessKind::Read, &addrs, 4);
 
-        for step in 0..spec.max_length {
-            if live == 0 {
-                break;
-            }
-            rounds += 1;
-            for (wi, lo) in (0..total).step_by(warp).enumerate() {
-                let hi = (lo + warp).min(total);
-                let active = (lo..hi).filter(|&w| alive[w]).count();
-                if active == 0 {
+            let mut extra_attempts = 0usize;
+            for w in lo..hi {
+                if !alive[w] {
                     continue;
                 }
-                let mut sh = k.shard(wi % sms);
-                // control draw + per-lane bookkeeping
-                sh.exec(6, active, warp);
-                // each live lane reads its node's offset pair
-                addrs.clear();
-                for w in lo..hi {
-                    if alive[w] {
-                        addrs.push(g.offset_addr(cur[w]));
-                        addrs.push(g.offset_addr(cur[w] + 1));
-                    }
-                }
-                sh.access(AccessKind::Read, &addrs, 4);
-
-                let mut extra_attempts = 0usize;
-                for w in lo..hi {
-                    if !alive[w] {
+                let slot = w / spec.walks_per_source;
+                let wid = w as u64;
+                match app.control(counter_rng(spec.seed, wid, step as u64, 0)) {
+                    WalkControl::Terminate => {
+                        endpoints[slot * n + cur[w] as usize] += 1;
+                        rec.atomic(endpoints.addr(slot * n + cur[w] as usize));
+                        alive[w] = false;
+                        live -= 1;
                         continue;
                     }
-                    let slot = w / spec.walks_per_source;
-                    let wid = w as u64;
-                    match app.control(counter_rng(spec.seed, wid, step as u64, 0)) {
-                        WalkControl::Terminate => {
+                    WalkControl::Restart => {
+                        prev[w] = NO_PREV;
+                        cur[w] = sources[slot];
+                        visits[cur[w] as usize] += 1;
+                        rec.atomic(visits.addr(cur[w] as usize));
+                        continue;
+                    }
+                    WalkControl::Continue => {}
+                }
+
+                let d = csr.degree(cur[w]) as u64;
+                if d == 0 {
+                    match app.at_dangling() {
+                        WalkControl::Terminate | WalkControl::Continue => {
                             endpoints[slot * n + cur[w] as usize] += 1;
                             rec.atomic(endpoints.addr(slot * n + cur[w] as usize));
                             alive[w] = false;
                             live -= 1;
-                            continue;
                         }
                         WalkControl::Restart => {
                             prev[w] = NO_PREV;
                             cur[w] = sources[slot];
                             visits[cur[w] as usize] += 1;
                             rec.atomic(visits.addr(cur[w] as usize));
-                            continue;
                         }
-                        WalkControl::Continue => {}
                     }
-
-                    let d = csr.degree(cur[w]) as u64;
-                    if d == 0 {
-                        match app.at_dangling() {
-                            WalkControl::Terminate | WalkControl::Continue => {
-                                endpoints[slot * n + cur[w] as usize] += 1;
-                                rec.atomic(endpoints.addr(slot * n + cur[w] as usize));
-                                alive[w] = false;
-                                live -= 1;
-                            }
-                            WalkControl::Restart => {
-                                prev[w] = NO_PREV;
-                                cur[w] = sources[slot];
-                                visits[cur[w] as usize] += 1;
-                                rec.atomic(visits.addr(cur[w] as usize));
-                            }
-                        }
-                        continue;
-                    }
-
-                    let off = csr.offset(cur[w]);
-                    let prev_opt = (prev[w] != NO_PREV).then_some(prev[w]);
-                    let mut chosen: Option<NodeId> = None;
-                    for attempt in 0..MAX_REJECTION_ATTEMPTS {
-                        let base = 1 + 3 * attempt as u64;
-                        let r_slot = counter_rng(spec.seed, wid, step as u64, base);
-                        let r_accept = counter_rng(spec.seed, wid, step as u64, base + 1);
-                        let r_bias = counter_rng(spec.seed, wid, step as u64, base + 2);
-                        let (next, in_row) = self.propose(
-                            &mut sh,
-                            &mut rec,
-                            g,
-                            spec,
-                            weight_ids,
-                            cur[w],
-                            off,
-                            d,
-                            r_slot,
-                            r_accept,
-                            &mut edges_examined,
-                        );
-                        // charge the chosen target word (alias/uniform paths;
-                        // the weighted-ITS row scan already covered it)
-                        if spec.sampler == SamplerKind::Alias
-                            || spec.weights == WalkWeights::Uniform
-                        {
-                            rec.read(g.target_addr(off + in_row));
-                        }
-                        let threshold = {
-                            let mut probe = EdgeProbe::new(g, &mut rec);
-                            app.accept_q32(prev_opt, cur[w], next, &mut probe)
-                        };
-                        let last = attempt + 1 == MAX_REJECTION_ATTEMPTS;
-                        if threshold == u32::MAX || (r_bias as u32) < threshold || last {
-                            chosen = Some(next);
-                            break;
-                        }
-                        extra_attempts += 1;
-                    }
-                    let next = chosen.expect("rejection loop always proposes");
-                    prev[w] = cur[w];
-                    cur[w] = next;
-                    visits[next as usize] += 1;
-                    rec.atomic(visits.addr(next as usize));
-                    steps_taken += 1;
+                    continue;
                 }
-                if extra_attempts > 0 {
-                    sh.exec(4, extra_attempts.min(warp), warp);
+
+                let off = csr.offset(cur[w]);
+                let prev_opt = (prev[w] != NO_PREV).then_some(prev[w]);
+                let mut chosen: Option<NodeId> = None;
+                for attempt in 0..MAX_REJECTION_ATTEMPTS {
+                    // each attempt owns three draws: the first picks the
+                    // neighbor and the third decides acceptance; the second
+                    // stays unused so the draw streams keep their layout
+                    // (golden_sim pins walks drawn with it)
+                    let base = 1 + 3 * attempt as u64;
+                    let r_slot = counter_rng(spec.seed, wid, step as u64, base);
+                    let r_bias = counter_rng(spec.seed, wid, step as u64, base + 2);
+                    let next = match spec.weights {
+                        WalkWeights::Uniform => {
+                            // uniform ITS degenerates to a single modulo
+                            // pick plus a read of the chosen target word
+                            edges_examined += 1;
+                            let idx = (r_slot % d) as u32;
+                            rec.read(g.target_addr(off + idx));
+                            csr.neighbors(cur[w])[idx as usize]
+                        }
+                        WalkWeights::Synthetic => {
+                            // the warp cooperatively streams the whole row
+                            sh.access_range(AccessKind::Read, g.target_addr(off), d, 4);
+                            edges_examined += d;
+                            sample::its_sample(csr, cur[w], r_slot, weight_fn(weight_ids))
+                                .expect("non-sink row")
+                                .0
+                        }
+                    };
+                    let threshold = {
+                        let mut probe = EdgeProbe::new(g, &mut rec);
+                        app.accept_q32(prev_opt, cur[w], next, &mut probe)
+                    };
+                    let last = attempt + 1 == MAX_REJECTION_ATTEMPTS;
+                    if threshold == u32::MAX || (r_bias as u32) < threshold || last {
+                        chosen = Some(next);
+                        break;
+                    }
+                    extra_attempts += 1;
                 }
-                rec.flush(&mut sh);
+                let next = chosen.expect("rejection loop always proposes");
+                prev[w] = cur[w];
+                cur[w] = next;
+                visits[next as usize] += 1;
+                rec.atomic(visits.addr(next as usize));
+                steps_taken += 1;
             }
-        }
-
-        // epilogue: walkers that hit the length cap record their endpoint
-        let truncated = live;
-        if live > 0 {
-            let survivors: Vec<usize> = (0..total).filter(|&w| alive[w]).collect();
-            for (ci, chunk) in survivors.chunks(warp).enumerate() {
-                let mut sh = k.shard(ci % sms);
-                sh.exec(2, chunk.len(), warp);
-                for &w in chunk {
-                    let slot = w / spec.walks_per_source;
-                    endpoints[slot * n + cur[w] as usize] += 1;
-                    rec.atomic(endpoints.addr(slot * n + cur[w] as usize));
-                }
-                rec.flush(&mut sh);
+            if extra_attempts > 0 {
+                sh.exec(4, extra_attempts.min(warp), warp);
             }
-        }
-        let _ = k.finish();
-
-        let report = RunReport {
-            app: app.name().to_owned(),
-            engine: match spec.sampler {
-                SamplerKind::Its => "walk-its".to_owned(),
-                SamplerKind::Alias => "walk-alias".to_owned(),
-            },
-            iterations: rounds,
-            edges: steps_taken,
-            edges_examined,
-            seconds: dev.elapsed_seconds() - start,
-            overhead_seconds: 0.0,
-            direction_trace: String::new(),
-            converged: app.fixed_length() || truncated == 0,
-            latency: crate::metrics::LatencyBreakdown::default(),
-            host_seconds: host_start.elapsed().as_secs_f64(),
-            host_threads: dev.host_threads(),
-            hazards: gpu_sim::HazardReport {
-                hazards: dev.hazards()[hazard_start..].to_vec(),
-            },
-        };
-        WalkOutput {
-            num_sources: k_src,
-            endpoints: endpoints.as_slice().to_vec(),
-            visits: visits.as_slice().to_vec(),
-            walkers: total,
-            steps: steps_taken,
-            report,
+            rec.flush(&mut sh);
         }
     }
 
-    /// Draw one neighbor proposal for a lane, charging its device traffic.
-    /// Returns `(neighbor, in_row_index)`; the caller guarantees `d > 0`.
-    #[allow(clippy::too_many_arguments)]
-    fn propose(
-        &self,
-        sh: &mut gpu_sim::SmShard<'_, '_>,
-        rec: &mut AccessRecorder,
-        g: &DeviceGraph,
-        spec: &WalkSpec,
-        weight_ids: Option<&[NodeId]>,
-        u: NodeId,
-        off: u32,
-        d: u64,
-        r_slot: u64,
-        r_accept: u64,
-        edges_examined: &mut u64,
-    ) -> (NodeId, u32) {
-        let csr = g.csr();
-        match spec.sampler {
-            SamplerKind::Its => match spec.weights {
-                WalkWeights::Uniform => {
-                    // uniform ITS degenerates to a single modulo pick
-                    *edges_examined += 1;
-                    let idx = (r_slot % d) as u32;
-                    (csr.neighbors(u)[idx as usize], idx)
-                }
-                WalkWeights::Synthetic => {
-                    // the warp cooperatively streams the whole row
-                    sh.access_range(AccessKind::Read, g.target_addr(off), d, 4);
-                    *edges_examined += d;
-                    let (v, idx) = sample::its_sample(csr, u, r_slot, weight_fn(weight_ids))
-                        .expect("non-sink row");
-                    (v, idx)
-                }
-            },
-            SamplerKind::Alias => {
-                let cache = self.alias.as_ref().expect("alias table staged");
-                *edges_examined += 1;
-                let slot = (r_slot % d) as usize;
-                rec.read(cache.prob.addr(off as usize + slot));
-                rec.read(cache.alias_idx.addr(off as usize + slot));
-                let (v, idx) = cache
-                    .table
-                    .sample(csr, u, r_slot, r_accept)
-                    .expect("non-sink row");
-                (v, idx)
+    // epilogue: walkers that hit the length cap record their endpoint
+    let truncated = live;
+    if live > 0 {
+        let survivors: Vec<usize> = (0..total).filter(|&w| alive[w]).collect();
+        for (ci, chunk) in survivors.chunks(warp).enumerate() {
+            let mut sh = k.shard(ci % sms);
+            sh.exec(2, chunk.len(), warp);
+            for &w in chunk {
+                let slot = w / spec.walks_per_source;
+                endpoints[slot * n + cur[w] as usize] += 1;
+                rec.atomic(endpoints.addr(slot * n + cur[w] as usize));
             }
+            rec.flush(&mut sh);
         }
     }
+    let _ = k.finish();
 
-    /// Stage the alias table for `epoch`, rebuilding (and charging the
-    /// build kernel) only when the cached one is missing or stale.
-    fn ensure_alias(
-        &mut self,
-        dev: &mut Device,
-        g: &DeviceGraph,
-        weights: WalkWeights,
-        weight_ids: Option<&[NodeId]>,
-        epoch: u64,
-    ) {
-        let m = g.csr().num_edges();
-        if let Some(c) = &self.alias {
-            if c.epoch == epoch && c.weights == weights && c.table.len() == m {
-                return;
-            }
-        }
-        let table = AliasTable::build(g.csr(), weight_fn_for(weights, weight_ids));
-        let mut prob = dev.alloc_array::<u32>(m.max(1), 0);
-        let mut alias_idx = dev.alloc_array::<u32>(m.max(1), 0);
-        for i in 0..m {
-            prob[i] = table.prob_q32(i);
-            alias_idx[i] = table.alias(i);
-        }
-        // the build streams the target array once and writes both tables —
-        // a real one-pass device kernel, grid-strided over the SMs
-        let mut k = dev.launch("alias_build");
-        let sms = k.num_sms();
-        let warp = k.cfg().warp_size as u64;
-        let per_sm = m.div_ceil(sms);
-        for sm in 0..sms {
-            let lo = sm * per_sm;
-            if lo >= m {
-                break;
-            }
-            let cnt = (per_sm.min(m - lo)) as u64;
-            k.exec_uniform(sm, cnt.div_ceil(warp) * 6);
-            k.access_range(sm, AccessKind::Read, g.target_addr(lo as u32), cnt, 4);
-            k.access_range(sm, AccessKind::Write, prob.addr(lo), cnt, 4);
-            k.access_range(sm, AccessKind::Write, alias_idx.addr(lo), cnt, 4);
-        }
-        let _ = k.finish();
-        self.alias = Some(AliasCache {
-            epoch,
-            weights,
-            table,
-            prob,
-            alias_idx,
-        });
+    let report = RunReport {
+        app: app.name().to_owned(),
+        engine: "walk".to_owned(),
+        iterations: rounds,
+        edges: steps_taken,
+        edges_examined,
+        seconds: dev.elapsed_seconds() - start,
+        overhead_seconds: 0.0,
+        direction_trace: String::new(),
+        converged: app.fixed_length() || truncated == 0,
+        latency: crate::metrics::LatencyBreakdown::default(),
+        host_seconds: host_start.elapsed().as_secs_f64(),
+        host_threads: dev.host_threads(),
+        hazards: gpu_sim::HazardReport {
+            hazards: dev.hazards()[hazard_start..].to_vec(),
+        },
+    };
+    WalkOutput {
+        num_sources: k_src,
+        endpoints: endpoints.as_slice().to_vec(),
+        visits: visits.as_slice().to_vec(),
+        walkers: total,
+        steps: steps_taken,
+        report,
     }
 }
 
@@ -445,17 +306,6 @@ fn weight_fn(weight_ids: Option<&[NodeId]>) -> impl Fn(NodeId, NodeId) -> u32 + 
     move |u, v| match weight_ids {
         Some(ids) => synthetic_weight(ids[u as usize], ids[v as usize]),
         None => synthetic_weight(u, v),
-    }
-}
-
-/// Weight function for an arbitrary weight model.
-fn weight_fn_for(
-    weights: WalkWeights,
-    weight_ids: Option<&[NodeId]>,
-) -> impl Fn(NodeId, NodeId) -> u32 + '_ {
-    move |u, v| match weights {
-        WalkWeights::Uniform => 1,
-        WalkWeights::Synthetic => weight_fn(weight_ids)(u, v),
     }
 }
 
@@ -479,103 +329,40 @@ mod tests {
         (dev, g)
     }
 
-    fn spec(sampler: SamplerKind) -> WalkSpec {
+    fn spec() -> WalkSpec {
         WalkSpec {
             walks_per_source: 16,
             max_length: 8,
             seed: 7,
-            sampler,
             weights: WalkWeights::Synthetic,
         }
     }
 
     #[test]
     fn batch_is_deterministic() {
-        for sampler in [SamplerKind::Its, SamplerKind::Alias] {
-            let (mut d1, g1) = setup(32);
-            let (mut d2, g2) = setup(32);
-            let o1 = WalkEngine::new().run(
-                &mut d1,
-                &g1,
-                &Ppr::new(0.2),
-                &spec(sampler),
-                &[0, 5],
-                None,
-                0,
-            );
-            let o2 = WalkEngine::new().run(
-                &mut d2,
-                &g2,
-                &Ppr::new(0.2),
-                &spec(sampler),
-                &[0, 5],
-                None,
-                0,
-            );
-            assert_eq!(o1.endpoints, o2.endpoints);
-            assert_eq!(o1.visits, o2.visits);
-            assert_eq!(o1.steps, o2.steps);
-            assert_eq!(o1.report.seconds.to_bits(), o2.report.seconds.to_bits());
-        }
+        let (mut d1, g1) = setup(32);
+        let (mut d2, g2) = setup(32);
+        let o1 = run_batch(&mut d1, &g1, &Ppr::new(0.2), &spec(), &[0, 5], None);
+        let o2 = run_batch(&mut d2, &g2, &Ppr::new(0.2), &spec(), &[0, 5], None);
+        assert_eq!(o1.endpoints, o2.endpoints);
+        assert_eq!(o1.visits, o2.visits);
+        assert_eq!(o1.steps, o2.steps);
+        assert_eq!(o1.report.seconds.to_bits(), o2.report.seconds.to_bits());
     }
 
     #[test]
     fn every_walker_terminates_somewhere() {
         let (mut dev, g) = setup(16);
-        let out = WalkEngine::new().run(
-            &mut dev,
-            &g,
-            &Node2vec::new(1.0, 1.0),
-            &spec(SamplerKind::Its),
-            &[3],
-            None,
-            0,
-        );
+        let out = run_batch(&mut dev, &g, &Node2vec::new(1.0, 1.0), &spec(), &[3], None);
         let total: u64 = out.endpoints.iter().map(|&c| u64::from(c)).sum();
         assert_eq!(total, out.walkers as u64);
         assert!(out.report.converged);
     }
 
     #[test]
-    fn alias_cache_reused_within_epoch_and_rebuilt_across() {
-        let (mut dev, g) = setup(16);
-        let mut eng = WalkEngine::new();
-        assert_eq!(eng.alias_epoch(), None);
-        let s = spec(SamplerKind::Alias);
-        eng.run(&mut dev, &g, &Ppr::new(0.2), &s, &[0], None, 3);
-        assert_eq!(eng.alias_epoch(), Some(3));
-        let builds_before = dev
-            .kernel_breakdown()
-            .iter()
-            .filter(|(n, _, _)| n == "alias_build")
-            .map(|(_, c, _)| *c)
-            .next()
-            .unwrap_or(0);
-        eng.run(&mut dev, &g, &Ppr::new(0.2), &s, &[1], None, 3);
-        let builds_same_epoch = dev
-            .kernel_breakdown()
-            .iter()
-            .filter(|(n, _, _)| n == "alias_build")
-            .map(|(_, c, _)| *c)
-            .next()
-            .unwrap_or(0);
-        assert_eq!(builds_before, builds_same_epoch, "no rebuild within epoch");
-        eng.run(&mut dev, &g, &Ppr::new(0.2), &s, &[1], None, 4);
-        assert_eq!(eng.alias_epoch(), Some(4), "epoch bump rebuilds");
-    }
-
-    #[test]
     fn endpoint_scores_normalize() {
         let (mut dev, g) = setup(16);
-        let out = WalkEngine::new().run(
-            &mut dev,
-            &g,
-            &Ppr::new(0.3),
-            &spec(SamplerKind::Its),
-            &[2],
-            None,
-            0,
-        );
+        let out = run_batch(&mut dev, &g, &Ppr::new(0.3), &spec(), &[2], None);
         let s = out.endpoint_scores(0);
         let sum: f32 = s.iter().sum();
         assert!((sum - 1.0).abs() < 1e-4, "sum = {sum}");
@@ -585,14 +372,6 @@ mod tests {
     #[should_panic(expected = "at least one source")]
     fn empty_sources_rejected() {
         let (mut dev, g) = setup(8);
-        let _ = WalkEngine::new().run(
-            &mut dev,
-            &g,
-            &Ppr::new(0.2),
-            &spec(SamplerKind::Its),
-            &[],
-            None,
-            0,
-        );
+        let _ = run_batch(&mut dev, &g, &Ppr::new(0.2), &spec(), &[], None);
     }
 }

@@ -9,13 +9,12 @@
 //! draw-index)`, so walk outputs are bitwise identical regardless of host
 //! thread count or warp scheduling, like everything else in the repo.
 //!
-//! Two transition samplers (see [`sage_graph::sample`]):
-//!
-//! * [`SamplerKind::Its`] — inverse-transform sampling, O(degree) row scan
-//!   per step, no precomputation;
-//! * [`SamplerKind::Alias`] — O(1) draws from a per-epoch alias table that
-//!   the engine caches and invalidates when the graph's reorder/update
-//!   epoch moves (exactly like the serve result cache).
+//! One transition sampler, with no precomputation: under
+//! [`WalkWeights::Synthetic`] each step scans the walker's CSR row by
+//! inverse-transform sampling ([`sage_graph::sample::its_sample`]), and
+//! under [`WalkWeights::Uniform`] it degenerates to a single modulo pick.
+//! A batch therefore keeps no per-graph state: reorder commits, rollbacks
+//! and updates leave nothing to rebuild.
 //!
 //! Apps plug in through [`WalkApp`]: `ppr` (Monte-Carlo personalized
 //! PageRank from endpoint counts) and `node2vec` (second-order p/q-biased
@@ -25,7 +24,7 @@ pub mod apps;
 pub mod engine;
 
 pub use apps::{Node2vec, Ppr};
-pub use engine::{WalkEngine, WalkOutput};
+pub use engine::{run_batch, WalkOutput};
 
 use crate::access::AccessRecorder;
 use crate::dgraph::DeviceGraph;
@@ -50,37 +49,6 @@ pub fn counter_rng(seed: u64, walker: u64, step: u64, draw: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Which transition sampler the walk engine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SamplerKind {
-    /// Inverse-transform sampling over the CSR row: O(degree) per step.
-    Its,
-    /// Precomputed per-epoch alias table: O(1) per step after an O(|E|)
-    /// build.
-    Alias,
-}
-
-impl SamplerKind {
-    /// Name as printed in reports and parsed from CLI flags.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Its => "its",
-            Self::Alias => "alias",
-        }
-    }
-
-    /// Parse a CLI flag value.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "its" => Some(Self::Its),
-            "alias" => Some(Self::Alias),
-            _ => None,
-        }
-    }
-}
-
 /// Edge-weight model for transition probabilities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WalkWeights {
@@ -90,17 +58,6 @@ pub enum WalkWeights {
     /// hashed from *original* node ids so reordering never changes the
     /// sampled distribution.
     Synthetic,
-}
-
-impl WalkWeights {
-    /// Name as printed in reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Uniform => "uniform",
-            Self::Synthetic => "synthetic",
-        }
-    }
 }
 
 /// What a walker does next, as decided by the app.
@@ -124,8 +81,6 @@ pub struct WalkSpec {
     pub max_length: usize,
     /// RNG seed; same seed ⇒ bitwise-identical batch.
     pub seed: u64,
-    /// Transition sampler.
-    pub sampler: SamplerKind,
     /// Edge-weight model.
     pub weights: WalkWeights,
 }
@@ -136,7 +91,6 @@ impl Default for WalkSpec {
             walks_per_source: 256,
             max_length: 32,
             seed: 42,
-            sampler: SamplerKind::Its,
             weights: WalkWeights::Uniform,
         }
     }
@@ -244,13 +198,5 @@ mod tests {
             .filter(|&i| counter_rng(3, i, 0, 0) >> 63 == 1)
             .count();
         assert!((1800..2300).contains(&ones), "top-bit ones = {ones}");
-    }
-
-    #[test]
-    fn sampler_kind_parse_roundtrip() {
-        for k in [SamplerKind::Its, SamplerKind::Alias] {
-            assert_eq!(SamplerKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(SamplerKind::parse("bogus"), None);
     }
 }

@@ -16,11 +16,18 @@
 //! SSSP, PR and CC run `Runner::new()`. The devices are
 //! `DeviceConfig::default()`, whose L2 has 192 sets per slice (the one
 //! non-power-of-two set count), and `DeviceConfig::test_tiny()`.
+//!
+//! Walks are pinned the same way through `SageRuntime::run_walk` on R-MAT
+//! 2^12 at seed 1: node2vec (p = 2, q = 0.5) over synthetic weights takes
+//! the inverse-transform row scan, and PPR over uniform weights takes the
+//! single modulo pick the service's walks use. Their hash also covers the
+//! endpoint and visit histograms and the step count.
 
 use gpu_sim::{Device, DeviceConfig, Profiler};
 use sage::app::{App, Bfs, Cc, PageRank, Sssp};
 use sage::engine::ResidentEngine;
-use sage::{DeviceGraph, DirectionPolicy, Runner};
+use sage::walk::{Node2vec, Ppr, WalkApp, WalkSpec, WalkWeights};
+use sage::{DeviceGraph, DirectionPolicy, Runner, SageRuntime};
 use sage_graph::gen::rmat_graph;
 use sage_graph::Csr;
 
@@ -115,6 +122,11 @@ fn run(cfg: &DeviceConfig, threads: usize, g: &Csr, app: AppSel) -> (u64, String
     hash_profiler(&mut h, dev.profiler());
     h.f64(report.seconds);
     h.bytes(report.direction_trace.as_bytes());
+    hash_breakdown(&mut h, &dev);
+    (h.0, report.direction_trace)
+}
+
+fn hash_breakdown(h: &mut Fnv, dev: &Device) {
     // the device sorts its breakdown by time; re-sort by name so equal
     // times cannot reorder the hash input
     let mut bd = dev.kernel_breakdown();
@@ -124,7 +136,6 @@ fn run(cfg: &DeviceConfig, threads: usize, g: &Csr, app: AppSel) -> (u64, String
         h.u64(*launches);
         h.f64(*seconds);
     }
-    (h.0, report.direction_trace)
 }
 
 /// Run `app` on both seeds at 1 and 2 host threads and compare with `want`.
@@ -224,5 +235,93 @@ fn cc_tiny_device() {
         &DeviceConfig::test_tiny(),
         AppSel::Cc,
         [10_481_040_538_985_236_680, 16_751_437_255_219_166_205],
+    );
+}
+
+/// One walk batch's fingerprint: endpoints, visits, steps, seconds,
+/// profiler and kernel breakdown.
+fn run_walk(
+    cfg: &DeviceConfig,
+    threads: usize,
+    g: &Csr,
+    app: &dyn WalkApp,
+    weights: WalkWeights,
+) -> u64 {
+    let mut dev = Device::new(cfg.clone());
+    dev.set_host_threads(threads);
+    let spec = WalkSpec {
+        walks_per_source: 64,
+        max_length: 12,
+        seed: 11,
+        weights,
+    };
+    let out =
+        SageRuntime::new(&mut dev, g.clone()).run_walk(&mut dev, app, &spec, &[hub(g), 0, 1234]);
+    let mut h = Fnv::new();
+    for &c in out.endpoints.iter().chain(&out.visits) {
+        h.u64(u64::from(c));
+    }
+    h.u64(out.steps);
+    h.f64(out.report.seconds);
+    hash_profiler(&mut h, dev.profiler());
+    hash_breakdown(&mut h, &dev);
+    h.0
+}
+
+/// Run a walk batch at 1 and 2 host threads and compare with `want`.
+fn check_walk(cfg: &DeviceConfig, app: &dyn WalkApp, weights: WalkWeights, want: u64) {
+    let g = rmat_graph(12, 16, SEEDS[0]);
+    let direct = run_walk(cfg, 1, &g, app, weights);
+    let replayed = run_walk(cfg, 2, &g, app, weights);
+    let name = app.name();
+    assert_eq!(
+        direct, replayed,
+        "{name} walk on {}: replay diverged from the direct path",
+        cfg.name
+    );
+    assert_eq!(
+        direct, want,
+        "{name} walk on {}: simulated counters drifted",
+        cfg.name
+    );
+}
+
+#[test]
+fn node2vec_its_default_device() {
+    check_walk(
+        &DeviceConfig::default(),
+        &Node2vec::new(2.0, 0.5),
+        WalkWeights::Synthetic,
+        3_581_972_027_123_732_324,
+    );
+}
+
+#[test]
+fn node2vec_its_tiny_device() {
+    check_walk(
+        &DeviceConfig::test_tiny(),
+        &Node2vec::new(2.0, 0.5),
+        WalkWeights::Synthetic,
+        15_063_274_160_024_045_689,
+    );
+}
+
+#[test]
+fn ppr_uniform_default_device() {
+    check_walk(
+        &DeviceConfig::default(),
+        &Ppr::new(0.15),
+        WalkWeights::Uniform,
+        620_404_643_104_699_109,
+    );
+}
+
+#[test]
+fn ppr_uniform_tiny_device() {
+    check_walk(
+        &DeviceConfig::test_tiny(),
+        &Ppr::new(0.15),
+        WalkWeights::Uniform,
+        10_862_977_769_236_943_792,
     );
 }

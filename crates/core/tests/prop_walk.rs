@@ -1,16 +1,16 @@
 //! Determinism and fidelity suite for the random-walk engine: on random
-//! power-law graphs, PPR and node2vec batches under both samplers must be
-//! **bitwise identical** across host thread counts — endpoint histograms,
-//! visit counters, step totals, simulated cycles, and every cache counter —
-//! with the race sanitizer armed and silent. A companion statistical test
-//! checks Monte-Carlo PPR agrees with power-iteration PageRank on the head
-//! of the rank distribution.
+//! power-law graphs, PPR and node2vec batches under both weight models
+//! must be **bitwise identical** across host thread counts — endpoint
+//! histograms, visit counters, step totals, simulated cycles, and every
+//! cache counter — with the race sanitizer armed and silent. A companion
+//! statistical test checks Monte-Carlo PPR agrees with power-iteration
+//! PageRank on the head of the rank distribution.
 
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
 use sage::app::PageRank;
 use sage::engine::ResidentEngine;
-use sage::walk::{Node2vec, Ppr, SamplerKind, WalkApp, WalkSpec, WalkWeights};
+use sage::walk::{Node2vec, Ppr, WalkApp, WalkSpec, WalkWeights};
 use sage::{DeviceGraph, Runner, SageRuntime};
 use sage_graph::gen::{social_graph, SocialParams};
 use sage_graph::Csr;
@@ -60,7 +60,7 @@ fn run_once(
     let mut dev = Device::new(cfg8());
     dev.set_host_threads(threads);
     dev.set_sanitize(true);
-    let mut rt = SageRuntime::new(&mut dev, csr.clone());
+    let rt = SageRuntime::new(&mut dev, csr.clone());
     let out = rt.run_walk(&mut dev, app, spec, sources);
     assert_eq!(
         dev.hazard_count(),
@@ -84,8 +84,8 @@ fn run_once(
 }
 
 /// Every parallel thread count must reproduce the sequential fingerprint
-/// bit for bit, for both samplers, on `walks` walks of up to `length` steps
-/// per source.
+/// bit for bit, under both weight models, on `walks` walks of up to
+/// `length` steps per source.
 fn assert_deterministic(
     csr: &Csr,
     app: &dyn WalkApp,
@@ -93,13 +93,12 @@ fn assert_deterministic(
     (walks, length): (usize, usize),
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    for sampler in [SamplerKind::Its, SamplerKind::Alias] {
+    for weights in [WalkWeights::Synthetic, WalkWeights::Uniform] {
         let spec = WalkSpec {
             walks_per_source: walks,
             max_length: length,
             seed,
-            sampler,
-            weights: WalkWeights::Synthetic,
+            weights,
         };
         let seq = run_once(csr, app, &spec, sources, 1);
         for &t in &THREADS {
@@ -107,9 +106,9 @@ fn assert_deterministic(
             prop_assert_eq!(
                 &par,
                 &seq,
-                "{} threads diverged from sequential with the {} sampler",
+                "{} threads diverged from sequential with {:?} weights",
                 t,
-                sampler.name()
+                weights
             );
         }
     }
@@ -180,7 +179,6 @@ fn mc_ppr_ranks_correlate_with_power_iteration_pagerank() {
             walks_per_source: walks,
             max_length: 48,
             seed: 42,
-            sampler: SamplerKind::Its,
             weights: WalkWeights::Uniform,
         };
         let alpha = 1.0 - f64::from(sage::app::pagerank::DAMPING);

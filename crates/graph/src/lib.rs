@@ -11,8 +11,8 @@
 //! * [`stats`] — degree-distribution and skew metrics;
 //! * [`reorder`] — the reordering baselines of §7: RCM, LLP, Gorder, plus
 //!   utility orders (identity, random, degree);
-//! * [`sample`] — weighted neighbor samplers for random walks (per-row
-//!   alias tables and inverse-transform sampling);
+//! * [`sample`] — inverse-transform neighbor sampling for weighted random
+//!   walks;
 //! * [`partition`] — a METIS-like balanced edge-cut partitioner for the
 //!   multi-GPU scenario;
 //! * [`update`] — dynamic edge insertion (the paper's dynamic-graph
@@ -41,4 +41,3 @@ pub use coo::Coo;
 pub use csr::Csr;
 pub use io::ReadError;
 pub use reorder::Permutation;
-pub use sample::AliasTable;

@@ -1,148 +1,13 @@
-//! Weighted neighbor-sampling structures for random walks.
+//! Weighted neighbor sampling for random walks.
 //!
-//! Two transition samplers over a CSR row, mirroring C-SAW's trade-off:
-//!
-//! * **Inverse-transform sampling (ITS)** needs no precomputation — each
-//!   step scans the row, accumulates weights, and picks the neighbor whose
-//!   cumulative range contains the draw. O(degree) work and memory traffic
-//!   per step.
-//! * An **[`AliasTable`]** spends one O(|E|) build (Vose's method, exact
-//!   integer arithmetic) to make every subsequent draw O(1): pick a uniform
-//!   in-row slot, then either keep it or take its precomputed alias.
-//!
-//! The table is a pure function of the CSR *and* the weight function, so it
-//! is stale the moment either changes — callers key cached tables by the
-//! graph's reorder/update epoch (see `sage::walk`).
+//! Inverse-transform sampling (ITS), C-SAW's GPU walk sampler, needs no
+//! precomputation: each draw scans the row, accumulates weights, and picks
+//! the neighbor whose cumulative range contains the draw. O(degree) work
+//! and memory traffic per draw, and nothing to rebuild when the graph is
+//! reordered or updated.
 
 use crate::csr::Csr;
 use crate::NodeId;
-
-/// Per-edge-slot alias table over every row of a CSR (Vose's method).
-///
-/// Slot `i` of node `u`'s row (global index `g.offset(u) + i`) carries a
-/// Q32 acceptance threshold and an in-row alias index. Sampling draws a
-/// uniform slot and a uniform Q32 value; the value decides between the slot
-/// itself and its alias. Built with exact integer arithmetic in a fixed
-/// row order, so identical inputs produce identical tables.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AliasTable {
-    /// Q32 acceptance threshold per edge slot (`u32::MAX` = always keep).
-    prob_q32: Vec<u32>,
-    /// In-row index of the alias neighbor per edge slot.
-    alias: Vec<u32>,
-}
-
-impl AliasTable {
-    /// Build the table for every row of `g`, weighting edge `(u, v)` by
-    /// `weight(u, v)`. Zero-weight edges get zero probability; a row whose
-    /// weights are all zero falls back to uniform.
-    #[must_use]
-    pub fn build(g: &Csr, weight: impl Fn(NodeId, NodeId) -> u32) -> Self {
-        let m = g.num_edges();
-        let mut prob_q32 = vec![u32::MAX; m];
-        let mut alias = vec![0u32; m];
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        let mut scaled: Vec<u128> = Vec::new();
-        for u in 0..g.num_nodes() as NodeId {
-            let off = g.offset(u) as usize;
-            let row = g.neighbors(u);
-            let d = row.len();
-            if d == 0 {
-                continue;
-            }
-            let mut total: u128 = 0;
-            scaled.clear();
-            for &v in row {
-                let w = u128::from(weight(u, v));
-                total += w;
-                scaled.push(w);
-            }
-            if total == 0 {
-                // all-zero row: uniform fallback (keep the defaults)
-                for (i, a) in alias[off..off + d].iter_mut().enumerate() {
-                    *a = i as u32;
-                }
-                continue;
-            }
-            // Vose: work in units of total/d so thresholds stay exact
-            for s in &mut scaled {
-                *s *= d as u128;
-            }
-            small.clear();
-            large.clear();
-            for (i, &s) in scaled.iter().enumerate() {
-                if s < total {
-                    small.push(i);
-                } else {
-                    large.push(i);
-                }
-            }
-            while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-                prob_q32[off + s] = ((scaled[s] << 32) / total) as u32;
-                alias[off + s] = l as u32;
-                scaled[l] -= total - scaled[s];
-                if scaled[l] < total {
-                    small.push(l);
-                } else {
-                    large.push(l);
-                }
-            }
-            // leftovers are exactly full slots (modulo rounding): keep self
-            for i in small.drain(..).chain(large.drain(..)) {
-                prob_q32[off + i] = u32::MAX;
-                alias[off + i] = i as u32;
-            }
-        }
-        Self { prob_q32, alias }
-    }
-
-    /// Number of edge slots covered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.prob_q32.len()
-    }
-
-    /// True when the table covers no edges.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.prob_q32.is_empty()
-    }
-
-    /// Q32 acceptance threshold of global edge slot `idx`.
-    #[must_use]
-    pub fn prob_q32(&self, idx: usize) -> u32 {
-        self.prob_q32[idx]
-    }
-
-    /// In-row alias index of global edge slot `idx`.
-    #[must_use]
-    pub fn alias(&self, idx: usize) -> u32 {
-        self.alias[idx]
-    }
-
-    /// Draw a neighbor of `u` with two uniform random words: `r_slot` picks
-    /// the in-row slot, `r_accept`'s low 32 bits decide slot vs. alias.
-    /// Returns `(neighbor, in_row_index)` — the index lets callers charge
-    /// the exact target-array address read — or `None` for a sink node.
-    #[must_use]
-    pub fn sample(&self, g: &Csr, u: NodeId, r_slot: u64, r_accept: u64) -> Option<(NodeId, u32)> {
-        let row = g.neighbors(u);
-        let d = row.len() as u64;
-        if d == 0 {
-            return None;
-        }
-        let off = g.offset(u) as usize;
-        let slot = (r_slot % d) as usize;
-        let keep = (r_accept as u32) < self.prob_q32[off + slot];
-        let idx = if keep {
-            slot as u32
-        } else {
-            self.alias[off + slot]
-        };
-        Some((row[idx as usize], idx))
-    }
-}
 
 /// Draw a neighbor of `u` by inverse-transform sampling over the row's
 /// cumulative weights: O(degree) per draw, no precomputation. Returns
@@ -192,47 +57,8 @@ mod tests {
     }
 
     #[test]
-    fn build_is_deterministic() {
-        let g = wheel();
-        let w = |u: NodeId, v: NodeId| 1 + (u + 2 * v) % 7;
-        assert_eq!(AliasTable::build(&g, w), AliasTable::build(&g, w));
-    }
-
-    #[test]
-    fn uniform_rows_always_keep_their_slot() {
-        let g = wheel();
-        let t = AliasTable::build(&g, |_, _| 1);
-        for i in 0..t.len() {
-            assert_eq!(t.prob_q32(i), u32::MAX, "slot {i}");
-        }
-    }
-
-    #[test]
-    fn alias_frequencies_match_weights() {
-        // weights 1:2:5 on node 0's three out-edges
-        let g = wheel();
-        let w = |_: NodeId, v: NodeId| match v {
-            1 => 1,
-            2 => 2,
-            _ => 5,
-        };
-        let t = AliasTable::build(&g, w);
-        let mut counts = [0u64; 4];
-        let draws = 64_000u64;
-        for i in 0..draws {
-            let (v, _) = t.sample(&g, 0, mix(i), mix(i ^ 0xABCD)).unwrap();
-            counts[v as usize] += 1;
-        }
-        let f1 = counts[1] as f64 / draws as f64;
-        let f2 = counts[2] as f64 / draws as f64;
-        let f3 = counts[3] as f64 / draws as f64;
-        assert!((f1 - 1.0 / 8.0).abs() < 0.02, "f1 = {f1}");
-        assert!((f2 - 2.0 / 8.0).abs() < 0.02, "f2 = {f2}");
-        assert!((f3 - 5.0 / 8.0).abs() < 0.03, "f3 = {f3}");
-    }
-
-    #[test]
     fn its_frequencies_match_weights() {
+        // weights 1:2:5 on node 0's three out-edges
         let g = wheel();
         let w = |_: NodeId, v: NodeId| match v {
             1 => 1,
@@ -245,38 +71,36 @@ mod tests {
             let (v, _) = its_sample(&g, 0, mix(i), w).unwrap();
             counts[v as usize] += 1;
         }
+        let f1 = counts[1] as f64 / draws as f64;
+        let f2 = counts[2] as f64 / draws as f64;
         let f3 = counts[3] as f64 / draws as f64;
+        assert!((f1 - 1.0 / 8.0).abs() < 0.02, "f1 = {f1}");
+        assert!((f2 - 2.0 / 8.0).abs() < 0.02, "f2 = {f2}");
         assert!((f3 - 5.0 / 8.0).abs() < 0.03, "f3 = {f3}");
     }
 
     #[test]
     fn sink_nodes_sample_none() {
         let g = Csr::from_edges(2, &[(0, 1)]);
-        let t = AliasTable::build(&g, |_, _| 1);
-        assert!(t.sample(&g, 1, 3, 4).is_none());
         assert!(its_sample(&g, 1, 3, |_, _| 1).is_none());
     }
 
     #[test]
     fn zero_weight_row_falls_back_to_uniform() {
         let g = wheel();
-        let t = AliasTable::build(&g, |u, _| u32::from(u != 0));
         let mut seen = [false; 4];
         for i in 0..64u64 {
-            let (v, _) = t.sample(&g, 0, mix(i), mix(i + 7)).unwrap();
+            let (v, _) = its_sample(&g, 0, mix(i), |u, _| u32::from(u != 0)).unwrap();
             seen[v as usize] = true;
         }
         assert!(seen[1] && seen[2] && seen[3], "uniform fallback: {seen:?}");
-        let (v, _) = its_sample(&g, 0, 5, |u, _| u32::from(u != 0)).unwrap();
-        assert!(v >= 1);
     }
 
     #[test]
     fn in_row_index_agrees_with_neighbor() {
         let g = wheel();
-        let t = AliasTable::build(&g, |_, v| 1 + v);
         for i in 0..200u64 {
-            let (v, idx) = t.sample(&g, 0, mix(i), mix(i * 31 + 1)).unwrap();
+            let (v, idx) = its_sample(&g, 0, mix(i), |_, v| 1 + v).unwrap();
             assert_eq!(g.neighbors(0)[idx as usize], v);
         }
     }

@@ -80,58 +80,6 @@ impl GraphStats {
     }
 }
 
-/// Weighted-degree summary under an arbitrary edge-weight function —
-/// the quantity alias-table-based walk sampling is built from (the total
-/// outgoing weight of a node is its transition normaliser).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WeightedDegreeStats {
-    /// Sum of all edge weights.
-    pub total_weight: u64,
-    /// Mean outgoing weight per node.
-    pub mean_weighted_degree: f64,
-    /// Largest outgoing weight of any node.
-    pub max_weighted_degree: u64,
-    /// A node attaining `max_weighted_degree` (smallest id on ties).
-    pub max_weight_node: crate::NodeId,
-    /// Nodes whose outgoing weight is zero (sinks under the weighting).
-    pub zero_weight_nodes: usize,
-}
-
-impl WeightedDegreeStats {
-    /// Compute the summary in one pass, weighting edge `(u, v)` by
-    /// `weight(u, v)`.
-    #[must_use]
-    pub fn compute(g: &Csr, weight: impl Fn(crate::NodeId, crate::NodeId) -> u32) -> Self {
-        let n = g.num_nodes();
-        let mut total = 0u64;
-        let mut max_w = 0u64;
-        let mut max_node = 0;
-        let mut zeros = 0usize;
-        for u in 0..n as crate::NodeId {
-            let wu: u64 = g
-                .neighbors(u)
-                .iter()
-                .map(|&v| u64::from(weight(u, v)))
-                .sum();
-            total += wu;
-            if wu > max_w {
-                max_w = wu;
-                max_node = u;
-            }
-            if wu == 0 {
-                zeros += 1;
-            }
-        }
-        Self {
-            total_weight: total,
-            mean_weighted_degree: if n == 0 { 0.0 } else { total as f64 / n as f64 },
-            max_weighted_degree: max_w,
-            max_weight_node: max_node,
-            zero_weight_nodes: zeros,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,27 +117,6 @@ mod tests {
         let sr = GraphStats::compute(&remote);
         assert!(sl.mean_neighbor_gap < 2.0);
         assert!(sr.mean_neighbor_gap > 90.0);
-    }
-
-    #[test]
-    fn weighted_degree_stats_sum_and_max() {
-        // 0 -> {1, 2} with weight v+1; 1 -> {2} weight 3; 2 is a sink
-        let g = Csr::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
-        let s = WeightedDegreeStats::compute(&g, |_, v| v + 1);
-        assert_eq!(s.total_weight, 2 + 3 + 3);
-        assert_eq!(s.max_weighted_degree, 5);
-        assert_eq!(s.max_weight_node, 0);
-        assert_eq!(s.zero_weight_nodes, 1);
-        assert!((s.mean_weighted_degree - 8.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_degree_uniform_weights_reduce_to_degrees() {
-        let g = Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let s = WeightedDegreeStats::compute(&g, |_, _| 1);
-        assert_eq!(s.total_weight, 4);
-        assert_eq!(s.max_weighted_degree, 1);
-        assert_eq!(s.zero_weight_nodes, 0);
     }
 
     #[test]

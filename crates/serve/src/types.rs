@@ -317,10 +317,6 @@ pub struct WalkPolicy {
     pub q: f64,
     /// Deterministic RNG seed shared by every fused batch.
     pub seed: u64,
-    /// Transition sampler.
-    pub sampler: sage::walk::SamplerKind,
-    /// Edge-weight model.
-    pub weights: sage::walk::WalkWeights,
 }
 
 impl Default for WalkPolicy {
@@ -333,8 +329,6 @@ impl Default for WalkPolicy {
             p: 1.0,
             q: 1.0,
             seed: 42,
-            sampler: sage::walk::SamplerKind::Its,
-            weights: sage::walk::WalkWeights::Uniform,
         }
     }
 }

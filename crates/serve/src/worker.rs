@@ -12,7 +12,7 @@ use crate::types::{
 };
 use gpu_sim::{Device, Profiler};
 use sage::app::{Bc, Bfs, Cc, PageRank};
-use sage::walk::{Node2vec, Ppr, WalkApp, WalkSpec};
+use sage::walk::{Node2vec, Ppr, WalkApp, WalkSpec, WalkWeights};
 use sage::{LatencyBreakdown, RunReport, SageRuntime};
 use sage_graph::{Csr, NodeId};
 use std::collections::HashMap;
@@ -326,14 +326,14 @@ fn execute(
         AppKind::Walk => {
             // the fusion win: every distinct source in the batch becomes a
             // block of walker lanes in ONE walk-kernel launch — no
-            // 64-source bitmask cap applies
+            // 64-source bitmask cap applies. Served walks take every
+            // out-edge with equal probability.
             let policy = &cfg.walk;
             let spec = WalkSpec {
                 walks_per_source: policy.walks_per_source.max(1),
                 max_length: policy.length.max(1),
                 seed: policy.seed,
-                sampler: policy.sampler,
-                weights: policy.weights,
+                weights: WalkWeights::Uniform,
             };
             let walk_app: Box<dyn WalkApp> = match policy.app {
                 WalkAppKind::Ppr => Box::new(Ppr::new(policy.alpha)),

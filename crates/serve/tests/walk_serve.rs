@@ -2,7 +2,7 @@
 //! launch, epoch-keyed caching of terminal distributions, and PPR sanity.
 
 use gpu_sim::Device;
-use sage::walk::{Node2vec, WalkSpec};
+use sage::walk::{Node2vec, WalkSpec, WalkWeights};
 use sage::SageRuntime;
 use sage_graph::gen::uniform_graph;
 use sage_graph::Csr;
@@ -156,13 +156,12 @@ fn node2vec_policy_serves_endpoint_distributions() {
     // the same walk run directly: the response is the source's endpoint
     // distribution, not the batch-wide visit histogram
     let mut dev = Device::new(cfg.device_config.clone());
-    let mut rt = SageRuntime::with_threshold(&mut dev, csr, u64::MAX);
+    let rt = SageRuntime::with_threshold(&mut dev, csr, u64::MAX);
     let spec = WalkSpec {
         walks_per_source: cfg.walk.walks_per_source,
         max_length: cfg.walk.length,
         seed: cfg.walk.seed,
-        sampler: cfg.walk.sampler,
-        weights: cfg.walk.weights,
+        weights: WalkWeights::Uniform,
     };
     let app = Node2vec::new(cfg.walk.p, cfg.walk.q);
     let direct = rt.run_walk(&mut dev, &app, &spec, &[3]);

@@ -54,15 +54,6 @@ impl Allocator {
         base
     }
 
-    /// Total bytes reserved so far.
-    #[must_use]
-    pub fn used_bytes(&self) -> u64 {
-        match self.space {
-            MemSpace::Device => self.cursor - ALLOC_ALIGN,
-            MemSpace::Host => self.cursor - (1 << 40),
-        }
-    }
-
     /// The address space this allocator serves.
     #[must_use]
     pub fn space(&self) -> MemSpace {
@@ -211,13 +202,14 @@ mod tests {
     }
 
     #[test]
-    fn used_bytes_tracks_allocations() {
+    fn allocations_round_up_to_256_bytes() {
         let mut a = Allocator::new(MemSpace::Device);
-        assert_eq!(a.used_bytes(), 0);
-        a.alloc(256);
-        assert_eq!(a.used_bytes(), 256);
-        a.alloc(1);
-        assert_eq!(a.used_bytes(), 512);
+        let x = a.alloc(256);
+        let y = a.alloc(1);
+        let z = a.alloc(0);
+        assert_eq!(x % ALLOC_ALIGN, 0);
+        assert_eq!(y - x, 256);
+        assert_eq!(z - y, 256, "a 1-byte allocation still takes 256 bytes");
     }
 
     #[test]

@@ -137,3 +137,40 @@ fn single_gpu_resident_engine_is_fastest_of_the_three_scenarios() {
         "in-core {in_core} must beat out-of-core {ooc}"
     );
 }
+
+/// Run `sage_cli` with `args` and return its exit code and stderr.
+fn sage_cli(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sage_cli"))
+        .args(args)
+        .output()
+        .expect("sage_cli starts");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn cli_refuses_bad_input_without_panicking() {
+    let empty = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("empty_edges.txt");
+    std::fs::write(&empty, "").expect("write empty edge list");
+    let empty = empty.to_str().expect("utf-8 path");
+    let walk = ["walk", "--dataset", "brain", "--scale", "0.05"];
+    let cases: [(Vec<&str>, i32); 3] = [
+        (vec!["serve", "--graph", empty, "--requests", "4"], 1),
+        (
+            [&walk[..], &["--walk-app", "node2vec", "--p", "0"]].concat(),
+            2,
+        ),
+        (
+            [&walk[..], &["--walk-app", "node2vec", "--q", "nan"]].concat(),
+            2,
+        ),
+    ];
+    for (args, want) in cases {
+        let (code, stderr) = sage_cli(&args);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert_eq!(code, Some(want), "{args:?} exit code; stderr: {stderr}");
+        assert!(!stderr.trim().is_empty(), "{args:?} gave no message");
+    }
+}
