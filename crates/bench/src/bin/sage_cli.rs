@@ -70,8 +70,29 @@ use sage::engine::{
 use sage::{DeviceGraph, Runner};
 use sage_graph::datasets::Dataset;
 use sage_graph::{io, Csr};
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::exit;
+
+/// Print one line to stdout through [`say_line`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say_line(format_args!($($arg)*))
+    };
+}
+
+/// Every stdout line goes through here. A reader that closes the pipe
+/// early (`sage_cli ... | head`) ends the process quietly with exit 0; any
+/// other write error exits 1.
+fn say_line(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        exit(1);
+    }
+}
 
 struct Args {
     app: String,
@@ -167,7 +188,13 @@ fn parse_args() -> Args {
             "--dataset" => args.dataset = Some(value("--dataset")),
             "--engine" => args.engine = value("--engine"),
             "--source" => args.source = value("--source").parse().unwrap_or_else(|_| usage()),
-            "--scale" => args.scale = value("--scale").parse().unwrap_or_else(|_| usage()),
+            "--scale" => {
+                args.scale = value("--scale").parse().unwrap_or_else(|_| usage());
+                if !(args.scale > 0.0 && args.scale.is_finite()) {
+                    eprintln!("--scale must be positive and finite, got {}", args.scale);
+                    exit(2);
+                }
+            }
             "--repeat" => args.repeat = value("--repeat").parse().unwrap_or_else(|_| usage()),
             "--out-of-core" => args.out_of_core = true,
             "--profile" => args.profile = true,
@@ -227,6 +254,20 @@ fn load_graph(args: &Args) -> Csr {
     }
 }
 
+/// The simulated device of a run or walk: the default configuration, under
+/// the race sanitizer with `--sanitize`, on the route `--threads` selects
+/// (the setter clamps it to `[1, num_sms]`).
+fn device(args: &Args) -> Device {
+    let mut dev = Device::new(DeviceConfig {
+        sanitize: args.sanitize,
+        ..DeviceConfig::default()
+    });
+    if let Some(t) = args.threads {
+        dev.set_host_threads(t);
+    }
+    dev
+}
+
 fn make_engine(name: &str, dev: &mut Device, csr: &Csr) -> Box<dyn Engine> {
     match name {
         "sage" => Box::new(ResidentEngine::new()),
@@ -282,14 +323,8 @@ fn walk_mode(args: &Args, csr: Csr) {
         weights: WalkWeights::Synthetic,
     };
 
-    let mut dev = Device::default_device();
-    if let Some(t) = args.threads {
-        dev.set_host_threads(t);
-    }
-    if args.sanitize {
-        dev.set_sanitize(true);
-    }
-    println!(
+    let mut dev = device(args);
+    say!(
         "graph: {} nodes, {} edges | app: {} | {} walks x {} steps, seed {}",
         csr.num_nodes(),
         csr.num_edges(),
@@ -301,7 +336,7 @@ fn walk_mode(args: &Args, csr: Csr) {
     let rt = SageRuntime::new(&mut dev, csr);
     let out = rt.run_walk(&mut dev, app.as_ref(), &spec, &[args.source]);
     let r = &out.report;
-    println!(
+    say!(
         "run 0: {r} | host {:.1} ms, {} route | {} walkers, {} steps",
         r.host_seconds * 1e3,
         route(r.host_threads),
@@ -317,16 +352,16 @@ fn walk_mode(args: &Args, csr: Csr) {
         .map(|(v, &s)| (v as u32, s))
         .collect();
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    println!("top terminal nodes:");
+    say!("top terminal nodes:");
     for (v, s) in ranked.iter().take(8) {
-        println!("  node {v:<10} mass {s:.4}");
+        say!("  node {v:<10} mass {s:.4}");
     }
 
     if args.profile {
-        println!("\nprofiler:\n{}", dev.profiler());
-        println!("\nkernel breakdown:");
+        say!("\nprofiler:\n{}", dev.profiler());
+        say!("\nkernel breakdown:");
         for (name, launches, secs) in dev.kernel_breakdown() {
-            println!(
+            say!(
                 "  {name:<22} {launches:>6} launches  {:>10.3} ms",
                 secs * 1e3
             );
@@ -360,7 +395,7 @@ fn serve_mode(args: &Args, csr: Csr) {
         },
         ..ServiceConfig::default()
     };
-    println!(
+    say!(
         "serving {} nodes / {} edges on {} devices ({} requests)",
         nodes,
         csr.num_edges(),
@@ -405,7 +440,7 @@ fn serve_mode(args: &Args, csr: Csr) {
         let pct = |q: f64| latencies[((q * latencies.len() as f64).ceil() as usize).max(1) - 1];
         let after = service.stats();
         let epoch = service.graph_epoch(g).unwrap_or(0);
-        println!(
+        say!(
             "{label:<6} p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms | cache {} hits / {} misses | epoch {epoch}",
             pct(0.50) * 1e3,
             pct(0.95) * 1e3,
@@ -445,7 +480,7 @@ fn main() {
         walk_mode(&args, csr);
         return;
     }
-    println!(
+    say!(
         "graph: {} nodes, {} edges | engine: {} | app: {}{}",
         csr.num_nodes(),
         csr.num_edges(),
@@ -462,14 +497,7 @@ fn main() {
         exit(1);
     }
 
-    let mut dev = Device::default_device();
-    if let Some(t) = args.threads {
-        // the setter clamps to [1, num_sms]
-        dev.set_host_threads(t);
-    }
-    if args.sanitize {
-        dev.set_sanitize(true);
-    }
+    let mut dev = device(&args);
     let mut engine: Box<dyn Engine> = if args.out_of_core && args.engine == "subway" {
         Box::new(SubwayEngine::new(&mut dev, csr.num_edges()))
     } else {
@@ -505,17 +533,17 @@ fn main() {
     };
     for i in 0..args.repeat.max(1) {
         let r = runner.run(&mut dev, &g, engine.as_mut(), app.as_mut(), args.source);
-        println!(
+        say!(
             "run {i}: {r} | host {:.1} ms, {} route",
             r.host_seconds * 1e3,
             route(r.host_threads)
         );
     }
     if args.profile {
-        println!("\nprofiler:\n{}", dev.profiler());
-        println!("\nkernel breakdown:");
+        say!("\nprofiler:\n{}", dev.profiler());
+        say!("\nkernel breakdown:");
         for (name, launches, secs) in dev.kernel_breakdown() {
-            println!(
+            say!(
                 "  {name:<22} {launches:>6} launches  {:>10.3} ms",
                 secs * 1e3
             );

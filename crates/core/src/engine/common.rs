@@ -9,6 +9,7 @@ use crate::frontier::BitFrontier;
 use gpu_sim::tile::{charge_shfl, charge_vote};
 use gpu_sim::{AccessKind, Device, Kernel, SmShard, Tile};
 use sage_graph::NodeId;
+use std::ops::Range;
 
 /// Observes the node groups each tile accesses concurrently — the hook
 /// Sampling-based Reordering (§6, Algorithm 4) attaches to.
@@ -139,9 +140,9 @@ pub fn charge_contraction(k: &mut Kernel<'_>, kept: usize, buffer_base: u64) {
         for i in 0..n {
             addrs.push(buffer_base + ((written + i) * 4) as u64);
         }
-        let sm = block % sms;
-        k.exec(sm, 4, n, warp); // scan + ballot + compact
-        k.access(sm, AccessKind::Write, &addrs, 4);
+        let mut sh = k.shard(block % sms);
+        sh.exec(4, n, warp); // scan + ballot + compact
+        sh.access(AccessKind::Write, &addrs, 4);
         written += n;
         block += 1;
     }
@@ -275,21 +276,9 @@ pub fn pull_iterate(
     // candidate gate: every vertex evaluates it in its block's SM
     let mut candidates: Vec<NodeId> = Vec::new();
     for (bi, lo) in (0..n).step_by(block).enumerate() {
-        let sm = bi % sms;
         let hi = (lo + block).min(n);
-        let mut chunk_lo = lo;
-        let mut sh = k.shard(sm);
-        while chunk_lo < hi {
-            let chunk_hi = (chunk_lo + warp).min(hi);
-            sh.exec(1, chunk_hi - chunk_lo, warp);
-            for u in chunk_lo..chunk_hi {
-                if app.pull_candidate(u as NodeId, &mut rec) {
-                    candidates.push(u as NodeId);
-                }
-            }
-            rec.flush(&mut sh);
-            chunk_lo = chunk_hi;
-        }
+        let mut sh = k.shard(bi % sms);
+        gate_rows(&mut sh, app, lo..hi, &mut rec, &mut candidates);
     }
 
     // each surviving lane reads its candidate's in-offset range
@@ -301,7 +290,7 @@ pub fn pull_iterate(
             scratch.push(g.in_offset_addr(u));
             scratch.push(g.in_offset_addr(u + 1));
         }
-        k.access(sm, AccessKind::Read, &scratch, 4);
+        k.shard(sm).access(AccessKind::Read, &scratch, 4);
     }
 
     // in-edge scans, ascending candidate order
@@ -328,9 +317,42 @@ pub fn pull_iterate(
         }
     }
 
-    // epilogue: surviving vertices append to the next queue through an
-    // atomic cursor — contiguous coalesced writes, no separate contraction
-    let kept = out.next.len();
+    charge_queue_append(&mut k, out.next.len(), queue_base);
+    let _ = k.finish();
+    out
+}
+
+/// The candidate gate of a bottom-up launch: `rows` evaluate
+/// `pull_candidate` on `sh`'s SM, one lane per row, and the rows that pass
+/// append to `candidates` in ascending order.
+pub(super) fn gate_rows(
+    sh: &mut SmShard<'_, '_>,
+    app: &mut dyn App,
+    rows: Range<usize>,
+    rec: &mut AccessRecorder,
+    candidates: &mut Vec<NodeId>,
+) {
+    let warp = sh.cfg().warp_size;
+    let (mut chunk_lo, hi) = (rows.start, rows.end);
+    while chunk_lo < hi {
+        let chunk_hi = (chunk_lo + warp).min(hi);
+        sh.exec(1, chunk_hi - chunk_lo, warp);
+        for u in chunk_lo..chunk_hi {
+            if app.pull_candidate(u as NodeId, rec) {
+                candidates.push(u as NodeId);
+            }
+        }
+        rec.flush(sh);
+        chunk_lo = chunk_hi;
+    }
+}
+
+/// The epilogue of a bottom-up launch: the `kept` surviving vertices append
+/// to the queue at `queue_base` through an atomic cursor — contiguous
+/// coalesced writes split evenly over the SMs, no separate contraction.
+pub(super) fn charge_queue_append(k: &mut Kernel<'_>, kept: usize, queue_base: u64) {
+    let sms = k.num_sms();
+    let warp = k.cfg().warp_size;
     let per_sm = kept.div_ceil(sms);
     for sm in 0..sms {
         let lo = sm * per_sm;
@@ -338,18 +360,15 @@ pub fn pull_iterate(
             break;
         }
         let cnt = per_sm.min(kept - lo);
-        k.exec_uniform(sm, (cnt.div_ceil(warp) * 2) as u64);
-        k.access_range(
-            sm,
+        let mut sh = k.shard(sm);
+        sh.exec_uniform((cnt.div_ceil(warp) * 2) as u64);
+        sh.access_range(
             AccessKind::Write,
             queue_base + (lo * 4) as u64,
             cnt as u64,
             4,
         );
     }
-
-    let _ = k.finish();
-    out
 }
 
 /// Charge the dense-frontier build (Figure 2's contraction replaced by a
@@ -367,8 +386,7 @@ pub fn charge_bitmap_build(k: &mut Kernel<'_>, fr: &BitFrontier, queue_base: u64
             break;
         }
         let cnt = per_sm.min(words - lo);
-        k.access_range(
-            sm,
+        k.shard(sm).access_range(
             AccessKind::Write,
             fr.device_base() + (lo * 8) as u64,
             cnt as u64,
@@ -382,20 +400,20 @@ pub fn charge_bitmap_build(k: &mut Kernel<'_>, fr: &BitFrontier, queue_base: u64
     let mut addrs: Vec<u64> = Vec::with_capacity(warp);
     let members = fr.to_vec();
     for (ci, chunk) in members.chunks(warp).enumerate() {
-        let sm = ci % sms;
-        k.exec(sm, 2, chunk.len(), warp);
+        let mut sh = k.shard(ci % sms);
+        sh.exec(2, chunk.len(), warp);
         addrs.clear();
         for (i, _) in chunk.iter().enumerate() {
             addrs.push(queue_base + ((ci * warp + i) * 4) as u64);
         }
-        k.access(sm, AccessKind::Read, &addrs, 4);
+        sh.access(AccessKind::Read, &addrs, 4);
         addrs.clear();
         for &u in chunk {
             addrs.push(fr.word_addr(u));
         }
         // dirty: atomicOr-equivalent bit set — chunks on different SMs may
         // land in the same 64-bit word, a benign idempotent race
-        k.access_dirty(sm, &addrs, 8);
+        sh.access_dirty(&addrs, 8);
     }
     // bits must be visible before the pull scan / contraction that follows
     k.grid_sync();

@@ -26,7 +26,7 @@
 //! runs. Cost charging is block-granular and independent of the functional
 //! early exit, so simulated cycles are deterministic too.
 
-use super::common::charge_bitmap_build;
+use super::common::{charge_bitmap_build, charge_queue_append, gate_rows};
 use super::IterationOutput;
 use crate::access::AccessRecorder;
 use crate::app::{App, PullStep};
@@ -102,18 +102,7 @@ pub fn matrix_iterate(
 
         // 1. candidate gate, one lane per row
         candidates.clear();
-        let mut chunk_lo = lo;
-        while chunk_lo < hi {
-            let chunk_hi = (chunk_lo + warp).min(hi);
-            sh.exec(1, chunk_hi - chunk_lo, warp);
-            for u in chunk_lo..chunk_hi {
-                if app.pull_candidate(u as NodeId, &mut rec) {
-                    candidates.push(u as NodeId);
-                }
-            }
-            rec.flush(&mut sh);
-            chunk_lo = chunk_hi;
-        }
+        gate_rows(&mut sh, app, lo..hi, &mut rec, &mut candidates);
         if candidates.is_empty() {
             continue; // masked-out block: no fragment work at all
         }
@@ -234,26 +223,7 @@ pub fn matrix_iterate(
         rec.flush(&mut sh);
     }
 
-    // epilogue: survivors append to the next queue through an atomic
-    // cursor — contiguous coalesced writes, no separate contraction
-    let kept = out.next.len();
-    let per_sm = kept.div_ceil(sms);
-    for sm in 0..sms {
-        let lo = sm * per_sm;
-        if lo >= kept {
-            break;
-        }
-        let cnt = per_sm.min(kept - lo);
-        k.exec_uniform(sm, (cnt.div_ceil(warp) * 2) as u64);
-        k.access_range(
-            sm,
-            AccessKind::Write,
-            queue_base + (lo * 4) as u64,
-            cnt as u64,
-            4,
-        );
-    }
-
+    charge_queue_append(&mut k, out.next.len(), queue_base);
     let _ = k.finish();
     out
 }

@@ -161,7 +161,7 @@ impl Engine for TigrEngine {
                 scratch.push(self.aux_base + (i * 4) as u64);
             }
             for chunk in scratch.chunks(warp) {
-                k.access(0, AccessKind::Write, chunk, 4);
+                k.shard(0).access(AccessKind::Write, chunk, 4);
             }
             // the queue build precedes the per-virtual reads below — another
             // kernel boundary in real Tigr, modelled as a grid barrier

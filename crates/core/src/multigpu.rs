@@ -227,8 +227,10 @@ impl MultiGpuDriver {
                 let per_dev = epilogue_ops.div_ceil(n_gpus as u64);
                 for dev in &mut self.devices {
                     let mut k = dev.launch("mg_vertex_epilogue");
-                    for sm in 0..k.num_sms() {
-                        k.exec_uniform(sm, per_dev.div_ceil(32 * k.num_sms() as u64).max(1));
+                    let sms = k.num_sms();
+                    for sm in 0..sms {
+                        k.shard(sm)
+                            .exec_uniform(per_dev.div_ceil(32 * sms as u64).max(1));
                     }
                     let _ = k.finish();
                 }

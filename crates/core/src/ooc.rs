@@ -108,18 +108,18 @@ impl Engine for UmOocEngine {
         k.set_concurrency(k.cfg().max_resident_warps as f64);
         let warp = k.cfg().warp_size;
         for (ci, chunk) in frontier.chunks(warp).enumerate() {
-            let sm = ci % sms;
+            let mut sh = k.shard(ci % sms);
             // offsets through the pool
             addrs.clear();
             for &f in chunk {
                 addrs.push(g.offset_addr(f));
                 addrs.push(g.offset_addr(f + 1));
             }
-            k.access_um(sm, AccessKind::Read, &addrs, 4, &mut self.pool);
+            sh.access_um(AccessKind::Read, &addrs, 4, &mut self.pool);
             for &f in chunk {
                 app.on_frontier(f, &mut rec);
             }
-            rec.flush(&mut k.shard(sm));
+            rec.flush(&mut sh);
 
             for &f in chunk {
                 let deg = g.csr().degree(f) as u32;
@@ -131,7 +131,7 @@ impl Engine for UmOocEngine {
                     for i in 0..len {
                         addrs.push(g.target_addr(beg + off + i));
                     }
-                    k.access_um(sm, AccessKind::Read, &addrs, 4, &mut self.pool);
+                    sh.access_um(AccessKind::Read, &addrs, 4, &mut self.pool);
                     for i in 0..len {
                         let nb = g.csr().neighbors(f)[(off + i) as usize];
                         out.edges += 1;
@@ -139,7 +139,7 @@ impl Engine for UmOocEngine {
                             out.next.push(nb);
                         }
                     }
-                    rec.flush(&mut k.shard(sm));
+                    rec.flush(&mut sh);
                     off += len;
                 }
             }

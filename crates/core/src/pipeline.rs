@@ -350,10 +350,11 @@ impl Runner {
             if n == 0 {
                 break;
             }
-            k.exec_uniform(sm, n.div_ceil(warp) * 2);
+            let mut sh = k.shard(sm);
+            sh.exec_uniform(n.div_ceil(warp) * 2);
             // one coalesced access per warp of elements, no address
             // materialization
-            k.access_range(sm, AccessKind::Read, base + done * 4, n, 4);
+            sh.access_range(AccessKind::Read, base + done * 4, n, 4);
         }
         let _ = k.finish();
     }

@@ -111,7 +111,7 @@ impl Sampler {
         let sms = k.num_sms();
         let per_sm = (self.sampled * levels / 32).div_ceil(sms as u64);
         for sm in 0..sms {
-            k.exec_uniform(sm, per_sm.max(1));
+            k.shard(sm).exec_uniform(per_sm.max(1));
         }
         let _ = k.finish();
 
@@ -164,12 +164,13 @@ impl Sampler {
         let stream = (n as u64 + self.sampled).div_ceil(sms2 as u64);
         let mut addrs: Vec<u64> = Vec::with_capacity(32);
         for sm in 0..sms2 {
-            k.exec_uniform(sm, stream.div_ceil(32).max(1));
+            let mut sh = k.shard(sm);
+            sh.exec_uniform(stream.div_ceil(32).max(1));
             addrs.clear();
             for i in 0..32u64 {
                 addrs.push((1 << 30) + (sm as u64 * 4096) + i * 4);
             }
-            k.access(sm, AccessKind::Write, &addrs, 4);
+            sh.access(AccessKind::Write, &addrs, 4);
         }
         let _ = k.finish();
 

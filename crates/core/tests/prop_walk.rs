@@ -57,9 +57,11 @@ fn run_once(
     sources: &[u32],
     threads: usize,
 ) -> Fingerprint {
-    let mut dev = Device::new(cfg8());
+    let mut dev = Device::new(DeviceConfig {
+        sanitize: true,
+        ..cfg8()
+    });
     dev.set_host_threads(threads);
-    dev.set_sanitize(true);
     let rt = SageRuntime::new(&mut dev, csr.clone());
     let out = rt.run_walk(&mut dev, app, spec, sources);
     assert_eq!(

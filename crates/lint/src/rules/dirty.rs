@@ -14,7 +14,7 @@
 //! checked claim.
 
 use crate::diag::Diag;
-use crate::scan::{FileScan, Vis};
+use crate::scan::FileScan;
 use std::collections::BTreeSet;
 
 /// Kernel-recording calls that assert a benign race.
@@ -105,16 +105,12 @@ pub fn run(files: &[FileScan], diags: &mut Vec<Diag>) {
             let pub_types: Vec<&str> = f
                 .structs
                 .iter()
-                .filter(|s| s.vis == Vis::Pub && !s.fields.is_empty())
+                .filter(|s| s.is_pub && !s.fields.is_empty())
                 .map(|s| s.name.as_str())
                 .collect();
             let hit = pub_types.iter().any(|t| covered.contains(*t));
             if !hit {
-                if let Some(first) = f
-                    .structs
-                    .iter()
-                    .find(|s| s.vis == Vis::Pub && !s.fields.is_empty())
-                {
+                if let Some(first) = f.structs.iter().find(|s| s.is_pub && !s.fields.is_empty()) {
                     diags.push(Diag {
                         rule: "sanitize-coverage".into(),
                         path: f.path.clone(),

@@ -1,39 +1,15 @@
 //! Item-level scanner: walks the token stream from [`crate::lexer`] and
-//! recovers the structure the rule passes need — functions (with receiver,
-//! enclosing `impl` type/trait, `#[cfg(test)]` context, and body token
-//! range), struct field lists, `impl Trait for Type` pairs, and
-//! `type X = HashMap<…>` aliases.
+//! recovers the structure the rule passes need — functions (their
+//! `#[cfg(test)]` context and body token range), struct field lists,
+//! `impl Trait for Type` pairs, and `type X = HashMap<…>` aliases.
 
 use crate::lexer::{Comment, Lexed, Tok, TokKind};
-
-/// Item visibility (only the distinction pub vs not matters to rules).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vis {
-    /// No `pub`.
-    Private,
-    /// `pub(crate)` / `pub(super)` / `pub(in …)`.
-    PubScoped,
-    /// Plain `pub`.
-    Pub,
-}
 
 /// A scanned `fn` item.
 #[derive(Debug, Clone)]
 pub struct FnItem {
-    /// Function name.
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Visibility.
-    pub vis: Vis,
-    /// Whether the first parameter is (a reference to) `self`.
-    pub has_self: bool,
-    /// Whether the receiver is `&mut self` / `mut self`.
-    pub self_mut: bool,
     /// True inside `#[cfg(test)]` modules or `#[test]` functions.
     pub is_test: bool,
-    /// Self type of the enclosing `impl` block, if any.
-    pub impl_type: Option<String>,
     /// Token index range of the body: `(open_brace, close_brace)`
     /// inclusive of both braces. `None` for trait-method signatures.
     pub body: Option<(usize, usize)>,
@@ -46,8 +22,8 @@ pub struct StructItem {
     pub name: String,
     /// 1-based line of the `struct` keyword.
     pub line: u32,
-    /// Visibility.
-    pub vis: Vis,
+    /// Plain `pub` (not `pub(crate)` and the like).
+    pub is_pub: bool,
     /// Named field `(name, first type ident)` pairs (empty for tuple/unit).
     pub fields: Vec<(String, String)>,
 }
@@ -106,7 +82,7 @@ impl FileScan {
             impls: &mut scan.impls,
             hash_aliases: &mut scan.hash_aliases,
         };
-        items.region(0, end, is_test_file, None);
+        items.region(0, end, is_test_file);
         scan
     }
 
@@ -136,27 +112,6 @@ impl FileScan {
             .iter()
             .any(|c| c.end_line >= lo && c.line <= hi && c.text.contains(needle))
     }
-}
-
-/// Brace depth of each token in `[open + 1, close)` relative to the body
-/// (first statement is depth 1). Index with `tok_index - (open + 1)`.
-pub fn body_depths(toks: &[Tok], open: usize, close: usize) -> Vec<u32> {
-    let mut depths = Vec::with_capacity(close.saturating_sub(open + 1));
-    let mut d = 1u32;
-    for t in &toks[open + 1..close] {
-        match (t.kind, t.text.as_str()) {
-            (TokKind::Punct, "{") => {
-                depths.push(d);
-                d += 1;
-            }
-            (TokKind::Punct, "}") => {
-                d = d.saturating_sub(1);
-                depths.push(d);
-            }
-            _ => depths.push(d),
-        }
-    }
-    depths
 }
 
 /// Find the matching `}` for the `{` at `open`; returns its index (or the
@@ -238,9 +193,9 @@ impl Items<'_> {
     }
 
     /// Scan items in token range `[start, end)`.
-    fn region(&mut self, start: usize, end: usize, in_test: bool, impl_type: Option<&str>) {
+    fn region(&mut self, start: usize, end: usize, in_test: bool) {
         let mut i = start;
-        let mut pending_vis = Vis::Private;
+        let mut pending_pub = false;
         let mut pending_attrs: Vec<String> = Vec::new();
         while i < end {
             let t = self.text(i);
@@ -251,13 +206,12 @@ impl Items<'_> {
                     i = next;
                 }
                 "pub" => {
-                    pending_vis = Vis::Pub;
-                    if self.text(i + 1) == "(" {
-                        pending_vis = Vis::PubScoped;
-                        i = self.skip_group(i + 1);
+                    pending_pub = self.text(i + 1) != "(";
+                    i = if pending_pub {
+                        i + 1
                     } else {
-                        i += 1;
-                    }
+                        self.skip_group(i + 1)
+                    };
                 }
                 "mod" if self.is_ident(i + 1) => {
                     let attrs_test = pending_attrs
@@ -266,7 +220,7 @@ impl Items<'_> {
                     let mut j = i + 2;
                     if self.text(j) == "{" {
                         let close = match_brace(self.toks, j);
-                        self.region(j + 1, close, in_test || attrs_test, None);
+                        self.region(j + 1, close, in_test || attrs_test);
                         i = close + 1;
                     } else {
                         while j < end && self.text(j) != ";" {
@@ -274,7 +228,7 @@ impl Items<'_> {
                         }
                         i = j + 1;
                     }
-                    pending_vis = Vis::Private;
+                    pending_pub = false;
                     pending_attrs.clear();
                 }
                 "impl" => {
@@ -317,49 +271,41 @@ impl Items<'_> {
                     if !self_type.is_empty() {
                         self.impls.push(ImplItem {
                             trait_name,
-                            self_type: self_type.clone(),
+                            self_type,
                             line,
                         });
                     }
                     if self.text(j) == "{" {
                         let close = match_brace(self.toks, j);
-                        let ty = if self_type.is_empty() {
-                            None
-                        } else {
-                            Some(self_type)
-                        };
-                        self.region(j + 1, close, in_test, ty.as_deref());
+                        self.region(j + 1, close, in_test);
                         i = close + 1;
                     } else {
                         i = j + 1;
                     }
-                    pending_vis = Vis::Private;
+                    pending_pub = false;
                     pending_attrs.clear();
                 }
                 "trait" if self.is_ident(i + 1) => {
-                    let name = self.text(i + 1).to_string();
                     let mut j = i + 2;
                     while j < end && self.text(j) != "{" && self.text(j) != ";" {
                         j += 1;
                     }
                     if self.text(j) == "{" {
                         let close = match_brace(self.toks, j);
-                        self.region(j + 1, close, in_test, Some(&name));
+                        self.region(j + 1, close, in_test);
                         i = close + 1;
                     } else {
                         i = j + 1;
                     }
-                    pending_vis = Vis::Private;
+                    pending_pub = false;
                     pending_attrs.clear();
                 }
                 "fn" if self.is_ident(i + 1) => {
-                    let name = self.text(i + 1).to_string();
-                    let line = self.toks[i].line;
                     let attrs_test = pending_attrs.iter().any(|a| {
                         a.starts_with("test") || (a.contains("cfg") && a.contains("test"))
                     });
-                    // Signature: find the parameter list `(`, check for a
-                    // `self` receiver, then find the body `{` or `;`.
+                    // Signature: skip the parameter list, then find the body
+                    // `{` or `;`.
                     let mut j = i + 2;
                     let mut angle = 0i64;
                     while j < end {
@@ -372,25 +318,6 @@ impl Items<'_> {
                         j += 1;
                     }
                     let params_end = self.skip_group(j);
-                    let mut has_self = false;
-                    let mut self_mut = false;
-                    let mut k = j + 1;
-                    while k < params_end {
-                        match self.text(k) {
-                            "&" => k += 1,
-                            "mut" => {
-                                self_mut = true;
-                                k += 1;
-                            }
-                            s if s.starts_with('\'') => k += 1,
-                            "self" => {
-                                has_self = true;
-                                break;
-                            }
-                            _ => break,
-                        }
-                    }
-                    self_mut &= has_self;
                     // Return type / where clause up to `{` or `;`; skip
                     // balanced groups so closures in defaults don't confuse.
                     let mut b = params_end;
@@ -408,17 +335,11 @@ impl Items<'_> {
                         None
                     };
                     self.fns.push(FnItem {
-                        name,
-                        line,
-                        vis: pending_vis,
-                        has_self,
-                        self_mut,
                         is_test: in_test || attrs_test,
-                        impl_type: impl_type.map(str::to_string),
                         body,
                     });
                     i = body.map_or(b + 1, |(_, close)| close + 1);
-                    pending_vis = Vis::Private;
+                    pending_pub = false;
                     pending_attrs.clear();
                 }
                 "struct" if self.is_ident(i + 1) => {
@@ -508,10 +429,10 @@ impl Items<'_> {
                     self.structs.push(StructItem {
                         name,
                         line,
-                        vis: pending_vis,
+                        is_pub: pending_pub,
                         fields,
                     });
-                    pending_vis = Vis::Private;
+                    pending_pub = false;
                     pending_attrs.clear();
                 }
                 "enum" | "union" if self.is_ident(i + 1) => {
@@ -524,7 +445,7 @@ impl Items<'_> {
                     } else {
                         j + 1
                     };
-                    pending_vis = Vis::Private;
+                    pending_pub = false;
                     pending_attrs.clear();
                 }
                 "type" if self.is_ident(i + 1) => {
@@ -541,7 +462,7 @@ impl Items<'_> {
                         self.hash_aliases.push(name);
                     }
                     i = j + 1;
-                    pending_vis = Vis::Private;
+                    pending_pub = false;
                     pending_attrs.clear();
                 }
                 "use" | "const" | "static" | "extern" => {
@@ -554,7 +475,7 @@ impl Items<'_> {
                         }
                     }
                     i = j + 1;
-                    pending_vis = Vis::Private;
+                    pending_pub = false;
                     pending_attrs.clear();
                 }
                 "macro_rules" => {
@@ -567,7 +488,7 @@ impl Items<'_> {
                     } else {
                         j + 1
                     };
-                    pending_vis = Vis::Private;
+                    pending_pub = false;
                     pending_attrs.clear();
                 }
                 "{" => {
@@ -589,16 +510,6 @@ mod tests {
 
     fn scan(src: &str) -> FileScan {
         FileScan::new("crates/x/src/lib.rs".into(), lex(src))
-    }
-
-    #[test]
-    fn fn_receiver_and_impl_type() {
-        let s = scan("impl Device { pub fn go(&mut self) -> u64 { self.x } fn free(n: u32) {} }");
-        assert_eq!(s.fns.len(), 2);
-        assert!(s.fns[0].has_self);
-        assert_eq!(s.fns[0].impl_type.as_deref(), Some("Device"));
-        assert_eq!(s.fns[0].vis, Vis::Pub);
-        assert!(!s.fns[1].has_self);
     }
 
     #[test]
@@ -636,17 +547,5 @@ mod tests {
     fn hash_alias_detected() {
         let s = scan("type FlaggedMap = HashMap<u64, (u32, u32)>; type Other = Vec<u8>;");
         assert_eq!(s.hash_aliases, vec!["FlaggedMap"]);
-    }
-
-    #[test]
-    fn body_depth_tracks_statement_level() {
-        let s = scan("fn f(&self) { a(); if x { b(); } c(); }");
-        let (open, close) = s.fns[0].body.unwrap();
-        let d = body_depths(&s.toks, open, close);
-        // first token `a` is depth 1; `b` inside the if is depth 2
-        let a_idx = (open + 1..close).find(|&i| s.text(i) == "a").unwrap();
-        let b_idx = (open + 1..close).find(|&i| s.text(i) == "b").unwrap();
-        assert_eq!(d[a_idx - open - 1], 1);
-        assert_eq!(d[b_idx - open - 1], 2);
     }
 }

@@ -7,7 +7,7 @@ use crate::types::{
     GraphId, QueryRequest, QueryResponse, ServiceConfig, ServiceError, Ticket, TicketState,
 };
 use crate::worker::{cache_hit_report, GraphEntry, Registry, StatsSlots, Worker};
-use gpu_sim::{device_pool, Profiler, ReplayStats};
+use gpu_sim::{Device, Profiler, ReplayStats};
 use sage::LatencyBreakdown;
 use sage_graph::Csr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,10 +76,8 @@ impl SageService {
         let mut profiles = Vec::with_capacity(cfg.devices);
         let mut hazard_slots = Vec::with_capacity(cfg.devices);
         let mut workers = Vec::with_capacity(cfg.devices);
-        for (id, dev) in device_pool(&cfg.device_config, cfg.devices)
-            .into_iter()
-            .enumerate()
-        {
+        for id in 0..cfg.devices {
+            let dev = Device::new(cfg.device_config.clone());
             let slot = Arc::new(Mutex::new(Profiler::default()));
             profiles.push(Arc::clone(&slot));
             let hazard_slot = Arc::new(AtomicU64::new(0));

@@ -103,7 +103,7 @@ impl Default for PeerLinkConfig {
 /// exactly like scalar memory latency — pure arithmetic on event counts, so
 /// the term is bitwise identical on the direct and recorded routes (the
 /// memory side of a matrix kernel goes through the ordinary
-/// [`crate::Kernel`] access paths and is traced/sanitized there).
+/// [`crate::SmShard`] access paths and is traced/sanitized there).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TensorConfig {
     /// Hardware MMA fragment dimension (m = n = k), e.g. 16 for WMMA
@@ -184,8 +184,8 @@ pub struct DeviceConfig {
     /// Peer link to sibling GPUs (multi-GPU scenario).
     pub peer: PeerLinkConfig,
 
-    /// Run kernels under the shadow-memory race sanitizer (the initial
-    /// state of [`crate::Device::set_sanitize`]); detection never changes
+    /// Run every kernel launched on the device under the shadow-memory race
+    /// sanitizer; the one sanitizer switch. Detection never changes
     /// simulated cycles or counters.
     pub sanitize: bool,
 }

@@ -26,7 +26,6 @@ pub struct Device {
     overhead_cycles: f64,
     kernel_times: HashMap<String, (u64, f64)>,
     host_threads: usize,
-    sanitize: bool,
     hazards: Vec<Hazard>,
     /// Half-open streaming regions in sector units: reads landing inside are
     /// charged as compulsory DRAM misses and never probe the caches.
@@ -84,26 +83,12 @@ impl Device {
             overhead_cycles: 0.0,
             kernel_times: HashMap::new(),
             host_threads: 1,
-            sanitize: cfg.sanitize,
             hazards: Vec::new(),
             streaming: Vec::new(),
             trace: Vec::new(),
             replay_stats: ReplayStats::default(),
             cfg,
         }
-    }
-
-    /// Whether kernels launched on this device run under the race sanitizer.
-    #[must_use]
-    pub fn sanitize_enabled(&self) -> bool {
-        self.sanitize
-    }
-
-    /// Turn the race sanitizer on or off for subsequent kernel launches.
-    /// Sanitized runs produce bitwise-identical cycles and counters — the
-    /// switch only controls hazard detection.
-    pub fn set_sanitize(&mut self, on: bool) {
-        self.sanitize = on;
     }
 
     /// Hazards every sanitized kernel on this device has reported so far,
@@ -379,7 +364,7 @@ mod tests {
         let mut d = Device::new(DeviceConfig::test_tiny());
         for _ in 0..3 {
             let mut k = d.launch("expand");
-            k.exec_uniform(0, 100);
+            k.shard(0).exec_uniform(100);
             let _ = k.finish();
         }
         let k = d.launch("contract");
@@ -400,7 +385,8 @@ mod tests {
         for _ in 0..2 {
             let mut k = d.launch("traced");
             for sm in 0..4 {
-                k.access_range(sm, AccessKind::Read, 4096 + sm as u64 * 4096, 256, 4);
+                k.shard(sm)
+                    .access_range(AccessKind::Read, 4096 + sm as u64 * 4096, 256, 4);
             }
             let _ = k.finish();
         }
@@ -425,9 +411,9 @@ mod tests {
     fn separate_l1_per_sm() {
         let mut d = Device::new(DeviceConfig::test_tiny());
         let mut k = d.launch("l1");
-        k.access(0, AccessKind::Read, &[512], 4);
+        k.shard(0).access(AccessKind::Read, &[512], 4);
         // Same sector from another SM: misses its own L1, hits shared L2.
-        k.access(1, AccessKind::Read, &[512], 4);
+        k.shard(1).access(AccessKind::Read, &[512], 4);
         let _ = k.finish();
         assert_eq!(d.profiler().l2_hit_sectors, 1);
         assert_eq!(d.profiler().dram_sectors, 1);

@@ -2,7 +2,7 @@
 //! (UM \[25\]) style page cache kept in device memory.
 //!
 //! The alternative out-of-core strategy — on-demand zero-copy access — is
-//! modelled directly by [`crate::kernel::Kernel::access`] on host-space
+//! modelled directly by [`crate::kernel::SmShard::access`] on host-space
 //! addresses; this module provides the cache-like pool with page-granular
 //! migration and LRU eviction.
 

@@ -2,8 +2,9 @@
 //!
 //! Engines obtain a [`Kernel`] from [`crate::device::Device::launch`], report
 //! the SIMT events their scheduling strategy generates (instructions, warp
-//! memory accesses, atomics, barriers), and call [`Kernel::finish`] to turn
-//! the event counts into simulated cycles.
+//! memory accesses, atomics, barriers) through the per-SM [`SmShard`] that
+//! [`Kernel::shard`] binds, and call [`Kernel::finish`] to turn the event
+//! counts into simulated cycles.
 //!
 //! # Timing model
 //!
@@ -167,7 +168,7 @@ impl<'d> Kernel<'d> {
         let sms = dev.cfg().num_sms;
         let concurrency = dev.cfg().max_resident_warps as f64;
         let trace = (dev.host_threads() > 1).then(|| dev.take_trace());
-        let shadow = dev.sanitize_enabled().then(|| ShadowTracker::new(sms));
+        let shadow = dev.cfg().sanitize.then(|| ShadowTracker::new(sms));
         Self {
             dev,
             name: name.to_owned(),
@@ -186,8 +187,8 @@ impl<'d> Kernel<'d> {
         }
     }
 
-    /// Bind this kernel to one SM, yielding a shard handle whose accessors
-    /// drop the repeated `sm` argument — the form engine helpers take.
+    /// Bind this kernel to SM `sm % num_sms`, yielding the handle through
+    /// which every per-SM event is charged.
     pub fn shard(&mut self, sm: usize) -> SmShard<'_, 'd> {
         let sm = sm % self.per_sm.len();
         SmShard { k: self, sm }
@@ -218,119 +219,6 @@ impl<'d> Kernel<'d> {
     #[must_use]
     pub fn concurrency(&self) -> f64 {
         self.concurrency
-    }
-
-    /// Issue `warp_insts` warp instructions on `sm` with `active` of `width`
-    /// lanes doing useful work (divergence shows up as `active < width`).
-    pub fn exec(&mut self, sm: usize, warp_insts: u64, active: usize, width: usize) {
-        let n = self.per_sm.len();
-        let c = &mut self.per_sm[sm % n];
-        c.warp_insts += warp_insts as f64;
-        c.active_lanes += active as f64;
-        c.lane_slots += width.max(active) as f64;
-    }
-
-    /// Issue fully-converged instructions (all lanes active).
-    pub fn exec_uniform(&mut self, sm: usize, warp_insts: u64) {
-        let w = self.dev.cfg().warp_size;
-        self.exec(sm, warp_insts, w, w);
-    }
-
-    /// Issue `ops` matrix-unit (tensor-core) ops on `sm`: each op is one
-    /// warpgroup-level binary fragment multiply over a
-    /// [`crate::TensorConfig::block_dim`]-square adjacency block. Ops feed
-    /// a per-SM tensor-pipe throughput bound plus an exposed-latency term
-    /// hidden by concurrency — a fourth contender in the per-SM cycle max
-    /// beside issue, the memory pipe, and scalar exposed latency. The charge
-    /// is pure event arithmetic, so it is identical on the direct and
-    /// recorded routes by construction; the operands' memory traffic
-    /// is charged separately through the ordinary access paths.
-    pub fn mma(&mut self, sm: usize, ops: u64) {
-        if ops == 0 {
-            return;
-        }
-        let warp = self.dev.cfg().warp_size;
-        let n = self.per_sm.len();
-        let c = &mut self.per_sm[sm % n];
-        c.mma_ops += ops;
-        // each op occupies one issue slot (HMMA/BMMA instruction dispatch)
-        c.warp_insts += ops as f64;
-        c.active_lanes += (ops as usize * warp) as f64;
-        c.lane_slots += (ops as usize * warp) as f64;
-    }
-
-    /// A warp/tile-wide memory access: lanes touch `addrs` (each `elem_bytes`
-    /// wide). Addresses are coalesced into distinct 32-byte sectors, each
-    /// probed through L1 → L2 → DRAM. Host-space addresses become PCIe
-    /// traffic instead (zero-copy / UM-style access).
-    pub fn access(&mut self, sm: usize, kind: AccessKind, addrs: &[u64], elem_bytes: usize) {
-        self.access_impl(sm, kind, addrs, elem_bytes, true);
-    }
-
-    /// A warp/tile-wide *dirty write*: identical cost accounting to
-    /// [`Kernel::access`] with [`AccessKind::Write`], but exempt from the
-    /// race sanitizer's hazard pairing, like an atomic. Engines use it to
-    /// assert that a racy store is benign by construction — the paper's
-    /// §7.2 "dirty write" idiom (same-value or monotone stores whose
-    /// interleaving cannot change the converged result).
-    pub fn access_dirty(&mut self, sm: usize, addrs: &[u64], elem_bytes: usize) {
-        self.access_impl(sm, AccessKind::Write, addrs, elem_bytes, false);
-    }
-
-    fn access_impl(
-        &mut self,
-        sm: usize,
-        kind: AccessKind,
-        addrs: &[u64],
-        elem_bytes: usize,
-        shadowed: bool,
-    ) {
-        if addrs.is_empty() {
-            return;
-        }
-        // Device::new guarantees a power-of-two sector size
-        let shift = self.dev.cfg().sector_bytes.trailing_zeros();
-        let sm = sm % self.per_sm.len();
-        if shadowed {
-            if let Some(sh) = &mut self.shadow {
-                for &a in addrs {
-                    match kind {
-                        AccessKind::Read => sh.read(sm, a, elem_bytes as u64),
-                        AccessKind::Write => sh.write(sm, a, elem_bytes as u64),
-                    }
-                }
-            }
-        }
-
-        // Coalesce: collect the distinct sectors the lanes touch. Elements may
-        // straddle sector boundaries when elem_bytes > 1. Lanes mostly walk
-        // ascending addresses, so the sort usually has nothing to do.
-        self.scratch_sectors.clear();
-        for &a in addrs {
-            let first = a >> shift;
-            let last = (a + elem_bytes as u64 - 1) >> shift;
-            for s in first..=last {
-                self.scratch_sectors.push(s);
-            }
-        }
-        if !self.scratch_sectors.is_sorted() {
-            self.scratch_sectors.sort_unstable();
-        }
-        self.scratch_sectors.dedup();
-
-        let c = &mut self.per_sm[sm];
-        c.mem_requests += 1;
-        // one LSU instruction per request
-        c.warp_insts += 1.0;
-        c.active_lanes += addrs.len().min(self.dev.cfg().warp_size) as f64;
-        c.lane_slots += self.dev.cfg().warp_size as f64;
-
-        let is_write = kind == AccessKind::Write;
-        let mut prev_host_sector: u64 = u64::MAX;
-        for i in 0..self.scratch_sectors.len() {
-            let s = self.scratch_sectors[i];
-            self.charge_sector(sm, is_write, s, &mut prev_host_sector);
-        }
     }
 
     /// Probe one sector through the memory hierarchy and charge the outcome.
@@ -395,139 +283,6 @@ impl<'d> Kernel<'d> {
             c.dram_sectors += 1;
         }
         false
-    }
-
-    /// A coalesced access over `count` contiguous `elem_bytes`-wide elements
-    /// starting at `base`: one warp-wide request per `warp_size` elements,
-    /// without materializing a per-lane address vector. Equivalent in cost
-    /// to calling [`Kernel::access`] on the same range chunked by warp
-    /// (contiguous host sectors additionally merge across the whole range,
-    /// as a streaming DMA would).
-    pub fn access_range(
-        &mut self,
-        sm: usize,
-        kind: AccessKind,
-        base: u64,
-        count: u64,
-        elem_bytes: usize,
-    ) {
-        if count == 0 {
-            return;
-        }
-        let warp = self.dev.cfg().warp_size as u64;
-        let shift = self.dev.cfg().sector_bytes.trailing_zeros();
-        let sm = sm % self.per_sm.len();
-        if let Some(sh) = &mut self.shadow {
-            let bytes = count * elem_bytes as u64;
-            match kind {
-                AccessKind::Read => sh.read(sm, base, bytes),
-                AccessKind::Write => sh.write(sm, base, bytes),
-            }
-        }
-        let is_write = kind == AccessKind::Write;
-        let mut prev_host_sector: u64 = u64::MAX;
-        let mut done = 0u64;
-        while done < count {
-            let lanes = warp.min(count - done);
-            let lo = base + done * elem_bytes as u64;
-            let hi = lo + lanes * elem_bytes as u64 - 1;
-            let c = &mut self.per_sm[sm];
-            c.mem_requests += 1;
-            c.warp_insts += 1.0;
-            c.active_lanes += lanes as f64;
-            c.lane_slots += warp as f64;
-            for s in (lo >> shift)..=(hi >> shift) {
-                self.charge_sector(sm, is_write, s, &mut prev_host_sector);
-            }
-            done += lanes;
-        }
-    }
-
-    /// A warp access routed through a unified-memory page pool: faulting
-    /// pages migrate over PCIe at page granularity, resident pages are
-    /// served from device memory (the sectors are charged against a device
-    /// staging alias of the host address, so the cache hierarchy behaves as
-    /// if the page lived on the device).
-    pub fn access_um(
-        &mut self,
-        sm: usize,
-        kind: AccessKind,
-        addrs: &[u64],
-        elem_bytes: usize,
-        pool: &mut crate::host::UmPool,
-    ) {
-        if addrs.is_empty() {
-            return;
-        }
-        const UM_STAGE_BASE: u64 = 1 << 38;
-        const HOST_BASE: u64 = 1 << 40;
-        let mut translated: Vec<u64> = Vec::with_capacity(addrs.len());
-        for &a in addrs {
-            if crate::mem::is_host_addr(a) {
-                if pool.access(a) == crate::host::PoolAccess::Fault {
-                    self.pcie_traffic(pool.page_bytes(), 1);
-                }
-                translated.push(UM_STAGE_BASE + (a - HOST_BASE));
-            } else {
-                translated.push(a);
-            }
-        }
-        self.access(sm, kind, &translated, elem_bytes);
-    }
-
-    /// Atomic read-modify-write by the lanes at `addrs` (one per lane).
-    /// Conflicting lanes (same address) serialise; every distinct address
-    /// costs an L2 round trip. Atomics are exempt from the race sanitizer:
-    /// the L2 point of coherence serialises them against everything.
-    pub fn atomic(&mut self, sm: usize, addrs: &[u64]) {
-        if addrs.is_empty() {
-            return;
-        }
-        let sm = sm % self.per_sm.len();
-        let n = addrs.len() as u64;
-        // Sort a scratch copy to count conflicting lanes without mutating
-        // the caller's address list.
-        self.scratch_addrs.clear();
-        self.scratch_addrs.extend_from_slice(addrs);
-        self.scratch_addrs.sort_unstable();
-        let mut distinct = 1u64;
-        for i in 1..self.scratch_addrs.len() {
-            if self.scratch_addrs[i] != self.scratch_addrs[i - 1] {
-                distinct += 1;
-            }
-        }
-        // Traffic: atomics resolve in L2; charge sector traffic there too.
-        let shift = self.dev.cfg().sector_bytes.trailing_zeros();
-        self.scratch_sectors.clear();
-        for &a in addrs.iter() {
-            self.scratch_sectors.push(a >> shift);
-        }
-        if !self.scratch_sectors.is_sorted() {
-            self.scratch_sectors.sort_unstable();
-        }
-        self.scratch_sectors.dedup();
-        for i in 0..self.scratch_sectors.len() {
-            let s = self.scratch_sectors[i];
-            self.probe_or_record(sm, s, true);
-        }
-        let c = &mut self.per_sm[sm];
-        c.atomics += n;
-        c.atomic_serial += n - distinct;
-        c.warp_insts += 1.0;
-        c.active_lanes += addrs.len().min(self.dev.cfg().warp_size) as f64;
-        c.lane_slots += self.dev.cfg().warp_size as f64;
-        c.mem_requests += 1;
-    }
-
-    /// A block-wide barrier executed on `sm`. Advances the sanitizer's
-    /// per-SM epoch clock (reporting metadata only — a block barrier never
-    /// orders accesses across SMs).
-    pub fn sync(&mut self, sm: usize) {
-        let n = self.per_sm.len();
-        self.per_sm[sm % n].syncs += 1;
-        if let Some(sh) = &mut self.shadow {
-            sh.barrier(sm);
-        }
     }
 
     /// A device-wide cooperative-grid barrier (`grid.sync()`): orders every
@@ -728,77 +483,256 @@ fn compute_cycles(
     }
 }
 
-/// One SM's view of an in-flight kernel: every accessor charges the bound
-/// SM, so helpers shared between engines take a single `&mut SmShard`
-/// instead of threading a `(&mut Kernel, sm)` pair through every call.
+/// One SM's view of an in-flight kernel, and the only way to charge a
+/// per-SM event: [`Kernel::shard`] binds the SM once, so helpers shared
+/// between engines take a single `&mut SmShard` instead of threading a
+/// `(&mut Kernel, sm)` pair through every call.
 pub struct SmShard<'k, 'd> {
     k: &'k mut Kernel<'d>,
+    /// Already folded into `0..num_sms` by [`Kernel::shard`].
     sm: usize,
 }
 
-impl<'d> SmShard<'_, 'd> {
-    /// The SM this shard charges.
-    #[must_use]
-    pub fn sm(&self) -> usize {
-        self.sm
-    }
-
+impl SmShard<'_, '_> {
     /// Device configuration shortcut.
     #[must_use]
     pub fn cfg(&self) -> &DeviceConfig {
-        self.k.cfg()
+        self.k.dev.cfg()
     }
 
-    /// Issue warp instructions on this shard's SM ([`Kernel::exec`]).
+    fn counters(&mut self) -> &mut SmCounters {
+        &mut self.k.per_sm[self.sm]
+    }
+
+    /// Issue `warp_insts` warp instructions with `active` of `width` lanes
+    /// doing useful work (divergence shows up as `active < width`).
     pub fn exec(&mut self, warp_insts: u64, active: usize, width: usize) {
-        self.k.exec(self.sm, warp_insts, active, width);
+        let c = self.counters();
+        c.warp_insts += warp_insts as f64;
+        c.active_lanes += active as f64;
+        c.lane_slots += width.max(active) as f64;
     }
 
-    /// Issue scheduling instructions on this shard's SM: the same cost as
-    /// [`Self::exec`], also counted as scheduling overhead.
+    /// Issue scheduling instructions: the same cost as [`Self::exec`], also
+    /// counted as scheduling overhead.
     pub fn exec_sched(&mut self, warp_insts: u64, active: usize, width: usize) {
-        self.k.exec(self.sm, warp_insts, active, width);
-        self.k.per_sm[self.sm].sched_insts += warp_insts;
+        self.exec(warp_insts, active, width);
+        self.counters().sched_insts += warp_insts;
     }
 
-    /// Issue fully-converged instructions ([`Kernel::exec_uniform`]).
+    /// Issue fully-converged instructions (all lanes active).
     pub fn exec_uniform(&mut self, warp_insts: u64) {
-        self.k.exec_uniform(self.sm, warp_insts);
+        let w = self.cfg().warp_size;
+        self.exec(warp_insts, w, w);
     }
 
-    /// Issue matrix-unit ops on this shard's SM ([`Kernel::mma`]).
+    /// Issue `ops` matrix-unit (tensor-core) ops: each op is one
+    /// warpgroup-level binary fragment multiply over a
+    /// [`crate::TensorConfig::block_dim`]-square adjacency block. Ops feed
+    /// a per-SM tensor-pipe throughput bound plus an exposed-latency term
+    /// hidden by concurrency — a fourth contender in the per-SM cycle max
+    /// beside issue, the memory pipe, and scalar exposed latency. The charge
+    /// is pure event arithmetic, so it is identical on the direct and
+    /// recorded routes by construction; the operands' memory traffic
+    /// is charged separately through the ordinary access paths.
     pub fn mma(&mut self, ops: u64) {
-        self.k.mma(self.sm, ops);
+        if ops == 0 {
+            return;
+        }
+        let warp = self.cfg().warp_size;
+        let c = self.counters();
+        c.mma_ops += ops;
+        // each op occupies one issue slot (HMMA/BMMA instruction dispatch)
+        c.warp_insts += ops as f64;
+        c.active_lanes += (ops as usize * warp) as f64;
+        c.lane_slots += (ops as usize * warp) as f64;
     }
 
-    /// A warp/tile-wide memory access ([`Kernel::access`]).
+    /// A warp/tile-wide memory access: lanes touch `addrs` (each `elem_bytes`
+    /// wide). Addresses are coalesced into distinct 32-byte sectors, each
+    /// probed through L1 → L2 → DRAM. Host-space addresses become PCIe
+    /// traffic instead (zero-copy / UM-style access).
     pub fn access(&mut self, kind: AccessKind, addrs: &[u64], elem_bytes: usize) {
-        self.k.access(self.sm, kind, addrs, elem_bytes);
+        self.access_impl(kind, addrs, elem_bytes, true);
     }
 
-    /// A coalesced contiguous access ([`Kernel::access_range`]).
-    pub fn access_range(&mut self, kind: AccessKind, base: u64, count: u64, elem_bytes: usize) {
-        self.k.access_range(self.sm, kind, base, count, elem_bytes);
-    }
-
-    /// A sanitizer-exempt benign-race store ([`Kernel::access_dirty`]).
+    /// A warp/tile-wide *dirty write*: identical cost accounting to
+    /// [`Self::access`] with [`AccessKind::Write`], but exempt from the
+    /// race sanitizer's hazard pairing, like an atomic. Engines use it to
+    /// assert that a racy store is benign by construction — the paper's
+    /// §7.2 "dirty write" idiom (same-value or monotone stores whose
+    /// interleaving cannot change the converged result).
     pub fn access_dirty(&mut self, addrs: &[u64], elem_bytes: usize) {
-        self.k.access_dirty(self.sm, addrs, elem_bytes);
+        self.access_impl(AccessKind::Write, addrs, elem_bytes, false);
     }
 
-    /// Atomic read-modify-writes by the lanes ([`Kernel::atomic`]).
+    fn access_impl(&mut self, kind: AccessKind, addrs: &[u64], elem_bytes: usize, shadowed: bool) {
+        if addrs.is_empty() {
+            return;
+        }
+        if shadowed {
+            self.shadow(kind, addrs, elem_bytes as u64);
+        }
+        self.coalesce(addrs, elem_bytes);
+        self.request(addrs.len());
+        let is_write = kind == AccessKind::Write;
+        let mut prev_host_sector: u64 = u64::MAX;
+        for i in 0..self.k.scratch_sectors.len() {
+            let s = self.k.scratch_sectors[i];
+            self.k
+                .charge_sector(self.sm, is_write, s, &mut prev_host_sector);
+        }
+    }
+
+    /// A coalesced access over `count` contiguous `elem_bytes`-wide elements
+    /// starting at `base`: one warp-wide request per `warp_size` elements,
+    /// without materializing a per-lane address vector. Equivalent in cost
+    /// to calling [`Self::access`] on the same range chunked by warp
+    /// (contiguous host sectors additionally merge across the whole range,
+    /// as a streaming DMA would).
+    pub fn access_range(&mut self, kind: AccessKind, base: u64, count: u64, elem_bytes: usize) {
+        if count == 0 {
+            return;
+        }
+        let warp = self.cfg().warp_size as u64;
+        let shift = self.cfg().sector_bytes.trailing_zeros();
+        self.shadow(kind, &[base], count * elem_bytes as u64);
+        let is_write = kind == AccessKind::Write;
+        let mut prev_host_sector: u64 = u64::MAX;
+        let mut done = 0u64;
+        while done < count {
+            let lanes = warp.min(count - done);
+            let lo = base + done * elem_bytes as u64;
+            let hi = lo + lanes * elem_bytes as u64 - 1;
+            self.request(lanes as usize);
+            for s in (lo >> shift)..=(hi >> shift) {
+                self.k
+                    .charge_sector(self.sm, is_write, s, &mut prev_host_sector);
+            }
+            done += lanes;
+        }
+    }
+
+    /// A warp access routed through a unified-memory page pool: faulting
+    /// pages migrate over PCIe at page granularity, resident pages are
+    /// served from device memory (the sectors are charged against a device
+    /// staging alias of the host address, so the cache hierarchy behaves as
+    /// if the page lived on the device).
+    pub fn access_um(
+        &mut self,
+        kind: AccessKind,
+        addrs: &[u64],
+        elem_bytes: usize,
+        pool: &mut crate::host::UmPool,
+    ) {
+        if addrs.is_empty() {
+            return;
+        }
+        const UM_STAGE_BASE: u64 = 1 << 38;
+        const HOST_BASE: u64 = 1 << 40;
+        let mut translated: Vec<u64> = Vec::with_capacity(addrs.len());
+        for &a in addrs {
+            if is_host_addr(a) {
+                if pool.access(a) == crate::host::PoolAccess::Fault {
+                    self.k.pcie_traffic(pool.page_bytes(), 1);
+                }
+                translated.push(UM_STAGE_BASE + (a - HOST_BASE));
+            } else {
+                translated.push(a);
+            }
+        }
+        self.access(kind, &translated, elem_bytes);
+    }
+
+    /// Atomic read-modify-write by the lanes at `addrs` (one per lane).
+    /// Conflicting lanes (same address) serialise; every distinct address
+    /// costs an L2 round trip. Atomics are exempt from the race sanitizer:
+    /// the L2 point of coherence serialises them against everything.
     pub fn atomic(&mut self, addrs: &[u64]) {
-        self.k.atomic(self.sm, addrs);
+        if addrs.is_empty() {
+            return;
+        }
+        let n = addrs.len() as u64;
+        // Sort a scratch copy to count conflicting lanes without mutating
+        // the caller's address list.
+        let sorted = &mut self.k.scratch_addrs;
+        sorted.clear();
+        sorted.extend_from_slice(addrs);
+        sorted.sort_unstable();
+        let mut distinct = 1u64;
+        for i in 1..sorted.len() {
+            if sorted[i] != sorted[i - 1] {
+                distinct += 1;
+            }
+        }
+        // Traffic: atomics resolve in L2, one probe per distinct sector; a
+        // lane's atomic touches the sector holding its address, so it
+        // coalesces as a one-byte element.
+        self.coalesce(addrs, 1);
+        for i in 0..self.k.scratch_sectors.len() {
+            let s = self.k.scratch_sectors[i];
+            self.k.probe_or_record(self.sm, s, true);
+        }
+        let c = self.counters();
+        c.atomics += n;
+        c.atomic_serial += n - distinct;
+        self.request(addrs.len());
     }
 
-    /// A block-wide barrier ([`Kernel::sync`]).
+    /// A block-wide barrier. Advances the sanitizer's per-SM epoch clock
+    /// (reporting metadata only — a block barrier never orders accesses
+    /// across SMs).
     pub fn sync(&mut self) {
-        self.k.sync(self.sm);
+        self.counters().syncs += 1;
+        if let Some(sh) = &mut self.k.shadow {
+            sh.barrier(self.sm);
+        }
     }
 
-    /// The underlying kernel, for cross-SM operations.
-    pub fn kernel(&mut self) -> &mut Kernel<'d> {
-        self.k
+    /// Charge one warp-wide memory request with `lanes` lanes taking part:
+    /// one LSU instruction.
+    fn request(&mut self, lanes: usize) {
+        let warp = self.cfg().warp_size;
+        let c = self.counters();
+        c.mem_requests += 1;
+        c.warp_insts += 1.0;
+        c.active_lanes += lanes.min(warp) as f64;
+        c.lane_slots += warp as f64;
+    }
+
+    /// Coalesce: collect the distinct sectors the lanes at `addrs` touch
+    /// into the kernel's sector scratch, ascending. Elements may straddle
+    /// sector boundaries when `elem_bytes > 1`. Lanes mostly walk ascending
+    /// addresses, so the sort usually has nothing to do.
+    fn coalesce(&mut self, addrs: &[u64], elem_bytes: usize) {
+        // Device::new guarantees a power-of-two sector size
+        let shift = self.cfg().sector_bytes.trailing_zeros();
+        let sectors = &mut self.k.scratch_sectors;
+        sectors.clear();
+        for &a in addrs {
+            let first = a >> shift;
+            let last = (a + elem_bytes as u64 - 1) >> shift;
+            for s in first..=last {
+                sectors.push(s);
+            }
+        }
+        if !sectors.is_sorted() {
+            sectors.sort_unstable();
+        }
+        sectors.dedup();
+    }
+
+    /// Hand a `kind` access of `bytes` bytes at each of `addrs` to the race
+    /// sanitizer, when it is on.
+    fn shadow(&mut self, kind: AccessKind, addrs: &[u64], bytes: u64) {
+        if let Some(sh) = &mut self.k.shadow {
+            for &a in addrs {
+                match kind {
+                    AccessKind::Read => sh.read(self.sm, a, bytes),
+                    AccessKind::Write => sh.write(self.sm, a, bytes),
+                }
+            }
+        }
     }
 }
 
@@ -829,10 +763,10 @@ mod tests {
     fn compute_bound_kernel_scales_with_insts() {
         let mut d = dev();
         let mut k = d.launch("compute");
-        k.exec_uniform(0, 1000);
+        k.shard(0).exec_uniform(1000);
         let r1 = k.finish();
         let mut k = d.launch("compute");
-        k.exec_uniform(0, 2000);
+        k.shard(0).exec_uniform(2000);
         let r2 = k.finish();
         assert!(r2.cycles > r1.cycles);
     }
@@ -846,8 +780,8 @@ mod tests {
         // no scheduling instructions: no overhead
         let mut d = dev();
         let mut k = d.launch("plain");
-        k.exec_uniform(0, 400);
-        k.access(1, AccessKind::Read, &[512], 4);
+        k.shard(0).exec_uniform(400);
+        k.shard(1).access(AccessKind::Read, &[512], 4);
         let _ = k.finish();
         assert_eq!(d.overhead_seconds(), 0.0);
 
@@ -855,7 +789,7 @@ mod tests {
         // width — SM 0 has the most cycles, so SM 1's larger count is not it
         let mut d = dev();
         let mut k = d.launch("mixed");
-        k.exec_uniform(0, 1000);
+        k.shard(0).exec_uniform(1000);
         k.shard(0).exec_sched(10, w, w);
         k.shard(1).exec_sched(500, w, w);
         let _ = k.finish();
@@ -874,8 +808,8 @@ mod tests {
         let mut d = dev();
         let mut k = d.launch("schedule");
         k.mark_scheduling();
-        k.exec_uniform(0, 400);
-        k.access(1, AccessKind::Write, &[4096], 4);
+        k.shard(0).exec_uniform(400);
+        k.shard(1).access(AccessKind::Write, &[4096], 4);
         let r = k.finish();
         assert_eq!(
             d.overhead_seconds(),
@@ -892,7 +826,7 @@ mod tests {
         let mut k = d.launch("mem");
         // 8 consecutive u32s = 32 bytes = 1 sector
         let addrs: Vec<u64> = (0..8).map(|i| 1024 + i * 4).collect();
-        k.access(0, AccessKind::Read, &addrs, 4);
+        k.shard(0).access(AccessKind::Read, &addrs, 4);
         let _ = k.finish();
         assert_eq!(d.profiler().total_sectors(), 1);
     }
@@ -903,7 +837,7 @@ mod tests {
         let mut k = d.launch("mem");
         // 8 addresses 1 KiB apart: 8 sectors
         let addrs: Vec<u64> = (0..8).map(|i| 1024 + i * 1024).collect();
-        k.access(0, AccessKind::Read, &addrs, 4);
+        k.shard(0).access(AccessKind::Read, &addrs, 4);
         let _ = k.finish();
         assert_eq!(d.profiler().total_sectors(), 8);
     }
@@ -913,7 +847,7 @@ mod tests {
         let mut d = dev();
         let mut k = d.launch("mem");
         // 8-byte element at offset 28 straddles sectors 0 and 1
-        k.access(0, AccessKind::Read, &[28], 8);
+        k.shard(0).access(AccessKind::Read, &[28], 8);
         let _ = k.finish();
         assert_eq!(d.profiler().total_sectors(), 2);
     }
@@ -924,10 +858,10 @@ mod tests {
         // 8 consecutive lines spread across all 4 L1 sets (2 per set).
         let addrs: Vec<u64> = (0..8).map(|i| 4096 + i * 128).collect();
         let mut k = d.launch("cold");
-        k.access(0, AccessKind::Read, &addrs, 4);
+        k.shard(0).access(AccessKind::Read, &addrs, 4);
         let cold = k.finish();
         let mut k = d.launch("warm");
-        k.access(0, AccessKind::Read, &addrs, 4);
+        k.shard(0).access(AccessKind::Read, &addrs, 4);
         let warm = k.finish();
         assert!(warm.cycles <= cold.cycles);
         assert!(d.profiler().l1_hit_sectors > 0);
@@ -940,7 +874,8 @@ mod tests {
             let mut k = d.launch("lat");
             k.set_concurrency(streams);
             for i in 0..64u64 {
-                k.access(0, AccessKind::Read, &[(1 << 20) | (i * 4096)], 4);
+                k.shard(0)
+                    .access(AccessKind::Read, &[(1 << 20) | (i * 4096)], 4);
             }
             k.finish().cycles
         };
@@ -957,13 +892,13 @@ mod tests {
         let mut balanced = dev();
         let mut k = balanced.launch("bal");
         for sm in 0..4 {
-            k.exec_uniform(sm, 1000);
+            k.shard(sm).exec_uniform(1000);
         }
         let b = k.finish();
 
         let mut skewed = dev();
         let mut k = skewed.launch("skew");
-        k.exec_uniform(0, 4000);
+        k.shard(0).exec_uniform(4000);
         let s = k.finish();
 
         assert!(s.cycles > b.cycles);
@@ -975,13 +910,13 @@ mod tests {
         let mut d = dev();
         let mut k = d.launch("atomic");
         let same = vec![64u64; 8];
-        k.atomic(0, &same);
+        k.shard(0).atomic(&same);
         let conflicted = k.finish();
 
         let mut d2 = dev();
         let mut k = d2.launch("atomic");
         let distinct: Vec<u64> = (0..8).map(|i| 64 + i * 64).collect();
-        k.atomic(0, &distinct);
+        k.shard(0).atomic(&distinct);
         let _ = k.finish();
 
         assert_eq!(d.profiler().atomic_conflicts, 7);
@@ -995,7 +930,7 @@ mod tests {
         let mut h = crate::mem::Allocator::new(MemSpace::Host);
         let base = h.alloc(4096);
         let mut k = d.launch("ooc");
-        k.access(0, AccessKind::Read, &[base, base + 4096], 4);
+        k.shard(0).access(AccessKind::Read, &[base, base + 4096], 4);
         let r = k.finish();
         assert!(r.pcie_bytes > 0);
         assert_eq!(d.profiler().total_sectors(), 0, "host traffic skips caches");
@@ -1006,9 +941,9 @@ mod tests {
     fn syncs_add_cost() {
         let mut d = dev();
         let mut k = d.launch("sync");
-        k.exec_uniform(0, 10);
+        k.shard(0).exec_uniform(10);
         for _ in 0..100 {
-            k.sync(0);
+            k.shard(0).sync();
         }
         let r = k.finish();
         let base = DeviceConfig::test_tiny();
@@ -1020,7 +955,7 @@ mod tests {
     fn divergence_lowers_simt_efficiency() {
         let mut d = dev();
         let mut k = d.launch("div");
-        k.exec(0, 10, 2, 8);
+        k.shard(0).exec(10, 2, 8);
         let _ = k.finish();
         assert!(d.profiler().simt_efficiency() < 0.5);
     }
@@ -1035,11 +970,11 @@ mod tests {
             let base = 4096u64;
             let count = 100u64;
             if ranged {
-                k.access_range(0, AccessKind::Read, base, count, 4);
+                k.shard(0).access_range(AccessKind::Read, base, count, 4);
             } else {
                 let addrs: Vec<u64> = (0..count).map(|i| base + i * 4).collect();
                 for chunk in addrs.chunks(warp) {
-                    k.access(0, AccessKind::Read, chunk, 4);
+                    k.shard(0).access(AccessKind::Read, chunk, 4);
                 }
             }
             let _ = k.finish();
@@ -1058,7 +993,7 @@ mod tests {
         let mut h = crate::mem::Allocator::new(MemSpace::Host);
         let base = h.alloc(1 << 16);
         let mut k = d.launch("ooc_range");
-        k.access_range(0, AccessKind::Read, base, 1024, 4);
+        k.shard(0).access_range(AccessKind::Read, base, 1024, 4);
         let r = k.finish();
         assert!(r.pcie_bytes > 0);
         // the whole contiguous range is one streaming DMA request
@@ -1069,7 +1004,7 @@ mod tests {
     fn empty_access_range_is_free() {
         let mut d = dev();
         let mut k = d.launch("empty_range");
-        k.access_range(0, AccessKind::Read, 4096, 0, 4);
+        k.shard(0).access_range(AccessKind::Read, 4096, 0, 4);
         let _ = k.finish();
         assert_eq!(d.profiler().mem_requests, 0);
     }
@@ -1078,7 +1013,7 @@ mod tests {
     fn access_range_write_counts_write_sectors() {
         let mut d = dev();
         let mut k = d.launch("wr_range");
-        k.access_range(0, AccessKind::Write, 4096, 64, 4);
+        k.shard(0).access_range(AccessKind::Write, 4096, 64, 4);
         let _ = k.finish();
         assert!(d.profiler().write_sectors > 0);
     }
@@ -1096,13 +1031,14 @@ mod tests {
                 let addrs: Vec<u64> = (0..16)
                     .map(|i| 4096 + ((i * 2654435761u64 + sm as u64 * 97 + round * 13) % 4096))
                     .collect();
-                k.access(sm, AccessKind::Read, &addrs, 4);
-                k.access_range(sm, AccessKind::Write, 65536 + sm as u64 * 512, 200, 4);
+                let mut sh = k.shard(sm);
+                sh.access(AccessKind::Read, &addrs, 4);
+                sh.access_range(AccessKind::Write, 65536 + sm as u64 * 512, 200, 4);
                 let at: Vec<u64> = (0..8).map(|i| 128 * ((i * 7 + sm as u64) % 5)).collect();
-                k.atomic(sm, &at);
+                sh.atomic(&at);
                 // re-touch the same addresses: exercises warm L1/L2 state
-                k.access(sm, AccessKind::Read, &addrs, 4);
-                k.sync(sm);
+                sh.access(AccessKind::Read, &addrs, 4);
+                sh.sync();
             }
             let _ = k.finish();
         }
@@ -1146,8 +1082,8 @@ mod tests {
             let mut h = crate::mem::Allocator::new(MemSpace::Host);
             let base = h.alloc(1 << 16);
             let mut k = d.launch("ooc");
-            k.access_range(0, AccessKind::Read, base, 512, 4);
-            k.access(1, AccessKind::Read, &[4096, base + 32], 4);
+            k.shard(0).access_range(AccessKind::Read, base, 512, 4);
+            k.shard(1).access(AccessKind::Read, &[4096, base + 32], 4);
             let r = k.finish();
             (
                 r.cycles.to_bits(),
@@ -1164,7 +1100,7 @@ mod tests {
         let mut d = dev();
         d.set_host_threads(3);
         let mut k = d.launch("budget");
-        k.exec_uniform(0, 10);
+        k.shard(0).exec_uniform(10);
         let r = k.finish();
         assert_eq!(r.host_threads, 3);
         assert!(r.host_seconds >= 0.0);
@@ -1177,18 +1113,19 @@ mod tests {
     fn shard_handle_charges_its_bound_sm() {
         let mut d = dev();
         let mut k = d.launch("shard");
-        {
-            let mut sh = k.shard(2);
-            assert_eq!(sh.sm(), 2);
-            sh.exec_uniform(5);
-            sh.access(AccessKind::Read, &[4096], 4);
-            sh.access_range(AccessKind::Write, 8192, 32, 4);
-            let at = vec![64u64, 64];
-            sh.atomic(&at);
-            sh.sync();
-        }
+        // an index past the last SM folds back onto SM 2
+        let mut sh = k.shard(2 + k.num_sms());
+        sh.exec_uniform(5);
+        sh.access(AccessKind::Read, &[4096], 4);
+        sh.access_range(AccessKind::Write, 8192, 32, 4);
+        let at = vec![64u64, 64];
+        sh.atomic(&at);
+        sh.sync();
+        // SM 2's own L1 holds the sector the folded handle loaded
+        k.shard(2).access(AccessKind::Read, &[4096], 4);
         let r = k.finish();
         assert_eq!(r.active_sms, 1);
+        assert_eq!(d.profiler().l1_hit_sectors, 1);
         assert_eq!(d.profiler().syncs, 1);
         assert!(d.profiler().write_sectors > 0);
     }
@@ -1219,23 +1156,26 @@ mod tests {
     #[test]
     fn sanitizer_is_cost_neutral_and_clean_on_ordered_kernels() {
         let run = |sanitize: bool, threads: usize| {
-            let mut d = dev();
-            d.set_sanitize(sanitize);
+            let mut d = Device::new(DeviceConfig {
+                sanitize,
+                ..DeviceConfig::test_tiny()
+            });
             d.set_host_threads(threads);
             let mut k = d.launch("ordered");
             // per-SM disjoint writes + atomics + a grid-sync'd cross-SM pass
             for sm in 0..4 {
-                k.access_range(sm, AccessKind::Write, 4096 + sm as u64 * 256, 64, 4);
-                k.atomic(sm, &[1 << 14]);
-                k.sync(sm);
+                let mut sh = k.shard(sm);
+                sh.access_range(AccessKind::Write, 4096 + sm as u64 * 256, 64, 4);
+                sh.atomic(&[1 << 14]);
+                sh.sync();
             }
             k.grid_sync();
             for sm in 0..4 {
-                k.access(sm, AccessKind::Read, &[4096, 4160, 4224], 4);
+                k.shard(sm).access(AccessKind::Read, &[4096, 4160, 4224], 4);
             }
             // dirty writes race by design but are exempt
-            k.access_dirty(0, &[1 << 15], 4);
-            k.access_dirty(1, &[1 << 15], 4);
+            k.shard(0).access_dirty(&[1 << 15], 4);
+            k.shard(1).access_dirty(&[1 << 15], 4);
             let r = k.finish();
             assert_eq!(d.hazard_count(), 0, "ordered kernel must be hazard-free");
             (r.cycles.to_bits(), d.profiler().clone())
@@ -1253,8 +1193,8 @@ mod tests {
     fn unsynchronized_cross_sm_write_read_is_flagged() {
         let mut d = sanitized_dev();
         let mut k = d.launch("rw");
-        k.access(0, AccessKind::Write, &[8192], 4);
-        k.access(2, AccessKind::Read, &[8192], 4);
+        k.shard(0).access(AccessKind::Write, &[8192], 4);
+        k.shard(2).access(AccessKind::Read, &[8192], 4);
         let r = k.finish();
         assert_eq!(r.hazards.len(), 1);
         let hz = &r.hazards.hazards[0];
@@ -1269,7 +1209,7 @@ mod tests {
         let mut d = dev();
         let mut k = d.launch("mma");
         k.set_concurrency(cfg.max_resident_warps as f64);
-        k.mma(0, 1000);
+        k.shard(0).mma(1000);
         let r = k.finish();
         let pipe = 1000.0 / cfg.tensor.mma_per_cycle;
         assert!(
@@ -1287,8 +1227,9 @@ mod tests {
             d.set_host_threads(threads);
             let mut k = d.launch("mma_mixed");
             for sm in 0..4 {
-                k.mma(sm, 10 + sm as u64);
-                k.access_range(sm, AccessKind::Read, 4096 + sm as u64 * 512, 64, 4);
+                let mut sh = k.shard(sm);
+                sh.mma(10 + sm as u64);
+                sh.access_range(AccessKind::Read, 4096 + sm as u64 * 512, 64, 4);
             }
             let r = k.finish();
             (r.cycles.to_bits(), d.profiler().mma_ops)
@@ -1300,7 +1241,7 @@ mod tests {
     fn zero_mma_is_free() {
         let mut d = dev();
         let mut k = d.launch("mma0");
-        k.mma(0, 0);
+        k.shard(0).mma(0);
         let r = k.finish();
         assert_eq!(r.active_sms, 0);
         assert_eq!(d.profiler().mma_ops, 0);
@@ -1321,10 +1262,11 @@ mod tests {
             let mut k = d.launch("stream");
             for sm in 0..4 {
                 let off = (sm as u64 * 1024 + round * 256) % 3072;
-                k.access_range(sm, AccessKind::Read, base + off, 200, 4);
-                k.access_range(sm, AccessKind::Read, 4096 + sm as u64 * 512, 64, 4);
-                k.access(sm, AccessKind::Write, &[base + sm as u64 * 64], 4);
-                k.atomic(sm, &[512 * (1 + sm as u64)]);
+                let mut sh = k.shard(sm);
+                sh.access_range(AccessKind::Read, base + off, 200, 4);
+                sh.access_range(AccessKind::Read, 4096 + sm as u64 * 512, 64, 4);
+                sh.access(AccessKind::Write, &[base + sm as u64 * 64], 4);
+                sh.atomic(&[512 * (1 + sm as u64)]);
             }
             let _ = k.finish();
         }
@@ -1376,8 +1318,8 @@ mod tests {
         let mut k = d.launch("bypass");
         // Touch the same streaming sectors twice: no caching, so both
         // sweeps are compulsory DRAM misses.
-        k.access_range(0, AccessKind::Read, base, 64, 4);
-        k.access_range(0, AccessKind::Read, base, 64, 4);
+        k.shard(0).access_range(AccessKind::Read, base, 64, 4);
+        k.shard(0).access_range(AccessKind::Read, base, 64, 4);
         let _ = k.finish();
         assert_eq!(d.profiler().l1_hit_sectors, 0);
         assert_eq!(d.profiler().l2_hit_sectors, 0);
@@ -1401,18 +1343,19 @@ mod tests {
             let addrs: Vec<u64> = (0..16)
                 .map(|i| 4096 + ((i * 389 + sm * 61) % 512))
                 .collect();
-            k.access(sm as usize, AccessKind::Read, &addrs, 4);
-            k.access_range(sm as usize, AccessKind::Write, 8192 + sm * 256, 48, 4);
-            k.atomic(sm as usize, &[64 * sm, 64 * sm + 4, 4096 + 32 * sm]);
-            k.access_range(sm as usize, AccessKind::Read, stream + sm * 512, 96, 4);
-            k.access(sm as usize, AccessKind::Read, &[host + sm * 64, 4096], 4);
-            k.access(sm as usize, AccessKind::Read, &addrs, 4);
+            let mut sh = k.shard(sm as usize);
+            sh.access(AccessKind::Read, &addrs, 4);
+            sh.access_range(AccessKind::Write, 8192 + sm * 256, 48, 4);
+            sh.atomic(&[64 * sm, 64 * sm + 4, 4096 + 32 * sm]);
+            sh.access_range(AccessKind::Read, stream + sm * 512, 96, 4);
+            sh.access(AccessKind::Read, &[host + sm * 64, 4096], 4);
+            sh.access(AccessKind::Read, &addrs, 4);
         }
         let _ = k.finish();
         // a kernel probing no cached device memory is not counted as traced
         let mut k = d.launch("compute_only");
-        k.exec_uniform(0, 10);
-        k.access(0, AccessKind::Read, &[host], 4);
+        k.shard(0).exec_uniform(10);
+        k.shard(0).access(AccessKind::Read, &[host], 4);
         let _ = k.finish();
         let s = d.replay_stats().clone();
         assert_eq!(

@@ -30,7 +30,7 @@
 //! let values = dev.alloc_array::<u32>(1024, 0);
 //! let mut k = dev.launch("example");
 //! let addrs: Vec<u64> = (0..32).map(|i| values.addr(i)).collect();
-//! k.access(0, AccessKind::Read, &addrs, 4);
+//! k.shard(0).access(AccessKind::Read, &addrs, 4);
 //! let report = k.finish();
 //! assert!(report.seconds > 0.0);
 //! ```
@@ -56,7 +56,6 @@ pub use device::Device;
 pub use host::{PoolAccess, UmPool};
 pub use kernel::{AccessKind, Kernel, KernelReport, SmShard};
 pub use mem::{Allocator, DeviceArray, MemSpace};
-pub use multi::device_pool;
 pub use profile::{Profiler, ReplayStats};
 pub use sanitizer::{Hazard, HazardKind, HazardParty, HazardReport};
 pub use tile::Tile;

@@ -1,7 +1,7 @@
 //! Shadow-memory race sanitizer for simulated kernels.
 //!
 //! The simulator observes every device-memory access a kernel makes through
-//! [`crate::kernel::Kernel::access`] / `access_range` / `atomic`, which makes
+//! [`crate::kernel::SmShard::access`] / `access_range` / `atomic`, which makes
 //! it possible to build the equivalent of `compute-sanitizer racecheck`
 //! natively: an opt-in shadow state machine that tracks, per 4-byte device
 //! word, the last non-atomic write and the recent non-atomic reads, and flags
@@ -18,7 +18,7 @@
 //!   only strengthen it;
 //! * either access is an `atomic` — the hardware serialises atomics at the
 //!   L2 point of coherence;
-//! * either access is a *dirty write* ([`crate::kernel::Kernel::access_dirty`])
+//! * either access is a *dirty write* ([`crate::kernel::SmShard::access_dirty`])
 //!   — the engine asserts the race is benign by construction (same-value or
 //!   monotone stores, the paper's §7.2 "dirty write" idiom);
 //! * a device-wide [`crate::kernel::Kernel::grid_sync`] barrier (or the
@@ -232,8 +232,8 @@ impl ShadowTracker {
         }
     }
 
+    /// `sm` comes from an `SmShard`, already folded onto the device's SMs.
     fn current(&self, sm: usize) -> Access {
-        let sm = sm % self.epochs.len();
         Access {
             sm: sm as u32,
             epoch: self.epochs[sm],
@@ -279,8 +279,7 @@ impl ShadowTracker {
     /// A block-wide barrier on `sm`: advances that SM's epoch clock. Epochs
     /// are reporting metadata — a block barrier orders nothing across SMs.
     pub(crate) fn barrier(&mut self, sm: usize) {
-        let n = self.epochs.len();
-        self.epochs[sm % n] += 1;
+        self.epochs[sm] += 1;
     }
 
     /// A device-wide grid barrier: every access before it is ordered against
@@ -339,8 +338,8 @@ pub fn run_racy_fixture(dev: &mut crate::device::Device) -> crate::kernel::Kerne
     use crate::kernel::AccessKind;
     let mut k = dev.launch("racy_fixture");
     let target = 4096u64;
-    k.access(0, AccessKind::Write, &[target], 4);
-    k.access(1, AccessKind::Write, &[target], 4);
+    k.shard(0).access(AccessKind::Write, &[target], 4);
+    k.shard(1).access(AccessKind::Write, &[target], 4);
     k.finish()
 }
 

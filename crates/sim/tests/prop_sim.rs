@@ -208,7 +208,7 @@ proptest! {
     fn coalescing_bounds(addrs in prop::collection::vec(0u64..100_000, 1..64)) {
         let mut d = Device::new(DeviceConfig::test_tiny());
         let mut k = d.launch("prop");
-        k.access(0, AccessKind::Read, &addrs, 4);
+        k.shard(0).access(AccessKind::Read, &addrs, 4);
         let _ = k.finish();
         let sectors = d.profiler().total_sectors();
         // at least one sector, at most 2 per address (4B can straddle)
@@ -224,7 +224,7 @@ proptest! {
         let run = |n: u64| {
             let mut d = Device::new(DeviceConfig::test_tiny());
             let mut k = d.launch("w");
-            k.exec_uniform(0, n);
+            k.shard(0).exec_uniform(n);
             k.finish().cycles
         };
         prop_assert!(run(insts + extra) >= run(insts));
@@ -237,7 +237,7 @@ proptest! {
             let mut k = d.launch("c");
             k.set_concurrency(c);
             for a in &addrs {
-                k.access(0, AccessKind::Read, &[*a], 4);
+                k.shard(0).access(AccessKind::Read, &[*a], 4);
             }
             k.finish().cycles
         };
@@ -270,7 +270,7 @@ proptest! {
         let mut d = Device::new(DeviceConfig::test_tiny());
         let mut k = d.launch("imb");
         for (sm, &w) in work.iter().enumerate() {
-            k.exec_uniform(sm, w);
+            k.shard(sm).exec_uniform(w);
         }
         let r = k.finish();
         prop_assert!(r.sm_imbalance() >= 1.0 - 1e-12);

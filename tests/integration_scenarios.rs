@@ -156,7 +156,7 @@ fn cli_refuses_bad_input_without_panicking() {
     std::fs::write(&empty, "").expect("write empty edge list");
     let empty = empty.to_str().expect("utf-8 path");
     let walk = ["walk", "--dataset", "brain", "--scale", "0.05"];
-    let cases: [(Vec<&str>, i32); 3] = [
+    let cases: [(Vec<&str>, i32); 6] = [
         (vec!["serve", "--graph", empty, "--requests", "4"], 1),
         (
             [&walk[..], &["--walk-app", "node2vec", "--p", "0"]].concat(),
@@ -166,6 +166,9 @@ fn cli_refuses_bad_input_without_panicking() {
             [&walk[..], &["--walk-app", "node2vec", "--q", "nan"]].concat(),
             2,
         ),
+        (vec!["bfs", "--dataset", "brain", "--scale", "nan"], 2),
+        (vec!["bfs", "--dataset", "brain", "--scale", "-1"], 2),
+        (vec!["bfs", "--dataset", "brain", "--scale", "0"], 2),
     ];
     for (args, want) in cases {
         let (code, stderr) = sage_cli(&args);
@@ -173,4 +176,25 @@ fn cli_refuses_bad_input_without_panicking() {
         assert_eq!(code, Some(want), "{args:?} exit code; stderr: {stderr}");
         assert!(!stderr.trim().is_empty(), "{args:?} gave no message");
     }
+
+    // a reader that closes stdout before the first line (`| head -0`)
+    // ends the run quietly with exit 0
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_sage_cli"))
+        .args(walk)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("sage_cli starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("sage_cli exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("panicked"),
+        "closed stdout panicked: {stderr}"
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "closed stdout; stderr: {stderr}"
+    );
 }
