@@ -28,6 +28,15 @@ if grep -rnE "issue_width|clock_hz" crates/core/src/engine/; then
   exit 1
 fi
 
+echo "== contraction: fused into the kernel that produced the queue =="
+# every gear contracts inside its own last kernel (push engines through
+# engine::common::contract); a separate contraction launch would pay a
+# kernel launch per push iteration again
+if grep -rnE 'launch\("contract' crates/core/src; then
+  echo "crates/core/src must not launch a kernel named contract" >&2
+  exit 1
+fi
+
 echo "== experiment cells: one measurement path =="
 # every cell of the report is measured through harness::measure or
 # harness::measure_adapted, so the direction protocol (in-edge view or

@@ -6,9 +6,9 @@
 //! Demonstrates that the §4 pipeline expresses algorithms whose per-round
 //! structure goes beyond single-relaxation filters.
 
-use super::{App, Step};
+use super::{App, Step, VertexEpilogue};
 use crate::access::AccessRecorder;
-use gpu_sim::{Device, DeviceArray};
+use gpu_sim::{AccessKind, Device, DeviceArray};
 use sage_graph::{Csr, NodeId};
 
 /// Node decision state.
@@ -151,23 +151,26 @@ impl App for Mis {
         }
     }
 
-    fn iteration_epilogue(&mut self) -> u64 {
-        if self.phase == Phase::Contest {
-            // decision kernel: unbeaten undecided nodes join the set
-            let mut ops = 0u64;
-            for u in 0..self.n {
-                if self.status[u] == 0 {
-                    ops += 1;
-                    if self.beaten[u] == 0 {
-                        self.status[u] = 1;
-                    }
-                }
-            }
-            self.beaten.fill(0);
-            ops + self.n as u64
-        } else {
-            0
+    fn iteration_epilogue(&mut self) -> Option<VertexEpilogue> {
+        if self.phase != Phase::Contest {
+            return None;
         }
+        // decision kernel: unbeaten undecided nodes join the set, and every
+        // beaten flag resets for the next round
+        for u in 0..self.n {
+            if self.status[u] == 0 && self.beaten[u] == 0 {
+                self.status[u] = 1;
+            }
+        }
+        self.beaten.fill(0);
+        // the join stores land in the status sectors the kernel just read
+        Some(VertexEpilogue {
+            arrays: vec![
+                (AccessKind::Read, self.status.addr(0)),
+                (AccessKind::Read, self.beaten.addr(0)),
+                (AccessKind::Write, self.beaten.addr(0)),
+            ],
+        })
     }
 
     fn control(&mut self, _iter: usize, _contracted: Vec<NodeId>) -> Step {

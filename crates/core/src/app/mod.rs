@@ -24,8 +24,9 @@ pub use pagerank::PageRank;
 pub use sssp::Sssp;
 
 use crate::access::AccessRecorder;
-use gpu_sim::Device;
+use gpu_sim::{AccessKind, Device};
 use sage_graph::{Csr, NodeId};
+use std::ops::Range;
 
 /// What the pipeline should do after an iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,6 +50,42 @@ pub enum PullStep {
     Skip,
 }
 
+/// The per-vertex kernel an app runs at the end of an iteration (e.g.
+/// PageRank's rank update): vertex `v` touches element `v` of each listed
+/// array, in list order, all on the one SM that handles `v`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VertexEpilogue {
+    /// Per array: how each vertex touches its element, and the device
+    /// address of element 0 (4-byte elements).
+    pub arrays: Vec<(AccessKind, u64)>,
+}
+
+impl VertexEpilogue {
+    /// Charge the epilogue for `vertices` as kernel `name` on `dev`. The
+    /// range splits into one contiguous slice per SM, and each SM streams
+    /// its own slice of every array, so no two SMs touch the same element.
+    pub fn charge(&self, dev: &mut Device, name: &str, vertices: Range<usize>) {
+        let sms = dev.cfg().num_sms;
+        let warp = dev.cfg().warp_size;
+        let per_sm = vertices.len().div_ceil(sms);
+        let mut k = dev.launch(name);
+        for sm in 0..sms {
+            let lo = vertices.start + sm * per_sm;
+            if lo >= vertices.end {
+                break;
+            }
+            let cnt = per_sm.min(vertices.end - lo);
+            let mut sh = k.shard(sm);
+            sh.exec_uniform((cnt.div_ceil(warp) * 2 * self.arrays.len()) as u64);
+            for &(kind, base) in &self.arrays {
+                // one coalesced access per warp of elements
+                sh.access_range(kind, base + lo as u64 * 4, cnt as u64, 4);
+            }
+        }
+        let _ = k.finish();
+    }
+}
+
 /// A graph application: per-edge filtering plus iteration control.
 pub trait App {
     /// Short name for reports ("bfs", "bc", "pr", ...).
@@ -65,10 +102,11 @@ pub trait App {
     /// neighbor passes the filter into the next frontier.
     fn filter(&mut self, frontier: NodeId, neighbor: NodeId, rec: &mut AccessRecorder) -> bool;
 
-    /// Per-vertex operations to charge at the end of an iteration (e.g.
-    /// PageRank's rank-update kernel); 0 means none.
-    fn iteration_epilogue(&mut self) -> u64 {
-        0
+    /// Run the end-of-iteration vertex step, if the app has one (e.g.
+    /// PageRank's rank update), and describe the arrays it touches so the
+    /// runner can charge it.
+    fn iteration_epilogue(&mut self) -> Option<VertexEpilogue> {
+        None
     }
 
     /// Decide the next step given the deduplicated contracted frontier.

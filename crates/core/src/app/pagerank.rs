@@ -5,9 +5,9 @@
 //! iteration is the entire node set — with atomic aggregation
 //! (`atomicAdd(pr_out[neighbor], increment)`).
 
-use super::{App, PullStep, Step};
+use super::{App, PullStep, Step, VertexEpilogue};
 use crate::access::AccessRecorder;
-use gpu_sim::{Device, DeviceArray};
+use gpu_sim::{AccessKind, Device, DeviceArray};
 use sage_graph::{Csr, NodeId};
 
 /// Damping factor used throughout the paper's pseudo-code.
@@ -106,7 +106,7 @@ impl App for PageRank {
         false
     }
 
-    fn iteration_epilogue(&mut self) -> u64 {
+    fn iteration_epilogue(&mut self) -> Option<VertexEpilogue> {
         // rank-update kernel: read pr_out, write pr_in, reset pr_out
         let base = (1.0 - DAMPING) / self.n as f32;
         let mut delta = 0.0f32;
@@ -117,7 +117,13 @@ impl App for PageRank {
             self.acc[v] = 0;
         }
         self.last_delta = delta / self.n as f32;
-        3 * self.n as u64
+        Some(VertexEpilogue {
+            arrays: vec![
+                (AccessKind::Read, self.pr_out.addr(0)),
+                (AccessKind::Write, self.pr_in.addr(0)),
+                (AccessKind::Write, self.pr_out.addr(0)),
+            ],
+        })
     }
 
     fn control(&mut self, iter: usize, _contracted: Vec<NodeId>) -> Step {
@@ -227,10 +233,25 @@ mod tests {
 
     #[test]
     fn epilogue_reports_vertex_work() {
-        let g = Csr::from_edges(3, &[(0, 1)]);
-        let mut dev = Device::new(DeviceConfig::test_tiny());
+        let g = Csr::from_edges(100, &[(0, 1)]);
+        let mut dev = Device::new(DeviceConfig {
+            sanitize: true,
+            ..DeviceConfig::test_tiny()
+        });
         let mut pr = PageRank::with_defaults(&mut dev);
         pr.init(&mut dev, &g, 0);
-        assert_eq!(pr.iteration_epilogue(), 9);
+        let epi = pr.iteration_epilogue().expect("PageRank updates ranks");
+        assert_eq!(
+            epi.arrays,
+            vec![
+                (AccessKind::Read, pr.pr_out.addr(0)),
+                (AccessKind::Write, pr.pr_in.addr(0)),
+                (AccessKind::Write, pr.pr_out.addr(0)),
+            ]
+        );
+        // each SM reads and resets only its own slice of pr_out
+        epi.charge(&mut dev, "vertex_epilogue", 0..100);
+        assert!(dev.hazards().is_empty(), "{:?}", dev.hazards());
+        assert!(dev.profiler().write_sectors > 0);
     }
 }

@@ -4,7 +4,9 @@
 //! `u_offset` and `v` onto the device and answer queries immediately, no
 //! preprocessing (§1). [`DeviceGraph`] is that uploaded CSR — it pairs the
 //! functional [`Csr`] with the device (or host, for out-of-core) addresses
-//! of its two arrays so engines can charge their expansion traffic.
+//! of its two arrays so engines can charge their expansion traffic, and
+//! with the device addresses of the frontier queue and bitmap every
+//! traversal on the graph contracts into.
 
 use gpu_sim::Device;
 use sage_graph::{Csr, NodeId};
@@ -57,6 +59,8 @@ pub struct DeviceGraph {
     in_edges: InEdges,
     in_offsets_base: u64,
     in_targets_base: u64,
+    queue_base: u64,
+    bitmap_base: u64,
     placement: GraphPlacement,
 }
 
@@ -71,31 +75,55 @@ impl DeviceGraph {
         // cache-bypassing (`ld.global.cs`) and the replay backend can elide
         // them. Offsets stay cacheable — frontier expansion re-reads them.
         dev.mark_streaming(targets.base(), csr.num_edges().max(1) as u64 * 4);
-        Self {
-            offsets_base: offsets.base(),
-            targets_base: targets.base(),
+        Self::placed(
+            dev,
             csr,
-            in_edges: InEdges::Absent,
-            in_offsets_base: 0,
-            in_targets_base: 0,
-            placement: GraphPlacement::Device,
-        }
+            offsets.base(),
+            targets.base(),
+            GraphPlacement::Device,
+        )
     }
 
     /// Upload into *host* memory: every access becomes PCIe traffic
-    /// (out-of-core scenario, §3.3).
+    /// (out-of-core scenario, §3.3). The frontier queue and bitmap stay in
+    /// device memory.
     #[must_use]
     pub fn upload_host(dev: &mut Device, csr: Csr) -> Self {
         let offsets = dev.alloc_host_array::<u32>(csr.num_nodes() + 1, 0);
         let targets = dev.alloc_host_array::<u32>(csr.num_edges().max(1), 0);
-        Self {
-            offsets_base: offsets.base(),
-            targets_base: targets.base(),
+        Self::placed(
+            dev,
             csr,
+            offsets.base(),
+            targets.base(),
+            GraphPlacement::Host,
+        )
+    }
+
+    /// The graph over placed CSR arrays, plus its frontier queue (one
+    /// `u32` per node) and dense-frontier bitmap (one bit per node) in
+    /// device memory. Every run on the graph contracts into these same
+    /// two buffers, so they stay warm in L2 from one run to the next.
+    fn placed(
+        dev: &mut Device,
+        csr: Csr,
+        offsets_base: u64,
+        targets_base: u64,
+        placement: GraphPlacement,
+    ) -> Self {
+        let n = csr.num_nodes();
+        let queue = dev.alloc_array::<u32>(n.max(1), 0);
+        let bitmap = dev.alloc_array::<u64>(n.div_ceil(64).max(1), 0);
+        Self {
+            csr,
+            offsets_base,
+            targets_base,
             in_edges: InEdges::Absent,
             in_offsets_base: 0,
             in_targets_base: 0,
-            placement: GraphPlacement::Host,
+            queue_base: queue.base(),
+            bitmap_base: bitmap.base(),
+            placement,
         }
     }
 
@@ -163,6 +191,19 @@ impl DeviceGraph {
     pub fn in_target_addr(&self, idx: u32) -> u64 {
         debug_assert!(self.has_in_edges(), "in-edge view not materialized");
         self.in_targets_base + u64::from(idx) * 4
+    }
+
+    /// Device address of the frontier queue: the contraction at the end of
+    /// every iteration writes the next frontier here.
+    #[must_use]
+    pub fn queue_base(&self) -> u64 {
+        self.queue_base
+    }
+
+    /// Device address of the dense-frontier bitmap's word array.
+    #[must_use]
+    pub fn bitmap_base(&self) -> u64 {
+        self.bitmap_base
     }
 
     /// The functional graph.
@@ -234,6 +275,18 @@ mod tests {
         assert_eq!(g.placement(), GraphPlacement::Host);
         assert!(gpu_sim::mem::is_host_addr(g.offset_addr(0)));
         assert!(gpu_sim::mem::is_host_addr(g.target_addr(0)));
+        // the frontier buffers stay on the device
+        assert!(!gpu_sim::mem::is_host_addr(g.queue_base()));
+        assert!(!gpu_sim::mem::is_host_addr(g.bitmap_base()));
+    }
+
+    #[test]
+    fn frontier_buffers_follow_the_csr_arrays() {
+        let mut d = Device::new(DeviceConfig::test_tiny());
+        let g = DeviceGraph::upload(&mut d, graph());
+        // one u32 queue slot per node, then the bitmap words
+        assert!(g.queue_base() > g.target_addr(0));
+        assert!(g.bitmap_base() >= g.queue_base() + 4 * 4);
     }
 
     #[test]

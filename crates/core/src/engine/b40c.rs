@@ -14,7 +14,7 @@
 //! remove.
 
 use super::common::{
-    charge_offset_reads, gather_filter_range, gather_filter_scattered, NoObserver,
+    charge_offset_reads, contract, gather_filter_range, gather_filter_scattered, NoObserver,
 };
 use super::{Engine, IterationOutput};
 use crate::access::AccessRecorder;
@@ -149,6 +149,7 @@ impl Engine for B40cEngine {
                 );
             }
         }
+        contract(&mut k, g, &mut out.next);
         let _ = k.finish();
         out
     }

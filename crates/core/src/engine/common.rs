@@ -126,25 +126,33 @@ pub fn gather_filter_scattered(
     pairs.len() as u64
 }
 
-/// Charge the frontier-array writes and the prefix-scan of contraction
-/// (Figure 2's third stage): `kept` compacted entries written contiguously.
-pub fn charge_contraction(k: &mut Kernel<'_>, kept: usize, buffer_base: u64) {
+/// Figure 2's contraction, fused into the kernel `k` that produced `next`
+/// (Gunrock's LB_CULL shape) so a push iteration pays no launch of its own:
+/// `next` leaves sorted and duplicate-free, and `k` is charged for writing
+/// it to the graph's frontier queue before it finishes. A blown-up queue
+/// (at least one entry per eight nodes) dedups through the frontier bitmap
+/// first; a smaller one goes straight to the scan and compaction. The host
+/// sort and dedup that produce the functional queue charge nothing.
+pub fn contract(k: &mut Kernel<'_>, g: &DeviceGraph, next: &mut Vec<NodeId>) {
+    let n = g.csr().num_nodes();
+    let blown_up = !next.is_empty() && next.len() >= n / 8;
+    next.sort_unstable();
+    next.dedup();
+    if blown_up {
+        let bits = BitFrontier::from_nodes(next, n, g.bitmap_base());
+        charge_bitmap_build(k, &bits, g.queue_base());
+    }
+    // scan + ballot + compact, one warp of entries per block, written
+    // contiguously to the queue
     let warp = k.cfg().warp_size;
     let sms = k.num_sms();
     let mut addrs: Vec<u64> = Vec::with_capacity(warp);
-    let mut written = 0usize;
-    let mut block = 0usize;
-    while written < kept {
-        let n = warp.min(kept - written);
+    for (block, chunk) in next.chunks(warp).enumerate() {
         addrs.clear();
-        for i in 0..n {
-            addrs.push(buffer_base + ((written + i) * 4) as u64);
-        }
+        addrs.extend((0..chunk.len()).map(|i| g.queue_base() + ((block * warp + i) * 4) as u64));
         let mut sh = k.shard(block % sms);
-        sh.exec(4, n, warp); // scan + ballot + compact
+        sh.exec(4, chunk.len(), warp);
         sh.access(AccessKind::Write, &addrs, 4);
-        written += n;
-        block += 1;
     }
 }
 
@@ -249,15 +257,14 @@ fn pull_scan_node(
 ///
 /// The launch is fused end to end the way a real bottom-up kernel is: the
 /// bitmap build runs as its prologue and the surviving vertices append to
-/// the queue at `queue_base` through an atomic cursor, so a pull iteration
-/// costs exactly one kernel launch.
+/// the graph's frontier queue through an atomic cursor, so a pull
+/// iteration costs exactly one kernel launch.
 pub fn pull_iterate(
     dev: &mut Device,
     g: &DeviceGraph,
     app: &mut dyn App,
     fr: &BitFrontier,
     cfg: &PullConfig,
-    queue_base: u64,
 ) -> IterationOutput {
     let n = g.csr().num_nodes();
     let mut out = IterationOutput::default();
@@ -271,7 +278,7 @@ pub fn pull_iterate(
     let block = cfg.block_size.max(warp);
 
     // prologue: materialize the frontier bitmap inside this launch
-    charge_bitmap_build(&mut k, fr, queue_base);
+    charge_bitmap_build(&mut k, fr, g.queue_base());
 
     // candidate gate: every vertex evaluates it in its block's SM
     let mut candidates: Vec<NodeId> = Vec::new();
@@ -317,7 +324,7 @@ pub fn pull_iterate(
         }
     }
 
-    charge_queue_append(&mut k, out.next.len(), queue_base);
+    charge_queue_append(&mut k, out.next.len(), g.queue_base());
     let _ = k.finish();
     out
 }
@@ -374,7 +381,7 @@ pub(super) fn charge_queue_append(k: &mut Kernel<'_>, kept: usize, queue_base: u
 /// Charge the dense-frontier build (Figure 2's contraction replaced by a
 /// bitmap): zero the words, then each frontier lane reads its queue entry
 /// and atomically sets its bit.
-pub fn charge_bitmap_build(k: &mut Kernel<'_>, fr: &BitFrontier, queue_base: u64) {
+pub(super) fn charge_bitmap_build(k: &mut Kernel<'_>, fr: &BitFrontier, queue_base: u64) {
     let sms = k.num_sms();
     let warp = k.cfg().warp_size;
     // memset of the word array, grid-strided over SMs
@@ -415,7 +422,7 @@ pub fn charge_bitmap_build(k: &mut Kernel<'_>, fr: &BitFrontier, queue_base: u64
         // land in the same 64-bit word, a benign idempotent race
         sh.access_dirty(&addrs, 8);
     }
-    // bits must be visible before the pull scan / contraction that follows
+    // bits must be visible before the pull scan / compaction that follows
     k.grid_sync();
 }
 
@@ -545,10 +552,14 @@ mod tests {
 
     #[test]
     fn contraction_charges_writes() {
-        let (mut dev, _g) = setup();
-        let mut k = dev.launch("contract");
-        charge_contraction(&mut k, 100, 1 << 20);
+        let (mut dev, g) = setup();
+        let mut next = vec![5, 2, 5, 1];
+        let mut k = dev.launch("test");
+        contract(&mut k, &g, &mut next);
         let _ = k.finish();
+        assert_eq!(next, vec![1, 2, 5]);
         assert!(dev.profiler().write_sectors > 0);
+        // fused: the producing kernel is the only launch
+        assert_eq!(dev.profiler().kernels, 1);
     }
 }

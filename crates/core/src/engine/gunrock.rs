@@ -6,7 +6,7 @@
 //! search kernels and their launches — overhead that SAGE avoids by
 //! reusing resident tiles instead of re-planning each iteration.
 
-use super::common::{charge_offset_reads, gather_filter_range, NoObserver};
+use super::common::{charge_offset_reads, contract, gather_filter_range, NoObserver};
 use super::{Engine, IterationOutput};
 use crate::access::AccessRecorder;
 use crate::app::App;
@@ -135,6 +135,7 @@ impl Engine for GunrockEngine {
                 pos += u64::from(len);
             }
         }
+        contract(&mut k, g, &mut out.next);
         let _ = k.finish();
         out
     }

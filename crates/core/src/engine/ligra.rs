@@ -93,6 +93,10 @@ impl Engine for LigraEngine {
             .cpu
             .parallel_step(edges_scanned, bytes, (n_nodes * 8) as u64, imbalance);
         dev.advance_seconds(t);
+        // contraction runs inside the CPU step above, which already paid
+        // for the queue writes; no device kernel is involved
+        out.next.sort_unstable();
+        out.next.dedup();
         out
     }
 }

@@ -33,11 +33,11 @@ use common::PullConfig;
 use gpu_sim::Device;
 use sage_graph::NodeId;
 
-/// Result of one expansion+filtering iteration.
+/// Result of one expansion+filtering+contraction iteration.
 #[derive(Debug, Clone, Default)]
 pub struct IterationOutput {
-    /// Neighbors that passed the filter (pre-contraction, may contain
-    /// duplicates).
+    /// The contracted next frontier: the neighbors that passed the filter,
+    /// sorted and duplicate-free.
     pub next: Vec<NodeId>,
     /// Edges traversed (filter invocations).
     pub edges: u64,
@@ -48,8 +48,11 @@ pub trait Engine {
     /// Name as printed in figures ("SAGE", "B40C", ...).
     fn name(&self) -> &'static str;
 
-    /// Expand `frontier` and run the app's filter over every incident edge,
-    /// charging the simulated device.
+    /// Expand `frontier`, run the app's filter over every incident edge and
+    /// contract the survivors, charging the simulated device. A GPU engine
+    /// contracts inside its last kernel through [`common::contract`], into
+    /// the graph's frontier queue ([`DeviceGraph::queue_base`]), so an
+    /// iteration launches no kernel of its own for contraction.
     fn iterate(
         &mut self,
         dev: &mut Device,

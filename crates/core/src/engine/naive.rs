@@ -9,7 +9,7 @@
 //! other SM drained (inter-SM imbalance). This is the "none of the
 //! techniques" baseline of the ablation (Figure 10).
 
-use super::common::{charge_offset_reads, gather_filter_scattered, PullConfig};
+use super::common::{charge_offset_reads, contract, gather_filter_scattered, PullConfig};
 use super::{Engine, IterationOutput};
 use crate::access::AccessRecorder;
 use crate::app::App;
@@ -90,6 +90,7 @@ impl Engine for NaiveEngine {
                 );
             }
         }
+        contract(&mut k, g, &mut out.next);
         let _ = k.finish();
         out
     }

@@ -14,8 +14,8 @@
 //! (§6): each consumed tile's member nodes are reported to it.
 
 use super::common::{
-    charge_offset_reads, gather_filter_range, gather_filter_scattered, NoObserver, PullConfig,
-    TileObserver,
+    charge_offset_reads, contract, gather_filter_range, gather_filter_scattered, NoObserver,
+    PullConfig, TileObserver,
 };
 use super::sage_tp::SECTOR_NODES;
 use super::{Engine, IterationOutput};
@@ -296,6 +296,7 @@ impl Engine for ResidentEngine {
                     &mut scratch,
                 );
             }
+            contract(&mut k, g, &mut out.next);
             let _ = k.finish();
         }
         out

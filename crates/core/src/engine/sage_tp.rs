@@ -16,7 +16,8 @@
 //! fixes.
 
 use super::common::{
-    charge_offset_reads, gather_filter_range, gather_filter_scattered, NoObserver, PullConfig,
+    charge_offset_reads, contract, gather_filter_range, gather_filter_scattered, NoObserver,
+    PullConfig,
 };
 use super::{Engine, IterationOutput};
 use crate::access::AccessRecorder;
@@ -192,6 +193,7 @@ impl Engine for TiledPartitioningEngine {
             );
         }
 
+        contract(&mut k, g, &mut out.next);
         let _ = k.finish();
         out
     }

@@ -55,7 +55,7 @@ use sage_graph::NodeId;
 ///    [`gpu_sim::SmShard::mma`], and apply the app's pull contract to the
 ///    run members. A claimed row is dead for every later block; once all
 ///    rows converge the row-block stops early.
-/// 4. append survivors to the queue at `queue_base` in ascending order.
+/// 4. append survivors to the graph's frontier queue in ascending order.
 ///
 /// Because each row's runs are visited in ascending column order — the
 /// order its CSR targets are already in — every row sees exactly the
@@ -69,7 +69,6 @@ pub fn matrix_iterate(
     app: &mut dyn App,
     fr: &BitFrontier,
     kernel: &'static str,
-    queue_base: u64,
 ) -> IterationOutput {
     let n = g.csr().num_nodes();
     let block_dim = dev.cfg().tensor.block_dim.max(1);
@@ -92,7 +91,7 @@ pub fn matrix_iterate(
     k.set_concurrency(k.cfg().max_resident_warps as f64);
 
     // prologue: materialize the frontier bitmap inside this launch
-    charge_bitmap_build(&mut k, fr, queue_base);
+    charge_bitmap_build(&mut k, fr, g.queue_base());
 
     let in_csr = g.in_csr().expect("matrix mode requires the in-edge view");
     for rb in 0..row_blocks {
@@ -223,7 +222,7 @@ pub fn matrix_iterate(
         rec.flush(&mut sh);
     }
 
-    charge_queue_append(&mut k, out.next.len(), queue_base);
+    charge_queue_append(&mut k, out.next.len(), g.queue_base());
     let _ = k.finish();
     out
 }
@@ -259,7 +258,7 @@ mod tests {
             let f = crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
             let fr = BitFrontier::from_nodes(&f, g.csr().num_nodes(), 1 << 24);
             let out = if matrix {
-                matrix_iterate(&mut dev, &g, &mut app, &fr, "m", 1 << 25)
+                matrix_iterate(&mut dev, &g, &mut app, &fr, "m")
             } else {
                 let cfg = PullConfig {
                     kernel: "p",
@@ -268,7 +267,7 @@ mod tests {
                     concurrency: 1.0,
                     cooperative: false,
                 };
-                pull_iterate(&mut dev, &g, &mut app, &fr, &cfg, 1 << 25)
+                pull_iterate(&mut dev, &g, &mut app, &fr, &cfg)
             };
             out.next
         };
@@ -282,7 +281,7 @@ mod tests {
         let mut app = Bfs::new(&mut dev);
         let f = crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
         let fr = BitFrontier::from_nodes(&f, g.csr().num_nodes(), 1 << 24);
-        let out = matrix_iterate(&mut dev, &g, &mut app, &fr, "m", 1 << 25);
+        let out = matrix_iterate(&mut dev, &g, &mut app, &fr, "m");
         assert!(
             dev.profiler().mma_ops > 0,
             "block pairs must hit the mma pipe"
@@ -306,7 +305,7 @@ mod tests {
         let mut app = Bfs::new(&mut dev);
         let f = crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
         let fr = BitFrontier::from_nodes(&f, g.csr().num_nodes(), 1 << 24);
-        let out = matrix_iterate(&mut dev, &g, &mut app, &fr, "m", 1 << 25);
+        let out = matrix_iterate(&mut dev, &g, &mut app, &fr, "m");
         assert_eq!(out.next, vec![50]);
         // row 50: only its first run (block_dim = 16 sources) is charged,
         // not all 40; row 51's single-source run adds one more edge
@@ -326,10 +325,10 @@ mod tests {
         let f = crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
         let fr = BitFrontier::from_nodes(&f, g.csr().num_nodes(), 1 << 24);
         // first step visits 1..40; afterwards only 40.. are candidates
-        let out = matrix_iterate(&mut dev, &g, &mut app, &fr, "m", 1 << 25);
+        let out = matrix_iterate(&mut dev, &g, &mut app, &fr, "m");
         let before = dev.profiler().mma_ops;
         let fr2 = BitFrontier::from_nodes(&out.next, g.csr().num_nodes(), 1 << 24);
-        let out2 = matrix_iterate(&mut dev, &g, &mut app, &fr2, "m", 1 << 25);
+        let out2 = matrix_iterate(&mut dev, &g, &mut app, &fr2, "m");
         let second = dev.profiler().mma_ops - before;
         assert!(
             second <= before,

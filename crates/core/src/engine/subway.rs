@@ -10,6 +10,7 @@
 //! per-iteration extraction work and of transferring every active edge
 //! whether or not the filter ends up needing it.
 
+use super::common::contract;
 use super::{Engine, IterationOutput};
 use crate::access::AccessRecorder;
 use crate::app::App;
@@ -124,6 +125,7 @@ impl Engine for SubwayEngine {
                     }
                 }
             }
+            contract(&mut k, g, &mut out.next);
             let _ = k.finish();
         }
         self.prev_compute = dev.elapsed_seconds() - compute_start;

@@ -11,7 +11,7 @@
 //! need adjustments — here the engine transparently maps virtual nodes back
 //! to their real node for filtering.
 
-use super::common::{charge_offset_reads, gather_filter_range, NoObserver};
+use super::common::{charge_offset_reads, contract, gather_filter_range, NoObserver};
 use super::{Engine, IterationOutput};
 use crate::access::AccessRecorder;
 use crate::app::App;
@@ -188,6 +188,7 @@ impl Engine for TigrEngine {
                 &mut scratch,
             );
         }
+        contract(&mut k, g, &mut out.next);
         let _ = k.finish();
         out
     }

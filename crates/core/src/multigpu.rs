@@ -221,21 +221,19 @@ impl MultiGpuDriver {
                 self.devices[0].profiler_peer_bytes(bytes);
             }
 
-            // per-vertex epilogue (e.g. PageRank's rank update), split evenly
-            let epilogue_ops = app.iteration_epilogue();
-            if epilogue_ops > 0 {
-                let per_dev = epilogue_ops.div_ceil(n_gpus as u64);
-                for dev in &mut self.devices {
-                    let mut k = dev.launch("mg_vertex_epilogue");
-                    let sms = k.num_sms();
-                    for sm in 0..sms {
-                        k.shard(sm)
-                            .exec_uniform(per_dev.div_ceil(32 * sms as u64).max(1));
-                    }
-                    let _ = k.finish();
+            // per-vertex epilogue (e.g. PageRank's rank update): each device
+            // updates one contiguous slice of the vertices
+            if let Some(epilogue) = app.iteration_epilogue() {
+                let n = self.full.num_nodes();
+                let per_dev = n.div_ceil(n_gpus);
+                for (d, dev) in self.devices.iter_mut().enumerate() {
+                    let lo = (d * per_dev).min(n);
+                    epilogue.charge(dev, "mg_vertex_epilogue", lo..(lo + per_dev).min(n));
                 }
             }
 
+            // every device's queue is contracted already; merging them is
+            // the exchange's host-side bookkeeping
             all_next.sort_unstable();
             all_next.dedup();
             match app.control(iterations, all_next) {

@@ -17,6 +17,7 @@
 use crate::access::AccessRecorder;
 use crate::app::App;
 use crate::dgraph::DeviceGraph;
+use crate::engine::common::contract;
 use crate::engine::{Engine, IterationOutput, ResidentEngine};
 use gpu_sim::{AccessKind, Device, UmPool};
 use sage_graph::{Csr, NodeId};
@@ -144,6 +145,7 @@ impl Engine for UmOocEngine {
                 }
             }
         }
+        contract(&mut k, g, &mut out.next);
         let _ = k.finish();
         out
     }

@@ -1,6 +1,10 @@
 //! The node-centric processing pipeline of Figure 2:
-//! **expansion → filtering → contraction**, iterated over double-buffered
-//! frontier queues until the application converges.
+//! **expansion → filtering → contraction**, iterated over the graph's one
+//! frontier queue until the application converges. Every gear contracts
+//! inside the kernel that produced the next frontier: a push engine through
+//! [`crate::engine::common::contract`] in its last kernel, the bottom-up
+//! gears through their atomic-cursor append; the runner launches nothing
+//! for contraction.
 //!
 //! On top of the push pipeline sits a Beamer-style direction optimizer: a
 //! per-iteration heuristic compares the frontier's unvisited out-edge mass
@@ -22,12 +26,12 @@
 
 use crate::app::{App, Step};
 use crate::dgraph::DeviceGraph;
-use crate::engine::common::{charge_bitmap_build, charge_contraction, pull_iterate};
+use crate::engine::common::pull_iterate;
 use crate::engine::spmv::matrix_iterate;
 use crate::engine::Engine;
 use crate::frontier::Frontier;
 use crate::metrics::RunReport;
-use gpu_sim::{AccessKind, Device};
+use gpu_sim::Device;
 use sage_graph::NodeId;
 
 /// How the runner picks each iteration's traversal direction.
@@ -141,10 +145,6 @@ impl Runner {
         let host_start = std::time::Instant::now();
         let hazard_start = dev.hazard_count();
         let n = g.csr().num_nodes();
-        // double-buffered frontier queues (charged at contraction)
-        let frontier_buf = dev.alloc_array::<u32>(n.max(1), 0);
-        // dense-frontier bitmap (one bit per node)
-        let bitmap_buf = dev.alloc_array::<u64>(n.div_ceil(64).max(1), 0);
         let init = app.init(dev, g.csr(), source);
 
         let (alpha, beta, density) = match self.policy {
@@ -239,22 +239,23 @@ impl Runner {
                 }
             }
 
-            // (mode is Push whenever bottom_up is None)
+            // every gear returns the contracted next frontier, already
+            // written to the graph's queue by its own last kernel (mode is
+            // Push whenever bottom_up is None)
             let out = match (mode, &bottom_up) {
                 (Mode::Pull, Some(cfg)) => {
                     // dense iteration: the pull kernel fuses the bitmap
                     // build and the next-queue writes into its single launch
-                    let dense = frontier.make_dense(n, bitmap_buf.base());
+                    let dense = frontier.make_dense(n, g.bitmap_base());
                     trace.push('<');
-                    pull_iterate(dev, g, app, dense, cfg, frontier_buf.base())
+                    pull_iterate(dev, g, app, dense, cfg)
                 }
                 (Mode::Matrix, Some(cfg)) => {
                     // same fused single-launch shape, but the step runs as
                     // `(Aᵀ ⊙ mask) · f` on the matrix units
-                    let dense = frontier.make_dense(n, bitmap_buf.base());
+                    let dense = frontier.make_dense(n, g.bitmap_base());
                     trace.push('M');
-                    let kernel = cfg.matrix_kernel;
-                    matrix_iterate(dev, g, app, dense, kernel, frontier_buf.base())
+                    matrix_iterate(dev, g, app, dense, cfg.matrix_kernel)
                 }
                 _ => {
                     trace.push('>');
@@ -270,46 +271,16 @@ impl Runner {
             edges_examined += out.edges;
             iterations += 1;
 
-            // ---- contraction ----
-            // Pull and matrix output is already sorted, duplicate-free, and
-            // written to the queue inside the fused kernel — no contraction
-            // launch at all. Push output needs dedup: a blown-up frontier
-            // dedups through the bitmap, a small one through the host-side
-            // sort (the classic Figure 2 contraction).
-            let mut next = out.next;
-            if mode == Mode::Push {
-                let dense_dedup = track && next.len() >= n / 8;
-                let mut k = dev.launch(if dense_dedup {
-                    "contract_bitmap"
-                } else {
-                    "contract"
-                });
-                if dense_dedup {
-                    // blown-up frontier: dedup through the bitmap in the
-                    // same launch as the compaction
-                    let bits =
-                        crate::frontier::BitFrontier::from_nodes(&next, n, bitmap_buf.base());
-                    charge_bitmap_build(&mut k, &bits, frontier_buf.base());
-                    next = bits.to_vec();
-                } else {
-                    next.sort_unstable();
-                    next.dedup();
-                }
-                charge_contraction(&mut k, next.len(), frontier_buf.base());
-                let _ = k.finish();
-            }
-
             if track {
-                mark_visited(&next, &mut visited, &mut m_u);
+                mark_visited(&out.next, &mut visited, &mut m_u);
             }
 
             // end-of-iteration vertex kernel (e.g. PageRank rank update)
-            let epilogue_ops = app.iteration_epilogue();
-            if epilogue_ops > 0 {
-                self.charge_vertex_kernel(dev, epilogue_ops, frontier_buf.base());
+            if let Some(epilogue) = app.iteration_epilogue() {
+                epilogue.charge(dev, "vertex_epilogue", 0..n);
             }
 
-            match app.control(iterations, next) {
+            match app.control(iterations, out.next) {
                 Step::Done => {
                     converged = true;
                     break;
@@ -335,28 +306,6 @@ impl Runner {
                 hazards: dev.hazards()[hazard_start..].to_vec(),
             },
         }
-    }
-
-    /// Charge a streaming per-vertex kernel of `ops` contiguous 4-byte
-    /// element operations, spread evenly over the SMs.
-    fn charge_vertex_kernel(&self, dev: &mut Device, ops: u64, base: u64) {
-        let sms = dev.cfg().num_sms;
-        let warp = dev.cfg().warp_size as u64;
-        let mut k = dev.launch("vertex_epilogue");
-        let per_sm = ops.div_ceil(sms as u64);
-        for sm in 0..sms {
-            let done = sm as u64 * per_sm;
-            let n = per_sm.min(ops.saturating_sub(done));
-            if n == 0 {
-                break;
-            }
-            let mut sh = k.shard(sm);
-            sh.exec_uniform(n.div_ceil(warp) * 2);
-            // one coalesced access per warp of elements, no address
-            // materialization
-            sh.access_range(AccessKind::Read, base + done * 4, n, 4);
-        }
-        let _ = k.finish();
     }
 }
 

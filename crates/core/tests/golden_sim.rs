@@ -171,7 +171,7 @@ fn bfs_default_device() {
     check(
         &DeviceConfig::default(),
         AppSel::Bfs,
-        [4_907_809_242_774_830_174, 13_141_815_735_284_537_744],
+        [15_937_407_339_302_837_239, 3_624_489_255_795_465_376],
     );
 }
 
@@ -180,7 +180,7 @@ fn bfs_tiny_device() {
     check(
         &DeviceConfig::test_tiny(),
         AppSel::Bfs,
-        [14_420_559_060_512_480_310, 5_325_276_251_262_357_149],
+        [8_722_740_008_261_161_481, 10_767_792_315_112_717_792],
     );
 }
 
@@ -189,7 +189,7 @@ fn sssp_default_device() {
     check(
         &DeviceConfig::default(),
         AppSel::Sssp,
-        [4_235_291_966_458_485_487, 16_567_764_762_067_374_129],
+        [2_154_459_924_416_861_303, 4_020_174_181_298_224_161],
     );
 }
 
@@ -198,7 +198,7 @@ fn sssp_tiny_device() {
     check(
         &DeviceConfig::test_tiny(),
         AppSel::Sssp,
-        [16_834_789_498_992_460_770, 4_528_360_325_141_644_437],
+        [6_151_601_819_560_675_292, 1_171_126_598_791_639_369],
     );
 }
 
@@ -207,7 +207,7 @@ fn pr_default_device() {
     check(
         &DeviceConfig::default(),
         AppSel::Pr,
-        [3_542_774_908_565_321_433, 15_442_019_418_636_594_131],
+        [16_342_098_523_930_616_481, 10_150_422_481_386_071_109],
     );
 }
 
@@ -216,7 +216,7 @@ fn pr_tiny_device() {
     check(
         &DeviceConfig::test_tiny(),
         AppSel::Pr,
-        [11_158_421_605_471_082_112, 13_729_121_215_794_673_735],
+        [17_126_226_052_929_121_615, 6_687_702_817_782_566_433],
     );
 }
 
@@ -225,7 +225,7 @@ fn cc_default_device() {
     check(
         &DeviceConfig::default(),
         AppSel::Cc,
-        [9_584_225_265_471_545_097, 17_455_223_824_843_585_999],
+        [12_200_982_296_357_241_871, 12_981_810_344_897_596_377],
     );
 }
 
@@ -234,7 +234,7 @@ fn cc_tiny_device() {
     check(
         &DeviceConfig::test_tiny(),
         AppSel::Cc,
-        [10_481_040_538_985_236_680, 16_751_437_255_219_166_205],
+        [14_060_466_229_216_220_812, 711_894_088_573_587_859],
     );
 }
 
@@ -302,7 +302,7 @@ fn node2vec_its_tiny_device() {
         &DeviceConfig::test_tiny(),
         &Node2vec::new(2.0, 0.5),
         WalkWeights::Synthetic,
-        15_063_274_160_024_045_689,
+        18_141_249_500_138_511_404,
     );
 }
 
@@ -322,6 +322,6 @@ fn ppr_uniform_tiny_device() {
         &DeviceConfig::test_tiny(),
         &Ppr::new(0.15),
         WalkWeights::Uniform,
-        10_862_977_769_236_943_792,
+        9_085_074_678_743_659_757,
     );
 }
