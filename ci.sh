@@ -13,8 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== sage-lint: workspace invariant checker =="
 # deny-by-default repo-specific static analysis: dirty-annotation
 # justifications + sanitize-matrix coverage,
-# determinism lints (hash iteration / wall clock / unordered reduces), and
-# lock-poison recovery on the serving path. Any violation without a
+# determinism lints (hash iteration / wall clock / unordered reduces),
+# lock-poison recovery on the serving path, and dead-pub (a `pub fn` in
+# sim/core/graph/serve that no non-test code names). Any violation without a
 # justified `// sage-lint: allow(<rule>)` marker exits 1; so do stale or
 # malformed markers. The linter's own fixture suite runs under cargo test.
 cargo run -q -p sage-lint -- --workspace
@@ -65,7 +66,7 @@ echo "== rustdoc (no broken intra-doc links) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
 
 echo "== race sanitizer: all engines hazard-free, bitwise cost-neutral =="
-# full matrix (7 engines x BFS/CC/PR/MIS x push/adaptive x 1 and 4 host
+# full matrix (7 engines x BFS/CC/PR x push/adaptive x 1 and 4 host
 # threads, sanitize on == sanitize off bit for bit) lives in the test
 cargo test --release -q -p sage --test sanitize
 # CLI-level smoke: --sanitize must leave the exit code at 0 (any

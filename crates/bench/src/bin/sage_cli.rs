@@ -5,14 +5,15 @@
 //!          [--source N] [--scale F] [--repeat N] [--out-of-core] [--profile]
 //!          [--mode push|adaptive|matrix] [--threads N] [--sanitize]
 //!
-//!   app       bfs | bc | pr | cc | sssp | mis | kcore | walk | serve
+//!   app       bfs | bc | pr | cc | sssp | walk | serve
 //!   --graph   edge-list file ("u v" per line, # comments) or .sagecsr binary
 //!   --dataset uk-2002 | brain | ljournal | twitter | friendster
 //!   --engine  sage (default) | sage-tp | naive | b40c | tigr | gunrock |
 //!             ligra
 //!   --source  source node id (default 0)
 //!   --scale   dataset scale when --dataset is used (default 0.2)
-//!   --repeat  runs to average (default 1; resident tiles warm up across runs)
+//!   --repeat  runs to average, at least 1 (default 1; resident tiles warm
+//!             up across runs)
 //!   --out-of-core  place the graph in host memory behind PCIe
 //!   --profile print Nsight-style counters after the run
 //!   --mode    direction policy (default adaptive). `adaptive` is the
@@ -44,8 +45,8 @@
 //!            [--source N] [--threads N] [--sanitize] [--profile]
 //!
 //!   --walk-app ppr (default) | node2vec
-//!   --walks   walkers launched per source (default 256)
-//!   --length  maximum walk length in steps (default 32)
+//!   --walks   walkers launched per source, at least 1 (default 256)
+//!   --length  maximum walk length in steps, at least 1 (default 32)
 //!   --alpha   PPR termination probability per step (default 0.15)
 //!   --p, --q  node2vec return / in-out parameters, positive and finite
 //!             (default 1.0 each)
@@ -62,7 +63,7 @@
 //! ```
 
 use gpu_sim::{Device, DeviceConfig};
-use sage::app::{App, Bc, Bfs, Cc, KCore, Mis, PageRank, Sssp};
+use sage::app::{App, Bc, Bfs, Cc, PageRank, Sssp};
 use sage::engine::{
     B40cEngine, Engine, GunrockEngine, LigraEngine, NaiveEngine, ResidentEngine, SubwayEngine,
     TigrEngine, TiledPartitioningEngine,
@@ -94,8 +95,29 @@ fn say_line(line: std::fmt::Arguments<'_>) {
     }
 }
 
+/// Builds one traversal app on the device.
+type MakeApp = fn(&mut Device) -> Box<dyn App>;
+
+/// The traversal apps by name: the one list that both the accepted-name
+/// check and the dispatch read.
+const APPS: [(&str, MakeApp); 5] = [
+    ("bfs", |dev| Box::new(Bfs::new(dev))),
+    ("bc", |dev| Box::new(Bc::new(dev))),
+    ("pr", |dev| Box::new(PageRank::with_defaults(dev))),
+    ("cc", |dev| Box::new(Cc::new(dev))),
+    ("sssp", |dev| Box::new(Sssp::new(dev))),
+];
+
+/// What the first argument selected.
+enum Command {
+    App(MakeApp),
+    Walk,
+    Serve,
+}
+
 struct Args {
     app: String,
+    command: Command,
     graph: Option<String>,
     dataset: Option<String>,
     engine: String,
@@ -128,8 +150,9 @@ fn route(host_threads: usize) -> &'static str {
 }
 
 fn usage() -> ! {
+    let apps: Vec<&str> = APPS.iter().map(|&(name, _)| name).collect();
     eprintln!(
-        "usage: sage_cli <bfs|bc|pr|cc|sssp|mis|kcore> [--graph FILE | --dataset NAME] \
+        "usage: sage_cli <{}> [--graph FILE | --dataset NAME] \
          [--engine sage|sage-tp|naive|b40c|tigr|gunrock|ligra] [--source N] \
          [--scale F] [--repeat N] [--out-of-core] [--profile] \
          [--mode push|adaptive|matrix] [--threads N] [--sanitize]\n\
@@ -137,24 +160,40 @@ fn usage() -> ! {
          [--sanitize]\n\
          \x20      sage_cli walk [--graph FILE | --dataset NAME] [--walk-app ppr|node2vec] \
          [--walks N] [--length N] [--alpha F] [--p F] [--q F] [--seed N] \
-         [--source N] [--threads N] [--sanitize] [--profile]"
+         [--source N] [--threads N] [--sanitize] [--profile]",
+        apps.join("|")
     );
     exit(2)
+}
+
+/// The value of count flag `name`, refused (exit 2) when it is not a
+/// positive integer.
+fn count(name: &str, value: &str) -> usize {
+    let n: usize = value.parse().unwrap_or_else(|_| usage());
+    if n == 0 {
+        eprintln!("{name} must be at least 1");
+        exit(2);
+    }
+    n
 }
 
 fn parse_args() -> Args {
     let mut argv = std::env::args().skip(1);
     let app = argv.next().unwrap_or_else(|| usage());
-    if ![
-        "bfs", "bc", "pr", "cc", "sssp", "mis", "kcore", "walk", "serve",
-    ]
-    .contains(&app.as_str())
-    {
-        eprintln!("unknown app {app:?}");
-        usage();
-    }
+    let command = match app.as_str() {
+        "walk" => Command::Walk,
+        "serve" => Command::Serve,
+        name => match APPS.iter().find(|&&(n, _)| n == name) {
+            Some(&(_, make)) => Command::App(make),
+            None => {
+                eprintln!("unknown app {app:?}");
+                usage()
+            }
+        },
+    };
     let mut args = Args {
         app,
+        command,
         graph: None,
         dataset: None,
         engine: "sage".into(),
@@ -195,7 +234,7 @@ fn parse_args() -> Args {
                     exit(2);
                 }
             }
-            "--repeat" => args.repeat = value("--repeat").parse().unwrap_or_else(|_| usage()),
+            "--repeat" => args.repeat = count("--repeat", &value("--repeat")),
             "--out-of-core" => args.out_of_core = true,
             "--profile" => args.profile = true,
             "--mode" => args.mode = value("--mode"),
@@ -203,13 +242,11 @@ fn parse_args() -> Args {
                 args.threads = Some(value("--threads").parse().unwrap_or_else(|_| usage()));
             }
             "--sanitize" => args.sanitize = true,
-            "--devices" => args.devices = value("--devices").parse().unwrap_or_else(|_| usage()),
-            "--requests" => {
-                args.requests = value("--requests").parse().unwrap_or_else(|_| usage());
-            }
+            "--devices" => args.devices = count("--devices", &value("--devices")),
+            "--requests" => args.requests = count("--requests", &value("--requests")),
             "--walk-app" => args.walk_app = value("--walk-app"),
-            "--walks" => args.walks = value("--walks").parse().unwrap_or_else(|_| usage()),
-            "--length" => args.length = value("--length").parse().unwrap_or_else(|_| usage()),
+            "--walks" => args.walks = count("--walks", &value("--walks")),
+            "--length" => args.length = count("--length", &value("--length")),
             "--alpha" => args.alpha = value("--alpha").parse().unwrap_or_else(|_| usage()),
             "--p" => args.p = value("--p").parse().unwrap_or_else(|_| usage()),
             "--q" => args.q = value("--q").parse().unwrap_or_else(|_| usage()),
@@ -317,8 +354,8 @@ fn walk_mode(args: &Args, csr: Csr) {
         }
     };
     let spec = WalkSpec {
-        walks_per_source: args.walks.max(1),
-        max_length: args.length.max(1),
+        walks_per_source: args.walks,
+        max_length: args.length,
         seed: args.seed,
         weights: WalkWeights::Synthetic,
     };
@@ -387,7 +424,7 @@ fn serve_mode(args: &Args, csr: Csr) {
         exit(1);
     }
     let cfg = ServiceConfig {
-        devices: args.devices.max(1),
+        devices: args.devices,
         queue_capacity: args.requests.max(64) * 2,
         device_config: DeviceConfig {
             sanitize: args.sanitize,
@@ -406,7 +443,7 @@ fn serve_mode(args: &Args, csr: Csr) {
     let g = service.register_graph("cli", csr);
 
     let apps = [AppKind::Bfs, AppKind::Pr, AppKind::Sssp, AppKind::Cc];
-    let requests: Vec<QueryRequest> = (0..args.requests.max(1))
+    let requests: Vec<QueryRequest> = (0..args.requests)
         .map(|i| QueryRequest {
             app: apps[i % apps.len()],
             graph: g,
@@ -472,14 +509,11 @@ fn serve_mode(args: &Args, csr: Csr) {
 fn main() {
     let args = parse_args();
     let csr = load_graph(&args);
-    if args.app == "serve" {
-        serve_mode(&args, csr);
-        return;
-    }
-    if args.app == "walk" {
-        walk_mode(&args, csr);
-        return;
-    }
+    let make_app = match args.command {
+        Command::App(make) => make,
+        Command::Walk => return walk_mode(&args, csr),
+        Command::Serve => return serve_mode(&args, csr),
+    };
     say!(
         "graph: {} nodes, {} edges | engine: {} | app: {}{}",
         csr.num_nodes(),
@@ -511,16 +545,7 @@ fn main() {
         DeviceGraph::upload(&mut dev, csr).with_in_edges(&mut dev)
     };
 
-    let mut app: Box<dyn App> = match args.app.as_str() {
-        "bfs" => Box::new(Bfs::new(&mut dev)),
-        "bc" => Box::new(Bc::new(&mut dev)),
-        "pr" => Box::new(PageRank::with_defaults(&mut dev)),
-        "cc" => Box::new(Cc::new(&mut dev)),
-        "sssp" => Box::new(Sssp::new(&mut dev)),
-        "mis" => Box::new(Mis::new(&mut dev)),
-        "kcore" => Box::new(KCore::new(&mut dev)),
-        _ => unreachable!(),
-    };
+    let mut app = make_app(&mut dev);
 
     let runner = match args.mode.as_str() {
         "push" => Runner::push_only(),
@@ -531,7 +556,7 @@ fn main() {
             usage()
         }
     };
-    for i in 0..args.repeat.max(1) {
+    for i in 0..args.repeat {
         let r = runner.run(&mut dev, &g, engine.as_mut(), app.as_mut(), args.source);
         say!(
             "run {i}: {r} | host {:.1} ms, {} route",

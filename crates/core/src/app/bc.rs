@@ -55,8 +55,8 @@ impl Bc {
     }
 
     /// Shortest-path counts after a run.
-    #[must_use]
-    pub fn sigmas(&self) -> &[f32] {
+    #[cfg(test)]
+    pub(crate) fn sigmas(&self) -> &[f32] {
         self.sigma.as_slice()
     }
 }

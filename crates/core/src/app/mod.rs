@@ -10,16 +10,12 @@
 pub mod bc;
 pub mod bfs;
 pub mod cc;
-pub mod kcore;
-pub mod mis;
 pub mod pagerank;
 pub mod sssp;
 
 pub use bc::Bc;
 pub use bfs::Bfs;
 pub use cc::Cc;
-pub use kcore::KCore;
-pub use mis::{Mis, MisStatus};
 pub use pagerank::PageRank;
 pub use sssp::Sssp;
 

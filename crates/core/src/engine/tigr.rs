@@ -91,12 +91,6 @@ impl TigrEngine {
             aux_base: aux.base(),
         }
     }
-
-    /// Number of virtual nodes in the UDT.
-    #[must_use]
-    pub fn virtual_count(&self) -> usize {
-        self.virtuals.len()
-    }
 }
 
 impl Engine for TigrEngine {
@@ -210,7 +204,7 @@ mod tests {
         let g = Csr::from_edges(101, &edges);
         let t = TigrEngine::with_split(&mut dev, &g, 32);
         // node 0 (deg 100) -> 4 virtual nodes; others have none
-        assert_eq!(t.virtual_count(), 4);
+        assert_eq!(t.virtuals.len(), 4);
         let (a, b) = t.v_of[0];
         assert_eq!(b - a, 4);
         assert!(t.aux_bytes > 0);

@@ -139,12 +139,6 @@ impl MultiGpuDriver {
         &mut self.devices[i]
     }
 
-    /// Owning partition of a node.
-    #[must_use]
-    pub fn owner_of(&self, u: NodeId) -> usize {
-        self.owner[u as usize] as usize
-    }
-
     /// Run `app` from `source` across all devices; timing is the slowest
     /// device's clock including per-iteration exchanges.
     pub fn run(&mut self, app: &mut dyn App, source: NodeId) -> RunReport {
@@ -318,6 +312,7 @@ pub fn run_bfs_multi_on(
 }
 
 /// Multi-GPU BFS distances (test helper).
+// sage-lint: allow(dead-pub) — integration_scenarios::multi_gpu_all_strategies_correct runs its multi-GPU BFS through this helper
 #[must_use]
 pub fn bfs_multi_distances(cfg: &MultiGpuConfig, csr: &Csr, source: NodeId) -> Vec<i32> {
     let dev_cfg = DeviceConfig::test_tiny();
@@ -458,8 +453,8 @@ mod tests {
             &csr,
             &DeviceConfig::test_tiny(),
         );
-        assert_eq!(driver.owner_of(0), 0);
-        assert_eq!(driver.owner_of((csr.num_nodes() - 1) as NodeId), 1);
+        assert_eq!(driver.owner[0], 0);
+        assert_eq!(driver.owner[csr.num_nodes() - 1], 1);
         assert!(driver.device(0).elapsed_seconds() >= 0.0);
     }
 

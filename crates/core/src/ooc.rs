@@ -80,12 +80,6 @@ impl UmOocEngine {
             pool: um_pool_for(csr, pool_fraction, page_bytes),
         }
     }
-
-    /// Pool statistics `(hits, faults, evictions)`.
-    #[must_use]
-    pub fn pool_stats(&self) -> (u64, u64, u64) {
-        self.pool.stats()
-    }
 }
 
 impl Engine for UmOocEngine {
@@ -262,7 +256,7 @@ mod tests {
         let mut app = Bfs::new(&mut dev);
         let _ = Runner::new().run(&mut dev, &g, &mut eng, &mut app, 2);
         assert_eq!(app.distances(), expect.as_slice());
-        let (_, faults, _) = eng.pool_stats();
+        let (_, faults, _) = eng.pool.stats();
         assert!(faults > 0, "cold pool must fault");
         assert!(
             dev.profiler().pcie_bytes > 0,
@@ -279,7 +273,7 @@ mod tests {
             let g = DeviceGraph::upload_host(&mut dev, csr.clone());
             let mut app = Bfs::new(&mut dev);
             let _ = Runner::new().run(&mut dev, &g, &mut eng, &mut app, 2);
-            eng.pool_stats().1
+            eng.pool.stats().1
         };
         assert!(run(1.0) <= run(0.1), "full-size pool should fault less");
     }

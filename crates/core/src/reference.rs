@@ -23,6 +23,7 @@ pub fn bfs_levels(g: &Csr, source: NodeId) -> Vec<i32> {
 }
 
 /// Brandes dependency scores and path counts for one source.
+// sage-lint: allow(dead-pub) — the sequential oracle that integration_pipeline::bc_all_engines_within_tolerance and integration_crosscheck::bc_scores_invariant_under_self_reordering compare against
 #[must_use]
 pub fn bc_scores(g: &Csr, source: NodeId) -> (Vec<f64>, Vec<f64>) {
     let n = g.num_nodes();
@@ -79,6 +80,7 @@ pub fn pagerank(g: &Csr, iters: usize) -> Vec<f64> {
 }
 
 /// Connected-component labels: min node id per component.
+// sage-lint: allow(dead-pub) — the sequential oracle that prop_direction::cc_adaptive_equals_push_and_reference, prop_core and prop_serve compare CC against
 #[must_use]
 pub fn cc_labels(g: &Csr) -> Vec<u32> {
     let n = g.num_nodes();

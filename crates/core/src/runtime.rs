@@ -16,7 +16,6 @@ use crate::pipeline::Runner;
 use crate::reorder::Sampler;
 use crate::walk::{self, WalkApp, WalkOutput, WalkSpec};
 use gpu_sim::Device;
-use sage_graph::update::UpdateBatch;
 use sage_graph::{Csr, NodeId, Permutation};
 use std::sync::OnceLock;
 
@@ -73,8 +72,6 @@ pub struct SageRuntime {
     /// Set once locality regressed repeatedly: the order has converged
     /// "to a relatively high level" (§6).
     converged: bool,
-    /// Sampling threshold, kept so dynamic updates can re-arm the sampler.
-    threshold: u64,
 }
 
 impl SageRuntime {
@@ -104,7 +101,6 @@ impl SageRuntime {
             regressions: 0,
             plateau: 0,
             converged: false,
-            threshold,
         }
     }
 
@@ -186,46 +182,6 @@ impl SageRuntime {
             visits,
             ..out
         }
-    }
-
-    /// Merge a batch of dynamic edge updates (expressed in *original* node
-    /// ids) into the live graph. The CSR is rebuilt and re-uploaded, the
-    /// sampler re-armed, and the epoch bumped — so result caches keyed on
-    /// the old epoch go stale, and adaptation resumes even if reordering
-    /// had converged. Ids beyond the current range grow the graph and map
-    /// to themselves.
-    pub fn apply_update(&mut self, dev: &mut Device, batch: &UpdateBatch) {
-        if batch.is_empty() {
-            return;
-        }
-        let n_old = self.perm.len();
-        let mapped = batch.mapped(|x| {
-            if (x as usize) < n_old {
-                self.perm.map(x)
-            } else {
-                x
-            }
-        });
-        let new_csr = mapped.apply(self.graph.csr());
-        let n_new = new_csr.num_nodes();
-        if n_new > n_old {
-            self.perm = self.perm.extended(n_new);
-        }
-        // node/edge counts may have changed: re-upload rather than patch
-        self.graph = DeviceGraph::upload(dev, new_csr).with_in_edges(dev);
-        self.engine = ResidentEngine::new();
-        self.engine.sampler = Some(Sampler::new(n_new, self.threshold));
-        self.prev_locality = None;
-        self.undo = None;
-        self.plateau = 0;
-        self.regressions = 0;
-        self.converged = false;
-        self.epoch += 1;
-        debug_log!(
-            "update batch merged ({} ops), epoch -> {}",
-            batch.len(),
-            self.epoch
-        );
     }
 
     /// True once reordering has converged (a round regressed and was
@@ -431,32 +387,6 @@ mod tests {
         } else {
             assert_eq!(rt.epoch(), 0);
         }
-    }
-
-    #[test]
-    fn apply_update_merges_and_preserves_results() {
-        let csr = graph();
-        let mut dev = Device::new(DeviceConfig::test_tiny());
-        let mut rt = SageRuntime::with_threshold(&mut dev, csr.clone(), 500);
-        let mut app = Bfs::new(&mut dev);
-        let _ = rt.run(&mut dev, &mut app, 5);
-        rt.maybe_reorder(&mut dev); // make the permutation non-trivial
-        let epoch_before = rt.epoch();
-
-        // grow the graph: new edges plus a brand-new node
-        let n = csr.num_nodes() as NodeId;
-        let mut batch = sage_graph::update::UpdateBatch::new();
-        batch.insert_undirected(5, n).insert_undirected(0, 7);
-        rt.apply_update(&mut dev, &batch);
-        assert_eq!(rt.epoch(), epoch_before + 1, "update must bump the epoch");
-        assert!(!rt.converged(), "updates re-open adaptation");
-        assert_eq!(rt.permutation().len(), csr.num_nodes() + 1);
-
-        let mut app2 = Bfs::new(&mut dev);
-        let _ = rt.run(&mut dev, &mut app2, 5);
-        let got = rt.to_original_order(app2.distances());
-        let expect = reference::bfs_levels(&batch.apply(&csr), 5);
-        assert_eq!(got, expect, "BFS on the merged graph must match reference");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Race-sanitizer suite: on random power-law graphs, every engine ×
-//! {BFS, CC, PR, MIS} × {push-only, adaptive} pipeline must be hazard-free, and
+//! {BFS, CC, PR} × {push-only, adaptive} pipeline must be hazard-free, and
 //! enabling the sanitizer must never perturb the simulation — application
 //! outputs, simulated cycles, the scheduling overhead (always a share of the
 //! run time) and every cache counter stay **bitwise identical** at 1 and 4
@@ -8,7 +8,7 @@
 
 use gpu_sim::{Device, DeviceConfig, HazardKind};
 use proptest::prelude::*;
-use sage::app::{Bfs, Cc, Mis, PageRank};
+use sage::app::{Bfs, Cc, PageRank};
 use sage::engine::{
     B40cEngine, Engine, GunrockEngine, NaiveEngine, ResidentEngine, SubwayEngine, TigrEngine,
     TiledPartitioningEngine,
@@ -98,17 +98,15 @@ enum AppSel {
     Bfs,
     Cc,
     Pr,
-    Mis,
 }
 
-const APPS: [AppSel; 4] = [AppSel::Bfs, AppSel::Cc, AppSel::Pr, AppSel::Mis];
+const APPS: [AppSel; 3] = [AppSel::Bfs, AppSel::Cc, AppSel::Pr];
 
 fn app_name(app: AppSel) -> &'static str {
     match app {
         AppSel::Bfs => "bfs",
         AppSel::Cc => "cc",
         AppSel::Pr => "pr",
-        AppSel::Mis => "mis",
     }
 }
 
@@ -167,11 +165,6 @@ fn run_once(
             let mut a = PageRank::new(&mut dev, 6, 0.0);
             let r = runner.run(&mut dev, &dg, engine.as_mut(), &mut a, 0);
             (r, a.ranks().iter().map(|p| p.to_bits()).collect())
-        }
-        AppSel::Mis => {
-            let mut a = Mis::new(&mut dev);
-            let r = runner.run(&mut dev, &dg, engine.as_mut(), &mut a, 0);
-            (r, a.members())
         }
     };
     assert!(

@@ -6,8 +6,8 @@ use crate::csr::Csr;
 use crate::NodeId;
 use std::ops::Range;
 
-/// An edge list in coordinate format. Invariant after [`Coo::normalize`]:
-/// sorted by `(u, v)` with duplicates removed.
+/// An edge list in coordinate format, in any order and possibly with
+/// duplicates and self-loops; [`Csr::from_coo`] sorts and drops them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Coo {
     /// Number of nodes (ids are `0..num_nodes`).
@@ -70,13 +70,10 @@ impl Coo {
         self.u.is_empty()
     }
 
-    /// Sort by `(u, v)` and remove duplicate edges and self-loops.
-    pub fn normalize(&mut self) {
-        *self = Csr::from_coo(self).to_coo();
-    }
-
-    /// Add the reverse of every edge, then normalize — makes the graph
-    /// symmetric (undirected), as the paper's traversal datasets are used.
+    /// Add the reverse of every edge, then sort and drop duplicates and
+    /// self-loops — makes the graph symmetric (undirected), as the paper's
+    /// traversal datasets are used.
+    // sage-lint: allow(dead-pub) — builds the symmetric fixture graphs of prop_graph::is_symmetric_matches_reversed_equality
     pub fn symmetrize(&mut self) {
         *self = Csr::from_coo_symmetric(self).to_coo();
     }
@@ -119,14 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn normalize_sorts_dedups_and_drops_loops() {
-        let mut c = Coo::from_edges(4, &[(2, 1), (0, 3), (2, 1), (1, 1), (0, 2)]);
-        c.normalize();
-        let edges: Vec<_> = c.iter().collect();
-        assert_eq!(edges, vec![(0, 2), (0, 3), (2, 1)]);
-    }
-
-    #[test]
     fn symmetrize_adds_reverse_edges() {
         let mut c = Coo::from_edges(3, &[(0, 1), (1, 2)]);
         c.symmetrize();
@@ -143,8 +132,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let mut c = Coo::new(0);
-        c.normalize();
+        let c = Coo::new(0);
         assert!(c.is_empty());
         assert_eq!(c.num_edges(), 0);
     }

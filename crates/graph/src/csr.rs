@@ -25,6 +25,7 @@ impl Csr {
     ///
     /// # Panics
     /// Panics if an endpoint is `>= coo.num_nodes`.
+    // sage-lint: allow(dead-pub) — the reference that prop_graph::builder_output_independent_of_part_count compares the parallel builder against
     #[must_use]
     pub fn from_coo(coo: &Coo) -> Self {
         Self::build(coo.num_nodes, coo.num_edges(), |r| coo.edges(r), false)

@@ -151,6 +151,7 @@ fn bad_line(lineno: usize, line: &str) -> ReadError {
 ///
 /// # Errors
 /// Propagates IO errors.
+// sage-lint: allow(dead-pub) — writes the input that prop_graph::edge_list_io_roundtrip reads back
 pub fn write_edge_list<W: Write>(g: &Csr, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
     writeln!(w, "# nodes {} edges {}", g.num_nodes(), g.num_edges())?;
@@ -164,6 +165,7 @@ pub fn write_edge_list<W: Write>(g: &Csr, writer: W) -> io::Result<()> {
 ///
 /// # Errors
 /// Propagates IO errors.
+// sage-lint: allow(dead-pub) — writes the input that prop_graph::binary_io_roundtrip reads back
 pub fn write_csr_binary<W: Write>(g: &Csr, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
     w.write_all(CSR_MAGIC)?;

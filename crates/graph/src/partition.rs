@@ -31,16 +31,16 @@ impl Partitioning {
     }
 
     /// Number of cut edges (endpoints in different partitions).
-    #[must_use]
-    pub fn cut_edges(&self, g: &Csr) -> usize {
+    #[cfg(test)]
+    fn cut_edges(&self, g: &Csr) -> usize {
         g.edges()
             .filter(|&(u, v)| self.part[u as usize] != self.part[v as usize])
             .count()
     }
 
     /// Balance factor: largest partition over ideal size (1.0 = perfect).
-    #[must_use]
-    pub fn balance(&self) -> f64 {
+    #[cfg(test)]
+    fn balance(&self) -> f64 {
         let sizes = self.sizes();
         let max = *sizes.iter().max().unwrap_or(&0) as f64;
         let ideal = self.part.len() as f64 / self.k as f64;

@@ -67,6 +67,7 @@ impl Permutation {
     }
 
     /// A seeded random permutation.
+    // sage-lint: allow(dead-pub) — scrambles the fixture graphs of prop_graph::permutation_preserves_graph_structure and integration_crosscheck::bfs_levels_invariant_under_every_reordering
     #[must_use]
     pub fn random(n: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -166,20 +167,6 @@ impl Permutation {
             targets.extend_from_slice(&scratch);
         }
         Csr::from_parts(offsets, targets).expect("permuted CSR must be valid")
-    }
-
-    /// Pad the bijection with identity entries up to `n` nodes — used when
-    /// a dynamic update grows the graph and existing ids must keep their
-    /// current mapping while new ids map to themselves.
-    ///
-    /// # Panics
-    /// Panics when `n` is smaller than the current length.
-    #[must_use]
-    pub fn extended(&self, n: usize) -> Self {
-        assert!(n >= self.len(), "cannot shrink a permutation");
-        let mut new_of_old = self.new_of_old.clone();
-        new_of_old.extend(self.len() as NodeId..n as NodeId);
-        Self { new_of_old }
     }
 
     /// Relabel per-node values: `out[perm[u]] = values[u]`.

@@ -36,6 +36,7 @@ impl UpdateBatch {
     }
 
     /// Queue an edge deletion.
+    // sage-lint: allow(dead-pub) — builds the deletion batches that prop_graph::update_batch_apply_validates merges
     pub fn delete(&mut self, u: NodeId, v: NodeId) -> &mut Self {
         self.deletes.push((u, v));
         self
@@ -51,17 +52,6 @@ impl UpdateBatch {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.deletes.is_empty()
-    }
-
-    /// A copy of the batch with every node id passed through `f` — used by
-    /// the SAGE runtime to translate original-id updates into the current
-    /// (reordered) id space before merging.
-    #[must_use]
-    pub fn mapped(&self, f: impl Fn(NodeId) -> NodeId) -> Self {
-        Self {
-            inserts: self.inserts.iter().map(|&(u, v)| (f(u), f(v))).collect(),
-            deletes: self.deletes.iter().map(|&(u, v)| (f(u), f(v))).collect(),
-        }
     }
 
     /// Merge the batch into `g`, producing the updated CSR. Nodes beyond the

@@ -8,7 +8,7 @@ pub struct BadApp {
 }
 
 impl BadApp {
-    pub fn filter(&mut self, neighbor: usize, rec: &mut Recorder) -> bool {
+    pub fn filter(&mut self, neighbor: usize, rec: &mut Recorder) -> bool { //~ dead-pub
         if self.dist[neighbor] == -1 {
             self.dist[neighbor] = self.level + 1;
             rec.write_dirty(neighbor as u64); //~ dirty-justify
@@ -17,7 +17,7 @@ impl BadApp {
         false
     }
 
-    pub fn justified(&mut self, neighbor: usize, rec: &mut Recorder) {
+    pub fn justified(&mut self, neighbor: usize, rec: &mut Recorder) { //~ dead-pub
         // dirty: every racing parent stores the same level
         rec.write_dirty(neighbor as u64);
     }

@@ -8,7 +8,7 @@ pub struct GoodApp {
 }
 
 impl GoodApp {
-    pub fn relax(&mut self, node: usize, label: u32, rec: &mut Recorder) {
+    pub fn relax(&mut self, node: usize, label: u32, rec: &mut Recorder) { //~ dead-pub
         if label < self.labels[node] {
             self.labels[node] = label;
             // dirty: monotone min — racing writers converge to the same value

@@ -1,0 +1,29 @@
+//! dead-pub fixture: public functions with and without a non-test caller.
+
+pub fn read_only_by_its_unit_test() -> u32 { //~ dead-pub
+    1
+}
+
+pub fn called_from_an_example() -> u32 {
+    2
+}
+
+pub(crate) fn crate_visible_only() -> u32 {
+    3
+}
+
+// sage-lint: allow(dead-pub) — kept for a caller that has since landed
+//~^ stale-allow
+pub fn called_from_an_example_too() -> u32 {
+    4
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sums() {
+        assert_eq!(read_only_by_its_unit_test() + crate_visible_only(), 4);
+    }
+}

@@ -10,7 +10,7 @@ pub struct Breakdown {
 }
 
 impl Breakdown {
-    pub fn emit(&self) -> Vec<(String, u64)> {
+    pub fn emit(&self) -> Vec<(String, u64)> { //~ dead-pub
         self.kernel_times
             .iter() //~ hash-iter
             .map(|(k, &v)| (k.clone(), v))
@@ -23,7 +23,7 @@ impl Breakdown {
     }
 }
 
-pub fn walk_registry(reg: &Registry) -> u64 {
+pub fn walk_registry(reg: &Registry) -> u64 { //~ dead-pub
     let mut sum = 0;
     for v in reg.values() {
         //~^ hash-iter
@@ -32,7 +32,7 @@ pub fn walk_registry(reg: &Registry) -> u64 {
     sum
 }
 
-pub fn dedupe_order_leak(items: &[u32]) -> Vec<u32> {
+pub fn dedupe_order_leak(items: &[u32]) -> Vec<u32> { //~ dead-pub
     let mut seen = HashSet::new();
     for &x in items {
         seen.insert(x);
@@ -45,7 +45,7 @@ pub fn dedupe_order_leak(items: &[u32]) -> Vec<u32> {
     out
 }
 
-pub fn construction_only(items: &[u32]) -> usize {
+pub fn construction_only(items: &[u32]) -> usize { //~ dead-pub
     // building and membership tests never observe iteration order
     let mut seen = HashSet::new();
     for &x in items {

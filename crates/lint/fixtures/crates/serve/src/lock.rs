@@ -9,16 +9,16 @@ pub struct Slot {
 }
 
 impl Slot {
-    pub fn publish(&self, value: u64) {
+    pub fn publish(&self, value: u64) { //~ dead-pub
         *self.inner.lock().unwrap() = value; //~ lock-poison
     }
 
-    pub fn read_recovering(&self) -> u64 {
+    pub fn read_recovering(&self) -> u64 { //~ dead-pub
         // poison recovery: one panicked worker must not cascade
         *self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    pub fn register(&self, value: u64) {
+    pub fn register(&self, value: u64) { //~ dead-pub
         self.registry.write().unwrap().push(value); //~ lock-poison
     }
 
@@ -26,7 +26,7 @@ impl Slot {
         self.registry.read().unwrap().get(i).copied() //~ lock-poison
     }
 
-    pub fn lookup_recovering(&self, i: usize) -> Option<u64> {
+    pub fn lookup_recovering(&self, i: usize) -> Option<u64> { //~ dead-pub
         self.registry
             .read()
             .unwrap_or_else(PoisonError::into_inner)

@@ -23,6 +23,7 @@ pub const RULES: &[&str] = &[
     "wall-clock",
     "unordered-reduce",
     "lock-poison",
+    "dead-pub",
 ];
 
 /// How many lines below a marker a diagnostic may sit and still be

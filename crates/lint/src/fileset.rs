@@ -2,7 +2,11 @@
 //!
 //! A lint *root* is a directory containing `crates/<name>/{src,tests}/…`;
 //! both the workspace itself and the `fixtures/` tree have that shape, so
-//! every path-scoped rule behaves identically on both. Discovery skips
+//! every path-scoped rule behaves identically on both. The root's
+//! `examples/` and `perfbench/src/`, where present, are loaded too: they
+//! are consumers whose calls count as uses for `dead-pub`, and
+//! path-scoped rules skip them because their `crate_name()` is `None`.
+//! Discovery skips
 //! build output (`target/`), vendored shims (`compat/`), hidden
 //! directories, the fixtures tree, and the linter's own crate (`lint/` —
 //! its sources and docs discuss marker syntax, which would read as
@@ -15,6 +19,9 @@ use crate::scan::FileScan;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// Directories outside `crates/` whose sources are read as consumers.
+const CONSUMER_DIRS: &[&str] = &["examples", "perfbench/src"];
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", "fixtures", "compat", "lint"];
@@ -42,8 +49,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lex and scan every `.rs` file under `root` (which must contain a
-/// `crates/` directory — the workspace root or a fixture root).
+/// Lex and scan every `.rs` file under `root`'s `crates/` (which must
+/// exist — the workspace root or a fixture root) and consumer directories.
 pub fn load(root: &Path) -> io::Result<Vec<FileScan>> {
     let crates = root.join("crates");
     if !crates.is_dir() {
@@ -54,6 +61,11 @@ pub fn load(root: &Path) -> io::Result<Vec<FileScan>> {
     }
     let mut paths = Vec::new();
     collect_rs(&crates, &mut paths)?;
+    for dir in CONSUMER_DIRS.iter().map(|d| root.join(d)) {
+        if dir.is_dir() {
+            collect_rs(&dir, &mut paths)?;
+        }
+    }
     let mut files = Vec::new();
     for p in paths {
         let Ok(src) = fs::read_to_string(&p) else {

@@ -12,6 +12,7 @@
 //! | `wall-clock` | no `Instant::now`/`SystemTime`/`thread::current` in `sim`/`core` |
 //! | `unordered-reduce` | no completion-order channel reduces |
 //! | `lock-poison` | serve mutexes recover from poisoning instead of `lock().unwrap()` |
+//! | `dead-pub` | every plain `pub fn` in `sim`/`core`/`graph`/`serve` has a non-test caller |
 //!
 //! Violations are suppressed one-for-one by justified allow markers (see
 //! [`diag`]); markers that suppress nothing are themselves errors, so the

@@ -2,6 +2,7 @@
 //! [`Diag`]s; scoping (which crates, src vs tests) lives inside each rule
 //! so workspace and fixture runs share identical logic.
 
+pub mod deadpub;
 pub mod determinism;
 pub mod dirty;
 pub mod poison;
@@ -15,5 +16,6 @@ pub fn run_all(files: &[FileScan]) -> Vec<Diag> {
     dirty::run(files, &mut diags);
     determinism::run(files, &mut diags);
     poison::run(files, &mut diags);
+    deadpub::run(files, &mut diags);
     diags
 }

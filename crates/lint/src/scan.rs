@@ -1,13 +1,20 @@
 //! Item-level scanner: walks the token stream from [`crate::lexer`] and
-//! recovers the structure the rule passes need — functions (their
-//! `#[cfg(test)]` context and body token range), struct field lists,
-//! `impl Trait for Type` pairs, and `type X = HashMap<…>` aliases.
+//! recovers the structure the rule passes need — functions (their name,
+//! visibility, `#[cfg(test)]` context and body token range), the token
+//! ranges of `#[cfg(test)]` modules, struct field lists, `impl Trait for
+//! Type` pairs, and `type X = HashMap<…>` aliases.
 
 use crate::lexer::{Comment, Lexed, Tok, TokKind};
 
 /// A scanned `fn` item.
 #[derive(Debug, Clone)]
 pub struct FnItem {
+    /// Function name.
+    pub name: String,
+    /// 1-based line of the name.
+    pub line: u32,
+    /// Plain `pub` (not `pub(crate)` and the like).
+    pub is_pub: bool,
     /// True inside `#[cfg(test)]` modules or `#[test]` functions.
     pub is_test: bool,
     /// Token index range of the body: `(open_brace, close_brace)`
@@ -50,6 +57,9 @@ pub struct FileScan {
     pub comments: Vec<Comment>,
     /// All functions (including nested in modules/impls).
     pub fns: Vec<FnItem>,
+    /// Token index ranges `(open_brace, close_brace)` of `#[cfg(test)]`
+    /// modules.
+    pub test_mods: Vec<(usize, usize)>,
     /// All structs with named fields.
     pub structs: Vec<StructItem>,
     /// All impl-block headers.
@@ -69,6 +79,7 @@ impl FileScan {
             toks: lexed.toks,
             comments: lexed.comments,
             fns: Vec::new(),
+            test_mods: Vec::new(),
             structs: Vec::new(),
             impls: Vec::new(),
             hash_aliases: Vec::new(),
@@ -78,6 +89,7 @@ impl FileScan {
         let mut items = Items {
             toks: &scan.toks,
             fns: &mut scan.fns,
+            test_mods: &mut scan.test_mods,
             structs: &mut scan.structs,
             impls: &mut scan.impls,
             hash_aliases: &mut scan.hash_aliases,
@@ -138,6 +150,7 @@ pub fn match_brace(toks: &[Tok], open: usize) -> usize {
 struct Items<'a> {
     toks: &'a [Tok],
     fns: &'a mut Vec<FnItem>,
+    test_mods: &'a mut Vec<(usize, usize)>,
     structs: &'a mut Vec<StructItem>,
     impls: &'a mut Vec<ImplItem>,
     hash_aliases: &'a mut Vec<String>,
@@ -220,6 +233,9 @@ impl Items<'_> {
                     let mut j = i + 2;
                     if self.text(j) == "{" {
                         let close = match_brace(self.toks, j);
+                        if attrs_test {
+                            self.test_mods.push((j, close));
+                        }
                         self.region(j + 1, close, in_test || attrs_test);
                         i = close + 1;
                     } else {
@@ -335,6 +351,9 @@ impl Items<'_> {
                         None
                     };
                     self.fns.push(FnItem {
+                        name: self.text(i + 1).to_string(),
+                        line: self.toks[i + 1].line,
+                        is_pub: pending_pub,
                         is_test: in_test || attrs_test,
                         body,
                     });
@@ -465,7 +484,8 @@ impl Items<'_> {
                     pending_pub = false;
                     pending_attrs.clear();
                 }
-                "use" | "const" | "static" | "extern" => {
+                // `const fn` is a function, not a `const` item
+                "use" | "const" | "static" | "extern" if self.text(i + 1) != "fn" => {
                     let mut j = i + 1;
                     while j < end && self.text(j) != ";" {
                         if self.text(j) == "{" || self.text(j) == "(" || self.text(j) == "[" {
@@ -532,6 +552,14 @@ mod tests {
         assert!(s.fns[0].is_test);
         assert!(s.fns[1].is_test);
         assert!(!s.fns[2].is_test);
+        assert_eq!(s.test_mods.len(), 1);
+    }
+
+    #[test]
+    fn fn_names_and_visibility() {
+        let s = scan("pub fn a() {} pub(crate) fn b() {} fn c() {} pub const fn d() {}");
+        let got: Vec<(&str, bool)> = s.fns.iter().map(|f| (f.name.as_str(), f.is_pub)).collect();
+        assert_eq!(got, [("a", true), ("b", false), ("c", false), ("d", true)]);
     }
 
     #[test]

@@ -90,6 +90,7 @@ fn all_rule_families_have_a_firing_fixture() {
         "wall-clock",
         "unordered-reduce",
         "lock-poison",
+        "dead-pub",
         "stale-allow",
         "allow-syntax",
     ] {
@@ -100,16 +101,18 @@ fn all_rule_families_have_a_firing_fixture() {
 #[test]
 fn allow_marker_suppresses_exactly_one_diagnostic() {
     let report = run_root(&fixture_root()).unwrap();
-    // fixtures carry exactly one justified, non-stale marker (allow_ok.rs)
-    assert_eq!(report.suppressed, 1, "expected exactly one suppression");
+    // fixtures carry two justified, non-stale markers (allow_ok.rs), one
+    // per rule
+    assert_eq!(report.suppressed, 2, "expected one suppression per marker");
     assert!(
         report.diags.iter().all(|d| !d.path.contains("allow_ok.rs")),
         "allow_ok.rs must be fully suppressed: {:#?}",
         report.diags
     );
-    // two well-formed markers parse (the suppressing one + the stale one);
-    // the unknown-rule and missing-justification markers are rejected
-    assert_eq!(report.markers.len(), 2);
+    // four well-formed markers parse (the two suppressing ones + the two
+    // stale ones); the unknown-rule and missing-justification markers are
+    // rejected
+    assert_eq!(report.markers.len(), 4);
 }
 
 #[test]

@@ -216,6 +216,7 @@ impl SageService {
     ///
     /// # Errors
     /// Same as [`SageService::submit`].
+    // sage-lint: allow(dead-pub) — the blocking submit that serve_integration::post_reorder_cached_results_match_uncached_recomputation and walk_serve drive the service with
     pub fn query(&self, request: QueryRequest) -> Result<QueryResponse, ServiceError> {
         self.submit(request)?.wait()
     }

@@ -22,6 +22,7 @@ pub enum Probe {
 
 impl Probe {
     /// True for both kinds of miss.
+    // sage-lint: allow(dead-pub) — prop_sim::cache_first_touch_of_sector_is_never_a_hit classifies probes with it
     #[must_use]
     pub fn is_miss(self) -> bool {
         !matches!(self, Probe::Hit)

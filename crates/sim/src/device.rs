@@ -152,9 +152,9 @@ impl Device {
             .push((base / sector, (base + bytes).div_ceil(sector)));
     }
 
-    /// Number of registered streaming regions (telemetry/tests).
-    #[must_use]
-    pub fn streaming_region_count(&self) -> usize {
+    /// Number of registered streaming regions.
+    #[cfg(test)]
+    pub(crate) fn streaming_region_count(&self) -> usize {
         self.streaming.len()
     }
 
@@ -306,6 +306,7 @@ impl Device {
 
     /// Clear profiler counters (including the per-kernel breakdown and the
     /// recorded-route telemetry).
+    // sage-lint: allow(dead-pub) — integration_crosscheck::sampling_reorder_reduces_dram_traffic_on_scrambled_graph clears the counters with it before the measured run
     pub fn reset_profiler(&mut self) {
         self.profiler = Profiler::default();
         self.kernel_times.clear();
@@ -318,8 +319,8 @@ impl Device {
     }
 
     /// L2 hit/miss statistics `(hits, sector_misses, line_misses)`.
-    #[must_use]
-    pub fn l2_stats(&self) -> (u64, u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn l2_stats(&self) -> (u64, u64, u64) {
         self.l2.stats()
     }
 }

@@ -136,6 +136,7 @@ impl UmPool {
     }
 
     /// Pages currently resident.
+    // sage-lint: allow(dead-pub) — prop_sim::um_pool_never_exceeds_capacity bounds the pool's occupancy with it
     #[must_use]
     pub fn resident_pages(&self) -> usize {
         self.index.len()

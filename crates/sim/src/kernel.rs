@@ -130,6 +130,7 @@ pub struct KernelReport {
 
 impl KernelReport {
     /// Load-imbalance factor: busiest SM over mean SM (1.0 = perfectly even).
+    // sage-lint: allow(dead-pub) — prop_sim::kernel_report_imbalance_at_least_one checks the factor's lower bound
     #[must_use]
     pub fn sm_imbalance(&self) -> f64 {
         if self.mean_sm_cycles <= 0.0 {

@@ -29,24 +29,24 @@ pub fn transfer_seconds(cfg: &PcieConfig, bytes: u64, requests: u64) -> f64 {
     wire_time + latency_time
 }
 
-/// Effective bandwidth (payload bytes per second) achieved by a transfer
-/// pattern — the metric §3.3 argues is the out-of-core bottleneck.
-#[must_use]
-pub fn effective_bandwidth(cfg: &PcieConfig, bytes: u64, requests: u64) -> f64 {
-    let t = transfer_seconds(cfg, bytes, requests);
-    if t <= 0.0 {
-        0.0
-    } else {
-        bytes as f64 / t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn cfg() -> PcieConfig {
         PcieConfig::default()
+    }
+
+    /// Effective bandwidth (payload bytes per second) achieved by a
+    /// transfer pattern — the metric §3.3 argues is the out-of-core
+    /// bottleneck.
+    fn effective_bandwidth(cfg: &PcieConfig, bytes: u64, requests: u64) -> f64 {
+        let t = transfer_seconds(cfg, bytes, requests);
+        if t <= 0.0 {
+            0.0
+        } else {
+            bytes as f64 / t
+        }
     }
 
     #[test]

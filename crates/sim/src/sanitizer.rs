@@ -334,6 +334,7 @@ fn word_bounds(addr: u64, bytes: u64) -> (u64, u64) {
 /// barrier between them. With the sanitizer enabled the returned report
 /// carries exactly one write-write hazard — the canary proving the detector
 /// is wired through the stack.
+// sage-lint: allow(dead-pub) — the canary kernel of sanitize::racy_fixture_detected_exactly_once
 pub fn run_racy_fixture(dev: &mut crate::device::Device) -> crate::kernel::KernelReport {
     use crate::kernel::AccessKind;
     let mut k = dev.launch("racy_fixture");

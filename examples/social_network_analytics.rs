@@ -1,5 +1,5 @@
 //! Social-network analytics: the paper's three applications (BFS, BC, PR)
-//! plus CC, SSSP, MIS and k-core on a twitter-like graph, with
+//! plus CC and SSSP on a twitter-like graph, with
 //! self-adaptive reordering improving the traversal round by round.
 //!
 //! ```text
@@ -7,7 +7,7 @@
 //! ```
 
 use gpu_sim::Device;
-use sage::app::{Bc, Bfs, Cc, KCore, Mis, PageRank, Sssp};
+use sage::app::{Bc, Bfs, Cc, PageRank, Sssp};
 use sage::engine::ResidentEngine;
 use sage::{DeviceGraph, Runner, SageRuntime};
 use sage_graph::datasets::Dataset;
@@ -54,15 +54,6 @@ fn main() {
     let mut sssp = Sssp::new(&mut dev);
     let r = runner.run(&mut dev, &g, &mut engine, &mut sssp, 42);
     println!("{r}");
-
-    let mut mis = Mis::new(&mut dev);
-    let r = runner.run(&mut dev, &g, &mut engine, &mut mis, 0);
-    println!("{r}  ({} independent-set members)", mis.members().len());
-
-    let mut kcore = KCore::new(&mut dev);
-    let r = runner.run(&mut dev, &g, &mut engine, &mut kcore, 0);
-    let max_core = kcore.core_numbers().iter().max().copied().unwrap_or(0);
-    println!("{r}  (degeneracy = {max_core})");
 
     // --- self-adaptive reordering: BFS speed, round after round ---
     println!("\nself-adaptive reordering (BFS GTEPS by round):");

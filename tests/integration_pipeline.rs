@@ -2,7 +2,7 @@
 //! dataset family produces results matching the sequential references.
 
 use gpu_sim::Device;
-use sage::app::{Bc, Bfs, Cc, KCore, Mis, MisStatus, PageRank, Sssp};
+use sage::app::{Bc, Bfs, Cc, PageRank, Sssp};
 use sage::engine::{
     B40cEngine, Engine, GunrockEngine, LigraEngine, NaiveEngine, ResidentEngine, TigrEngine,
     TiledPartitioningEngine,
@@ -121,47 +121,6 @@ fn pagerank_all_engines_within_tolerance() {
                 engine.name()
             );
         }
-    }
-}
-
-#[test]
-fn mis_all_engines_produce_valid_sets() {
-    let (_, csr) = &graphs()[3];
-    let mut dev = Device::default_device();
-    for mut engine in engines(&mut dev, csr) {
-        let g = DeviceGraph::upload(&mut dev, csr.clone());
-        let mut app = Mis::new(&mut dev);
-        let _ = Runner::new().run(&mut dev, &g, engine.as_mut(), &mut app, 0);
-        let st = app.statuses();
-        assert!(
-            st.iter().all(|&s| s != MisStatus::Undecided),
-            "{}: undecided nodes remain",
-            engine.name()
-        );
-        for (u, v) in csr.edges() {
-            assert!(
-                !(st[u as usize] == MisStatus::InSet && st[v as usize] == MisStatus::InSet),
-                "{}: adjacent members {u},{v}",
-                engine.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn kcore_all_engines_agree() {
-    let (_, csr) = &graphs()[1];
-    let mut dev = Device::default_device();
-    let mut results: Vec<(String, Vec<u32>)> = Vec::new();
-    for mut engine in engines(&mut dev, csr) {
-        let g = DeviceGraph::upload(&mut dev, csr.clone());
-        let mut app = KCore::new(&mut dev);
-        let _ = Runner::new().run(&mut dev, &g, engine.as_mut(), &mut app, 0);
-        results.push((engine.name().to_owned(), app.core_numbers().to_vec()));
-    }
-    let first = results[0].1.clone();
-    for (name, cores) in results {
-        assert_eq!(cores, first, "k-core differs for {name}");
     }
 }
 

@@ -156,7 +156,9 @@ fn cli_refuses_bad_input_without_panicking() {
     std::fs::write(&empty, "").expect("write empty edge list");
     let empty = empty.to_str().expect("utf-8 path");
     let walk = ["walk", "--dataset", "brain", "--scale", "0.05"];
-    let cases: [(Vec<&str>, i32); 6] = [
+    let bfs = ["bfs", "--dataset", "brain", "--scale", "0.05"];
+    let serve = ["serve", "--dataset", "brain", "--scale", "0.05"];
+    let cases: [(Vec<&str>, i32); 13] = [
         (vec!["serve", "--graph", empty, "--requests", "4"], 1),
         (
             [&walk[..], &["--walk-app", "node2vec", "--p", "0"]].concat(),
@@ -169,6 +171,13 @@ fn cli_refuses_bad_input_without_panicking() {
         (vec!["bfs", "--dataset", "brain", "--scale", "nan"], 2),
         (vec!["bfs", "--dataset", "brain", "--scale", "-1"], 2),
         (vec!["bfs", "--dataset", "brain", "--scale", "0"], 2),
+        (vec!["mis", "--dataset", "brain", "--scale", "0.05"], 2),
+        (vec!["kcore", "--dataset", "brain", "--scale", "0.05"], 2),
+        ([&bfs[..], &["--repeat", "0"]].concat(), 2),
+        ([&serve[..], &["--devices", "0"]].concat(), 2),
+        ([&serve[..], &["--requests", "0"]].concat(), 2),
+        ([&walk[..], &["--walks", "0"]].concat(), 2),
+        ([&walk[..], &["--length", "0"]].concat(), 2),
     ];
     for (args, want) in cases {
         let (code, stderr) = sage_cli(&args);
