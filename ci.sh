@@ -62,6 +62,13 @@ echo "== perfbench end to end: adapt-social16-t1 =="
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
   --workload adapt-social16-t1 --seed 7919 --seconds 1 > /dev/null
 
+echo "== perfbench end to end: serve-rmat14-low =="
+# one short open-loop run of the query service (admission queue, batching,
+# cache, execution and remap on two worker devices): it exits 1 on a wrong
+# answer or a failed query
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload serve-rmat14-low --seed 7919 --seconds 1 > /dev/null
+
 echo "== rustdoc (no broken intra-doc links) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
 

@@ -46,7 +46,10 @@ fn main() {
         None => ALL.iter().filter(|e| e.paper).collect(),
     };
 
-    let cfg = BenchConfig::from_env();
+    let cfg = BenchConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    });
     let mut md = String::new();
     md.push_str(&format!(
         "# SAGE evaluation suite\n\nscale {}, {} sources, {} reordering rounds\n\n",

@@ -25,9 +25,9 @@
 //!             go bottom-up, only bfs, pr and cc have a pull contract, and
 //!             out-of-core graphs always push). Every mode produces
 //!             bitwise-identical application output.
-//!   --threads the simulation route (default 1). 1 probes the simulated
-//!             caches at each access; above 1 records every probe and
-//!             replays the trace in program order when the kernel ends.
+//!   --threads the simulation route, at least 1 (default 1). 1 probes the
+//!             simulated caches at each access; above 1 records every probe
+//!             and replays the trace in program order when the kernel ends.
 //!             Both routes run on one host thread and give bitwise-identical
 //!             results; clamped to the device's SM count.
 //!   --sanitize run the simulated kernels under the race sanitizer; any
@@ -238,9 +238,7 @@ fn parse_args() -> Args {
             "--out-of-core" => args.out_of_core = true,
             "--profile" => args.profile = true,
             "--mode" => args.mode = value("--mode"),
-            "--threads" => {
-                args.threads = Some(value("--threads").parse().unwrap_or_else(|_| usage()));
-            }
+            "--threads" => args.threads = Some(count("--threads", &value("--threads"))),
             "--sanitize" => args.sanitize = true,
             "--devices" => args.devices = count("--devices", &value("--devices")),
             "--requests" => args.requests = count("--requests", &value("--requests")),

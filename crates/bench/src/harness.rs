@@ -30,28 +30,59 @@ pub struct BenchConfig {
     pub pr_iters: usize,
 }
 
-impl Default for BenchConfig {
-    fn default() -> Self {
-        Self::from_env()
-    }
+/// Variable `name` read through `lookup`: `default` when unset, else its
+/// parsed value when `valid` accepts it, else a message naming the
+/// variable, its value and what it must hold.
+fn var<T: std::str::FromStr>(
+    lookup: &impl Fn(&str) -> Option<String>,
+    name: &'static str,
+    default: T,
+    valid: fn(&T) -> bool,
+    expected: &'static str,
+) -> Result<T, String> {
+    let Some(value) = lookup(name) else {
+        return Ok(default);
+    };
+    value
+        .parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| format!("{name}={value:?}: expected {expected}"))
 }
 
 impl BenchConfig {
     /// Read the configuration from `SAGE_*` environment variables.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let get = |name: &str, default: f64| -> f64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        Self {
-            scale: get("SAGE_SCALE", 1.0),
-            sources: get("SAGE_SOURCES", 3.0) as usize,
-            rounds: get("SAGE_ROUNDS", 30.0) as usize,
-            pr_iters: get("SAGE_PR_ITERS", 5.0) as usize,
-        }
+    ///
+    /// # Errors
+    /// The first variable whose value does not parse or is out of range.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// The configuration `lookup` (variable name to value, `None` when
+    /// unset) describes. `SAGE_SCALE` must be positive and finite,
+    /// `SAGE_SOURCES` and `SAGE_PR_ITERS` positive integers, and
+    /// `SAGE_ROUNDS` a non-negative integer.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        const POSITIVE: &str = "a positive integer";
+        Ok(Self {
+            scale: var(
+                &lookup,
+                "SAGE_SCALE",
+                1.0,
+                |s: &f64| *s > 0.0 && s.is_finite(),
+                "a positive finite number",
+            )?,
+            sources: var(&lookup, "SAGE_SOURCES", 3, |&n| n > 0, POSITIVE)?,
+            rounds: var(
+                &lookup,
+                "SAGE_ROUNDS",
+                30,
+                |_| true,
+                "a non-negative integer",
+            )?,
+            pr_iters: var(&lookup, "SAGE_PR_ITERS", 5, |&n| n > 0, POSITIVE)?,
+        })
     }
 
     /// A fast configuration for integration tests.
@@ -158,10 +189,48 @@ mod tests {
 
     #[test]
     fn config_from_env_has_defaults() {
-        // do not set the env vars; defaults apply
-        let c = BenchConfig::from_env();
-        assert!(c.scale > 0.0);
-        assert!(c.sources >= 1);
+        let c = BenchConfig::from_lookup(|_| None).unwrap();
+        let want = BenchConfig {
+            scale: 1.0,
+            sources: 3,
+            rounds: 30,
+            pr_iters: 5,
+        };
+        assert_eq!(c, want);
+    }
+
+    fn lookup_one(name: &'static str, value: &'static str) -> impl Fn(&str) -> Option<String> {
+        move |n| (n == name).then(|| value.to_string())
+    }
+
+    #[test]
+    fn config_parses_valid_values() {
+        let c = BenchConfig::from_lookup(lookup_one("SAGE_SCALE", "0.05")).unwrap();
+        assert_eq!(c.scale, 0.05);
+        let c = BenchConfig::from_lookup(lookup_one("SAGE_ROUNDS", "0")).unwrap();
+        assert_eq!(c.rounds, 0);
+        let c = BenchConfig::from_lookup(lookup_one("SAGE_PR_ITERS", "7")).unwrap();
+        assert_eq!(c.pr_iters, 7);
+    }
+
+    #[test]
+    fn config_refuses_bad_values_by_name() {
+        for (name, value) in [
+            ("SAGE_SCALE", "abc"),
+            ("SAGE_SCALE", "0"),
+            ("SAGE_SCALE", "-1"),
+            ("SAGE_SCALE", "nan"),
+            ("SAGE_SCALE", "inf"),
+            ("SAGE_SOURCES", "0"),
+            ("SAGE_SOURCES", "-1"),
+            ("SAGE_SOURCES", "2.5"),
+            ("SAGE_ROUNDS", "-1"),
+            ("SAGE_ROUNDS", "x"),
+            ("SAGE_PR_ITERS", "0"),
+        ] {
+            let err = BenchConfig::from_lookup(lookup_one(name, value)).unwrap_err();
+            assert!(err.starts_with(&format!("{name}={value:?}")), "{err}");
+        }
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! Environment knobs: `SAGE_SCALE` (dataset scale, default 1.0),
 //! `SAGE_SOURCES` (sources averaged per measurement, default 3),
 //! `SAGE_ROUNDS` (self-reordering rounds for the "SAGE_N" bars, default 30),
-//! `SAGE_PR_ITERS` (PageRank iterations per timed run, default 5).
+//! `SAGE_PR_ITERS` (PageRank iterations per timed run, default 5). A value
+//! that does not parse or is out of range makes `all_experiments` print the
+//! variable and exit 2.
 
 pub mod experiments;
 pub mod harness;

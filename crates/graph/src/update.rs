@@ -3,16 +3,15 @@
 //! §7.2: "once the CSR receives new graph updates, we can reorder the graph
 //! format quickly by invoking Sampling-based Reordering" — unlike the
 //! preprocessing baselines which must rebuild from scratch. This module
-//! provides the batched insert/delete merge that produces the updated CSR.
+//! provides the batched insertion merge that produces the updated CSR.
 
 use crate::csr::Csr;
 use crate::NodeId;
 
-/// A batch of pending edge insertions and deletions.
+/// A batch of pending edge insertions.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateBatch {
     inserts: Vec<(NodeId, NodeId)>,
-    deletes: Vec<(NodeId, NodeId)>,
 }
 
 impl UpdateBatch {
@@ -35,28 +34,21 @@ impl UpdateBatch {
         self
     }
 
-    /// Queue an edge deletion.
-    // sage-lint: allow(dead-pub) — builds the deletion batches that prop_graph::update_batch_apply_validates merges
-    pub fn delete(&mut self, u: NodeId, v: NodeId) -> &mut Self {
-        self.deletes.push((u, v));
-        self
-    }
-
     /// Number of queued operations.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inserts.len() + self.deletes.len()
+        self.inserts.len()
     }
 
     /// True when nothing is queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && self.deletes.is_empty()
+        self.inserts.is_empty()
     }
 
     /// Merge the batch into `g`, producing the updated CSR. Nodes beyond the
-    /// current id range grow the graph. Deletions of absent edges are
-    /// ignored; duplicate insertions collapse.
+    /// current id range grow the graph; duplicate insertions collapse and
+    /// self-loops are dropped.
     #[must_use]
     pub fn apply(&self, g: &Csr) -> Csr {
         let mut max_node = g.num_nodes() as i64 - 1;
@@ -64,18 +56,8 @@ impl UpdateBatch {
             max_node = max_node.max(i64::from(u)).max(i64::from(v));
         }
         let n = (max_node + 1).max(1) as usize;
-
-        let mut del = self.deletes.clone();
-        del.sort_unstable();
-        del.dedup();
-        let is_deleted = |e: (NodeId, NodeId)| -> bool { del.binary_search(&e).is_ok() };
-
-        let mut edges: Vec<(NodeId, NodeId)> = g.edges().filter(|&e| !is_deleted(e)).collect();
-        for &(u, v) in &self.inserts {
-            if u != v && !is_deleted((u, v)) {
-                edges.push((u, v));
-            }
-        }
+        let mut edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+        edges.extend(self.inserts.iter().filter(|&&(u, v)| u != v));
         Csr::from_edges(n, &edges)
     }
 }
@@ -96,23 +78,6 @@ mod tests {
         assert_eq!(g.num_edges(), 5);
         assert_eq!(g.neighbors(3), &[0]);
         assert_eq!(g.neighbors(0), &[1, 2]);
-    }
-
-    #[test]
-    fn delete_removes_edges() {
-        let mut b = UpdateBatch::new();
-        b.delete(1, 2);
-        let g = b.apply(&base());
-        assert_eq!(g.num_edges(), 2);
-        assert!(g.neighbors(1).is_empty());
-    }
-
-    #[test]
-    fn delete_wins_over_insert_in_same_batch() {
-        let mut b = UpdateBatch::new();
-        b.insert(0, 3).delete(0, 3);
-        let g = b.apply(&base());
-        assert!(g.neighbors(0).binary_search(&3).is_err());
     }
 
     #[test]
@@ -142,14 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn deleting_absent_edge_is_noop() {
-        let mut b = UpdateBatch::new();
-        b.delete(3, 1);
-        let g = b.apply(&base());
-        assert_eq!(g, base());
-    }
-
-    #[test]
     fn empty_batch_is_identity() {
         let b = UpdateBatch::new();
         assert!(b.is_empty());
@@ -166,8 +123,9 @@ mod tests {
 
     #[test]
     fn len_counts_both_kinds() {
+        // both kinds of insertion: one directed edge, one undirected pair
         let mut b = UpdateBatch::new();
-        b.insert(0, 1).delete(1, 2);
-        assert_eq!(b.len(), 2);
+        b.insert(0, 1).insert_undirected(1, 2);
+        assert_eq!(b.len(), 3);
     }
 }

@@ -285,35 +285,14 @@ proptest! {
 
     #[test]
     fn update_batch_apply_validates((n, es) in edges(40, 100),
-                                    ins in prop::collection::vec((0u32..40, 0u32..40), 0..20),
-                                    del in prop::collection::vec((0u32..40, 0u32..40), 0..20)) {
+                                    ins in prop::collection::vec((0u32..40, 0u32..40), 0..20)) {
         let g = Csr::from_edges(n, &es);
         let mut b = UpdateBatch::new();
         for (u, v) in ins {
             b.insert(u, v);
         }
-        for (u, v) in del {
-            b.delete(u, v);
-        }
         let h = b.apply(&g);
         prop_assert!(h.validate().is_ok());
-    }
-
-    #[test]
-    fn update_insert_then_delete_roundtrips((n, es) in edges(40, 100), u in 0u32..40, v in 0u32..40) {
-        prop_assume!(u != v && (u as usize) < n && (v as usize) < n);
-        let g = Csr::from_edges(n, &es);
-        let mut add = UpdateBatch::new();
-        add.insert(u, v);
-        let mut remove = UpdateBatch::new();
-        remove.delete(u, v);
-        let there = add.apply(&g);
-        prop_assert!(there.neighbors(u).binary_search(&v).is_ok());
-        let back = remove.apply(&there);
-        // equal iff (u,v) wasn't in g; otherwise back lost the original edge
-        if g.neighbors(u).binary_search(&v).is_err() {
-            prop_assert_eq!(back, g);
-        }
     }
 }
 

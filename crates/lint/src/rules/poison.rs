@@ -4,7 +4,7 @@
 //! worker that panicked must not cascade into every later queue/ticket
 //! operation panicking on `lock().unwrap()`. The idiom is
 //! `.lock().unwrap_or_else(PoisonError::into_inner)` (see
-//! `crates/serve/src/queue.rs`). A bare `lock().unwrap()` — or
+//! `crates/serve/src/cache.rs`). A bare `lock().unwrap()` — or
 //! `read().unwrap()` / `write().unwrap()` on an `RwLock` such as the graph
 //! registry — outside tests is an error; the allowlist is for the rare site
 //! where propagating the poison panic is the intended loud failure.

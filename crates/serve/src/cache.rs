@@ -45,8 +45,6 @@ pub struct ResultCache {
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl ResultCache {
@@ -61,8 +59,6 @@ impl ResultCache {
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -107,7 +103,6 @@ impl ResultCache {
                 .map(|(k, _)| *k)
             {
                 inner.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         inner.map.insert(
@@ -117,19 +112,16 @@ impl ResultCache {
                 touched: clock,
             },
         );
-        self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drop every entry of `graph` older than `epoch` (housekeeping; epoch
     /// keying already makes them unreachable through [`ResultCache::get`]).
     pub fn sweep_stale(&self, graph: GraphId, epoch: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let before = inner.map.len();
-        inner
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .map
             .retain(|k, _| k.graph != graph || k.epoch >= epoch);
-        let dropped = (before - inner.map.len()) as u64;
-        self.evictions.fetch_add(dropped, Ordering::Relaxed);
     }
 
     /// Entries currently held.
@@ -148,14 +140,12 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// `(hits, misses, insertions, evictions)` counters.
+    /// `(hits, misses)` counters.
     #[must_use]
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
+    pub fn counters(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
-            self.insertions.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
         )
     }
 
@@ -198,8 +188,7 @@ mod tests {
             *c.get(&key(1, 0)).unwrap(),
             ResultValues::Depths(vec![7; 4])
         );
-        let (h, m, i, _) = c.counters();
-        assert_eq!((h, m, i), (1, 1, 1));
+        assert_eq!(c.counters(), (1, 1));
         assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 

@@ -3,17 +3,17 @@
 //! Serving layer over the adaptive runtime: clients submit
 //! `{app, graph, source}` queries, the service batches compatible requests
 //! (multi-source BFS/SSSP share **one** frontier pipeline via per-node
-//! source bitmasks), schedules batches onto a pool of simulated devices
-//! through a work-stealing queue, and answers repeats from an epoch-keyed
-//! result cache that the runtime's self-reordering implicitly invalidates.
+//! source bitmasks), hands batches to a pool of simulated devices from one
+//! shared FIFO, and answers repeats from an epoch-keyed result cache that
+//! the runtime's self-reordering implicitly invalidates.
 //!
 //! Pipeline of a query:
 //!
 //! 1. **Admit** — validate graph/source, normalise the source of
 //!    source-independent apps, fast-path a cache hit, else enqueue (bounded:
 //!    [`ServiceError::Overloaded`] under backpressure).
-//! 2. **Batch** — a worker pops a run of same-`(graph, app)` queries from
-//!    its deque (or steals one) and fuses their sources.
+//! 2. **Batch** — a worker pops the front query's run of same-`(graph, app)`
+//!    queries from the shared FIFO and fuses their sources.
 //! 3. **Execute** — one traversal on the worker's [`sage::SageRuntime`];
 //!    up to 64 BFS/SSSP sources ride a single pipeline.
 //! 4. **Remap + cache** — results come back in *original* node ids (via the

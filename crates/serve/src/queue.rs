@@ -1,33 +1,16 @@
-//! Bounded, work-stealing admission queue.
+//! Bounded FIFO admission queue shared by every worker.
 //!
-//! Each worker owns a deque; submissions are distributed round-robin. A
-//! worker pops *batches* — runs of queries sharing one `(graph, app)` key —
-//! from the front of its own deque, and when idle steals a batch from the
-//! back of a victim's deque. A global counter enforces the admission
-//! capacity: once in-flight queries reach it, `push` refuses the query and
-//! the service surfaces [`crate::ServiceError::Overloaded`].
+//! One mutex guards the waiting queries and the `closed` flag; one condvar
+//! parks idle workers. A worker pops a *batch*: the front query plus the
+//! later queries sharing its `(graph, app)` key, up to that app's cap,
+//! while the other queries keep their order. Once `capacity` queries wait,
+//! `push` refuses the next one and the service surfaces
+//! [`crate::ServiceError::Overloaded`].
 
 use crate::types::{AppKind, GraphId, QueryRequest, ServiceError, TicketState};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
-
-/// Queries with equal keys may share one execution batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct BatchKey {
-    pub(crate) graph: GraphId,
-    pub(crate) app: AppKind,
-}
-
-impl BatchKey {
-    pub(crate) fn of(request: &QueryRequest) -> Self {
-        Self {
-            graph: request.graph,
-            app: request.app,
-        }
-    }
-}
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// An admitted query waiting for a worker.
 ///
@@ -42,8 +25,9 @@ pub(crate) struct PendingQuery {
 }
 
 impl PendingQuery {
-    fn key(&self) -> BatchKey {
-        BatchKey::of(&self.request)
+    /// Queries with equal keys may share one execution batch.
+    fn key(&self) -> (GraphId, AppKind) {
+        (self.request.graph, self.request.app)
     }
 }
 
@@ -53,203 +37,122 @@ impl Drop for PendingQuery {
     }
 }
 
-/// Per-app batch-size caps: traversal batches stop at `default_cap`
-/// queries, walk batches at `walk_cap` (walks fuse thousands of tiny
-/// queries into one kernel launch, so their cap is far higher).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BatchLimits {
-    pub(crate) default_cap: usize,
-    pub(crate) walk_cap: usize,
+/// Why [`JobQueue::push`] handed a query back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refusal {
+    /// `capacity` queries are already waiting.
+    Full,
+    /// [`JobQueue::close`] ran, or a poisoned lock shut the queue.
+    Closed,
 }
 
-impl BatchLimits {
-    /// One cap for every app (tests, simple callers).
-    #[cfg(test)]
-    pub(crate) fn uniform(cap: usize) -> Self {
-        Self {
-            default_cap: cap,
-            walk_cap: cap,
-        }
-    }
-
-    fn cap(&self, app: AppKind) -> usize {
-        let cap = match app {
-            AppKind::Walk => self.walk_cap,
-            _ => self.default_cap,
-        };
-        cap.max(1)
-    }
+#[derive(Default)]
+struct State {
+    jobs: VecDeque<PendingQuery>,
+    closed: bool,
 }
 
-/// The shared queue: per-worker deques + capacity gate + parking lot.
+/// The admission queue: one FIFO, its capacity and the per-app batch caps.
 pub(crate) struct JobQueue {
-    deques: Vec<Mutex<VecDeque<PendingQuery>>>,
-    /// Queries admitted but not yet extracted into a batch.
-    count: AtomicUsize,
+    state: Mutex<State>,
+    /// Signalled when a query arrives or the queue closes.
+    ready: Condvar,
     capacity: usize,
-    /// Round-robin cursor for placement.
-    cursor: AtomicUsize,
-    shutdown: AtomicBool,
-    parking: Mutex<()>,
-    signal: Condvar,
+    /// Traversal batches stop at `max_batch` queries, walk batches at
+    /// `walk_batch` (walks fuse thousands of tiny queries into one kernel
+    /// launch, so their cap is far higher).
+    max_batch: usize,
+    walk_batch: usize,
 }
 
 impl JobQueue {
-    pub(crate) fn new(workers: usize, capacity: usize) -> Self {
-        assert!(workers > 0, "queue needs at least one worker deque");
+    pub(crate) fn new(capacity: usize, max_batch: usize, walk_batch: usize) -> Self {
         Self {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            count: AtomicUsize::new(0),
+            state: Mutex::default(),
+            ready: Condvar::new(),
             capacity,
-            cursor: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            parking: Mutex::new(()),
-            signal: Condvar::new(),
+            max_batch,
+            walk_batch,
         }
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.recover(self.state.lock())
+    }
+
+    /// A poisoned lock (a thread panicked while holding it) closes the
+    /// queue. The panicking thread held the lock only across whole
+    /// `VecDeque` operations, so the waiting queries are intact and are
+    /// still served or drained; nothing new is admitted.
+    fn recover<'a>(&self, locked: LockResult<MutexGuard<'a, State>>) -> MutexGuard<'a, State> {
+        locked.unwrap_or_else(|poisoned| {
+            let mut state = poisoned.into_inner();
+            state.closed = true;
+            self.ready.notify_all();
+            state
+        })
     }
 
     /// Queries currently admitted and waiting.
     pub(crate) fn len(&self) -> usize {
-        self.count.load(Ordering::Acquire)
+        self.lock().jobs.len()
     }
 
-    /// True once [`JobQueue::close`] ran (or a poisoned lock forced the
-    /// queue shut) — lets the service distinguish "shutting down" from
-    /// "over capacity" when a push bounces.
-    pub(crate) fn is_closed(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Admit a query, or hand it back when the queue is full or shut down.
-    /// A poisoned deque lock (a worker panicked mid-queue-operation) closes
-    /// the queue and refuses the query instead of propagating the panic
-    /// into the submitting thread.
-    pub(crate) fn push(&self, job: PendingQuery) -> Result<(), PendingQuery> {
-        if self.shutdown.load(Ordering::Acquire) {
-            return Err(job);
+    /// Admit a query, or hand it back with the reason it was refused.
+    pub(crate) fn push(&self, job: PendingQuery) -> Result<(), (PendingQuery, Refusal)> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err((job, Refusal::Closed));
         }
-        // optimistic reservation; undone when over capacity
-        let prev = self.count.fetch_add(1, Ordering::AcqRel);
-        if prev >= self.capacity {
-            self.count.fetch_sub(1, Ordering::AcqRel);
-            return Err(job);
+        if state.jobs.len() >= self.capacity {
+            return Err((job, Refusal::Full));
         }
-        let slot = self.cursor.fetch_add(1, Ordering::Relaxed) % self.deques.len();
-        match self.deques[slot].lock() {
-            Ok(mut deque) => deque.push_back(job),
-            Err(_) => {
-                self.count.fetch_sub(1, Ordering::AcqRel);
-                self.shutdown.store(true, Ordering::Release);
-                self.signal.notify_all();
-                return Err(job);
-            }
-        }
-        self.signal.notify_all();
+        state.jobs.push_back(job);
+        drop(state);
+        self.ready.notify_one();
         Ok(())
     }
 
-    /// Blocking pop of the next batch for `worker`: queries sharing one
-    /// key — up to the key's app cap in `limits` — taken from the worker's
-    /// own deque front or stolen from a victim's back. Returns `None` once
-    /// the queue is shut down *and* empty.
-    pub(crate) fn pop_batch(
-        &self,
-        worker: usize,
-        limits: BatchLimits,
-    ) -> Option<Vec<PendingQuery>> {
+    /// Blocking pop of the next batch: the front query's key run, up to
+    /// that app's cap. Returns `None` once the queue is closed *and* empty.
+    pub(crate) fn pop_batch(&self) -> Option<Vec<PendingQuery>> {
+        let mut state = self.lock();
         loop {
-            if let Some(batch) = self.try_pop_batch(worker, limits) {
+            if let Some(key) = state.jobs.front().map(PendingQuery::key) {
+                let cap = match key.1 {
+                    AppKind::Walk => self.walk_batch,
+                    _ => self.max_batch,
+                }
+                .max(1);
+                let mut batch = Vec::new();
+                for job in std::mem::take(&mut state.jobs) {
+                    if job.key() == key && batch.len() < cap {
+                        batch.push(job);
+                    } else {
+                        state.jobs.push_back(job);
+                    }
+                }
+                if !state.jobs.is_empty() {
+                    self.ready.notify_one();
+                }
                 return Some(batch);
             }
-            if self.shutdown.load(Ordering::Acquire) {
-                // drain fully before exiting: another deque may still hold work
-                if let Some(batch) = self.try_pop_batch(worker, limits) {
-                    return Some(batch);
-                }
+            if state.closed {
                 return None;
             }
-            // a poisoned parking lot means a peer panicked while parked;
-            // skip the park and spin through the shutdown/drain path
-            let guard = self.parking.lock().unwrap_or_else(PoisonError::into_inner);
-            // re-check under the lock so a push between try_pop and park is
-            // not slept through; the timeout bounds any residual race
-            if self.len() == 0 && !self.shutdown.load(Ordering::Acquire) {
-                let _ = self.signal.wait_timeout(guard, Duration::from_millis(1));
-            }
+            state = self.recover(self.ready.wait(state));
         }
-    }
-
-    fn try_pop_batch(&self, worker: usize, limits: BatchLimits) -> Option<Vec<PendingQuery>> {
-        // own deque first: batch from the front (FIFO fairness)
-        if let Some(batch) = self.extract(worker, limits, false) {
-            return Some(batch);
-        }
-        // then steal: victims scanned in order, batch from the back
-        let n = self.deques.len();
-        for step in 1..n {
-            let victim = (worker + step) % n;
-            if let Some(batch) = self.extract(victim, limits, true) {
-                return Some(batch);
-            }
-        }
-        None
-    }
-
-    /// Remove queries matching the key of the deque's front (or back, for
-    /// steals) entry, up to the key's app batch cap.
-    fn extract(
-        &self,
-        slot: usize,
-        limits: BatchLimits,
-        from_back: bool,
-    ) -> Option<Vec<PendingQuery>> {
-        // Recover a poisoned deque: the panicking thread held the lock only
-        // across complete push_back/pop_front calls, so the contents are
-        // structurally intact and the remaining queries can still be served
-        // (or failed at drain) instead of wedging every worker.
-        let mut deque = self.deques[slot]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let key = if from_back {
-            deque.back()?.key()
-        } else {
-            deque.front()?.key()
-        };
-        let max_batch = limits.cap(key.app);
-        let mut batch = Vec::new();
-        let mut keep = VecDeque::with_capacity(deque.len());
-        while let Some(job) = deque.pop_front() {
-            if job.key() == key && batch.len() < max_batch {
-                batch.push(job);
-            } else {
-                keep.push_back(job);
-            }
-        }
-        *deque = keep;
-        drop(deque);
-        self.count.fetch_sub(batch.len(), Ordering::AcqRel);
-        Some(batch)
     }
 
     /// Stop accepting work and wake every parked worker.
     pub(crate) fn close(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.signal.notify_all();
+        self.lock().closed = true;
+        self.ready.notify_all();
     }
 
     /// Remove every remaining query (used at shutdown to fail them).
     pub(crate) fn drain(&self) -> Vec<PendingQuery> {
-        let mut all = Vec::new();
-        for deque in &self.deques {
-            let mut deque = deque.lock().unwrap_or_else(PoisonError::into_inner);
-            all.extend(deque.drain(..));
-        }
-        self.count.fetch_sub(all.len(), Ordering::AcqRel);
-        all
+        self.lock().jobs.drain(..).collect()
     }
 }
 
@@ -286,11 +189,19 @@ mod tests {
         assert_eq!(ticket.wait().err(), Some(ServiceError::UnknownGraph(7)));
     }
 
+    fn push(q: &JobQueue, job: PendingQuery) {
+        q.push(job).map_err(|(_, refusal)| refusal).unwrap();
+    }
+
+    fn refusal(q: &JobQueue, job: PendingQuery) -> Option<Refusal> {
+        q.push(job).err().map(|(_, refusal)| refusal)
+    }
+
     #[test]
     fn push_then_pop_roundtrips() {
-        let q = JobQueue::new(2, 8);
-        q.push(job(0, AppKind::Bfs, 3)).map_err(|_| ()).unwrap();
-        let batch = q.pop_batch(0, BatchLimits::uniform(4)).unwrap();
+        let q = JobQueue::new(8, 4, 4);
+        push(&q, job(0, AppKind::Bfs, 3));
+        let batch = q.pop_batch().unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].request.source, 3);
         assert_eq!(q.len(), 0);
@@ -298,113 +209,142 @@ mod tests {
 
     #[test]
     fn capacity_is_enforced() {
-        let q = JobQueue::new(1, 2);
-        assert!(q.push(job(0, AppKind::Bfs, 0)).is_ok());
-        assert!(q.push(job(0, AppKind::Bfs, 1)).is_ok());
-        assert!(
-            q.push(job(0, AppKind::Bfs, 2)).is_err(),
+        let q = JobQueue::new(2, 1, 1);
+        push(&q, job(0, AppKind::Bfs, 0));
+        push(&q, job(0, AppKind::Bfs, 1));
+        assert_eq!(
+            refusal(&q, job(0, AppKind::Bfs, 2)),
+            Some(Refusal::Full),
             "third push must bounce"
         );
-        let _ = q.pop_batch(0, BatchLimits::uniform(1)).unwrap();
-        assert!(q.push(job(0, AppKind::Bfs, 2)).is_ok(), "capacity frees up");
+        let _ = q.pop_batch().unwrap();
+        assert_eq!(
+            refusal(&q, job(0, AppKind::Bfs, 2)),
+            None,
+            "capacity frees up"
+        );
     }
 
     #[test]
     fn batch_groups_compatible_queries_and_preserves_others() {
-        let q = JobQueue::new(1, 16);
-        q.push(job(0, AppKind::Bfs, 1)).map_err(|_| ()).unwrap();
-        q.push(job(0, AppKind::Pr, 0)).map_err(|_| ()).unwrap();
-        q.push(job(0, AppKind::Bfs, 2)).map_err(|_| ()).unwrap();
-        q.push(job(1, AppKind::Bfs, 3)).map_err(|_| ()).unwrap();
-        let batch = q.pop_batch(0, BatchLimits::uniform(8)).unwrap();
+        let q = JobQueue::new(16, 8, 8);
+        push(&q, job(0, AppKind::Bfs, 1));
+        push(&q, job(0, AppKind::Pr, 0));
+        push(&q, job(0, AppKind::Bfs, 2));
+        push(&q, job(1, AppKind::Bfs, 3));
+        let batch = q.pop_batch().unwrap();
         assert_eq!(batch.len(), 2, "both graph-0 bfs queries batch together");
         assert!(batch
             .iter()
             .all(|j| j.request.app == AppKind::Bfs && j.request.graph == 0));
-        let batch = q.pop_batch(0, BatchLimits::uniform(8)).unwrap();
+        let batch = q.pop_batch().unwrap();
         assert_eq!(batch[0].request.app, AppKind::Pr);
-        let batch = q.pop_batch(0, BatchLimits::uniform(8)).unwrap();
+        let batch = q.pop_batch().unwrap();
         assert_eq!(batch[0].request.graph, 1);
         assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn max_batch_caps_extraction() {
-        let q = JobQueue::new(1, 16);
+        let q = JobQueue::new(16, 3, 3);
         for s in 0..5 {
-            q.push(job(0, AppKind::Bfs, s)).map_err(|_| ()).unwrap();
+            push(&q, job(0, AppKind::Bfs, s));
         }
-        assert_eq!(q.pop_batch(0, BatchLimits::uniform(3)).unwrap().len(), 3);
-        assert_eq!(q.pop_batch(0, BatchLimits::uniform(3)).unwrap().len(), 2);
+        assert_eq!(q.pop_batch().unwrap().len(), 3);
+        assert_eq!(q.pop_batch().unwrap().len(), 2);
     }
 
     #[test]
     fn walk_batches_use_their_own_cap() {
-        let q = JobQueue::new(1, 64);
+        let q = JobQueue::new(64, 2, 16);
         for s in 0..20 {
-            q.push(job(0, AppKind::Walk, s)).map_err(|_| ()).unwrap();
+            push(&q, job(0, AppKind::Walk, s));
         }
         for s in 0..5 {
-            q.push(job(0, AppKind::Bfs, s)).map_err(|_| ()).unwrap();
+            push(&q, job(0, AppKind::Bfs, s));
         }
-        let limits = BatchLimits {
-            default_cap: 2,
-            walk_cap: 16,
-        };
-        // the walk run fuses up to walk_cap queries in one batch...
-        assert_eq!(q.pop_batch(0, limits).unwrap().len(), 16);
-        assert_eq!(q.pop_batch(0, limits).unwrap().len(), 4);
-        // ...while traversal batches still stop at default_cap
-        assert_eq!(q.pop_batch(0, limits).unwrap().len(), 2);
+        // the walk run fuses up to walk_batch queries in one batch...
+        assert_eq!(q.pop_batch().unwrap().len(), 16);
+        assert_eq!(q.pop_batch().unwrap().len(), 4);
+        // ...while traversal batches still stop at max_batch
+        assert_eq!(q.pop_batch().unwrap().len(), 2);
+    }
+
+    /// Pop one batch on a thread of its own, as a worker would.
+    fn pop_on_worker(q: &JobQueue) -> Option<Vec<PendingQuery>> {
+        std::thread::scope(|s| s.spawn(|| q.pop_batch()).join().unwrap())
     }
 
     #[test]
-    fn idle_worker_steals_from_victim() {
-        let q = JobQueue::new(2, 8);
-        // cursor placement: first push lands on deque 0
-        q.push(job(0, AppKind::Bfs, 1)).map_err(|_| ()).unwrap();
-        let batch = q.pop_batch(1, BatchLimits::uniform(4)).unwrap();
-        assert_eq!(batch.len(), 1, "worker 1 must steal worker 0's query");
+    fn batches_leave_in_admission_order_whoever_pops() {
+        // whichever thread pops, the oldest query's run leaves first
+        let q = JobQueue::new(8, 4, 4);
+        let apps = [AppKind::Bfs, AppKind::Pr, AppKind::Cc, AppKind::Sssp];
+        for (source, app) in apps.into_iter().enumerate() {
+            push(&q, job(0, app, source as u32));
+        }
+        let order: Vec<AppKind> = (0..apps.len())
+            .map(|_| pop_on_worker(&q).unwrap()[0].request.app)
+            .collect();
+        assert_eq!(order, apps);
+    }
+
+    #[test]
+    fn same_key_queries_fuse_across_workers() {
+        // every worker sees every waiting query, so consecutive
+        // admissions of one key fuse whoever pops them
+        let q = JobQueue::new(8, 4, 4);
+        push(&q, job(0, AppKind::Bfs, 1));
+        push(&q, job(0, AppKind::Bfs, 2));
+        let batch = pop_on_worker(&q).unwrap();
+        let sources: Vec<u32> = batch.iter().map(|j| j.request.source).collect();
+        assert_eq!(sources, [1, 2]);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn poisoned_deque_closes_queue_instead_of_panicking() {
-        let q = Arc::new(JobQueue::new(1, 8));
-        q.push(job(0, AppKind::Bfs, 1)).map_err(|_| ()).unwrap();
-        // poison the deque lock by panicking while holding it
+        let q = Arc::new(JobQueue::new(8, 4, 4));
+        push(&q, job(0, AppKind::Bfs, 1));
+        // poison the queue lock by panicking while holding it
         let q2 = Arc::clone(&q);
         let _ = std::thread::spawn(move || {
-            let _guard = q2.deques[0].lock().unwrap();
-            panic!("poison the deque");
+            let _guard = q2.state.lock().unwrap();
+            panic!("poison the queue");
         })
         .join();
         // pops recover the structurally-intact contents
-        let batch = q
-            .pop_batch(0, BatchLimits::uniform(4))
-            .expect("queued work survives poisoning");
+        let batch = q.pop_batch().expect("queued work survives poisoning");
         assert_eq!(batch.len(), 1);
-        // and a push refuses gracefully, closing the queue
-        assert!(q.push(job(0, AppKind::Bfs, 2)).is_err());
-        assert!(q.is_closed());
+        // and a push is refused as closed instead of panicking
+        assert_eq!(refusal(&q, job(0, AppKind::Bfs, 2)), Some(Refusal::Closed));
+        assert!(q.pop_batch().is_none());
         assert!(q.drain().is_empty());
     }
 
     #[test]
     fn close_wakes_and_drains() {
-        let q = Arc::new(JobQueue::new(1, 8));
+        let q = Arc::new(JobQueue::new(8, 4, 4));
         let q2 = Arc::clone(&q);
-        let waiter = std::thread::spawn(move || q2.pop_batch(0, BatchLimits::uniform(4)));
-        q.push(job(0, AppKind::Cc, 0)).map_err(|_| ()).unwrap();
+        let waiter = std::thread::spawn(move || q2.pop_batch());
+        push(&q, job(0, AppKind::Cc, 0));
         assert!(waiter.join().unwrap().is_some());
-        q.push(job(0, AppKind::Cc, 0)).map_err(|_| ()).unwrap();
+        push(&q, job(0, AppKind::Cc, 0));
+        let q2 = Arc::clone(&q);
+        let parked = std::thread::spawn(move || {
+            let first = q2.pop_batch();
+            (first, q2.pop_batch())
+        });
         q.close();
-        assert!(
-            q.push(job(0, AppKind::Cc, 1)).is_err(),
+        assert_eq!(
+            refusal(&q, job(0, AppKind::Cc, 1)),
+            Some(Refusal::Closed),
             "closed queue rejects"
         );
         // shutdown still hands out queued work before returning None
-        assert!(q.pop_batch(0, BatchLimits::uniform(4)).is_some());
-        assert!(q.pop_batch(0, BatchLimits::uniform(4)).is_none());
+        let (first, second) = parked.join().unwrap();
+        assert!(first.is_some());
+        assert!(second.is_none());
         assert_eq!(q.drain().len(), 0);
     }
 }

@@ -2,7 +2,7 @@
 //! path, worker lifecycle.
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::queue::{JobQueue, PendingQuery};
+use crate::queue::{JobQueue, PendingQuery, Refusal};
 use crate::types::{
     GraphId, QueryRequest, QueryResponse, ServiceConfig, ServiceError, Ticket, TicketState,
 };
@@ -70,8 +70,13 @@ impl SageService {
     /// Panics when `cfg.devices == 0`.
     #[must_use]
     pub fn start(cfg: ServiceConfig) -> Self {
+        assert!(cfg.devices > 0, "the service needs at least one device");
         let registry: Registry = Arc::new(RwLock::new(Vec::new()));
-        let queue = Arc::new(JobQueue::new(cfg.devices, cfg.queue_capacity));
+        let queue = Arc::new(JobQueue::new(
+            cfg.queue_capacity,
+            cfg.max_batch,
+            cfg.walk_batch,
+        ));
         let cache = Arc::new(ResultCache::new(cfg.cache_capacity));
         let mut profiles = Vec::with_capacity(cfg.devices);
         let mut hazard_slots = Vec::with_capacity(cfg.devices);
@@ -83,7 +88,6 @@ impl SageService {
             let hazard_slot = Arc::new(AtomicU64::new(0));
             hazard_slots.push(Arc::clone(&hazard_slot));
             let worker = Worker::new(
-                id,
                 dev,
                 cfg.clone(),
                 Arc::clone(&queue),
@@ -200,14 +204,11 @@ impl SageService {
             ticket: Arc::clone(&state),
             enqueued_at: Instant::now(),
         };
-        self.queue.push(job).map_err(|_| {
-            if self.queue.is_closed() {
-                ServiceError::ShuttingDown
-            } else {
-                ServiceError::Overloaded {
-                    capacity: self.queue.capacity(),
-                }
-            }
+        self.queue.push(job).map_err(|(_, refusal)| match refusal {
+            Refusal::Full => ServiceError::Overloaded {
+                capacity: self.cfg.queue_capacity,
+            },
+            Refusal::Closed => ServiceError::ShuttingDown,
         })?;
         Ok(Ticket { state })
     }
@@ -230,7 +231,7 @@ impl SageService {
     /// Monitoring snapshot: queue depth, cache counters, device profilers.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        let (hits, misses, _, _) = self.cache.counters();
+        let (hits, misses) = self.cache.counters();
         ServiceStats {
             queue_len: self.queue.len(),
             cache_hits: hits,

@@ -242,6 +242,7 @@ impl Ticket {
     /// Block until the query completes or `timeout` passes; `None` on
     /// timeout (the query is still in flight, as with [`Ticket::try_take`]).
     #[must_use]
+    // sage-lint: allow(dead-pub) — the bounded wait serve_integration::cold_adapt_and_steady_bursts_resolve_with_reference_answers and walk_serve use, so a stranded ticket fails the test instead of hanging it
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<QueryResponse, ServiceError>> {
         let slot = self
             .state

@@ -6,7 +6,7 @@
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::msapp::{MsBfs, MsSssp, MAX_SOURCES};
-use crate::queue::{BatchLimits, JobQueue, PendingQuery};
+use crate::queue::{JobQueue, PendingQuery};
 use crate::types::{
     AppKind, GraphId, QueryResponse, ResultValues, ServiceConfig, ServiceError, WalkAppKind,
 };
@@ -60,7 +60,6 @@ struct WorkerGraph {
 
 /// One serving thread.
 pub(crate) struct Worker {
-    id: usize,
     dev: Device,
     cfg: ServiceConfig,
     graphs: HashMap<GraphId, WorkerGraph>,
@@ -72,7 +71,6 @@ pub(crate) struct Worker {
 
 impl Worker {
     pub(crate) fn new(
-        id: usize,
         dev: Device,
         cfg: ServiceConfig,
         queue: Arc<JobQueue>,
@@ -81,7 +79,6 @@ impl Worker {
         slots: StatsSlots,
     ) -> Self {
         Self {
-            id,
             dev,
             cfg,
             graphs: HashMap::new(),
@@ -95,11 +92,7 @@ impl Worker {
     /// Serve batches until the queue closes and drains.
     pub(crate) fn run(mut self) {
         let queue = Arc::clone(&self.queue);
-        let limits = BatchLimits {
-            default_cap: self.cfg.max_batch,
-            walk_cap: self.cfg.walk_batch,
-        };
-        while let Some(batch) = queue.pop_batch(self.id, limits) {
+        while let Some(batch) = queue.pop_batch() {
             self.process_batch(batch);
             // A sibling worker panicking mid-publish must not take this
             // worker's telemetry slot down with it: recover the poisoned

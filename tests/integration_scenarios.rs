@@ -158,7 +158,7 @@ fn cli_refuses_bad_input_without_panicking() {
     let walk = ["walk", "--dataset", "brain", "--scale", "0.05"];
     let bfs = ["bfs", "--dataset", "brain", "--scale", "0.05"];
     let serve = ["serve", "--dataset", "brain", "--scale", "0.05"];
-    let cases: [(Vec<&str>, i32); 13] = [
+    let cases: [(Vec<&str>, i32); 14] = [
         (vec!["serve", "--graph", empty, "--requests", "4"], 1),
         (
             [&walk[..], &["--walk-app", "node2vec", "--p", "0"]].concat(),
@@ -174,6 +174,7 @@ fn cli_refuses_bad_input_without_panicking() {
         (vec!["mis", "--dataset", "brain", "--scale", "0.05"], 2),
         (vec!["kcore", "--dataset", "brain", "--scale", "0.05"], 2),
         ([&bfs[..], &["--repeat", "0"]].concat(), 2),
+        ([&bfs[..], &["--threads", "0"]].concat(), 2),
         ([&serve[..], &["--devices", "0"]].concat(), 2),
         ([&serve[..], &["--requests", "0"]].concat(), 2),
         ([&walk[..], &["--walks", "0"]].concat(), 2),
