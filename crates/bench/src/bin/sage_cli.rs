@@ -74,6 +74,7 @@ use sage_graph::{io, Csr};
 use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::exit;
+use std::time::Instant;
 
 /// Print one line to stdout through [`say_line`].
 macro_rules! say {
@@ -140,12 +141,34 @@ struct Args {
     seed: u64,
 }
 
-/// The simulation route a run's `host_threads` setting selected.
-fn route(host_threads: usize) -> &'static str {
-    if host_threads == 1 {
+/// The simulation route the device's host-thread setting selects.
+fn route(dev: &Device) -> &'static str {
+    if dev.host_threads() == 1 {
         "direct"
     } else {
         "recorded"
+    }
+}
+
+/// The end of a run or walk: the `--profile` breakdown, then exit 1 when
+/// the sanitizer detected a hazard.
+fn epilogue(args: &Args, dev: &Device) {
+    if args.profile {
+        say!("\nprofiler:\n{}", dev.profiler());
+        say!("\nkernel breakdown:");
+        for (name, launches, secs) in dev.kernel_breakdown() {
+            say!(
+                "  {name:<22} {launches:>6} launches  {:>10.3} ms",
+                secs * 1e3
+            );
+        }
+    }
+    if !dev.hazards().is_empty() {
+        eprintln!("\nsanitizer: {} hazards detected", dev.hazard_count());
+        for h in dev.hazards() {
+            eprintln!("  {h}");
+        }
+        exit(1);
     }
 }
 
@@ -369,12 +392,14 @@ fn walk_mode(args: &Args, csr: Csr) {
         spec.seed,
     );
     let rt = SageRuntime::new(&mut dev, csr);
+    let host_start = Instant::now();
     let out = rt.run_walk(&mut dev, app.as_ref(), &spec, &[args.source]);
+    let host_seconds = host_start.elapsed().as_secs_f64();
     let r = &out.report;
     say!(
         "run 0: {r} | host {:.1} ms, {} route | {} walkers, {} steps",
-        r.host_seconds * 1e3,
-        route(r.host_threads),
+        host_seconds * 1e3,
+        route(&dev),
         out.walkers,
         out.steps,
     );
@@ -392,23 +417,7 @@ fn walk_mode(args: &Args, csr: Csr) {
         say!("  node {v:<10} mass {s:.4}");
     }
 
-    if args.profile {
-        say!("\nprofiler:\n{}", dev.profiler());
-        say!("\nkernel breakdown:");
-        for (name, launches, secs) in dev.kernel_breakdown() {
-            say!(
-                "  {name:<22} {launches:>6} launches  {:>10.3} ms",
-                secs * 1e3
-            );
-        }
-    }
-    if !dev.hazards().is_empty() {
-        eprintln!("\nsanitizer: {} hazards detected", dev.hazard_count());
-        for h in dev.hazards() {
-            eprintln!("  {h}");
-        }
-        exit(1);
-    }
+    epilogue(args, &dev);
 }
 
 /// `sage_cli serve`: stand up the query service on a device pool and drive
@@ -555,28 +564,14 @@ fn main() {
         }
     };
     for i in 0..args.repeat {
+        let host_start = Instant::now();
         let r = runner.run(&mut dev, &g, engine.as_mut(), app.as_mut(), args.source);
+        let host_seconds = host_start.elapsed().as_secs_f64();
         say!(
             "run {i}: {r} | host {:.1} ms, {} route",
-            r.host_seconds * 1e3,
-            route(r.host_threads)
+            host_seconds * 1e3,
+            route(&dev)
         );
     }
-    if args.profile {
-        say!("\nprofiler:\n{}", dev.profiler());
-        say!("\nkernel breakdown:");
-        for (name, launches, secs) in dev.kernel_breakdown() {
-            say!(
-                "  {name:<22} {launches:>6} launches  {:>10.3} ms",
-                secs * 1e3
-            );
-        }
-    }
-    if !dev.hazards().is_empty() {
-        eprintln!("\nsanitizer: {} hazards detected", dev.hazard_count());
-        for h in dev.hazards() {
-            eprintln!("  {h}");
-        }
-        exit(1);
-    }
+    epilogue(&args, &dev);
 }

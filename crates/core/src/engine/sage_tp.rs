@@ -27,7 +27,8 @@ use gpu_sim::tile::{charge_partition, charge_shfl, charge_vote};
 use gpu_sim::{Device, Tile};
 use sage_graph::NodeId;
 
-/// Nodes per 32-byte sector with 4-byte values (tile-alignment unit, §5.3).
+/// Nodes per 32-byte sector with 4-byte values: the tile-alignment unit
+/// (§5.3) and the sector sampling-based reordering measures locality in (§6).
 pub const SECTOR_NODES: u32 = 8;
 
 /// The Tiled Partitioning engine (Algorithm 2).

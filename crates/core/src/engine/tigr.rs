@@ -18,7 +18,6 @@ use crate::app::App;
 use crate::dgraph::DeviceGraph;
 use gpu_sim::{AccessKind, Device};
 use sage_graph::{Csr, NodeId};
-use std::time::Instant;
 
 /// One virtual node: a ≤K-wide slice of a real node's adjacency.
 #[derive(Debug, Clone, Copy)]
@@ -35,8 +34,6 @@ pub struct TigrEngine {
     virtuals: Vec<VirtualNode>,
     /// `v_of[real]` = range of virtual-node ids of that real node.
     v_of: Vec<(u32, u32)>,
-    /// Preprocessing wall-clock seconds (reported, and charged once).
-    pub preprocess_seconds: f64,
     /// Auxiliary structure size in bytes.
     pub aux_bytes: u64,
     aux_base: u64,
@@ -56,8 +53,6 @@ impl TigrEngine {
     #[must_use]
     pub fn with_split(dev: &mut Device, g: &Csr, k: u32) -> Self {
         assert!(k > 0, "split factor must be positive");
-        // sage-lint: allow(wall-clock) — host telemetry only: UDT build time is reported as host_seconds, never mixed into simulated cycles
-        let t0 = Instant::now();
         let mut virtuals = Vec::new();
         let mut v_of = Vec::with_capacity(g.num_nodes());
         for u in 0..g.num_nodes() as NodeId {
@@ -86,7 +81,6 @@ impl TigrEngine {
             k,
             virtuals,
             v_of,
-            preprocess_seconds: t0.elapsed().as_secs_f64(),
             aux_bytes,
             aux_base: aux.base(),
         }

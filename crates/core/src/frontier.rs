@@ -1,12 +1,10 @@
-//! Hybrid frontier representations for direction-optimizing traversal.
+//! The dense frontier bitmap for direction-optimizing traversal.
 //!
-//! A frontier is either a **sparse queue** (the compacted node list the
-//! push pipeline of Figure 2 produces) or a **dense bitmap** (one bit per
-//! node, the representation pull iterations probe per in-edge). The runner
-//! converts between the two per iteration according to the Beamer-style
-//! direction heuristic; conversions are cheap — O(|F|) to set bits, O(n/64)
-//! words to extract — and both representations track their population so
-//! the heuristic can read `|F|` for free.
+//! The runner holds every frontier as a **sparse queue** (`Vec<NodeId>`,
+//! the compacted node list the push pipeline of Figure 2 produces). A pull
+//! or matrix iteration builds a **dense bitmap** from it (one bit per node,
+//! the representation bottom-up iterations probe per in-edge) in O(|F|)
+//! bit sets; the bitmap tracks its population, so `|F|` costs nothing.
 
 use sage_graph::NodeId;
 
@@ -145,55 +143,6 @@ impl BitFrontier {
     }
 }
 
-/// A frontier in whichever representation the current iteration wants.
-#[derive(Debug, Clone)]
-pub enum Frontier {
-    /// Compacted node queue (push iterations).
-    Sparse(Vec<NodeId>),
-    /// Per-node bitmap (pull iterations).
-    Dense(BitFrontier),
-}
-
-impl Frontier {
-    /// Population of the frontier.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Frontier::Sparse(q) => q.len(),
-            Frontier::Dense(b) => b.len(),
-        }
-    }
-
-    /// True when the frontier is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Convert to the sparse queue representation in place and return it.
-    /// Dense extraction yields ascending, duplicate-free nodes.
-    pub fn make_sparse(&mut self) -> &[NodeId] {
-        if let Frontier::Dense(b) = self {
-            *self = Frontier::Sparse(b.to_vec());
-        }
-        match self {
-            Frontier::Sparse(q) => q,
-            Frontier::Dense(_) => unreachable!("just converted"),
-        }
-    }
-
-    /// Convert to the dense bitmap representation in place and return it.
-    pub fn make_dense(&mut self, num_nodes: usize, device_base: u64) -> &BitFrontier {
-        if let Frontier::Sparse(q) = self {
-            *self = Frontier::Dense(BitFrontier::from_nodes(q, num_nodes, device_base));
-        }
-        match self {
-            Frontier::Dense(b) => b,
-            Frontier::Sparse(_) => unreachable!("just converted"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,17 +188,6 @@ mod tests {
         assert_eq!(pop as usize, b.len());
         assert_eq!(b.word_addr_at(1), (1 << 20) + 8);
         assert_eq!(b.word_addr_at(1), b.word_addr(70));
-    }
-
-    #[test]
-    fn frontier_roundtrip_conversions() {
-        let mut f = Frontier::Sparse(vec![5, 1, 9, 1]);
-        assert_eq!(f.len(), 4);
-        let dense = f.make_dense(16, 0);
-        assert_eq!(dense.len(), 3, "bitmap dedups");
-        assert_eq!(f.len(), 3);
-        assert_eq!(f.make_sparse(), &[1, 5, 9]);
-        assert!(matches!(f, Frontier::Sparse(_)));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod walk;
 
 pub use access::AccessRecorder;
 pub use dgraph::{DeviceGraph, GraphPlacement};
-pub use frontier::{BitFrontier, Frontier};
+pub use frontier::BitFrontier;
 pub use metrics::{LatencyBreakdown, RunReport};
 pub use pipeline::{DirectionPolicy, Runner};
 pub use runtime::SageRuntime;

@@ -79,10 +79,6 @@ pub struct RunReport {
     pub converged: bool,
     /// Host-side query-latency breakdown (zeros outside a serving layer).
     pub latency: LatencyBreakdown,
-    /// Host wall-clock seconds the simulation itself took to run.
-    pub host_seconds: f64,
-    /// Host threads the simulation was allowed to use (1 = sequential).
-    pub host_threads: usize,
     /// Hazards the race sanitizer attributed to this run's kernels (always
     /// empty when sanitizing is disabled).
     pub hazards: HazardReport,
@@ -124,8 +120,6 @@ impl RunReport {
             self.direction_trace.push_str(&other.direction_trace);
         }
         self.latency.accumulate(&other.latency);
-        self.host_seconds += other.host_seconds;
-        self.host_threads = self.host_threads.max(other.host_threads);
         self.hazards.merge(&other.hazards);
     }
 }
@@ -177,8 +171,6 @@ mod tests {
             direction_trace: ">>>".into(),
             converged: true,
             latency: LatencyBreakdown::default(),
-            host_seconds: 0.0,
-            host_threads: 1,
             hazards: HazardReport::default(),
         }
     }

@@ -144,8 +144,6 @@ impl MultiGpuDriver {
     pub fn run(&mut self, app: &mut dyn App, source: NodeId) -> RunReport {
         let cfg = self.cfg;
         let n_gpus = cfg.gpus;
-        // sage-lint: allow(wall-clock) — host telemetry only: reported as host_seconds, never mixed into the simulated clock or result values
-        let host_start = std::time::Instant::now();
         let hazard_start: Vec<usize> = self.devices.iter().map(Device::hazard_count).collect();
         let start = self
             .devices
@@ -265,13 +263,6 @@ impl MultiGpuDriver {
             direction_trace: String::new(),
             converged: iterations < 100_000,
             latency: crate::metrics::LatencyBreakdown::default(),
-            host_seconds: host_start.elapsed().as_secs_f64(),
-            host_threads: self
-                .devices
-                .iter()
-                .map(Device::host_threads)
-                .max()
-                .unwrap_or(1),
             hazards: gpu_sim::HazardReport {
                 hazards: self
                     .devices

@@ -29,7 +29,7 @@ use crate::dgraph::DeviceGraph;
 use crate::engine::common::pull_iterate;
 use crate::engine::spmv::matrix_iterate;
 use crate::engine::Engine;
-use crate::frontier::Frontier;
+use crate::frontier::BitFrontier;
 use crate::metrics::RunReport;
 use gpu_sim::Device;
 use sage_graph::NodeId;
@@ -141,11 +141,9 @@ impl Runner {
     ) -> RunReport {
         let start = dev.elapsed_seconds();
         let overhead_start = dev.overhead_seconds();
-        // sage-lint: allow(wall-clock) — host telemetry only: reported as host_seconds, never mixed into the simulated clock or result values
-        let host_start = std::time::Instant::now();
         let hazard_start = dev.hazard_count();
         let n = g.csr().num_nodes();
-        let init = app.init(dev, g.csr(), source);
+        let mut frontier = app.init(dev, g.csr(), source);
 
         let (alpha, beta, density) = match self.policy {
             DirectionPolicy::Adaptive3 {
@@ -181,10 +179,9 @@ impl Runner {
             }
         };
         if track {
-            mark_visited(&init, &mut visited, &mut m_u);
+            mark_visited(&frontier, &mut visited, &mut m_u);
         }
 
-        let mut frontier = Frontier::Sparse(init);
         let mut iterations = 0usize;
         let mut edges = 0u64;
         let mut edges_examined = 0u64;
@@ -207,12 +204,7 @@ impl Runner {
             let mut m_f = 0u64;
             let mut mode = Mode::Push;
             if track {
-                m_f = match &frontier {
-                    Frontier::Sparse(q) => q.iter().map(|&u| g.csr().degree(u) as u64).sum(),
-                    Frontier::Dense(b) => {
-                        b.to_vec().iter().map(|&u| g.csr().degree(u) as u64).sum()
-                    }
-                };
+                m_f = frontier.iter().map(|&u| g.csr().degree(u) as u64).sum();
                 let n_f = frontier.len() as f64;
                 if matches!(self.policy, DirectionPolicy::MatrixOnly) {
                     mode = Mode::Matrix;
@@ -246,20 +238,20 @@ impl Runner {
                 (Mode::Pull, Some(cfg)) => {
                     // dense iteration: the pull kernel fuses the bitmap
                     // build and the next-queue writes into its single launch
-                    let dense = frontier.make_dense(n, g.bitmap_base());
+                    let dense = BitFrontier::from_nodes(&frontier, n, g.bitmap_base());
                     trace.push('<');
-                    pull_iterate(dev, g, app, dense, cfg)
+                    pull_iterate(dev, g, app, &dense, cfg)
                 }
                 (Mode::Matrix, Some(cfg)) => {
                     // same fused single-launch shape, but the step runs as
                     // `(Aᵀ ⊙ mask) · f` on the matrix units
-                    let dense = frontier.make_dense(n, g.bitmap_base());
+                    let dense = BitFrontier::from_nodes(&frontier, n, g.bitmap_base());
                     trace.push('M');
-                    matrix_iterate(dev, g, app, dense, cfg.matrix_kernel)
+                    matrix_iterate(dev, g, app, &dense, cfg.matrix_kernel)
                 }
                 _ => {
                     trace.push('>');
-                    engine.iterate(dev, g, app, frontier.make_sparse())
+                    engine.iterate(dev, g, app, &frontier)
                 }
             };
             // GTEPS keeps the push-equivalent numerator in every direction
@@ -285,7 +277,7 @@ impl Runner {
                     converged = true;
                     break;
                 }
-                Step::Frontier(f) => frontier = Frontier::Sparse(f),
+                Step::Frontier(f) => frontier = f,
             }
         }
 
@@ -300,8 +292,6 @@ impl Runner {
             direction_trace: trace,
             converged,
             latency: crate::metrics::LatencyBreakdown::default(),
-            host_seconds: host_start.elapsed().as_secs_f64(),
-            host_threads: dev.host_threads(),
             hazards: gpu_sim::HazardReport {
                 hazards: dev.hazards()[hazard_start..].to_vec(),
             },

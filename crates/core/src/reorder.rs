@@ -6,10 +6,9 @@
 //! after round:
 //!
 //! * **Stage 1** — while tiles execute, count for every node how many of its
-//!   intra-tile co-members fall in its memory sector (the locality measure),
-//!   plus the ceiling it could reach; alongside, keep a bounded per-node
-//!   reservoir of *anchor votes* (this is the "sampling" — the full
-//!   co-access list would be |E|-sized).
+//!   intra-tile co-members fall in its memory sector (the locality measure);
+//!   alongside, keep a bounded per-node reservoir of *anchor votes* (this is
+//!   the "sampling" — the full co-access list would be |E|-sized).
 //! * **Stage 2** — for each node, search the sampled co-access distribution
 //!   for a better index. Our instantiation (the paper leaves the search
 //!   under-specified, see DESIGN.md §5a): each tile votes for its minimum
@@ -27,11 +26,9 @@
 //! previous round's sampled locality and rolls back regressions.
 
 use crate::engine::common::TileObserver;
+use crate::engine::sage_tp::SECTOR_NODES;
 use gpu_sim::{AccessKind, Device};
 use sage_graph::{NodeId, Permutation};
-
-/// Nodes per 32-byte sector with 4-byte values.
-pub const SECTOR_NODES: u32 = 8;
 
 /// Anchor-vote slots kept per node (the sampling reservoir).
 pub const ANCHOR_SLOTS: usize = 4;
@@ -40,11 +37,9 @@ pub const ANCHOR_SLOTS: usize = 4;
 /// one reordering round from them.
 #[derive(Debug, Clone)]
 pub struct Sampler {
-    /// Stage-1 locality measure per node.
+    /// Stage-1 locality measure per node: the stage-3 yardstick a vote's
+    /// potential must exceed.
     locality: Vec<u32>,
-    /// Maximum locality each node could have scored in its observations
-    /// (co-members capped at one sector) — the stage-3 yardstick.
-    opportunity: Vec<u32>,
     /// Anchor votes per node: up to [`ANCHOR_SLOTS`] `(anchor, weight,
     /// potential)` triples, where the anchor of a tile is its minimum member
     /// id, the weight accumulates the tile widths, and the potential
@@ -68,7 +63,6 @@ impl Sampler {
     pub fn new(n: usize, threshold: u64) -> Self {
         Self {
             locality: vec![0; n],
-            opportunity: vec![0; n],
             votes: vec![[(0, 0, 0); ANCHOR_SLOTS]; n],
             sampled: 0,
             threshold,
@@ -176,7 +170,6 @@ impl Sampler {
 
         // reset for the next round
         self.locality.fill(0);
-        self.opportunity.fill(0);
         self.votes.fill([(0, 0, 0); ANCHOR_SLOTS]);
         self.sampled = 0;
 
@@ -227,7 +220,6 @@ impl TileObserver for Sampler {
         let tile_min = *members.iter().min().expect("non-empty tile");
         let per_obs_cap = len.min(SECTOR_NODES) - 1;
         for &m in members {
-            self.opportunity[m as usize] += per_obs_cap;
             let slots = &mut self.votes[m as usize];
             if let Some(slot) = slots.iter_mut().find(|s| s.0 == tile_min && s.1 > 0) {
                 slot.1 += len;

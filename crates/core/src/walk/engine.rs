@@ -94,8 +94,6 @@ pub fn run_batch(
     assert!(total > 0, "walks_per_source must be positive");
 
     let start = dev.elapsed_seconds();
-    // sage-lint: allow(wall-clock) — host telemetry only: reported as host_seconds, never mixed into the simulated clock or result values
-    let host_start = std::time::Instant::now();
     let hazard_start = dev.hazard_count();
 
     let mut endpoints = dev.alloc_array::<u32>((k_src * n).max(1), 0);
@@ -284,8 +282,6 @@ pub fn run_batch(
         direction_trace: String::new(),
         converged: app.fixed_length() || truncated == 0,
         latency: crate::metrics::LatencyBreakdown::default(),
-        host_seconds: host_start.elapsed().as_secs_f64(),
-        host_threads: dev.host_threads(),
         hazards: gpu_sim::HazardReport {
             hazards: dev.hazards()[hazard_start..].to_vec(),
         },

@@ -105,7 +105,6 @@ struct Fingerprint {
     edges: u64,
     examined: u64,
     trace: String,
-    host_threads: usize,
     hazards: usize,
 }
 
@@ -123,7 +122,8 @@ fn run_once(
 }
 
 /// One run on a caller-configured device (sanitizer, thread budget), so
-/// the caller can read host-side telemetry off the device afterwards.
+/// the caller can read host-side telemetry off the device afterwards. A
+/// run above one host thread must really have taken the recorded route.
 fn run_on(
     dev: &mut Device,
     csr: &Csr,
@@ -151,6 +151,14 @@ fn run_on(
             (r, a.ranks().iter().map(|p| p.to_bits()).collect())
         }
     };
+    if dev.host_threads() > 1 {
+        assert!(
+            dev.replay_stats().traced_kernels > 0,
+            "{} at {} host threads traced no kernel",
+            engine.name(),
+            dev.host_threads()
+        );
+    }
     let cycles = dev.elapsed_cycles();
     let hazards = dev.hazards().len();
     let p = dev.profiler();
@@ -166,7 +174,6 @@ fn run_on(
         edges: report.edges,
         examined: report.edges_examined,
         trace: report.direction_trace,
-        host_threads: report.host_threads,
         hazards,
     }
 }
@@ -182,7 +189,7 @@ fn sanitized_dev(threads: usize) -> Device {
 }
 
 /// Assert every parallel thread count reproduces the sequential fingerprint
-/// bit for bit (modulo the reported thread budget itself).
+/// bit for bit.
 fn assert_deterministic(
     csr: &Csr,
     policy: PolicySel,
@@ -191,17 +198,9 @@ fn assert_deterministic(
 ) -> Result<(), TestCaseError> {
     for make in engines() {
         let seq = run_once(csr, make().as_mut(), 1, policy, app, src);
-        prop_assert_eq!(seq.host_threads, 1);
         for &t in &THREADS {
             let mut engine = make();
-            let mut par = run_once(csr, engine.as_mut(), t, policy, app, src);
-            prop_assert_eq!(
-                par.host_threads,
-                t,
-                "thread budget lost on {}",
-                engine.name()
-            );
-            par.host_threads = seq.host_threads;
+            let par = run_once(csr, engine.as_mut(), t, policy, app, src);
             prop_assert_eq!(
                 &par,
                 &seq,
@@ -250,8 +249,7 @@ proptest! {
             let seq = run_on(&mut sanitized_dev(1), &g, make().as_mut(), PolicySel::Adaptive3, AppSel::Bfs, 0);
             for &t in &THREADS {
                 let mut engine = make();
-                let mut par = run_on(&mut sanitized_dev(t), &g, engine.as_mut(), PolicySel::Adaptive3, AppSel::Bfs, 0);
-                par.host_threads = seq.host_threads;
+                let par = run_on(&mut sanitized_dev(t), &g, engine.as_mut(), PolicySel::Adaptive3, AppSel::Bfs, 0);
                 prop_assert_eq!(&par, &seq, "{} sanitized run diverged at {} threads", engine.name(), t);
             }
         }
@@ -282,8 +280,7 @@ fn all_engines_deterministic_on_fixed_graph() {
         let seq = run_once(&g, make().as_mut(), 1, PolicySel::Push, AppSel::Bfs, 0);
         for &t in &THREADS {
             let mut engine = make();
-            let mut par = run_once(&g, engine.as_mut(), t, PolicySel::Push, AppSel::Bfs, 0);
-            par.host_threads = seq.host_threads;
+            let par = run_once(&g, engine.as_mut(), t, PolicySel::Push, AppSel::Bfs, 0);
             assert_eq!(par, seq, "{} diverged at {} threads", engine.name(), t);
         }
     }
@@ -304,8 +301,7 @@ fn matrix_pipeline_deterministic_and_traced_on_fixed_graph() {
         );
         for &t in &THREADS {
             let mut engine = make();
-            let mut par = run_once(&g, engine.as_mut(), t, PolicySel::Matrix, AppSel::Bfs, 0);
-            par.host_threads = seq.host_threads;
+            let par = run_once(&g, engine.as_mut(), t, PolicySel::Matrix, AppSel::Bfs, 0);
             assert_eq!(par, seq, "{} diverged at {} threads", engine.name(), t);
         }
     }
@@ -352,9 +348,8 @@ fn elision_fires_on_streaming_edge_lists() {
         };
         let (seq, seq_elided) = run(1);
         assert_eq!(seq_elided, 0, "direct kernels trace (and elide) nothing");
-        let (mut par, elided) = run(4);
+        let (par, elided) = run(4);
         assert!(elided > 0, "no probes elided on a streaming-scale graph");
-        par.host_threads = seq.host_threads;
         assert_eq!(par, seq, "eliding run diverged from the direct route");
     }
 }

@@ -18,6 +18,18 @@ pub fn called_from_an_example_too() -> u32 {
     4
 }
 
+pub struct Host;
+pub struct Accel;
+
+// two test-only namesakes: neither definition counts as a use of the other
+impl Host {
+    pub fn reset_twin(&mut self) {} //~ dead-pub
+}
+
+impl Accel {
+    pub fn reset_twin(&mut self) {} //~ dead-pub
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -25,5 +37,7 @@ mod tests {
     #[test]
     fn sums() {
         assert_eq!(read_only_by_its_unit_test() + crate_visible_only(), 4);
+        Host.reset_twin();
+        Accel.reset_twin();
     }
 }

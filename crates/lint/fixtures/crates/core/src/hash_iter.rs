@@ -17,7 +17,7 @@ impl Breakdown {
             .collect()
     }
 
-    pub fn lookup(&self, name: &str) -> Option<u64> {
+    pub fn lookup(&self, name: &str) -> Option<u64> { //~ dead-pub
         // keyed lookup is deterministic — no diagnostic
         self.kernel_times.get(name).copied()
     }

@@ -22,7 +22,7 @@ impl Slot {
         self.registry.write().unwrap().push(value); //~ lock-poison
     }
 
-    pub fn lookup(&self, i: usize) -> Option<u64> {
+    pub fn lookup(&self, i: usize) -> Option<u64> { //~ dead-pub
         self.registry.read().unwrap().get(i).copied() //~ lock-poison
     }
 

@@ -1,12 +1,14 @@
 //! Rule `dead-pub`: a public function that nothing calls.
 //!
 //! A plain `pub fn` in the non-test code of `sim`, `core`, `graph` or
-//! `serve` is flagged when its name appears as a token nowhere else in
-//! non-test code. Uses are counted over every loaded file: all crates'
-//! `src` (benches and bins included) plus the consumer-only `examples/`
-//! and `perfbench/src`. `tests/` directories, `#[cfg(test)]` modules and
-//! `#[test]` functions do not count, so an API kept alive only by its own
-//! unit test is reported.
+//! `serve` is flagged when its name appears as a token nowhere in non-test
+//! code but in definitions: an identifier right after `fn` names a
+//! function, it does not use one, so two unused namesakes (say, the same
+//! method on two types) do not keep each other alive. Uses are counted
+//! over every loaded file: all crates' `src` (benches and bins included)
+//! plus the consumer-only `examples/` and `perfbench/src`. `tests/`
+//! directories, `#[cfg(test)]` modules and `#[test]` functions do not
+//! count, so an API kept alive only by its own unit test is reported.
 //!
 //! The match is by name alone, so the rule can only miss: a function
 //! called `new` or `len` always has a namesake somewhere and is never
@@ -38,8 +40,10 @@ fn test_mask(f: &FileScan) -> Vec<bool> {
 pub fn run(files: &[FileScan], diags: &mut Vec<Diag>) {
     let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
     for f in files {
-        for (tok, test) in f.toks.iter().zip(test_mask(f)) {
-            if tok.kind == TokKind::Ident && !test {
+        let mask = test_mask(f);
+        for (i, tok) in f.toks.iter().enumerate() {
+            let defines = i > 0 && f.toks[i - 1].text == "fn";
+            if tok.kind == TokKind::Ident && !mask[i] && !defines {
                 *uses.entry(tok.text.as_str()).or_default() += 1;
             }
         }
@@ -50,8 +54,7 @@ pub fn run(files: &[FileScan], diags: &mut Vec<Diag>) {
             continue;
         }
         for func in &f.fns {
-            // the definition itself is the one use a dead function has
-            if func.is_pub && !func.is_test && uses.get(func.name.as_str()) == Some(&1) {
+            if func.is_pub && !func.is_test && !uses.contains_key(func.name.as_str()) {
                 diags.push(Diag {
                     rule: "dead-pub".into(),
                     path: f.path.clone(),

@@ -158,21 +158,23 @@ pub struct MsSssp {
     /// Sources whose distance at the node improved last level.
     cur_mask: DeviceArray<u64>,
     next_mask: DeviceArray<u64>,
-    /// Original id of each current id, when the graph has been reordered.
-    /// Synthetic weights are derived from *original* ids so distances are
-    /// invariant under the runtime's reordering (the single-source core app
-    /// only runs on the original order in its own tests, so it never sees
-    /// the discrepancy; a serving layer does).
-    orig_of: Option<Vec<NodeId>>,
+    /// Original id of each current id. Synthetic weights are derived from
+    /// *original* ids so distances are invariant under the runtime's
+    /// reordering (the single-source core app only runs on the original
+    /// order in its own tests, so it never sees the discrepancy; a serving
+    /// layer does).
+    orig_of: Vec<NodeId>,
 }
 
 impl MsSssp {
-    /// Build a run for `sources` (current-id space, at most [`MAX_SOURCES`]).
+    /// Build a run for `sources` (current-id space, at most [`MAX_SOURCES`])
+    /// whose edge weights are derived from original ids through
+    /// `orig_of[current] = original`.
     ///
     /// # Panics
     /// Panics when `sources` is empty or exceeds [`MAX_SOURCES`].
     #[must_use]
-    pub fn new(dev: &mut Device, sources: &[NodeId]) -> Self {
+    pub fn new(dev: &mut Device, sources: &[NodeId], orig_of: Vec<NodeId>) -> Self {
         assert!(
             !sources.is_empty() && sources.len() <= MAX_SOURCES,
             "multi-source batch must hold 1..={MAX_SOURCES} sources, got {}",
@@ -183,23 +185,12 @@ impl MsSssp {
             dist: dev.alloc_array(0, 0),
             cur_mask: dev.alloc_array(0, 0),
             next_mask: dev.alloc_array(0, 0),
-            orig_of: None,
+            orig_of,
         }
-    }
-
-    /// Derive edge weights from original ids via `orig_of[current] =
-    /// original`, making distances invariant under graph reordering.
-    #[must_use]
-    pub fn with_weight_ids(mut self, orig_of: Vec<NodeId>) -> Self {
-        self.orig_of = Some(orig_of);
-        self
     }
 
     fn weight(&self, u: NodeId, v: NodeId) -> u32 {
-        match &self.orig_of {
-            Some(orig) => synthetic_weight(orig[u as usize], orig[v as usize]),
-            None => synthetic_weight(u, v),
-        }
+        synthetic_weight(self.orig_of[u as usize], self.orig_of[v as usize])
     }
 
     /// Distances from source slot `j` in current-id space
@@ -373,7 +364,8 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let dg = DeviceGraph::upload(&mut dev, g.clone());
         let mut engine = ResidentEngine::new();
-        let mut ms = MsSssp::new(&mut dev, &sources);
+        let identity = (0..g.num_nodes() as NodeId).collect();
+        let mut ms = MsSssp::new(&mut dev, &sources, identity);
         let _ = Runner::new().run(&mut dev, &dg, &mut engine, &mut ms, sources[0]);
         for (j, &s) in sources.iter().enumerate() {
             assert_eq!(

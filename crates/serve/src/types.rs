@@ -383,6 +383,7 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// A small configuration for tests: tiny devices, small queue.
+    // sage-lint: allow(dead-pub) — serve_integration, walk_serve, prop_serve, sanitize_serve and the crate doctests build their services from it
     #[must_use]
     pub fn test_config(devices: usize) -> Self {
         Self {

@@ -278,7 +278,7 @@ fn execute(
             let orig_of = state.rt.permutation().inverse().as_slice().to_vec();
             for chunk in sources.chunks(MAX_SOURCES) {
                 let cur: Vec<NodeId> = chunk.iter().map(|&s| state.rt.current_id(s)).collect();
-                let mut ms = MsSssp::new(dev, &cur).with_weight_ids(orig_of.clone());
+                let mut ms = MsSssp::new(dev, &cur, orig_of.clone());
                 merge(state.rt.run(dev, &mut ms, chunk[0]), &mut report);
                 for j in 0..chunk.len() {
                     values.push(Arc::new(ResultValues::Dists(
@@ -371,8 +371,6 @@ pub(crate) fn cache_hit_report(app: AppKind, latency: LatencyBreakdown) -> RunRe
         direction_trace: String::new(),
         converged: true,
         latency,
-        host_seconds: 0.0,
-        host_threads: 1,
         hazards: gpu_sim::HazardReport::default(),
     }
 }

@@ -64,11 +64,6 @@ impl Cpu {
     pub fn elapsed_seconds(&self) -> f64 {
         self.elapsed_sec
     }
-
-    /// Zero the clock.
-    pub fn reset_clock(&mut self) {
-        self.elapsed_sec = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -112,12 +107,10 @@ mod tests {
     }
 
     #[test]
-    fn clock_accumulates_and_resets() {
+    fn clock_accumulates() {
         let mut c = cpu();
         c.parallel_step(100, 100, 100, 1.0);
         assert!(c.elapsed_seconds() > 0.0);
-        c.reset_clock();
-        assert_eq!(c.elapsed_seconds(), 0.0);
     }
 
     #[test]

@@ -263,8 +263,7 @@ impl Device {
         self.elapsed_cycles += seconds * self.cfg.clock_hz;
     }
 
-    /// Simulated time elapsed since construction or the last
-    /// [`Self::reset_clock`].
+    /// Simulated time elapsed since construction.
     #[must_use]
     pub fn elapsed_seconds(&self) -> f64 {
         self.cfg.cycles_to_seconds(self.elapsed_cycles)
@@ -282,13 +281,6 @@ impl Device {
     #[must_use]
     pub fn overhead_seconds(&self) -> f64 {
         self.cfg.cycles_to_seconds(self.overhead_cycles)
-    }
-
-    /// Zero the clock and its overhead share (caches and profiler keep
-    /// their state).
-    pub fn reset_clock(&mut self) {
-        self.elapsed_cycles = 0.0;
-        self.overhead_cycles = 0.0;
     }
 
     /// Aggregated profiler counters.
@@ -340,8 +332,6 @@ mod tests {
         let k = d.launch("b");
         let r2 = k.finish();
         assert!((d.elapsed_cycles() - r.cycles - r2.cycles).abs() < 1e-9);
-        d.reset_clock();
-        assert_eq!(d.elapsed_cycles(), 0.0);
     }
 
     #[test]

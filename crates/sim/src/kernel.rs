@@ -67,7 +67,6 @@ use crate::mem::is_host_addr;
 use crate::profile::Profiler;
 use crate::sanitizer::{HazardReport, ShadowTracker};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// What a memory access does; writes also produce sector traffic
 /// (write-allocate) and are tracked separately for the profiler.
@@ -118,11 +117,6 @@ pub struct KernelReport {
     pub dram_bytes: u64,
     /// PCIe bytes the kernel moved (zero unless out-of-core).
     pub pcie_bytes: u64,
-    /// Host wall-clock seconds between launch and finish.
-    pub host_seconds: f64,
-    /// The device's host-thread setting at launch: 1 for the direct route,
-    /// above 1 for the recorded route (see [`crate::device::Device::set_host_threads`]).
-    pub host_threads: usize,
     /// Hazards the race sanitizer detected in this kernel (always empty
     /// when the sanitizer is disabled).
     pub hazards: HazardReport,
@@ -161,7 +155,6 @@ pub struct Kernel<'d> {
     /// Set by [`Kernel::mark_scheduling`].
     scheduling: bool,
     shadow: Option<ShadowTracker>,
-    started: Instant,
 }
 
 impl<'d> Kernel<'d> {
@@ -183,8 +176,6 @@ impl<'d> Kernel<'d> {
             elided: 0,
             scheduling: false,
             shadow,
-            // sage-lint: allow(wall-clock) — host-side telemetry only: measures real replay cost, never feeds simulated cycles or RunReport determinism
-            started: Instant::now(),
         }
     }
 
@@ -321,9 +312,7 @@ impl<'d> Kernel<'d> {
                 .map_or_else(Vec::new, |s| s.finish(&self.name)),
         };
         self.dev.record_hazards(&hazards);
-        let mut host_threads = 1;
         if let Some(trace) = self.trace.take() {
-            host_threads = self.dev.host_threads();
             let mut l1_hits = 0u64;
             for &w in &trace {
                 let (sm, s, atomic) = crate::trace::unpack(w);
@@ -364,8 +353,6 @@ impl<'d> Kernel<'d> {
             active_sms: br.active_sms,
             dram_bytes: br.dram_bytes,
             pcie_bytes: self.host_bytes,
-            host_seconds: self.started.elapsed().as_secs_f64(),
-            host_threads,
             hazards,
         }
     }
@@ -817,8 +804,6 @@ mod tests {
             cfg.cycles_to_seconds(r.cycles - launch)
         );
         assert!(d.overhead_seconds() > 0.0);
-        d.reset_clock();
-        assert_eq!(d.overhead_seconds(), 0.0);
     }
 
     #[test]
@@ -1094,20 +1079,6 @@ mod tests {
             )
         };
         assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn kernel_report_carries_host_thread_budget() {
-        let mut d = dev();
-        d.set_host_threads(3);
-        let mut k = d.launch("budget");
-        k.shard(0).exec_uniform(10);
-        let r = k.finish();
-        assert_eq!(r.host_threads, 3);
-        assert!(r.host_seconds >= 0.0);
-        d.set_host_threads(1);
-        let r = d.launch("seq").finish();
-        assert_eq!(r.host_threads, 1);
     }
 
     #[test]

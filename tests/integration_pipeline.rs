@@ -133,13 +133,10 @@ fn repeated_runs_are_deterministic() {
         let mut engine = ResidentEngine::new();
         let mut app = Bfs::new(&mut dev);
         let r = Runner::new().run(&mut dev, &g, &mut engine, &mut app, 0);
-        (r.edges, r.seconds, app.distances().to_vec())
+        (r, app.distances().to_vec())
     };
-    let a = run_once();
-    let b = run_once();
-    assert_eq!(a.0, b.0);
-    assert!((a.1 - b.1).abs() < 1e-15);
-    assert_eq!(a.2, b.2);
+    // the report holds simulated quantities only, so it repeats whole
+    assert_eq!(run_once(), run_once());
 }
 
 #[test]
