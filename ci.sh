@@ -92,19 +92,18 @@ for app in bfs cc pr; do
 done
 
 echo "== race sanitizer: matrix/SpMV pipeline hazard-free =="
-# the tensor-core SpMV direction: matrix-forced and adaptive-3-way runs on
-# naive (push fallback + the shared matrix kernel) and the default engine,
-# sanitized, 1 and 4 host threads — any cross-SM hazard exits 1
+# the tensor-core SpMV direction: adaptive three-way BFS (the one app that
+# goes bottom-up) on naive (push fallback + the shared matrix kernel) and
+# the default engine, sanitized at 4 host threads — any cross-SM hazard
+# exits 1, and a run whose direction trace has no matrix iteration `M`
+# (brain at scale 0.05 traces `>MM`) did not test the gear
 for eng in naive sage; do
-  for app in bfs cc pr; do
-    for t in 1 4; do
-      cargo run --release -q -p sage-bench --bin sage_cli -- \
-        "$app" --dataset brain --scale 0.05 --engine "$eng" --mode matrix \
-        --threads "$t" --sanitize > /dev/null
-    done
-  done
-  cargo run --release -q -p sage-bench --bin sage_cli -- \
-    bfs --dataset brain --scale 0.05 --engine "$eng" --mode adaptive --threads 4 --sanitize > /dev/null
+  out=$(cargo run --release -q -p sage-bench --bin sage_cli -- \
+    bfs --dataset brain --scale 0.05 --engine "$eng" --mode adaptive --threads 4 --sanitize)
+  if ! grep -qE '\[[<>M]*M' <<<"$out"; then
+    echo "adaptive bfs on $eng never took the matrix gear: $out" >&2
+    exit 1
+  fi
 done
 
 echo "== race sanitizer: walk kernels hazard-free for both apps =="
@@ -119,10 +118,10 @@ done
 echo "== determinism (release): recorded route == direct route, bit for bit =="
 # at more than one host thread every kernel records its cache probes and
 # replays them in program order at finish; these suites check that this
-# changes nothing on push-only, adaptive-3-way and matrix-forced pipelines
-# (R-MAT 2^14 on the default device included); golden_sim pins the
-# absolute simulated counters and prop_sim checks the cache against its
-# stamp-LRU oracle, so optimised builds are pinned too
+# changes nothing on push-only and adaptive-3-way pipelines (R-MAT 2^14 on
+# the default device included) or on BFS pinned to the matrix gear;
+# golden_sim pins the absolute simulated counters and prop_sim checks the
+# cache against its stamp-LRU oracle, so optimised builds are pinned too
 cargo test --release -q -p sage --test prop_determinism
 cargo test --release -q -p sage --test golden_sim
 cargo test --release -q -p gpu-sim --test prop_sim

@@ -3,28 +3,27 @@
 //! ```text
 //! sage_cli <app> [--graph FILE | --dataset NAME] [--engine NAME]
 //!          [--source N] [--scale F] [--repeat N] [--out-of-core] [--profile]
-//!          [--mode push|adaptive|matrix] [--threads N] [--sanitize]
+//!          [--mode push|adaptive] [--threads N] [--sanitize]
 //!
 //!   app       bfs | bc | pr | cc | sssp | walk | serve
 //!   --graph   edge-list file ("u v" per line, # comments) or .sagecsr binary
 //!   --dataset uk-2002 | brain | ljournal | twitter | friendster
 //!   --engine  sage (default) | sage-tp | naive | b40c | tigr | gunrock |
-//!             ligra
+//!             ligra | subway (subway needs --out-of-core)
 //!   --source  source node id (default 0)
 //!   --scale   dataset scale when --dataset is used (default 0.2)
 //!   --repeat  runs to average, at least 1 (default 1; resident tiles warm
 //!             up across runs)
-//!   --out-of-core  place the graph in host memory behind PCIe
+//!   --out-of-core  place the graph in host memory behind PCIe (the one
+//!             placement subway runs on)
 //!   --profile print Nsight-style counters after the run
 //!   --mode    direction policy (default adaptive). `adaptive` is the
 //!             three-way push / pull / matrix optimizer; the per-iteration
 //!             trace letters are `>` push, `<` pull, `M` matrix (masked
-//!             SpMV on the tensor units). `push` pins every iteration to
-//!             push; `matrix` forces the SpMV formulation whenever the
-//!             engine, app and graph allow it (only sage, sage-tp and naive
-//!             go bottom-up, only bfs, pr and cc have a pull contract, and
-//!             out-of-core graphs always push). Every mode produces
-//!             bitwise-identical application output.
+//!             SpMV on the tensor units). Only bfs goes bottom-up, only on
+//!             sage, sage-tp and naive, and never on out-of-core graphs;
+//!             every other run pushes. `push` pins every iteration to push.
+//!             Both modes produce bitwise-identical application output.
 //!   --threads the simulation route, at least 1 (default 1). 1 probes the
 //!             simulated caches at each access; above 1 records every probe
 //!             and replays the trace in program order when the kernel ends.
@@ -176,9 +175,10 @@ fn usage() -> ! {
     let apps: Vec<&str> = APPS.iter().map(|&(name, _)| name).collect();
     eprintln!(
         "usage: sage_cli <{}> [--graph FILE | --dataset NAME] \
-         [--engine sage|sage-tp|naive|b40c|tigr|gunrock|ligra] [--source N] \
-         [--scale F] [--repeat N] [--out-of-core] [--profile] \
-         [--mode push|adaptive|matrix] [--threads N] [--sanitize]\n\
+         [--engine sage|sage-tp|naive|b40c|tigr|gunrock|ligra|subway] \
+         [--source N] [--scale F] [--repeat N] [--out-of-core] [--profile] \
+         [--mode push|adaptive] [--threads N] [--sanitize] \
+         (subway needs --out-of-core)\n\
          \x20      sage_cli serve [--graph FILE | --dataset NAME] [--devices N] [--requests N] \
          [--sanitize]\n\
          \x20      sage_cli walk [--graph FILE | --dataset NAME] [--walk-app ppr|node2vec] \
@@ -326,8 +326,8 @@ fn device(args: &Args) -> Device {
     dev
 }
 
-fn make_engine(name: &str, dev: &mut Device, csr: &Csr) -> Box<dyn Engine> {
-    match name {
+fn make_engine(args: &Args, dev: &mut Device, csr: &Csr) -> Box<dyn Engine> {
+    match args.engine.as_str() {
         "sage" => Box::new(ResidentEngine::new()),
         "sage-tp" => Box::new(TiledPartitioningEngine::new()),
         "naive" => Box::new(NaiveEngine::new()),
@@ -335,6 +335,11 @@ fn make_engine(name: &str, dev: &mut Device, csr: &Csr) -> Box<dyn Engine> {
         "tigr" => Box::new(TigrEngine::new(dev, csr)),
         "gunrock" => Box::new(GunrockEngine::new()),
         "ligra" => Box::new(LigraEngine::new()),
+        "subway" if args.out_of_core => Box::new(SubwayEngine::new(dev, csr.num_edges())),
+        "subway" => {
+            eprintln!("--engine subway needs --out-of-core");
+            exit(2)
+        }
         other => {
             eprintln!("unknown engine {other:?}");
             usage()
@@ -539,11 +544,7 @@ fn main() {
     }
 
     let mut dev = device(&args);
-    let mut engine: Box<dyn Engine> = if args.out_of_core && args.engine == "subway" {
-        Box::new(SubwayEngine::new(&mut dev, csr.num_edges()))
-    } else {
-        make_engine(&args.engine, &mut dev, &csr)
-    };
+    let mut engine = make_engine(&args, &mut dev, &csr);
     let g = if args.out_of_core {
         // host-resident graphs stay push-only: the in-edge view would
         // double the PCIe-resident footprint
@@ -557,9 +558,8 @@ fn main() {
     let runner = match args.mode.as_str() {
         "push" => Runner::push_only(),
         "adaptive" => Runner::new(),
-        "matrix" => Runner::matrix_only(),
         other => {
-            eprintln!("unknown mode {other:?} (want push|adaptive|matrix)");
+            eprintln!("unknown mode {other:?} (want push|adaptive)");
             usage()
         }
     };

@@ -18,7 +18,6 @@ pub const STATE_ELEM_BYTES: usize = 4;
 #[derive(Debug, Default, Clone)]
 pub struct AccessRecorder {
     reads: Vec<u64>,
-    writes: Vec<u64>,
     dirty: Vec<u64>,
     atomics: Vec<u64>,
 }
@@ -36,16 +35,10 @@ impl AccessRecorder {
         self.reads.push(addr);
     }
 
-    /// Record a 4-byte store to `addr`.
-    #[inline]
-    pub fn write(&mut self, addr: u64) {
-        self.writes.push(addr);
-    }
-
     /// Record a 4-byte *dirty write* to `addr`: a store the application
     /// asserts is a benign race by construction (same-value or monotone —
-    /// the paper's §7.2 "dirty write" idiom). Costs exactly like
-    /// [`AccessRecorder::write`] but is exempt from the race sanitizer.
+    /// the paper's §7.2 "dirty write" idiom). Costs exactly like a plain
+    /// store but is exempt from the race sanitizer.
     #[inline]
     pub fn write_dirty(&mut self, addr: u64) {
         self.dirty.push(addr);
@@ -60,7 +53,7 @@ impl AccessRecorder {
     /// Number of recorded events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.reads.len() + self.writes.len() + self.dirty.len() + self.atomics.len()
+        self.reads.len() + self.dirty.len() + self.atomics.len()
     }
 
     /// True when nothing is recorded.
@@ -69,16 +62,9 @@ impl AccessRecorder {
         self.len() == 0
     }
 
-    /// Recorded read addresses (for sampling instrumentation).
-    #[must_use]
-    pub fn reads(&self) -> &[u64] {
-        &self.reads
-    }
-
     /// Drop all recorded events.
     pub fn clear(&mut self) {
         self.reads.clear();
-        self.writes.clear();
         self.dirty.clear();
         self.atomics.clear();
     }
@@ -89,9 +75,6 @@ impl AccessRecorder {
         let warp = sh.cfg().warp_size;
         for chunk in self.reads.chunks(warp) {
             sh.access(AccessKind::Read, chunk, STATE_ELEM_BYTES);
-        }
-        for chunk in self.writes.chunks(warp) {
-            sh.access(AccessKind::Write, chunk, STATE_ELEM_BYTES);
         }
         for chunk in self.dirty.chunks(warp) {
             // dirty: pass-through flush — each address was individually justified at its write_dirty recording site
@@ -113,7 +96,7 @@ mod tests {
     fn records_and_clears() {
         let mut r = AccessRecorder::new();
         r.read(4);
-        r.write(8);
+        r.write_dirty(8);
         r.atomic(12);
         assert_eq!(r.len(), 3);
         assert!(!r.is_empty());

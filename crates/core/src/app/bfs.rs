@@ -3,7 +3,7 @@
 //! BFS needs no atomics: dirty writes do not affect correctness (§7.2) — a
 //! neighbor raced by two frontiers gets the same distance either way.
 
-use super::{App, PullStep, Step};
+use super::{App, Step};
 use crate::access::AccessRecorder;
 use gpu_sim::{Device, DeviceArray};
 use sage_graph::{Csr, NodeId};
@@ -81,16 +81,10 @@ impl App for Bfs {
         self.dist[node as usize] == -1
     }
 
-    fn pull_update(
-        &mut self,
-        node: NodeId,
-        _in_neighbor: NodeId,
-        rec: &mut AccessRecorder,
-    ) -> PullStep {
+    fn pull_claim(&mut self, node: NodeId, _parent: NodeId, rec: &mut AccessRecorder) {
         // dirty: any frontier parent gives the same distance — claim on the first
         self.dist[node as usize] = self.level + 1;
         rec.write_dirty(self.dist.addr(node as usize));
-        PullStep::Claim
     }
 }
 

@@ -2,7 +2,7 @@
 //! §4 lists as expressible through the filter interface ("merge two
 //! components of the frontier and the neighbor").
 
-use super::{App, PullStep};
+use super::App;
 use crate::access::AccessRecorder;
 use gpu_sim::{Device, DeviceArray};
 use sage_graph::{Csr, NodeId};
@@ -60,36 +60,6 @@ impl App for Cc {
             true
         } else {
             false
-        }
-    }
-
-    fn supports_pull(&self) -> bool {
-        true
-    }
-
-    fn pull_candidate(&mut self, node: NodeId, rec: &mut AccessRecorder) -> bool {
-        rec.read(self.label.addr(node as usize));
-        true
-    }
-
-    fn pull_update(
-        &mut self,
-        node: NodeId,
-        in_neighbor: NodeId,
-        rec: &mut AccessRecorder,
-    ) -> PullStep {
-        let u = node as usize;
-        let v = in_neighbor as usize;
-        rec.read(self.label.addr(v));
-        if self.label[v] < self.label[u] {
-            // plain min — this lane owns `node`, but other SMs may read
-            // label[u] as an in-neighbor concurrently.
-            // dirty: the monotone min converges either way (§7.2)
-            self.label[u] = self.label[v];
-            rec.write_dirty(self.label.addr(u));
-            PullStep::Update
-        } else {
-            PullStep::Skip
         }
     }
 }

@@ -6,6 +6,12 @@
 //! and *describes* its memory behaviour by recording the touched addresses
 //! on an [`AccessRecorder`]; the engine flushes the recorder per tile so the
 //! lanes' accesses coalesce.
+//!
+//! The direction optimizer's bottom-up gears (pull and matrix) need one more
+//! contract: a candidate gate ([`App::pull_candidate`]) and a claim at the
+//! first frontier in-neighbor ([`App::pull_claim`]). Bottom-up is a BFS
+//! technique, and [`Bfs`] is the one app that implements it; the others
+//! only push.
 
 pub mod bc;
 pub mod bfs;
@@ -31,19 +37,6 @@ pub enum Step {
     Frontier(Vec<NodeId>),
     /// The application converged.
     Done,
-}
-
-/// Outcome of one pull-mode edge visit ([`App::pull_update`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PullStep {
-    /// The vertex claimed its final value: join the next frontier and stop
-    /// scanning its remaining in-edges (BFS: parent found).
-    Claim,
-    /// The vertex improved but may improve further: join the next frontier
-    /// and keep scanning (CC: a smaller label may still appear).
-    Update,
-    /// No state change from this in-edge; keep scanning.
-    Skip,
 }
 
 /// The per-vertex kernel an app runs at the end of an iteration (e.g.
@@ -118,34 +111,23 @@ pub trait App {
 
     /// True when the app implements the pull (bottom-up) contract below.
     /// Apps that only push keep the default and the runner never selects a
-    /// pull iteration for them.
+    /// bottom-up iteration for them; BFS is the one app that pulls.
     fn supports_pull(&self) -> bool {
         false
     }
 
     /// Pull-mode candidate gate: should vertex `node`'s in-edges be scanned
-    /// this iteration? Records the state reads the gate performs (e.g. BFS
-    /// reads `dist[node]` and skips visited vertices). Default: scan all.
+    /// this iteration? Records the state reads the gate performs (BFS reads
+    /// `dist[node]` and skips visited vertices). Default: scan all.
     fn pull_candidate(&mut self, _node: NodeId, _rec: &mut AccessRecorder) -> bool {
         true
     }
 
-    /// Pull-mode edge visit: `in_neighbor` is a frontier member with an edge
-    /// into `node`. Mutates `node`'s state (no atomics needed — one lane
-    /// owns the vertex) and says whether to claim, keep scanning with
-    /// membership, or skip.
-    fn pull_update(
-        &mut self,
-        _node: NodeId,
-        _in_neighbor: NodeId,
-        _rec: &mut AccessRecorder,
-    ) -> PullStep {
-        PullStep::Skip
-    }
-
-    /// Per-candidate work after its in-edge scan completes (e.g. PageRank
-    /// writing the accumulated rank once).
-    fn pull_finish(&mut self, _node: NodeId, _rec: &mut AccessRecorder) {}
+    /// Pull-mode claim: `parent` is the first frontier member found among
+    /// `node`'s in-neighbors. The vertex takes its final value (no atomics
+    /// needed — one lane owns it), joins the next frontier, and the scan of
+    /// its remaining in-edges ends.
+    fn pull_claim(&mut self, _node: NodeId, _parent: NodeId, _rec: &mut AccessRecorder) {}
 }
 
 /// Deterministic per-edge weight in `1..=15` for weighted applications on

@@ -5,7 +5,7 @@
 //! iteration is the entire node set — with atomic aggregation
 //! (`atomicAdd(pr_out[neighbor], increment)`).
 
-use super::{App, PullStep, Step, VertexEpilogue};
+use super::{App, Step, VertexEpilogue};
 use crate::access::AccessRecorder;
 use gpu_sim::{AccessKind, Device, DeviceArray};
 use sage_graph::{Csr, NodeId};
@@ -15,8 +15,8 @@ pub const DAMPING: f32 = 0.85;
 
 /// Fixed-point scale for the rank accumulator. Per-edge increments are
 /// computed in f32 (as the GPU would) and then accumulated as scaled
-/// integers, making the sum independent of edge visit order — push and pull
-/// iterations, and every engine schedule, produce bitwise-identical ranks.
+/// integers, making the sum independent of edge visit order — every engine
+/// schedule produces bitwise-identical ranks.
 const ACC_SCALE: f64 = (1u64 << 40) as f64;
 
 /// Push-style PageRank.
@@ -132,28 +132,6 @@ impl App for PageRank {
         } else {
             Step::Frontier((0..self.n as NodeId).collect())
         }
-    }
-
-    fn supports_pull(&self) -> bool {
-        true
-    }
-
-    fn pull_update(
-        &mut self,
-        node: NodeId,
-        in_neighbor: NodeId,
-        rec: &mut AccessRecorder,
-    ) -> PullStep {
-        let v = in_neighbor as usize;
-        rec.read(self.pr_in.addr(v));
-        rec.read(self.outdeg.addr(v));
-        self.acc[node as usize] += fixed_increment(self.pr_in[v], self.outdeg[v]);
-        PullStep::Skip
-    }
-
-    fn pull_finish(&mut self, node: NodeId, rec: &mut AccessRecorder) {
-        // one non-atomic store of the gathered rank sum
-        rec.write(self.pr_out.addr(node as usize));
     }
 }
 

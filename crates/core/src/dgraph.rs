@@ -13,7 +13,7 @@ use sage_graph::{Csr, NodeId};
 
 /// Where the CSR arrays live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphPlacement {
+enum GraphPlacement {
     /// Both arrays in device memory (single-GPU / multi-GPU scenarios).
     Device,
     /// Both arrays in host memory, accessed over PCIe (out-of-core).
@@ -212,12 +212,6 @@ impl DeviceGraph {
         &self.csr
     }
 
-    /// Where the arrays live.
-    #[must_use]
-    pub fn placement(&self) -> GraphPlacement {
-        self.placement
-    }
-
     /// Address of `u_offset[u]`.
     #[inline]
     #[must_use]
@@ -262,7 +256,7 @@ mod tests {
     fn device_upload_addresses() {
         let mut d = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload(&mut d, graph());
-        assert_eq!(g.placement(), GraphPlacement::Device);
+        assert_eq!(g.placement, GraphPlacement::Device);
         assert_eq!(g.offset_addr(1) - g.offset_addr(0), 4);
         assert_eq!(g.target_addr(2) - g.target_addr(0), 8);
         assert!(!gpu_sim::mem::is_host_addr(g.target_addr(0)));
@@ -272,7 +266,7 @@ mod tests {
     fn host_upload_lands_in_host_space() {
         let mut d = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload_host(&mut d, graph());
-        assert_eq!(g.placement(), GraphPlacement::Host);
+        assert_eq!(g.placement, GraphPlacement::Host);
         assert!(gpu_sim::mem::is_host_addr(g.offset_addr(0)));
         assert!(gpu_sim::mem::is_host_addr(g.target_addr(0)));
         // the frontier buffers stay on the device

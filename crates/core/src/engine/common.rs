@@ -3,7 +3,7 @@
 
 use super::IterationOutput;
 use crate::access::AccessRecorder;
-use crate::app::{App, PullStep};
+use crate::app::App;
 use crate::dgraph::DeviceGraph;
 use crate::frontier::BitFrontier;
 use gpu_sim::tile::{charge_shfl, charge_vote};
@@ -178,9 +178,9 @@ pub struct PullConfig {
 }
 
 /// Scan one candidate vertex's in-edges against the frontier bitmap:
-/// coalesced in-target reads, one bitmap-word probe per lane, the app's
-/// `pull_update` per frontier member, early exit on a claim. Returns the
-/// number of in-edges examined.
+/// coalesced in-target reads, one bitmap-word probe per lane, and the app's
+/// `pull_claim` at the first frontier member, which ends the scan. Returns
+/// the number of in-edges examined.
 #[allow(clippy::too_many_arguments)]
 fn pull_scan_node(
     sh: &mut SmShard<'_, '_>,
@@ -196,15 +196,9 @@ fn pull_scan_node(
     let warp = sh.cfg().warp_size;
     let beg = in_csr.offset(u);
     let deg = in_csr.degree(u) as u32;
-    if deg == 0 {
-        app.pull_finish(u, rec);
-        rec.flush(sh);
-        return 0;
-    }
     let sources = &in_csr.targets()[beg as usize..(beg + deg) as usize];
     let mut edges = 0u64;
-    let mut joined = false;
-    'scan: for (ci, chunk) in sources.chunks(warp).enumerate() {
+    for (ci, chunk) in sources.chunks(warp).enumerate() {
         let idx0 = beg + (ci * warp) as u32;
         // consecutive CSR indices: one coalesced request per warp
         sh.access_range(
@@ -221,31 +215,15 @@ fn pull_scan_node(
         sh.access(AccessKind::Read, addr_scratch, 8);
         for &v in chunk {
             edges += 1;
-            if !fr.contains(v) {
-                continue;
-            }
-            match app.pull_update(u, v, rec) {
-                PullStep::Claim => {
-                    if !joined {
-                        next.push(u);
-                    }
-                    // the remaining in-edges go unscanned — the pull win
-                    break 'scan;
-                }
-                PullStep::Update => {
-                    if !joined {
-                        next.push(u);
-                        joined = true;
-                    }
-                }
-                PullStep::Skip => {}
+            if fr.contains(v) {
+                app.pull_claim(u, v, rec);
+                rec.flush(sh);
+                next.push(u);
+                // the remaining in-edges go unscanned — the pull win
+                return edges;
             }
         }
-        rec.flush(sh);
     }
-    rec.flush(sh);
-    app.pull_finish(u, rec);
-    rec.flush(sh);
     edges
 }
 

@@ -2,34 +2,35 @@
 //!
 //! A pull iteration is a masked sparse-matrix/vector product in disguise:
 //! `next = (Aᵀ ⊙ mask) · f`, where `Aᵀ` is the reversed adjacency, `f` the
-//! frontier bitmap and `mask` the candidate gate (unvisited vertices for
-//! BFS/CC, everything for PR). When the frontier is *dense*, executing that
-//! product block-by-block on the matrix units beats lane-by-lane CSR
-//! scanning: the adjacency is processed as `block_dim × block_dim` binary
-//! blocks, each block-column of the frontier is loaded once as a bitmap
-//! fragment (one 64-bit word read per active pair instead of one probe per
-//! edge), and the block multiply itself retires as a single tensor-unit op
-//! (`SmShard::mma`) instead of a cooperative per-candidate election.
+//! frontier bitmap and `mask` the candidate gate (BFS's unvisited
+//! vertices; BFS is the one app with a pull contract). When the frontier is
+//! *dense*, executing that product block-by-block on the matrix units beats
+//! lane-by-lane CSR scanning: the adjacency is processed as
+//! `block_dim × block_dim` binary blocks, each block-column of the frontier
+//! is loaded once as a bitmap fragment (one 64-bit word read per active
+//! pair instead of one probe per edge), and the block multiply itself
+//! retires as a single tensor-unit op (`SmShard::mma`) instead of a
+//! cooperative per-candidate election.
 //!
 //! Early exit survives at block granularity: column blocks are consumed in
-//! ascending order and a row whose app claims it (BFS's first parent)
-//! drops out of every later fragment, so a row-block stops multiplying as
-//! soon as all its candidate rows have converged — the block-level
+//! ascending order and a row claimed at its first frontier parent drops
+//! out of every later fragment, so a row-block stops multiplying as soon
+//! as all its candidate rows have converged — the block-level
 //! convergence check of tensor-core BFS kernels. The residual trade is
 //! granularity (a claimed row still pays for the whole fragment that
 //! claimed it), which is why the runner only picks this mode above a
 //! frontier-density threshold, where first fragments almost always hit.
 //!
 //! Functionally the mode is *identical* to pull: candidates are walked in
-//! ascending order and updates go through the same `pull_update` /
-//! `pull_finish` contract, so outputs stay bitwise identical to push-only
-//! runs. Cost charging is block-granular and independent of the functional
-//! early exit, so simulated cycles are deterministic too.
+//! ascending order and each claims through the same `pull_claim` at its
+//! first frontier in-neighbor, so outputs stay bitwise identical to
+//! push-only runs. Cost charging is block-granular and independent of the
+//! functional early exit, so simulated cycles are deterministic too.
 
 use super::common::{charge_bitmap_build, charge_queue_append, gate_rows};
 use super::IterationOutput;
 use crate::access::AccessRecorder;
-use crate::app::{App, PullStep};
+use crate::app::App;
 use crate::dgraph::DeviceGraph;
 use crate::frontier::BitFrontier;
 use gpu_sim::{AccessKind, Device};
@@ -52,14 +53,15 @@ use sage_graph::NodeId;
 ///    bitmap fragment (the 64-bit words covering the column range), gather
 ///    the live rows' runs with coalesced range reads (the on-the-fly `Aᵀ`
 ///    fragment — no preprocessed block storage), retire one tensor op via
-///    [`gpu_sim::SmShard::mma`], and apply the app's pull contract to the
-///    run members. A claimed row is dead for every later block; once all
-///    rows converge the row-block stops early.
+///    [`gpu_sim::SmShard::mma`], and claim each live row whose run holds a
+///    frontier member (`pull_claim` at the first one). A claimed row is
+///    dead for every later block; once all rows are claimed the row-block
+///    stops early.
 /// 4. append survivors to the graph's frontier queue in ascending order.
 ///
 /// Because each row's runs are visited in ascending column order — the
-/// order its CSR targets are already in — every row sees exactly the
-/// `pull_update` call sequence a scalar pull scan gives it, so outputs are
+/// order its CSR targets are already in — every row claims at the same
+/// first frontier in-neighbor a scalar pull scan finds, so outputs are
 /// bitwise identical to pull (and therefore to push). Cost charging is
 /// run-granular and independent of the functional early exit inside a
 /// fragment, so simulated cycles are deterministic too.
@@ -78,8 +80,7 @@ pub fn matrix_iterate(
     let mut candidates: Vec<NodeId> = Vec::new();
     // (col_block, candidate slot, csr range) runs of the current row-block
     let mut runs: Vec<(usize, usize, u32, u32)> = Vec::new();
-    let mut joined: Vec<bool> = Vec::new();
-    let mut done: Vec<bool> = Vec::new();
+    let mut claimed: Vec<bool> = Vec::new();
 
     let row_blocks = n.div_ceil(block_dim);
     let mut k = dev.launch(kernel);
@@ -135,10 +136,8 @@ pub fn matrix_iterate(
         // candidate-major build + stable sort = column-major groups whose
         // runs keep ascending row order
         runs.sort_by_key(|&(cb, _, _, _)| cb);
-        joined.clear();
-        joined.resize(candidates.len(), false);
-        done.clear();
-        done.resize(candidates.len(), false);
+        claimed.clear();
+        claimed.resize(candidates.len(), false);
         let mut live = candidates.len();
 
         // 3. consume column blocks in ascending order with block-level
@@ -152,7 +151,7 @@ pub fn matrix_iterate(
             }
             let group = &runs[gi..ge];
             gi = ge;
-            if group.iter().all(|&(_, slot, _, _)| done[slot]) {
+            if group.iter().all(|&(_, slot, _, _)| claimed[slot]) {
                 continue; // every row of this fragment already converged
             }
 
@@ -174,7 +173,7 @@ pub fn matrix_iterate(
             // whole regardless of where a claim lands inside them
             scratch.clear();
             for &(_, slot, beg, end) in group {
-                if done[slot] {
+                if claimed[slot] {
                     continue;
                 }
                 for idx in beg..end {
@@ -187,25 +186,17 @@ pub fn matrix_iterate(
             }
 
             for &(_, slot, beg, end) in group {
-                if done[slot] {
+                if claimed[slot] {
                     continue;
                 }
                 let u = candidates[slot];
-                for idx in beg..end {
-                    let v = in_csr.targets()[idx as usize];
-                    if !fr.contains(v) {
-                        continue;
-                    }
-                    match app.pull_update(u, v, &mut rec) {
-                        PullStep::Claim => {
-                            joined[slot] = true;
-                            done[slot] = true;
-                            live -= 1;
-                            break;
-                        }
-                        PullStep::Update => joined[slot] = true,
-                        PullStep::Skip => {}
-                    }
+                let parent = in_csr.targets()[beg as usize..end as usize]
+                    .iter()
+                    .find(|&&v| fr.contains(v));
+                if let Some(&v) = parent {
+                    app.pull_claim(u, v, &mut rec);
+                    claimed[slot] = true;
+                    live -= 1;
                 }
             }
             rec.flush(&mut sh);
@@ -214,12 +205,10 @@ pub fn matrix_iterate(
         // 4. survivors in ascending row order — `next` matches a pull
         // iteration bit for bit
         for (slot, &u) in candidates.iter().enumerate() {
-            if joined[slot] {
+            if claimed[slot] {
                 out.next.push(u);
             }
-            app.pull_finish(u, &mut rec);
         }
-        rec.flush(&mut sh);
     }
 
     charge_queue_append(&mut k, out.next.len(), g.queue_base());

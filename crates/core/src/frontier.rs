@@ -4,7 +4,7 @@
 //! the compacted node list the push pipeline of Figure 2 produces). A pull
 //! or matrix iteration builds a **dense bitmap** from it (one bit per node,
 //! the representation bottom-up iterations probe per in-edge) in O(|F|)
-//! bit sets; the bitmap tracks its population, so `|F|` costs nothing.
+//! bit sets.
 
 use sage_graph::NodeId;
 
@@ -13,8 +13,6 @@ use sage_graph::NodeId;
 #[derive(Debug, Clone, Default)]
 pub struct BitFrontier {
     words: Vec<u64>,
-    num_nodes: usize,
-    count: usize,
     device_base: u64,
 }
 
@@ -25,8 +23,6 @@ impl BitFrontier {
     pub fn new(num_nodes: usize, device_base: u64) -> Self {
         Self {
             words: vec![0u64; num_nodes.div_ceil(64).max(1)],
-            num_nodes,
-            count: 0,
             device_base,
         }
     }
@@ -48,7 +44,6 @@ impl BitFrontier {
         let mask = 1u64 << bit;
         if self.words[w] & mask == 0 {
             self.words[w] |= mask;
-            self.count += 1;
             true
         } else {
             false
@@ -59,24 +54,6 @@ impl BitFrontier {
     #[must_use]
     pub fn contains(&self, u: NodeId) -> bool {
         self.words[u as usize / 64] & (1u64 << (u as usize % 64)) != 0
-    }
-
-    /// Number of set bits (frontier population).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True when no bit is set.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Nodes the bitmap covers.
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
     }
 
     /// Number of backing 8-byte words.
@@ -111,7 +88,7 @@ impl BitFrontier {
     /// ascending order — the shared walk for everything that scans the bitmap
     /// at word granularity (matrix-mode fragment reads, dense bit-set
     /// charging, sparse extraction), so callers stop re-deriving word
-    /// addresses ad hoc. Population stays O(1) via the cached [`Self::len`].
+    /// addresses ad hoc.
     pub fn set_words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.words
             .iter()
@@ -124,7 +101,7 @@ impl BitFrontier {
     /// sparse queue: sorted and duplicate-free by construction).
     #[must_use]
     pub fn to_vec(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.count);
+        let mut out = Vec::new();
         for (wi, w) in self.set_words() {
             let mut bits = w;
             while bits != 0 {
@@ -135,12 +112,6 @@ impl BitFrontier {
         }
         out
     }
-
-    /// Clear every bit.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.count = 0;
-    }
 }
 
 #[cfg(test)]
@@ -150,11 +121,11 @@ mod tests {
     #[test]
     fn insert_contains_and_count() {
         let mut b = BitFrontier::new(200, 0);
-        assert!(b.is_empty());
+        assert!(b.to_vec().is_empty());
         assert!(b.insert(3));
         assert!(b.insert(130));
         assert!(!b.insert(3), "re-insert is a no-op");
-        assert_eq!(b.len(), 2);
+        assert_eq!(b.to_vec().len(), 2);
         assert!(b.contains(3));
         assert!(b.contains(130));
         assert!(!b.contains(4));
@@ -164,7 +135,6 @@ mod tests {
     fn to_vec_is_sorted_and_deduped() {
         let b = BitFrontier::from_nodes(&[70, 3, 3, 199, 0, 70], 200, 0);
         assert_eq!(b.to_vec(), vec![0, 3, 70, 199]);
-        assert_eq!(b.len(), 4);
     }
 
     #[test]
@@ -185,16 +155,8 @@ mod tests {
         assert_eq!(words[1].0, 1);
         assert_eq!(words[2].0, 3);
         let pop: u32 = words.iter().map(|&(_, w)| w.count_ones()).sum();
-        assert_eq!(pop as usize, b.len());
+        assert_eq!(pop, 3);
         assert_eq!(b.word_addr_at(1), (1 << 20) + 8);
         assert_eq!(b.word_addr_at(1), b.word_addr(70));
-    }
-
-    #[test]
-    fn clear_resets_population() {
-        let mut b = BitFrontier::from_nodes(&[1, 2, 3], 64, 0);
-        b.clear();
-        assert!(b.is_empty());
-        assert!(!b.contains(1));
     }
 }

@@ -134,11 +134,6 @@ impl MultiGpuDriver {
         }
     }
 
-    /// The device hosting partition `i`.
-    pub fn device(&mut self, i: usize) -> &mut Device {
-        &mut self.devices[i]
-    }
-
     /// Run `app` from `source` across all devices; timing is the slowest
     /// device's clock including per-iteration exchanges.
     pub fn run(&mut self, app: &mut dyn App, source: NodeId) -> RunReport {
@@ -435,7 +430,7 @@ mod tests {
     #[test]
     fn driver_reports_ownership() {
         let csr = graph();
-        let mut driver = MultiGpuDriver::new(
+        let driver = MultiGpuDriver::new(
             MultiGpuConfig {
                 gpus: 2,
                 kind: MgKind::Sage,
@@ -446,7 +441,7 @@ mod tests {
         );
         assert_eq!(driver.owner[0], 0);
         assert_eq!(driver.owner[csr.num_nodes() - 1], 1);
-        assert!(driver.device(0).elapsed_seconds() >= 0.0);
+        assert!(driver.devices[0].elapsed_seconds() >= 0.0);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! (expand the sparse queue's out-edges) and **pull** (scan unvisited
 //! vertices' in-edges against a dense bitmap of the frontier). Pull
 //! iterations require the graph's in-edge view ([`crate::DeviceGraph::with_in_edges`]),
-//! an app with a pull contract and an engine that describes its bottom-up
-//! geometry ([`Engine::bottom_up`]); otherwise the runner transparently
-//! stays push-only. The runner drives both bottom-up gears itself, through
+//! an app with a pull contract ([`App::supports_pull`]; BFS is the one) and
+//! an engine that describes its bottom-up geometry ([`Engine::bottom_up`]);
+//! otherwise the runner transparently stays push-only. The runner drives
+//! both bottom-up gears itself, through
 //! [`crate::engine::common::pull_iterate`] and
 //! [`crate::engine::spmv::matrix_iterate`].
 //!
@@ -48,7 +49,9 @@ pub enum DirectionPolicy {
     /// bitmap is dense enough (`n_f / n ≥ density` — well-populated
     /// fragments amortize the block multiplies), and as a scalar pull scan
     /// otherwise; `density: f64::INFINITY` gives the two-way push/pull
-    /// optimizer.
+    /// optimizer, and `alpha = beta = ∞` with `density: 0.0` pins every
+    /// iteration from the first frontier with out-edges to the matrix gear
+    /// (how tests force it).
     Adaptive3 {
         /// Push→pull edge-mass ratio (paper default 14).
         alpha: f64,
@@ -57,11 +60,6 @@ pub enum DirectionPolicy {
         /// Minimum frontier density for the matrix mode.
         density: f64,
     },
-    /// Every iteration runs as a masked SpMV (testing/ablation mode). Unlike
-    /// the adaptive policies this skips the `m_u > 0` guard, so all-vertex
-    /// frontier apps (PR, CC) take the matrix path too — PR *is* the
-    /// classic SpMV workload.
-    MatrixOnly,
 }
 
 impl DirectionPolicy {
@@ -120,15 +118,6 @@ impl Runner {
         }
     }
 
-    /// A runner pinned to matrix (masked SpMV) iterations.
-    #[must_use]
-    pub fn matrix_only() -> Self {
-        Self {
-            policy: DirectionPolicy::MatrixOnly,
-            ..Self::default()
-        }
-    }
-
     /// Execute one full traversal of `app` from `source` and report
     /// simulated timing.
     pub fn run(
@@ -151,7 +140,7 @@ impl Runner {
                 beta,
                 density,
             } => (alpha, beta, density),
-            DirectionPolicy::PushOnly | DirectionPolicy::MatrixOnly => (0.0, 0.0, 0.0),
+            DirectionPolicy::PushOnly => (0.0, 0.0, 0.0),
         };
         // the engine's bottom-up geometry, asked once per run and only when
         // the policy, the graph and the app allow a bottom-up step; without
@@ -206,28 +195,21 @@ impl Runner {
             if track {
                 m_f = frontier.iter().map(|&u| g.csr().degree(u) as u64).sum();
                 let n_f = frontier.len() as f64;
-                if matches!(self.policy, DirectionPolicy::MatrixOnly) {
-                    mode = Mode::Matrix;
-                } else {
-                    if !pulling {
-                        // m_u > 0: bottom-up only pays while unvisited
-                        // vertices remain to early-exit on. Apps whose
-                        // initial frontier is every vertex (PR, CC) drain
-                        // m_u at init and correctly stay push — their pull
-                        // scans can't skip anything.
-                        if m_u > 0 && m_f as f64 * alpha > m_u as f64 {
-                            pulling = true;
-                        }
-                    } else if n_f * beta < n as f64 {
-                        pulling = false;
+                if !pulling {
+                    // m_u > 0: bottom-up only pays while unvisited vertices
+                    // remain to early-exit on
+                    if m_u > 0 && m_f as f64 * alpha > m_u as f64 {
+                        pulling = true;
                     }
-                    if pulling {
-                        mode = if n_f >= density * n as f64 {
-                            Mode::Matrix
-                        } else {
-                            Mode::Pull
-                        };
-                    }
+                } else if n_f * beta < n as f64 {
+                    pulling = false;
+                }
+                if pulling {
+                    mode = if n_f >= density * n as f64 {
+                        Mode::Matrix
+                    } else {
+                        Mode::Pull
+                    };
                 }
             }
 
@@ -488,39 +470,33 @@ mod tests {
         assert_eq!(push.direction_trace, ">".repeat(push.iterations));
     }
 
+    /// The three-way policy pinned bottom-up on the matrix gear: alpha ∞
+    /// flips to bottom-up on the first frontier with out-edges, beta ∞ never
+    /// flips back, density 0 takes the matrix units every time.
+    fn matrix_forced() -> Runner {
+        Runner {
+            policy: DirectionPolicy::Adaptive3 {
+                alpha: f64::INFINITY,
+                beta: f64::INFINITY,
+                density: 0.0,
+            },
+            ..Runner::default()
+        }
+    }
+
     #[test]
-    fn matrix_only_bfs_matches_reference_and_traces_m() {
+    fn matrix_forced_bfs_matches_reference_and_traces_m() {
         let csr = small_graph();
         let expect = reference::bfs_levels(&csr, 5);
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload(&mut dev, csr).with_in_edges(&mut dev);
         let mut app = Bfs::new(&mut dev);
         let mut eng = NaiveEngine::new();
-        let r = Runner::matrix_only().run(&mut dev, &g, &mut eng, &mut app, 5);
+        let r = matrix_forced().run(&mut dev, &g, &mut eng, &mut app, 5);
         assert_eq!(app.distances(), expect.as_slice());
         assert!(r.converged);
         assert_eq!(r.direction_trace, "M".repeat(r.iterations));
         assert!(dev.profiler().mma_ops > 0);
-    }
-
-    #[test]
-    fn matrix_only_pagerank_matches_reference() {
-        // PR is the classic SpMV workload: MatrixOnly skips the m_u guard
-        let csr = small_graph();
-        let expect = reference::pagerank(&csr, 20);
-        let mut dev = Device::new(DeviceConfig::test_tiny());
-        let g = DeviceGraph::upload(&mut dev, csr).with_in_edges(&mut dev);
-        let mut app = PageRank::new(&mut dev, 20, 0.0);
-        let mut eng = NaiveEngine::new();
-        let r = Runner::matrix_only().run(&mut dev, &g, &mut eng, &mut app, 0);
-        assert_eq!(r.iterations, 20);
-        assert!(r.direction_trace.chars().all(|c| c == 'M'));
-        for (i, (&p, &pr)) in app.ranks().iter().zip(&expect).enumerate() {
-            assert!(
-                (f64::from(p) - pr).abs() < 1e-4 + 1e-2 * pr,
-                "pr[{i}]: {p} vs {pr}"
-            );
-        }
     }
 
     #[test]
@@ -531,7 +507,7 @@ mod tests {
         let g = DeviceGraph::upload(&mut dev, csr); // no in-edge view
         let mut app = Bfs::new(&mut dev);
         let mut eng = NaiveEngine::new();
-        let r = Runner::matrix_only().run(&mut dev, &g, &mut eng, &mut app, 5);
+        let r = matrix_forced().run(&mut dev, &g, &mut eng, &mut app, 5);
         assert!(r.converged);
         assert!(!r.direction_trace.contains('M'));
         assert_eq!(dev.profiler().mma_ops, 0);
@@ -547,7 +523,7 @@ mod tests {
             r.direction_trace
         );
         let mut b40c = B40cEngine::new();
-        for runner in [Runner::new(), Runner::matrix_only()] {
+        for runner in [Runner::new(), matrix_forced()] {
             let r = runner.run(&mut dev, &g, &mut b40c, &mut app, 5);
             assert!(r.converged);
             assert_eq!(r.direction_trace, ">".repeat(r.iterations));

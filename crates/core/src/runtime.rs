@@ -104,12 +104,6 @@ impl SageRuntime {
         }
     }
 
-    /// The live (possibly reordered) graph.
-    #[must_use]
-    pub fn graph(&self) -> &DeviceGraph {
-        &self.graph
-    }
-
     /// Reordering rounds applied so far.
     #[must_use]
     pub fn rounds(&self) -> usize {
@@ -434,7 +428,7 @@ mod tests {
             } else {
                 let _ = rt.run(&mut dev, &mut bfs, op * 37 % 2048);
             }
-            let snapshot = (rt.graph().csr().clone(), rt.permutation().clone());
+            let snapshot = (rt.graph.csr().clone(), rt.permutation().clone());
             let rounds = rt.rounds();
             rt.maybe_reorder(&mut dev);
             if rt.rounds() > rounds {
@@ -443,9 +437,9 @@ mod tests {
             } else if rt.rounds() < rounds {
                 rollbacks += 1;
                 let (csr, perm) = pre_commit.take().expect("a rollback follows a commit");
-                assert_eq!(*rt.graph().csr(), csr, "rollback {rollbacks}: CSR differs");
+                assert_eq!(*rt.graph.csr(), csr, "rollback {rollbacks}: CSR differs");
                 assert_eq!(*rt.permutation(), perm, "rollback {rollbacks}: permutation");
-                assert_eq!(*rt.graph().in_csr().unwrap(), rt.graph().csr().reversed());
+                assert_eq!(*rt.graph.in_csr().unwrap(), rt.graph.csr().reversed());
             }
         }
         assert!(
@@ -467,6 +461,6 @@ mod tests {
         let cu = rt.current_id(u);
         let mut expect: Vec<NodeId> = csr.neighbors(u).iter().map(|&v| rt.current_id(v)).collect();
         expect.sort_unstable();
-        assert_eq!(rt.graph().csr().neighbors(cu), expect.as_slice());
+        assert_eq!(rt.graph.csr().neighbors(cu), expect.as_slice());
     }
 }

@@ -1,10 +1,11 @@
 //! Property-based tests for the direction optimizer: on arbitrary graphs
-//! the adaptive three-way runner, the push-only runner, the matrix-forced
-//! (masked SpMV) runner, and the sequential reference all agree — exactly
-//! for BFS/CC, bitwise for PR between the device pipelines — across every
-//! pull-capable engine, plus a deterministic hub-star family guaranteed to
-//! take the bottom-up (pull or matrix) path. On a 6,000-node power-law
-//! graph the adaptive runner must also take the matrix gear and beat push.
+//! the adaptive three-way runner, the push-only runner and the sequential
+//! reference all agree — exactly for BFS/CC, bitwise for PR between the
+//! device pipelines — across every pull-capable engine, and BFS on the
+//! matrix-forced (masked SpMV) runner agrees too, plus a deterministic
+//! hub-star family guaranteed to take the bottom-up (pull or matrix) path.
+//! On a 6,000-node power-law graph the adaptive runner must also take the
+//! matrix gear and beat push.
 
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
@@ -38,6 +39,20 @@ fn pull_engines() -> Vec<Box<dyn Engine>> {
 fn star(n: usize) -> Csr {
     let es: Vec<(NodeId, NodeId)> = (1..n as NodeId).flat_map(|v| [(0, v), (v, 0)]).collect();
     Csr::from_edges(n, &es)
+}
+
+/// The three-way policy pinned bottom-up on the matrix gear: alpha ∞ flips
+/// to bottom-up on the first frontier with out-edges, beta ∞ never flips
+/// back, density 0 takes the matrix units every time.
+fn matrix_forced() -> Runner {
+    Runner {
+        policy: DirectionPolicy::Adaptive3 {
+            alpha: f64::INFINITY,
+            beta: f64::INFINITY,
+            density: 0.0,
+        },
+        ..Runner::default()
+    }
 }
 
 /// The per-mode letters (`>` push, `<` pull, `M` matrix) of a run's trace
@@ -77,7 +92,7 @@ proptest! {
             prop_assert_eq!(&adaptive, &expect, "adaptive {} vs reference", engine.name());
             prop_assert_eq!(app.distances(), adaptive.as_slice(),
                 "push-only {} vs adaptive", engine.name());
-            let r = Runner::matrix_only().run(&mut dev, &dg, engine.as_mut(), &mut app, src);
+            let r = matrix_forced().run(&mut dev, &dg, engine.as_mut(), &mut app, src);
             prop_assert!(modes_add_up(&r), "matrix-forced {}: {} iterations, trace {}, overhead {} of {} s",
                 engine.name(), r.iterations, r.direction_trace, r.overhead_seconds, r.seconds);
             prop_assert_eq!(app.distances(), adaptive.as_slice(),
@@ -101,11 +116,6 @@ proptest! {
             prop_assert_eq!(&adaptive, &expect, "adaptive {} vs reference", engine.name());
             prop_assert_eq!(app.labels(), adaptive.as_slice(),
                 "push-only {} vs adaptive", engine.name());
-            let r = Runner::matrix_only().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
-            prop_assert!(modes_add_up(&r), "matrix-forced {}: {} iterations, trace {}, overhead {} of {} s",
-                engine.name(), r.iterations, r.direction_trace, r.overhead_seconds, r.seconds);
-            prop_assert_eq!(app.labels(), adaptive.as_slice(),
-                "matrix-forced {} vs adaptive", engine.name());
         }
     }
 
@@ -126,11 +136,6 @@ proptest! {
             // device pipelines agree to the bit (the fixed-point accumulator
             // is order-independent); the host reference only approximately
             prop_assert_eq!(&push, &adaptive, "push-only {} vs adaptive", engine.name());
-            let r = Runner::matrix_only().run(&mut dev, &dg, engine.as_mut(), &mut app, 0);
-            prop_assert!(modes_add_up(&r), "matrix-forced {}: {} iterations, trace {}, overhead {} of {} s",
-                engine.name(), r.iterations, r.direction_trace, r.overhead_seconds, r.seconds);
-            let matrix: Vec<u32> = app.ranks().iter().map(|p| p.to_bits()).collect();
-            prop_assert_eq!(&matrix, &adaptive, "matrix-forced {} vs adaptive", engine.name());
             for (i, (&p, &pr)) in app.ranks().iter().zip(&expect).enumerate() {
                 prop_assert!((f64::from(p) - pr).abs() < 1e-4 + 1e-2 * pr,
                     "pr[{}]: {} vs {} ({})", i, p, pr, engine.name());
@@ -168,7 +173,7 @@ proptest! {
         for mut engine in pull_engines() {
             let dg = DeviceGraph::upload(&mut dev, g.clone()).with_in_edges(&mut dev);
             let mut app = Bfs::new(&mut dev);
-            let r = Runner::matrix_only().run(&mut dev, &dg, engine.as_mut(), &mut app, src);
+            let r = matrix_forced().run(&mut dev, &dg, engine.as_mut(), &mut app, src);
             prop_assert!(r.direction_trace.contains('M'),
                 "matrix-forced star must multiply on {}: {}", engine.name(), r.direction_trace);
             prop_assert_eq!(app.distances(), expect.as_slice(),

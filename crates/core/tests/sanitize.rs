@@ -1,10 +1,10 @@
 //! Race-sanitizer suite: on random power-law graphs, every engine ×
 //! {BFS, CC, PR} × {push-only, adaptive} pipeline must be hazard-free, and
 //! enabling the sanitizer must never perturb the simulation — application
-//! outputs, simulated cycles, the scheduling overhead (always a share of the
-//! run time) and every cache counter stay **bitwise identical** at 1 and 4
-//! host threads. The deliberately racy fixture
-//! kernel proves the detector actually fires, exactly once.
+//! outputs, the simulated clock, the scheduling overhead (always a share of
+//! the run time) and every cache counter stay **bitwise identical** at 1
+//! and 4 host threads. The deliberately racy fixture kernel proves the
+//! detector actually fires, exactly once.
 
 use gpu_sim::{Device, DeviceConfig, HazardKind};
 use proptest::prelude::*;
@@ -114,7 +114,7 @@ fn app_name(app: AppSel) -> &'static str {
 #[derive(Debug, PartialEq, Eq, Clone)]
 struct Fingerprint {
     outputs: Vec<u32>,
-    sim_cycles: u64,
+    sim_seconds: u64,
     report_seconds: u64,
     overhead_seconds: u64,
     l1_hits: u64,
@@ -174,11 +174,10 @@ fn run_once(
         report.overhead_seconds,
         report.seconds
     );
-    let cycles = dev.elapsed_cycles();
     let p = dev.profiler();
     let fp = Fingerprint {
         outputs,
-        sim_cycles: cycles.to_bits(),
+        sim_seconds: dev.elapsed_seconds().to_bits(),
         report_seconds: report.seconds.to_bits(),
         overhead_seconds: report.overhead_seconds.to_bits(),
         l1_hits: p.l1_hit_sectors,

@@ -78,11 +78,6 @@ impl Coo {
         *self = Csr::from_coo_symmetric(self).to_coo();
     }
 
-    /// Iterate over edges as `(u, v)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId)> + Clone + '_ {
-        self.edges(0..self.num_edges())
-    }
-
     /// The edges at indices `r`, as `(u, v)` pairs.
     pub(crate) fn edges(
         &self,
@@ -119,7 +114,7 @@ mod tests {
     fn symmetrize_adds_reverse_edges() {
         let mut c = Coo::from_edges(3, &[(0, 1), (1, 2)]);
         c.symmetrize();
-        let edges: Vec<_> = c.iter().collect();
+        let edges: Vec<_> = c.edges(0..c.num_edges()).collect();
         assert_eq!(edges, vec![(0, 1), (1, 0), (1, 2), (2, 1)]);
     }
 

@@ -21,8 +21,8 @@ pub struct Partitioning {
 
 impl Partitioning {
     /// Nodes per partition.
-    #[must_use]
-    pub fn sizes(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn sizes(&self) -> Vec<usize> {
         let mut s = vec![0usize; self.k];
         for &p in &self.part {
             s[p as usize] += 1;

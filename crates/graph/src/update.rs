@@ -21,7 +21,9 @@ impl UpdateBatch {
         Self::default()
     }
 
-    /// Queue an edge insertion.
+    /// Queue an edge insertion. Production batches are all undirected; the
+    /// directed form serves prop_graph::update_batch_apply_validates and
+    /// this module's tests.
     pub fn insert(&mut self, u: NodeId, v: NodeId) -> &mut Self {
         self.inserts.push((u, v));
         self

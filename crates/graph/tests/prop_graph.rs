@@ -144,7 +144,8 @@ proptest! {
         prop_assert_eq!(Csr::from_coo_symmetric(&coo), oracle_csr(n, &sym));
         let mut symmetrized = coo;
         symmetrized.symmetrize();
-        prop_assert_eq!(symmetrized.iter().collect::<Vec<_>>(), sym);
+        let pairs: Vec<_> = symmetrized.u.iter().copied().zip(symmetrized.v.iter().copied()).collect();
+        prop_assert_eq!(pairs, sym);
         prop_assert_eq!(symmetrized.num_nodes, n);
     }
 

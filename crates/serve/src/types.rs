@@ -45,20 +45,6 @@ impl AppKind {
         }
     }
 
-    /// Parse a CLI/user-facing app name.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "bfs" => Some(Self::Bfs),
-            "pr" | "pagerank" => Some(Self::Pr),
-            "bc" => Some(Self::Bc),
-            "sssp" => Some(Self::Sssp),
-            "cc" => Some(Self::Cc),
-            "walk" => Some(Self::Walk),
-            _ => None,
-        }
-    }
-
     /// Whether results depend on the query's source node. Source-independent
     /// apps have their source normalised to 0 at admission so every request
     /// shares one cache slot.
@@ -280,27 +266,6 @@ pub enum WalkAppKind {
     Node2vec,
 }
 
-impl WalkAppKind {
-    /// Short name used in reports and the CLI.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Ppr => "ppr",
-            Self::Node2vec => "node2vec",
-        }
-    }
-
-    /// Parse a CLI/user-facing walk-app name.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "ppr" => Some(Self::Ppr),
-            "node2vec" | "n2v" => Some(Self::Node2vec),
-            _ => None,
-        }
-    }
-}
-
 /// How the service runs `Walk` queries.
 #[derive(Debug, Clone, Copy)]
 pub struct WalkPolicy {
@@ -407,31 +372,6 @@ impl ServiceConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn app_kind_roundtrips_names() {
-        for kind in [
-            AppKind::Bfs,
-            AppKind::Pr,
-            AppKind::Bc,
-            AppKind::Sssp,
-            AppKind::Cc,
-            AppKind::Walk,
-        ] {
-            assert_eq!(AppKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(AppKind::parse("pagerank"), Some(AppKind::Pr));
-        assert_eq!(AppKind::parse("nope"), None);
-    }
-
-    #[test]
-    fn walk_app_kind_roundtrips_names() {
-        for kind in [WalkAppKind::Ppr, WalkAppKind::Node2vec] {
-            assert_eq!(WalkAppKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(WalkAppKind::parse("n2v"), Some(WalkAppKind::Node2vec));
-        assert_eq!(WalkAppKind::parse("bfs"), None);
-    }
 
     #[test]
     fn source_independence_matches_multi_source_support() {

@@ -160,18 +160,14 @@ impl SectorCache {
         probe
     }
 
-    /// Invalidate everything (e.g. between independent runs).
-    pub fn flush(&mut self) {
-        self.slots.fill(EMPTY_WAY);
-    }
-
     /// (hits, sector misses, line misses) since construction.
     #[must_use]
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.sector_misses, self.line_misses)
     }
 
-    /// Number of sets.
+    /// Number of sets. No production code asks: prop_sim's oracle tests
+    /// check the geometry with it.
     #[must_use]
     pub fn sets(&self) -> usize {
         self.sets.d as usize
@@ -224,14 +220,6 @@ mod tests {
         assert_eq!(c.access(0), Probe::LineMiss); // line 0
         assert_eq!(c.access(16), Probe::LineMiss); // line 4, same set, evicts
         assert_eq!(c.access(0), Probe::LineMiss); // line 0 again: conflict miss
-    }
-
-    #[test]
-    fn flush_clears_contents() {
-        let mut c = cache(16, 4);
-        c.access(7);
-        c.flush();
-        assert_eq!(c.access(7), Probe::LineMiss);
     }
 
     #[test]

@@ -31,12 +31,6 @@ impl CacheConfig {
     pub fn lines(&self, line_bytes: usize) -> usize {
         (self.capacity_bytes / line_bytes).max(self.ways)
     }
-
-    /// Number of sets (lines / ways), always at least one.
-    #[must_use]
-    pub fn sets(&self, line_bytes: usize) -> usize {
-        (self.lines(line_bytes) / self.ways).max(1)
-    }
 }
 
 /// PCIe interconnect parameters for out-of-core traffic (§3.3).
@@ -386,6 +380,7 @@ impl Default for CpuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SectorCache;
 
     #[test]
     fn default_is_rtx8000() {
@@ -398,10 +393,12 @@ mod tests {
     #[test]
     fn cache_geometry() {
         let c = DeviceConfig::default();
+        let spl = c.sectors_per_line();
+        let sets = |cc: &CacheConfig| SectorCache::new(cc.lines(c.line_bytes), cc.ways, spl).sets();
         assert_eq!(c.l1.lines(c.line_bytes), 512);
-        assert_eq!(c.l1.sets(c.line_bytes), 128);
+        assert_eq!(sets(&c.l1), 128);
         assert_eq!(c.l2.lines(c.line_bytes), 49152);
-        assert_eq!(c.l2.sets(c.line_bytes), 3072);
+        assert_eq!(sets(&c.l2), 3072);
     }
 
     #[test]
@@ -432,7 +429,7 @@ mod tests {
             ways: 4,
             hit_latency: 1,
         };
-        assert!(cc.sets(128) >= 1);
+        assert!(SectorCache::new(cc.lines(128), cc.ways, 4).sets() >= 1);
         assert!(cc.lines(128) >= cc.ways);
     }
 

@@ -269,12 +269,6 @@ impl Device {
         self.cfg.cycles_to_seconds(self.elapsed_cycles)
     }
 
-    /// Simulated cycles elapsed.
-    #[must_use]
-    pub fn elapsed_cycles(&self) -> f64 {
-        self.elapsed_cycles
-    }
-
     /// The scheduling-overhead share of [`Self::elapsed_seconds`]: what
     /// every finished kernel charged as scheduling work (see the
     /// `kernel` module docs).
@@ -328,10 +322,10 @@ mod tests {
         assert_eq!(d.elapsed_seconds(), 0.0);
         let k = d.launch("a");
         let r = k.finish();
-        assert!((d.elapsed_cycles() - r.cycles).abs() < 1e-9);
+        assert!((d.elapsed_cycles - r.cycles).abs() < 1e-9);
         let k = d.launch("b");
         let r2 = k.finish();
-        assert!((d.elapsed_cycles() - r.cycles - r2.cycles).abs() < 1e-9);
+        assert!((d.elapsed_cycles - r.cycles - r2.cycles).abs() < 1e-9);
     }
 
     #[test]

@@ -207,12 +207,6 @@ impl<'d> Kernel<'d> {
         self.scheduling = true;
     }
 
-    /// Current latency-hiding concurrency.
-    #[must_use]
-    pub fn concurrency(&self) -> f64 {
-        self.concurrency
-    }
-
     /// Probe one sector through the memory hierarchy and charge the outcome.
     /// Host-space sectors become PCIe traffic; contiguous host sectors merge
     /// into a single DMA request (tracked through `prev_host_sector`) — the
@@ -1042,7 +1036,7 @@ mod tests {
             p.atomic_conflicts,
             p.syncs,
             p.cycles.to_bits(),
-            d.elapsed_cycles().to_bits(),
+            d.elapsed_seconds().to_bits(),
         ];
         let (l2h, l2sm, l2lm) = d.l2_stats();
         (counters, l2h, l2sm, l2lm)
@@ -1251,7 +1245,7 @@ mod tests {
             p.write_sectors,
             p.atomics,
             p.cycles.to_bits(),
-            d.elapsed_cycles().to_bits(),
+            d.elapsed_seconds().to_bits(),
             l2h,
             l2sm,
             l2lm,
@@ -1348,9 +1342,9 @@ mod tests {
         let mut d = dev();
         let mut k = d.launch("clamp");
         k.set_concurrency(1e9);
-        assert_eq!(k.concurrency(), 8.0);
+        assert_eq!(k.concurrency, 8.0);
         k.set_concurrency(0.0);
-        assert_eq!(k.concurrency(), 1.0);
+        assert_eq!(k.concurrency, 1.0);
         let _ = k.finish();
     }
 }

@@ -28,7 +28,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone)]
 pub struct Allocator {
     cursor: u64,
-    space: MemSpace,
 }
 
 /// Alignment (bytes) of every allocation.
@@ -43,7 +42,7 @@ impl Allocator {
             MemSpace::Device => ALLOC_ALIGN,
             MemSpace::Host => 1 << 40,
         };
-        Self { cursor, space }
+        Self { cursor }
     }
 
     /// Reserve `bytes` and return the base address.
@@ -52,12 +51,6 @@ impl Allocator {
         let sz = (bytes as u64).max(1);
         self.cursor = (base + sz).div_ceil(ALLOC_ALIGN) * ALLOC_ALIGN;
         base
-    }
-
-    /// The address space this allocator serves.
-    #[must_use]
-    pub fn space(&self) -> MemSpace {
-        self.space
     }
 }
 
@@ -75,7 +68,6 @@ pub fn is_host_addr(addr: u64) -> bool {
 #[derive(Debug, Clone)]
 pub struct DeviceArray<T> {
     base: u64,
-    space: MemSpace,
     data: Vec<T>,
 }
 
@@ -85,7 +77,6 @@ impl<T: Clone> DeviceArray<T> {
         let base = alloc.alloc(len * std::mem::size_of::<T>());
         Self {
             base,
-            space: alloc.space(),
             data: vec![fill; len],
         }
     }
@@ -109,12 +100,6 @@ impl<T> DeviceArray<T> {
     #[must_use]
     pub fn base(&self) -> u64 {
         self.base
-    }
-
-    /// The address space the array lives in.
-    #[must_use]
-    pub fn space(&self) -> MemSpace {
-        self.space
     }
 
     /// Number of elements.

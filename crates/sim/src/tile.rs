@@ -2,7 +2,7 @@
 //!
 //! A **tile** is a group of threads in a collaborative state — communicating
 //! closely and executing synchronously (§5.1). This module provides the tile
-//! shape arithmetic (binary partition down to `MIN_TILE_SIZE`) and the cost
+//! shape (a power-of-two thread count and the warps it spans) and the cost
 //! accounting for the CG primitives Algorithms 2–4 use: `any`/`all` votes,
 //! `elect`, `shfl`, `partition`, and group sync.
 //!
@@ -41,19 +41,6 @@ impl Tile {
     #[must_use]
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// Binary partition (`cg::partition`): the tile splits into two halves;
-    /// the returned tile describes either half.
-    ///
-    /// # Panics
-    /// Panics when the tile is a single thread.
-    #[must_use]
-    pub fn partition(self) -> Tile {
-        assert!(self.size > 1, "cannot partition a single-thread tile");
-        Tile {
-            size: self.size / 2,
-        }
     }
 
     /// Warps the tile spans on the given device.
@@ -115,22 +102,9 @@ mod tests {
     use crate::device::Device;
 
     #[test]
-    fn tile_partition_halves() {
-        let t = Tile::new(16);
-        assert_eq!(t.partition().size(), 8);
-        assert_eq!(t.partition().partition().size(), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_rejected() {
         let _ = Tile::new(12);
-    }
-
-    #[test]
-    #[should_panic(expected = "single-thread")]
-    fn partitioning_singleton_rejected() {
-        let _ = Tile::new(1).partition();
     }
 
     #[test]

@@ -65,12 +65,6 @@ impl StampLru {
         self.stamps[lru_slot] = self.clock;
         Probe::LineMiss
     }
-
-    fn flush(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.sector_bits.fill(0);
-        self.stamps.fill(0);
-    }
 }
 
 /// Turn raw draws into a probe stream with reuse and set conflicts: most
@@ -79,7 +73,7 @@ impl StampLru {
 /// the cache. A third of the lines are lifted far past 2^32, where the set
 /// index takes the `%` fallback, by one of four multiples of `sets`: that
 /// keeps their true set, so a wrong wide-tag remainder splits a conflict
-/// group and changes outcomes. `None` is a flush.
+/// group and changes outcomes. `None` is a flush: both caches start empty.
 fn probe_stream(ops: &[(u32, u64)], sets: usize, ways: usize, spl: usize) -> Vec<Option<u64>> {
     let (sets, ways, spl) = (sets as u64, ways as u64, spl as u64);
     ops.iter()
@@ -119,8 +113,8 @@ proptest! {
         for (i, op) in probe_stream(&ops, sets, ways, spl).into_iter().enumerate() {
             match op {
                 None => {
-                    cache.flush();
-                    oracle.flush();
+                    cache = SectorCache::new(sets * ways, ways, spl);
+                    oracle = StampLru::new(sets * ways, ways, spl);
                 }
                 Some(sector) => prop_assert_eq!(
                     cache.access(sector),

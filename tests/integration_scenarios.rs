@@ -158,7 +158,7 @@ fn cli_refuses_bad_input_without_panicking() {
     let walk = ["walk", "--dataset", "brain", "--scale", "0.05"];
     let bfs = ["bfs", "--dataset", "brain", "--scale", "0.05"];
     let serve = ["serve", "--dataset", "brain", "--scale", "0.05"];
-    let cases: [(Vec<&str>, i32); 14] = [
+    let cases: [(Vec<&str>, i32); 15] = [
         (vec!["serve", "--graph", empty, "--requests", "4"], 1),
         (
             [&walk[..], &["--walk-app", "node2vec", "--p", "0"]].concat(),
@@ -175,6 +175,7 @@ fn cli_refuses_bad_input_without_panicking() {
         (vec!["kcore", "--dataset", "brain", "--scale", "0.05"], 2),
         ([&bfs[..], &["--repeat", "0"]].concat(), 2),
         ([&bfs[..], &["--threads", "0"]].concat(), 2),
+        ([&bfs[..], &["--mode", "matrix"]].concat(), 2),
         ([&serve[..], &["--devices", "0"]].concat(), 2),
         ([&serve[..], &["--requests", "0"]].concat(), 2),
         ([&walk[..], &["--walks", "0"]].concat(), 2),
@@ -186,6 +187,19 @@ fn cli_refuses_bad_input_without_panicking() {
         assert_eq!(code, Some(want), "{args:?} exit code; stderr: {stderr}");
         assert!(!stderr.trim().is_empty(), "{args:?} gave no message");
     }
+
+    // subway runs only on a host-resident graph, and the refusal says so
+    let (code, stderr) = sage_cli(&[&bfs[..], &["--engine", "subway"]].concat());
+    assert!(!stderr.contains("panicked"), "subway panicked: {stderr}");
+    assert_eq!(
+        code,
+        Some(2),
+        "subway without --out-of-core; stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains("--out-of-core"),
+        "subway refusal does not name --out-of-core: {stderr}"
+    );
 
     // a reader that closes stdout before the first line (`| head -0`)
     // ends the run quietly with exit 0
