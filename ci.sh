@@ -47,6 +47,15 @@ if grep -rnE "maybe_reorder|with_in_edges|Measurement|Runner::" crates/bench/src
   exit 1
 fi
 
+echo "== serving: one adaptation session per graph =="
+# a served graph has one layout: workers adopt and decide reorder rounds
+# through the graph's ReorderSession (SageRuntime::adapt_shared), so a
+# worker-local round would fork the layout and the epoch again
+if grep -rnE "maybe_reorder|force_reorder" crates/serve/src; then
+  echo "crates/serve/src must reorder through the graph's session, not maybe_reorder/force_reorder" >&2
+  exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

@@ -108,6 +108,24 @@ const APPS: [(&str, MakeApp); 5] = [
     ("sssp", |dev| Box::new(Sssp::new(dev))),
 ];
 
+/// Builds one engine on the device for the graph.
+type MakeEngine = fn(&mut Device, &Csr) -> Box<dyn Engine>;
+
+/// The engines by name: the one list that both the accepted-name check and
+/// the dispatch read.
+const ENGINES: [(&str, MakeEngine); 8] = [
+    ("sage", |_, _| Box::new(ResidentEngine::new())),
+    ("sage-tp", |_, _| Box::new(TiledPartitioningEngine::new())),
+    ("naive", |_, _| Box::new(NaiveEngine::new())),
+    ("b40c", |_, _| Box::new(B40cEngine::new())),
+    ("tigr", |dev, csr| Box::new(TigrEngine::new(dev, csr))),
+    ("gunrock", |_, _| Box::new(GunrockEngine::new())),
+    ("ligra", |_, _| Box::new(LigraEngine::new())),
+    ("subway", |dev, csr| {
+        Box::new(SubwayEngine::new(dev, csr.num_edges()))
+    }),
+];
+
 /// What the first argument selected.
 enum Command {
     App(MakeApp),
@@ -120,13 +138,15 @@ struct Args {
     command: Command,
     graph: Option<String>,
     dataset: Option<String>,
-    engine: String,
+    engine: &'static str,
+    make_engine: MakeEngine,
     source: u32,
     scale: f64,
     repeat: usize,
     out_of_core: bool,
     profile: bool,
-    mode: String,
+    /// `--mode push`: pin every iteration to push.
+    push_only: bool,
     threads: Option<usize>,
     sanitize: bool,
     devices: usize,
@@ -219,13 +239,14 @@ fn parse_args() -> Args {
         command,
         graph: None,
         dataset: None,
-        engine: "sage".into(),
+        engine: ENGINES[0].0,
+        make_engine: ENGINES[0].1,
         source: 0,
         scale: 0.2,
         repeat: 1,
         out_of_core: false,
         profile: false,
-        mode: "adaptive".into(),
+        push_only: false,
         threads: None,
         sanitize: false,
         devices: 2,
@@ -248,7 +269,14 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--graph" => args.graph = Some(value("--graph")),
             "--dataset" => args.dataset = Some(value("--dataset")),
-            "--engine" => args.engine = value("--engine"),
+            "--engine" => {
+                let name = value("--engine");
+                let Some(&(engine, make)) = ENGINES.iter().find(|&&(n, _)| n == name) else {
+                    eprintln!("unknown engine {name:?}");
+                    usage()
+                };
+                (args.engine, args.make_engine) = (engine, make);
+            }
             "--source" => args.source = value("--source").parse().unwrap_or_else(|_| usage()),
             "--scale" => {
                 args.scale = value("--scale").parse().unwrap_or_else(|_| usage());
@@ -260,7 +288,16 @@ fn parse_args() -> Args {
             "--repeat" => args.repeat = count("--repeat", &value("--repeat")),
             "--out-of-core" => args.out_of_core = true,
             "--profile" => args.profile = true,
-            "--mode" => args.mode = value("--mode"),
+            "--mode" => {
+                args.push_only = match value("--mode").as_str() {
+                    "push" => true,
+                    "adaptive" => false,
+                    other => {
+                        eprintln!("unknown mode {other:?} (want push|adaptive)");
+                        usage()
+                    }
+                }
+            }
             "--threads" => args.threads = Some(count("--threads", &value("--threads"))),
             "--sanitize" => args.sanitize = true,
             "--devices" => args.devices = count("--devices", &value("--devices")),
@@ -278,7 +315,40 @@ fn parse_args() -> Args {
             }
         }
     }
+    check_combinations(&args);
     args
+}
+
+/// Refuse (exit 2) flag values that are only wrong together, before any
+/// graph is loaded or generated.
+fn check_combinations(args: &Args) {
+    if args.engine == "subway" && !args.out_of_core {
+        eprintln!("--engine subway needs --out-of-core");
+        exit(2);
+    }
+    if !matches!(args.command, Command::Walk) {
+        return;
+    }
+    match args.walk_app.as_str() {
+        "ppr" => {
+            if !(args.alpha > 0.0 && args.alpha < 1.0) {
+                eprintln!("--alpha must lie in (0, 1), got {}", args.alpha);
+                exit(2);
+            }
+        }
+        "node2vec" | "n2v" => {
+            for (flag, v) in [("--p", args.p), ("--q", args.q)] {
+                if !(v > 0.0 && v.is_finite()) {
+                    eprintln!("{flag} must be positive and finite, got {v}");
+                    exit(2);
+                }
+            }
+        }
+        other => {
+            eprintln!("unknown walk app {other:?} (want ppr|node2vec)");
+            usage()
+        }
+    }
 }
 
 fn load_graph(args: &Args) -> Csr {
@@ -326,27 +396,6 @@ fn device(args: &Args) -> Device {
     dev
 }
 
-fn make_engine(args: &Args, dev: &mut Device, csr: &Csr) -> Box<dyn Engine> {
-    match args.engine.as_str() {
-        "sage" => Box::new(ResidentEngine::new()),
-        "sage-tp" => Box::new(TiledPartitioningEngine::new()),
-        "naive" => Box::new(NaiveEngine::new()),
-        "b40c" => Box::new(B40cEngine::new()),
-        "tigr" => Box::new(TigrEngine::new(dev, csr)),
-        "gunrock" => Box::new(GunrockEngine::new()),
-        "ligra" => Box::new(LigraEngine::new()),
-        "subway" if args.out_of_core => Box::new(SubwayEngine::new(dev, csr.num_edges())),
-        "subway" => {
-            eprintln!("--engine subway needs --out-of-core");
-            exit(2)
-        }
-        other => {
-            eprintln!("unknown engine {other:?}");
-            usage()
-        }
-    }
-}
-
 /// `sage_cli walk`: run a deterministic random-walk batch on the adaptive
 /// runtime and print the terminal distribution of the hottest nodes.
 fn walk_mode(args: &Args, csr: Csr) {
@@ -357,27 +406,11 @@ fn walk_mode(args: &Args, csr: Csr) {
         eprintln!("source {} out of range", args.source);
         exit(1);
     }
-    let app: Box<dyn WalkApp> = match args.walk_app.as_str() {
-        "ppr" => {
-            if !(args.alpha > 0.0 && args.alpha < 1.0) {
-                eprintln!("--alpha must lie in (0, 1), got {}", args.alpha);
-                exit(2);
-            }
-            Box::new(Ppr::new(args.alpha))
-        }
-        "node2vec" | "n2v" => {
-            for (flag, v) in [("--p", args.p), ("--q", args.q)] {
-                if !(v > 0.0 && v.is_finite()) {
-                    eprintln!("{flag} must be positive and finite, got {v}");
-                    exit(2);
-                }
-            }
-            Box::new(Node2vec::new(args.p, args.q))
-        }
-        other => {
-            eprintln!("unknown walk app {other:?} (want ppr|node2vec)");
-            usage()
-        }
+    // parse_args accepted the app and its parameters
+    let app: Box<dyn WalkApp> = if args.walk_app == "ppr" {
+        Box::new(Ppr::new(args.alpha))
+    } else {
+        Box::new(Node2vec::new(args.p, args.q))
     };
     let spec = WalkSpec {
         walks_per_source: args.walks,
@@ -544,7 +577,7 @@ fn main() {
     }
 
     let mut dev = device(&args);
-    let mut engine = make_engine(&args, &mut dev, &csr);
+    let mut engine = (args.make_engine)(&mut dev, &csr);
     let g = if args.out_of_core {
         // host-resident graphs stay push-only: the in-edge view would
         // double the PCIe-resident footprint
@@ -555,13 +588,10 @@ fn main() {
 
     let mut app = make_app(&mut dev);
 
-    let runner = match args.mode.as_str() {
-        "push" => Runner::push_only(),
-        "adaptive" => Runner::new(),
-        other => {
-            eprintln!("unknown mode {other:?} (want push|adaptive)");
-            usage()
-        }
+    let runner = if args.push_only {
+        Runner::push_only()
+    } else {
+        Runner::new()
     };
     for i in 0..args.repeat {
         let host_start = Instant::now();

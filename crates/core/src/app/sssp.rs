@@ -25,7 +25,9 @@ impl Sssp {
         }
     }
 
-    /// Distances after a run ([`UNREACHED`] when unreachable).
+    /// Distances after a run ([`UNREACHED`] when unreachable). No
+    /// production code asks: `prop_core`, `integration_pipeline` and the
+    /// engine unit tests check them against the Dijkstra reference.
     #[must_use]
     pub fn distances(&self) -> &[u32] {
         self.dist.as_slice()

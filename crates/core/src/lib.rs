@@ -50,4 +50,4 @@ pub use dgraph::DeviceGraph;
 pub use frontier::BitFrontier;
 pub use metrics::{LatencyBreakdown, RunReport};
 pub use pipeline::{DirectionPolicy, Runner};
-pub use runtime::SageRuntime;
+pub use runtime::{ReorderSession, SageRuntime};

@@ -152,29 +152,37 @@ impl Sampler {
         expected.sort_unstable();
         let order: Vec<NodeId> = expected.iter().map(|&(_, u)| u).collect();
 
-        // Representation-update kernel: O(|V| + |E|) streaming (§6).
-        let mut k = dev.launch("sampling_reorder_apply");
-        let sms2 = k.num_sms();
-        let stream = (n as u64 + self.sampled).div_ceil(sms2 as u64);
-        let mut addrs: Vec<u64> = Vec::with_capacity(32);
-        for sm in 0..sms2 {
-            let mut sh = k.shard(sm);
-            sh.exec_uniform(stream.div_ceil(32).max(1));
-            addrs.clear();
-            for i in 0..32u64 {
-                addrs.push((1 << 30) + (sm as u64 * 4096) + i * 4);
-            }
-            sh.access(AccessKind::Write, &addrs, 4);
-        }
-        let _ = k.finish();
+        charge_representation_update(dev, n as u64 + self.sampled);
+        self.clear();
+        Some(Permutation::from_order(&order))
+    }
 
-        // reset for the next round
+    /// Drop this round's samples without deriving a permutation, e.g. when
+    /// they were taken on a layout that has since been replaced.
+    pub(crate) fn clear(&mut self) {
         self.locality.fill(0);
         self.votes.fill([(0, 0, 0); ANCHOR_SLOTS]);
         self.sampled = 0;
-
-        Some(Permutation::from_order(&order))
     }
+}
+
+/// Charge the representation-update kernel (§6): `elements` node and edge
+/// entries streamed once to rebuild the CSR under a new labelling.
+pub(crate) fn charge_representation_update(dev: &mut Device, elements: u64) {
+    let mut k = dev.launch("sampling_reorder_apply");
+    let sms = k.num_sms();
+    let stream = elements.div_ceil(sms as u64);
+    let mut addrs: Vec<u64> = Vec::with_capacity(32);
+    for sm in 0..sms {
+        let mut sh = k.shard(sm);
+        sh.exec_uniform(stream.div_ceil(32).max(1));
+        addrs.clear();
+        for i in 0..32u64 {
+            addrs.push((1 << 30) + (sm as u64 * 4096) + i * 4);
+        }
+        sh.access(AccessKind::Write, &addrs, 4);
+    }
+    let _ = k.finish();
 }
 
 impl TileObserver for Sampler {

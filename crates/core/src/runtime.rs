@@ -13,7 +13,7 @@ use crate::dgraph::DeviceGraph;
 use crate::engine::{Engine, ResidentEngine};
 use crate::metrics::RunReport;
 use crate::pipeline::Runner;
-use crate::reorder::Sampler;
+use crate::reorder::{charge_representation_update, Sampler};
 use crate::walk::{self, WalkApp, WalkOutput, WalkSpec};
 use gpu_sim::Device;
 use sage_graph::{Csr, NodeId, Permutation};
@@ -31,6 +31,157 @@ macro_rules! debug_log {
             eprintln!("[sage] {}", format!($($arg)*));
         }
     };
+}
+
+/// The reorder decisions of one graph's layout (§6, Algorithm 4 applied
+/// round by round): the composed permutation, the epoch, and the
+/// bookkeeping that commits, rolls back or freezes each round.
+///
+/// A lone [`SageRuntime`] owns one and decides through it. Several
+/// runtimes serving one graph share one through
+/// [`SageRuntime::adapt_shared`], so the graph has a single layout and a
+/// single epoch however many devices hold a copy of it.
+#[derive(Debug, Clone)]
+pub struct ReorderSession {
+    /// Composition of every applied round: original id → current id.
+    perm: Permutation,
+    rounds: usize,
+    /// Monotone version of the id mapping: bumped on every committed *and*
+    /// every rolled-back round. Anything keyed on node ids (result caches,
+    /// precomputed frontiers) is stale once this changes.
+    epoch: u64,
+    /// Normalised sampled locality of the previous round (per edge access).
+    prev_locality: Option<f64>,
+    /// The last committed round's permutation, kept to undo it if it
+    /// turns out to have hurt: its inverse recomputes the previous order.
+    undo: Option<Permutation>,
+    /// Rounds that regressed and were rolled back.
+    regressions: usize,
+    /// Consecutive rounds with no meaningful locality gain.
+    plateau: usize,
+    /// Set once locality regressed repeatedly: the order has converged
+    /// "to a relatively high level" (§6).
+    converged: bool,
+}
+
+/// One decided round: the relabel (current id → next current id) every
+/// copy of the graph applies, and whether it committed or rolled back.
+struct Round {
+    relabel: Permutation,
+    committed: bool,
+}
+
+impl ReorderSession {
+    /// A session over `n` nodes in their original order, at epoch 0.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        Self {
+            perm: Permutation::identity(n),
+            rounds: 0,
+            epoch: 0,
+            prev_locality: None,
+            undo: None,
+            regressions: 0,
+            plateau: 0,
+            converged: false,
+        }
+    }
+
+    /// Net committed rounds (a rollback undoes one).
+    #[must_use]
+    pub fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    /// Version of the id mapping: committed plus rolled-back rounds.
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The composed permutation: original id → current id.
+    #[must_use]
+    pub fn permutation(&self) -> &Permutation {
+        &self.perm
+    }
+
+    /// Decide one round from `sampler`'s samples, taken on this session's
+    /// current layout.
+    ///
+    /// Each round first compares the freshly sampled locality against the
+    /// previous round's (the paper's Stage-1/Stage-3 comparison applied at
+    /// round granularity): if the last reordering *reduced* locality, it is
+    /// rolled back and the order is frozen as converged. Returns the
+    /// relabel to apply when the layout changed.
+    fn decide(&mut self, dev: &mut Device, sampler: &mut Sampler) -> Option<Round> {
+        if self.converged || sampler.sampled() == 0 {
+            return None;
+        }
+        let cur_locality = sampler.total_locality() as f64 / sampler.sampled() as f64;
+        if let (Some(prev), Some(last_perm)) = (self.prev_locality, self.undo.take()) {
+            if cur_locality < prev * 1.03 {
+                // no meaningful gain: the order is approaching convergence
+                self.plateau += 1;
+            } else {
+                self.plateau = 0;
+            }
+            if cur_locality < prev * 0.99 {
+                // the last round hurt: roll it back; after two failed
+                // attempts the order is declared converged. Rows are
+                // strictly ascending, so relabelling by the inverse
+                // rebuilds the previous CSR bit for bit.
+                let undo = last_perm.inverse();
+                self.perm = self.perm.then(&undo);
+                self.rounds -= 1;
+                self.epoch += 1;
+                self.regressions += 1;
+                debug_log!(
+                    "reorder round rolled back (locality {cur_locality:.4} < {:.4}), \
+                     epoch -> {}, regressions {}",
+                    prev * 0.99,
+                    self.epoch,
+                    self.regressions
+                );
+                if self.regressions >= 2 {
+                    self.converged = true;
+                    debug_log!("reordering converged after {} rounds", self.rounds);
+                }
+                // discard the samples taken on the rolled-back order
+                let _ = sampler.finish_round(dev);
+                return Some(Round {
+                    relabel: undo,
+                    committed: false,
+                });
+            }
+            if self.plateau >= 2 {
+                // two rounds without progress: stop adapting (§6:
+                // "until convergence to a relatively high level")
+                self.converged = true;
+                debug_log!(
+                    "reordering plateaued after {} rounds (locality {cur_locality:.4}); frozen",
+                    self.rounds
+                );
+                let _ = sampler.finish_round(dev);
+                return None;
+            }
+        }
+
+        let round_perm = sampler.finish_round(dev)?;
+        self.perm = self.perm.then(&round_perm);
+        self.undo = Some(round_perm.clone());
+        self.prev_locality = Some(cur_locality);
+        self.rounds += 1;
+        self.epoch += 1;
+        debug_log!(
+            "reorder round {} committed (sampled locality {cur_locality:.4}), epoch -> {}",
+            self.rounds,
+            self.epoch
+        );
+        Some(Round {
+            relabel: round_perm,
+            committed: true,
+        })
+    }
 }
 
 /// SAGE with self-adaptive reordering enabled.
@@ -52,26 +203,11 @@ macro_rules! debug_log {
 pub struct SageRuntime {
     graph: DeviceGraph,
     engine: ResidentEngine,
-    /// Composition of every applied round: original id → current id.
-    perm: Permutation,
-    rounds: usize,
-    /// Monotone version of the id mapping: bumped on every committed *and*
-    /// every rolled-back round. Anything keyed on node ids (result caches,
-    /// precomputed frontiers) is stale once this changes.
-    epoch: u64,
     runner: Runner,
-    /// Normalised sampled locality of the previous round (per edge access).
-    prev_locality: Option<f64>,
-    /// The last committed round's permutation, kept to undo it if it
-    /// turns out to have hurt: its inverse recomputes the previous order.
-    undo: Option<Permutation>,
-    /// Rounds that regressed and were rolled back.
-    regressions: usize,
-    /// Consecutive rounds with no meaningful locality gain.
-    plateau: usize,
-    /// Set once locality regressed repeatedly: the order has converged
-    /// "to a relatively high level" (§6).
-    converged: bool,
+    /// The session this runtime's layout belongs to. A lone runtime
+    /// decides through it; one that adapts through a shared session keeps
+    /// a copy of that session as of its last adoption.
+    session: ReorderSession,
 }
 
 impl SageRuntime {
@@ -92,22 +228,15 @@ impl SageRuntime {
         Self {
             graph,
             engine,
-            perm: Permutation::identity(n),
-            rounds: 0,
-            epoch: 0,
             runner: Runner::new(),
-            prev_locality: None,
-            undo: None,
-            regressions: 0,
-            plateau: 0,
-            converged: false,
+            session: ReorderSession::new(n),
         }
     }
 
     /// Reordering rounds applied so far.
     #[must_use]
     pub fn rounds(&self) -> usize {
-        self.rounds
+        self.session.rounds
     }
 
     /// Version of the current id mapping. Bumped whenever a reordering
@@ -115,31 +244,31 @@ impl SageRuntime {
     /// current-id data (cached results, saved frontiers) may be stale.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.session.epoch
     }
 
     /// The composed permutation applied so far: original id → current id.
     #[must_use]
     pub fn permutation(&self) -> &Permutation {
-        &self.perm
+        &self.session.perm
     }
 
     /// Current id of an original node id.
     #[must_use]
     pub fn current_id(&self, original: NodeId) -> NodeId {
-        self.perm.map(original)
+        self.session.perm.map(original)
     }
 
     /// Map per-current-id values back to original ids.
     #[must_use]
     pub fn to_original_order<T: Clone>(&self, values_by_current: &[T]) -> Vec<T> {
-        self.perm.inverse().apply_values(values_by_current)
+        self.session.perm.inverse().apply_values(values_by_current)
     }
 
     /// Run `app` from `source` (an *original* node id), sampling tile
     /// accesses along the way.
     pub fn run(&mut self, dev: &mut Device, app: &mut dyn App, source: NodeId) -> RunReport {
-        let src = self.perm.map(source);
+        let src = self.session.perm.map(source);
         self.runner
             .run(dev, &self.graph, &mut self.engine, app, src)
     }
@@ -155,8 +284,8 @@ impl SageRuntime {
         spec: &WalkSpec,
         sources: &[NodeId],
     ) -> WalkOutput {
-        let cur_sources: Vec<NodeId> = sources.iter().map(|&s| self.perm.map(s)).collect();
-        let inv = self.perm.inverse();
+        let cur_sources: Vec<NodeId> = sources.iter().map(|&s| self.session.perm.map(s)).collect();
+        let inv = self.session.perm.inverse();
         let out = walk::run_batch(
             dev,
             &self.graph,
@@ -182,107 +311,75 @@ impl SageRuntime {
     /// rolled back); further rounds are skipped.
     #[must_use]
     pub fn converged(&self) -> bool {
-        self.converged
+        self.session.converged
+    }
+
+    /// True once the sampler has reached its threshold on this layout.
+    fn saturated(&self) -> bool {
+        self.engine.sampler.as_ref().is_some_and(Sampler::saturated)
     }
 
     /// If the sampler has reached its threshold, execute one reordering
     /// round (stages 2–3 + representation update) and return true.
     pub fn maybe_reorder(&mut self, dev: &mut Device) -> bool {
-        let saturated = self.engine.sampler.as_ref().is_some_and(Sampler::saturated);
-        if !saturated {
+        if !self.saturated() {
             return false;
         }
         self.force_reorder(dev)
     }
 
-    /// Execute one reordering round regardless of the threshold.
-    ///
-    /// Each round first compares the freshly sampled locality against the
-    /// previous round's (the paper's Stage-1/Stage-3 comparison applied at
-    /// round granularity): if the last reordering *reduced* locality, it is
-    /// rolled back and the order is frozen as converged.
+    /// Execute one reordering round regardless of the threshold; true when
+    /// it committed (see [`ReorderSession`] for rollbacks).
     pub fn force_reorder(&mut self, dev: &mut Device) -> bool {
-        if self.converged {
+        let Some(sampler) = self.engine.sampler.as_mut() else {
+            return false;
+        };
+        let Some(round) = self.session.decide(dev, sampler) else {
+            return false;
+        };
+        self.relabel(&round.relabel);
+        round.committed
+    }
+
+    /// Adapt through `shared`, the one session of every runtime on this
+    /// graph. First adopt every relabel it published since this runtime
+    /// last called: rebuild the CSR in the shared layout, drop the resident
+    /// tiles and the samples taken on the old layout, and charge the device
+    /// the representation-update pass. Then, if this runtime's sampler
+    /// saturated on the shared layout, decide the next round against
+    /// `shared`. Returns true when this call published a round (`shared`'s
+    /// epoch moved).
+    pub fn adapt_shared(&mut self, dev: &mut Device, shared: &mut ReorderSession) -> bool {
+        if self.session.epoch != shared.epoch {
+            let relabel = self.session.perm.inverse().then(&shared.perm);
+            self.relabel(&relabel);
+            if let Some(sampler) = self.engine.sampler.as_mut() {
+                sampler.clear();
+            }
+            let csr = self.graph.csr();
+            charge_representation_update(dev, (csr.num_nodes() + csr.num_edges()) as u64);
+            self.session.clone_from(shared);
+        }
+        if shared.converged || !self.saturated() {
             return false;
         }
         let Some(sampler) = self.engine.sampler.as_mut() else {
             return false;
         };
-        if sampler.sampled() == 0 {
-            return false;
+        let round = shared.decide(dev, sampler);
+        if let Some(round) = &round {
+            self.relabel(&round.relabel);
         }
-        let cur_locality = sampler.total_locality() as f64 / sampler.sampled() as f64;
-        if let (Some(prev), Some(last_perm)) = (self.prev_locality, self.undo.take()) {
-            if cur_locality < prev * 1.03 {
-                // no meaningful gain: the order is approaching convergence
-                self.plateau += 1;
-            } else {
-                self.plateau = 0;
-            }
-            if cur_locality < prev * 0.99 {
-                // the last round hurt: roll it back; after two failed
-                // attempts the order is declared converged. Rows are
-                // strictly ascending, so relabelling by the inverse
-                // rebuilds the previous CSR bit for bit.
-                let undo = last_perm.inverse();
-                let prev_csr = undo.apply_csr(self.graph.csr());
-                self.graph.replace_csr(prev_csr);
-                self.perm = self.perm.then(&undo);
-                self.engine.reset();
-                self.rounds -= 1;
-                self.epoch += 1;
-                self.regressions += 1;
-                debug_log!(
-                    "reorder round rolled back (locality {cur_locality:.4} < {:.4}), \
-                     epoch -> {}, regressions {}",
-                    prev * 0.99,
-                    self.epoch,
-                    self.regressions
-                );
-                if self.regressions >= 2 {
-                    self.converged = true;
-                    debug_log!("reordering converged after {} rounds", self.rounds);
-                }
-                // discard the samples taken on the rolled-back order
-                if let Some(smp) = self.engine.sampler.as_mut() {
-                    let _ = smp.finish_round(dev);
-                }
-                return false;
-            }
-            if self.plateau >= 2 {
-                // two rounds without progress: stop adapting (§6:
-                // "until convergence to a relatively high level")
-                self.converged = true;
-                debug_log!(
-                    "reordering plateaued after {} rounds (locality {cur_locality:.4}); frozen",
-                    self.rounds
-                );
-                if let Some(smp) = self.engine.sampler.as_mut() {
-                    let _ = smp.finish_round(dev);
-                }
-                return false;
-            }
-        }
+        self.session.clone_from(shared);
+        round.is_some()
+    }
 
-        let Some(round_perm) = self.engine.sampler.as_mut().unwrap().finish_round(dev) else {
-            return false;
-        };
-        // rebuild the CSR in place and invalidate resident tiles (their
-        // offsets moved)
-        let new_csr = round_perm.apply_csr(self.graph.csr());
-        self.graph.replace_csr(new_csr);
+    /// Rebuild the CSR in place under `relabel` (current id → new current
+    /// id) and invalidate the resident tiles (their offsets moved).
+    fn relabel(&mut self, relabel: &Permutation) {
+        let csr = relabel.apply_csr(self.graph.csr());
+        self.graph.replace_csr(csr);
         self.engine.reset();
-        self.perm = self.perm.then(&round_perm);
-        self.undo = Some(round_perm);
-        self.prev_locality = Some(cur_locality);
-        self.rounds += 1;
-        self.epoch += 1;
-        debug_log!(
-            "reorder round {} committed (sampled locality {cur_locality:.4}), epoch -> {}",
-            self.rounds,
-            self.epoch
-        );
-        true
     }
 }
 

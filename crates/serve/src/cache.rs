@@ -1,8 +1,9 @@
 //! Epoch-keyed result cache.
 //!
 //! Keyed by `(graph, app, source, epoch)`: the epoch is the graph's
-//! reorder-round version, bumped by workers whenever a `SageRuntime`
-//! commits (or rolls back) a reordering round. A reorder therefore
+//! reorder-round version, bumped whenever the graph's one adaptation
+//! session commits (or rolls back) a reordering round, whichever worker
+//! decided it. A reorder therefore
 //! invalidates every cached result for that graph *implicitly* — lookups at
 //! the new epoch miss, and the stale entries age out of the LRU. Values are
 //! stored in **original** node-id space (workers map them back through the

@@ -14,14 +14,18 @@
 //!    [`ServiceError::Overloaded`] under backpressure).
 //! 2. **Batch** — a worker pops the front query's run of same-`(graph, app)`
 //!    queries from the shared FIFO and fuses their sources.
-//! 3. **Execute** — one traversal on the worker's [`sage::SageRuntime`];
-//!    up to 64 BFS/SSSP sources ride a single pipeline.
+//! 3. **Execute** — one traversal on the worker's copy of the graph (a
+//!    [`sage::SageRuntime`]); up to 64 BFS/SSSP sources ride a single
+//!    pipeline.
 //! 4. **Remap + cache** — results come back in *original* node ids (via the
 //!    composed permutation) and are inserted at the graph's current epoch.
 //!
-//! Between batches each worker lets its runtime reorder; any epoch change
-//! is folded into the shared per-graph epoch, so every cached result from
-//! the old id-mapping era becomes unreachable at once.
+//! Each graph has one layout, kept by its [`sage::ReorderSession`]. At
+//! batch pickup a worker adopts the rounds published since its last
+//! pickup and, once its own samples on that layout saturate, decides the
+//! next round for every worker. Each round bumps the graph's epoch, so
+//! every cached result from the old id-mapping era becomes unreachable at
+//! once.
 //!
 //! ```
 //! use sage_serve::{AppKind, QueryRequest, SageService, ServiceConfig};

@@ -10,7 +10,7 @@ use crate::worker::{cache_hit_report, GraphEntry, Registry, StatsSlots, Worker};
 use gpu_sim::{Device, Profiler, ReplayStats};
 use sage::LatencyBreakdown;
 use sage_graph::Csr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -81,6 +81,7 @@ impl SageService {
         let mut profiles = Vec::with_capacity(cfg.devices);
         let mut hazard_slots = Vec::with_capacity(cfg.devices);
         let mut workers = Vec::with_capacity(cfg.devices);
+        let live = Arc::new(AtomicUsize::new(cfg.devices));
         for id in 0..cfg.devices {
             let dev = Device::new(cfg.device_config.clone());
             let slot = Arc::new(Mutex::new(Profiler::default()));
@@ -97,6 +98,7 @@ impl SageService {
                     profile: slot,
                     hazards: hazard_slot,
                 },
+                Arc::clone(&live),
             );
             workers.push(
                 std::thread::Builder::new()
@@ -116,9 +118,11 @@ impl SageService {
         }
     }
 
-    /// Register a graph; queries reference it by the returned id. Every
-    /// worker lazily builds its own adaptive runtime from this CSR. `name`
-    /// is a label at the call site only: the service keeps no copy of it.
+    /// Register a graph; queries reference it by the returned id. The graph
+    /// gets one adaptation session; every worker lazily builds its own copy
+    /// of the graph from this CSR and keeps it in the session's layout.
+    /// `name` is a label at the call site only: the service keeps no copy
+    /// of it.
     pub fn register_graph(&self, name: &str, csr: Csr) -> GraphId {
         let _ = name;
         let mut registry = self
@@ -126,14 +130,12 @@ impl SageService {
             .write()
             .unwrap_or_else(PoisonError::into_inner);
         let id = registry.len() as GraphId;
-        registry.push(Arc::new(GraphEntry {
-            csr,
-            epoch: AtomicU64::new(0),
-        }));
+        registry.push(Arc::new(GraphEntry::new(csr)));
         id
     }
 
-    /// Current reorder epoch of a registered graph.
+    /// Current reorder epoch of a registered graph: the committed plus
+    /// rolled-back rounds of its one adaptation session.
     #[must_use]
     pub fn graph_epoch(&self, graph: GraphId) -> Option<u64> {
         self.registry
@@ -153,7 +155,8 @@ impl SageService {
     /// [`ServiceError::UnknownGraph`] / [`ServiceError::SourceOutOfRange`]
     /// for invalid requests, [`ServiceError::Overloaded`] when the admission
     /// queue is at capacity, [`ServiceError::ShuttingDown`] once the queue
-    /// has closed (including after a worker panic poisoned it).
+    /// has closed: at shutdown, after a worker panic poisoned it, or once
+    /// every worker has died.
     pub fn submit(&self, mut request: QueryRequest) -> Result<Ticket, ServiceError> {
         let admitted_at = Instant::now();
         let (nodes, epoch) = {
@@ -441,6 +444,85 @@ mod tests {
                 other => panic!("expected depths, got {other:?}"),
             }
         }
+        service.shutdown();
+    }
+
+    #[test]
+    fn workers_share_one_layout_equal_to_a_lone_runtime_at_each_epoch() {
+        use crate::types::ResultValues;
+        use crate::worker::{execute, WorkerGraph};
+        use sage::SageRuntime;
+        use sage_graph::gen::{social_graph, SocialParams};
+
+        let cfg = ServiceConfig {
+            reorder_threshold: Some(1000),
+            cache_capacity: 0,
+            ..ServiceConfig::test_config(2)
+        };
+        let service = SageService::start(cfg.clone());
+        let csr = social_graph(&SocialParams {
+            nodes: 600,
+            avg_deg: 12.0,
+            p_intra: 0.8,
+            ..SocialParams::default()
+        });
+        let g = service.register_graph("social", csr.clone());
+        let entry = Arc::clone(
+            &service
+                .registry
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)[g as usize],
+        );
+        let apps = [AppKind::Bfs, AppKind::Sssp, AppKind::Bfs, AppKind::Walk];
+        let (mut commits, mut rollbacks, mut rounds, mut epoch) = (0, 0, 0, 0);
+        // one query at a time: rounds are decided only at pickup, so after
+        // each response the session is still in the layout that served it
+        for i in 0..64u32 {
+            let app = apps[i as usize % apps.len()];
+            let source = i * 37 % 600;
+            let resp = service
+                .query(QueryRequest {
+                    app,
+                    graph: g,
+                    source,
+                })
+                .unwrap();
+            let mut session = entry
+                .session
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
+            assert_eq!(resp.epoch, session.epoch(), "query {i}");
+            match session.epoch() - epoch {
+                0 => assert_eq!(session.rounds(), rounds, "query {i}"),
+                1 if session.rounds() > rounds => commits += 1,
+                1 => rollbacks += 1,
+                moved => panic!("query {i}: one pickup moved the epoch by {moved}"),
+            }
+            (epoch, rounds) = (session.epoch(), session.rounds());
+            // a lone runtime in this epoch's layout: it adopts the session
+            // and never samples enough to decide a round of its own
+            let mut dev = Device::new(cfg.device_config.clone());
+            let mut lone = SageRuntime::with_threshold(&mut dev, csr.clone(), u64::MAX);
+            assert!(!lone.adapt_shared(&mut dev, &mut session));
+            assert_eq!(lone.permutation(), session.permutation());
+            let (values, _) = execute(&mut dev, &mut WorkerGraph::new(lone), &cfg, app, &[source]);
+            let same = match (&*resp.values, &*values[0]) {
+                (ResultValues::Scores(a), ResultValues::Scores(b)) => a
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .eq(b.iter().map(|x| x.to_bits())),
+                (a, b) => a == b,
+            };
+            assert!(same, "query {i}: {app} from {source} at epoch {epoch}");
+        }
+        assert!(commits > 0, "threshold 1000 must commit rounds");
+        assert_eq!(service.graph_epoch(g), Some(commits + rollbacks));
+        let profiles = service.stats().device_profiles;
+        assert!(
+            profiles.iter().all(|p| p.kernels > 0),
+            "both workers must serve"
+        );
         service.shutdown();
     }
 

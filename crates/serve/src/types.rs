@@ -321,8 +321,9 @@ pub struct ServiceConfig {
     pub walk_batch: usize,
     /// How `Walk` queries are executed.
     pub walk: WalkPolicy,
-    /// Sampling threshold for self-reordering; `None` uses the runtime
-    /// default of |E| edge accesses.
+    /// Sampling threshold for self-reordering: the edge accesses a worker
+    /// samples on a graph's current layout before it decides that graph's
+    /// next round, for every worker; `None` uses the runtime default of |E|.
     pub reorder_threshold: Option<u64>,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,

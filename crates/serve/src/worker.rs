@@ -1,8 +1,15 @@
-//! Worker threads: each owns one simulated device plus a per-graph
-//! [`SageRuntime`], pops batches from the shared queue, executes them
-//! (fusing multi-source BFS/SSSP batches into a single frontier pipeline),
-//! maps results back to original node ids, feeds the cache, and drives the
-//! runtime's self-reordering between batches.
+//! Worker threads: each owns one simulated device and, per graph, a
+//! [`SageRuntime`] holding its copy of the graph. A worker pops batches
+//! from the shared queue, executes them (fusing multi-source BFS/SSSP
+//! batches into a single frontier pipeline), maps results back to original
+//! node ids and feeds the cache.
+//!
+//! Every graph has one layout, owned by its [`ReorderSession`]. At batch
+//! pickup a worker first adopts every relabel the session published since
+//! its last pickup, then, if its own samples on the current layout
+//! saturated, decides the graph's next round and publishes it. The graph's
+//! epoch therefore counts one session's rounds, whichever worker decided
+//! them.
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::msapp::{MsBfs, MsSssp, MAX_SOURCES};
@@ -13,20 +20,33 @@ use crate::types::{
 use gpu_sim::{Device, Profiler};
 use sage::app::{Bc, Bfs, Cc, PageRank};
 use sage::walk::{Node2vec, Ppr, WalkApp, WalkSpec, WalkWeights};
-use sage::{LatencyBreakdown, RunReport, SageRuntime};
+use sage::{LatencyBreakdown, ReorderSession, RunReport, SageRuntime};
 use sage_graph::{Csr, NodeId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 /// A registered graph, shared by the service front end and every worker.
 pub(crate) struct GraphEntry {
     pub(crate) csr: Csr,
-    /// Service-wide id-mapping version: bumped whenever *any* worker's
-    /// runtime commits or rolls back a reordering round on this graph.
-    /// The cache keys results by it.
+    /// The graph's one adaptation session: its layout and the decisions
+    /// that produced it. Workers adopt and decide under this lock.
+    pub(crate) session: Mutex<ReorderSession>,
+    /// The session's epoch (its committed plus rolled-back rounds),
+    /// published after every round so admission reads it without taking
+    /// the session lock. The cache keys results by it.
     pub(crate) epoch: AtomicU64,
+}
+
+impl GraphEntry {
+    pub(crate) fn new(csr: Csr) -> Self {
+        Self {
+            session: Mutex::new(ReorderSession::new(csr.num_nodes())),
+            csr,
+            epoch: AtomicU64::new(0),
+        }
+    }
 }
 
 pub(crate) type Registry = Arc<RwLock<Vec<Arc<GraphEntry>>>>;
@@ -50,12 +70,19 @@ struct AppSet {
     cc: Option<Cc>,
 }
 
-/// Per-graph adaptive state owned by one worker.
-struct WorkerGraph {
+/// One worker's copy of a graph, in the layout of its last pickup.
+pub(crate) struct WorkerGraph {
     rt: SageRuntime,
-    /// The runtime epoch already folded into the shared `GraphEntry::epoch`.
-    seen_epoch: u64,
     apps: AppSet,
+}
+
+impl WorkerGraph {
+    pub(crate) fn new(rt: SageRuntime) -> Self {
+        Self {
+            rt,
+            apps: AppSet::default(),
+        }
+    }
 }
 
 /// One serving thread.
@@ -67,6 +94,8 @@ pub(crate) struct Worker {
     cache: Arc<ResultCache>,
     registry: Registry,
     slots: StatsSlots,
+    /// Workers still running, this one included.
+    live: Arc<AtomicUsize>,
 }
 
 impl Worker {
@@ -77,6 +106,7 @@ impl Worker {
         cache: Arc<ResultCache>,
         registry: Registry,
         slots: StatsSlots,
+        live: Arc<AtomicUsize>,
     ) -> Self {
         Self {
             dev,
@@ -86,6 +116,7 @@ impl Worker {
             cache,
             registry,
             slots,
+            live,
         }
     }
 
@@ -126,33 +157,26 @@ impl Worker {
         };
 
         let state = self.graphs.entry(gid).or_insert_with(|| {
-            let rt = match self.cfg.reorder_threshold {
+            WorkerGraph::new(match self.cfg.reorder_threshold {
                 Some(t) => SageRuntime::with_threshold(&mut self.dev, entry.csr.clone(), t),
                 None => SageRuntime::new(&mut self.dev, entry.csr.clone()),
-            };
-            WorkerGraph {
-                rt,
-                seen_epoch: 0,
-                apps: AppSet::default(),
-            }
+            })
         });
 
-        // adapt at batch pickup, *before* reading the epoch: a reorder
-        // committed here is folded into the shared graph epoch ahead of this
-        // batch's cache keys, so the epoch a client observes in a response
-        // stays valid until some worker picks up new work — back-to-back
-        // query/re-query sequences hit the cache deterministically instead
-        // of racing a background epoch bump
-        let _ = state.rt.maybe_reorder(&mut self.dev);
-        let rt_epoch = state.rt.epoch();
-        if rt_epoch != state.seen_epoch {
-            let delta = rt_epoch - state.seen_epoch;
-            state.seen_epoch = rt_epoch;
-            let now = entry.epoch.fetch_add(delta, Ordering::AcqRel) + delta;
-            self.cache.sweep_stale(gid, now);
-        }
-
-        let epoch = entry.epoch.load(Ordering::Acquire);
+        // adapt at batch pickup, *before* reading the epoch: this batch runs
+        // on the layout of the epoch it is keyed by, and a round decided here
+        // is published ahead of this batch's cache keys, so the epoch a
+        // client observes in a response stays valid until some worker picks
+        // up new work — back-to-back query/re-query sequences hit the cache
+        // deterministically instead of racing a background epoch bump
+        let epoch = {
+            let mut session = entry.session.lock().unwrap_or_else(PoisonError::into_inner);
+            if state.rt.adapt_shared(&mut self.dev, &mut session) {
+                entry.epoch.store(session.epoch(), Ordering::Release);
+                self.cache.sweep_stale(gid, session.epoch());
+            }
+            state.rt.epoch()
+        };
 
         // a submission-time miss may have been filled while the query sat in
         // the queue — re-check before paying for execution
@@ -235,10 +259,25 @@ impl Worker {
     }
 }
 
+/// The last worker to exit, normally or by unwinding from a panic, closes
+/// the queue and fails every query still waiting with
+/// [`ServiceError::WorkerFailed`]: no ticket waits on a service that has
+/// nobody left to serve it, and `submit` answers
+/// [`ServiceError::ShuttingDown`].
+impl Drop for Worker {
+    fn drop(&mut self) {
+        if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.queue.close();
+            // each dropped query fails its ticket
+            drop(self.queue.drain());
+        }
+    }
+}
+
 /// Run `app` for the unique `sources` (original ids) on this worker's
 /// runtime. Returns one result per source (source-independent apps receive a
 /// single `sources == [0]` slot) plus the merged engine report.
-fn execute(
+pub(crate) fn execute(
     dev: &mut Device,
     state: &mut WorkerGraph,
     cfg: &ServiceConfig,

@@ -218,3 +218,54 @@ fn cold_adapt_and_steady_bursts_resolve_with_reference_answers() {
     burst("steady");
     service.shutdown();
 }
+
+#[test]
+fn service_refuses_queries_once_every_worker_has_died() {
+    // an out-of-range PPR alpha makes every walk batch panic the worker
+    // that executes it
+    let mut cfg = ServiceConfig::test_config(2);
+    cfg.walk.alpha = 2.0;
+    let service = SageService::start(cfg);
+    let g = service.register_graph("doomed", uniform_graph(200, 1600, 5));
+    let walk = QueryRequest {
+        app: AppKind::Walk,
+        graph: g,
+        source: 1,
+    };
+    // one walk batch per worker: each ticket fails, none hangs
+    for worker in 0..2 {
+        let ticket = service.submit(walk).expect("a live worker remains");
+        assert_eq!(
+            ticket.wait_timeout(WAIT),
+            Some(Err(ServiceError::WorkerFailed)),
+            "walk batch {worker}"
+        );
+    }
+    // the last worker to die closes the queue: a query admitted before it
+    // did is failed, not stranded, and then admission stops
+    let bfs = QueryRequest {
+        app: AppKind::Bfs,
+        graph: g,
+        source: 3,
+    };
+    let deadline = std::time::Instant::now() + WAIT;
+    loop {
+        match service.submit(bfs) {
+            Err(e) => {
+                assert_eq!(e, ServiceError::ShuttingDown);
+                break;
+            }
+            Ok(ticket) => assert_eq!(
+                ticket.wait_timeout(WAIT),
+                Some(Err(ServiceError::WorkerFailed)),
+                "a query admitted while the last worker died"
+            ),
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the service kept admitting queries with no worker left"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    service.shutdown();
+}

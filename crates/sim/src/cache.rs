@@ -160,7 +160,10 @@ impl SectorCache {
         probe
     }
 
-    /// (hits, sector misses, line misses) since construction.
+    /// (hits, sector misses, line misses) since construction. No production
+    /// code asks: prop_sim's `cache_stats_sum_to_accesses` and the route
+    /// equivalence tests in `kernel.rs` (through `Device::l2_stats`) read the
+    /// counters with it.
     #[must_use]
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.sector_misses, self.line_misses)

@@ -7,27 +7,18 @@
 
 use crate::config::CpuConfig;
 
-/// A simulated multicore CPU with an accumulating clock.
+/// A simulated multicore CPU. Each step returns the seconds it took; the
+/// caller adds them to its own clock.
 #[derive(Debug, Clone)]
 pub struct Cpu {
     cfg: CpuConfig,
-    elapsed_sec: f64,
 }
 
 impl Cpu {
     /// Build a CPU from its configuration.
     #[must_use]
     pub fn new(cfg: CpuConfig) -> Self {
-        Self {
-            cfg,
-            elapsed_sec: 0.0,
-        }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn cfg(&self) -> &CpuConfig {
-        &self.cfg
+        Self { cfg }
     }
 
     /// Charge one parallel edge-processing step.
@@ -40,7 +31,7 @@ impl Cpu {
     ///
     /// Returns the seconds charged.
     pub fn parallel_step(
-        &mut self,
+        &self,
         edges: u64,
         bytes_touched: u64,
         working_set_bytes: u64,
@@ -54,15 +45,7 @@ impl Cpu {
             c.cycles_per_edge_hot + pressure * (c.cycles_per_edge_cold - c.cycles_per_edge_hot);
         let compute = edges as f64 * cpe / (c.cores as f64 * c.clock_hz) * imbalance.max(1.0);
         let bw = bytes_touched as f64 / c.dram_bandwidth_bytes_per_sec;
-        let t = compute.max(bw) + c.parallel_overhead_sec;
-        self.elapsed_sec += t;
-        t
-    }
-
-    /// Total simulated time.
-    #[must_use]
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.elapsed_sec
+        compute.max(bw) + c.parallel_overhead_sec
     }
 }
 
@@ -76,7 +59,7 @@ mod tests {
 
     #[test]
     fn more_edges_cost_more() {
-        let mut c = cpu();
+        let c = cpu();
         let a = c.parallel_step(1_000, 8_000, 1 << 20, 1.0);
         let b = c.parallel_step(1_000_000, 8_000_000, 1 << 20, 1.0);
         assert!(b > a);
@@ -84,7 +67,7 @@ mod tests {
 
     #[test]
     fn large_working_set_is_slower_per_edge() {
-        let mut c = cpu();
+        let c = cpu();
         let hot = c.parallel_step(1_000_000, 0, 1 << 10, 1.0);
         let cold = c.parallel_step(1_000_000, 0, 1 << 34, 1.0);
         assert!(cold > hot * 2.0);
@@ -92,7 +75,7 @@ mod tests {
 
     #[test]
     fn imbalance_scales_time() {
-        let mut c = cpu();
+        let c = cpu();
         let even = c.parallel_step(10_000_000, 0, 1 << 34, 1.0);
         let skew = c.parallel_step(10_000_000, 0, 1 << 34, 4.0);
         assert!(skew > even * 3.0);
@@ -100,23 +83,22 @@ mod tests {
 
     #[test]
     fn bandwidth_bound_applies() {
-        let mut c = cpu();
+        let c = cpu();
         // Tiny edge count moving a huge volume: bandwidth-bound.
         let t = c.parallel_step(1, 1 << 33, 0, 1.0);
-        assert!(t >= (1u64 << 33) as f64 / c.cfg().dram_bandwidth_bytes_per_sec);
+        assert!(t >= (1u64 << 33) as f64 / CpuConfig::default().dram_bandwidth_bytes_per_sec);
     }
 
     #[test]
-    fn clock_accumulates() {
-        let mut c = cpu();
-        c.parallel_step(100, 100, 100, 1.0);
-        assert!(c.elapsed_seconds() > 0.0);
+    fn every_step_charges_time() {
+        let c = cpu();
+        assert!(c.parallel_step(100, 100, 100, 1.0) > 0.0);
     }
 
     #[test]
     fn every_step_pays_fork_join_overhead() {
-        let mut c = cpu();
+        let c = cpu();
         let t = c.parallel_step(0, 0, 0, 1.0);
-        assert!((t - c.cfg().parallel_overhead_sec).abs() < 1e-15);
+        assert!((t - CpuConfig::default().parallel_overhead_sec).abs() < 1e-15);
     }
 }

@@ -129,7 +129,9 @@ impl UmPool {
         self.link_front(slot);
     }
 
-    /// `(hits, faults, evictions)` so far.
+    /// `(hits, faults, evictions)` so far. No production code asks:
+    /// prop_sim's `um_pool_never_exceeds_capacity` and the `ooc` unit tests
+    /// count faults and evictions with it.
     #[must_use]
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.faults, self.evictions)

@@ -222,3 +222,28 @@ fn cli_refuses_bad_input_without_panicking() {
         "closed stdout; stderr: {stderr}"
     );
 }
+
+#[test]
+fn cli_checks_every_flag_before_loading_the_graph() {
+    // the graph file does not exist: a refusal that names the flag, with
+    // exit 2, shows the flags were checked before any graph was loaded
+    let missing = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no_such_graph.txt");
+    let missing = missing.to_str().expect("utf-8 path");
+    let cases: [(&[&str], &str); 6] = [
+        (&["bfs", "--engine", "warp9"], "engine"),
+        (&["bfs", "--mode", "sideways"], "mode"),
+        (&["bfs", "--engine", "subway"], "--out-of-core"),
+        (&["walk", "--walk-app", "deepwalk"], "walk app"),
+        (&["walk", "--alpha", "1.5"], "--alpha"),
+        (&["walk", "--walk-app", "node2vec", "--q", "-1"], "--q"),
+    ];
+    for (flags, names) in cases {
+        let args = [flags, &["--graph", missing]].concat();
+        let (code, stderr) = sage_cli(&args);
+        assert_eq!(code, Some(2), "{args:?} exit code; stderr: {stderr}");
+        assert!(
+            stderr.contains(names) && !stderr.contains("cannot open"),
+            "{args:?} was not refused by its flag first: {stderr}"
+        );
+    }
+}
