@@ -56,6 +56,14 @@ if grep -rnE "maybe_reorder|force_reorder" crates/serve/src; then
   exit 1
 fi
 
+echo "== serving: the cache's stored form stays inside cache.rs =="
+# cached results are packed to their narrowest exact form; every other
+# module sees only ResultValues, so the format can change in one place
+if grep -rnE "Packed(Values|Words)" crates/serve/src --exclude=cache.rs; then
+  echo "only crates/serve/src/cache.rs may name the cache's packed types" >&2
+  exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

@@ -523,12 +523,13 @@ fn serve_mode(args: &Args, csr: Csr) {
         let after = service.stats();
         let epoch = service.graph_epoch(g).unwrap_or(0);
         say!(
-            "{label:<6} p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms | cache {} hits / {} misses | epoch {epoch}",
+            "{label:<6} p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms | cache {} hits / {} misses, {:.1} KiB held | epoch {epoch}",
             pct(0.50) * 1e3,
             pct(0.95) * 1e3,
             pct(0.99) * 1e3,
             after.cache_hits - before.cache_hits,
             after.cache_misses - before.cache_misses,
+            after.cache_bytes as f64 / 1024.0,
         );
         epoch
     };

@@ -18,7 +18,8 @@
 //!    [`sage::SageRuntime`]); up to 64 BFS/SSSP sources ride a single
 //!    pipeline.
 //! 4. **Remap + cache** — results come back in *original* node ids (via the
-//!    composed permutation) and are inserted at the graph's current epoch.
+//!    composed permutation) and are inserted at the graph's current epoch,
+//!    each packed to the narrowest form that decodes to it bit for bit.
 //!
 //! Each graph has one layout, kept by its [`sage::ReorderSession`]. At
 //! batch pickup a worker adopts the rounds published since its last

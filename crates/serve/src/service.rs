@@ -26,6 +26,9 @@ pub struct ServiceStats {
     pub cache_misses: u64,
     /// Result-cache entries currently held.
     pub cache_entries: usize,
+    /// Bytes of values the result cache holds, in the narrow form it
+    /// stores them in (one byte per node for most BFS depths).
+    pub cache_bytes: usize,
     /// Hit rate over all lookups (0.0 when none yet).
     pub cache_hit_rate: f64,
     /// Per-device profiler snapshot, as of each worker's last batch.
@@ -240,6 +243,7 @@ impl SageService {
             cache_hits: hits,
             cache_misses: misses,
             cache_entries: self.cache.len(),
+            cache_bytes: self.cache.bytes(),
             cache_hit_rate: self.cache.hit_rate(),
             device_profiles: self
                 .profiles
@@ -332,6 +336,43 @@ mod tests {
         assert!(cached.cache_hit);
         assert_eq!(*fresh.values, *cached.values);
         assert!(service.stats().cache_hits >= 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn cache_bytes_count_the_stored_form() {
+        let mut cfg = ServiceConfig::test_config(1);
+        cfg.reorder_threshold = Some(u64::MAX); // no round sweeps the cache
+        let service = SageService::start(cfg);
+        let g = service.register_graph("test", uniform_graph(400, 3200, 33));
+        let query = |app, source| {
+            service
+                .query(QueryRequest {
+                    app,
+                    graph: g,
+                    source,
+                })
+                .unwrap()
+        };
+        for source in [1, 2, 3] {
+            assert!(!query(AppKind::Bfs, source).cache_hit);
+        }
+        assert_eq!(
+            service.stats().cache_bytes,
+            3 * 400,
+            "one byte per BFS depth"
+        );
+        let walk = query(AppKind::Walk, 5);
+        let crate::types::ResultValues::Scores(ends) = &*walk.values else {
+            panic!("walks return scores");
+        };
+        let endpoints = ends.iter().filter(|s| s.to_bits() != 0).count();
+        assert!(endpoints <= service.config().walk.walks_per_source);
+        assert_eq!(
+            service.stats().cache_bytes,
+            3 * 400 + 8 * endpoints,
+            "one (index, bits) pair per walk endpoint"
+        );
         service.shutdown();
     }
 

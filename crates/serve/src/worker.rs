@@ -233,7 +233,7 @@ impl Worker {
                     source: sources[slot],
                     epoch,
                 },
-                Arc::clone(values),
+                values,
             );
         }
         let remap_seconds = remap_start.elapsed().as_secs_f64();
@@ -292,13 +292,15 @@ pub(crate) fn execute(
     };
     match app {
         AppKind::Bfs if sources.len() > 1 => {
+            // the composed permutation, inverted once for every slot
+            let inv = state.rt.permutation().inverse();
             for chunk in sources.chunks(MAX_SOURCES) {
                 let cur: Vec<NodeId> = chunk.iter().map(|&s| state.rt.current_id(s)).collect();
                 let mut ms = MsBfs::new(dev, &cur);
                 merge(state.rt.run(dev, &mut ms, chunk[0]), &mut report);
                 for j in 0..chunk.len() {
                     values.push(Arc::new(ResultValues::Depths(
-                        state.rt.to_original_order(&ms.distances_for(j)),
+                        inv.apply_values(&ms.distances_for(j)),
                     )));
                 }
             }
@@ -314,14 +316,14 @@ pub(crate) fn execute(
             // always the multi-source app (even for one source): it derives
             // edge weights from original ids, so distances stay invariant
             // under the runtime's reordering
-            let orig_of = state.rt.permutation().inverse().as_slice().to_vec();
+            let inv = state.rt.permutation().inverse();
             for chunk in sources.chunks(MAX_SOURCES) {
                 let cur: Vec<NodeId> = chunk.iter().map(|&s| state.rt.current_id(s)).collect();
-                let mut ms = MsSssp::new(dev, &cur, orig_of.clone());
+                let mut ms = MsSssp::new(dev, &cur, inv.as_slice().to_vec());
                 merge(state.rt.run(dev, &mut ms, chunk[0]), &mut report);
                 for j in 0..chunk.len() {
                     values.push(Arc::new(ResultValues::Dists(
-                        state.rt.to_original_order(&ms.distances_for(j)),
+                        inv.apply_values(&ms.distances_for(j)),
                     )));
                 }
             }
@@ -329,11 +331,12 @@ pub(crate) fn execute(
         AppKind::Bc => {
             // no bitmask trick for BC's forward/backward phases: one run per
             // distinct source, still sharing the batch's queue/remap costs
+            let inv = state.rt.permutation().inverse();
             for &s in sources {
                 let bc = state.apps.bc.get_or_insert_with(|| Bc::new(dev));
                 merge(state.rt.run(dev, bc, s), &mut report);
                 values.push(Arc::new(ResultValues::Scores(
-                    state.rt.to_original_order(bc.scores()),
+                    inv.apply_values(bc.scores()),
                 )));
             }
         }

@@ -1,14 +1,24 @@
 //! Property test: interleaving queries with self-reordering rounds never
 //! changes what a caller observes — cached and fresh responses agree with
-//! each other and with the host reference, before and after any number of
-//! committed or rolled-back reorder rounds.
+//! each other bit for bit, and BFS/SSSP/CC with the host reference, before
+//! and after any number of committed or rolled-back reorder rounds.
 
 use proptest::prelude::*;
 use sage::reference;
 use sage_graph::gen::uniform_graph;
 use sage_serve::{AppKind, QueryRequest, ResultValues, SageService, ServiceConfig};
+use std::collections::HashMap;
 
 const NODES: usize = 160;
+
+const APPS: [AppKind; 6] = [
+    AppKind::Bfs,
+    AppKind::Sssp,
+    AppKind::Cc,
+    AppKind::Walk,
+    AppKind::Pr,
+    AppKind::Bc,
+];
 
 /// Reference CC labels are min-node-id label propagation, which is exactly
 /// the service's canonical form; pass them through unchanged.
@@ -17,7 +27,17 @@ fn reference_values(app: AppKind, csr: &sage_graph::Csr, source: u32) -> ResultV
         AppKind::Bfs => ResultValues::Depths(reference::bfs_levels(csr, source)),
         AppKind::Sssp => ResultValues::Dists(reference::sssp_dists(csr, source)),
         AppKind::Cc => ResultValues::Dists(reference::cc_labels(csr)),
-        _ => unreachable!("property only exercises deterministic apps"),
+        _ => unreachable!("only the integer apps have an exact reference"),
+    }
+}
+
+/// Every value's bit pattern, so floats compare bit for bit (NaN and −0.0
+/// included).
+fn bits(values: &ResultValues) -> Vec<u32> {
+    match values {
+        ResultValues::Depths(v) => v.iter().map(|&d| d as u32).collect(),
+        ResultValues::Dists(v) => v.clone(),
+        ResultValues::Scores(v) => v.iter().map(|s| s.to_bits()).collect(),
     }
 }
 
@@ -27,7 +47,7 @@ proptest! {
     #[test]
     fn cached_and_fresh_results_agree_across_reorder_rounds(
         seed in 0u64..200,
-        ops in prop::collection::vec((0usize..3, 0u32..(NODES as u32)), 2..9),
+        ops in prop::collection::vec((0..APPS.len(), 0u32..(NODES as u32)), 2..9),
     ) {
         let mut cfg = ServiceConfig::test_config(2);
         // small threshold: reorder rounds fire between (and interleave with)
@@ -37,27 +57,37 @@ proptest! {
         let csr = uniform_graph(NODES, NODES * 8, seed);
         let g = service.register_graph("prop", csr.clone());
 
+        // the fresh result of every (app, source, epoch) computed so far
+        let mut fresh: HashMap<(AppKind, u32, u64), Vec<u32>> = HashMap::new();
         for &(app_sel, source) in &ops {
-            let app = [AppKind::Bfs, AppKind::Sssp, AppKind::Cc][app_sel];
+            let app = APPS[app_sel];
             let req = QueryRequest { app, graph: g, source };
             // first query is fresh (or a hit from an earlier op), the second
             // usually hits the cache — unless a reorder bumped the epoch in
             // between, in which case it recomputes on the new order
-            let first = service.query(req).unwrap();
-            let second = service.query(req).unwrap();
-            let source = if app.uses_source() { source } else { 0 };
-            let expect = reference_values(app, &csr, source);
-            prop_assert_eq!(
-                &*first.values, &expect,
-                "app {} source {} (epoch {})", app, source, first.epoch
-            );
-            prop_assert_eq!(
-                &*second.values, &expect,
-                "app {} source {} cached={} (epoch {})",
-                app, source, second.cache_hit, second.epoch
-            );
-            if second.cache_hit {
-                prop_assert_eq!(&*first.values, &*second.values);
+            for resp in [service.query(req).unwrap(), service.query(req).unwrap()] {
+                let source = resp.request.source;
+                if matches!(app, AppKind::Bfs | AppKind::Sssp | AppKind::Cc) {
+                    prop_assert_eq!(
+                        &*resp.values, &reference_values(app, &csr, source),
+                        "app {} source {} cached={} (epoch {})",
+                        app, source, resp.cache_hit, resp.epoch
+                    );
+                }
+                // walks and float scores depend on the layout, so a result
+                // is compared with the fresh one of its own epoch
+                let got = bits(&resp.values);
+                match fresh.get(&(app, source, resp.epoch)) {
+                    Some(want) => prop_assert_eq!(
+                        want, &got,
+                        "app {} source {} cached={} (epoch {})",
+                        app, source, resp.cache_hit, resp.epoch
+                    ),
+                    None => {
+                        prop_assert!(!resp.cache_hit, "a hit needs an earlier fresh run");
+                        fresh.insert((app, source, resp.epoch), got);
+                    }
+                }
             }
         }
         let stats = service.stats();
