@@ -56,6 +56,18 @@ if grep -rnE "maybe_reorder|force_reorder" crates/serve/src; then
   exit 1
 fi
 
+echo "== settings: the library crates read no environment variable =="
+# every setting of sim/core/graph/serve is a config field or a constant, so
+# a run is reproduced by its code and arguments alone; test modules (from
+# the first column-0 #[cfg(test)] of a file on) are exempt
+if find crates/{sim,core,graph,serve}/src -name '*.rs' -print0 | xargs -0 awk '
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /env::var/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }'; then
+  echo "crates/{sim,core,graph,serve}/src must not read the environment outside tests" >&2
+  exit 1
+fi
+
 echo "== serving: the cache's stored form stays inside cache.rs =="
 # cached results are packed to their narrowest exact form; every other
 # module sees only ResultValues, so the format can change in one place
@@ -94,29 +106,30 @@ echo "== race sanitizer: all engines hazard-free, bitwise cost-neutral =="
 # threads, sanitize on == sanitize off bit for bit) lives in the test
 cargo test --release -q -p sage --test sanitize
 # CLI-level smoke: --sanitize must leave the exit code at 0 (any
-# detected hazard makes sage_cli exit 1)
+# detected hazard makes sage_cli exit 1). sage_cli runs the direct route;
+# the recorded route stays sanitized in crates/core/tests/sanitize.rs
+# above, which runs every engine at 1 and 4 host threads, and hazards are
+# detected at the access on both routes
 for eng in sage sage-tp naive b40c tigr gunrock; do
   for app in bfs cc pr; do
-    for t in 1 4; do
-      cargo run --release -q -p sage-bench --bin sage_cli -- \
-        "$app" --dataset brain --scale 0.05 --engine "$eng" --threads "$t" --sanitize > /dev/null
-    done
+    cargo run --release -q -p sage-bench --bin sage_cli -- \
+      "$app" --dataset brain --scale 0.05 --engine "$eng" --sanitize > /dev/null
   done
 done
 for app in bfs cc pr; do
   cargo run --release -q -p sage-bench --bin sage_cli -- \
-    "$app" --dataset brain --scale 0.05 --engine subway --out-of-core --threads 4 --sanitize > /dev/null
+    "$app" --dataset brain --scale 0.05 --engine subway --out-of-core --sanitize > /dev/null
 done
 
 echo "== race sanitizer: matrix/SpMV pipeline hazard-free =="
 # the tensor-core SpMV direction: adaptive three-way BFS (the one app that
 # goes bottom-up) on naive (push fallback + the shared matrix kernel) and
-# the default engine, sanitized at 4 host threads — any cross-SM hazard
+# the default engine, sanitized — any cross-SM hazard
 # exits 1, and a run whose direction trace has no matrix iteration `M`
 # (brain at scale 0.05 traces `>MM`) did not test the gear
 for eng in naive sage; do
   out=$(cargo run --release -q -p sage-bench --bin sage_cli -- \
-    bfs --dataset brain --scale 0.05 --engine "$eng" --mode adaptive --threads 4 --sanitize)
+    bfs --dataset brain --scale 0.05 --engine "$eng" --mode adaptive --sanitize)
   if ! grep -qE '\[[<>M]*M' <<<"$out"; then
     echo "adaptive bfs on $eng never took the matrix gear: $out" >&2
     exit 1
@@ -124,12 +137,11 @@ for eng in naive sage; do
 done
 
 echo "== race sanitizer: walk kernels hazard-free for both apps =="
+# prop_walk (below) runs sanitized walks at 1 and more host threads
 for app in ppr node2vec; do
-  for t in 1 4; do
-    cargo run --release -q -p sage-bench --bin sage_cli -- \
-      walk --dataset brain --scale 0.05 --walk-app "$app" \
-      --walks 64 --length 16 --threads "$t" --sanitize > /dev/null
-  done
+  cargo run --release -q -p sage-bench --bin sage_cli -- \
+    walk --dataset brain --scale 0.05 --walk-app "$app" \
+    --walks 64 --length 16 --sanitize > /dev/null
 done
 
 echo "== determinism (release): recorded route == direct route, bit for bit =="

@@ -3,7 +3,7 @@
 //! ```text
 //! sage_cli <app> [--graph FILE | --dataset NAME] [--engine NAME]
 //!          [--source N] [--scale F] [--repeat N] [--out-of-core] [--profile]
-//!          [--mode push|adaptive] [--threads N] [--sanitize]
+//!          [--mode push|adaptive] [--sanitize]
 //!
 //!   app       bfs | bc | pr | cc | sssp | walk | serve
 //!   --graph   edge-list file ("u v" per line, # comments) or .sagecsr binary
@@ -24,11 +24,6 @@
 //!             sage, sage-tp and naive, and never on out-of-core graphs;
 //!             every other run pushes. `push` pins every iteration to push.
 //!             Both modes produce bitwise-identical application output.
-//!   --threads the simulation route, at least 1 (default 1). 1 probes the
-//!             simulated caches at each access; above 1 records every probe
-//!             and replays the trace in program order when the kernel ends.
-//!             Both routes run on one host thread and give bitwise-identical
-//!             results; clamped to the device's SM count.
 //!   --sanitize run the simulated kernels under the race sanitizer; any
 //!             detected cross-SM hazard is printed and makes the process
 //!             exit 1. Sanitized runs report bitwise-identical cycles and
@@ -41,7 +36,7 @@
 //! walk mode (deterministic random-walk engine on the adaptive runtime):
 //!   sage_cli walk [--graph FILE | --dataset NAME] [--walk-app ppr|node2vec]
 //!            [--walks N] [--length N] [--alpha F] [--p F] [--q F] [--seed N]
-//!            [--source N] [--threads N] [--sanitize] [--profile]
+//!            [--source N] [--sanitize] [--profile]
 //!
 //!   --walk-app ppr (default) | node2vec
 //!   --walks   walkers launched per source, at least 1 (default 256)
@@ -50,7 +45,7 @@
 //!   --p, --q  node2vec return / in-out parameters, positive and finite
 //!             (default 1.0 each)
 //!   --seed    base of the counter RNG; same seed = bitwise-identical
-//!             walks on either route (default 42)
+//!             walks (default 42)
 //!
 //!   Walks draw each step over synthetic edge weights by inverse-transform
 //!   sampling of the CSR row.
@@ -147,7 +142,6 @@ struct Args {
     profile: bool,
     /// `--mode push`: pin every iteration to push.
     push_only: bool,
-    threads: Option<usize>,
     sanitize: bool,
     devices: usize,
     requests: usize,
@@ -158,15 +152,6 @@ struct Args {
     p: f64,
     q: f64,
     seed: u64,
-}
-
-/// The simulation route the device's host-thread setting selects.
-fn route(dev: &Device) -> &'static str {
-    if dev.host_threads() == 1 {
-        "direct"
-    } else {
-        "recorded"
-    }
 }
 
 /// The end of a run or walk: the `--profile` breakdown, then exit 1 when
@@ -197,13 +182,13 @@ fn usage() -> ! {
         "usage: sage_cli <{}> [--graph FILE | --dataset NAME] \
          [--engine sage|sage-tp|naive|b40c|tigr|gunrock|ligra|subway] \
          [--source N] [--scale F] [--repeat N] [--out-of-core] [--profile] \
-         [--mode push|adaptive] [--threads N] [--sanitize] \
+         [--mode push|adaptive] [--sanitize] \
          (subway needs --out-of-core)\n\
          \x20      sage_cli serve [--graph FILE | --dataset NAME] [--devices N] [--requests N] \
          [--sanitize]\n\
          \x20      sage_cli walk [--graph FILE | --dataset NAME] [--walk-app ppr|node2vec] \
          [--walks N] [--length N] [--alpha F] [--p F] [--q F] [--seed N] \
-         [--source N] [--threads N] [--sanitize] [--profile]",
+         [--source N] [--sanitize] [--profile]",
         apps.join("|")
     );
     exit(2)
@@ -247,7 +232,6 @@ fn parse_args() -> Args {
         out_of_core: false,
         profile: false,
         push_only: false,
-        threads: None,
         sanitize: false,
         devices: 2,
         requests: 64,
@@ -298,7 +282,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--threads" => args.threads = Some(count("--threads", &value("--threads"))),
             "--sanitize" => args.sanitize = true,
             "--devices" => args.devices = count("--devices", &value("--devices")),
             "--requests" => args.requests = count("--requests", &value("--requests")),
@@ -383,17 +366,12 @@ fn load_graph(args: &Args) -> Csr {
 }
 
 /// The simulated device of a run or walk: the default configuration, under
-/// the race sanitizer with `--sanitize`, on the route `--threads` selects
-/// (the setter clamps it to `[1, num_sms]`).
+/// the race sanitizer with `--sanitize`.
 fn device(args: &Args) -> Device {
-    let mut dev = Device::new(DeviceConfig {
+    Device::new(DeviceConfig {
         sanitize: args.sanitize,
         ..DeviceConfig::default()
-    });
-    if let Some(t) = args.threads {
-        dev.set_host_threads(t);
-    }
-    dev
+    })
 }
 
 /// `sage_cli walk`: run a deterministic random-walk batch on the adaptive
@@ -435,9 +413,8 @@ fn walk_mode(args: &Args, csr: Csr) {
     let host_seconds = host_start.elapsed().as_secs_f64();
     let r = &out.report;
     say!(
-        "run 0: {r} | host {:.1} ms, {} route | {} walkers, {} steps",
+        "run 0: {r} | host {:.1} ms | {} walkers, {} steps",
         host_seconds * 1e3,
-        route(&dev),
         out.walkers,
         out.steps,
     );
@@ -598,11 +575,7 @@ fn main() {
         let host_start = Instant::now();
         let r = runner.run(&mut dev, &g, engine.as_mut(), app.as_mut(), args.source);
         let host_seconds = host_start.elapsed().as_secs_f64();
-        say!(
-            "run {i}: {r} | host {:.1} ms, {} route",
-            host_seconds * 1e3,
-            route(&dev)
-        );
+        say!("run {i}: {r} | host {:.1} ms", host_seconds * 1e3);
     }
     epilogue(&args, &dev);
 }

@@ -103,7 +103,7 @@ pub fn threshold_sweep(cfg: &BenchConfig) -> ExpTable {
         let mut cells = vec![d.name().to_owned()];
         for thr in [e / 4, e, 4 * e] {
             let rounds = cfg.rounds.min(12);
-            let m = measure_adapted(cfg, &csr, AppKind::Bfs, 0xab1b, thr.max(1), rounds);
+            let (m, _) = measure_adapted(cfg, &csr, AppKind::Bfs, 0xab1b, thr.max(1), rounds);
             cells.push(fmt_gteps(m.gteps()));
         }
         t.row(cells);

@@ -54,7 +54,7 @@ pub fn measure_stage(cfg: &BenchConfig, stage: Stage, csr: &Csr, app_kind: AppKi
         Stage::ResidentStealing => Box::new(ResidentEngine::new()),
         Stage::SamplingReordering => {
             let threshold = csr.num_edges() as u64;
-            return measure_adapted(cfg, csr, app_kind, seed, threshold, cfg.rounds.min(10));
+            return measure_adapted(cfg, csr, app_kind, seed, threshold, cfg.rounds.min(10)).0;
         }
     };
     measure(cfg, csr, app_kind, seed, |dev| {

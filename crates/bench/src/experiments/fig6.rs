@@ -1,6 +1,7 @@
 //! Figure 6: SAGE traversal speed on reordered graph replicas —
 //! Original (= SAGE₁), RCM, LLP, Gorder, and SAGE after self-adaptive
-//! rounds (SAGE₁₀₀ in the paper; `SAGE_ROUNDS` here).
+//! rounds (SAGE₁₀₀ in the paper; here at most `SAGE_ROUNDS` rounds, and
+//! the N column gives the N each SAGE_N cell measured).
 //!
 //! All bars use the SAGE traversal engine; only the node order differs,
 //! isolating the memory-locality effect of each reordering (§7.2).
@@ -13,13 +14,21 @@ use sage_graph::reorder::{gorder_order, llp_order, rcm_order, LlpParams, Permuta
 use sage_graph::Csr;
 
 /// Measure SAGE on `csr` after at most `rounds` self-adaptive reordering
-/// rounds driven by the same application. With no rounds this is SAGE on a
-/// fixed replica, with the same in-edge view (and thus the same adaptive
-/// direction policy) as the adapted bar, so the figure isolates the node
-/// order only. The sampling threshold is |E| (§7.2), so roughly one full
-/// traversal saturates a stage.
-fn measure_order(cfg: &BenchConfig, csr: &Csr, app: AppKind, rounds: usize, seed: u64) -> f64 {
-    measure_adapted(cfg, csr, app, seed, csr.num_edges() as u64, rounds).gteps()
+/// rounds driven by the same application: GTEPS, and the N of SAGE_N (the
+/// measured runs follow N − 1 adaptation runs). With no rounds this is SAGE
+/// on a fixed replica, with the same in-edge view (and thus the same
+/// adaptive direction policy) as the adapted bar, so the figure isolates
+/// the node order only. The sampling threshold is |E| (§7.2), so roughly
+/// one full traversal saturates a stage.
+fn measure_order(
+    cfg: &BenchConfig,
+    csr: &Csr,
+    app: AppKind,
+    rounds: usize,
+    seed: u64,
+) -> (f64, usize) {
+    let (report, runs) = measure_adapted(cfg, csr, app, seed, csr.num_edges() as u64, rounds);
+    (report.gteps(), runs + 1)
 }
 
 /// The orders evaluated by Figure 6, computed once per dataset.
@@ -42,10 +51,11 @@ pub fn baseline_orders(csr: &Csr) -> Orders {
     }
 }
 
-/// Regenerate Figure 6: one table per application.
+/// Regenerate Figure 6: one table per application. The adapted column
+/// stops at the first converged round, so each row also gives the N its
+/// SAGE_N cell measured.
 #[must_use]
 pub fn run(cfg: &BenchConfig) -> Vec<ExpTable> {
-    let sage_n = format!("SAGE_{}", cfg.rounds + 1);
     let mut tables: Vec<ExpTable> = AppKind::ALL
         .iter()
         .map(|a| {
@@ -54,7 +64,7 @@ pub fn run(cfg: &BenchConfig) -> Vec<ExpTable> {
                     "Figure 6 — {} traversal speed by node order (GTEPS)",
                     a.name()
                 ),
-                &["Dataset", "SAGE_1", "RCM", "LLP", "Gorder", sage_n.as_str()],
+                &["Dataset", "SAGE_1", "RCM", "LLP", "Gorder", "SAGE_N", "N"],
             )
         })
         .collect();
@@ -62,19 +72,21 @@ pub fn run(cfg: &BenchConfig) -> Vec<ExpTable> {
     for d in Dataset::ALL {
         let csr = d.generate(cfg.scale);
         let orders = baseline_orders(&csr);
-        // the four fixed replicas, then the original order after adaptation
-        let bars = [
-            (csr.clone(), 0),
-            (orders.rcm.apply_csr(&csr), 0),
-            (orders.llp.apply_csr(&csr), 0),
-            (orders.gorder.apply_csr(&csr), 0),
-            (csr, cfg.rounds),
+        // four fixed bars (the original order and three reordered
+        // replicas), then the original order after adaptation
+        let replicas = [
+            orders.rcm.apply_csr(&csr),
+            orders.llp.apply_csr(&csr),
+            orders.gorder.apply_csr(&csr),
         ];
         for (ai, app) in AppKind::ALL.iter().enumerate() {
             let mut cells = vec![d.name().to_owned()];
-            for (g, rounds) in &bars {
-                cells.push(fmt_gteps(measure_order(cfg, g, *app, *rounds, 0xf16)));
+            for g in std::iter::once(&csr).chain(&replicas) {
+                cells.push(fmt_gteps(measure_order(cfg, g, *app, 0, 0xf16).0));
             }
+            let (gteps, n) = measure_order(cfg, &csr, *app, cfg.rounds, 0xf16);
+            cells.push(fmt_gteps(gteps));
+            cells.push(n.to_string());
             tables[ai].row(cells);
         }
     }
@@ -92,7 +104,12 @@ mod tests {
         assert_eq!(tables.len(), 3);
         for t in &tables {
             assert_eq!(t.rows.len(), 5);
-            assert_eq!(t.header.len(), 6);
+            assert_eq!(t.header.len(), 7);
+            for row in &t.rows {
+                // SAGE_N follows at most `rounds` adaptation runs
+                let n: usize = row[6].parse().expect("N is a count");
+                assert!((1..=cfg.rounds + 1).contains(&n), "N = {n}");
+            }
         }
     }
 
@@ -103,8 +120,8 @@ mod tests {
             ..BenchConfig::test_config()
         };
         let csr = Dataset::Twitter.generate(cfg.scale);
-        let base = measure_order(&cfg, &csr, AppKind::Bfs, 0, 1);
-        let adapted = measure_order(&cfg, &csr, AppKind::Bfs, cfg.rounds, 1);
+        let (base, _) = measure_order(&cfg, &csr, AppKind::Bfs, 0, 1);
+        let (adapted, _) = measure_order(&cfg, &csr, AppKind::Bfs, cfg.rounds, 1);
         assert!(
             adapted > base * 0.9,
             "adaptation should not hurt: {base} -> {adapted}"

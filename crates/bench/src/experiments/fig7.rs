@@ -110,7 +110,7 @@ pub fn run(cfg: &BenchConfig) -> Vec<ExpTable> {
                 let with = if s == PgpSystem::Sage {
                     // SAGE's "with reordering" bar: adapt for a few rounds
                     let threshold = csr.num_edges() as u64;
-                    measure_adapted(cfg, &csr, *app, 0xf17, threshold, cfg.rounds.min(10))
+                    measure_adapted(cfg, &csr, *app, 0xf17, threshold, cfg.rounds.min(10)).0
                 } else {
                     measure_system(cfg, s, &gorder_replica, *app)
                 };

@@ -159,6 +159,8 @@ pub fn measure(
 /// Measure `app` on a [`SageRuntime`] with sampling threshold `threshold`
 /// after at most `rounds` adaptation rounds (one run from the next source,
 /// then a reordering round; stops early once the runtime has converged).
+/// Also returns how many adaptation runs were made, so the measured runs
+/// are the paper's SAGE_N with N one more than that.
 pub fn measure_adapted(
     cfg: &BenchConfig,
     csr: &Csr,
@@ -166,19 +168,22 @@ pub fn measure_adapted(
     seed: u64,
     threshold: u64,
     rounds: usize,
-) -> RunReport {
+) -> (RunReport, usize) {
     let mut dev = cfg.device();
     let sources = cfg.pick_sources(csr, seed);
     let mut rt = SageRuntime::with_threshold(&mut dev, csr.clone(), threshold);
     let mut app = app.make(&mut dev, cfg);
+    let mut runs = 0;
     for &s in sources.iter().cycle().take(rounds) {
         let _ = rt.run(&mut dev, app.as_mut(), s);
+        runs += 1;
         rt.maybe_reorder(&mut dev);
         if rt.converged() {
             break;
         }
     }
-    sum_runs(sources.iter().map(|&s| rt.run(&mut dev, app.as_mut(), s)))
+    let report = sum_runs(sources.iter().map(|&s| rt.run(&mut dev, app.as_mut(), s)));
+    (report, runs)
 }
 
 #[cfg(test)]
@@ -281,7 +286,7 @@ mod tests {
         let cfg = BenchConfig::test_config();
         let g = Csr::from_edges(4, &[]);
         let plain = measure(&cfg, &g, AppKind::Bfs, 1, |dev| resident(dev, &g));
-        let adapted = measure_adapted(&cfg, &g, AppKind::Bfs, 1, 1, cfg.rounds);
+        let (adapted, _) = measure_adapted(&cfg, &g, AppKind::Bfs, 1, 1, cfg.rounds);
         for r in [plain, adapted] {
             assert_eq!((r.edges, r.seconds), (0, 0.0));
             assert_eq!(r.gteps(), 0.0);
@@ -298,7 +303,8 @@ mod tests {
         };
         let g = uniform_graph(400, 3000, 5);
         for app in AppKind::ALL {
-            let adapted = measure_adapted(&cfg, &g, app, 7, g.num_edges() as u64, 0);
+            let (adapted, runs) = measure_adapted(&cfg, &g, app, 7, g.num_edges() as u64, 0);
+            assert_eq!(runs, 0, "{}", app.name());
             let plain = measure(&cfg, &g, app, 7, |dev| {
                 let dg = DeviceGraph::upload(dev, g.clone()).with_in_edges(dev);
                 (dg, Box::new(ResidentEngine::new()))

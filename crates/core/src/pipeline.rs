@@ -83,10 +83,12 @@ enum Mode {
     Matrix,
 }
 
+/// Hard cap on a run's iterations (safety net against non-converging
+/// filters); a run that hits it reports `converged: false`.
+const MAX_ITERATIONS: usize = 100_000;
+
 /// Runs applications through an engine on a device.
 pub struct Runner {
-    /// Hard cap on iterations (safety net against non-converging filters).
-    pub max_iterations: usize,
     /// Per-iteration direction selection.
     pub policy: DirectionPolicy,
 }
@@ -94,15 +96,14 @@ pub struct Runner {
 impl Default for Runner {
     fn default() -> Self {
         Self {
-            max_iterations: 100_000,
             policy: DirectionPolicy::adaptive3(),
         }
     }
 }
 
 impl Runner {
-    /// A runner with default limits and the three-way adaptive direction
-    /// policy (push / pull / matrix).
+    /// A runner with the three-way adaptive direction policy (push / pull /
+    /// matrix).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -114,7 +115,6 @@ impl Runner {
     pub fn push_only() -> Self {
         Self {
             policy: DirectionPolicy::PushOnly,
-            ..Self::default()
         }
     }
 
@@ -183,7 +183,7 @@ impl Runner {
                 converged = true;
                 break;
             }
-            if iterations >= self.max_iterations {
+            if iterations >= MAX_ITERATIONS {
                 break;
             }
 
@@ -285,7 +285,7 @@ impl Runner {
 mod tests {
     use super::*;
     use crate::app::{Bc, Bfs, Cc, PageRank, Sssp};
-    use crate::engine::{B40cEngine, NaiveEngine};
+    use crate::engine::{B40cEngine, IterationOutput, NaiveEngine};
     use crate::reference;
     use gpu_sim::DeviceConfig;
     use sage_graph::gen::uniform_graph;
@@ -408,20 +408,38 @@ mod tests {
         assert!(r.converged);
     }
 
+    /// A push engine that launches nothing and hands the frontier back
+    /// unchanged, so a run never converges on its own.
+    struct Stall;
+
+    impl Engine for Stall {
+        fn name(&self) -> &'static str {
+            "stall"
+        }
+
+        fn iterate(
+            &mut self,
+            _dev: &mut Device,
+            _g: &DeviceGraph,
+            _app: &mut dyn App,
+            frontier: &[NodeId],
+        ) -> IterationOutput {
+            IterationOutput {
+                next: frontier.to_vec(),
+                edges: 0,
+            }
+        }
+    }
+
     #[test]
     fn iteration_cap_reports_truncation() {
-        // a 4-cycle with CC never converges in one iteration; cap at 1
+        // a frontier that never empties stops at the cap, unconverged
         let csr = Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload(&mut dev, csr);
-        let mut app = Cc::new(&mut dev);
-        let mut eng = NaiveEngine::new();
-        let runner = Runner {
-            max_iterations: 1,
-            ..Runner::default()
-        };
-        let r = runner.run(&mut dev, &g, &mut eng, &mut app, 0);
-        assert_eq!(r.iterations, 1);
+        let mut app = Bfs::new(&mut dev);
+        let r = Runner::new().run(&mut dev, &g, &mut Stall, &mut app, 0);
+        assert_eq!(r.iterations, MAX_ITERATIONS);
         assert!(!r.converged, "cap hit must clear converged");
     }
 
@@ -455,7 +473,6 @@ mod tests {
                 beta: 24.0,
                 density: f64::INFINITY,
             },
-            ..Runner::default()
         };
         let r2 = two_way.run(&mut dev, &g, &mut eng, &mut app, 0);
         assert!(
@@ -480,7 +497,6 @@ mod tests {
                 beta: f64::INFINITY,
                 density: 0.0,
             },
-            ..Runner::default()
         }
     }
 

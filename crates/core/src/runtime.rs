@@ -17,21 +17,6 @@ use crate::reorder::{charge_representation_update, Sampler};
 use crate::walk::{self, WalkApp, WalkOutput, WalkSpec};
 use gpu_sim::Device;
 use sage_graph::{Csr, NodeId, Permutation};
-use std::sync::OnceLock;
-
-/// True when `SAGE_DEBUG` is set in the environment (checked once).
-fn debug_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var_os("SAGE_DEBUG").is_some())
-}
-
-macro_rules! debug_log {
-    ($($arg:tt)*) => {
-        if debug_enabled() {
-            eprintln!("[sage] {}", format!($($arg)*));
-        }
-    };
-}
 
 /// The reorder decisions of one graph's layout (§6, Algorithm 4 applied
 /// round by round): the composed permutation, the epoch, and the
@@ -105,6 +90,30 @@ impl ReorderSession {
         &self.perm
     }
 
+    /// Rounds rolled back because they lowered the sampled locality. Each
+    /// rollback undid one committed round, so `rounds() + rollbacks()`
+    /// rounds have committed so far.
+    #[must_use]
+    pub fn rollbacks(&self) -> usize {
+        self.regressions
+    }
+
+    /// True once the session froze: after two rollbacks, or after two
+    /// rounds in a row without a meaningful locality gain. A frozen
+    /// session decides no further round.
+    #[must_use]
+    pub fn converged(&self) -> bool {
+        self.converged
+    }
+
+    /// Sampled locality (per edge access) of the last committed round, the
+    /// value the next round is compared against; `None` before the first
+    /// commit.
+    #[must_use]
+    pub fn locality(&self) -> Option<f64> {
+        self.prev_locality
+    }
+
     /// Decide one round from `sampler`'s samples, taken on this session's
     /// current layout.
     ///
@@ -135,16 +144,8 @@ impl ReorderSession {
                 self.rounds -= 1;
                 self.epoch += 1;
                 self.regressions += 1;
-                debug_log!(
-                    "reorder round rolled back (locality {cur_locality:.4} < {:.4}), \
-                     epoch -> {}, regressions {}",
-                    prev * 0.99,
-                    self.epoch,
-                    self.regressions
-                );
                 if self.regressions >= 2 {
                     self.converged = true;
-                    debug_log!("reordering converged after {} rounds", self.rounds);
                 }
                 // discard the samples taken on the rolled-back order
                 let _ = sampler.finish_round(dev);
@@ -157,10 +158,6 @@ impl ReorderSession {
                 // two rounds without progress: stop adapting (§6:
                 // "until convergence to a relatively high level")
                 self.converged = true;
-                debug_log!(
-                    "reordering plateaued after {} rounds (locality {cur_locality:.4}); frozen",
-                    self.rounds
-                );
                 let _ = sampler.finish_round(dev);
                 return None;
             }
@@ -172,11 +169,6 @@ impl ReorderSession {
         self.prev_locality = Some(cur_locality);
         self.rounds += 1;
         self.epoch += 1;
-        debug_log!(
-            "reorder round {} committed (sampled locality {cur_locality:.4}), epoch -> {}",
-            self.rounds,
-            self.epoch
-        );
         Some(Round {
             relabel: round_perm,
             committed: true,
@@ -239,6 +231,13 @@ impl SageRuntime {
         self.session.rounds
     }
 
+    /// This runtime's reorder session: its rollbacks, whether it froze and
+    /// its last sampled locality, beside the rounds and epoch read here.
+    #[must_use]
+    pub fn session(&self) -> &ReorderSession {
+        &self.session
+    }
+
     /// Version of the current id mapping. Bumped whenever a reordering
     /// round commits *or* rolls back — i.e. whenever previously captured
     /// current-id data (cached results, saved frontiers) may be stale.
@@ -286,14 +285,7 @@ impl SageRuntime {
     ) -> WalkOutput {
         let cur_sources: Vec<NodeId> = sources.iter().map(|&s| self.session.perm.map(s)).collect();
         let inv = self.session.perm.inverse();
-        let out = walk::run_batch(
-            dev,
-            &self.graph,
-            app,
-            spec,
-            &cur_sources,
-            Some(inv.as_slice()),
-        );
+        let out = walk::run_batch(dev, &self.graph, app, spec, &cur_sources, inv.as_slice());
         // re-map per-node outputs back to original ids
         let visits = inv.apply_values(&out.visits);
         let mut endpoints = Vec::with_capacity(out.endpoints.len());
@@ -307,8 +299,8 @@ impl SageRuntime {
         }
     }
 
-    /// True once reordering has converged (a round regressed and was
-    /// rolled back); further rounds are skipped.
+    /// True once this runtime's session froze (see
+    /// [`ReorderSession::converged`]); further rounds are skipped.
     #[must_use]
     pub fn converged(&self) -> bool {
         self.session.converged
@@ -542,6 +534,14 @@ mod tests {
         assert!(
             rollbacks > 0,
             "no rollback in 40 operations ({commits} commits)"
+        );
+        let session = rt.session();
+        assert_eq!(session.rollbacks(), rollbacks);
+        assert_eq!(session.rounds() + session.rollbacks(), commits);
+        assert_eq!(session.converged(), rt.converged());
+        assert!(
+            session.locality().is_some(),
+            "{commits} commits, none sampled"
         );
     }
 

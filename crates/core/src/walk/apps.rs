@@ -166,13 +166,14 @@ mod tests {
         let run = |p: f64, q: f64| -> u64 {
             let mut dev = Device::new(DeviceConfig::test_tiny());
             let g = DeviceGraph::upload(&mut dev, Csr::from_edges(n, &edges));
+            let identity: Vec<u32> = (0..n as u32).collect();
             let spec = WalkSpec {
                 walks_per_source: 512,
                 max_length: 6,
                 seed: 11,
                 weights: WalkWeights::Uniform,
             };
-            let out = run_batch(&mut dev, &g, &Node2vec::new(p, q), &spec, &[5], None);
+            let out = run_batch(&mut dev, &g, &Node2vec::new(p, q), &spec, &[5], &identity);
             // total distinct ground covered: visits far from the source
             out.visits
                 .iter()

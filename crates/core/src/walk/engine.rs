@@ -69,8 +69,9 @@ impl WalkOutput {
 
 /// Run one batch: `spec.walks_per_source` walkers from each node of
 /// `sources` (current-id space), all stepping in lock-step inside a
-/// single `walk` kernel launch. `weight_ids`, when given, maps current
-/// ids to original ids so synthetic weights survive reordering.
+/// single `walk` kernel launch. `orig_of` maps current ids to original
+/// ids (`orig_of[current] = original`) so synthetic weights survive
+/// reordering.
 ///
 /// # Panics
 /// Panics when `sources` is empty or contains an out-of-range id.
@@ -81,7 +82,7 @@ pub fn run_batch(
     app: &dyn WalkApp,
     spec: &WalkSpec,
     sources: &[NodeId],
-    weight_ids: Option<&[NodeId]>,
+    orig_of: &[NodeId],
 ) -> WalkOutput {
     let csr = g.csr();
     let n = csr.num_nodes();
@@ -224,7 +225,7 @@ pub fn run_batch(
                             // the warp cooperatively streams the whole row
                             sh.access_range(AccessKind::Read, g.target_addr(off), d, 4);
                             edges_examined += d;
-                            sample::its_sample(csr, cur[w], r_slot, weight_fn(weight_ids))
+                            sample::its_sample(csr, cur[w], r_slot, weight_fn(orig_of))
                                 .expect("non-sink row")
                                 .0
                         }
@@ -296,13 +297,10 @@ pub fn run_batch(
     }
 }
 
-/// Weight function under synthetic weights: hash *original* ids when a
-/// current→original map is supplied, so reordering is invisible.
-fn weight_fn(weight_ids: Option<&[NodeId]>) -> impl Fn(NodeId, NodeId) -> u32 + '_ {
-    move |u, v| match weight_ids {
-        Some(ids) => synthetic_weight(ids[u as usize], ids[v as usize]),
-        None => synthetic_weight(u, v),
-    }
+/// Weight function under synthetic weights: hash *original* ids, so
+/// reordering is invisible.
+fn weight_fn(orig_of: &[NodeId]) -> impl Fn(NodeId, NodeId) -> u32 + '_ {
+    move |u, v| synthetic_weight(orig_of[u as usize], orig_of[v as usize])
 }
 
 #[cfg(test)]
@@ -319,10 +317,11 @@ mod tests {
         Csr::from_edges(n, &edges)
     }
 
-    fn setup(n: usize) -> (Device, DeviceGraph) {
+    /// A device, the ring on it, and the identity current → original map.
+    fn setup(n: usize) -> (Device, DeviceGraph, Vec<NodeId>) {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload(&mut dev, ring(n));
-        (dev, g)
+        (dev, g, (0..n as NodeId).collect())
     }
 
     fn spec() -> WalkSpec {
@@ -336,10 +335,10 @@ mod tests {
 
     #[test]
     fn batch_is_deterministic() {
-        let (mut d1, g1) = setup(32);
-        let (mut d2, g2) = setup(32);
-        let o1 = run_batch(&mut d1, &g1, &Ppr::new(0.2), &spec(), &[0, 5], None);
-        let o2 = run_batch(&mut d2, &g2, &Ppr::new(0.2), &spec(), &[0, 5], None);
+        let (mut d1, g1, ids) = setup(32);
+        let (mut d2, g2, _) = setup(32);
+        let o1 = run_batch(&mut d1, &g1, &Ppr::new(0.2), &spec(), &[0, 5], &ids);
+        let o2 = run_batch(&mut d2, &g2, &Ppr::new(0.2), &spec(), &[0, 5], &ids);
         assert_eq!(o1.endpoints, o2.endpoints);
         assert_eq!(o1.visits, o2.visits);
         assert_eq!(o1.steps, o2.steps);
@@ -348,8 +347,8 @@ mod tests {
 
     #[test]
     fn every_walker_terminates_somewhere() {
-        let (mut dev, g) = setup(16);
-        let out = run_batch(&mut dev, &g, &Node2vec::new(1.0, 1.0), &spec(), &[3], None);
+        let (mut dev, g, ids) = setup(16);
+        let out = run_batch(&mut dev, &g, &Node2vec::new(1.0, 1.0), &spec(), &[3], &ids);
         let total: u64 = out.endpoints.iter().map(|&c| u64::from(c)).sum();
         assert_eq!(total, out.walkers as u64);
         assert!(out.report.converged);
@@ -357,8 +356,8 @@ mod tests {
 
     #[test]
     fn endpoint_scores_normalize() {
-        let (mut dev, g) = setup(16);
-        let out = run_batch(&mut dev, &g, &Ppr::new(0.3), &spec(), &[2], None);
+        let (mut dev, g, ids) = setup(16);
+        let out = run_batch(&mut dev, &g, &Ppr::new(0.3), &spec(), &[2], &ids);
         let s = out.endpoint_scores(0);
         let sum: f32 = s.iter().sum();
         assert!((sum - 1.0).abs() < 1e-4, "sum = {sum}");
@@ -367,7 +366,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one source")]
     fn empty_sources_rejected() {
-        let (mut dev, g) = setup(8);
-        let _ = run_batch(&mut dev, &g, &Ppr::new(0.2), &spec(), &[], None);
+        let (mut dev, g, ids) = setup(8);
+        let _ = run_batch(&mut dev, &g, &Ppr::new(0.2), &spec(), &[], &ids);
     }
 }

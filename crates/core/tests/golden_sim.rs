@@ -113,7 +113,6 @@ fn run(cfg: &DeviceConfig, threads: usize, g: &Csr, app: AppSel) -> (u64, String
                 beta: 24.0,
                 density: 0.4,
             },
-            ..Runner::new()
         },
         _ => Runner::new(),
     };

@@ -95,7 +95,6 @@ impl PolicySel {
                     beta: f64::INFINITY,
                     density: 0.0,
                 },
-                ..Runner::default()
             },
         }
     }

@@ -51,7 +51,6 @@ fn matrix_forced() -> Runner {
             beta: f64::INFINITY,
             density: 0.0,
         },
-        ..Runner::default()
     }
 }
 
@@ -316,7 +315,6 @@ fn social_graph_adaptive_beats_push_with_identical_outputs() {
                 beta: 24.0,
                 density: f64::INFINITY,
             },
-            ..Runner::default()
         };
         let (pull, out_pull) = social_run(&csr, "bfs", source, &two_way, 1);
         assert!(

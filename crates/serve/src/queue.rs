@@ -52,27 +52,29 @@ struct State {
     closed: bool,
 }
 
-/// The admission queue: one FIFO, its capacity and the per-app batch caps.
+/// Walk queries fused into one walk-kernel launch at most. Walks have no
+/// bitmask constraint (every fused query just adds walker lanes), so the
+/// cap sits far above any traversal batch.
+const WALK_BATCH: usize = 4096;
+
+/// The admission queue: one FIFO, its capacity and the traversal batch cap.
 pub(crate) struct JobQueue {
     state: Mutex<State>,
     /// Signalled when a query arrives or the queue closes.
     ready: Condvar,
     capacity: usize,
     /// Traversal batches stop at `max_batch` queries, walk batches at
-    /// `walk_batch` (walks fuse thousands of tiny queries into one kernel
-    /// launch, so their cap is far higher).
+    /// [`WALK_BATCH`].
     max_batch: usize,
-    walk_batch: usize,
 }
 
 impl JobQueue {
-    pub(crate) fn new(capacity: usize, max_batch: usize, walk_batch: usize) -> Self {
+    pub(crate) fn new(capacity: usize, max_batch: usize) -> Self {
         Self {
             state: Mutex::default(),
             ready: Condvar::new(),
             capacity,
             max_batch,
-            walk_batch,
         }
     }
 
@@ -120,7 +122,7 @@ impl JobQueue {
         loop {
             if let Some(key) = state.jobs.front().map(PendingQuery::key) {
                 let cap = match key.1 {
-                    AppKind::Walk => self.walk_batch,
+                    AppKind::Walk => WALK_BATCH,
                     _ => self.max_batch,
                 }
                 .max(1);
@@ -199,7 +201,7 @@ mod tests {
 
     #[test]
     fn push_then_pop_roundtrips() {
-        let q = JobQueue::new(8, 4, 4);
+        let q = JobQueue::new(8, 4);
         push(&q, job(0, AppKind::Bfs, 3));
         let batch = q.pop_batch().unwrap();
         assert_eq!(batch.len(), 1);
@@ -209,7 +211,7 @@ mod tests {
 
     #[test]
     fn capacity_is_enforced() {
-        let q = JobQueue::new(2, 1, 1);
+        let q = JobQueue::new(2, 1);
         push(&q, job(0, AppKind::Bfs, 0));
         push(&q, job(0, AppKind::Bfs, 1));
         assert_eq!(
@@ -227,7 +229,7 @@ mod tests {
 
     #[test]
     fn batch_groups_compatible_queries_and_preserves_others() {
-        let q = JobQueue::new(16, 8, 8);
+        let q = JobQueue::new(16, 8);
         push(&q, job(0, AppKind::Bfs, 1));
         push(&q, job(0, AppKind::Pr, 0));
         push(&q, job(0, AppKind::Bfs, 2));
@@ -246,7 +248,7 @@ mod tests {
 
     #[test]
     fn max_batch_caps_extraction() {
-        let q = JobQueue::new(16, 3, 3);
+        let q = JobQueue::new(16, 3);
         for s in 0..5 {
             push(&q, job(0, AppKind::Bfs, s));
         }
@@ -256,16 +258,16 @@ mod tests {
 
     #[test]
     fn walk_batches_use_their_own_cap() {
-        let q = JobQueue::new(64, 2, 16);
-        for s in 0..20 {
+        let q = JobQueue::new(WALK_BATCH + 6, 2);
+        for s in 0..=WALK_BATCH as u32 {
             push(&q, job(0, AppKind::Walk, s));
         }
         for s in 0..5 {
             push(&q, job(0, AppKind::Bfs, s));
         }
-        // the walk run fuses up to walk_batch queries in one batch...
-        assert_eq!(q.pop_batch().unwrap().len(), 16);
-        assert_eq!(q.pop_batch().unwrap().len(), 4);
+        // the walk run fuses up to WALK_BATCH queries in one batch...
+        assert_eq!(q.pop_batch().unwrap().len(), WALK_BATCH);
+        assert_eq!(q.pop_batch().unwrap().len(), 1);
         // ...while traversal batches still stop at max_batch
         assert_eq!(q.pop_batch().unwrap().len(), 2);
     }
@@ -278,7 +280,7 @@ mod tests {
     #[test]
     fn batches_leave_in_admission_order_whoever_pops() {
         // whichever thread pops, the oldest query's run leaves first
-        let q = JobQueue::new(8, 4, 4);
+        let q = JobQueue::new(8, 4);
         let apps = [AppKind::Bfs, AppKind::Pr, AppKind::Cc, AppKind::Sssp];
         for (source, app) in apps.into_iter().enumerate() {
             push(&q, job(0, app, source as u32));
@@ -293,7 +295,7 @@ mod tests {
     fn same_key_queries_fuse_across_workers() {
         // every worker sees every waiting query, so consecutive
         // admissions of one key fuse whoever pops them
-        let q = JobQueue::new(8, 4, 4);
+        let q = JobQueue::new(8, 4);
         push(&q, job(0, AppKind::Bfs, 1));
         push(&q, job(0, AppKind::Bfs, 2));
         let batch = pop_on_worker(&q).unwrap();
@@ -304,7 +306,7 @@ mod tests {
 
     #[test]
     fn poisoned_deque_closes_queue_instead_of_panicking() {
-        let q = Arc::new(JobQueue::new(8, 4, 4));
+        let q = Arc::new(JobQueue::new(8, 4));
         push(&q, job(0, AppKind::Bfs, 1));
         // poison the queue lock by panicking while holding it
         let q2 = Arc::clone(&q);
@@ -324,7 +326,7 @@ mod tests {
 
     #[test]
     fn close_wakes_and_drains() {
-        let q = Arc::new(JobQueue::new(8, 4, 4));
+        let q = Arc::new(JobQueue::new(8, 4));
         let q2 = Arc::clone(&q);
         let waiter = std::thread::spawn(move || q2.pop_batch());
         push(&q, job(0, AppKind::Cc, 0));

@@ -75,11 +75,7 @@ impl SageService {
     pub fn start(cfg: ServiceConfig) -> Self {
         assert!(cfg.devices > 0, "the service needs at least one device");
         let registry: Registry = Arc::new(RwLock::new(Vec::new()));
-        let queue = Arc::new(JobQueue::new(
-            cfg.queue_capacity,
-            cfg.max_batch,
-            cfg.walk_batch,
-        ));
+        let queue = Arc::new(JobQueue::new(cfg.queue_capacity, cfg.max_batch));
         let cache = Arc::new(ResultCache::new(cfg.cache_capacity));
         let mut profiles = Vec::with_capacity(cfg.devices);
         let mut hazard_slots = Vec::with_capacity(cfg.devices);

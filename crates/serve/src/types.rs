@@ -313,12 +313,8 @@ pub struct ServiceConfig {
     /// fail with [`ServiceError::Overloaded`].
     pub queue_capacity: usize,
     /// Maximum queries fused into one execution batch for traversal apps
-    /// (`Walk` queries use [`ServiceConfig::walk_batch`] instead).
+    /// (`Walk` batches stop at the queue's fixed walk cap instead).
     pub max_batch: usize,
-    /// Maximum walk queries fused into one walk-kernel launch. Walks have
-    /// no bitmask constraint — every fused query just adds walker lanes —
-    /// so this defaults far above `max_batch`.
-    pub walk_batch: usize,
     /// How `Walk` queries are executed.
     pub walk: WalkPolicy,
     /// Sampling threshold for self-reordering: the edge accesses a worker
@@ -338,7 +334,6 @@ impl Default for ServiceConfig {
             device_config: DeviceConfig::default(),
             queue_capacity: 256,
             max_batch: 32,
-            walk_batch: 4096,
             walk: WalkPolicy::default(),
             reorder_threshold: None,
             cache_capacity: 1024,
@@ -357,7 +352,6 @@ impl ServiceConfig {
             device_config: DeviceConfig::test_tiny(),
             queue_capacity: 64,
             max_batch: 16,
-            walk_batch: 4096,
             walk: WalkPolicy {
                 walks_per_source: 16,
                 length: 8,

@@ -26,8 +26,7 @@ const WAIT: Duration = Duration::from_secs(120);
 fn largest_fused_walk_batch(csr: Csr, queries: usize, walks_per_source: usize) -> usize {
     let mut cfg = ServiceConfig::test_config(1);
     cfg.queue_capacity = queries * 2 + 64;
-    cfg.max_batch = 8; // traversal cap stays small...
-    cfg.walk_batch = queries * 2; // ...while walks fuse without that bound
+    cfg.max_batch = 8; // the traversal cap does not bound walk batches
     cfg.reorder_threshold = Some(u64::MAX);
     cfg.walk.walks_per_source = walks_per_source;
     cfg.walk.length = 4;

@@ -62,10 +62,17 @@ fn main() {
     let mut bfs2 = Bfs::new(&mut dev2);
     for round in 0..6 {
         let rep = rt.run(&mut dev2, &mut bfs2, 42);
+        let session = rt.session();
+        let locality = session
+            .locality()
+            .map_or_else(|| "none yet".to_owned(), |l| format!("{l:.3}"));
         println!(
-            "  round {round}: {:.3} GTEPS ({} reorder rounds applied)",
+            "  round {round}: {:.3} GTEPS ({} reorder rounds applied, {} rolled back, \
+             sampled locality {locality}{})",
             rep.gteps(),
-            rt.rounds()
+            session.rounds(),
+            session.rollbacks(),
+            if session.converged() { ", frozen" } else { "" }
         );
         rt.maybe_reorder(&mut dev2);
     }

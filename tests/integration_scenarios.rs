@@ -174,7 +174,7 @@ fn cli_refuses_bad_input_without_panicking() {
         (vec!["mis", "--dataset", "brain", "--scale", "0.05"], 2),
         (vec!["kcore", "--dataset", "brain", "--scale", "0.05"], 2),
         ([&bfs[..], &["--repeat", "0"]].concat(), 2),
-        ([&bfs[..], &["--threads", "0"]].concat(), 2),
+        ([&bfs[..], &["--threads", "4"]].concat(), 2),
         ([&bfs[..], &["--mode", "matrix"]].concat(), 2),
         ([&serve[..], &["--devices", "0"]].concat(), 2),
         ([&serve[..], &["--requests", "0"]].concat(), 2),
@@ -187,6 +187,13 @@ fn cli_refuses_bad_input_without_panicking() {
         assert_eq!(code, Some(want), "{args:?} exit code; stderr: {stderr}");
         assert!(!stderr.trim().is_empty(), "{args:?} gave no message");
     }
+
+    // --threads is no flag: the refusal names it
+    let (_, stderr) = sage_cli(&[&bfs[..], &["--threads", "4"]].concat());
+    assert!(
+        stderr.contains("--threads"),
+        "refusal does not name --threads: {stderr}"
+    );
 
     // subway runs only on a host-resident graph, and the refusal says so
     let (code, stderr) = sage_cli(&[&bfs[..], &["--engine", "subway"]].concat());
