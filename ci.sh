@@ -150,12 +150,15 @@ echo "== determinism (release): recorded route == direct route, bit for bit =="
 # changes nothing on push-only and adaptive-3-way pipelines (R-MAT 2^14 on
 # the default device included) or on BFS pinned to the matrix gear;
 # golden_sim pins the absolute simulated counters and prop_sim checks the
-# cache against its stamp-LRU oracle, so optimised builds are pinned too
+# cache against its stamp-LRU oracle, so optimised builds are pinned too;
+# prop_serve checks served BFS, SSSP and CC answers against the host
+# reference across reorder rounds
 cargo test --release -q -p sage --test prop_determinism
 cargo test --release -q -p sage --test golden_sim
 cargo test --release -q -p gpu-sim --test prop_sim
 cargo test --release -q -p sage --test prop_direction
 cargo test --release -q -p sage --test prop_walk
+cargo test --release -q -p sage-serve --test prop_serve
 cargo test --release -q -p gpu-sim kernel::
 # the graphs themselves: golden_gen pins every generator's output (the
 # benchmark graphs, built in parts, included), and prop_graph checks the

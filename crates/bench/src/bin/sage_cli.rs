@@ -64,7 +64,7 @@ use sage::engine::{
 };
 use sage::{DeviceGraph, Runner};
 use sage_graph::datasets::Dataset;
-use sage_graph::{io, Csr};
+use sage_graph::{io, Csr, NodeId};
 use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::exit;
@@ -91,16 +91,19 @@ fn say_line(line: std::fmt::Arguments<'_>) {
 }
 
 /// Builds one traversal app on the device.
-type MakeApp = fn(&mut Device) -> Box<dyn App>;
+type MakeApp = fn(&mut Device, usize) -> Box<dyn App>;
 
 /// The traversal apps by name: the one list that both the accepted-name
 /// check and the dispatch read.
 const APPS: [(&str, MakeApp); 5] = [
-    ("bfs", |dev| Box::new(Bfs::new(dev))),
-    ("bc", |dev| Box::new(Bc::new(dev))),
-    ("pr", |dev| Box::new(PageRank::with_defaults(dev))),
-    ("cc", |dev| Box::new(Cc::new(dev))),
-    ("sssp", |dev| Box::new(Sssp::new(dev))),
+    ("bfs", |dev, _| Box::new(Bfs::new(dev))),
+    ("bc", |dev, _| Box::new(Bc::new(dev))),
+    ("pr", |dev, _| Box::new(PageRank::with_defaults(dev))),
+    ("cc", |dev, _| Box::new(Cc::new(dev))),
+    // the graph is never reordered here: SSSP weighs by the identity map
+    ("sssp", |dev, n| {
+        Box::new(Sssp::new(dev, (0..n as NodeId).collect()))
+    }),
 ];
 
 /// Builds one engine on the device for the graph.
@@ -564,7 +567,7 @@ fn main() {
         DeviceGraph::upload(&mut dev, csr).with_in_edges(&mut dev)
     };
 
-    let mut app = make_app(&mut dev);
+    let mut app = make_app(&mut dev, g.csr().num_nodes());
 
     let runner = if args.push_only {
         Runner::push_only()

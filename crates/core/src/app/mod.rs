@@ -142,6 +142,16 @@ pub fn synthetic_weight(u: NodeId, v: NodeId) -> u32 {
     ((h >> 33) % 15) as u32 + 1
 }
 
+/// The one weight rule of every weighted app and walk: edge `(u, v)` of a
+/// layout whose current → original map is `orig_of` weighs
+/// [`synthetic_weight`] of its *original* ids, so reordering never changes
+/// a weight.
+#[inline]
+#[must_use]
+pub fn layout_weight(orig_of: &[NodeId], u: NodeId, v: NodeId) -> u32 {
+    synthetic_weight(orig_of[u as usize], orig_of[v as usize])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

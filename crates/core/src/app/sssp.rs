@@ -1,9 +1,10 @@
 //! Single-Source Shortest Path (frontier-based Bellman–Ford relaxation) —
 //! §4's "iteratively update neighbors' distances" primitive, with
 //! deterministic synthetic edge weights (the paper's datasets are
-//! unweighted).
+//! unweighted) hashed from *original* node ids, so distances survive
+//! reordering.
 
-use super::{synthetic_weight, App};
+use super::{layout_weight, App};
 use crate::access::AccessRecorder;
 use gpu_sim::{Device, DeviceArray};
 use sage_graph::{Csr, NodeId};
@@ -14,20 +15,27 @@ pub const UNREACHED: u32 = u32::MAX;
 /// SSSP with `atomicMin` relaxations.
 pub struct Sssp {
     dist: DeviceArray<u32>,
+    /// Current → original id map (`orig_of[current] = original`), read
+    /// by [`layout_weight`].
+    orig_of: Vec<NodeId>,
 }
 
 impl Sssp {
-    /// Create an uninitialised SSSP app.
+    /// Create an uninitialised SSSP app for a graph in the layout that
+    /// `orig_of` (`orig_of[current] = original`) describes; a graph that
+    /// was never reordered passes the identity.
     #[must_use]
-    pub fn new(dev: &mut Device) -> Self {
+    pub fn new(dev: &mut Device, orig_of: Vec<NodeId>) -> Self {
         Self {
             dist: dev.alloc_array(0, 0),
+            orig_of,
         }
     }
 
-    /// Distances after a run ([`UNREACHED`] when unreachable). No
-    /// production code asks: `prop_core`, `integration_pipeline` and the
-    /// engine unit tests check them against the Dijkstra reference.
+    /// Distances after a run, by current id ([`UNREACHED`] when
+    /// unreachable). They equal the Dijkstra reference on the original
+    /// graph once mapped back to original ids; the serve worker returns
+    /// them that way for a one-source SSSP batch.
     #[must_use]
     pub fn distances(&self) -> &[u32] {
         self.dist.as_slice()
@@ -58,7 +66,8 @@ impl App for Sssp {
         let f = frontier as usize;
         let n = neighbor as usize;
         rec.read(self.dist.addr(n));
-        let candidate = self.dist[f].saturating_add(synthetic_weight(frontier, neighbor));
+        let candidate =
+            self.dist[f].saturating_add(layout_weight(&self.orig_of, frontier, neighbor));
         if candidate < self.dist[n] {
             // atomicMin
             self.dist[n] = candidate;
@@ -73,12 +82,12 @@ impl App for Sssp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::Step;
+    use crate::app::{synthetic_weight, Step};
     use gpu_sim::DeviceConfig;
 
     fn run_direct(g: &Csr, source: NodeId) -> Vec<u32> {
         let mut dev = Device::new(DeviceConfig::test_tiny());
-        let mut app = Sssp::new(&mut dev);
+        let mut app = Sssp::new(&mut dev, (0..g.num_nodes() as NodeId).collect());
         let mut frontier = app.init(&mut dev, g, source);
         let mut rec = AccessRecorder::new();
         for iter in 1..100_000 {

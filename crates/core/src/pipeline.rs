@@ -371,8 +371,9 @@ mod tests {
         let csr = small_graph();
         let expect = reference::sssp_dists(&csr, 7);
         let mut dev = Device::new(DeviceConfig::test_tiny());
+        let identity = (0..csr.num_nodes() as NodeId).collect();
         let g = DeviceGraph::upload(&mut dev, csr);
-        let mut app = Sssp::new(&mut dev);
+        let mut app = Sssp::new(&mut dev, identity);
         let mut eng = NaiveEngine::new();
         let _ = Runner::new().run(&mut dev, &g, &mut eng, &mut app, 7);
         assert_eq!(app.distances(), expect.as_slice());

@@ -286,17 +286,12 @@ impl SageRuntime {
         let cur_sources: Vec<NodeId> = sources.iter().map(|&s| self.session.perm.map(s)).collect();
         let inv = self.session.perm.inverse();
         let out = walk::run_batch(dev, &self.graph, app, spec, &cur_sources, inv.as_slice());
-        // re-map per-node outputs back to original ids
-        let visits = inv.apply_values(&out.visits);
+        // re-map each slot's endpoint counts back to original ids
         let mut endpoints = Vec::with_capacity(out.endpoints.len());
         for slot in 0..out.num_sources {
             endpoints.extend(inv.apply_values(out.endpoints_for(slot)));
         }
-        WalkOutput {
-            endpoints,
-            visits,
-            ..out
-        }
+        WalkOutput { endpoints, ..out }
     }
 
     /// True once this runtime's session froze (see
@@ -413,6 +408,25 @@ mod tests {
     }
 
     #[test]
+    fn sssp_distances_invariant_under_reordering() {
+        use crate::app::Sssp;
+        let csr = graph();
+        let expect = reference::sssp_dists(&csr, 5);
+        let mut dev = Device::new(DeviceConfig::test_tiny());
+        let mut rt = SageRuntime::with_threshold(&mut dev, csr, 1000);
+        let mut bfs = Bfs::new(&mut dev);
+        for _ in 0..3 {
+            let _ = rt.run(&mut dev, &mut bfs, 5);
+            rt.force_reorder(&mut dev);
+        }
+        assert!(rt.rounds() > 0, "threshold 1000 must commit a round");
+        let mut sssp = Sssp::new(&mut dev, rt.permutation().inverse().as_slice().to_vec());
+        let _ = rt.run(&mut dev, &mut sssp, 5);
+        let got = rt.to_original_order(sssp.distances());
+        assert_eq!(got, expect, "distances must be invariant under reordering");
+    }
+
+    #[test]
     fn reordering_improves_traversal_time() {
         let csr = graph();
         let mut dev = Device::new(DeviceConfig::test_tiny());
@@ -476,29 +490,41 @@ mod tests {
     fn walk_endpoint_mass_conserved_across_reordering() {
         use crate::walk::{Node2vec, WalkSpec, WalkWeights};
         let csr = graph();
+        let sources = [2, 9];
+        let hops: Vec<Vec<i32>> = sources
+            .iter()
+            .map(|&s| reference::bfs_levels(&csr, s))
+            .collect();
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let mut rt = SageRuntime::with_threshold(&mut dev, csr, 500);
         let spec = WalkSpec {
             walks_per_source: 32,
-            max_length: 5,
+            max_length: 2,
             weights: WalkWeights::Uniform,
             ..WalkSpec::default()
         };
         let app = Node2vec::new(1.0, 1.0);
-        let out = rt.run_walk(&mut dev, &app, &spec, &[2, 9]);
+        let out = rt.run_walk(&mut dev, &app, &spec, &sources);
         let mass: u64 = out.endpoints.iter().map(|&c| u64::from(c)).sum();
         assert_eq!(mass, out.walkers as u64);
         let mut bfs = Bfs::new(&mut dev);
         let _ = rt.run(&mut dev, &mut bfs, 0);
-        rt.force_reorder(&mut dev);
-        let out2 = rt.run_walk(&mut dev, &app, &spec, &[2, 9]);
-        let mass2: u64 = out2.endpoints.iter().map(|&c| u64::from(c)).sum();
-        assert_eq!(mass2, out2.walkers as u64);
-        // visit mass: every walker visits its source plus one node per step
-        assert_eq!(
-            out2.visits.iter().map(|&c| u64::from(c)).sum::<u64>(),
-            out2.walkers as u64 + out2.steps
-        );
+        assert!(rt.force_reorder(&mut dev), "threshold 500 must commit");
+        let out2 = rt.run_walk(&mut dev, &app, &spec, &sources);
+        // each slot keeps its walkers, and after the remap every endpoint
+        // lies within two hops of its source in the original graph
+        for (slot, hop) in hops.iter().enumerate() {
+            let counts = out2.endpoints_for(slot);
+            let mass2: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+            assert_eq!(mass2, spec.walks_per_source as u64);
+            for (v, &c) in counts.iter().enumerate() {
+                assert!(
+                    c == 0 || (0..=2).contains(&hop[v]),
+                    "slot {slot}: {c} walkers ended at node {v}, {} hops out",
+                    hop[v]
+                );
+            }
+        }
     }
 
     #[test]

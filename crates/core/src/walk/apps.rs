@@ -142,6 +142,71 @@ mod tests {
     }
 
     #[test]
+    fn ppr_endpoints_follow_personalised_pagerank() {
+        // 12 nodes, out-degree 2 or 3 everywhere (no dangling node, so no
+        // teleport), uneven in-degrees so the PPR vector is far from flat
+        let n = 12u32;
+        let mut edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| [(u, (u + 1) % n), (u, (u + 3) % n), (u, (2 * u + 5) % n)])
+            .filter(|&(u, v)| u != v)
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let csr = Csr::from_edges(n as usize, &edges);
+        let (alpha, source, walkers) = (0.15, 4u32, 20_000usize);
+
+        // exact PPR by power iteration: pi = alpha * sum_t (1 - alpha)^t
+        // e_s P^t, stopped once the remaining mass is below 1e-15
+        let mut x = vec![0.0f64; n as usize];
+        x[source as usize] = 1.0;
+        let mut pi = vec![0.0f64; n as usize];
+        let mut weight = alpha;
+        while weight > 1e-15 {
+            let mut next = vec![0.0f64; n as usize];
+            for u in 0..n {
+                let row = csr.neighbors(u);
+                pi[u as usize] += weight * x[u as usize];
+                for &v in row {
+                    next[v as usize] += x[u as usize] / row.len() as f64;
+                }
+            }
+            x = next;
+            weight *= 1.0 - alpha;
+        }
+
+        // 200 steps leave 0.85^200 < 1e-14 of the walkers to truncation
+        let mut dev = Device::new(DeviceConfig::test_tiny());
+        let g = DeviceGraph::upload(&mut dev, csr);
+        let spec = WalkSpec {
+            walks_per_source: walkers,
+            max_length: 200,
+            seed: 3,
+            weights: WalkWeights::Uniform,
+        };
+        let identity: Vec<u32> = (0..n).collect();
+        let out = run_batch(&mut dev, &g, &Ppr::new(alpha), &spec, &[source], &identity);
+
+        // Pearson's chi-square over the 12 nodes (11 degrees of freedom;
+        // every expected count exceeds 5). 31.264 is the 0.999 quantile, so
+        // a correct engine fails this at a fixed seed with probability 1e-3.
+        let chi2: f64 = out
+            .endpoints_for(0)
+            .iter()
+            .zip(&pi)
+            .map(|(&got, &p)| {
+                let want = p * walkers as f64;
+                assert!(want > 5.0, "expected count {want} too small for chi-square");
+                (f64::from(got) - want).powi(2) / want
+            })
+            .sum();
+        assert!(
+            chi2 < 31.264,
+            "chi-square {chi2} over 11 dof: endpoints {:?}, PPR {pi:?}",
+            out.endpoints_for(0)
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "alpha")]
     fn ppr_rejects_degenerate_alpha() {
         let _ = Ppr::new(1.0);
@@ -174,8 +239,8 @@ mod tests {
                 weights: WalkWeights::Uniform,
             };
             let out = run_batch(&mut dev, &g, &Node2vec::new(p, q), &spec, &[5], &identity);
-            // total distinct ground covered: visits far from the source
-            out.visits
+            // walkers that ended far from the source
+            out.endpoints
                 .iter()
                 .enumerate()
                 .filter(|(v, _)| (*v as i64 - 5).unsigned_abs() >= 3)

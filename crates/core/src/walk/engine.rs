@@ -5,7 +5,7 @@
 
 use super::{counter_rng, EdgeProbe, WalkApp, WalkControl, WalkSpec, WalkWeights};
 use crate::access::AccessRecorder;
-use crate::app::synthetic_weight;
+use crate::app::layout_weight;
 use crate::dgraph::DeviceGraph;
 use crate::metrics::RunReport;
 use gpu_sim::{AccessKind, Device};
@@ -26,11 +26,9 @@ pub struct WalkOutput {
     /// Number of distinct source slots in the batch.
     pub num_sources: usize,
     /// Endpoint counts, slot-major: `endpoints[slot * n + v]` is how many
-    /// of slot `slot`'s walkers terminated at node `v`.
+    /// of slot `slot`'s walkers terminated at node `v`. A batch records
+    /// nothing else per node: the tally is each walker's one atomic.
     pub endpoints: Vec<u32>,
-    /// Visit histogram over all walkers: `visits[v]` counts arrivals at
-    /// `v` (including each walker's start and any teleports).
-    pub visits: Vec<u32>,
     /// Walkers launched.
     pub walkers: usize,
     /// Edge transitions taken across the batch.
@@ -71,11 +69,11 @@ impl WalkOutput {
 /// `sources` (current-id space), all stepping in lock-step inside a
 /// single `walk` kernel launch. `orig_of` maps current ids to original
 /// ids (`orig_of[current] = original`) so synthetic weights survive
-/// reordering.
+/// reordering. The batch writes one endpoint tally per walker, its only
+/// atomic, and returns those tallies with the step count.
 ///
 /// # Panics
 /// Panics when `sources` is empty or contains an out-of-range id.
-#[allow(clippy::too_many_lines)]
 pub fn run_batch(
     dev: &mut Device,
     g: &DeviceGraph,
@@ -98,7 +96,6 @@ pub fn run_batch(
     let hazard_start = dev.hazard_count();
 
     let mut endpoints = dev.alloc_array::<u32>((k_src * n).max(1), 0);
-    let mut visits = dev.alloc_array::<u32>(n.max(1), 0);
 
     let mut k = dev.launch("walk");
     let warp = k.cfg().warp_size;
@@ -120,18 +117,6 @@ pub fn run_batch(
     let mut steps_taken = 0u64;
     let mut edges_examined = 0u64;
     let mut rounds = 0usize;
-
-    // prologue: every walker registers its starting visit
-    for (wi, lo) in (0..total).step_by(warp).enumerate() {
-        let hi = (lo + warp).min(total);
-        let mut sh = k.shard(wi % sms);
-        sh.exec(2, hi - lo, warp);
-        for w in lo..hi {
-            visits[cur[w] as usize] += 1;
-            rec.atomic(visits.addr(cur[w] as usize));
-        }
-        rec.flush(&mut sh);
-    }
 
     for step in 0..spec.max_length {
         if live == 0 {
@@ -175,8 +160,6 @@ pub fn run_batch(
                     WalkControl::Restart => {
                         prev[w] = NO_PREV;
                         cur[w] = sources[slot];
-                        visits[cur[w] as usize] += 1;
-                        rec.atomic(visits.addr(cur[w] as usize));
                         continue;
                     }
                     WalkControl::Continue => {}
@@ -194,8 +177,6 @@ pub fn run_batch(
                         WalkControl::Restart => {
                             prev[w] = NO_PREV;
                             cur[w] = sources[slot];
-                            visits[cur[w] as usize] += 1;
-                            rec.atomic(visits.addr(cur[w] as usize));
                         }
                     }
                     continue;
@@ -225,9 +206,11 @@ pub fn run_batch(
                             // the warp cooperatively streams the whole row
                             sh.access_range(AccessKind::Read, g.target_addr(off), d, 4);
                             edges_examined += d;
-                            sample::its_sample(csr, cur[w], r_slot, weight_fn(orig_of))
-                                .expect("non-sink row")
-                                .0
+                            sample::its_sample(csr, cur[w], r_slot, |u, v| {
+                                layout_weight(orig_of, u, v)
+                            })
+                            .expect("non-sink row")
+                            .0
                         }
                     };
                     let threshold = {
@@ -244,8 +227,6 @@ pub fn run_batch(
                 let next = chosen.expect("rejection loop always proposes");
                 prev[w] = cur[w];
                 cur[w] = next;
-                visits[next as usize] += 1;
-                rec.atomic(visits.addr(next as usize));
                 steps_taken += 1;
             }
             if extra_attempts > 0 {
@@ -290,17 +271,10 @@ pub fn run_batch(
     WalkOutput {
         num_sources: k_src,
         endpoints: endpoints.as_slice().to_vec(),
-        visits: visits.as_slice().to_vec(),
         walkers: total,
         steps: steps_taken,
         report,
     }
-}
-
-/// Weight function under synthetic weights: hash *original* ids, so
-/// reordering is invisible.
-fn weight_fn(orig_of: &[NodeId]) -> impl Fn(NodeId, NodeId) -> u32 + '_ {
-    move |u, v| synthetic_weight(orig_of[u as usize], orig_of[v as usize])
 }
 
 #[cfg(test)]
@@ -340,7 +314,6 @@ mod tests {
         let o1 = run_batch(&mut d1, &g1, &Ppr::new(0.2), &spec(), &[0, 5], &ids);
         let o2 = run_batch(&mut d2, &g2, &Ppr::new(0.2), &spec(), &[0, 5], &ids);
         assert_eq!(o1.endpoints, o2.endpoints);
-        assert_eq!(o1.visits, o2.visits);
         assert_eq!(o1.steps, o2.steps);
         assert_eq!(o1.report.seconds.to_bits(), o2.report.seconds.to_bits());
     }
@@ -361,6 +334,19 @@ mod tests {
         let s = out.endpoint_scores(0);
         let sum: f32 = s.iter().sum();
         assert!((sum - 1.0).abs() < 1e-4, "sum = {sum}");
+    }
+
+    #[test]
+    fn each_walker_charges_one_atomic() {
+        // the endpoint tally is a walker's only atomic, whether it stops
+        // early (PPR) or runs to the length cap (node2vec)
+        let apps: [&dyn WalkApp; 2] = [&Ppr::new(0.2), &Node2vec::new(2.0, 0.5)];
+        for app in apps {
+            let (mut dev, g, ids) = setup(32);
+            let out = run_batch(&mut dev, &g, app, &spec(), &[0, 5, 9], &ids);
+            assert!(out.steps > 0);
+            assert_eq!(dev.profiler().atomics, out.walkers as u64, "{}", app.name());
+        }
     }
 
     #[test]

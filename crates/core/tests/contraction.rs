@@ -123,7 +123,7 @@ fn push_engines_contract_inside_their_own_kernels() {
     let mut duplicates = [0usize; 2];
     for (mut engine, g) in engines(&mut dev, &csr) {
         let mut sssp = Passes {
-            inner: Sssp::new(&mut dev),
+            inner: Sssp::new(&mut dev, (0..csr.num_nodes() as u32).collect()),
             passed: Vec::new(),
         };
         duplicates[0] += check_iterations(&mut dev, &g, engine.as_mut(), &mut sssp);

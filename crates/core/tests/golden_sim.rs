@@ -21,7 +21,9 @@
 //! 2^12 at seed 1: node2vec (p = 2, q = 0.5) over synthetic weights takes
 //! the inverse-transform row scan, and PPR over uniform weights takes the
 //! single modulo pick the service's walks use. Their hash also covers the
-//! endpoint and visit histograms and the step count.
+//! endpoint histogram and the step count. A second, functional pin per walk
+//! app hashes only what a walk answers (endpoints and steps), on every
+//! device: a cost-model change may move the cost pins, never that one.
 
 use gpu_sim::{Device, DeviceConfig, Profiler};
 use sage::app::{App, Bfs, Cc, PageRank, Sssp};
@@ -102,7 +104,7 @@ fn run(cfg: &DeviceConfig, threads: usize, g: &Csr, app: AppSel) -> (u64, String
     let mut engine = ResidentEngine::new();
     let mut a: Box<dyn App> = match app {
         AppSel::Bfs => Box::new(Bfs::new(&mut dev)),
-        AppSel::Sssp => Box::new(Sssp::new(&mut dev)),
+        AppSel::Sssp => Box::new(Sssp::new(&mut dev, (0..g.num_nodes() as u32).collect())),
         AppSel::Pr => Box::new(PageRank::new(&mut dev, 8, 0.0)),
         AppSel::Cc => Box::new(Cc::new(&mut dev)),
     };
@@ -237,15 +239,15 @@ fn cc_tiny_device() {
     );
 }
 
-/// One walk batch's fingerprint: endpoints, visits, steps, seconds,
-/// profiler and kernel breakdown.
+/// One walk batch's fingerprints: the answer (endpoints and steps) and the
+/// cost (the answer plus seconds, profiler and kernel breakdown).
 fn run_walk(
     cfg: &DeviceConfig,
     threads: usize,
     g: &Csr,
     app: &dyn WalkApp,
     weights: WalkWeights,
-) -> u64 {
+) -> (u64, u64) {
     let mut dev = Device::new(cfg.clone());
     dev.set_host_threads(threads);
     let spec = WalkSpec {
@@ -257,18 +259,20 @@ fn run_walk(
     let out =
         SageRuntime::new(&mut dev, g.clone()).run_walk(&mut dev, app, &spec, &[hub(g), 0, 1234]);
     let mut h = Fnv::new();
-    for &c in out.endpoints.iter().chain(&out.visits) {
+    for &c in &out.endpoints {
         h.u64(u64::from(c));
     }
     h.u64(out.steps);
+    let answer = h.0;
     h.f64(out.report.seconds);
     hash_profiler(&mut h, dev.profiler());
     hash_breakdown(&mut h, &dev);
-    h.0
+    (answer, h.0)
 }
 
-/// Run a walk batch at 1 and 2 host threads and compare with `want`.
-fn check_walk(cfg: &DeviceConfig, app: &dyn WalkApp, weights: WalkWeights, want: u64) {
+/// Run a walk batch at 1 and 2 host threads and compare its answer with
+/// `answer` and its cost with `want`.
+fn check_walk(cfg: &DeviceConfig, app: &dyn WalkApp, weights: WalkWeights, answer: u64, want: u64) {
     let g = rmat_graph(12, 16, SEEDS[0]);
     let direct = run_walk(cfg, 1, &g, app, weights);
     let replayed = run_walk(cfg, 2, &g, app, weights);
@@ -279,11 +283,20 @@ fn check_walk(cfg: &DeviceConfig, app: &dyn WalkApp, weights: WalkWeights, want:
         cfg.name
     );
     assert_eq!(
-        direct, want,
+        direct.0, answer,
+        "{name} walk on {}: endpoints or steps drifted",
+        cfg.name
+    );
+    assert_eq!(
+        direct.1, want,
         "{name} walk on {}: simulated counters drifted",
         cfg.name
     );
 }
+
+/// Answer pins of the two walk cases, shared by both devices.
+const NODE2VEC_ITS_ANSWER: u64 = 14_502_506_878_505_567_058;
+const PPR_UNIFORM_ANSWER: u64 = 10_588_172_962_862_640_119;
 
 #[test]
 fn node2vec_its_default_device() {
@@ -291,7 +304,8 @@ fn node2vec_its_default_device() {
         &DeviceConfig::default(),
         &Node2vec::new(2.0, 0.5),
         WalkWeights::Synthetic,
-        3_581_972_027_123_732_324,
+        NODE2VEC_ITS_ANSWER,
+        6_182_426_209_467_504_532,
     );
 }
 
@@ -301,7 +315,8 @@ fn node2vec_its_tiny_device() {
         &DeviceConfig::test_tiny(),
         &Node2vec::new(2.0, 0.5),
         WalkWeights::Synthetic,
-        18_141_249_500_138_511_404,
+        NODE2VEC_ITS_ANSWER,
+        8_029_071_083_502_957_191,
     );
 }
 
@@ -311,7 +326,8 @@ fn ppr_uniform_default_device() {
         &DeviceConfig::default(),
         &Ppr::new(0.15),
         WalkWeights::Uniform,
-        620_404_643_104_699_109,
+        PPR_UNIFORM_ANSWER,
+        4_134_961_649_933_310_229,
     );
 }
 
@@ -321,6 +337,7 @@ fn ppr_uniform_tiny_device() {
         &DeviceConfig::test_tiny(),
         &Ppr::new(0.15),
         WalkWeights::Uniform,
-        9_085_074_678_743_659_757,
+        PPR_UNIFORM_ANSWER,
+        16_393_508_935_781_274_983,
     );
 }

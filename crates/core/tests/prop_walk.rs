@@ -1,8 +1,8 @@
 //! Determinism and fidelity suite for the random-walk engine: on random
 //! power-law graphs, PPR and node2vec batches under both weight models
 //! must be **bitwise identical** across host thread counts — endpoint
-//! histograms, visit counters, step totals, simulated cycles, and every
-//! cache counter — with the race sanitizer armed and silent. A companion
+//! histograms, step totals, simulated cycles, and every cache counter —
+//! with the race sanitizer armed and silent. A companion
 //! statistical test checks Monte-Carlo PPR agrees with power-iteration
 //! PageRank on the head of the rank distribution.
 
@@ -39,7 +39,6 @@ fn graph(nodes: usize, avg_deg: f64, seed: u64) -> Csr {
 #[derive(Debug, PartialEq, Eq, Clone)]
 struct Fingerprint {
     endpoints: Vec<u32>,
-    visits: Vec<u32>,
     steps: u64,
     walkers: usize,
     report_seconds: u64,
@@ -73,7 +72,6 @@ fn run_once(
     let p = dev.profiler();
     Fingerprint {
         endpoints: out.endpoints,
-        visits: out.visits,
         steps: out.steps,
         walkers: out.walkers,
         report_seconds: out.report.seconds.to_bits(),

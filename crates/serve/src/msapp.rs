@@ -9,7 +9,7 @@
 //! edge set instead of k.
 
 use gpu_sim::{Device, DeviceArray};
-use sage::app::{synthetic_weight, App, Step};
+use sage::app::{layout_weight, App, Step};
 use sage::AccessRecorder;
 use sage_graph::{Csr, NodeId};
 
@@ -158,11 +158,9 @@ pub struct MsSssp {
     /// Sources whose distance at the node improved last level.
     cur_mask: DeviceArray<u64>,
     next_mask: DeviceArray<u64>,
-    /// Original id of each current id. Synthetic weights are derived from
-    /// *original* ids so distances are invariant under the runtime's
-    /// reordering (the single-source core app only runs on the original
-    /// order in its own tests, so it never sees the discrepancy; a serving
-    /// layer does).
+    /// Original id of each current id, read by [`layout_weight`] (the
+    /// rule `Sssp` shares), so distances are invariant under the runtime's
+    /// reordering.
     orig_of: Vec<NodeId>,
 }
 
@@ -187,10 +185,6 @@ impl MsSssp {
             next_mask: dev.alloc_array(0, 0),
             orig_of,
         }
-    }
-
-    fn weight(&self, u: NodeId, v: NodeId) -> u32 {
-        synthetic_weight(self.orig_of[u as usize], self.orig_of[v as usize])
     }
 
     /// Distances from source slot `j` in current-id space
@@ -247,7 +241,7 @@ impl App for MsSssp {
         let u = frontier as usize;
         let v = neighbor as usize;
         let k = self.sources.len();
-        let w = self.weight(frontier, neighbor);
+        let w = layout_weight(&self.orig_of, frontier, neighbor);
         let mut improved = 0u64;
         let mut bits = self.cur_mask[u];
         while bits != 0 {
@@ -304,7 +298,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let dg = DeviceGraph::upload(&mut dev, g.clone());
         let mut engine = ResidentEngine::new();
-        let mut app = Sssp::new(&mut dev);
+        let mut app = Sssp::new(&mut dev, (0..g.num_nodes() as NodeId).collect());
         let _ = Runner::new().run(&mut dev, &dg, &mut engine, &mut app, source);
         app.distances().to_vec()
     }

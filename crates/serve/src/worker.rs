@@ -18,7 +18,7 @@ use crate::types::{
     AppKind, GraphId, QueryResponse, ResultValues, ServiceConfig, ServiceError, WalkAppKind,
 };
 use gpu_sim::{Device, Profiler};
-use sage::app::{Bc, Bfs, Cc, PageRank};
+use sage::app::{Bc, Bfs, Cc, PageRank, Sssp};
 use sage::walk::{Node2vec, Ppr, WalkApp, WalkSpec, WalkWeights};
 use sage::{LatencyBreakdown, ReorderSession, RunReport, SageRuntime};
 use sage_graph::{Csr, NodeId};
@@ -312,10 +312,7 @@ pub(crate) fn execute(
                 state.rt.to_original_order(bfs.distances()),
             )));
         }
-        AppKind::Sssp => {
-            // always the multi-source app (even for one source): it derives
-            // edge weights from original ids, so distances stay invariant
-            // under the runtime's reordering
+        AppKind::Sssp if sources.len() > 1 => {
             let inv = state.rt.permutation().inverse();
             for chunk in sources.chunks(MAX_SOURCES) {
                 let cur: Vec<NodeId> = chunk.iter().map(|&s| state.rt.current_id(s)).collect();
@@ -327,6 +324,15 @@ pub(crate) fn execute(
                     )));
                 }
             }
+        }
+        AppKind::Sssp => {
+            // built per batch: its weights follow this batch's layout
+            let inv = state.rt.permutation().inverse();
+            let mut sssp = Sssp::new(dev, inv.as_slice().to_vec());
+            merge(state.rt.run(dev, &mut sssp, sources[0]), &mut report);
+            values.push(Arc::new(ResultValues::Dists(
+                inv.apply_values(sssp.distances()),
+            )));
         }
         AppKind::Bc => {
             // no bitmask trick for BC's forward/backward phases: one run per

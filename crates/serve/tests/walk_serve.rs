@@ -153,7 +153,7 @@ fn node2vec_policy_serves_endpoint_distributions() {
     service.shutdown();
 
     // the same walk run directly: the response is the source's endpoint
-    // distribution, not the batch-wide visit histogram
+    // distribution
     let mut dev = Device::new(cfg.device_config.clone());
     let rt = SageRuntime::with_threshold(&mut dev, csr, u64::MAX);
     let spec = WalkSpec {

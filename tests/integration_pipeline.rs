@@ -75,7 +75,7 @@ fn sssp_all_engines() {
     let mut dev = Device::default_device();
     for mut engine in engines(&mut dev, csr) {
         let g = DeviceGraph::upload(&mut dev, csr.clone());
-        let mut app = Sssp::new(&mut dev);
+        let mut app = Sssp::new(&mut dev, (0..csr.num_nodes() as u32).collect());
         let _ = Runner::new().run(&mut dev, &g, engine.as_mut(), &mut app, 3);
         assert_eq!(
             app.distances(),
