@@ -38,6 +38,16 @@ if grep -rnE 'launch\("contract' crates/core/src; then
   exit 1
 fi
 
+echo "== resident tile stealing: one launch per push iteration =="
+# the tile expansion is the first phase of the consume kernel, split from
+# the stealing by Kernel::grid_sync; a second launch would pay a kernel
+# launch per push iteration again
+launches=$(grep -c 'dev.launch(' crates/core/src/engine/resident.rs || true)
+if [ "$launches" -ne 1 ]; then
+  echo "crates/core/src/engine/resident.rs must hold exactly one dev.launch( (found $launches)" >&2
+  exit 1
+fi
+
 echo "== experiment cells: one measurement path =="
 # every cell of the report is measured through harness::measure or
 # harness::measure_adapted, so the direction protocol (in-edge view or
@@ -90,6 +100,13 @@ echo "== perfbench end to end: adapt-social16-t1 =="
 # and the resident tile-record arena together
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
   --workload adapt-social16-t1 --seed 7919 --seconds 1 > /dev/null
+
+echo "== perfbench end to end: bfs-rmat17-t2 =="
+# one short run of the adaptive BFS workload at 2 host threads, the one
+# workload on the recorded route, which replays each kernel phase by phase:
+# it exits 1 on a wrong answer or a counter that does not repeat
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload bfs-rmat17-t2 --seed 7919 --seconds 1 > /dev/null
 
 echo "== perfbench end to end: serve-rmat14-low =="
 # one short open-loop run of the query service (admission queue, batching,

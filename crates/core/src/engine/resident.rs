@@ -1,14 +1,15 @@
 //! **Resident Tile Stealing** — Algorithm 3 (§5.2), the full SAGE engine.
 //!
-//! Expansion happens in two kernels. `expandTiles` materialises each
-//! frontier's tiled partitions in device memory ("resident tiles"); a node
-//! whose tiles are already resident (revisited in a later iteration or a
-//! later run) skips the online scheduling entirely and just reads its
-//! records back. The consume kernel then lets *any* cooperative group of a
-//! matching size steal tiles from the globally-visible array: work is
-//! spread evenly over all SMs (fixing inter-SM imbalance) and every warp is
-//! an independent instruction stream (fixing the serialised-tile latency
-//! problem of Figure 4a).
+//! A push iteration is one cooperative kernel in two phases split by a
+//! grid barrier. `expandTiles` materialises each frontier's tiled
+//! partitions in device memory ("resident tiles"); a node whose tiles are
+//! already resident (revisited in a later iteration or a later run) skips
+//! the online scheduling entirely and just reads its records back. After
+//! the barrier, *any* cooperative group of a matching size steals tiles
+//! from the globally-visible array: work is spread evenly over all SMs
+//! (fixing inter-SM imbalance) and every warp is an independent
+//! instruction stream (fixing the serialised-tile latency problem of
+//! Figure 4a).
 //!
 //! The engine optionally carries the Sampling-based Reordering observer
 //! (§6): each consumed tile's member nodes are reported to it.
@@ -180,14 +181,16 @@ impl Engine for ResidentEngine {
         let mut scratch: Vec<u64> = Vec::new();
         self.ensure_capacity(dev, g.csr().num_nodes(), g.csr().num_edges());
 
-        // ---- kernel 1: expandTiles (Algorithm 3, lines 2-7) ----
+        let mut k = dev.launch("sage_consume_tiles");
+        // every warp is an independent stream in both phases: full occupancy
+        k.set_concurrency(k.cfg().max_resident_warps as f64);
+
+        // ---- phase 1: expandTiles (Algorithm 3, lines 2-7) ----
         let mut work: Vec<(NodeId, TileRec)> = Vec::new();
         let mut frags: Vec<(NodeId, u32)> = Vec::new();
         {
-            let mut k = dev.launch("sage_expand_tiles");
-            // building the tile schedule is all this kernel does
+            // building the tile schedule is all this phase does
             k.mark_scheduling();
-            k.set_concurrency(k.cfg().max_resident_warps as f64);
             // expandTiles is plain data-parallel work: grid-stride it so
             // every SM takes part even on small frontiers
             let warp = k.cfg().warp_size;
@@ -242,14 +245,12 @@ impl Engine for ResidentEngine {
                     }
                 }
             }
-            let _ = k.finish();
         }
+        // every record is written before any warp steals one
+        k.grid_sync();
 
-        // ---- kernel 2: consume by stealing (Algorithm 3, lines 9-20) ----
+        // ---- phase 2: consume by stealing (Algorithm 3, lines 9-20) ----
         {
-            let mut k = dev.launch("sage_consume_tiles");
-            // every warp independently steals tiles: full occupancy
-            k.set_concurrency(k.cfg().max_resident_warps as f64);
             // size-major order: CGs of each size drain their class
             work.sort_unstable_by(|a, b| b.1.len.cmp(&a.1.len).then(a.1.beg.cmp(&b.1.beg)));
             let mut sampler = self.sampler.take();
@@ -297,8 +298,8 @@ impl Engine for ResidentEngine {
                 );
             }
             contract(&mut k, g, &mut out.next);
-            let _ = k.finish();
         }
+        let _ = k.finish();
         out
     }
 

@@ -1,8 +1,9 @@
 //! Fused contraction: every push engine contracts the next frontier inside
 //! its own last kernel, so no iteration launches a `contract` kernel. The
 //! queue an engine returns is exactly the filter's passes, sorted and
-//! duplicate-free, and the runner's launch count drops by one per push
-//! iteration against the pipeline that launched a separate contraction.
+//! duplicate-free. The resident engine launches one kernel per push
+//! iteration: its tile expansion runs ahead of a grid barrier inside the
+//! consume kernel, which contracts at its end.
 
 use gpu_sim::{Device, DeviceConfig};
 use sage::access::AccessRecorder;
@@ -153,10 +154,13 @@ fn push_engines_contract_inside_their_own_kernels() {
 }
 
 /// Launches of one BFS from the hub of R-MAT 2^12 (seed 1) on the default
-/// device through the resident engine, when every push iteration still
-/// launched a separate contraction kernel: adaptive (trace `>MM>>`), then
-/// push-only (`>>>>>`).
-const SEPARATE_CONTRACTION_KERNELS: [u64; 2] = [11, 15];
+/// device through the resident engine, adaptive (trace `>MM>>`), then
+/// push-only (`>>>>>`), when every push iteration launched three kernels:
+/// `sage_expand_tiles`, `sage_consume_tiles` and `contract`. Each of two
+/// fusions saves one launch per push iteration: contraction runs at the
+/// end of the consume kernel, and the tile expansion became that kernel's
+/// first phase, ahead of a grid barrier.
+const THREE_LAUNCH_PUSH_KERNELS: [u64; 2] = [11, 15];
 
 #[test]
 fn runner_saves_one_launch_per_push_iteration() {
@@ -164,7 +168,7 @@ fn runner_saves_one_launch_per_push_iteration() {
     let (source, _) = csr.max_degree();
     for (runner, before) in [Runner::new(), Runner::push_only()]
         .into_iter()
-        .zip(SEPARATE_CONTRACTION_KERNELS)
+        .zip(THREE_LAUNCH_PUSH_KERNELS)
     {
         let mut dev = Device::new(DeviceConfig::default());
         let g = DeviceGraph::upload(&mut dev, csr.clone()).with_in_edges(&mut dev);
@@ -175,8 +179,18 @@ fn runner_saves_one_launch_per_push_iteration() {
         assert!(pushes > 0, "trace {}", r.direction_trace);
         assert_eq!(
             dev.profiler().kernels,
-            before - pushes,
+            before - 2 * pushes,
             "trace {}",
+            r.direction_trace
+        );
+        let names: Vec<String> = dev
+            .kernel_breakdown()
+            .into_iter()
+            .map(|(name, _, _)| name)
+            .collect();
+        assert!(
+            !names.iter().any(|n| n == "sage_expand_tiles"),
+            "trace {}: {names:?}",
             r.direction_trace
         );
     }

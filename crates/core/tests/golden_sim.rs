@@ -9,6 +9,11 @@
 //! thread (the direct probe path) and at 2 (the recorded path); both
 //! must reproduce the same pinned hash.
 //!
+//! Each traversal case carries two more pins that a change to what launches
+//! and barriers cost must leave alone: a traffic hash (every `Profiler`
+//! field but `kernels` and `cycles`, plus the direction trace) and the
+//! run's scheduling overhead in seconds, compared within 1e-12 relative.
+//!
 //! The graphs are R-MAT 2^12 at seeds 1 and 7919 with in-edges. BFS runs
 //! the three-way policy with its matrix threshold raised to 40% frontier
 //! density, so the sparser bottom-up level pulls and the denser one takes
@@ -67,8 +72,15 @@ impl Fnv {
 }
 
 fn hash_profiler(h: &mut Fnv, p: &Profiler) {
+    h.u64(p.kernels);
+    hash_traffic(h, p);
+    h.f64(p.cycles);
+}
+
+/// Every `Profiler` field but `kernels` and `cycles`: what the kernels did,
+/// whatever the launches cost.
+fn hash_traffic(h: &mut Fnv, p: &Profiler) {
     for v in [
-        p.kernels,
         p.mem_requests,
         p.l1_hit_sectors,
         p.l2_hit_sectors,
@@ -84,7 +96,7 @@ fn hash_profiler(h: &mut Fnv, p: &Profiler) {
     ] {
         h.u64(v);
     }
-    for v in [p.warp_insts, p.active_lanes, p.lane_slots, p.cycles] {
+    for v in [p.warp_insts, p.active_lanes, p.lane_slots] {
         h.f64(v);
     }
 }
@@ -96,8 +108,19 @@ fn hub(g: &Csr) -> u32 {
         .unwrap_or(0)
 }
 
-/// One run's fingerprint hash and its direction trace.
-fn run(cfg: &DeviceConfig, threads: usize, g: &Csr, app: AppSel) -> (u64, String) {
+/// One run of a traversal case, reduced to what its pins compare.
+#[derive(Debug, PartialEq)]
+struct Fingerprint {
+    /// Profiler, seconds, direction trace and per-kernel breakdown.
+    cost: u64,
+    /// Profiler without `kernels` and `cycles`, plus the direction trace.
+    traffic: u64,
+    /// `RunReport::overhead_seconds`.
+    overhead: f64,
+    trace: String,
+}
+
+fn run(cfg: &DeviceConfig, threads: usize, g: &Csr, app: AppSel) -> Fingerprint {
     let mut dev = Device::new(cfg.clone());
     dev.set_host_threads(threads);
     let dg = DeviceGraph::upload(&mut dev, g.clone()).with_in_edges(&mut dev);
@@ -124,7 +147,15 @@ fn run(cfg: &DeviceConfig, threads: usize, g: &Csr, app: AppSel) -> (u64, String
     h.f64(report.seconds);
     h.bytes(report.direction_trace.as_bytes());
     hash_breakdown(&mut h, &dev);
-    (h.0, report.direction_trace)
+    let mut t = Fnv::new();
+    hash_traffic(&mut t, dev.profiler());
+    t.bytes(report.direction_trace.as_bytes());
+    Fingerprint {
+        cost: h.0,
+        traffic: t.0,
+        overhead: report.overhead_seconds,
+        trace: report.direction_trace,
+    }
 }
 
 fn hash_breakdown(h: &mut Fnv, dev: &Device) {
@@ -139,28 +170,49 @@ fn hash_breakdown(h: &mut Fnv, dev: &Device) {
     }
 }
 
+/// The pins of one traversal case at one seed. `traffic` and `overhead`
+/// hold across changes to what launches cost; `cost` does not.
+struct Pin {
+    cost: u64,
+    traffic: u64,
+    /// Scheduling overhead in seconds, compared within 1e-12 relative.
+    overhead: f64,
+}
+
 /// Run `app` on both seeds at 1 and 2 host threads and compare with `want`.
-fn check(cfg: &DeviceConfig, app: AppSel, want: [u64; 2]) {
+fn check(cfg: &DeviceConfig, app: AppSel, want: [Pin; 2]) {
     for (seed, want) in SEEDS.into_iter().zip(want) {
         let g = rmat_graph(12, 16, seed);
-        let (direct, trace) = run(cfg, 1, &g, app);
-        let (replayed, _) = run(cfg, 2, &g, app);
+        let direct = run(cfg, 1, &g, app);
+        let replayed = run(cfg, 2, &g, app);
         assert_eq!(
             direct, replayed,
             "{app:?} seed {seed} on {}: replay diverged from the direct path",
             cfg.name
         );
         assert_eq!(
-            direct, want,
+            direct.traffic, want.traffic,
+            "{app:?} seed {seed} on {}: traffic counters or direction trace drifted",
+            cfg.name
+        );
+        assert!(
+            (direct.overhead - want.overhead).abs() <= 1e-12 * want.overhead.abs(),
+            "{app:?} seed {seed} on {}: scheduling overhead drifted: {:?}",
+            cfg.name,
+            direct.overhead
+        );
+        assert_eq!(
+            direct.cost, want.cost,
             "{app:?} seed {seed} on {}: simulated counters drifted",
             cfg.name
         );
         if let AppSel::Bfs = app {
             for gear in ['>', '<', 'M'] {
                 assert!(
-                    trace.contains(gear),
-                    "BFS seed {seed} on {} skipped gear {gear}: {trace}",
-                    cfg.name
+                    direct.trace.contains(gear),
+                    "BFS seed {seed} on {} skipped gear {gear}: {}",
+                    cfg.name,
+                    direct.trace
                 );
             }
         }
@@ -172,7 +224,18 @@ fn bfs_default_device() {
     check(
         &DeviceConfig::default(),
         AppSel::Bfs,
-        [15_937_407_339_302_837_239, 3_624_489_255_795_465_376],
+        [
+            Pin {
+                cost: 12_589_912_384_375_345_387,
+                traffic: 10_365_682_732_194_475_943,
+                overhead: 1.1152189265536724e-6,
+            },
+            Pin {
+                cost: 9_731_635_343_792_890_224,
+                traffic: 10_480_137_368_304_712_597,
+                overhead: 1.0766949152542372e-6,
+            },
+        ],
     );
 }
 
@@ -181,7 +244,18 @@ fn bfs_tiny_device() {
     check(
         &DeviceConfig::test_tiny(),
         AppSel::Bfs,
-        [8_722_740_008_261_161_481, 10_767_792_315_112_717_792],
+        [
+            Pin {
+                cost: 7_742_142_179_012_904_221,
+                traffic: 8_137_807_453_744_253_987,
+                overhead: 2.7035e-6,
+            },
+            Pin {
+                cost: 4_453_135_231_181_139_165,
+                traffic: 13_004_500_111_567_205_910,
+                overhead: 2.624e-6,
+            },
+        ],
     );
 }
 
@@ -190,7 +264,18 @@ fn sssp_default_device() {
     check(
         &DeviceConfig::default(),
         AppSel::Sssp,
-        [2_154_459_924_416_861_303, 4_020_174_181_298_224_161],
+        [
+            Pin {
+                cost: 5_479_612_317_951_437_897,
+                traffic: 5_237_666_532_119_981_081,
+                overhead: 1.2688559322033898e-6,
+            },
+            Pin {
+                cost: 7_526_230_609_225_490_829,
+                traffic: 9_397_091_869_786_889_846,
+                overhead: 1.2243997175141242e-6,
+            },
+        ],
     );
 }
 
@@ -199,7 +284,18 @@ fn sssp_tiny_device() {
     check(
         &DeviceConfig::test_tiny(),
         AppSel::Sssp,
-        [6_151_601_819_560_675_292, 1_171_126_598_791_639_369],
+        [
+            Pin {
+                cost: 4_998_691_929_838_263_846,
+                traffic: 13_429_891_203_413_115_560,
+                overhead: 4.639e-5,
+            },
+            Pin {
+                cost: 17_150_906_553_334_694_331,
+                traffic: 13_726_550_016_555_776_533,
+                overhead: 4.656675e-5,
+            },
+        ],
     );
 }
 
@@ -208,7 +304,18 @@ fn pr_default_device() {
     check(
         &DeviceConfig::default(),
         AppSel::Pr,
-        [16_342_098_523_930_616_481, 10_150_422_481_386_071_109],
+        [
+            Pin {
+                cost: 17_128_181_554_275_670_465,
+                traffic: 1_372_959_120_122_730_477,
+                overhead: 2.082274011299435e-6,
+            },
+            Pin {
+                cost: 16_750_009_684_612_428_653,
+                traffic: 10_546_922_423_738_314_375,
+                overhead: 1.9800141242937854e-6,
+            },
+        ],
     );
 }
 
@@ -217,7 +324,18 @@ fn pr_tiny_device() {
     check(
         &DeviceConfig::test_tiny(),
         AppSel::Pr,
-        [17_126_226_052_929_121_615, 6_687_702_817_782_566_433],
+        [
+            Pin {
+                cost: 9_646_101_900_221_293_590,
+                traffic: 8_941_222_160_739_542_285,
+                overhead: 0.000224818,
+            },
+            Pin {
+                cost: 3_073_102_293_096_904_965,
+                traffic: 12_333_055_261_407_914_448,
+                overhead: 0.000224266,
+            },
+        ],
     );
 }
 
@@ -226,7 +344,18 @@ fn cc_default_device() {
     check(
         &DeviceConfig::default(),
         AppSel::Cc,
-        [12_200_982_296_357_241_871, 12_981_810_344_897_596_377],
+        [
+            Pin {
+                cost: 1_586_827_681_156_558_804,
+                traffic: 11_409_426_804_078_043_961,
+                overhead: 1.0552966101694916e-6,
+            },
+            Pin {
+                cost: 2_722_718_990_747_584_277,
+                traffic: 14_070_061_272_724_900_479,
+                overhead: 1.0366878531073445e-6,
+            },
+        ],
     );
 }
 
@@ -235,7 +364,18 @@ fn cc_tiny_device() {
     check(
         &DeviceConfig::test_tiny(),
         AppSel::Cc,
-        [14_060_466_229_216_220_812, 711_894_088_573_587_859],
+        [
+            Pin {
+                cost: 3_829_988_191_254_825_932,
+                traffic: 14_766_882_394_210_693_992,
+                overhead: 4.9395e-5,
+            },
+            Pin {
+                cost: 605_647_180_445_032_972,
+                traffic: 15_149_109_755_665_967_013,
+                overhead: 4.910875e-5,
+            },
+        ],
     );
 }
 

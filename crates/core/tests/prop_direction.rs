@@ -229,6 +229,45 @@ fn rmat_bfs_overhead_is_a_share_of_run_time() {
     }
 }
 
+/// Simulated time adds up: on an adaptive BFS that runs all three gears,
+/// the per-kernel seconds of `Device::kernel_breakdown` sum to the run's
+/// seconds. A barrier inside a kernel is part of that kernel's time, never
+/// a cost of its own.
+#[test]
+fn kernel_seconds_add_up_to_run_seconds() {
+    let csr = rmat_graph(12, 16, 1);
+    let (source, _) = csr.max_degree();
+    let runner = Runner {
+        policy: DirectionPolicy::Adaptive3 {
+            alpha: 14.0,
+            beta: 24.0,
+            density: 0.4,
+        },
+    };
+    for cfg in [DeviceConfig::default(), DeviceConfig::test_tiny()] {
+        let mut dev = Device::new(cfg);
+        let g = DeviceGraph::upload(&mut dev, csr.clone()).with_in_edges(&mut dev);
+        let mut app = Bfs::new(&mut dev);
+        let mut engine = ResidentEngine::new();
+        dev.reset_profiler();
+        let r = runner.run(&mut dev, &g, &mut engine, &mut app, source);
+        for gear in ['>', '<', 'M'] {
+            assert!(
+                r.direction_trace.contains(gear),
+                "trace {} skipped {gear}",
+                r.direction_trace
+            );
+        }
+        let kernels: f64 = dev.kernel_breakdown().iter().map(|k| k.2).sum();
+        assert!(
+            (kernels - r.seconds).abs() <= 1e-12 * r.seconds,
+            "kernels {kernels} s, run {} s ({})",
+            r.seconds,
+            dev.cfg().name
+        );
+    }
+}
+
 /// One run on the 6,000-node social graph: the report plus the app's output
 /// as raw bit patterns, so float outputs compare bitwise.
 fn social_run(

@@ -118,8 +118,9 @@ impl Device {
 
     /// Choose the route subsequent kernels take. Clamped to
     /// `[1, num_sms]`; 1 probes the caches at each access, anything above
-    /// records each probe into a trace that [`Kernel::finish`] replays in
-    /// program order. Both routes run on the calling thread and give
+    /// records each probe into a trace that each kernel phase's close
+    /// ([`Kernel::grid_sync`] or [`Kernel::finish`]) replays in program
+    /// order. Both routes run on the calling thread and give
     /// bitwise-identical simulated results; the setting keeps its name for
     /// the callers that pass a thread count.
     pub fn set_host_threads(&mut self, threads: usize) {

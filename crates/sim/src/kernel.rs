@@ -21,23 +21,30 @@
 //!   Resident Tile Stealing removes by letting every warp consume tiles
 //!   independently (Figure 4b).
 //!
-//! The kernel then takes the max over SMs — inter-SM load imbalance directly
-//! lengthens the kernel, which is what tile stealing flattens — and finally
-//! applies the device-wide DRAM/L2/PCIe bandwidth bounds plus the fixed
-//! launch overhead.
+//! A phase then takes the max over SMs — inter-SM load imbalance directly
+//! lengthens it, which is what tile stealing flattens — and applies the
+//! device-wide DRAM/L2/PCIe bandwidth bounds to its own traffic.
+//!
+//! A kernel is one phase, or several split by [`Kernel::grid_sync`]: a
+//! grid-wide barrier waits for the slowest SM, so each phase is timed on
+//! the events charged since the previous barrier. The kernel's cycles are
+//! the sum of its phases' cycles plus one fixed launch overhead
+//! (`kernel_launch_cycles`), which is what fusing two launches into one
+//! cooperative launch saves.
 //!
 //! # Scheduling overhead
 //!
 //! Warp instructions issued through [`SmShard::exec_sched`] (the tile
 //! votes, shuffles and partitions of `crate::tile`, plus the engines'
-//! fragment steering) are scheduling work as well as ordinary issue. An
-//! unmarked kernel's overhead is its critical SM's scheduling instructions
-//! divided by `issue_width` — the critical SM being the one with the most
-//! cycles, the first on ties. A kernel marked with
-//! [`Kernel::mark_scheduling`] does nothing but build a schedule, so all of
-//! its cycles but the launch count. Either way the overhead is bounded by
-//! the kernel's own cycles; [`Kernel::finish`] charges it to the device's
-//! running total ([`crate::device::Device::overhead_seconds`]).
+//! fragment steering) are scheduling work as well as ordinary issue. A
+//! phase marked with [`Kernel::mark_scheduling`] does nothing but build a
+//! schedule, so all of its cycles count as overhead. The unmarked phases
+//! count their critical SM's scheduling instructions divided by
+//! `issue_width` — the critical SM being the one with the most cycles over
+//! those phases, the first on ties. The overhead is thus bounded by the
+//! kernel's cycles, and the launch is never overhead; [`Kernel::finish`]
+//! charges it to the device's running total
+//! ([`crate::device::Device::overhead_seconds`]).
 //!
 //! # Execution routes
 //!
@@ -47,7 +54,8 @@
 //! accounting still happens at the access (it is cheap and
 //! cache-independent), but each sector probe is appended to the device's
 //! packed probe trace (`crate::trace`) as one word naming the SM, the
-//! sector and whether it is an atomic. [`Kernel::finish`] then replays the
+//! sector and whether it is an atomic. Each phase's close (a
+//! [`Kernel::grid_sync`] or [`Kernel::finish`]) then replays the phase's
 //! trace front to back through the same probe-and-charge code the direct
 //! route runs, on the calling thread. Call order is the global probe order,
 //! so cycles, profiler counters and cache states are bitwise identical on
@@ -98,7 +106,20 @@ pub(crate) struct SmCounters {
     pub sched_insts: u64,
 }
 
-/// Timing summary returned by [`Kernel::finish`].
+/// One SM's share of a kernel's closed phases.
+#[derive(Debug, Clone, Default)]
+struct SmTotals {
+    /// Whether the SM received work in any phase.
+    busy: bool,
+    cycles: f64,
+    /// Cycles and scheduling instructions over the unmarked phases.
+    unmarked_cycles: f64,
+    unmarked_sched_insts: u64,
+}
+
+/// Timing summary returned by [`Kernel::finish`]. In a kernel split into
+/// phases by [`Kernel::grid_sync`], an SM's cycles are the sum of its
+/// cycles in each phase.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelReport {
     /// Kernel name as given at launch.
@@ -107,11 +128,12 @@ pub struct KernelReport {
     pub cycles: f64,
     /// The same duration in seconds.
     pub seconds: f64,
-    /// Cycles of the busiest SM (before device-wide bounds).
+    /// Cycles of the busiest SM (before device-wide bounds), summed over
+    /// the phases: each barrier waits for that phase's busiest SM.
     pub max_sm_cycles: f64,
     /// Mean cycles across SMs that received work.
     pub mean_sm_cycles: f64,
-    /// Number of SMs that received any work.
+    /// Number of SMs that received work in any phase.
     pub active_sms: usize,
     /// DRAM bytes the kernel moved.
     pub dram_bytes: u64,
@@ -152,8 +174,21 @@ pub struct Kernel<'d> {
     /// Streaming reads charged at the access instead of probed (telemetry
     /// for `ReplayStats`, reported on the recorded route only).
     elided: u64,
-    /// Set by [`Kernel::mark_scheduling`].
+    /// Probes the recorded route replayed in closed phases, and how many of
+    /// them L1 absorbed (telemetry for `ReplayStats`).
+    replayed: u64,
+    l1_absorbed: u64,
+    /// Set by [`Kernel::mark_scheduling`] for the open phase.
     scheduling: bool,
+    /// Counters of the closed phases; `cycles` sums their cycles, the
+    /// launch not included.
+    closed: Profiler,
+    /// Cycles of the closed marked phases.
+    marked_cycles: f64,
+    /// Sum of the closed phases' busiest-SM cycles.
+    max_sm_cycles_sum: f64,
+    /// Per SM, its share of the closed phases.
+    sm_totals: Vec<SmTotals>,
     shadow: Option<ShadowTracker>,
 }
 
@@ -174,7 +209,13 @@ impl<'d> Kernel<'d> {
             host_requests: 0,
             trace,
             elided: 0,
+            replayed: 0,
+            l1_absorbed: 0,
             scheduling: false,
+            closed: Profiler::default(),
+            marked_cycles: 0.0,
+            max_sm_cycles_sum: 0.0,
+            sm_totals: vec![SmTotals::default(); sms],
             shadow,
         }
     }
@@ -201,8 +242,9 @@ impl<'d> Kernel<'d> {
         self.concurrency = streams.clamp(1.0, cap);
     }
 
-    /// Mark this kernel as pure schedule construction: every cycle but the
-    /// launch counts as scheduling overhead.
+    /// Mark the open phase (the whole kernel when it has no
+    /// [`Self::grid_sync`]) as pure schedule construction: every cycle of
+    /// the phase counts as scheduling overhead.
     pub fn mark_scheduling(&mut self) {
         self.scheduling = true;
     }
@@ -241,7 +283,7 @@ impl<'d> Kernel<'d> {
     }
 
     /// Probe a device sector now on the direct route, or append it to the
-    /// trace on the recorded route for [`Kernel::finish`] to probe in the
+    /// trace on the recorded route for the phase's close to probe in the
     /// same order.
     #[inline]
     fn probe_or_record(&mut self, sm: usize, s: u64, atomic: bool) {
@@ -271,15 +313,51 @@ impl<'d> Kernel<'d> {
         false
     }
 
-    /// A device-wide cooperative-grid barrier (`grid.sync()`): orders every
-    /// access recorded before it against every access after it for the race
-    /// sanitizer. The cost model charges nothing — a grid sync costs on the
-    /// order of a kernel tail, below the resolution of this transaction-level
-    /// model — so enabling the sanitizer cannot change any simulated number.
+    /// A device-wide cooperative-grid barrier (`grid.sync()`): ends the
+    /// open phase. The phase is timed on its own events, so the barrier
+    /// waits for its slowest SM, and the next phase starts with empty
+    /// counters, unmarked. The barrier is not a launch: the kernel pays its
+    /// launch overhead once, however many phases it has. For the race
+    /// sanitizer it orders every access before it against every access
+    /// after it.
     pub fn grid_sync(&mut self) {
         if let Some(sh) = &mut self.shadow {
             sh.grid_barrier();
         }
+        self.close_phase();
+    }
+
+    /// Time the open phase, fold it into the closed ones and reset the
+    /// per-phase state. On the recorded route the phase's trace is
+    /// replayed first, so its probes are charged before it is timed.
+    fn close_phase(&mut self) {
+        if let Some(mut trace) = self.trace.take() {
+            for &w in &trace {
+                let (sm, s, atomic) = crate::trace::unpack(w);
+                self.l1_absorbed += u64::from(self.probe(sm, s, atomic));
+            }
+            self.replayed += trace.len() as u64;
+            trace.clear();
+            self.trace = Some(trace);
+        }
+        let phase = phase_cycles(
+            self.dev.cfg(),
+            &self.per_sm,
+            self.concurrency,
+            self.host_bytes,
+            self.host_requests,
+            self.scheduling,
+            &mut self.sm_totals,
+        );
+        if self.scheduling {
+            self.marked_cycles += phase.totals.cycles;
+        }
+        self.max_sm_cycles_sum += phase.max_sm;
+        self.closed.merge(&phase.totals);
+        self.per_sm.fill(SmCounters::default());
+        self.host_bytes = 0;
+        self.host_requests = 0;
+        self.scheduling = false;
     }
 
     /// Explicit PCIe traffic attributed to this kernel (e.g. UM page faults).
@@ -294,10 +372,11 @@ impl<'d> Kernel<'d> {
         self.per_sm.len()
     }
 
-    /// Convert accumulated events into time, charge the device clock and
-    /// profiler, and return the report. On the recorded route the trace is
-    /// first replayed, front to back on the calling thread, through the
-    /// probe-and-charge code the direct route runs at each access.
+    /// Close the last phase, convert the kernel's events into time, charge
+    /// the device clock and profiler, and return the report. On the
+    /// recorded route the last phase's trace is first replayed, front to
+    /// back on the calling thread, through the probe-and-charge code the
+    /// direct route runs at each access.
     pub fn finish(mut self) -> KernelReport {
         let hazards = HazardReport {
             hazards: self
@@ -306,90 +385,87 @@ impl<'d> Kernel<'d> {
                 .map_or_else(Vec::new, |s| s.finish(&self.name)),
         };
         self.dev.record_hazards(&hazards);
+        self.close_phase();
         if let Some(trace) = self.trace.take() {
-            let mut l1_hits = 0u64;
-            for &w in &trace {
-                let (sm, s, atomic) = crate::trace::unpack(w);
-                l1_hits += u64::from(self.probe(sm, s, atomic));
-            }
-            let recorded = trace.len() as u64;
             // kernels that touched no cached device memory count as untraced
-            if recorded > 0 || self.elided > 0 {
+            if self.replayed > 0 || self.elided > 0 {
                 self.dev.note_replay(
-                    recorded,
+                    self.replayed,
                     self.elided,
-                    recorded - l1_hits,
+                    self.replayed - self.l1_absorbed,
                     (trace.capacity() * std::mem::size_of::<u64>()) as u64,
                 );
             }
             self.dev.return_trace(trace);
         }
-        let br = compute_cycles(
-            self.dev.cfg(),
-            &self.per_sm,
-            self.concurrency,
-            self.host_bytes,
-            self.host_requests,
-        );
-        let overhead = if self.scheduling {
-            br.cycles - self.dev.cfg().kernel_launch_cycles as f64
-        } else {
-            br.critical_sched_insts as f64 / self.dev.cfg().issue_width
-        };
-        self.dev.charge(&br.totals, br.cycles, overhead);
-        self.dev.charge_named(&self.name, br.cycles);
-        KernelReport {
-            seconds: self.dev.cfg().cycles_to_seconds(br.cycles),
-            name: std::mem::take(&mut self.name),
-            cycles: br.cycles,
-            max_sm_cycles: br.max_sm,
-            mean_sm_cycles: br.mean_sm,
-            active_sms: br.active_sms,
-            dram_bytes: br.dram_bytes,
-            pcie_bytes: self.host_bytes,
-            hazards,
+        let cfg = self.dev.cfg();
+        let mut critical = &SmTotals::default();
+        let (mut active_sms, mut sum_sm) = (0usize, 0.0f64);
+        for t in self.sm_totals.iter().filter(|t| t.busy) {
+            if t.unmarked_cycles > critical.unmarked_cycles {
+                critical = t;
+            }
+            active_sms += 1;
+            sum_sm += t.cycles;
         }
+        let overhead = self.marked_cycles + critical.unmarked_sched_insts as f64 / cfg.issue_width;
+        let cycles = self.closed.cycles + cfg.kernel_launch_cycles as f64;
+        let report = KernelReport {
+            seconds: cfg.cycles_to_seconds(cycles),
+            name: std::mem::take(&mut self.name),
+            cycles,
+            max_sm_cycles: self.max_sm_cycles_sum,
+            mean_sm_cycles: if active_sms == 0 {
+                0.0
+            } else {
+                sum_sm / active_sms as f64
+            },
+            active_sms,
+            dram_bytes: self.closed.dram_sectors * cfg.sector_bytes as u64,
+            pcie_bytes: self.closed.pcie_bytes,
+            hazards,
+        };
+        let totals = Profiler {
+            kernels: 1,
+            cycles,
+            ..std::mem::take(&mut self.closed)
+        };
+        self.dev.charge(&totals, cycles, overhead);
+        self.dev.charge_named(&report.name, cycles);
+        report
     }
 }
 
-/// The device-independent cycle computation of [`Kernel::finish`]: per-SM
-/// critical-path max, device-wide bandwidth bounds, launch overhead, and the
-/// profiler totals.
-struct CycleBreakdown {
+/// The device-independent timing of one phase: per-SM critical-path max
+/// and device-wide bandwidth bounds, the launch not included.
+struct PhaseCycles {
+    /// The phase's counters; `cycles` holds the phase's cycles.
     totals: Profiler,
-    cycles: f64,
     max_sm: f64,
-    /// Scheduling instructions of the SM with the most cycles.
-    critical_sched_insts: u64,
-    mean_sm: f64,
-    active_sms: usize,
-    dram_bytes: u64,
 }
 
-fn compute_cycles(
+/// Time one phase from its per-SM counters and PCIe traffic, adding each
+/// busy SM's share to its entry in `sm_totals`; `marked` says whether the
+/// phase was marked with [`Kernel::mark_scheduling`].
+fn phase_cycles(
     cfg: &DeviceConfig,
     per_sm: &[SmCounters],
     concurrency: f64,
     host_bytes: u64,
     host_requests: u64,
-) -> CycleBreakdown {
-    let mut totals = Profiler {
-        kernels: 1,
-        ..Profiler::default()
-    };
+    marked: bool,
+    sm_totals: &mut [SmTotals],
+) -> PhaseCycles {
+    let mut totals = Profiler::default();
     let mut max_sm = 0.0f64;
-    let mut critical_sched_insts = 0u64;
-    let mut sum_sm = 0.0f64;
-    let mut active_sms = 0usize;
     let mut dram_bytes = 0u64;
     let mut l2_sectors_total = 0u64;
 
-    for c in per_sm {
+    for (c, t) in per_sm.iter().zip(sm_totals) {
         let busy = c.warp_insts > 0.0 || c.mem_requests > 0 || c.syncs > 0;
         if !busy {
             continue;
         }
-        active_sms += 1;
         let issue = c.warp_insts / cfg.issue_width;
         let sectors = c.l1_hits + c.l2_hits + c.dram_sectors + c.host_sectors;
         let mem_pipe = sectors as f64 / cfg.sectors_per_line() as f64;
@@ -403,12 +479,14 @@ fn compute_cycles(
             + c.mma_ops as f64 * cfg.tensor.mma_latency as f64;
         let exposed = latency_sum / concurrency;
         let sync_cost = c.syncs as f64 * cfg.block_sync_cycles as f64;
-        let sm_cycles = issue.max(mem_pipe).max(exposed).max(tensor_pipe) + sync_cost;
-        if sm_cycles > max_sm {
-            max_sm = sm_cycles;
-            critical_sched_insts = c.sched_insts;
+        let sm = issue.max(mem_pipe).max(exposed).max(tensor_pipe) + sync_cost;
+        max_sm = max_sm.max(sm);
+        t.busy = true;
+        t.cycles += sm;
+        if !marked {
+            t.unmarked_cycles += sm;
+            t.unmarked_sched_insts += c.sched_insts;
         }
-        sum_sm += sm_cycles;
 
         totals.warp_insts += c.warp_insts;
         totals.active_lanes += c.active_lanes;
@@ -444,25 +522,10 @@ fn compute_cycles(
     };
     let pcie_cycles = pcie_seconds * cfg.clock_hz;
 
-    let cycles =
-        max_sm.max(dram_bound).max(l2_bound).max(pcie_cycles) + cfg.kernel_launch_cycles as f64;
-
     totals.pcie_bytes = host_bytes;
     totals.pcie_requests = host_requests;
-    totals.cycles = cycles;
-    CycleBreakdown {
-        totals,
-        cycles,
-        max_sm,
-        critical_sched_insts,
-        mean_sm: if active_sms == 0 {
-            0.0
-        } else {
-            sum_sm / active_sms as f64
-        },
-        active_sms,
-        dram_bytes,
-    }
+    totals.cycles = max_sm.max(dram_bound).max(l2_bound).max(pcie_cycles);
+    PhaseCycles { totals, max_sm }
 }
 
 /// One SM's view of an in-flight kernel, and the only way to charge a
@@ -798,6 +861,183 @@ mod tests {
             cfg.cycles_to_seconds(r.cycles - launch)
         );
         assert!(d.overhead_seconds() > 0.0);
+    }
+
+    /// Phase A of the phase tests: cached reads and atomics on SMs 0 and 1,
+    /// scheduling instructions on SM 1.
+    fn phase_a(k: &mut Kernel<'_>) {
+        let w = k.cfg().warp_size;
+        k.shard(0).exec_uniform(300);
+        k.shard(0).access(AccessKind::Read, &[4096, 8192, 12288], 4);
+        k.shard(1).exec_sched(40, w, w);
+        k.shard(1).atomic(&[64, 64, 128]);
+    }
+
+    /// Phase B: the load sits on other SMs, and re-reads phase A's lines.
+    fn phase_b(k: &mut Kernel<'_>) {
+        let w = k.cfg().warp_size;
+        k.shard(2).exec_uniform(500);
+        k.shard(2).access(AccessKind::Read, &[4096, 8192], 4);
+        k.shard(3).exec_sched(25, w, w);
+        k.shard(3).access_range(AccessKind::Write, 16384, 64, 4);
+        k.shard(3).sync();
+    }
+
+    #[test]
+    fn a_barrier_saves_exactly_one_launch() {
+        let launch = DeviceConfig::test_tiny().kernel_launch_cycles as f64;
+        // two one-phase kernels ...
+        let mut split = dev();
+        let mut k = split.launch("a");
+        phase_a(&mut k);
+        let a = k.finish();
+        let mut k = split.launch("b");
+        phase_b(&mut k);
+        let b = k.finish();
+        // ... against one kernel with a barrier between the same phases
+        let mut fused = dev();
+        let mut k = fused.launch("ab");
+        phase_a(&mut k);
+        k.grid_sync();
+        phase_b(&mut k);
+        let ab = k.finish();
+
+        let want = a.cycles + b.cycles - launch;
+        assert!(
+            (ab.cycles - want).abs() <= 1e-9 * want,
+            "{} != {want}",
+            ab.cycles
+        );
+        assert_eq!(ab.max_sm_cycles, a.max_sm_cycles + b.max_sm_cycles);
+        assert_eq!(ab.active_sms, 4);
+        assert_eq!(ab.dram_bytes, a.dram_bytes + b.dram_bytes);
+        assert_eq!(fused.profiler().kernels, 1);
+        let strip = |p: &Profiler| Profiler {
+            kernels: 0,
+            cycles: 0.0,
+            ..p.clone()
+        };
+        assert_eq!(strip(fused.profiler()), strip(split.profiler()));
+        assert_eq!(fused.l2_stats(), split.l2_stats());
+    }
+
+    #[test]
+    fn marking_covers_only_its_own_phase() {
+        let cfg = DeviceConfig::test_tiny();
+        let w = cfg.warp_size;
+        // the marked phase alone, as a kernel of its own
+        let mut d = dev();
+        let mut k = d.launch("marked");
+        k.mark_scheduling();
+        phase_a(&mut k);
+        let alone = k.finish();
+        let marked = alone.cycles - cfg.kernel_launch_cycles as f64;
+
+        // marked phase, barrier, unmarked phase: the second phase adds only
+        // its critical SM's scheduling instructions, however long it runs
+        let mut d = dev();
+        let mut k = d.launch("phased");
+        k.mark_scheduling();
+        phase_a(&mut k);
+        k.grid_sync();
+        k.shard(2).exec_uniform(2000);
+        k.shard(2).exec_sched(30, w, w);
+        k.shard(3).exec_sched(90, w, w);
+        let r = k.finish();
+        let want = marked + 30.0 / cfg.issue_width;
+        let got = d.overhead_seconds();
+        assert!(
+            (got - cfg.cycles_to_seconds(want)).abs() <= 1e-12 * got,
+            "{got} s, want {want} cycles"
+        );
+        assert!(got < cfg.cycles_to_seconds(r.cycles - cfg.kernel_launch_cycles as f64));
+
+        // marking after the barrier leaves the first phase unmarked
+        let mut d = dev();
+        let mut k = d.launch("late_mark");
+        k.shard(0).exec_uniform(1000);
+        k.shard(0).exec_sched(7, w, w);
+        k.grid_sync();
+        k.mark_scheduling();
+        phase_b(&mut k);
+        let _ = k.finish();
+        // phase B on its own, marked, on a cold device like the one above
+        let mut solo = dev();
+        let mut k = solo.launch("b");
+        k.mark_scheduling();
+        phase_b(&mut k);
+        let b = k.finish();
+        let want = 7.0 / cfg.issue_width + b.cycles - cfg.kernel_launch_cycles as f64;
+        let got = d.overhead_seconds();
+        assert!(
+            (got - cfg.cycles_to_seconds(want)).abs() <= 1e-12 * got,
+            "{got} s, want {want} cycles"
+        );
+    }
+
+    /// A three-phase kernel, twice, at `threads` host threads: every
+    /// simulated observable as exact bits, plus the traced-kernel count.
+    fn phased_workload(threads: usize) -> (Vec<u64>, KernelReport, u64) {
+        let mut d = dev();
+        d.set_host_threads(threads);
+        let mut last = None;
+        for _ in 0..2 {
+            let mut k = d.launch("phased");
+            phase_a(&mut k);
+            k.grid_sync();
+            phase_b(&mut k);
+            k.grid_sync();
+            phase_a(&mut k);
+            last = Some(k.finish());
+        }
+        let p = d.profiler();
+        let (l2h, l2sm, l2lm) = d.l2_stats();
+        let counters = vec![
+            p.kernels,
+            p.l1_hit_sectors,
+            p.l2_hit_sectors,
+            p.dram_sectors,
+            p.write_sectors,
+            p.atomics,
+            p.cycles.to_bits(),
+            d.elapsed_seconds().to_bits(),
+            d.overhead_seconds().to_bits(),
+            l2h,
+            l2sm,
+            l2lm,
+        ];
+        (counters, last.unwrap(), d.replay_stats().traced_kernels)
+    }
+
+    #[test]
+    fn phased_kernel_is_identical_on_both_routes() {
+        let (direct, report, traced) = phased_workload(1);
+        assert_eq!(traced, 0);
+        for threads in [2, 4] {
+            let (got, r, traced) = phased_workload(threads);
+            assert_eq!(got, direct, "threads={threads}");
+            assert_eq!(r, report, "threads={threads}");
+            // one replayed kernel per launch, not per phase
+            assert_eq!(traced, 2, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn busiest_sm_bounds_the_mean_across_phases() {
+        let mut d = dev();
+        let mut k = d.launch("crossed");
+        // SM 0 is the busiest before the barrier, SM 1 after it
+        k.shard(0).exec_uniform(1000);
+        k.shard(1).exec_uniform(100);
+        k.grid_sync();
+        k.shard(0).exec_uniform(100);
+        k.shard(1).exec_uniform(1000);
+        let r = k.finish();
+        let issue = DeviceConfig::test_tiny().issue_width;
+        assert_eq!(r.max_sm_cycles, 2000.0 / issue);
+        assert!((r.mean_sm_cycles - 1100.0 / issue).abs() <= 1e-9);
+        assert!(r.max_sm_cycles >= r.mean_sm_cycles);
+        assert_eq!(r.active_sms, 2);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! At more than one host thread a kernel does not probe the cache hierarchy
 //! at each access. It appends **one u64 per probe** to a single trace, in
-//! call order, and [`crate::kernel::Kernel::finish`] replays the trace
-//! through the same probe-and-charge code the direct route runs, front to
-//! back on the calling thread. Call order is the global probe order, so the
-//! replay reproduces the direct route's cache states exactly.
+//! call order, and each phase's close ([`crate::kernel::Kernel::grid_sync`]
+//! or [`crate::kernel::Kernel::finish`]) replays the phase's trace through
+//! the same probe-and-charge code the direct route runs, front to back on
+//! the calling thread. Call order is the global probe order, so the replay
+//! reproduces the direct route's cache states exactly.
 //!
 //! * **Word layout**: `sm << SM_SHIFT | sector << 1 | atomic`. The sector
 //!   field has 34 bits (device addresses below 512 GiB); the SM field takes
