@@ -86,6 +86,16 @@ if grep -rnE "Packed(Values|Words)" crates/serve/src --exclude=cache.rs; then
   exit 1
 fi
 
+echo "== serving: results remap through the runtime only =="
+# a graph's DeviceGraph owns its current -> original id map, apps read it
+# at init and SageRuntime::to_original_order remaps through it; inverting
+# the permutation or handing an app a map would be a second owner of the
+# layout
+if grep -rnE '\.inverse\(\)|apply_values|orig_of' crates/serve/src; then
+  echo "crates/serve/src must remap results through SageRuntime::to_original_order" >&2
+  exit 1
+fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

@@ -10,10 +10,10 @@
 //! BC is the paper's atomic-heavy local-traversal application: improved
 //! locality raises atomic conflicts (§7.2's "double-edged sword").
 
-use super::{App, Step};
-use crate::access::AccessRecorder;
+use super::{refill, App, Step};
+use crate::{AccessRecorder, DeviceGraph};
 use gpu_sim::{Device, DeviceArray};
-use sage_graph::{Csr, NodeId};
+use sage_graph::NodeId;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -66,17 +66,11 @@ impl App for Bc {
         "bc"
     }
 
-    fn init(&mut self, dev: &mut Device, g: &Csr, source: NodeId) -> Vec<NodeId> {
-        let n = g.num_nodes();
-        if self.dist.len() != n {
-            self.dist = dev.alloc_array(n, -1);
-            self.sigma = dev.alloc_array(n, 0.0);
-            self.delta = dev.alloc_array(n, 0.0);
-        } else {
-            self.dist.fill(-1);
-            self.sigma.fill(0.0);
-            self.delta.fill(0.0);
-        }
+    fn init(&mut self, dev: &mut Device, g: &DeviceGraph, source: NodeId) -> Vec<NodeId> {
+        let n = g.csr().num_nodes();
+        refill(dev, &mut self.dist, n, -1);
+        refill(dev, &mut self.sigma, n, 0.0);
+        refill(dev, &mut self.delta, n, 0.0);
         self.dist[source as usize] = 0;
         self.sigma[source as usize] = 1.0;
         self.phase = Phase::Forward;
@@ -159,12 +153,13 @@ impl App for Bc {
 mod tests {
     use super::*;
     use gpu_sim::DeviceConfig;
+    use sage_graph::Csr;
 
     /// Drive the app directly (engine-free) over a graph.
     fn run_direct(g: &Csr, source: NodeId) -> (Vec<f32>, Vec<f32>) {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let mut bc = Bc::new(&mut dev);
-        let mut frontier = bc.init(&mut dev, g, source);
+        let mut frontier = bc.init(&mut dev, &DeviceGraph::unplaced(g.clone()), source);
         let mut rec = AccessRecorder::new();
         for iter in 1..10_000 {
             let mut next = Vec::new();

@@ -3,10 +3,10 @@
 //! BFS needs no atomics: dirty writes do not affect correctness (§7.2) — a
 //! neighbor raced by two frontiers gets the same distance either way.
 
-use super::{App, Step};
-use crate::access::AccessRecorder;
+use super::{refill, App, Step};
+use crate::{AccessRecorder, DeviceGraph};
 use gpu_sim::{Device, DeviceArray};
-use sage_graph::{Csr, NodeId};
+use sage_graph::NodeId;
 
 /// BFS: computes hop distances from a source.
 pub struct Bfs {
@@ -36,12 +36,8 @@ impl App for Bfs {
         "bfs"
     }
 
-    fn init(&mut self, dev: &mut Device, g: &Csr, source: NodeId) -> Vec<NodeId> {
-        if self.dist.len() != g.num_nodes() {
-            self.dist = dev.alloc_array(g.num_nodes(), -1);
-        } else {
-            self.dist.fill(-1);
-        }
+    fn init(&mut self, dev: &mut Device, g: &DeviceGraph, source: NodeId) -> Vec<NodeId> {
+        refill(dev, &mut self.dist, g.csr().num_nodes(), -1);
         self.dist[source as usize] = 0;
         self.level = 0;
         vec![source]
@@ -92,13 +88,14 @@ impl App for Bfs {
 mod tests {
     use super::*;
     use gpu_sim::DeviceConfig;
+    use sage_graph::Csr;
 
     #[test]
     fn filter_passes_unvisited_only() {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = Csr::from_edges(3, &[(0, 1), (1, 2)]);
         let mut bfs = Bfs::new(&mut dev);
-        let f = bfs.init(&mut dev, &g, 0);
+        let f = bfs.init(&mut dev, &DeviceGraph::unplaced(g.clone()), 0);
         assert_eq!(f, vec![0]);
         let mut rec = AccessRecorder::new();
         assert!(bfs.filter(0, 1, &mut rec));
@@ -112,7 +109,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = Csr::from_edges(3, &[(0, 1), (1, 2)]);
         let mut bfs = Bfs::new(&mut dev);
-        bfs.init(&mut dev, &g, 0);
+        bfs.init(&mut dev, &DeviceGraph::unplaced(g.clone()), 0);
         let mut rec = AccessRecorder::new();
         bfs.filter(0, 1, &mut rec);
         assert_eq!(bfs.control(1, vec![1]), Step::Frontier(vec![1]));
@@ -126,10 +123,10 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = Csr::from_edges(3, &[(0, 1), (1, 2)]);
         let mut bfs = Bfs::new(&mut dev);
-        bfs.init(&mut dev, &g, 0);
+        bfs.init(&mut dev, &DeviceGraph::unplaced(g.clone()), 0);
         let mut rec = AccessRecorder::new();
         bfs.filter(0, 1, &mut rec);
-        bfs.init(&mut dev, &g, 2);
+        bfs.init(&mut dev, &DeviceGraph::unplaced(g.clone()), 2);
         assert_eq!(bfs.distances(), &[-1, -1, 0]);
     }
 }

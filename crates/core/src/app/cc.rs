@@ -2,13 +2,14 @@
 //! §4 lists as expressible through the filter interface ("merge two
 //! components of the frontier and the neighbor").
 
-use super::App;
-use crate::access::AccessRecorder;
+use super::{refill, App};
+use crate::{AccessRecorder, DeviceGraph};
 use gpu_sim::{Device, DeviceArray};
-use sage_graph::{Csr, NodeId};
+use sage_graph::NodeId;
 
-/// Connected components: every node converges to the minimum node id of its
-/// component.
+/// Connected components: every node converges to the minimum *original* id
+/// among the nodes that reach it (its component's minimum on a symmetric
+/// graph), whatever the graph's layout.
 pub struct Cc {
     label: DeviceArray<u32>,
 }
@@ -22,7 +23,8 @@ impl Cc {
         }
     }
 
-    /// Component labels after a run.
+    /// Component labels after a run, by current id; each label is an
+    /// original id.
     #[must_use]
     pub fn labels(&self) -> &[u32] {
         self.label.as_slice()
@@ -34,13 +36,14 @@ impl App for Cc {
         "cc"
     }
 
-    fn init(&mut self, dev: &mut Device, g: &Csr, _source: NodeId) -> Vec<NodeId> {
-        let n = g.num_nodes();
-        if self.label.len() != n {
-            self.label = dev.alloc_array(n, 0);
-        }
+    fn init(&mut self, dev: &mut Device, g: &DeviceGraph, _source: NodeId) -> Vec<NodeId> {
+        let n = g.csr().num_nodes();
+        refill(dev, &mut self.label, n, 0);
+        // seeded with original ids, min-propagation lands on each node's
+        // minimum original reacher directly
+        let ids = g.original_ids();
         for u in 0..n {
-            self.label[u] = u as u32;
+            self.label[u] = ids.of(u as NodeId);
         }
         (0..n as NodeId).collect()
     }
@@ -69,8 +72,10 @@ mod tests {
     use super::*;
     use crate::app::Step;
     use gpu_sim::DeviceConfig;
+    use sage_graph::Csr;
 
-    fn run_direct(g: &Csr) -> Vec<u32> {
+    /// Labels by current id after driving `cc` on `g` engine-free.
+    fn run_on(g: &DeviceGraph) -> Vec<u32> {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let mut cc = Cc::new(&mut dev);
         let mut frontier = cc.init(&mut dev, g, 0);
@@ -78,7 +83,7 @@ mod tests {
         for iter in 1..10_000 {
             let mut next = Vec::new();
             for &f in &frontier {
-                for &n in g.neighbors(f) {
+                for &n in g.csr().neighbors(f) {
                     if cc.filter(f, n, &mut rec) {
                         next.push(n);
                     }
@@ -93,6 +98,10 @@ mod tests {
             }
         }
         cc.labels().to_vec()
+    }
+
+    fn run_direct(g: &Csr) -> Vec<u32> {
+        run_on(&DeviceGraph::unplaced(g.clone()))
     }
 
     #[test]
@@ -110,6 +119,18 @@ mod tests {
     fn isolated_nodes_keep_own_label() {
         let g = Csr::from_edges(3, &[(0, 1), (1, 0)]);
         let labels = run_direct(&g);
+        assert_eq!(labels, vec![0, 0, 2]);
+    }
+
+    #[test]
+    fn labels_are_original_ids_on_a_relabelled_directed_graph() {
+        // a -> b <- c (original ids 0, 1, 2): b's minimum reacher is a in
+        // every layout
+        let csr = Csr::from_edges(3, &[(0, 1), (2, 1)]);
+        let mut g = DeviceGraph::unplaced(csr.clone());
+        g.relabel(&sage_graph::Permutation::new(vec![2, 1, 0]));
+        let labels = g.original_ids().to_original_order(&run_on(&g));
+        assert_eq!(labels, crate::reference::cc_labels(&csr));
         assert_eq!(labels, vec![0, 0, 2]);
     }
 

@@ -26,8 +26,9 @@ pub use pagerank::PageRank;
 pub use sssp::Sssp;
 
 use crate::access::AccessRecorder;
-use gpu_sim::{AccessKind, Device};
-use sage_graph::{Csr, NodeId};
+use crate::dgraph::{DeviceGraph, OriginalIds};
+use gpu_sim::{AccessKind, Device, DeviceArray};
+use sage_graph::NodeId;
 use std::ops::Range;
 
 /// What the pipeline should do after an iteration.
@@ -76,12 +77,58 @@ impl VertexEpilogue {
 }
 
 /// A graph application: per-edge filtering plus iteration control.
+///
+/// A minimal app marks every node reachable from the source, recording
+/// each state access so the simulator charges its memory traffic:
+///
+/// ```
+/// use gpu_sim::{Device, DeviceArray};
+/// use sage::app::App;
+/// use sage::engine::NaiveEngine;
+/// use sage::{AccessRecorder, DeviceGraph, Runner};
+/// use sage_graph::{Csr, NodeId};
+///
+/// struct Reachable {
+///     seen: DeviceArray<u32>,
+/// }
+///
+/// impl App for Reachable {
+///     fn name(&self) -> &'static str {
+///         "reach"
+///     }
+///     fn init(&mut self, dev: &mut Device, g: &DeviceGraph, src: NodeId) -> Vec<NodeId> {
+///         self.seen = dev.alloc_array(g.csr().num_nodes(), 0);
+///         self.seen[src as usize] = 1;
+///         vec![src]
+///     }
+///     fn filter(&mut self, _f: NodeId, n: NodeId, rec: &mut AccessRecorder) -> bool {
+///         rec.read(self.seen.addr(n as usize));
+///         if self.seen[n as usize] == 0 {
+///             self.seen[n as usize] = 1;
+///             // dirty: every racing parent stores the same 1
+///             rec.write_dirty(self.seen.addr(n as usize));
+///             true
+///         } else {
+///             false
+///         }
+///     }
+/// }
+///
+/// let mut dev = Device::default_device();
+/// let g = DeviceGraph::upload(&mut dev, Csr::from_edges(4, &[(0, 1), (1, 2)]));
+/// let mut app = Reachable { seen: dev.alloc_array(0, 0) };
+/// let _ = Runner::new().run(&mut dev, &g, &mut NaiveEngine::new(), &mut app, 0);
+/// assert_eq!(app.seen.as_slice(), &[1, 1, 1, 0]);
+/// ```
 pub trait App {
     /// Short name for reports ("bfs", "bc", "pr", ...).
     fn name(&self) -> &'static str;
 
-    /// Reset state for a fresh run and return the initial frontier.
-    fn init(&mut self, dev: &mut Device, g: &Csr, source: NodeId) -> Vec<NodeId>;
+    /// Reset state for a fresh run on `g` and return the initial frontier.
+    /// An app that needs original ids (weights, labels) reads them from
+    /// `g`'s [`DeviceGraph::original_ids`] here, so a run always sees the
+    /// layout it traverses.
+    fn init(&mut self, dev: &mut Device, g: &DeviceGraph, source: NodeId) -> Vec<NodeId>;
 
     /// Per-frontier work at expansion time (e.g. reading `dist[frontier]`);
     /// records the state addresses it touches.
@@ -130,6 +177,17 @@ pub trait App {
     fn pull_claim(&mut self, _node: NodeId, _parent: NodeId, _rec: &mut AccessRecorder) {}
 }
 
+/// Reset a per-node state array for a run that needs `len` elements: fill
+/// it with `value`, allocating afresh only when the length changed, so
+/// repeated runs on one graph reuse their device addresses.
+pub fn refill<T: Clone>(dev: &mut Device, arr: &mut DeviceArray<T>, len: usize, value: T) {
+    if arr.len() == len {
+        arr.fill(value);
+    } else {
+        *arr = dev.alloc_array(len, value);
+    }
+}
+
 /// Deterministic per-edge weight in `1..=15` for weighted applications on
 /// unweighted datasets (documented substitution: real weighted graphs are
 /// not part of the paper's evaluation).
@@ -143,13 +201,12 @@ pub fn synthetic_weight(u: NodeId, v: NodeId) -> u32 {
 }
 
 /// The one weight rule of every weighted app and walk: edge `(u, v)` of a
-/// layout whose current → original map is `orig_of` weighs
-/// [`synthetic_weight`] of its *original* ids, so reordering never changes
-/// a weight.
+/// layout whose current → original map is `ids` weighs [`synthetic_weight`]
+/// of its *original* ids, so reordering never changes a weight.
 #[inline]
 #[must_use]
-pub fn layout_weight(orig_of: &[NodeId], u: NodeId, v: NodeId) -> u32 {
-    synthetic_weight(orig_of[u as usize], orig_of[v as usize])
+pub fn layout_weight(ids: &OriginalIds, u: NodeId, v: NodeId) -> u32 {
+    synthetic_weight(ids.of(u), ids.of(v))
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! iteration is the entire node set — with atomic aggregation
 //! (`atomicAdd(pr_out[neighbor], increment)`).
 
-use super::{App, Step, VertexEpilogue};
-use crate::access::AccessRecorder;
+use super::{refill, App, Step, VertexEpilogue};
+use crate::{AccessRecorder, DeviceGraph};
 use gpu_sim::{AccessKind, Device, DeviceArray};
-use sage_graph::{Csr, NodeId};
+use sage_graph::NodeId;
 
 /// Damping factor used throughout the paper's pseudo-code.
 pub const DAMPING: f32 = 0.85;
@@ -73,17 +73,13 @@ impl App for PageRank {
         "pr"
     }
 
-    fn init(&mut self, dev: &mut Device, g: &Csr, _source: NodeId) -> Vec<NodeId> {
+    fn init(&mut self, dev: &mut Device, g: &DeviceGraph, _source: NodeId) -> Vec<NodeId> {
+        let g = g.csr();
         let n = g.num_nodes();
         self.n = n;
-        if self.pr_in.len() != n {
-            self.pr_in = dev.alloc_array(n, 0.0);
-            self.pr_out = dev.alloc_array(n, 0.0);
-            self.outdeg = dev.alloc_array(n, 0);
-        }
-        let init = 1.0 / n as f32;
-        self.pr_in.fill(init);
-        self.pr_out.fill(0.0);
+        refill(dev, &mut self.pr_in, n, 1.0 / n as f32);
+        refill(dev, &mut self.pr_out, n, 0.0);
+        refill(dev, &mut self.outdeg, n, 0);
         self.acc.clear();
         self.acc.resize(n, 0);
         for u in 0..n {
@@ -139,11 +135,12 @@ impl App for PageRank {
 mod tests {
     use super::*;
     use gpu_sim::DeviceConfig;
+    use sage_graph::Csr;
 
     fn run_direct(g: &Csr, max_iters: usize) -> Vec<f32> {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let mut pr = PageRank::new(&mut dev, max_iters, 1e-7);
-        let mut frontier = pr.init(&mut dev, g, 0);
+        let mut frontier = pr.init(&mut dev, &DeviceGraph::unplaced(g.clone()), 0);
         let mut rec = AccessRecorder::new();
         for iter in 1..=max_iters + 1 {
             for &f in frontier.clone().iter() {
@@ -189,7 +186,7 @@ mod tests {
         let g = Csr::from_edges(2, &[(0, 1), (1, 0)]);
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let mut pr = PageRank::new(&mut dev, 100, 1e-3);
-        let mut frontier = pr.init(&mut dev, &g, 0);
+        let mut frontier = pr.init(&mut dev, &DeviceGraph::unplaced(g.clone()), 0);
         let mut rec = AccessRecorder::new();
         let mut iters = 0;
         for iter in 1..=100 {
@@ -217,7 +214,7 @@ mod tests {
             ..DeviceConfig::test_tiny()
         });
         let mut pr = PageRank::with_defaults(&mut dev);
-        pr.init(&mut dev, &g, 0);
+        pr.init(&mut dev, &DeviceGraph::unplaced(g.clone()), 0);
         let epi = pr.iteration_epilogue().expect("PageRank updates ranks");
         assert_eq!(
             epi.arrays,

@@ -4,10 +4,10 @@
 //! unweighted) hashed from *original* node ids, so distances survive
 //! reordering.
 
-use super::{layout_weight, App};
-use crate::access::AccessRecorder;
+use super::{layout_weight, refill, App};
+use crate::{AccessRecorder, DeviceGraph, OriginalIds};
 use gpu_sim::{Device, DeviceArray};
-use sage_graph::{Csr, NodeId};
+use sage_graph::NodeId;
 
 /// Unreached distance marker.
 pub const UNREACHED: u32 = u32::MAX;
@@ -15,20 +15,18 @@ pub const UNREACHED: u32 = u32::MAX;
 /// SSSP with `atomicMin` relaxations.
 pub struct Sssp {
     dist: DeviceArray<u32>,
-    /// Current → original id map (`orig_of[current] = original`), read
-    /// by [`layout_weight`].
-    orig_of: Vec<NodeId>,
+    /// The current → original id map of the graph of the last `init`,
+    /// read by [`layout_weight`].
+    ids: OriginalIds,
 }
 
 impl Sssp {
-    /// Create an uninitialised SSSP app for a graph in the layout that
-    /// `orig_of` (`orig_of[current] = original`) describes; a graph that
-    /// was never reordered passes the identity.
+    /// Create an uninitialised SSSP app.
     #[must_use]
-    pub fn new(dev: &mut Device, orig_of: Vec<NodeId>) -> Self {
+    pub fn new(dev: &mut Device) -> Self {
         Self {
             dist: dev.alloc_array(0, 0),
-            orig_of,
+            ids: OriginalIds::default(),
         }
     }
 
@@ -47,13 +45,9 @@ impl App for Sssp {
         "sssp"
     }
 
-    fn init(&mut self, dev: &mut Device, g: &Csr, source: NodeId) -> Vec<NodeId> {
-        let n = g.num_nodes();
-        if self.dist.len() != n {
-            self.dist = dev.alloc_array(n, UNREACHED);
-        } else {
-            self.dist.fill(UNREACHED);
-        }
+    fn init(&mut self, dev: &mut Device, g: &DeviceGraph, source: NodeId) -> Vec<NodeId> {
+        self.ids = g.original_ids().clone();
+        refill(dev, &mut self.dist, g.csr().num_nodes(), UNREACHED);
         self.dist[source as usize] = 0;
         vec![source]
     }
@@ -66,8 +60,7 @@ impl App for Sssp {
         let f = frontier as usize;
         let n = neighbor as usize;
         rec.read(self.dist.addr(n));
-        let candidate =
-            self.dist[f].saturating_add(layout_weight(&self.orig_of, frontier, neighbor));
+        let candidate = self.dist[f].saturating_add(layout_weight(&self.ids, frontier, neighbor));
         if candidate < self.dist[n] {
             // atomicMin
             self.dist[n] = candidate;
@@ -84,11 +77,12 @@ mod tests {
     use super::*;
     use crate::app::{synthetic_weight, Step};
     use gpu_sim::DeviceConfig;
+    use sage_graph::Csr;
 
     fn run_direct(g: &Csr, source: NodeId) -> Vec<u32> {
         let mut dev = Device::new(DeviceConfig::test_tiny());
-        let mut app = Sssp::new(&mut dev, (0..g.num_nodes() as NodeId).collect());
-        let mut frontier = app.init(&mut dev, g, source);
+        let mut app = Sssp::new(&mut dev);
+        let mut frontier = app.init(&mut dev, &DeviceGraph::unplaced(g.clone()), source);
         let mut rec = AccessRecorder::new();
         for iter in 1..100_000 {
             let mut next = Vec::new();

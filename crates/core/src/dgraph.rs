@@ -7,9 +7,15 @@
 //! of its two arrays so engines can charge their expansion traffic, and
 //! with the device addresses of the frontier queue and bitmap every
 //! traversal on the graph contracts into.
+//!
+//! The graph also owns its layout: Sampling-based Reordering (§6) relabels
+//! the CSR in place round after round, and [`DeviceGraph::relabel`] composes
+//! every round into the graph's [`OriginalIds`], so apps and result remaps
+//! read original ids from the graph they run on.
 
 use gpu_sim::Device;
-use sage_graph::{Csr, NodeId};
+use sage_graph::{Csr, NodeId, Permutation};
+use std::sync::Arc;
 
 /// Where the CSR arrays live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,6 +24,46 @@ enum GraphPlacement {
     Device,
     /// Both arrays in host memory, accessed over PCIe (out-of-core).
     Host,
+    /// No arrays at all: a view apps initialise on, never traversed.
+    Unplaced,
+}
+
+/// A layout's current → original id map. Clones share one allocation, so
+/// an app holding the map of the graph it was initialised on copies no ids.
+/// The identity until the graph's first relabel.
+#[derive(Debug, Clone, Default)]
+pub struct OriginalIds(Option<Arc<Permutation>>);
+
+impl OriginalIds {
+    /// The original id of current id `u`.
+    #[inline]
+    #[must_use]
+    pub fn of(&self, u: NodeId) -> NodeId {
+        self.0.as_ref().map_or(u, |ids| ids.map(u))
+    }
+
+    /// Per-current-id values rearranged by original id: `out[of(u)] =
+    /// values[u]`.
+    ///
+    /// # Panics
+    /// Panics on a length other than the node count of a relabelled graph.
+    #[must_use]
+    pub fn to_original_order<T: Clone>(&self, values_by_current: &[T]) -> Vec<T> {
+        match &self.0 {
+            Some(ids) => ids.apply_values(values_by_current),
+            None => values_by_current.to_vec(),
+        }
+    }
+
+    /// The map after `relabel` (current id → next current id): undo the
+    /// relabel, then map as before.
+    fn relabelled(&self, relabel: &Permutation) -> Self {
+        let undo = relabel.inverse();
+        Self(Some(Arc::new(match &self.0 {
+            Some(ids) => undo.then(ids),
+            None => undo,
+        })))
+    }
 }
 
 /// The in-edge (CSC) view that pull and matrix iterations scan.
@@ -54,6 +100,7 @@ impl InEdges {
 #[derive(Debug, Clone)]
 pub struct DeviceGraph {
     csr: Csr,
+    ids: OriginalIds,
     offsets_base: u64,
     targets_base: u64,
     in_edges: InEdges,
@@ -100,6 +147,25 @@ impl DeviceGraph {
         )
     }
 
+    /// The graph with no simulated arrays behind it, for the multi-GPU
+    /// path, which initialises apps on a graph no single device holds:
+    /// apps read its node space and degrees, but no engine may traverse it.
+    #[must_use]
+    pub(crate) fn unplaced(csr: Csr) -> Self {
+        Self {
+            csr,
+            ids: OriginalIds::default(),
+            offsets_base: 0,
+            targets_base: 0,
+            in_edges: InEdges::Absent,
+            in_offsets_base: 0,
+            in_targets_base: 0,
+            queue_base: 0,
+            bitmap_base: 0,
+            placement: GraphPlacement::Unplaced,
+        }
+    }
+
     /// The graph over placed CSR arrays, plus its frontier queue (one
     /// `u32` per node) and dense-frontier bitmap (one bit per node) in
     /// device memory. Every run on the graph contracts into these same
@@ -115,15 +181,12 @@ impl DeviceGraph {
         let queue = dev.alloc_array::<u32>(n.max(1), 0);
         let bitmap = dev.alloc_array::<u64>(n.div_ceil(64).max(1), 0);
         Self {
-            csr,
             offsets_base,
             targets_base,
-            in_edges: InEdges::Absent,
-            in_offsets_base: 0,
-            in_targets_base: 0,
             queue_base: queue.base(),
             bitmap_base: bitmap.base(),
             placement,
+            ..Self::unplaced(csr)
         }
     }
 
@@ -147,6 +210,7 @@ impl DeviceGraph {
                 dev.alloc_host_array::<u32>(n + 1, 0).base(),
                 dev.alloc_host_array::<u32>(m, 0).base(),
             ),
+            GraphPlacement::Unplaced => (0, 0),
         };
         self.in_offsets_base = in_offsets;
         self.in_targets_base = in_targets;
@@ -226,20 +290,29 @@ impl DeviceGraph {
         self.targets_base + u64::from(idx) * 4
     }
 
-    /// Replace the CSR (after a reordering round). The array addresses are
-    /// reused — the paper updates the representation in place.
+    /// The current → original id map of this layout.
+    #[must_use]
+    pub fn original_ids(&self) -> &OriginalIds {
+        &self.ids
+    }
+
+    /// Relabel the graph in place under `relabel` (current id → next
+    /// current id) after a reordering round: rebuild the CSR and, if
+    /// materialized, the in-edge view, and compose the round into the
+    /// original-id map. The array addresses are reused — the paper updates
+    /// the representation in place.
     ///
     /// # Panics
-    /// Panics if node or edge counts change.
-    pub fn replace_csr(&mut self, csr: Csr) {
-        assert_eq!(csr.num_nodes(), self.csr.num_nodes(), "node count changed");
-        assert_eq!(csr.num_edges(), self.csr.num_edges(), "edge count changed");
+    /// Panics if `relabel` is not over the graph's node count.
+    pub fn relabel(&mut self, relabel: &Permutation) {
+        let csr = relabel.apply_csr(&self.csr);
         if self.has_in_edges() {
             // same node/edge counts, so the reversed view fits the
             // already-allocated arrays; symmetry is decided afresh.
             self.in_edges = InEdges::of(&csr);
         }
         self.csr = csr;
+        self.ids = self.ids.relabelled(relabel);
     }
 }
 
@@ -284,22 +357,34 @@ mod tests {
     }
 
     #[test]
-    fn replace_csr_keeps_addresses() {
+    fn relabel_keeps_addresses_and_composes_original_ids() {
         let mut d = Device::new(DeviceConfig::test_tiny());
         let mut g = DeviceGraph::upload(&mut d, graph());
         let before = g.target_addr(0);
-        // a relabelled graph with the same counts
-        let perm = sage_graph::Permutation::random(4, 1);
-        g.replace_csr(perm.apply_csr(&graph()));
+        assert_eq!(g.original_ids().of(3), 3, "identity before any relabel");
+        // two rounds: the map composes both
+        let (p1, p2) = (Permutation::random(4, 1), Permutation::random(4, 2));
+        g.relabel(&p1);
+        g.relabel(&p2);
         assert_eq!(g.target_addr(0), before);
+        assert_eq!(*g.csr(), p1.then(&p2).apply_csr(&graph()));
+        for u in 0..4 {
+            assert_eq!(g.original_ids().of(p2.map(p1.map(u))), u);
+        }
+        // values by current id land at their original ids
+        let by_current: Vec<NodeId> = (0..4).map(|c| g.original_ids().of(c) * 10).collect();
+        assert_eq!(
+            g.original_ids().to_original_order(&by_current),
+            [0, 10, 20, 30]
+        );
     }
 
     #[test]
-    #[should_panic(expected = "edge count changed")]
+    #[should_panic(expected = "node count mismatch")]
     fn replace_with_different_size_rejected() {
         let mut d = Device::new(DeviceConfig::test_tiny());
         let mut g = DeviceGraph::upload(&mut d, graph());
-        g.replace_csr(Csr::from_edges(4, &[(0, 1)]));
+        g.relabel(&Permutation::identity(3));
     }
 
     #[test]
@@ -323,13 +408,12 @@ mod tests {
     }
 
     #[test]
-    fn replace_csr_rebuilds_in_edges() {
+    fn relabel_rebuilds_in_edges() {
         let mut d = Device::new(DeviceConfig::test_tiny());
         let mut g = DeviceGraph::upload(&mut d, graph()).with_in_edges(&mut d);
-        let perm = sage_graph::Permutation::random(4, 1);
-        let relabelled = perm.apply_csr(&graph());
-        let expected = relabelled.reversed();
-        g.replace_csr(relabelled);
+        let perm = Permutation::random(4, 1);
+        let expected = perm.apply_csr(&graph()).reversed();
+        g.relabel(&perm);
         assert_eq!(g.in_csr().unwrap().targets(), expected.targets());
     }
 
@@ -357,22 +441,21 @@ mod tests {
     }
 
     #[test]
-    fn replace_csr_redecides_symmetry() {
+    fn relabel_keeps_the_in_edge_view_kind() {
         let mut d = Device::new(DeviceConfig::test_tiny());
-        let mut g = DeviceGraph::upload(&mut d, symmetric()).with_in_edges(&mut d);
-        let addrs = (g.in_offset_addr(0), g.in_target_addr(0));
-        let perm = sage_graph::Permutation::random(4, 1);
-        // symmetric -> directed (same six edges' worth of slots): an owned
-        // reversed copy
-        let directed = Csr::from_edges(4, &[(0, 1), (1, 0), (0, 2), (1, 3), (2, 3), (3, 2)]);
-        g.replace_csr(directed.clone());
-        assert!(!std::ptr::eq(g.in_csr().unwrap(), g.csr()));
-        assert_eq!(*g.in_csr().unwrap(), directed.reversed());
-        // directed -> symmetric: shared again
-        g.replace_csr(perm.apply_csr(&symmetric()));
-        assert!(std::ptr::eq(g.in_csr().unwrap(), g.csr()));
-        assert_eq!(*g.in_csr().unwrap(), g.csr().reversed());
-        assert_eq!((g.in_offset_addr(0), g.in_target_addr(0)), addrs);
+        let perm = Permutation::random(4, 1);
+        // a relabel preserves symmetry: a symmetric graph keeps sharing its
+        // CSR as the view, a directed one keeps an owned reversed copy
+        let mut sym = DeviceGraph::upload(&mut d, symmetric()).with_in_edges(&mut d);
+        let addrs = (sym.in_offset_addr(0), sym.in_target_addr(0));
+        sym.relabel(&perm);
+        assert!(std::ptr::eq(sym.in_csr().unwrap(), sym.csr()));
+        assert_eq!(*sym.in_csr().unwrap(), sym.csr().reversed());
+        assert_eq!((sym.in_offset_addr(0), sym.in_target_addr(0)), addrs);
+        let mut dir = DeviceGraph::upload(&mut d, graph()).with_in_edges(&mut d);
+        dir.relabel(&perm);
+        assert!(!std::ptr::eq(dir.in_csr().unwrap(), dir.csr()));
+        assert_eq!(*dir.in_csr().unwrap(), dir.csr().reversed());
     }
 
     #[test]

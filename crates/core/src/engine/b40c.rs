@@ -200,7 +200,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload(&mut dev, csr);
         let mut app = Bfs::new(&mut dev);
-        app.init(&mut dev, g.csr(), 0);
+        app.init(&mut dev, &g, 0);
         let mut eng = B40cEngine { block_size: 16 };
         let out = eng.iterate(&mut dev, &g, &mut app, &[0, 1, 2]);
         assert_eq!(out.edges, 52);

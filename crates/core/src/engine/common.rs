@@ -422,7 +422,7 @@ mod tests {
     fn gather_filter_range_traverses_and_charges() {
         let (mut dev, g) = setup();
         let mut app = Bfs::new(&mut dev);
-        let frontier = crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
+        let frontier = crate::app::App::init(&mut app, &mut dev, &g, 0);
         assert_eq!(frontier, vec![0]);
         let mut rec = AccessRecorder::new();
         let mut next = Vec::new();
@@ -450,7 +450,7 @@ mod tests {
     fn scattered_gather_matches_range_semantics() {
         let (mut dev, g) = setup();
         let mut app = Bfs::new(&mut dev);
-        crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
+        crate::app::App::init(&mut app, &mut dev, &g, 0);
         let pairs: Vec<(NodeId, u32)> = (0..5).map(|i| (0, g.csr().offset(0) + i)).collect();
         let mut rec = AccessRecorder::new();
         let mut next = Vec::new();
@@ -480,7 +480,7 @@ mod tests {
         }
         let (mut dev, g) = setup();
         let mut app = Bfs::new(&mut dev);
-        crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
+        crate::app::App::init(&mut app, &mut dev, &g, 0);
         let mut obs = Collect(Vec::new());
         let mut rec = AccessRecorder::new();
         let mut next = Vec::new();
@@ -506,7 +506,7 @@ mod tests {
     fn zero_length_gather_is_free() {
         let (mut dev, g) = setup();
         let mut app = Bfs::new(&mut dev);
-        crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
+        crate::app::App::init(&mut app, &mut dev, &g, 0);
         let mut rec = AccessRecorder::new();
         let mut next = Vec::new();
         let mut scratch = Vec::new();

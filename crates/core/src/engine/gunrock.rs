@@ -178,7 +178,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload(&mut dev, csr);
         let mut app = Bfs::new(&mut dev);
-        app.init(&mut dev, g.csr(), 0);
+        app.init(&mut dev, &g, 0);
         let mut eng = GunrockEngine { chunk_edges: 2 };
         let o = eng.iterate(&mut dev, &g, &mut app, &[0, 1, 2]);
         assert_eq!(o.edges, 6);
@@ -190,7 +190,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload(&mut dev, csr);
         let mut app = Bfs::new(&mut dev);
-        app.init(&mut dev, g.csr(), 0);
+        app.init(&mut dev, &g, 0);
         let before = dev.profiler().kernels;
         let mut eng = GunrockEngine::new();
         let _ = eng.iterate(&mut dev, &g, &mut app, &[0]);

@@ -124,7 +124,7 @@ mod tests {
         let csr = Csr::from_edges(5, &[(0, 1), (0, 2), (1, 3), (1, 4)]);
         let g = DeviceGraph::upload(&mut dev, csr);
         let mut app = Bfs::new(&mut dev);
-        let f = app.init(&mut dev, g.csr(), 0);
+        let f = app.init(&mut dev, &g, 0);
         let mut e = NaiveEngine::new();
         let out = e.iterate(&mut dev, &g, &mut app, &f);
         assert_eq!(out.edges, 2);
@@ -144,7 +144,7 @@ mod tests {
         }
         let g = DeviceGraph::upload(&mut dev, Csr::from_edges(41, &edges));
         let mut app = Bfs::new(&mut dev);
-        app.init(&mut dev, g.csr(), 0);
+        app.init(&mut dev, &g, 0);
         let frontier: Vec<u32> = (0..8).collect();
         let mut e = NaiveEngine::new();
         let out = e.iterate(&mut dev, &g, &mut app, &frontier);
@@ -162,7 +162,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload(&mut dev, Csr::from_edges(2, &[(0, 1)]));
         let mut app = Bfs::new(&mut dev);
-        app.init(&mut dev, g.csr(), 0);
+        app.init(&mut dev, &g, 0);
         let mut e = NaiveEngine::new();
         let out = e.iterate(&mut dev, &g, &mut app, &[]);
         assert_eq!(out.edges, 0);

@@ -275,7 +275,7 @@ mod tests {
         let g = DeviceGraph::upload(&mut dev, csr);
         let mut app = Bfs::new(&mut dev);
         let frontier: Vec<u32> = (0..16).collect();
-        app.init(&mut dev, g.csr(), 0);
+        app.init(&mut dev, &g, 0);
         let mut eng = TiledPartitioningEngine {
             block_size: 16,
             min_tile: 8,
@@ -332,7 +332,7 @@ mod tests {
             let mut dev = Device::new(DeviceConfig::test_tiny());
             let g = DeviceGraph::upload(&mut dev, csr.clone());
             let mut app = Bfs::new(&mut dev);
-            app.init(&mut dev, g.csr(), 0);
+            app.init(&mut dev, &g, 0);
             let mut eng = TiledPartitioningEngine {
                 block_size: 16,
                 min_tile: 8,

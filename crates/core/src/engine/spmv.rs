@@ -244,7 +244,7 @@ mod tests {
         let run = |matrix: bool| {
             let (mut dev, g) = setup();
             let mut app = Bfs::new(&mut dev);
-            let f = crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
+            let f = crate::app::App::init(&mut app, &mut dev, &g, 0);
             let fr = BitFrontier::from_nodes(&f, g.csr().num_nodes(), 1 << 24);
             let out = if matrix {
                 matrix_iterate(&mut dev, &g, &mut app, &fr, "m")
@@ -268,7 +268,7 @@ mod tests {
     fn matrix_retires_tensor_ops() {
         let (mut dev, g) = setup();
         let mut app = Bfs::new(&mut dev);
-        let f = crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
+        let f = crate::app::App::init(&mut app, &mut dev, &g, 0);
         let fr = BitFrontier::from_nodes(&f, g.csr().num_nodes(), 1 << 24);
         let out = matrix_iterate(&mut dev, &g, &mut app, &fr, "m");
         assert!(
@@ -292,7 +292,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload(&mut dev, csr).with_in_edges(&mut dev);
         let mut app = Bfs::new(&mut dev);
-        let f = crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
+        let f = crate::app::App::init(&mut app, &mut dev, &g, 0);
         let fr = BitFrontier::from_nodes(&f, g.csr().num_nodes(), 1 << 24);
         let out = matrix_iterate(&mut dev, &g, &mut app, &fr, "m");
         assert_eq!(out.next, vec![50]);
@@ -311,7 +311,7 @@ mod tests {
     fn masked_out_blocks_are_skipped() {
         let (mut dev, g) = setup();
         let mut app = Bfs::new(&mut dev);
-        let f = crate::app::App::init(&mut app, &mut dev, g.csr(), 0);
+        let f = crate::app::App::init(&mut app, &mut dev, &g, 0);
         let fr = BitFrontier::from_nodes(&f, g.csr().num_nodes(), 1 << 24);
         // first step visits 1..40; afterwards only 40.. are candidates
         let out = matrix_iterate(&mut dev, &g, &mut app, &fr, "m");

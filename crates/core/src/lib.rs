@@ -46,7 +46,7 @@ pub mod runtime;
 pub mod walk;
 
 pub use access::AccessRecorder;
-pub use dgraph::DeviceGraph;
+pub use dgraph::{DeviceGraph, OriginalIds};
 pub use frontier::BitFrontier;
 pub use metrics::{LatencyBreakdown, RunReport};
 pub use pipeline::{DirectionPolicy, Runner};

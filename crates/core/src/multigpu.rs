@@ -85,9 +85,9 @@ pub struct MultiGpuDriver {
     devices: Vec<Device>,
     graphs: Vec<DeviceGraph>,
     engines: Vec<Box<dyn Engine>>,
-    /// The unpartitioned graph, for application state initialisation
-    /// (apps need global degrees and the full node space).
-    full: Csr,
+    /// The unpartitioned graph, unplaced: apps initialise on it (they need
+    /// global degrees and the full node space), no device traverses it.
+    full: DeviceGraph,
 }
 
 impl MultiGpuDriver {
@@ -130,7 +130,7 @@ impl MultiGpuDriver {
             devices,
             graphs,
             engines,
-            full: csr.clone(),
+            full: DeviceGraph::unplaced(csr.clone()),
         }
     }
 
@@ -147,8 +147,7 @@ impl MultiGpuDriver {
             .fold(0.0f64, f64::max);
 
         // app state lives logically replicated; init charges device 0
-        let full_csr = self.full.clone();
-        let init = app.init(&mut self.devices[0], &full_csr, source);
+        let init = app.init(&mut self.devices[0], &self.full, source);
         let mut frontiers: Vec<Vec<NodeId>> = vec![Vec::new(); n_gpus];
         for f in init {
             frontiers[self.owner[f as usize] as usize].push(f);
@@ -211,7 +210,7 @@ impl MultiGpuDriver {
             // per-vertex epilogue (e.g. PageRank's rank update): each device
             // updates one contiguous slice of the vertices
             if let Some(epilogue) = app.iteration_epilogue() {
-                let n = self.full.num_nodes();
+                let n = self.full.csr().num_nodes();
                 let per_dev = n.div_ceil(n_gpus);
                 for (d, dev) in self.devices.iter_mut().enumerate() {
                     let lo = (d * per_dev).min(n);

@@ -284,7 +284,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let (g, _eng) = sage_out_of_core(&mut dev, csr);
         let mut app = Bfs::new(&mut dev);
-        let _ = app.init(&mut dev, g.csr(), 0);
+        let _ = app.init(&mut dev, &g, 0);
         // BFS dist array must be device-resident even though the graph is not
         assert!(gpu_sim::mem::is_host_addr(g.target_addr(0)));
     }

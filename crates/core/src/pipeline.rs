@@ -132,7 +132,7 @@ impl Runner {
         let overhead_start = dev.overhead_seconds();
         let hazard_start = dev.hazard_count();
         let n = g.csr().num_nodes();
-        let mut frontier = app.init(dev, g.csr(), source);
+        let mut frontier = app.init(dev, g, source);
 
         let (alpha, beta, density) = match self.policy {
             DirectionPolicy::Adaptive3 {
@@ -371,9 +371,8 @@ mod tests {
         let csr = small_graph();
         let expect = reference::sssp_dists(&csr, 7);
         let mut dev = Device::new(DeviceConfig::test_tiny());
-        let identity = (0..csr.num_nodes() as NodeId).collect();
         let g = DeviceGraph::upload(&mut dev, csr);
-        let mut app = Sssp::new(&mut dev, identity);
+        let mut app = Sssp::new(&mut dev);
         let mut eng = NaiveEngine::new();
         let _ = Runner::new().run(&mut dev, &g, &mut eng, &mut app, 7);
         assert_eq!(app.distances(), expect.as_slice());

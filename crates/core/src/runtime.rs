@@ -85,6 +85,7 @@ impl ReorderSession {
     }
 
     /// The composed permutation: original id → current id.
+    // sage-lint: allow(dead-pub) — the layout that runtime::tests::rollback_restores_the_pre_commit_graph_and_permutation_bitwise and service::tests::workers_share_one_layout_equal_to_a_lone_runtime_at_each_epoch compare
     #[must_use]
     pub fn permutation(&self) -> &Permutation {
         &self.perm
@@ -246,22 +247,19 @@ impl SageRuntime {
         self.session.epoch
     }
 
-    /// The composed permutation applied so far: original id → current id.
-    #[must_use]
-    pub fn permutation(&self) -> &Permutation {
-        &self.session.perm
-    }
-
     /// Current id of an original node id.
     #[must_use]
     pub fn current_id(&self, original: NodeId) -> NodeId {
         self.session.perm.map(original)
     }
 
-    /// Map per-current-id values back to original ids.
+    /// Map per-current-id values back to original ids, through the
+    /// graph's current → original map.
     #[must_use]
     pub fn to_original_order<T: Clone>(&self, values_by_current: &[T]) -> Vec<T> {
-        self.session.perm.inverse().apply_values(values_by_current)
+        self.graph
+            .original_ids()
+            .to_original_order(values_by_current)
     }
 
     /// Run `app` from `source` (an *original* node id), sampling tile
@@ -284,13 +282,11 @@ impl SageRuntime {
         sources: &[NodeId],
     ) -> WalkOutput {
         let cur_sources: Vec<NodeId> = sources.iter().map(|&s| self.session.perm.map(s)).collect();
-        let inv = self.session.perm.inverse();
-        let out = walk::run_batch(dev, &self.graph, app, spec, &cur_sources, inv.as_slice());
+        let out = walk::run_batch(dev, &self.graph, app, spec, &cur_sources);
         // re-map each slot's endpoint counts back to original ids
-        let mut endpoints = Vec::with_capacity(out.endpoints.len());
-        for slot in 0..out.num_sources {
-            endpoints.extend(inv.apply_values(out.endpoints_for(slot)));
-        }
+        let endpoints = (0..out.num_sources)
+            .flat_map(|slot| self.to_original_order(out.endpoints_for(slot)))
+            .collect();
         WalkOutput { endpoints, ..out }
     }
 
@@ -361,11 +357,10 @@ impl SageRuntime {
         round.is_some()
     }
 
-    /// Rebuild the CSR in place under `relabel` (current id → new current
+    /// Relabel the graph in place under `relabel` (current id → new current
     /// id) and invalidate the resident tiles (their offsets moved).
     fn relabel(&mut self, relabel: &Permutation) {
-        let csr = relabel.apply_csr(self.graph.csr());
-        self.graph.replace_csr(csr);
+        self.graph.relabel(relabel);
         self.engine.reset();
     }
 }
@@ -409,21 +404,52 @@ mod tests {
 
     #[test]
     fn sssp_distances_invariant_under_reordering() {
-        use crate::app::Sssp;
-        let csr = graph();
-        let expect = reference::sssp_dists(&csr, 5);
+        use crate::app::{PageRank, Sssp};
+        use std::cmp::Ordering;
+        let csr = sage_graph::gen::rmat_graph(11, 8, 0);
+        let expect = reference::sssp_dists(&csr, 0);
+        assert!(expect.iter().filter(|&&d| d != u32::MAX).count() > 100);
         let mut dev = Device::new(DeviceConfig::test_tiny());
-        let mut rt = SageRuntime::with_threshold(&mut dev, csr, 1000);
+        let mut rt = SageRuntime::with_threshold(&mut dev, csr, 4000);
         let mut bfs = Bfs::new(&mut dev);
-        for _ in 0..3 {
-            let _ = rt.run(&mut dev, &mut bfs, 5);
-            rt.force_reorder(&mut dev);
+        let mut pr = PageRank::new(&mut dev, 10, 0.0);
+        // one Sssp outlives every relabel: each run must weigh the edges of
+        // the layout it runs on, whether the last round committed or
+        // rolled back
+        let mut sssp = Sssp::new(&mut dev);
+        let (mut commits, mut rollbacks) = (0, 0);
+        // rounds the Sssp has been checked after: (commits, rollbacks)
+        let mut checked = (0, 0);
+        for op in 0..40u32 {
+            match op % 4 {
+                1 => {
+                    let _ = rt.run(&mut dev, &mut sssp, 0);
+                    assert_eq!(
+                        rt.to_original_order(sssp.distances()),
+                        expect,
+                        "after {commits} commits and {rollbacks} rollbacks"
+                    );
+                    checked = (commits, rollbacks);
+                }
+                3 => {
+                    let _ = rt.run(&mut dev, &mut pr, 0);
+                }
+                _ => {
+                    let _ = rt.run(&mut dev, &mut bfs, op * 37 % 2048);
+                }
+            }
+            let rounds = rt.rounds();
+            rt.maybe_reorder(&mut dev);
+            match rt.rounds().cmp(&rounds) {
+                Ordering::Greater => commits += 1,
+                Ordering::Less => rollbacks += 1,
+                Ordering::Equal => {}
+            }
         }
-        assert!(rt.rounds() > 0, "threshold 1000 must commit a round");
-        let mut sssp = Sssp::new(&mut dev, rt.permutation().inverse().as_slice().to_vec());
-        let _ = rt.run(&mut dev, &mut sssp, 5);
-        let got = rt.to_original_order(sssp.distances());
-        assert_eq!(got, expect, "distances must be invariant under reordering");
+        assert!(
+            checked.0 > 0 && checked.1 > 0,
+            "checked after {checked:?} of {commits} commits and {rollbacks} rollbacks"
+        );
     }
 
     #[test]
@@ -467,6 +493,7 @@ mod tests {
         let mut rt = SageRuntime::with_threshold(&mut dev, csr, 500);
         assert_eq!(rt.epoch(), 0);
         assert!(rt
+            .session
             .permutation()
             .as_slice()
             .iter()
@@ -479,7 +506,7 @@ mod tests {
             assert_eq!(rt.epoch(), 1);
             // composed permutation maps every original id to its current id
             for u in 0..16u32 {
-                assert_eq!(rt.permutation().map(u), rt.current_id(u));
+                assert_eq!(rt.session.perm.map(u), rt.current_id(u));
             }
         } else {
             assert_eq!(rt.epoch(), 0);
@@ -543,7 +570,7 @@ mod tests {
             } else {
                 let _ = rt.run(&mut dev, &mut bfs, op * 37 % 2048);
             }
-            let snapshot = (rt.graph.csr().clone(), rt.permutation().clone());
+            let snapshot = (rt.graph.csr().clone(), rt.session.perm.clone());
             let rounds = rt.rounds();
             rt.maybe_reorder(&mut dev);
             if rt.rounds() > rounds {
@@ -553,7 +580,7 @@ mod tests {
                 rollbacks += 1;
                 let (csr, perm) = pre_commit.take().expect("a rollback follows a commit");
                 assert_eq!(*rt.graph.csr(), csr, "rollback {rollbacks}: CSR differs");
-                assert_eq!(*rt.permutation(), perm, "rollback {rollbacks}: permutation");
+                assert_eq!(rt.session.perm, perm, "rollback {rollbacks}: permutation");
                 assert_eq!(*rt.graph.in_csr().unwrap(), rt.graph.csr().reversed());
             }
         }

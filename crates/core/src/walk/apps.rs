@@ -183,8 +183,7 @@ mod tests {
             seed: 3,
             weights: WalkWeights::Uniform,
         };
-        let identity: Vec<u32> = (0..n).collect();
-        let out = run_batch(&mut dev, &g, &Ppr::new(alpha), &spec, &[source], &identity);
+        let out = run_batch(&mut dev, &g, &Ppr::new(alpha), &spec, &[source]);
 
         // Pearson's chi-square over the 12 nodes (11 degrees of freedom;
         // every expected count exceeds 5). 31.264 is the 0.999 quantile, so
@@ -231,14 +230,13 @@ mod tests {
         let run = |p: f64, q: f64| -> u64 {
             let mut dev = Device::new(DeviceConfig::test_tiny());
             let g = DeviceGraph::upload(&mut dev, Csr::from_edges(n, &edges));
-            let identity: Vec<u32> = (0..n as u32).collect();
             let spec = WalkSpec {
                 walks_per_source: 512,
                 max_length: 6,
                 seed: 11,
                 weights: WalkWeights::Uniform,
             };
-            let out = run_batch(&mut dev, &g, &Node2vec::new(p, q), &spec, &[5], &identity);
+            let out = run_batch(&mut dev, &g, &Node2vec::new(p, q), &spec, &[5]);
             // walkers that ended far from the source
             out.endpoints
                 .iter()

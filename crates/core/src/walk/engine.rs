@@ -67,10 +67,10 @@ impl WalkOutput {
 
 /// Run one batch: `spec.walks_per_source` walkers from each node of
 /// `sources` (current-id space), all stepping in lock-step inside a
-/// single `walk` kernel launch. `orig_of` maps current ids to original
-/// ids (`orig_of[current] = original`) so synthetic weights survive
-/// reordering. The batch writes one endpoint tally per walker, its only
-/// atomic, and returns those tallies with the step count.
+/// single `walk` kernel launch. Synthetic weights hash the original ids
+/// of `g`'s layout, so they survive reordering. The batch writes one
+/// endpoint tally per walker, its only atomic, and returns those tallies
+/// with the step count.
 ///
 /// # Panics
 /// Panics when `sources` is empty or contains an out-of-range id.
@@ -80,9 +80,9 @@ pub fn run_batch(
     app: &dyn WalkApp,
     spec: &WalkSpec,
     sources: &[NodeId],
-    orig_of: &[NodeId],
 ) -> WalkOutput {
     let csr = g.csr();
+    let ids = g.original_ids();
     let n = csr.num_nodes();
     let k_src = sources.len();
     assert!(k_src > 0, "walk batch needs at least one source");
@@ -206,11 +206,9 @@ pub fn run_batch(
                             // the warp cooperatively streams the whole row
                             sh.access_range(AccessKind::Read, g.target_addr(off), d, 4);
                             edges_examined += d;
-                            sample::its_sample(csr, cur[w], r_slot, |u, v| {
-                                layout_weight(orig_of, u, v)
-                            })
-                            .expect("non-sink row")
-                            .0
+                            sample::its_sample(csr, cur[w], r_slot, |u, v| layout_weight(ids, u, v))
+                                .expect("non-sink row")
+                                .0
                         }
                     };
                     let threshold = {
@@ -291,11 +289,11 @@ mod tests {
         Csr::from_edges(n, &edges)
     }
 
-    /// A device, the ring on it, and the identity current → original map.
-    fn setup(n: usize) -> (Device, DeviceGraph, Vec<NodeId>) {
+    /// A device and the ring on it.
+    fn setup(n: usize) -> (Device, DeviceGraph) {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let g = DeviceGraph::upload(&mut dev, ring(n));
-        (dev, g, (0..n as NodeId).collect())
+        (dev, g)
     }
 
     fn spec() -> WalkSpec {
@@ -309,10 +307,10 @@ mod tests {
 
     #[test]
     fn batch_is_deterministic() {
-        let (mut d1, g1, ids) = setup(32);
-        let (mut d2, g2, _) = setup(32);
-        let o1 = run_batch(&mut d1, &g1, &Ppr::new(0.2), &spec(), &[0, 5], &ids);
-        let o2 = run_batch(&mut d2, &g2, &Ppr::new(0.2), &spec(), &[0, 5], &ids);
+        let (mut d1, g1) = setup(32);
+        let (mut d2, g2) = setup(32);
+        let o1 = run_batch(&mut d1, &g1, &Ppr::new(0.2), &spec(), &[0, 5]);
+        let o2 = run_batch(&mut d2, &g2, &Ppr::new(0.2), &spec(), &[0, 5]);
         assert_eq!(o1.endpoints, o2.endpoints);
         assert_eq!(o1.steps, o2.steps);
         assert_eq!(o1.report.seconds.to_bits(), o2.report.seconds.to_bits());
@@ -320,8 +318,8 @@ mod tests {
 
     #[test]
     fn every_walker_terminates_somewhere() {
-        let (mut dev, g, ids) = setup(16);
-        let out = run_batch(&mut dev, &g, &Node2vec::new(1.0, 1.0), &spec(), &[3], &ids);
+        let (mut dev, g) = setup(16);
+        let out = run_batch(&mut dev, &g, &Node2vec::new(1.0, 1.0), &spec(), &[3]);
         let total: u64 = out.endpoints.iter().map(|&c| u64::from(c)).sum();
         assert_eq!(total, out.walkers as u64);
         assert!(out.report.converged);
@@ -329,8 +327,8 @@ mod tests {
 
     #[test]
     fn endpoint_scores_normalize() {
-        let (mut dev, g, ids) = setup(16);
-        let out = run_batch(&mut dev, &g, &Ppr::new(0.3), &spec(), &[2], &ids);
+        let (mut dev, g) = setup(16);
+        let out = run_batch(&mut dev, &g, &Ppr::new(0.3), &spec(), &[2]);
         let s = out.endpoint_scores(0);
         let sum: f32 = s.iter().sum();
         assert!((sum - 1.0).abs() < 1e-4, "sum = {sum}");
@@ -342,8 +340,8 @@ mod tests {
         // early (PPR) or runs to the length cap (node2vec)
         let apps: [&dyn WalkApp; 2] = [&Ppr::new(0.2), &Node2vec::new(2.0, 0.5)];
         for app in apps {
-            let (mut dev, g, ids) = setup(32);
-            let out = run_batch(&mut dev, &g, app, &spec(), &[0, 5, 9], &ids);
+            let (mut dev, g) = setup(32);
+            let out = run_batch(&mut dev, &g, app, &spec(), &[0, 5, 9]);
             assert!(out.steps > 0);
             assert_eq!(dev.profiler().atomics, out.walkers as u64, "{}", app.name());
         }
@@ -352,7 +350,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one source")]
     fn empty_sources_rejected() {
-        let (mut dev, g, ids) = setup(8);
-        let _ = run_batch(&mut dev, &g, &Ppr::new(0.2), &spec(), &[], &ids);
+        let (mut dev, g) = setup(8);
+        let _ = run_batch(&mut dev, &g, &Ppr::new(0.2), &spec(), &[]);
     }
 }

@@ -30,7 +30,7 @@ impl<A: App> App for Passes<A> {
         self.inner.name()
     }
 
-    fn init(&mut self, dev: &mut Device, g: &Csr, source: NodeId) -> Vec<NodeId> {
+    fn init(&mut self, dev: &mut Device, g: &DeviceGraph, source: NodeId) -> Vec<NodeId> {
         self.inner.init(dev, g, source)
     }
 
@@ -88,7 +88,7 @@ fn check_iterations<A: App>(
     engine: &mut dyn Engine,
     app: &mut Passes<A>,
 ) -> usize {
-    let mut frontier = app.init(dev, g.csr(), 0);
+    let mut frontier = app.init(dev, g, 0);
     let mut with_duplicates = 0;
     for iter in 1..=64 {
         if frontier.is_empty() {
@@ -124,7 +124,7 @@ fn push_engines_contract_inside_their_own_kernels() {
     let mut duplicates = [0usize; 2];
     for (mut engine, g) in engines(&mut dev, &csr) {
         let mut sssp = Passes {
-            inner: Sssp::new(&mut dev, (0..csr.num_nodes() as u32).collect()),
+            inner: Sssp::new(&mut dev),
             passed: Vec::new(),
         };
         duplicates[0] += check_iterations(&mut dev, &g, engine.as_mut(), &mut sssp);

@@ -127,7 +127,7 @@ fn run(cfg: &DeviceConfig, threads: usize, g: &Csr, app: AppSel) -> Fingerprint 
     let mut engine = ResidentEngine::new();
     let mut a: Box<dyn App> = match app {
         AppSel::Bfs => Box::new(Bfs::new(&mut dev)),
-        AppSel::Sssp => Box::new(Sssp::new(&mut dev, (0..g.num_nodes() as u32).collect())),
+        AppSel::Sssp => Box::new(Sssp::new(&mut dev)),
         AppSel::Pr => Box::new(PageRank::new(&mut dev, 8, 0.0)),
         AppSel::Cc => Box::new(Cc::new(&mut dev)),
     };

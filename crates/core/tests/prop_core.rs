@@ -75,7 +75,7 @@ proptest! {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let dg = DeviceGraph::upload(&mut dev, g.clone());
         let mut engine = ResidentEngine::with_geometry(16, 4, true);
-        let mut app = Sssp::new(&mut dev, (0..n as u32).collect());
+        let mut app = Sssp::new(&mut dev);
         let _ = Runner::new().run(&mut dev, &dg, &mut engine, &mut app, src);
         prop_assert_eq!(app.distances(), expect.as_slice());
     }

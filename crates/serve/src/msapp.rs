@@ -9,15 +9,52 @@
 //! edge set instead of k.
 
 use gpu_sim::{Device, DeviceArray};
-use sage::app::{layout_weight, App, Step};
-use sage::AccessRecorder;
-use sage_graph::{Csr, NodeId};
+use sage::app::{layout_weight, refill, App, Step};
+use sage::{AccessRecorder, DeviceGraph, OriginalIds};
+use sage_graph::NodeId;
 
 /// Maximum sources a single multi-source run can carry (bitmask width).
 pub const MAX_SOURCES: usize = 64;
 
 /// SSSP's unreached marker, re-exported for result decoding.
 pub const UNREACHED: u32 = u32::MAX;
+
+/// `sources` as the slots of one multi-source run.
+fn slots(sources: &[NodeId]) -> Vec<NodeId> {
+    assert!(
+        !sources.is_empty() && sources.len() <= MAX_SOURCES,
+        "multi-source batch must hold 1..={MAX_SOURCES} sources, got {}",
+        sources.len()
+    );
+    sources.to_vec()
+}
+
+/// Slot `j`'s per-node values out of a node-major `[v * k + j]` array.
+fn column<T: Copy>(values: &DeviceArray<T>, k: usize, j: usize) -> Vec<T> {
+    values
+        .as_slice()
+        .iter()
+        .skip(j)
+        .step_by(k)
+        .copied()
+        .collect()
+}
+
+/// Advance the per-node frontier masks one level: the sources that reached
+/// a node this level form its mask for the next.
+fn advance(
+    cur: &mut DeviceArray<u64>,
+    next: &mut DeviceArray<u64>,
+    contracted: Vec<NodeId>,
+) -> Step {
+    std::mem::swap(cur, next);
+    next.fill(0);
+    if contracted.is_empty() {
+        Step::Done
+    } else {
+        Step::Frontier(contracted)
+    }
+}
 
 /// Multi-source BFS: per-(node, source) hop distances in one pipeline.
 pub struct MsBfs {
@@ -41,13 +78,8 @@ impl MsBfs {
     /// Panics when `sources` is empty or exceeds [`MAX_SOURCES`].
     #[must_use]
     pub fn new(dev: &mut Device, sources: &[NodeId]) -> Self {
-        assert!(
-            !sources.is_empty() && sources.len() <= MAX_SOURCES,
-            "multi-source batch must hold 1..={MAX_SOURCES} sources, got {}",
-            sources.len()
-        );
         Self {
-            sources: sources.to_vec(),
+            sources: slots(sources),
             dist: dev.alloc_array(0, 0),
             cur_mask: dev.alloc_array(0, 0),
             next_mask: dev.alloc_array(0, 0),
@@ -60,14 +92,7 @@ impl MsBfs {
     /// space (-1 = unreached).
     #[must_use]
     pub fn distances_for(&self, j: usize) -> Vec<i32> {
-        let k = self.sources.len();
-        self.dist
-            .as_slice()
-            .iter()
-            .skip(j)
-            .step_by(k)
-            .copied()
-            .collect()
+        column(&self.dist, self.sources.len(), j)
     }
 }
 
@@ -76,20 +101,12 @@ impl App for MsBfs {
         "ms-bfs"
     }
 
-    fn init(&mut self, dev: &mut Device, g: &Csr, _source: NodeId) -> Vec<NodeId> {
-        let n = g.num_nodes();
+    fn init(&mut self, dev: &mut Device, g: &DeviceGraph, _source: NodeId) -> Vec<NodeId> {
+        let n = g.csr().num_nodes();
         let k = self.sources.len();
-        if self.dist.len() != n * k {
-            self.dist = dev.alloc_array(n * k, -1);
-        } else {
-            self.dist.fill(-1);
-        }
+        refill(dev, &mut self.dist, n * k, -1);
         for arr in [&mut self.cur_mask, &mut self.next_mask, &mut self.visited] {
-            if arr.len() != n {
-                *arr = dev.alloc_array(n, 0u64);
-            } else {
-                arr.fill(0);
-            }
+            refill(dev, arr, n, 0);
         }
         self.level = 0;
         let mut frontier: Vec<NodeId> = Vec::with_capacity(k);
@@ -138,14 +155,7 @@ impl App for MsBfs {
 
     fn control(&mut self, _iter: usize, contracted: Vec<NodeId>) -> Step {
         self.level += 1;
-        // advance the per-node frontier masks one level
-        std::mem::swap(&mut self.cur_mask, &mut self.next_mask);
-        self.next_mask.fill(0);
-        if contracted.is_empty() {
-            Step::Done
-        } else {
-            Step::Frontier(contracted)
-        }
+        advance(&mut self.cur_mask, &mut self.next_mask, contracted)
     }
 }
 
@@ -158,32 +168,25 @@ pub struct MsSssp {
     /// Sources whose distance at the node improved last level.
     cur_mask: DeviceArray<u64>,
     next_mask: DeviceArray<u64>,
-    /// Original id of each current id, read by [`layout_weight`] (the
-    /// rule `Sssp` shares), so distances are invariant under the runtime's
-    /// reordering.
-    orig_of: Vec<NodeId>,
+    /// The current → original id map of the graph of the last `init`, read
+    /// by [`layout_weight`] (the rule `Sssp` shares), so distances are
+    /// invariant under the runtime's reordering.
+    ids: OriginalIds,
 }
 
 impl MsSssp {
-    /// Build a run for `sources` (current-id space, at most [`MAX_SOURCES`])
-    /// whose edge weights are derived from original ids through
-    /// `orig_of[current] = original`.
+    /// Build a run for `sources` (current-id space, at most [`MAX_SOURCES`]).
     ///
     /// # Panics
     /// Panics when `sources` is empty or exceeds [`MAX_SOURCES`].
     #[must_use]
-    pub fn new(dev: &mut Device, sources: &[NodeId], orig_of: Vec<NodeId>) -> Self {
-        assert!(
-            !sources.is_empty() && sources.len() <= MAX_SOURCES,
-            "multi-source batch must hold 1..={MAX_SOURCES} sources, got {}",
-            sources.len()
-        );
+    pub fn new(dev: &mut Device, sources: &[NodeId]) -> Self {
         Self {
-            sources: sources.to_vec(),
+            sources: slots(sources),
             dist: dev.alloc_array(0, 0),
             cur_mask: dev.alloc_array(0, 0),
             next_mask: dev.alloc_array(0, 0),
-            orig_of,
+            ids: OriginalIds::default(),
         }
     }
 
@@ -191,14 +194,7 @@ impl MsSssp {
     /// ([`UNREACHED`] = unreachable).
     #[must_use]
     pub fn distances_for(&self, j: usize) -> Vec<u32> {
-        let k = self.sources.len();
-        self.dist
-            .as_slice()
-            .iter()
-            .skip(j)
-            .step_by(k)
-            .copied()
-            .collect()
+        column(&self.dist, self.sources.len(), j)
     }
 }
 
@@ -207,20 +203,13 @@ impl App for MsSssp {
         "ms-sssp"
     }
 
-    fn init(&mut self, dev: &mut Device, g: &Csr, _source: NodeId) -> Vec<NodeId> {
-        let n = g.num_nodes();
+    fn init(&mut self, dev: &mut Device, g: &DeviceGraph, _source: NodeId) -> Vec<NodeId> {
+        let n = g.csr().num_nodes();
         let k = self.sources.len();
-        if self.dist.len() != n * k {
-            self.dist = dev.alloc_array(n * k, UNREACHED);
-        } else {
-            self.dist.fill(UNREACHED);
-        }
+        self.ids = g.original_ids().clone();
+        refill(dev, &mut self.dist, n * k, UNREACHED);
         for arr in [&mut self.cur_mask, &mut self.next_mask] {
-            if arr.len() != n {
-                *arr = dev.alloc_array(n, 0u64);
-            } else {
-                arr.fill(0);
-            }
+            refill(dev, arr, n, 0);
         }
         let mut frontier: Vec<NodeId> = Vec::with_capacity(k);
         for (j, &s) in self.sources.iter().enumerate() {
@@ -241,7 +230,7 @@ impl App for MsSssp {
         let u = frontier as usize;
         let v = neighbor as usize;
         let k = self.sources.len();
-        let w = layout_weight(&self.orig_of, frontier, neighbor);
+        let w = layout_weight(&self.ids, frontier, neighbor);
         let mut improved = 0u64;
         let mut bits = self.cur_mask[u];
         while bits != 0 {
@@ -266,13 +255,7 @@ impl App for MsSssp {
     }
 
     fn control(&mut self, _iter: usize, contracted: Vec<NodeId>) -> Step {
-        std::mem::swap(&mut self.cur_mask, &mut self.next_mask);
-        self.next_mask.fill(0);
-        if contracted.is_empty() {
-            Step::Done
-        } else {
-            Step::Frontier(contracted)
-        }
+        advance(&mut self.cur_mask, &mut self.next_mask, contracted)
     }
 }
 
@@ -282,8 +265,9 @@ mod tests {
     use gpu_sim::DeviceConfig;
     use sage::app::{Bfs, Sssp};
     use sage::engine::ResidentEngine;
-    use sage::{DeviceGraph, Runner};
+    use sage::Runner;
     use sage_graph::gen::uniform_graph;
+    use sage_graph::Csr;
 
     fn run_single_bfs(g: &Csr, source: NodeId) -> Vec<i32> {
         let mut dev = Device::new(DeviceConfig::test_tiny());
@@ -298,7 +282,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let dg = DeviceGraph::upload(&mut dev, g.clone());
         let mut engine = ResidentEngine::new();
-        let mut app = Sssp::new(&mut dev, (0..g.num_nodes() as NodeId).collect());
+        let mut app = Sssp::new(&mut dev);
         let _ = Runner::new().run(&mut dev, &dg, &mut engine, &mut app, source);
         app.distances().to_vec()
     }
@@ -358,8 +342,7 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::test_tiny());
         let dg = DeviceGraph::upload(&mut dev, g.clone());
         let mut engine = ResidentEngine::new();
-        let identity = (0..g.num_nodes() as NodeId).collect();
-        let mut ms = MsSssp::new(&mut dev, &sources, identity);
+        let mut ms = MsSssp::new(&mut dev, &sources);
         let _ = Runner::new().run(&mut dev, &dg, &mut engine, &mut ms, sources[0]);
         for (j, &s) in sources.iter().enumerate() {
             assert_eq!(

@@ -542,7 +542,7 @@ mod tests {
             let mut dev = Device::new(cfg.device_config.clone());
             let mut lone = SageRuntime::with_threshold(&mut dev, csr.clone(), u64::MAX);
             assert!(!lone.adapt_shared(&mut dev, &mut session));
-            assert_eq!(lone.permutation(), session.permutation());
+            assert_eq!(lone.session().permutation(), session.permutation());
             let (values, _) = execute(&mut dev, &mut WorkerGraph::new(lone), &cfg, app, &[source]);
             let same = match (&*resp.values, &*values[0]) {
                 (ResultValues::Scores(a), ResultValues::Scores(b)) => a

@@ -61,10 +61,12 @@ pub(crate) struct StatsSlots {
 }
 
 /// Lazily constructed single-source apps, reused across batches so their
-/// device arrays are recycled.
+/// device arrays are recycled. Each reads the layout's original ids from
+/// the graph at every run, so a relabel never leaves one stale.
 #[derive(Default)]
 struct AppSet {
     bfs: Option<Bfs>,
+    sssp: Option<Sssp>,
     pr: Option<PageRank>,
     bc: Option<Bc>,
     cc: Option<Cc>,
@@ -292,15 +294,13 @@ pub(crate) fn execute(
     };
     match app {
         AppKind::Bfs if sources.len() > 1 => {
-            // the composed permutation, inverted once for every slot
-            let inv = state.rt.permutation().inverse();
             for chunk in sources.chunks(MAX_SOURCES) {
                 let cur: Vec<NodeId> = chunk.iter().map(|&s| state.rt.current_id(s)).collect();
                 let mut ms = MsBfs::new(dev, &cur);
                 merge(state.rt.run(dev, &mut ms, chunk[0]), &mut report);
                 for j in 0..chunk.len() {
                     values.push(Arc::new(ResultValues::Depths(
-                        inv.apply_values(&ms.distances_for(j)),
+                        state.rt.to_original_order(&ms.distances_for(j)),
                     )));
                 }
             }
@@ -313,36 +313,32 @@ pub(crate) fn execute(
             )));
         }
         AppKind::Sssp if sources.len() > 1 => {
-            let inv = state.rt.permutation().inverse();
             for chunk in sources.chunks(MAX_SOURCES) {
                 let cur: Vec<NodeId> = chunk.iter().map(|&s| state.rt.current_id(s)).collect();
-                let mut ms = MsSssp::new(dev, &cur, inv.as_slice().to_vec());
+                let mut ms = MsSssp::new(dev, &cur);
                 merge(state.rt.run(dev, &mut ms, chunk[0]), &mut report);
                 for j in 0..chunk.len() {
                     values.push(Arc::new(ResultValues::Dists(
-                        inv.apply_values(&ms.distances_for(j)),
+                        state.rt.to_original_order(&ms.distances_for(j)),
                     )));
                 }
             }
         }
         AppKind::Sssp => {
-            // built per batch: its weights follow this batch's layout
-            let inv = state.rt.permutation().inverse();
-            let mut sssp = Sssp::new(dev, inv.as_slice().to_vec());
-            merge(state.rt.run(dev, &mut sssp, sources[0]), &mut report);
+            let sssp = state.apps.sssp.get_or_insert_with(|| Sssp::new(dev));
+            merge(state.rt.run(dev, sssp, sources[0]), &mut report);
             values.push(Arc::new(ResultValues::Dists(
-                inv.apply_values(sssp.distances()),
+                state.rt.to_original_order(sssp.distances()),
             )));
         }
         AppKind::Bc => {
             // no bitmask trick for BC's forward/backward phases: one run per
             // distinct source, still sharing the batch's queue/remap costs
-            let inv = state.rt.permutation().inverse();
             for &s in sources {
                 let bc = state.apps.bc.get_or_insert_with(|| Bc::new(dev));
                 merge(state.rt.run(dev, bc, s), &mut report);
                 values.push(Arc::new(ResultValues::Scores(
-                    inv.apply_values(bc.scores()),
+                    state.rt.to_original_order(bc.scores()),
                 )));
             }
         }
@@ -360,9 +356,11 @@ pub(crate) fn execute(
         AppKind::Cc => {
             let cc = state.apps.cc.get_or_insert_with(|| Cc::new(dev));
             merge(state.rt.run(dev, cc, 0), &mut report);
-            values.push(Arc::new(ResultValues::Dists(canonical_labels(
-                &state.rt.to_original_order(cc.labels()),
-            ))));
+            // labels are original ids already: each node's minimum
+            // original reacher
+            values.push(Arc::new(ResultValues::Dists(
+                state.rt.to_original_order(cc.labels()),
+            )));
         }
         AppKind::Walk => {
             // the fusion win: every distinct source in the batch becomes a
@@ -394,19 +392,6 @@ pub(crate) fn execute(
     )
 }
 
-/// Rewrite component labels to the minimum *original* node id of each
-/// component, so CC results are invariant under the runtime's reordering.
-fn canonical_labels(labels_in_original_order: &[u32]) -> Vec<u32> {
-    let mut representative: HashMap<u32, u32> = HashMap::new();
-    for (i, &lab) in labels_in_original_order.iter().enumerate() {
-        representative.entry(lab).or_insert(i as u32);
-    }
-    labels_in_original_order
-        .iter()
-        .map(|lab| representative[lab])
-        .collect()
-}
-
 pub(crate) fn cache_hit_report(app: AppKind, latency: LatencyBreakdown) -> RunReport {
     RunReport {
         app: app.name().to_string(),
@@ -426,17 +411,6 @@ pub(crate) fn cache_hit_report(app: AppKind, latency: LatencyBreakdown) -> RunRe
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn canonical_labels_use_min_member_and_are_stable() {
-        // two components {0,2,3} and {1,4}, labelled arbitrarily
-        let labels = vec![7, 9, 7, 7, 9];
-        assert_eq!(canonical_labels(&labels), vec![0, 1, 0, 0, 1]);
-        // a different arbitrary labelling of the same partition canonicalises
-        // to the same result
-        let relabelled = vec![3, 5, 3, 3, 5];
-        assert_eq!(canonical_labels(&relabelled), canonical_labels(&labels));
-    }
 
     #[test]
     fn cache_hit_report_is_zeroed_but_keeps_latency() {

@@ -77,10 +77,9 @@ fn fused_multi_source_apps_hazard_free_under_sanitizer() {
         assert_eq!(bfs.distances_for(j)[s as usize], 0, "source {s} depth");
     }
 
-    let identity = (0..csr.num_nodes() as u32).collect();
     let mut dev = Device::new(cfg);
     let mut rt = SageRuntime::new(&mut dev, csr);
-    let mut sssp = MsSssp::new(&mut dev, &sources, identity);
+    let mut sssp = MsSssp::new(&mut dev, &sources);
     let report = rt.run(&mut dev, &mut sssp, sources[0]);
     assert!(
         report.hazards.is_empty(),

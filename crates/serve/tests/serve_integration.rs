@@ -3,6 +3,7 @@
 
 use sage::reference;
 use sage_graph::gen::uniform_graph;
+use sage_graph::Csr;
 use sage_serve::{AppKind, QueryRequest, ResultValues, SageService, ServiceConfig, ServiceError};
 use std::time::Duration;
 
@@ -90,6 +91,48 @@ fn post_reorder_cached_results_match_uncached_recomputation() {
     assert_eq!(*cached.values, *after.values);
     assert!(cached.cache_hit);
     assert!(after.epoch >= 1);
+    service.shutdown();
+}
+
+#[test]
+fn served_cc_on_a_directed_graph_matches_the_reference_at_every_epoch() {
+    // the edges of a uniform graph that climb the four levels `id % 4`: a
+    // directed acyclic graph whose nodes have many different minimum
+    // reachers, which a relabel reorders
+    let sym = uniform_graph(400, 4800, 21);
+    let edges: Vec<(u32, u32)> = sym.edges().filter(|&(u, v)| u % 4 < v % 4).collect();
+    let csr = Csr::from_edges(sym.num_nodes(), &edges);
+    assert!(!csr.is_symmetric());
+    let expect = ResultValues::Dists(reference::cc_labels(&csr));
+
+    // one device and a low threshold: rounds commit in a fixed order
+    let mut cfg = ServiceConfig::test_config(1);
+    cfg.reorder_threshold = Some(100);
+    let service = SageService::start(cfg);
+    let g = service.register_graph("directed", csr);
+    let cc = QueryRequest {
+        app: AppKind::Cc,
+        graph: g,
+        source: 0,
+    };
+    let mut epochs = Vec::new();
+    for step in 0..24u32 {
+        let resp = service.query(cc).unwrap();
+        assert_eq!(*resp.values, expect, "CC at epoch {}", resp.epoch);
+        if epochs.last() != Some(&resp.epoch) {
+            epochs.push(resp.epoch);
+        }
+        // BFS traffic to saturate the sampler for the next round
+        for source in 0..4u32 {
+            let bfs = QueryRequest {
+                app: AppKind::Bfs,
+                graph: g,
+                source: (step * 4 + source) * 7 % 400,
+            };
+            let _ = service.query(bfs).unwrap();
+        }
+    }
+    assert!(epochs.len() > 2, "CC checked at epochs {epochs:?} only");
     service.shutdown();
 }
 

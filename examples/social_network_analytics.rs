@@ -51,8 +51,7 @@ fn main() {
     };
     println!("{r}  ({comps} connected components)");
 
-    // never reordered: SSSP weighs edges through the identity map
-    let mut sssp = Sssp::new(&mut dev, (0..g.csr().num_nodes() as u32).collect());
+    let mut sssp = Sssp::new(&mut dev);
     let r = runner.run(&mut dev, &g, &mut engine, &mut sssp, 42);
     println!("{r}");
 

@@ -21,14 +21,14 @@ fn bfs_levels_invariant_under_every_reordering() {
         ("random", Permutation::random(csr.num_nodes(), 77)),
     ];
     for (name, perm) in orders {
-        let replica = perm.apply_csr(&csr);
         let mut dev = Device::default_device();
-        let g = DeviceGraph::upload(&mut dev, replica);
+        let mut g = DeviceGraph::upload(&mut dev, csr.clone());
+        g.relabel(&perm);
         let mut engine = ResidentEngine::new();
         let mut app = Bfs::new(&mut dev);
         let _ = Runner::new().run(&mut dev, &g, &mut engine, &mut app, perm.map(source));
         // map back and compare
-        let got = perm.inverse().apply_values(app.distances());
+        let got = g.original_ids().to_original_order(app.distances());
         assert_eq!(got, expect, "BFS changed under {name} reordering");
     }
 }
