@@ -130,7 +130,9 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspac
 
 echo "== race sanitizer: all engines hazard-free, bitwise cost-neutral =="
 # full matrix (7 engines x BFS/CC/PR x push/adaptive x 1 and 4 host
-# threads, sanitize on == sanitize off bit for bit) lives in the test
+# threads, sanitize on == sanitize off bit for bit, plus the three
+# pull-capable engines under the two-way policy, whose BFS must take the
+# scalar pull gear) lives in the test
 cargo test --release -q -p sage --test sanitize
 # CLI-level smoke: --sanitize must leave the exit code at 0 (any
 # detected hazard makes sage_cli exit 1). sage_cli runs the direct route;

@@ -1,6 +1,7 @@
 //! Shared engine plumbing: charging CSR reads, gathering targets, running
 //! filters tile-by-tile.
 
+use super::sage_tp::SECTOR_NODES;
 use super::IterationOutput;
 use crate::access::AccessRecorder;
 use crate::app::App;
@@ -171,65 +172,114 @@ pub struct PullConfig {
     pub block_size: usize,
     /// Independent warps per SM (latency hiding).
     pub concurrency: f64,
-    /// Charge tile election/broadcast per candidate scan (SAGE engines
-    /// cooperate on a candidate's in-adjacency; the naive baseline does
-    /// not).
+    /// Charge one warp-wide vote and shuffle per candidate group (the SAGE
+    /// engines elect each tile's candidate and broadcast its in-range; the
+    /// naive baseline does not). The scan itself is the same either way.
     pub cooperative: bool,
 }
 
-/// Scan one candidate vertex's in-edges against the frontier bitmap:
-/// coalesced in-target reads, one bitmap-word probe per lane, and the app's
-/// `pull_claim` at the first frontier member, which ends the scan. Returns
-/// the number of in-edges examined.
+/// One candidate's sector-wide pull tile: its next unread in-edge `cur` and
+/// the end of its in-range.
+#[derive(Debug, Clone, Copy)]
+struct PullTile {
+    u: NodeId,
+    cur: u32,
+    end: u32,
+    claimed: bool,
+}
+
+impl PullTile {
+    fn live(&self) -> bool {
+        self.cur < self.end
+    }
+
+    /// End of the tile's next slice: the next sector boundary of the
+    /// in-target array, or the range end if that comes first.
+    fn slice_end(&self) -> u32 {
+        ((self.cur / SECTOR_NODES + 1) * SECTOR_NODES).min(self.end)
+    }
+}
+
+/// Scan one warp's `group` of candidates in lock-step, one sector-wide tile
+/// per candidate. At each step every live tile reads its candidate's next
+/// sector-aligned slice of in-edges (the first slice peels to the sector
+/// boundary), all slices in one warp-wide target request, then probes the
+/// slices' bitmap words in one warp-wide request. A tile claims its
+/// candidate through `pull_claim` at the first frontier in-neighbor of its
+/// slice and drops out, as does a tile that reaches the end of its range;
+/// each step's claims flush together. Claimed candidates append to `next`
+/// in group order. Returns the number of in-edges examined (up to and
+/// including each claiming edge).
 #[allow(clippy::too_many_arguments)]
-fn pull_scan_node(
+fn pull_scan_group(
     sh: &mut SmShard<'_, '_>,
     g: &DeviceGraph,
     app: &mut dyn App,
-    u: NodeId,
+    group: &[NodeId],
     fr: &BitFrontier,
     rec: &mut AccessRecorder,
     next: &mut Vec<NodeId>,
+    tiles: &mut Vec<PullTile>,
     addr_scratch: &mut Vec<u64>,
 ) -> u64 {
     let in_csr = g.in_csr().expect("pull requires the in-edge view");
-    let warp = sh.cfg().warp_size;
-    let beg = in_csr.offset(u);
-    let deg = in_csr.degree(u) as u32;
-    let sources = &in_csr.targets()[beg as usize..(beg + deg) as usize];
+    let sources = in_csr.targets();
+    tiles.clear();
+    tiles.extend(group.iter().map(|&u| {
+        let beg = in_csr.offset(u);
+        PullTile {
+            u,
+            cur: beg,
+            end: beg + in_csr.degree(u) as u32,
+            claimed: false,
+        }
+    }));
     let mut edges = 0u64;
-    for (ci, chunk) in sources.chunks(warp).enumerate() {
-        let idx0 = beg + (ci * warp) as u32;
-        // consecutive CSR indices: one coalesced request per warp
-        sh.access_range(
-            AccessKind::Read,
-            g.in_target_addr(idx0),
-            chunk.len() as u64,
-            4,
-        );
+    loop {
+        addr_scratch.clear();
+        for t in tiles.iter().filter(|t| t.live()) {
+            addr_scratch.extend((t.cur..t.slice_end()).map(|i| g.in_target_addr(i)));
+        }
+        if addr_scratch.is_empty() {
+            break;
+        }
+        sh.access(AccessKind::Read, addr_scratch, 4);
         // each lane probes its source's bitmap word
         addr_scratch.clear();
-        for &v in chunk {
-            addr_scratch.push(fr.word_addr(v));
+        for t in tiles.iter().filter(|t| t.live()) {
+            let slice = &sources[t.cur as usize..t.slice_end() as usize];
+            addr_scratch.extend(slice.iter().map(|&v| fr.word_addr(v)));
         }
         sh.access(AccessKind::Read, addr_scratch, 8);
-        for &v in chunk {
-            edges += 1;
-            if fr.contains(v) {
-                app.pull_claim(u, v, rec);
-                rec.flush(sh);
-                next.push(u);
-                // the remaining in-edges go unscanned — the pull win
-                return edges;
+        for t in tiles.iter_mut().filter(|t| t.live()) {
+            let stop = t.slice_end();
+            let slice = &sources[t.cur as usize..stop as usize];
+            match slice.iter().position(|&v| fr.contains(v)) {
+                Some(i) => {
+                    edges += i as u64 + 1;
+                    app.pull_claim(t.u, slice[i], rec);
+                    t.claimed = true;
+                    // the remaining in-edges go unscanned — the pull win
+                    t.cur = t.end;
+                }
+                None => {
+                    edges += slice.len() as u64;
+                    t.cur = stop;
+                }
             }
         }
+        rec.flush(sh);
     }
+    next.extend(tiles.iter().filter(|t| t.claimed).map(|t| t.u));
     edges
 }
 
 /// Shared pull iteration: gate every vertex through `pull_candidate`, read
-/// the candidates' in-offset ranges, then scan each candidate's in-edges
-/// against the bitmap. Candidates are processed in ascending order, so
+/// the candidates' in-offset ranges, then scan the candidates' in-edges
+/// against the bitmap. Each warp carries `warp_size / SECTOR_NODES`
+/// consecutive candidates in lock-step (at least one), one sector-wide tile
+/// each, and every tile stops at its candidate's first frontier in-neighbor
+/// (see `pull_scan_group`). Groups run in ascending candidate order, so
 /// `next` comes back sorted and duplicate-free — no host-side contraction
 /// sort needed.
 ///
@@ -278,25 +328,28 @@ pub fn pull_iterate(
         k.shard(sm).access(AccessKind::Read, &scratch, 4);
     }
 
-    // in-edge scans, ascending candidate order
-    let tile = Tile::new(warp);
+    // in-edge scans: sector-wide tiles, ascending candidate order
+    let group = (warp / SECTOR_NODES as usize).max(1);
+    let mut tiles: Vec<PullTile> = Vec::with_capacity(group);
+    let wide = Tile::new(warp);
     for (bi, chunk) in candidates.chunks(block).enumerate() {
         let mut sh = k.shard(bi % sms);
-        for &u in chunk {
+        for members in chunk.chunks(group) {
             if cfg.cooperative {
-                // the tile elects the candidate leader and broadcasts its
-                // in-range before the coalesced strides
-                charge_vote(&mut sh, tile);
-                charge_shfl(&mut sh, tile);
+                // the warp elects each tile's candidate and broadcasts its
+                // in-range before the steps
+                charge_vote(&mut sh, wide);
+                charge_shfl(&mut sh, wide);
             }
-            out.edges += pull_scan_node(
+            out.edges += pull_scan_group(
                 &mut sh,
                 g,
                 app,
-                u,
+                members,
                 fr,
                 &mut rec,
                 &mut out.next,
+                &mut tiles,
                 &mut scratch,
             );
         }
@@ -526,6 +579,151 @@ mod tests {
         let _ = k.finish();
         assert_eq!(edges, 0);
         assert!(next.is_empty());
+    }
+
+    /// Node 40 has in-edges from 0..20; nodes 30..33 each have one from
+    /// 47, so node 40's in-range starts off a sector boundary.
+    fn fan_in() -> (Device, DeviceGraph) {
+        let mut dev = Device::new(DeviceConfig::test_tiny());
+        let mut edges: Vec<(u32, u32)> = (0..20).map(|s| (s, 40)).collect();
+        edges.extend((30..33).map(|t| (47, t)));
+        let csr = Csr::from_edges(48, &edges);
+        let g = DeviceGraph::upload(&mut dev, csr).with_in_edges(&mut dev);
+        (dev, g)
+    }
+
+    /// Scan candidate 40 of [`fan_in`] against `frontier` in one kernel;
+    /// returns the in-edges examined, `next`, and the kernel's memory
+    /// requests and sector probes.
+    fn scan_fan_in(frontier: &[NodeId]) -> (u64, Vec<NodeId>, u64, u64) {
+        let (mut dev, g) = fan_in();
+        let mut app = Bfs::new(&mut dev);
+        crate::app::App::init(&mut app, &mut dev, &g, 0);
+        let fr = BitFrontier::from_nodes(frontier, 48, g.bitmap_base());
+        let (mut rec, mut next, mut tiles, mut scratch) =
+            (AccessRecorder::new(), Vec::new(), Vec::new(), Vec::new());
+        let before = dev.profiler().clone();
+        let mut k = dev.launch("test");
+        let edges = pull_scan_group(
+            &mut k.shard(0),
+            &g,
+            &mut app,
+            &[40],
+            &fr,
+            &mut rec,
+            &mut next,
+            &mut tiles,
+            &mut scratch,
+        );
+        let _ = k.finish();
+        let p = dev.profiler();
+        let probes = |q: &gpu_sim::Profiler| q.l1_hit_sectors + q.l2_hit_sectors + q.dram_sectors;
+        (
+            edges,
+            next,
+            p.mem_requests - before.mem_requests,
+            probes(p) - probes(&before),
+        )
+    }
+
+    #[test]
+    fn pull_tile_stops_after_one_sector_at_a_first_edge_parent() {
+        let (_, g) = fan_in();
+        let in_csr = g.in_csr().unwrap();
+        assert_eq!(
+            in_csr.offset(40) % SECTOR_NODES,
+            3,
+            "range starts mid-sector"
+        );
+        assert_eq!(in_csr.neighbors(40)[0], 0);
+        let (edges, next, requests, probes) = scan_fan_in(&[0]);
+        assert_eq!((edges, next), (1, vec![40]));
+        // one step: one in-edge sector, one bitmap sector, the claim write
+        assert_eq!((requests, probes), (3, 3));
+    }
+
+    #[test]
+    fn pull_tile_without_parent_reads_each_sector_of_its_range_once() {
+        let (_, g) = fan_in();
+        let in_csr = g.in_csr().unwrap();
+        let (beg, end) = (in_csr.offset(40), in_csr.offset(40) + 20);
+        let sectors = u64::from((end - 1) / SECTOR_NODES - beg / SECTOR_NODES + 1);
+        assert_eq!(sectors, 3, "a peeled head, one full sector, a tail");
+        // 47 is no in-neighbor of 40
+        let (edges, next, requests, probes) = scan_fan_in(&[47]);
+        assert_eq!((edges, next), (20, vec![]));
+        // each step: one in-edge sector, then one sector of bitmap word 0
+        assert_eq!((requests, probes), (2 * sectors, 2 * sectors));
+    }
+
+    /// Pull contract recorder: every node outside the frontier is a
+    /// candidate, and each claim is kept with its parent.
+    struct Claims {
+        frontier: Vec<bool>,
+        claims: Vec<(NodeId, NodeId)>,
+    }
+
+    impl App for Claims {
+        fn name(&self) -> &'static str {
+            "claims"
+        }
+        fn init(&mut self, _: &mut Device, _: &DeviceGraph, _: NodeId) -> Vec<NodeId> {
+            Vec::new()
+        }
+        fn filter(&mut self, _: NodeId, _: NodeId, _: &mut AccessRecorder) -> bool {
+            false
+        }
+        fn pull_candidate(&mut self, node: NodeId, _: &mut AccessRecorder) -> bool {
+            !self.frontier[node as usize]
+        }
+        fn pull_claim(&mut self, node: NodeId, parent: NodeId, _: &mut AccessRecorder) {
+            self.claims.push((node, parent));
+        }
+    }
+
+    #[test]
+    fn grouped_pull_matches_a_plain_ascending_scan() {
+        let csr = sage_graph::gen::rmat_graph(9, 8, 3);
+        let n = csr.num_nodes();
+        let frontier: Vec<NodeId> = (0..n as NodeId).filter(|v| v % 7 == 0).collect();
+        // the plain scan: each candidate in ascending order claims its
+        // first frontier in-neighbor and examines the in-edges up to it
+        let in_csr = csr.reversed();
+        let mut want_claims = Vec::new();
+        let mut want_edges = 0u64;
+        for u in (0..n as NodeId).filter(|u| u % 7 != 0) {
+            let nbrs = in_csr.neighbors(u);
+            match nbrs.iter().position(|v| v % 7 == 0) {
+                Some(i) => {
+                    want_claims.push((u, nbrs[i]));
+                    want_edges += i as u64 + 1;
+                }
+                None => want_edges += nbrs.len() as u64,
+            }
+        }
+        let want_next: Vec<NodeId> = want_claims.iter().map(|c| c.0).collect();
+        assert!(want_next.len() > 100, "the graph must exercise many groups");
+        for cfg in [DeviceConfig::default(), DeviceConfig::test_tiny()] {
+            let mut dev = Device::new(cfg);
+            let g = DeviceGraph::upload(&mut dev, csr.clone()).with_in_edges(&mut dev);
+            let fr = BitFrontier::from_nodes(&frontier, n, g.bitmap_base());
+            let mut app = Claims {
+                frontier: (0..n).map(|v| v % 7 == 0).collect(),
+                claims: Vec::new(),
+            };
+            let pull = PullConfig {
+                kernel: "p",
+                matrix_kernel: "m",
+                block_size: 64,
+                concurrency: 1.0,
+                cooperative: true,
+            };
+            let out = pull_iterate(&mut dev, &g, &mut app, &fr, &pull);
+            assert_eq!(out.next, want_next);
+            assert_eq!(out.edges, want_edges);
+            app.claims.sort_unstable();
+            assert_eq!(app.claims, want_claims);
+        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl Engine for NaiveEngine {
     fn bottom_up(&self, dev: &Device, g: &DeviceGraph) -> Option<PullConfig> {
         let warp = dev.cfg().warp_size;
         let sms = dev.cfg().num_sms;
-        // one thread per candidate vertex, no cooperation — the same
+        // no tile election or broadcast charged, and the same
         // occupancy-limited character as the push kernel
         let warps_total = g.csr().num_nodes().div_ceil(warp);
         Some(PullConfig {

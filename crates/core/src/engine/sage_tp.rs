@@ -202,7 +202,7 @@ impl Engine for TiledPartitioningEngine {
     fn bottom_up(&self, dev: &Device, g: &DeviceGraph) -> Option<PullConfig> {
         let sms = dev.cfg().num_sms;
         // same latency-hiding character as the push kernel: the block's
-        // tiles cooperate on one candidate's in-range at a time
+        // warps each scan a group of candidates at a time
         let blocks = g.csr().num_nodes().div_ceil(self.block_size);
         let warps_per_block = (self.block_size / dev.cfg().warp_size).max(1) as f64;
         let co_resident = (blocks as f64 / sms as f64).clamp(1.0, 2.0);

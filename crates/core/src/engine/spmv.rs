@@ -9,8 +9,8 @@
 //! `block_dim × block_dim` binary blocks, each block-column of the frontier
 //! is loaded once as a bitmap fragment (one 64-bit word read per active
 //! pair instead of one probe per edge), and the block multiply itself
-//! retires as a single tensor-unit op (`SmShard::mma`) instead of a
-//! cooperative per-candidate election.
+//! retires as a single tensor-unit op (`SmShard::mma`) instead of
+//! sector-wide pull tiles probing the bitmap lane by lane.
 //!
 //! Early exit survives at block granularity: column blocks are consumed in
 //! ascending order and a row claimed at its first frontier parent drops

@@ -226,14 +226,14 @@ fn bfs_default_device() {
         AppSel::Bfs,
         [
             Pin {
-                cost: 12_589_912_384_375_345_387,
-                traffic: 10_365_682_732_194_475_943,
-                overhead: 1.1152189265536724e-6,
+                cost: 7_095_190_228_708_123_806,
+                traffic: 1_506_203_526_395_637_668,
+                overhead: 6.813206214689265e-7,
             },
             Pin {
-                cost: 9_731_635_343_792_890_224,
-                traffic: 10_480_137_368_304_712_597,
-                overhead: 1.0766949152542372e-6,
+                cost: 6_688_477_772_398_838_706,
+                traffic: 1_887_576_372_485_207_179,
+                overhead: 6.427966101694915e-7,
             },
         ],
     );
@@ -246,13 +246,13 @@ fn bfs_tiny_device() {
         AppSel::Bfs,
         [
             Pin {
-                cost: 7_742_142_179_012_904_221,
-                traffic: 8_137_807_453_744_253_987,
+                cost: 10_518_615_978_944_346_306,
+                traffic: 3_633_158_107_210_225_939,
                 overhead: 2.7035e-6,
             },
             Pin {
-                cost: 4_453_135_231_181_139_165,
-                traffic: 13_004_500_111_567_205_910,
+                cost: 13_664_412_418_860_168_482,
+                traffic: 15_709_127_990_379_036_234,
                 overhead: 2.624e-6,
             },
         ],

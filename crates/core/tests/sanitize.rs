@@ -1,5 +1,7 @@
 //! Race-sanitizer suite: on random power-law graphs, every engine ×
 //! {BFS, CC, PR} × {push-only, adaptive} pipeline must be hazard-free, and
+//! so must the pull-capable engines' two-way push/pull pipeline, whose BFS
+//! takes the scalar pull gear the three-way one skips on these graphs;
 //! enabling the sanitizer must never perturb the simulation — application
 //! outputs, the simulated clock, the scheduling overhead (always a share of
 //! the run time) and every cache counter stay **bitwise identical** at 1
@@ -13,7 +15,7 @@ use sage::engine::{
     B40cEngine, Engine, GunrockEngine, NaiveEngine, ResidentEngine, SubwayEngine, TigrEngine,
     TiledPartitioningEngine,
 };
-use sage::{DeviceGraph, Runner};
+use sage::{DeviceGraph, DirectionPolicy, Runner};
 use sage_graph::gen::{social_graph, SocialParams};
 use sage_graph::Csr;
 
@@ -102,6 +104,31 @@ enum AppSel {
 
 const APPS: [AppSel; 3] = [AppSel::Bfs, AppSel::Cc, AppSel::Pr];
 
+/// Direction policy of one configuration.
+#[derive(Clone, Copy, Debug)]
+enum Policy {
+    Push,
+    /// The default three-way push/pull/matrix runner.
+    Adaptive,
+    /// Push/pull only (`density: f64::INFINITY`): every bottom-up level
+    /// runs the scalar pull scan.
+    TwoWay,
+}
+
+fn runner(policy: Policy) -> Runner {
+    match policy {
+        Policy::Push => Runner::push_only(),
+        Policy::Adaptive => Runner::new(),
+        Policy::TwoWay => Runner {
+            policy: DirectionPolicy::Adaptive3 {
+                alpha: 14.0,
+                beta: 24.0,
+                density: f64::INFINITY,
+            },
+        },
+    }
+}
+
 fn app_name(app: AppSel) -> &'static str {
     match app {
         AppSel::Bfs => "bfs",
@@ -131,7 +158,7 @@ fn run_once(
     csr: &Csr,
     entry: &Entry,
     threads: usize,
-    adaptive: bool,
+    policy: Policy,
     app: AppSel,
     sanitize: bool,
 ) -> (Fingerprint, Vec<gpu_sim::Hazard>) {
@@ -145,11 +172,7 @@ fn run_once(
     } else {
         DeviceGraph::upload(&mut dev, csr.clone()).with_in_edges(&mut dev)
     };
-    let runner = if adaptive {
-        Runner::new()
-    } else {
-        Runner::push_only()
-    };
+    let runner = runner(policy);
     let (report, outputs) = match app {
         AppSel::Bfs => {
             let mut a = Bfs::new(&mut dev);
@@ -193,23 +216,23 @@ fn run_once(
 
 /// One engine × app × direction: hazard-free under the sanitizer, and the
 /// sanitized run is bitwise identical to the unsanitized one at every
-/// thread count.
+/// thread count. Returns the run's direction trace.
 fn assert_clean_and_neutral(
     csr: &Csr,
     entry: &Entry,
-    adaptive: bool,
+    policy: Policy,
     app: AppSel,
-) -> Result<(), TestCaseError> {
+) -> Result<String, TestCaseError> {
+    let mut trace = String::new();
     for &t in &THREADS {
-        let (plain, no_hazards) = run_once(csr, entry, t, adaptive, app, false);
+        let (plain, no_hazards) = run_once(csr, entry, t, policy, app, false);
         prop_assert!(no_hazards.is_empty(), "hazards with sanitizer off");
-        let (sanitized, hazards) = run_once(csr, entry, t, adaptive, app, true);
+        let (sanitized, hazards) = run_once(csr, entry, t, policy, app, true);
         prop_assert!(
             hazards.is_empty(),
-            "{} × {} ({}, {t} threads) flagged: {:?}",
+            "{} × {} ({policy:?}, {t} threads) flagged: {:?}",
             entry.name,
             app_name(app),
-            if adaptive { "adaptive" } else { "push" },
             hazards
         );
         prop_assert_eq!(
@@ -219,24 +242,26 @@ fn assert_clean_and_neutral(
             entry.name,
             app_name(app)
         );
+        trace = plain.trace;
     }
-    Ok(())
+    Ok(trace)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Random power-law graphs through the pull-capable trio, both
-    /// directions — the paths where push/pull phase interleaving could
-    /// plausibly race.
+    /// Random power-law graphs through the pull-capable trio, every
+    /// direction policy — the paths where push/pull phase interleaving
+    /// could plausibly race.
     #[test]
     fn adaptive_engines_hazard_free_on_random_graphs(
-        nodes in 60usize..140, seed in 0u64..1000, adaptive in 0u8..2
+        nodes in 60usize..140, seed in 0u64..1000, policy in 0u8..3
     ) {
         let g = graph(nodes, seed);
+        let policy = [Policy::Push, Policy::Adaptive, Policy::TwoWay][policy as usize];
         for entry in roster().into_iter().take(3) {
             for app in APPS {
-                assert_clean_and_neutral(&g, &entry, adaptive == 1, app)?;
+                assert_clean_and_neutral(&g, &entry, policy, app)?;
             }
         }
     }
@@ -249,9 +274,29 @@ fn all_engines_hazard_free_and_unperturbed() {
     let g = graph(150, 7);
     for entry in roster() {
         for app in APPS {
-            for adaptive in [false, true] {
-                assert_clean_and_neutral(&g, &entry, adaptive, app)
-                    .unwrap_or_else(|e| panic!("{e}"));
+            for policy in [Policy::Push, Policy::Adaptive] {
+                assert_clean_and_neutral(&g, &entry, policy, app).unwrap_or_else(|e| panic!("{e}"));
+            }
+        }
+    }
+}
+
+/// The pull-capable trio on the same graph under the two-way policy: every
+/// bottom-up BFS level takes the scalar pull scan, hazard-free and
+/// cost-neutral under the sanitizer like every other gear.
+#[test]
+fn pull_gear_hazard_free_and_unperturbed() {
+    let g = graph(150, 7);
+    for entry in roster().into_iter().take(3) {
+        for app in APPS {
+            let trace = assert_clean_and_neutral(&g, &entry, Policy::TwoWay, app)
+                .unwrap_or_else(|e| panic!("{e}"));
+            if let AppSel::Bfs = app {
+                assert!(
+                    trace.contains('<'),
+                    "{}: BFS never pulled: {trace}",
+                    entry.name
+                );
             }
         }
     }
